@@ -1,6 +1,6 @@
 # Convenience targets; dune is the source of truth.
 
-.PHONY: all build test check bench perf-bench live-bench tail-bench compare-bench chaos-bench keyspace-bench dst-fuzz explore-smoke explore-exhaustive experiments trace-demo verify examples clean loc
+.PHONY: all build test check bench perfbench perfbench-trace perf-bench live-bench tail-bench compare-bench chaos-bench keyspace-bench dst-fuzz explore-smoke explore-exhaustive experiments trace-demo verify examples clean loc
 
 all: build
 
@@ -19,6 +19,14 @@ check: build test
 
 bench:
 	dune exec bench/main.exe
+
+# the repository benchmark (BENCHMARK.json): all three workloads, 10 s
+# each, end-to-end metrics; perfbench-trace reports the per-layer ones
+perfbench:
+	python3 perfbench/run.py --workload all --seed 1 --seconds 10 --trace 0
+
+perfbench-trace:
+	python3 perfbench/run.py --workload all --seed 1 --seconds 10 --trace 1
 
 # the tracked perf trajectory: the interleaved three-way backend A/B
 # (threads vs domains vs socket, ABD, 16..256 client threads, median of

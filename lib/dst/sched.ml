@@ -17,23 +17,29 @@ type astate =
   | Sleeping of int64
   | Finished
 
+(* performed at an actor's yield point: hand control back to the
+   runner with the given state; the next grant resumes the
+   continuation *)
+type _ Effect.t += Yield : astate -> unit Effect.t
+
+type next =
+  | Start of (unit -> unit)  (* never granted: the body is still to run *)
+  | Resume of (unit, unit) Effect.Deep.continuation
+  | Gone  (* running or finished *)
+
 type actor = {
   aid : int;
   name : string;
   mutable st : astate;
-  cond : Condition.t;  (* parked actor waits here, on [gm] *)
-  mutable granted : bool;
+  mutable next : next;
 }
 
 type t = {
   cfg : config;
   rng : Regemu_sim.Rng.t;
-  gm : Mutex.t;  (* the one scheduler lock; actor state lives under it *)
-  runner_c : Condition.t;  (* the runner waits here for the baton back *)
   mutable actors : actor array;  (* spawn order; grow-only *)
   mutable nactors : int;
-  mutable threads : Thread.t list;
-  by_thread : (int, actor) Hashtbl.t;
+  mutable elig : actor array;  (* reused every step: the runnable actors *)
   mutable now : int64;  (* virtual nanoseconds *)
   mutable steps : int;
   mutable digest : int64;  (* FNV-1a over every step's chosen actor *)
@@ -88,86 +94,31 @@ let add_actor t a =
   t.actors.(t.nactors) <- a;
   t.nactors <- t.nactors + 1
 
-(* called with [gm] held *)
-let self t =
-  match Hashtbl.find_opt t.by_thread (Thread.id (Thread.self ())) with
-  | Some a -> a
-  | None -> invalid_arg "Sched: blocking call from a non-actor thread"
-
-(* Give the baton back to the runner with [st] as our new state, then
-   park until granted again.  Called with [gm] held; returns with it
-   held, running. *)
-let yield_baton t a st =
-  a.st <- st;
-  a.granted <- false;
-  Condition.signal t.runner_c;
-  while not a.granted do
-    Condition.wait a.cond t.gm
-  done
+(* park the calling actor with [st] as its new state until granted
+   again *)
+let yield st =
+  try Effect.perform (Yield st)
+  with Effect.Unhandled _ ->
+    invalid_arg "Sched: blocking call from outside an actor"
 
 let ns_of_s s = Int64.of_float (s *. 1e9)
 
 (* --- the three hook operations ------------------------------------------ *)
 
 let suspend t ?timeout_s ?mutex pred =
-  Mutex.lock t.gm;
-  let a = self t in
   Option.iter Mutex.unlock mutex;
   let deadline = Option.map (fun s -> Int64.add t.now (ns_of_s s)) timeout_s in
-  yield_baton t a (Blocked { pred; deadline });
-  let stop = t.stopping in
-  Mutex.unlock t.gm;
+  yield (Blocked { pred; deadline });
   (* relock before raising so the caller's unlock-on-exit stays sound *)
   Option.iter Mutex.lock mutex;
-  if stop then raise Halt
+  if t.stopping then raise Halt
 
 let sleep t s =
-  Mutex.lock t.gm;
-  let a = self t in
-  yield_baton t a (Sleeping (Int64.add t.now (ns_of_s (Float.max 0.0 s))));
-  let stop = t.stopping in
-  Mutex.unlock t.gm;
-  if stop then raise Halt
+  yield (Sleeping (Int64.add t.now (ns_of_s (Float.max 0.0 s))));
+  if t.stopping then raise Halt
 
 let spawn t ~name body =
-  Mutex.lock t.gm;
-  let a =
-    {
-      aid = t.nactors;
-      name;
-      st = Ready;
-      cond = Condition.create ();
-      granted = false;
-    }
-  in
-  add_actor t a;
-  let th =
-    Thread.create
-      (fun () ->
-        Mutex.lock t.gm;
-        Hashtbl.replace t.by_thread (Thread.id (Thread.self ())) a;
-        while not a.granted do
-          Condition.wait a.cond t.gm
-        done;
-        let stop = t.stopping in
-        Mutex.unlock t.gm;
-        (if not stop then
-           try body () with
-           | Halt -> ()
-           | exn ->
-               let msg = Printexc.to_string exn in
-               Mutex.lock t.gm;
-               t.crashes <- (name, msg) :: t.crashes;
-               Mutex.unlock t.gm);
-        Mutex.lock t.gm;
-        a.st <- Finished;
-        a.granted <- false;
-        Condition.signal t.runner_c;
-        Mutex.unlock t.gm)
-      ()
-  in
-  t.threads <- th :: t.threads;
-  Mutex.unlock t.gm
+  add_actor t { aid = t.nactors; name; st = Ready; next = Start body }
 
 let hook t =
   {
@@ -178,14 +129,43 @@ let hook t =
 
 (* --- the runner ---------------------------------------------------------- *)
 
-(* called with [gm] held; hands the baton to [a] and waits for it back *)
+(* the handler every actor body runs under: a [Yield] parks the actor
+   and returns control to {!grant}; returning or raising finishes it *)
+let handler t a =
+  let finish () =
+    a.st <- Finished;
+    a.next <- Gone
+  in
+  let park = Some (fun k -> a.next <- Resume k) in
+  {
+    Effect.Deep.retc = finish;
+    exnc =
+      (fun exn ->
+        (match exn with
+        | Halt -> ()
+        | exn -> t.crashes <- (a.name, Printexc.to_string exn) :: t.crashes);
+        finish ());
+    effc =
+      (fun (type b) (eff : b Effect.t) :
+           ((b, unit) Effect.Deep.continuation -> unit) option ->
+        match eff with
+        | Yield st ->
+            a.st <- st;
+            park
+        | _ -> None);
+  }
+
+(* run [a] until it yields or finishes; an actor first granted after
+   the run began stopping finishes without running its body *)
 let grant t a =
+  let next = a.next in
   a.st <- Running;
-  a.granted <- true;
-  Condition.signal a.cond;
-  while a.granted do
-    Condition.wait t.runner_c t.gm
-  done
+  a.next <- Gone;
+  match next with
+  | Start _ when t.stopping -> a.st <- Finished
+  | Start body -> Effect.Deep.match_with body () (handler t a)
+  | Resume k -> Effect.Deep.continue k ()
+  | Gone -> invalid_arg "Sched: granted an actor that is not parked"
 
 (* is [a] runnable right now?  [pred]s are evaluated here, on the
    runner, while every actor is parked — so they are plain reads with
@@ -198,6 +178,20 @@ let eligible t a =
   | Blocked { pred; deadline } -> (
       (try pred () with _ -> true)
       || match deadline with Some d -> d <= t.now | None -> false)
+
+(* gather the runnable actors, in spawn order, into [t.elig]; returns
+   how many there are *)
+let collect_eligible t =
+  if Array.length t.elig < t.nactors then t.elig <- Array.copy t.actors;
+  let n = ref 0 in
+  for i = 0 to t.nactors - 1 do
+    let a = t.actors.(i) in
+    if eligible t a then begin
+      t.elig.(!n) <- a;
+      incr n
+    end
+  done;
+  !n
 
 let earliest_deadline t =
   let best = ref None in
@@ -257,12 +251,9 @@ let run ?(replay = [||]) cfg f =
     {
       cfg;
       rng = Regemu_sim.Rng.create cfg.seed;
-      gm = Mutex.create ();
-      runner_c = Condition.create ();
       actors = [||];
       nactors = 0;
-      threads = [];
-      by_thread = Hashtbl.create 64;
+      elig = [||];
       (* a nonzero epoch so no timestamp is confused with an unset 0 *)
       now = 1_000_000_000L;
       steps = 0;
@@ -282,15 +273,9 @@ let run ?(replay = [||]) cfg f =
   Fun.protect ~finally:Clock.clear_source @@ fun () ->
   let result = ref None in
   spawn t ~name:"main" (fun () -> result := Some (f t));
-  Mutex.lock t.gm;
   while (not (all_finished t)) && not t.stopping do
-    let elig = ref [] in
-    for i = t.nactors - 1 downto 0 do
-      let a = t.actors.(i) in
-      if eligible t a then elig := a :: !elig
-    done;
-    match !elig with
-    | [] -> (
+    match collect_eligible t with
+    | 0 -> (
         (* nothing runnable: jump virtual time to the next deadline, or
            declare the run wedged *)
         match earliest_deadline t with
@@ -298,9 +283,8 @@ let run ?(replay = [||]) cfg f =
         | None ->
             t.deadlock <- Some (parked_names t);
             t.stopping <- true)
-    | elig ->
-        let n = List.length elig in
-        let a = List.nth elig (choose t n) in
+    | n ->
+        let a = t.elig.(choose t n) in
         if n > 1 then t.sites_rev <- site_of a.aid n :: t.sites_rev;
         t.steps <- t.steps + 1;
         t.digest <- fnv_mix (fnv_mix t.digest a.aid) n;
@@ -325,10 +309,6 @@ let run ?(replay = [||]) cfg f =
     end
   in
   if t.stopping then drain (t.nactors + 16);
-  let threads = t.threads in
-  let finished = all_finished t in
-  Mutex.unlock t.gm;
-  if finished then List.iter Thread.join threads;
   ( !result,
     {
       steps = t.steps;

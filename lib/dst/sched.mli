@@ -3,14 +3,23 @@
 
     Every actor of a run (server loops, transport couriers, the
     checker, the fault injector, the nemesis, workload clients, and the
-    root function itself) is a real OS thread, but exactly one holds
-    the {e baton} at any instant: all others are parked on their own
-    condition variable.  At each step the runner evaluates which parked
+    root function itself) is an OCaml 5 effect-handler fiber inside the
+    thread that called {!run}; none gets an OS thread.  A yield point
+    ({!Regemu_live.Sched_hook.t}'s [suspend] or [sleep]) performs an
+    effect carrying the actor's new state, and the handler parks the
+    continuation.  At each step the runner evaluates which parked
     actors are runnable — [Ready], blocked with a true predicate or an
-    expired timeout, or sleeping past their deadline — and picks one
-    from a seeded PRNG.  Since no two actors ever run concurrently, the
-    whole run (message interleavings, fault timings, history
-    timestamps) is a pure function of [(seed, config, program)].
+    expired timeout, or sleeping past their deadline — picks one from
+    a seeded PRNG, and resumes it until its next yield point.  Since no
+    two actors ever run concurrently, the whole run (message
+    interleavings, fault timings, history timestamps) is a pure
+    function of [(seed, config, program)].
+
+    All actors share one thread, and OCaml's mutexes are
+    error-checking: an actor that parks holding a mutex it did not pass
+    to [suspend] makes the next actor that locks it fail with
+    [Sys_error], reported in the report's [actor_crashes], instead of
+    hanging the run.
 
     {2 Virtual time}
 
@@ -37,7 +46,9 @@
     global. *)
 
 (** Raised inside parked actors when the run is torn down after a
-    deadlock or stall; treated as a clean actor exit. *)
+    deadlock or stall; treated as a clean actor exit.  [suspend]
+    re-locks its [?mutex] before raising it, and an actor first granted
+    after the teardown began never runs its body. *)
 exception Halt
 
 type config = {

@@ -282,7 +282,7 @@ let spawn ?sched cluster ?(interval_s = 0.02) ?(final_atomic = false)
       checks = 0;
       violation = None;
       cursors = Hashtbl.create 32;
-      seen = Hashtbl.create 1024;
+      seen = Hashtbl.create 64;
       wseq = [];
       max_wret = 0;
       wbroken = false;

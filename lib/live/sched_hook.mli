@@ -28,7 +28,11 @@
 
     Code holding a mutex across a yield point must pass it to
     [suspend]; an actor is never parked while holding a lock another
-    actor can contend on. *)
+    actor can contend on.  A breach fails loudly rather than hanging:
+    the deterministic scheduler runs every actor on one thread and
+    OCaml's mutexes are error-checking, so the next actor to lock that
+    mutex raises [Sys_error "Mutex.lock: Resource deadlock avoided"],
+    which the scheduler reports as that actor's crash. *)
 
 type t = {
   spawn : name:string -> (unit -> unit) -> unit;

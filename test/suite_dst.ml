@@ -104,6 +104,15 @@ let sched_tests =
             Alcotest.(check bool)
               "stuck actor named" true
               (List.mem "stuck" names));
+    test "a yield point outside any actor is rejected" (fun () ->
+        let leaked = ref None in
+        ignore
+          (Sched.run (Sched.default_config ~seed:9) (fun t ->
+               leaked := Some t));
+        let hook = Sched.hook (Option.get !leaked) in
+        Alcotest.check_raises "sleep"
+          (Invalid_argument "Sched: blocking call from outside an actor")
+          (fun () -> hook.Regemu_live.Sched_hook.sleep 1.0));
     test "max_steps turns a livelock into a stall report" (fun () ->
         let cfg = { (Sched.default_config ~seed:4) with Sched.max_steps = 50 } in
         let _, rep =
@@ -213,6 +222,83 @@ let sched_tests =
            rep.Sched.replay_unused));
   ]
 
+(* --- teardown and the lock contract --------------------------------------- *)
+
+let lock_contract_tests =
+  [
+    test "an actor spawned during teardown never runs its body" (fun () ->
+        let ran = ref false in
+        let r, rep =
+          Sched.run (Sched.default_config ~seed:13) (fun t ->
+              let hook = Sched.hook t in
+              (* the spawn happens as [Halt] unwinds the wedged root, so
+                 the new actor is first granted after the run stopped *)
+              Fun.protect
+                ~finally:(fun () ->
+                  Sched.spawn t ~name:"late" (fun () -> ran := true))
+                (fun () ->
+                  hook.Regemu_live.Sched_hook.suspend (fun () -> false)))
+        in
+        Alcotest.(check (option unit)) "no result" None r;
+        Alcotest.(check bool) "deadlock reported" true
+          (rep.Sched.deadlock <> None);
+        Alcotest.(check int) "both actors counted" 2 rep.Sched.actors;
+        Alcotest.(check bool) "the late body never ran" false !ran;
+        Alcotest.(check int) "no crashes" 0
+          (List.length rep.Sched.actor_crashes));
+    test "Halt leaves suspend ~mutex with the mutex re-held" (fun () ->
+        let m = Mutex.create () in
+        let reheld = ref false in
+        let _, rep =
+          Sched.run (Sched.default_config ~seed:14) (fun t ->
+              let hook = Sched.hook t in
+              Mutex.lock m;
+              match
+                hook.Regemu_live.Sched_hook.suspend ~mutex:m (fun () -> false)
+              with
+              | () -> Mutex.unlock m
+              | exception Sched.Halt ->
+                  (* unlocking a mutex this thread does not hold raises *)
+                  reheld := not (Mutex.try_lock m);
+                  Mutex.unlock m;
+                  raise Sched.Halt)
+        in
+        Alcotest.(check bool) "deadlock reported" true
+          (rep.Sched.deadlock <> None);
+        Alcotest.(check bool) "held again when Halt surfaced" true !reheld;
+        Alcotest.(check int) "no crashes" 0
+          (List.length rep.Sched.actor_crashes);
+        Alcotest.(check bool) "released afterwards" true (Mutex.try_lock m);
+        Mutex.unlock m);
+    test "parking on a mutex not passed to suspend fails loudly" (fun () ->
+        let m = Mutex.create () in
+        let r, rep =
+          Sched.run (Sched.default_config ~seed:15) (fun t ->
+              let hook = Sched.hook t in
+              let held = ref false in
+              Sched.spawn t ~name:"holder" (fun () ->
+                  Mutex.lock m;
+                  held := true;
+                  (* a contract breach: parked with [m] still locked *)
+                  hook.Regemu_live.Sched_hook.sleep 1.0;
+                  Mutex.unlock m);
+              Sched.spawn t ~name:"contender" (fun () ->
+                  hook.Regemu_live.Sched_hook.suspend (fun () -> !held);
+                  Mutex.lock m;
+                  Mutex.unlock m))
+        in
+        Alcotest.(check (option unit)) "the run ends" (Some ()) r;
+        Alcotest.(check bool) "no deadlock" true (rep.Sched.deadlock = None);
+        Alcotest.(check (list (pair string string)))
+          "the contender crashed on the lock"
+          [
+            ( "contender",
+              Printexc.to_string
+                (Sys_error "Mutex.lock: Resource deadlock avoided") );
+          ]
+          rep.Sched.actor_crashes);
+  ]
+
 (* --- whole-run determinism ----------------------------------------------- *)
 
 let determinism_tests =
@@ -249,6 +335,51 @@ let determinism_tests =
             Regemu_live.Live_bench.Alg2;
           ]);
   ]
+
+(* --- pinned schedules for passing runs ------------------------------------ *)
+
+(* run digests of clean runs, recorded when the scheduler ran each
+   actor on its own OS thread: any change to how actors are granted,
+   parked, or torn down that moves a single step shows up here *)
+let golden_runs =
+  let open Regemu_live.Live_bench in
+  [
+    (Abd, Dst_fuzz.Quiet, 41, "c05e40b71e63bdfc-17b5a79f05155542");
+    (Abd, Dst_fuzz.Chaos, 41, "f28f1db130ab4eda-183229a82efc960f");
+    (Alg2, Dst_fuzz.Quiet, 42, "5e72c6bc990e0ed8-eb72f0b27d95df6b");
+    (Alg2, Dst_fuzz.Chaos, 42, "fd7ebf76e9860447-3087f8bdbb76b675");
+    (Cds, Dst_fuzz.Quiet, 43, "8e06bdd889de3340-a41c6ee96973bd95");
+    (Cds, Dst_fuzz.Chaos, 43, "65e4d2b6ea3e4751-30b1492168ba0236");
+  ]
+
+let golden_tests =
+  List.map
+    (fun (algo, profile, seed, digest) ->
+      let name =
+        Fmt.str "%s %s seed %d keeps its pinned digest"
+          (Regemu_live.Live_bench.algo_name algo)
+          (Dst_fuzz.profile_name profile)
+          seed
+      in
+      test name (fun () ->
+          let base = { (Dst.default_config ~seed) with Dst.algo } in
+          let o = Dst.run (Dst_fuzz.config_for profile ~base ~seed) in
+          Alcotest.(check bool) "clean" true (Dst.passed o);
+          Alcotest.(check string) "run digest" digest (Dst.run_digest o)))
+    golden_runs
+  @ [
+      test "a keyspace run keeps its pinned digest" (fun () ->
+          let o =
+            Dst_keyspace.run
+              (Dst_keyspace.default_config ~profile:Dst_keyspace.Quiet
+                 ~seed:44)
+          in
+          Alcotest.(check bool) "gc soundness" true
+            (Dst_keyspace.gc_soundness_holds o);
+          Alcotest.(check int) "steps" 1653 o.Dst_keyspace.report.Sched.steps;
+          Alcotest.(check string) "schedule digest" "3ebb6c3595041bf2"
+            o.Dst_keyspace.report.Sched.digest);
+    ]
 
 (* --- gray faults + hedging under the virtual scheduler ------------------- *)
 
@@ -537,7 +668,9 @@ let replay_file_tests =
 let suites =
   [
     ("dst.sched", sched_tests);
+    ("dst.lockcontract", lock_contract_tests);
     ("dst.determinism", determinism_tests);
+    ("dst.golden", golden_tests);
     ("dst.gray", gray_determinism_tests);
     ("dst.equivalence", equivalence_tests);
     ("dst.shrink", shrink_tests);

@@ -55,6 +55,52 @@ let ring_tests =
             ignore (Ring.create ~capacity:0 ~dummy:0)));
   ]
 
+(* the ring against its model: a list cut to the newest [capacity]
+   entries, with [pushed] counted separately.  Capacities straddle the
+   initial allocation so growth, the first wrap, and capacity 1 are all
+   exercised, and runs push well past capacity. *)
+let ring_model_property =
+  let gen =
+    QCheck.Gen.(
+      let* capacity = oneof [ return 1; int_range 1 8; int_range 60 200 ] in
+      let* ops =
+        list_size (int_range 0 600)
+          (frequency
+             [ (40, map (fun x -> Some x) small_nat); (1, return None) ])
+      in
+      return (capacity, ops))
+  in
+  let print (capacity, ops) =
+    Fmt.str "capacity=%d ops=%d" capacity (List.length ops)
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"ring matches a bounded-list model" ~count:200
+       (QCheck.make gen ~print)
+       (fun (capacity, ops) ->
+         let r = Ring.create ~capacity ~dummy:(-1) in
+         let keep_newest l =
+           let n = List.length l in
+           List.filteri (fun i _ -> i >= n - capacity) l
+         in
+         let model = ref [] and pushed = ref 0 in
+         List.for_all
+           (fun op ->
+             (match op with
+             | Some x ->
+                 Ring.push r x;
+                 model := keep_newest (!model @ [ x ]);
+                 incr pushed
+             | None ->
+                 Ring.clear r;
+                 model := [];
+                 pushed := 0);
+             Ring.to_list r = !model
+             && Ring.length r = List.length !model
+             && Ring.pushed r = !pushed
+             && Ring.dropped r = !pushed - List.length !model
+             && Ring.capacity r = capacity)
+           ops))
+
 (* --- the tracing core ----------------------------------------------------- *)
 
 let phs r =
@@ -480,7 +526,7 @@ let agreement_tests =
 
 let suites =
   [
-    ("obs.ring", ring_tests);
+    ("obs.ring", ring_tests @ [ ring_model_property ]);
     ("obs.trace", trace_tests);
     ("obs.metrics", metrics_tests);
     ("obs.export", export_tests);
