@@ -1,4 +1,3 @@
-open Regemu_bounds
 open Regemu_objects
 open Regemu_live
 module Json = Regemu_obs.Json
@@ -204,16 +203,9 @@ let run ?(log = ignore) ?(sink = Sink.none) s =
   let readers = List.init s.readers (fun _ -> Cluster.new_client cluster) in
   let write, read =
     match s.algo with
-    | Abd ->
-        let abd = Abd_live.create cluster ~f:s.f () in
-        (Abd_live.write abd, Abd_live.read abd)
-    | Alg2 ->
-        let p = Params.make_exn ~k:s.k ~f:s.f ~n:s.n in
-        let alg2 = Alg2_live.create cluster p ~writers () in
-        (Alg2_live.write alg2, Alg2_live.read alg2)
-    | Cds ->
-        let cds = Cds_live.create cluster ~f:s.f ~writers () in
-        (Cds_live.write cds, Cds_live.read cds)
+    | Abd -> Live_bench.emulation Live_bench.Abd cluster ~f:s.f ~writers
+    | Alg2 -> Live_bench.emulation Live_bench.Alg2 cluster ~f:s.f ~writers
+    | Cds -> Live_bench.emulation Live_bench.Cds cluster ~f:s.f ~writers
     | Keyed ->
         (* every operation targets key 0: the schedule partitions that
            key's replica set, so the keyed retry/fail-fast path is what

@@ -188,22 +188,7 @@ let run ?(choices = [||]) ?(sink = Sink.none) cfg =
           List.init cfg.readers (fun _ -> Cluster.new_client cluster)
         in
         let write, read =
-          match cfg.algo with
-          | Live_bench.Abd | Live_bench.Abd_wb ->
-              let abd =
-                Abd_live.create cluster ~f:cfg.f
-                  ~write_back_reads:(cfg.algo = Live_bench.Abd_wb) ()
-              in
-              (Abd_live.write abd, Abd_live.read abd)
-          | Live_bench.Alg2 ->
-              let p =
-                Regemu_bounds.Params.make_exn ~k:cfg.writers ~f:cfg.f ~n:cfg.n
-              in
-              let alg2 = Alg2_live.create cluster p ~writers () in
-              (Alg2_live.write alg2, Alg2_live.read alg2)
-          | Live_bench.Cds ->
-              let cds = Cds_live.create cluster ~f:cfg.f ~writers () in
-              (Cds_live.write cds, Cds_live.read cds)
+          Live_bench.emulation cfg.algo cluster ~f:cfg.f ~writers
         in
         Cluster.start cluster;
         let checker = Checker.spawn ~sched:hook cluster ~interval_s:0.005 () in

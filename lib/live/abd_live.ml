@@ -1,68 +1,3 @@
-open Regemu_objects
-open Regemu_netsim
+include Regemu_netsim.Quorum_client.Abd (Cluster)
 
-type t = {
-  cluster : Cluster.t;
-  f : int;
-  replicas : int list;
-  write_back_reads : bool;
-}
-
-let create cluster ~f ?(write_back_reads = false) () =
-  let needed = (2 * f) + 1 in
-  if Cluster.num_servers cluster < needed then
-    invalid_arg
-      (Fmt.str "Abd_live.create: need at least %d servers, have %d" needed
-         (Cluster.num_servers cluster));
-  { cluster; f; replicas = List.init needed Fun.id; write_back_reads }
-
-let replicas t = List.length t.replicas
-
-(* issue a request built from a fresh rid per server, await [f+1]
-   replies, fold them.  Without hedging this broadcasts to all
-   replicas; with it, [rpc_quorum] contacts a health-biased subset
-   first and hedges the rest.  [rpc] retransmits lost requests;
-   replies are deduplicated per rid, so a reply counts toward the
-   quorum once. *)
-let quorum_round t cl ~request ~fold ~init =
-  let quorum = t.f + 1 in
-  let count = ref 0 in
-  let acc = ref init in
-  Cluster.locked cl (fun () ->
-      Cluster.rpc_quorum t.cluster ~src:cl ~quorum ~make:request
-        ~handler:(fun reply ->
-          acc := fold !acc reply;
-          incr count)
-        t.replicas);
-  Cluster.await t.cluster cl
-    ~need:(t.replicas, quorum)
-    (fun () -> !count >= quorum);
-  Cluster.locked cl (fun () -> !acc)
-
-let query_max t cl =
-  quorum_round t cl
-    ~request:(fun rid -> Proto.Query { rid })
-    ~init:Value.v0
-    ~fold:(fun best reply ->
-      match reply with
-      | Proto.Query_reply { stored; _ } -> Value.max best stored
-      | _ -> best)
-
-let update t cl ts_val =
-  ignore
-    (quorum_round t cl
-       ~request:(fun rid -> Proto.Update { rid; proposed = ts_val })
-       ~init:() ~fold:(fun () _ -> ()))
-
-let write t cl v =
-  ignore
-    (Cluster.invoke t.cluster cl (Regemu_sim.Trace.H_write v) (fun () ->
-         let latest = query_max t cl in
-         update t cl (Value.with_ts (Value.ts latest + 1) v);
-         Value.Unit))
-
-let read t cl =
-  Cluster.invoke t.cluster cl Regemu_sim.Trace.H_read (fun () ->
-      let latest = query_max t cl in
-      if t.write_back_reads then update t cl latest;
-      Value.payload latest)
+let write t cl v = ignore (write t cl v)

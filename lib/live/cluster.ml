@@ -395,19 +395,8 @@ let locked cl f =
   Mutex.lock cl.cm;
   Fun.protect ~finally:(fun () -> Mutex.unlock cl.cm) f
 
-let on_reply cl ~rid f = Hashtbl.replace cl.handlers rid f
-
 let check_server t i =
   if i < 0 || i >= t.cfg.n then invalid_arg "Cluster: unknown server"
-
-let send t ~src server payload =
-  check_server t server;
-  Transport.send (transport t)
-    {
-      Transport.src = Id.Client.to_int src.id;
-      dest = Transport.To_server server;
-      payload;
-    }
 
 (* fold one observed reply latency into a server's health EWMA *)
 let health_alpha = 0.2
@@ -775,6 +764,8 @@ let exn_label = function
   | e -> Printexc.exn_slot_name e
 
 let begin_op cl = cl.op_t0 <- Clock.now_s ()
+
+type call = Value.t
 
 let invoke _t cl hop body =
   cl.op_t0 <- Clock.now_s ();

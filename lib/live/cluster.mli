@@ -145,23 +145,14 @@ val client_id : client -> Id.Client.t
 (** Allocate a plain register cell on a server (before {!start}). *)
 val alloc_reg : t -> server:int -> int
 
-(** {2 Client-side primitives (the live analogue of {!Net}'s API)} *)
+(** {2 Client-side primitives}
 
-(** Globally fresh request id. *)
-val fresh_rid : t -> int
+    The cluster is a {!Regemu_netsim.Quorum_client.RUNTIME}: the client
+    protocols in [Quorum_client] run on it unchanged. *)
 
 (** Run [f] under the client's mutex.  All client-side protocol state
     must be touched only under it. *)
 val locked : client -> (unit -> 'a) -> 'a
-
-(** Register a one-shot reply handler for [rid].  The caller must hold
-    the client's mutex ({!locked}); handlers themselves already do.
-    Low-level: {!rpc} also registers retransmission state. *)
-val on_reply : client -> rid:int -> (Proto.payload -> unit) -> unit
-
-(** Send a request to a server, fire-and-forget (no retransmission).
-    Safe with or without the client mutex held. *)
-val send : t -> src:client -> int -> Proto.payload -> unit
 
 (** [rpc t ~src server ~make ~handler] allocates a fresh rid, sends
     [make rid] to [server], registers the one-shot [handler], and (when
@@ -212,6 +203,9 @@ val rpc_quorum :
     Raises {!Timeout} after [op_timeout_s] as a last-resort backstop. *)
 val await : t -> client -> ?need:int list * int -> (unit -> bool) -> unit
 
+(** What {!invoke} yields: the operation's result. *)
+type call = Value.t
+
 (** {2 High-level operations}
 
     [invoke t cl hop body] records the operation in the cluster history
@@ -220,7 +214,7 @@ val await : t -> client -> ?need:int list * int -> (unit -> bool) -> unit
     retry-deadline clock.  If [body] escapes with {!Unavailable}, the
     ticket stays pending — sound for the checkers, which treat a
     pending operation as concurrent with everything after it. *)
-val invoke : t -> client -> Regemu_sim.Trace.hop -> (unit -> Value.t) -> Value.t
+val invoke : t -> client -> Regemu_sim.Trace.hop -> (unit -> Value.t) -> call
 
 (** Start the per-op retry-deadline clock {e without} taking a history
     ticket — for layers ([Regemu_keyspace]) that keep their own

@@ -18,6 +18,24 @@ let algo_of_name = function
   | "cds" -> Some Cds
   | _ -> None
 
+let emulation algo cluster ~f ~writers =
+  match algo with
+  | Abd | Abd_wb ->
+      let abd =
+        Abd_live.create cluster ~f ~write_back_reads:(algo = Abd_wb) ()
+      in
+      (Abd_live.write abd, Abd_live.read abd)
+  | Alg2 ->
+      let p =
+        Params.make_exn ~k:(List.length writers) ~f
+          ~n:(Cluster.num_servers cluster)
+      in
+      let alg2 = Alg2_live.create cluster p ~writers () in
+      (Alg2_live.write alg2, Alg2_live.read alg2)
+  | Cds ->
+      let cds = Cds_live.create cluster ~f ~writers () in
+      (Cds_live.write cds, Cds_live.read cds)
+
 type spec = {
   algo : algo;
   k : int;
@@ -107,22 +125,7 @@ let run ?(sink = Sink.none) spec =
   in
   let writers = List.init spec.k (fun _ -> Cluster.new_client cluster) in
   let readers = List.init spec.readers (fun _ -> Cluster.new_client cluster) in
-  let write, read =
-    match spec.algo with
-    | Abd | Abd_wb ->
-        let abd =
-          Abd_live.create cluster ~f:spec.f
-            ~write_back_reads:(spec.algo = Abd_wb) ()
-        in
-        (Abd_live.write abd, Abd_live.read abd)
-    | Alg2 ->
-        let p = Params.make_exn ~k:spec.k ~f:spec.f ~n:spec.n in
-        let alg2 = Alg2_live.create cluster p ~writers () in
-        (Alg2_live.write alg2, Alg2_live.read alg2)
-    | Cds ->
-        let cds = Cds_live.create cluster ~f:spec.f ~writers () in
-        (Cds_live.write cds, Cds_live.read cds)
-  in
+  let write, read = emulation spec.algo cluster ~f:spec.f ~writers in
   Cluster.start cluster;
   (* the space axis: sample resident cells/bytes through the run and
      keep the maxima.  Sampling is unsynchronised (a gauge, not an

@@ -20,6 +20,18 @@ val algo_names : string list
 
 val algo_of_name : string -> algo option
 
+(** [emulation algo cluster ~f ~writers] builds [algo] on [cluster]
+    before {!Cluster.start} and returns its [(write, read)]; Algorithm 2
+    is sized [k = List.length writers], [n = Cluster.num_servers
+    cluster]. *)
+val emulation :
+  algo ->
+  Cluster.t ->
+  f:int ->
+  writers:Cluster.client list ->
+  (Cluster.client -> Regemu_objects.Value.t -> unit)
+  * (Cluster.client -> Regemu_objects.Value.t)
+
 type spec = {
   algo : algo;
   k : int;  (** writer threads *)

@@ -119,22 +119,7 @@ let run_arm ?(sink = Sink.none) s arm =
   in
   let writers = [ Cluster.new_client cluster ] in
   let readers = List.init s.readers (fun _ -> Cluster.new_client cluster) in
-  let write, read =
-    match s.algo with
-    | Live_bench.Abd | Live_bench.Abd_wb ->
-        let abd =
-          Abd_live.create cluster ~f:s.f
-            ~write_back_reads:(s.algo = Live_bench.Abd_wb) ()
-        in
-        (Abd_live.write abd, Abd_live.read abd)
-    | Live_bench.Alg2 ->
-        let p = Regemu_bounds.Params.make_exn ~k:1 ~f:s.f ~n:s.n in
-        let alg2 = Alg2_live.create cluster p ~writers () in
-        (Alg2_live.write alg2, Alg2_live.read alg2)
-    | Live_bench.Cds ->
-        let cds = Cds_live.create cluster ~f:s.f ~writers () in
-        (Cds_live.write cds, Cds_live.read cds)
-  in
+  let write, read = Live_bench.emulation s.algo cluster ~f:s.f ~writers in
   Cluster.start cluster;
   (* the gray injection: a uniform per-envelope delay on every link
      models the network floor, and one server gets the 10x version *)

@@ -1,72 +1,1 @@
-open Regemu_objects
-
-type t = {
-  net : Net.t;
-  f : int;
-  replicas : Id.Server.t list;
-  write_back_reads : bool;
-}
-
-let create net ~f ?(write_back_reads = false) () =
-  let needed = (2 * f) + 1 in
-  if Net.num_servers net < needed then
-    invalid_arg
-      (Fmt.str "Abd_net.create: need at least %d servers, have %d" needed
-         (Net.num_servers net));
-  {
-    net;
-    f;
-    replicas = List.init needed Id.Server.of_int;
-    write_back_reads;
-  }
-
-let replicas t = List.length t.replicas
-
-(* broadcast a request built from a fresh rid per server, await [quorum]
-   replies, fold them *)
-let quorum_round t ~client ~request ~fold ~init =
-  let quorum = t.f + 1 in
-  let count = ref 0 in
-  let acc = ref init in
-  List.iter
-    (fun s ->
-      let rid = Net.fresh_rid t.net in
-      Net.on_reply t.net ~client ~rid (fun reply ->
-          acc := fold !acc reply;
-          incr count);
-      Net.send t.net ~from:client s (request rid))
-    t.replicas;
-  Net.wait_until (fun () -> !count >= quorum);
-  !acc
-
-let query_max t ~client =
-  quorum_round t ~client
-    ~request:(fun rid -> Net.Query { rid })
-    ~init:Value.v0
-    ~fold:(fun best reply ->
-      match reply with
-      | Net.Query_reply { stored; _ } -> Value.max best stored
-      | Net.Query _ | Net.Update _ | Net.Update_reply _ | Net.Reg_read _
-      | Net.Reg_read_reply _ | Net.Reg_write _ | Net.Reg_write_reply _
-      | Net.Kquery _ | Net.Kquery_reply _ | Net.Kupdate _ | Net.Kupdate_reply _
-      | Net.Cquery _ | Net.Cquery_reply _ | Net.Cwrite _ | Net.Cwrite_reply _
-        ->
-          best)
-
-let update t ~client ts_val =
-  ignore
-    (quorum_round t ~client
-       ~request:(fun rid -> Net.Update { rid; proposed = ts_val })
-       ~init:() ~fold:(fun () _ -> ()))
-
-let write t client v =
-  Net.invoke t.net ~client (Regemu_sim.Trace.H_write v) (fun () ->
-      let latest = query_max t ~client in
-      update t ~client (Value.with_ts (Value.ts latest + 1) v);
-      Value.Unit)
-
-let read t client =
-  Net.invoke t.net ~client Regemu_sim.Trace.H_read (fun () ->
-      let latest = query_max t ~client in
-      if t.write_back_reads then update t ~client latest;
-      Value.payload latest)
+include Quorum_client.Abd (Quorum_client.Net_runtime)

@@ -1,181 +1,1 @@
-open Regemu_bounds
-open Regemu_objects
-
-type cell = { server : Id.Server.t; reg : int }
-
-(* per-writer covering-discipline slot over its register-cell set *)
-type slot = {
-  client : Id.Client.t;
-  rset : cell array;
-  mutable ts_val : Value.t;
-  mutable acked : int list;  (* rset indexes acknowledged for ts_val *)
-  outstanding : (int, Value.t) Hashtbl.t;  (* rset index -> value in flight *)
-}
-
-type t = {
-  net : Net.t;
-  params : Params.t;
-  naive : bool;
-  cells : cell list;  (* every cell of the construction *)
-  by_server : cell list array;  (* index = server id *)
-  slots : (int * slot) list;  (* writer client id -> slot *)
-}
-
-let cells t = List.length t.cells
-
-let distribute net (p : Params.t) =
-  (* the Section 3.3 layout: set i's register j on server (i+j) mod n *)
-  let sizes = Formulas.set_sizes p in
-  let by_server = Array.make p.n [] in
-  let sets =
-    List.mapi
-      (fun i size ->
-        Array.init size (fun j ->
-            let server = Id.Server.of_int ((i + j) mod p.n) in
-            let reg = Net.alloc_reg net server in
-            let c = { server; reg } in
-            by_server.(Id.Server.to_int server) <-
-              by_server.(Id.Server.to_int server) @ [ c ];
-            c))
-      sizes
-  in
-  (sets, by_server)
-
-let naive_cells net (p : Params.t) =
-  let by_server = Array.make p.n [] in
-  let cells =
-    List.init ((2 * p.f) + 1) (fun i ->
-        let server = Id.Server.of_int i in
-        let reg = Net.alloc_reg net server in
-        let c = { server; reg } in
-        by_server.(i) <- [ c ];
-        c)
-  in
-  (cells, by_server)
-
-let create net (p : Params.t) ?(naive = false) ~writers () =
-  if List.length writers <> p.k then
-    invalid_arg "Alg2_net.create: writer count mismatch";
-  if Net.num_servers net <> p.n then
-    invalid_arg "Alg2_net.create: server count mismatch";
-  if naive then begin
-    let cells, by_server = naive_cells net p in
-    let slots =
-      List.map
-        (fun c ->
-          ( Id.Client.to_int c,
-            {
-              client = c;
-              rset = Array.of_list cells;
-              ts_val = Value.with_ts 0 Value.v0;
-              acked = [];
-              outstanding = Hashtbl.create 8;
-            } ))
-        writers
-    in
-    { net; params = p; naive; cells; by_server; slots }
-  end
-  else begin
-    let sets, by_server = distribute net p in
-    let z = Formulas.z p in
-    let slots =
-      List.mapi
-        (fun i c ->
-          ( Id.Client.to_int c,
-            {
-              client = c;
-              rset = List.nth sets (i / z);
-              ts_val = Value.with_ts 0 Value.v0;
-              acked = [];
-              outstanding = Hashtbl.create 8;
-            } ))
-        writers
-    in
-    {
-      net;
-      params = p;
-      naive;
-      cells = List.concat_map Array.to_list sets;
-      by_server;
-      slots;
-    }
-  end
-
-let slot_of t c what =
-  match List.assoc_opt (Id.Client.to_int c) t.slots with
-  | Some s -> s
-  | None -> invalid_arg (Fmt.str "Alg2_net.%s: not a registered writer" what)
-
-(* send the slot's current value to rset index [i]; register the
-   covering-discipline acknowledgement handler *)
-let rec send_current t slot i =
-  let cell = slot.rset.(i) in
-  let v = slot.ts_val in
-  Hashtbl.replace slot.outstanding i v;
-  let rid = Net.fresh_rid t.net in
-  Net.on_reply t.net ~client:slot.client ~rid (fun _ ->
-      match Hashtbl.find_opt slot.outstanding i with
-      | None -> ()  (* naive mode: a superseded acknowledgement *)
-      | Some sent ->
-          Hashtbl.remove slot.outstanding i;
-          if Value.equal sent slot.ts_val then begin
-            if not (List.mem i slot.acked) then slot.acked <- i :: slot.acked
-          end
-          else if not t.naive then
-            (* a stale acknowledgement finally arrived: the cell now
-               holds an old value; immediately re-send the current one *)
-            send_current t slot i);
-  Net.send t.net ~from:slot.client cell.server
-    (Net.Reg_write { rid; reg = cell.reg; proposed = v })
-
-let submit t slot v ~quorum =
-  slot.ts_val <- v;
-  slot.acked <- [];
-  Array.iteri
-    (fun i _ ->
-      if t.naive || not (Hashtbl.mem slot.outstanding i) then
-        send_current t slot i)
-    slot.rset;
-  Net.wait_until (fun () -> List.length slot.acked >= quorum)
-
-(* read every cell of [n - f] servers, return the maximum *)
-let collect t ~client =
-  let scans = ref 0 in
-  let best = ref Value.v0 in
-  Array.iteri
-    (fun _si cells ->
-      match cells with
-      | [] -> incr scans
-      | cells ->
-          let remaining = ref (List.length cells) in
-          List.iter
-            (fun cell ->
-              let rid = Net.fresh_rid t.net in
-              Net.on_reply t.net ~client ~rid (fun reply ->
-                  (match reply with
-                  | Net.Reg_read_reply { stored; _ } ->
-                      best := Value.max !best stored
-                  | _ -> ());
-                  decr remaining;
-                  if !remaining = 0 then incr scans);
-              Net.send t.net ~from:client cell.server
-                (Net.Reg_read { rid; reg = cell.reg }))
-            cells)
-    t.by_server;
-  Net.wait_until (fun () -> !scans >= t.params.Params.n - t.params.Params.f);
-  !best
-
-let write t c v =
-  let slot = slot_of t c "write" in
-  Net.invoke t.net ~client:c (Regemu_sim.Trace.H_write v) (fun () ->
-      let latest = collect t ~client:c in
-      let quorum =
-        if t.naive then t.params.Params.f + 1
-        else Array.length slot.rset - t.params.Params.f
-      in
-      submit t slot (Value.with_ts (Value.ts latest + 1) v) ~quorum;
-      Value.Unit)
-
-let read t c =
-  Net.invoke t.net ~client:c Regemu_sim.Trace.H_read (fun () ->
-      Value.payload (collect t ~client:c))
+include Quorum_client.Alg2 (Quorum_client.Net_runtime)

@@ -72,6 +72,8 @@ module Adi_policy = Regemu_adversary.Adi_policy
 module Net = Regemu_netsim.Net
 module Abd_net = Regemu_netsim.Abd_net
 module Alg2_net = Regemu_netsim.Alg2_net
+module Cds_net = Regemu_netsim.Cds_net
+module Quorum_client = Regemu_netsim.Quorum_client
 module Net_scenario = Regemu_netsim.Net_scenario
 module Net_lowerbound = Regemu_netsim.Net_lowerbound
 module Net_fuzz = Regemu_netsim.Net_fuzz

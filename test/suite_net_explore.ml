@@ -50,6 +50,21 @@ let net_explore_tests =
         Alcotest.(check bool) "exhaustive" true r.exhaustive;
         check_space r;
         Alcotest.(check int) "never stuck" 0 r.stuck_runs);
+    test "exhaustive: CDS on the wire, one write" (fun () ->
+        let r =
+          Net_explore.run
+            {
+              params = p1;
+              protocol = Net_scenario.cds;
+              ops = [ `Write (Value.Str "a") ];
+              crashes = 0;
+            }
+            ~max_fired:5_000_000
+        in
+        Alcotest.(check bool) "exhaustive" true r.exhaustive;
+        Alcotest.(check int) "never stuck" 0 r.stuck_runs;
+        Alcotest.(check int) "never unsafe" 0
+          (List.length r.ws_safe_violations));
     test "write-then-read: no violation in a large covered space" (fun () ->
         (* the full space is beyond a unit-test budget; cover a large
            prefix and require it clean *)
