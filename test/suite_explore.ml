@@ -125,6 +125,49 @@ let dpor_tests =
         Alcotest.(check bool)
           (Fmt.str "pruning ratio %.3f >= 0.3" ratio)
           true (ratio >= 0.3));
+    test "search is pinned on the capped one-crash Algorithm 2 scenario"
+      (fun () ->
+        (* Algorithm 2, n=3, f=1, one crash, 1 writer x 2 writes, 1
+           reader x 2 reads, capped at 10000 transitions, invariants
+           on.  Fingerprint equality with brute force cannot see a
+           clock bug that loses pruning or plants extra backtrack
+           points; these counters can. *)
+        let r =
+          Dpor.run
+            (Explore.emulation_scenario Regemu_core.Algorithm2.factory p1
+               ~mode:Explore.Sequential ~crashes:1
+               ~writer_ops:[ [ Value.Int 1001; Value.Int 1002 ] ]
+               ~readers:1 ~reads_each:2 ())
+            ~max_explored:10_000
+        in
+        let got =
+          [
+            ("explored", r.Dpor.explored);
+            ("replayed", r.Dpor.replayed);
+            ("pruned", r.Dpor.pruned);
+            ("sleep_skipped", r.Dpor.sleep_skipped);
+            ("terminal_runs", r.Dpor.terminal_runs);
+            ("stuck_runs", r.Dpor.stuck_runs);
+            ("distinct_states", r.Dpor.distinct_states);
+            ("max_depth", r.Dpor.max_depth);
+            ("invariant_violations", r.Dpor.invariant_violations);
+          ]
+        in
+        Alcotest.(check (list (pair string int)))
+          "every search counter"
+          [
+            ("explored", 10000);
+            ("replayed", 53694);
+            ("pruned", 5276);
+            ("sleep_skipped", 470);
+            ("terminal_runs", 2710);
+            ("stuck_runs", 0);
+            ("distinct_states", 1);
+            ("max_depth", 24);
+            ("invariant_violations", 0);
+          ]
+          got;
+        Alcotest.(check bool) "capped, not exhaustive" false r.Dpor.exhaustive);
   ]
 
 (* --- regemu-cert/1 ------------------------------------------------------- *)
