@@ -168,6 +168,36 @@ let dpor_tests =
           ]
           got;
         Alcotest.(check bool) "capped, not exhaustive" false r.Dpor.exhaustive);
+    test "terminal fingerprints are pinned byte for byte" (fun () ->
+        (* pairs, booleans, escaped strings, negative ints and v0 all
+           reach the fingerprint; both the clean and the violating
+           verdict letters appear *)
+        let odd = Value.Pair (Value.Bool true, Value.Str "q\"\n") in
+        let r =
+          Dpor.run ~check_invariants:false
+            (scenario Regemu_baselines.Naive_reg.factory ~p:p2
+               ~writer_ops:[ [ odd ]; [ Value.Int (-7) ] ]
+               ~readers:1 ~reads_each:1 ())
+            ~max_explored:100_000
+        in
+        Alcotest.(check bool) "exhaustive" true r.Dpor.exhaustive;
+        Alcotest.(check (list string))
+          "fingerprints"
+          [
+            "I0:write(<true,\"q\\\"\\n\">);R0:write(<true,\"q\\\"\\n\">)=v0;I1:write(-7);R1:write(-7)=v0;I2:read();R2:read()=-7;|HH";
+            "I0:write(<true,\"q\\\"\\n\">);R0:write(<true,\"q\\\"\\n\">)=v0;I1:write(-7);R1:write(-7)=v0;I2:read();R2:read()=<true,\"q\\\"\\n\">;|XX";
+          ]
+          r.Dpor.state_fingerprints;
+        Alcotest.(check (list int))
+          "explored, replayed, pruned, sleep-skipped, terminal"
+          [ 12291; 51527; 10646; 710; 3362 ]
+          [
+            r.Dpor.explored;
+            r.Dpor.replayed;
+            r.Dpor.pruned;
+            r.Dpor.sleep_skipped;
+            r.Dpor.terminal_runs;
+          ]);
   ]
 
 (* --- regemu-cert/1 ------------------------------------------------------- *)
