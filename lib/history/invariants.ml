@@ -48,24 +48,28 @@ let scan tr ~check =
     tr;
   match !error with None -> Ok () | Some v -> Error v
 
+(* Counts grow only at a write [Trigger], and the scan stops at the
+   first violation, so the first count above one is always on the key
+   that entry just incremented: checking that key alone finds it. *)
 let single_pending_write_per_writer_register tr =
-  scan tr ~check:(fun ~time ~entry:_ ~pending ~per_client:_ ->
-      Hashtbl.fold
-        (fun (c, o) count acc ->
-          match acc with
-          | Some _ -> acc
-          | None ->
-              if count > 1 then
-                Some
-                  {
-                    at = time;
-                    client = Id.Client.of_int c;
-                    detail =
-                      Fmt.str "%d of its writes pending on %a simultaneously"
-                        count Id.Obj.pp (Id.Obj.of_int o);
-                  }
-              else None)
-        pending None)
+  scan tr ~check:(fun ~time ~entry ~pending ~per_client:_ ->
+      match entry with
+      | Trace.Trigger { client; obj; op; _ } when is_write op ->
+          let count =
+            Hashtbl.find pending
+              (Id.Client.to_int client, Id.Obj.to_int obj)
+          in
+          if count > 1 then
+            Some
+              {
+                at = time;
+                client;
+                detail =
+                  Fmt.str "%d of its writes pending on %a simultaneously"
+                    count Id.Obj.pp obj;
+              }
+          else None
+      | _ -> None)
 
 let max_pending_writes_at_return tr ~f =
   scan tr ~check:(fun ~time ~entry ~pending:_ ~per_client ->

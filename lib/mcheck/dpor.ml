@@ -6,19 +6,37 @@ open Regemu_history
 
 type thread = TC of int | TL of int | TX of int
 
+(* the order polymorphic [compare] gives: constructors in declaration
+   order, then ids *)
+let thread_compare a b =
+  match (a, b) with
+  | TC x, TC y | TL x, TL y | TX x, TX y -> Int.compare x y
+  | TC _, _ -> -1
+  | _, TC _ -> 1
+  | TL _, _ -> -1
+  | _, TL _ -> 1
+
+let thread_equal a b = thread_compare a b = 0
+
 module TMap = Map.Make (struct
   type t = thread
 
-  let compare = compare
+  let compare = thread_compare
 end)
 
 module TSet = Set.Make (struct
   type t = thread
 
-  let compare = compare
+  let compare = thread_compare
 end)
 
 type comp = Cclient of int | Cobj of int | Chist
+
+let comp_equal a b =
+  match (a, b) with
+  | Cclient x, Cclient y | Cobj x, Cobj y -> x = y
+  | Chist, Chist -> true
+  | _ -> false
 
 (* How a transition touches a component.  [Accum] is a commutative
    update: two accumulations on the same component commute exactly
@@ -31,27 +49,56 @@ type acc = Write | Accum
 
 let acc_dep a b = match (a, b) with Accum, Accum -> false | _ -> true
 
-(* A clock maps a thread to the greatest trace depth of one of its
-   events known to be in the causal past; per-thread events are totally
-   ordered by depth, so a max-depth map is a sound vector clock. *)
-type clock = int TMap.t
+(* A clock is the set of DFS depths whose events are in the causal
+   past, as an immutable bitset.  Every clock is closed downward per
+   thread — an event's clock contains its thread's previous clock, and
+   clocks only grow by joins — so "depth [i] is in the set" says
+   exactly what a vector clock's "v[thread(i)] >= i" says, and join is
+   a word-wise [lor]. *)
+type clock = int array
 
-let clock_empty : clock = TMap.empty
-let clock_mem (v : clock) th i =
-  match TMap.find_opt th v with Some d -> d >= i | None -> false
+let bits = Sys.int_size
+let clock_empty : clock = [||]
+
+let clock_mem (v : clock) i =
+  let w = i / bits in
+  w < Array.length v && (v.(w) lsr (i mod bits)) land 1 = 1
+
+(* [b] is a subset of [a] when [Array.length a >= Array.length b] *)
+let rec subset_from (a : clock) (b : clock) i =
+  i < 0 || (b.(i) land lnot a.(i) = 0 && subset_from a b (i - 1))
 
 let clock_join (a : clock) (b : clock) : clock =
-  TMap.union (fun _ x y -> Some (max x y)) a b
+  let a, b = if Array.length a >= Array.length b then (a, b) else (b, a) in
+  if a == b || subset_from a b (Array.length b - 1) then a
+  else begin
+    let r = Array.copy a in
+    Array.iteri (fun i x -> r.(i) <- r.(i) lor x) b;
+    r
+  end
 
-let clock_add (v : clock) th d : clock =
-  TMap.update th
-    (function Some d' -> Some (max d d') | None -> Some d)
-    v
+let clock_add (v : clock) d : clock =
+  if clock_mem v d then v
+  else begin
+    let w = d / bits in
+    let r = Array.make (max (Array.length v) (w + 1)) 0 in
+    Array.blit v 0 r 0 (Array.length v);
+    r.(w) <- r.(w) lor (1 lsl (d mod bits));
+    r
+  end
 
 module CMap = Map.Make (struct
   type t = comp
 
-  let compare = compare
+  (* [Chist] first, as under polymorphic [compare] *)
+  let compare a b =
+    match (a, b) with
+    | Chist, Chist -> 0
+    | Chist, _ -> -1
+    | _, Chist -> 1
+    | Cclient x, Cclient y | Cobj x, Cobj y -> Int.compare x y
+    | Cclient _, Cobj _ -> -1
+    | Cobj _, Cclient _ -> 1
 end)
 
 (* --- transition descriptors ---------------------------------------------- *)
@@ -69,14 +116,20 @@ let dep_exec ~ca ~ca_crash (b : tdesc) =
   ca_crash || b.is_crash
   || List.exists
        (fun (c, a) ->
-         List.exists (fun (c', a') -> c = c' && acc_dep a a') b.comps)
+         List.exists (fun (c', a') -> comp_equal c c' && acc_dep a a') b.comps)
        ca
 
 let describe session =
   let sim = Explore.Session.sim session in
-  let pend = Sim.pending sim in
-  let lop_info l =
-    List.find (fun (p : Sim.pending_info) -> p.lid = l) pend
+  (* enabled responds come in trigger order, a subsequence of
+     [Sim.pending]'s, so one forward walk finds each *)
+  let pend = ref (Sim.pending sim) in
+  let rec lop_info l =
+    match !pend with
+    | [] -> invalid_arg "Dpor.describe: respond of a lop not pending"
+    | (p : Sim.pending_info) :: rest ->
+        pend := rest;
+        if Id.Lop.equal p.lid l then p else lop_info l
   in
   let ev_descs =
     List.map
@@ -116,7 +169,9 @@ let describe session =
 type node = {
   descs : tdesc array;
   enabled_threads : TSet.t;
-  (* entry snapshots; immutable maps make backtracking free *)
+  (* entry snapshots; immutable maps and clocks make backtracking free.
+     A clock is the set of depths (indices into the DFS stack) of the
+     events in its causal past. *)
   cv : clock TMap.t;  (* per-thread clocks *)
   clast : (clock * clock) CMap.t;
       (* per component: (join of writing accessors, join of all
@@ -132,7 +187,6 @@ type node = {
   mutable exec_comps : (comp * acc) list;  (* refined post-execution footprint *)
   mutable exec_is_crash : bool;
   mutable exec_thread : thread;
-  mutable exec_clock : clock;
 }
 
 type stats = {
@@ -174,16 +228,50 @@ let stats_pp ppf s =
    and the end of the run changes them without affecting anything any
    client observed) are all below the abstraction line and stay
    out. *)
+(* The text [Value.pp] and [Trace.hop_pp] print, written straight into
+   the buffer: formatting every entry through [Fmt] cost more than the
+   rest of the terminal check. *)
+let rec add_value b = function
+  | Value.Unit -> Buffer.add_string b "v0"
+  | Value.Bool x -> Buffer.add_string b (string_of_bool x)
+  | Value.Int i -> Buffer.add_string b (string_of_int i)
+  | Value.Str s ->
+      Buffer.add_char b '"';
+      Buffer.add_string b (String.escaped s);
+      Buffer.add_char b '"'
+  | Value.Pair (x, y) ->
+      Buffer.add_char b '<';
+      add_value b x;
+      Buffer.add_char b ',';
+      add_value b y;
+      Buffer.add_char b '>'
+
+let add_hop b = function
+  | Trace.H_write v ->
+      Buffer.add_string b "write(";
+      add_value b v;
+      Buffer.add_char b ')'
+  | Trace.H_read -> Buffer.add_string b "read()"
+
 let fingerprint sim ~stuck verdict_s verdict_r =
   let b = Buffer.create 128 in
-  let add fmt = Fmt.kstr (Buffer.add_string b) fmt in
+  let add_entry tag c hop =
+    Buffer.add_char b tag;
+    Buffer.add_string b (string_of_int (Id.Client.to_int c));
+    Buffer.add_char b ':';
+    add_hop b hop
+  in
   Trace.iter
     (fun e ->
       match e with
       | Trace.Invoke (c, hop) ->
-          add "I%d:%a;" (Id.Client.to_int c) Trace.hop_pp hop
+          add_entry 'I' c hop;
+          Buffer.add_char b ';'
       | Trace.Return (c, hop, v) ->
-          add "R%d:%a=%a;" (Id.Client.to_int c) Trace.hop_pp hop Value.pp v
+          add_entry 'R' c hop;
+          Buffer.add_char b '=';
+          add_value b v;
+          Buffer.add_char b ';'
       | _ -> ())
     (Sim.trace sim);
   let letter = function
@@ -191,8 +279,10 @@ let fingerprint sim ~stuck verdict_s verdict_r =
     | Ws_check.Vacuous -> 'V'
     | Ws_check.Violated _ -> 'X'
   in
-  add "|%c%c%s" (letter verdict_s) (letter verdict_r)
-    (if stuck then "|stuck" else "");
+  Buffer.add_char b '|';
+  Buffer.add_char b (letter verdict_s);
+  Buffer.add_char b (letter verdict_r);
+  if stuck then Buffer.add_string b "|stuck";
   Buffer.contents b
 
 (* --- the search ----------------------------------------------------------- *)
@@ -277,7 +367,7 @@ let run ?(dpor = true) ?(sleep = true) ?(check_invariants = true)
         let ni = stack_get i in
         if
           dep_exec ~ca:ni.exec_comps ~ca_crash:ni.exec_is_crash t
-          && not (clock_mem vt ni.exec_thread i)
+          && not (clock_mem vt i)
         then begin
           if TSet.mem t.thread ni.enabled_threads then
             ni.backtrack <- TSet.add t.thread ni.backtrack
@@ -285,9 +375,8 @@ let run ?(dpor = true) ?(sleep = true) ?(check_invariants = true)
             (* threads with events in (i, d) inside t's causal past *)
             let feeders = ref TSet.empty in
             for m = i + 1 to d - 1 do
-              let nm = stack_get m in
-              if clock_mem vt nm.exec_thread m then
-                feeders := TSet.add nm.exec_thread !feeders
+              if clock_mem vt m then
+                feeders := TSet.add (stack_get m).exec_thread !feeders
             done;
             let cands = TSet.inter !feeders ni.enabled_threads in
             ni.backtrack <-
@@ -306,12 +395,6 @@ let run ?(dpor = true) ?(sleep = true) ?(check_invariants = true)
     let t = nd.descs.(idx) in
     let sim = Explore.Session.sim session in
     let time_before = Sim.now sim in
-    let lids_before =
-      List.fold_left
-        (fun acc (p : Sim.pending_info) ->
-          TSet.add (TL (Id.Lop.to_int p.lid)) acc)
-        TSet.empty (Sim.pending sim)
-    in
     let ncalls_before = List.length (Explore.Session.calls session) in
     Explore.Session.advance session idx;
     incr explored;
@@ -331,15 +414,18 @@ let run ?(dpor = true) ?(sleep = true) ?(check_invariants = true)
           | None -> vacc)
         (clock_join base nd.gclock) t.comps
     in
-    let v = clock_add v t.thread d in
-    (* refine the footprint with what actually happened *)
+    let v = clock_add v d in
+    (* refine the footprint with what actually happened; a lop
+       triggered by this event starts a thread whose past is [v] *)
     let recorded_h = ref false in
-    List.iter
-      (fun e ->
-        match e with
-        | Trace.Invoke _ | Trace.Return _ -> recorded_h := true
-        | _ -> ())
-      (Trace.since (Sim.trace sim) time_before);
+    let triggered = ref [] in
+    let tr = Sim.trace sim in
+    for i = time_before to Trace.time tr - 1 do
+      match Trace.get tr i with
+      | Trace.Invoke _ | Trace.Return _ -> recorded_h := true
+      | Trace.Trigger { lid; _ } -> triggered := TL (Id.Lop.to_int lid) :: !triggered
+      | _ -> ()
+    done;
     let invoked_clients =
       (* calls are consed newest-first; the head of the list is new *)
       let cs = Explore.Session.calls session in
@@ -347,14 +433,13 @@ let run ?(dpor = true) ?(sleep = true) ?(check_invariants = true)
       |> List.map (fun c -> Id.Client.to_int (Sim.call_client c))
     in
     let exec_comps =
-      List.filter (fun (c, _) -> c <> Chist || !recorded_h) t.comps
+      List.filter (fun (c, _) -> !recorded_h || not (comp_equal c Chist)) t.comps
       @ List.map (fun c -> (Cclient c, Write)) invoked_clients
     in
     nd.exec_idx <- idx;
     nd.exec_comps <- exec_comps;
     nd.exec_is_crash <- t.is_crash;
     nd.exec_thread <- t.thread;
-    nd.exec_clock <- v;
     (* child snapshots *)
     let cv = TMap.add t.thread v nd.cv in
     let cv =
@@ -369,13 +454,7 @@ let run ?(dpor = true) ?(sleep = true) ?(check_invariants = true)
           TMap.add th (clock_join old v) acc)
         cv invoked_clients
     in
-    let cv =
-      List.fold_left
-        (fun acc (p : Sim.pending_info) ->
-          let th = TL (Id.Lop.to_int p.lid) in
-          if TSet.mem th lids_before then acc else TMap.add th v acc)
-        cv (Sim.pending sim)
-    in
+    let cv = List.fold_left (fun acc th -> TMap.add th v acc) cv !triggered in
     let clast =
       List.fold_left
         (fun acc (c, a) ->
@@ -440,13 +519,12 @@ let run ?(dpor = true) ?(sleep = true) ?(check_invariants = true)
               exec_comps = [];
               exec_is_crash = false;
               exec_thread = TC (-1);
-              exec_clock = clock_empty;
             }
           in
           stack_set d nd;
           if dpor then Array.iter (fun t -> race_detect d t) descs;
           let sleeping th =
-            List.exists (fun (q, _) -> q = th) nd.cur_sleep
+            List.exists (fun (q, _) -> thread_equal q th) nd.cur_sleep
           in
           (* seed the backtrack set: everything under plain brute
              force, one non-sleeping transition under DPOR *)
@@ -479,7 +557,8 @@ let run ?(dpor = true) ?(sleep = true) ?(check_invariants = true)
                   else begin
                     let idx = ref (-1) in
                     Array.iteri
-                      (fun i t -> if t.thread = th && !idx < 0 then idx := i)
+                      (fun i t ->
+                        if !idx < 0 && thread_equal t.thread th then idx := i)
                       nd.descs;
                     let s =
                       if !fresh then session

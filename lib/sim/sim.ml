@@ -26,6 +26,10 @@ type pending_info = {
 
 type pending_rec = { info : pending_info; on_response : Value.t -> unit }
 
+(* Lids are allocated in increasing order at trigger time, so the
+   map's key order is trigger order. *)
+module Pending = Map.Make (Int)
+
 type call = {
   cl : Id.Client.t;
   hop : Trace.hop;
@@ -52,8 +56,7 @@ type t = {
   mutable num_objs : int;
   mutable cls : client_rec array;
   mutable num_cls : int;
-  pending_tbl : (int, pending_rec) Hashtbl.t;
-  mutable pending_order : int list;  (* reversed trigger order *)
+  mutable pending_map : pending_rec Pending.t;  (* keyed by lid *)
   mutable next_lid : int;
   tr : Trace.t;
 }
@@ -67,8 +70,7 @@ let create ~n () =
     num_objs = 0;
     cls = [||];
     num_cls = 0;
-    pending_tbl = Hashtbl.create 64;
-    pending_order = [];
+    pending_map = Pending.empty;
     next_lid = 0;
     tr = Trace.create ();
   }
@@ -189,8 +191,8 @@ let trigger t ~client oid op ~on_response =
         Base_object.op_pp op Id.Obj.pp oid);
   Trace.record t.tr (Trigger { lid; client; obj = oid; op });
   let info = { lid; obj = oid; op; client; triggered_at = now t } in
-  Hashtbl.replace t.pending_tbl (Id.Lop.to_int lid) { info; on_response };
-  t.pending_order <- Id.Lop.to_int lid :: t.pending_order;
+  t.pending_map <-
+    Pending.add (Id.Lop.to_int lid) { info; on_response } t.pending_map;
   lid
 
 let call_client c = c.cl
@@ -254,22 +256,19 @@ let step_enabled (cr : client_rec) =
   && match cr.fiber with Waiting { pred; _ } -> pred () | Idle -> false
 
 let enabled t =
-  let steps =
-    List.filter_map
-      (fun i ->
-        let cr = t.cls.(i) in
-        if step_enabled cr then Some (Step cr.cid) else None)
-      (List.init t.num_cls Fun.id)
-  in
   let responds =
-    List.rev t.pending_order
-    |> List.filter_map (fun lid_int ->
-           match Hashtbl.find_opt t.pending_tbl lid_int with
-           | Some p when not (obj_crashed t p.info.obj) ->
-               Some (Respond p.info.lid)
-           | _ -> None)
+    Pending.fold
+      (fun _ p acc ->
+        if obj_crashed t p.info.obj then acc else Respond p.info.lid :: acc)
+      t.pending_map []
   in
-  steps @ responds
+  let rec steps i acc =
+    if i < 0 then acc
+    else
+      let cr = t.cls.(i) in
+      steps (i - 1) (if step_enabled cr then Step cr.cid :: acc else acc)
+  in
+  steps (t.num_cls - 1) (List.rev responds)
 
 let fire t ev =
   match ev with
@@ -283,14 +282,12 @@ let fire t ev =
           Effect.Deep.continue k ()
       | Idle -> assert false)
   | Respond lid -> (
-      match Hashtbl.find_opt t.pending_tbl (Id.Lop.to_int lid) with
+      match Pending.find_opt (Id.Lop.to_int lid) t.pending_map with
       | None -> invalid_arg (Fmt.str "Sim.fire: %a not pending" event_pp ev)
       | Some p ->
           if obj_crashed t p.info.obj then
             invalid_arg (Fmt.str "Sim.fire: %a on crashed server" event_pp ev);
-          Hashtbl.remove t.pending_tbl (Id.Lop.to_int lid);
-          t.pending_order <-
-            List.filter (fun l -> l <> Id.Lop.to_int lid) t.pending_order;
+          t.pending_map <- Pending.remove (Id.Lop.to_int lid) t.pending_map;
           let o = obj_rec t p.info.obj in
           let state', result = Base_object.apply o.kind o.state p.info.op in
           o.state <- state';
@@ -309,11 +306,7 @@ let fire t ev =
           if not (client_crashed t p.info.client) then p.on_response result)
 
 let pending t =
-  List.rev t.pending_order
-  |> List.filter_map (fun lid_int ->
-         Option.map
-           (fun p -> p.info)
-           (Hashtbl.find_opt t.pending_tbl lid_int))
+  Pending.fold (fun _ p acc -> p.info :: acc) t.pending_map [] |> List.rev
 
 let pending_on t oid =
   List.filter (fun p -> Id.Obj.equal p.obj oid) (pending t)
