@@ -187,8 +187,99 @@ let property_tests =
                    QCheck.Test.fail_reportf "%a" Invariants.violation_pp v)));
   ]
 
+(* --- the linear single-pending scan against the quadratic one --------- *)
+
+(* The scan as first written: after every trace entry, fold the whole
+   pending table for a count above one.  Kept as the reference for the
+   linear check that looks only at the key a write trigger increments. *)
+let reference_single_pending tr =
+  let is_write = function Base_object.Write _ -> true | _ -> false in
+  let pending : (int * int, int) Hashtbl.t = Hashtbl.create 32 in
+  let owner_of_lop : (int, int * int) Hashtbl.t = Hashtbl.create 32 in
+  let count key = Option.value ~default:0 (Hashtbl.find_opt pending key) in
+  let time = ref 0 in
+  let error = ref None in
+  Trace.iter
+    (fun entry ->
+      incr time;
+      if !error = None then begin
+        (match entry with
+        | Trace.Trigger { lid; client; obj; op } when is_write op ->
+            let key = (Id.Client.to_int client, Id.Obj.to_int obj) in
+            Hashtbl.replace owner_of_lop (Id.Lop.to_int lid) key;
+            Hashtbl.replace pending key (count key + 1)
+        | Trace.Respond { lid; op; _ } when is_write op -> (
+            match Hashtbl.find_opt owner_of_lop (Id.Lop.to_int lid) with
+            | Some key -> Hashtbl.replace pending key (count key - 1)
+            | None -> ())
+        | _ -> ());
+        error :=
+          Hashtbl.fold
+            (fun (c, o) n acc ->
+              match acc with
+              | Some _ -> acc
+              | None when n > 1 ->
+                  Some
+                    {
+                      Invariants.at = !time;
+                      client = Id.Client.of_int c;
+                      detail =
+                        Fmt.str "%d of its writes pending on %a simultaneously"
+                          n Id.Obj.pp (Id.Obj.of_int o);
+                    }
+              | None -> None)
+            pending None
+      end)
+    tr;
+  match !error with None -> Ok () | Some v -> Error v
+
+(* k=2, so the naive register does double-pend under a uniform
+   schedule; Algorithm 2 never does *)
+let random_trace ~use_alg2 ~seed =
+  let factory =
+    if use_alg2 then Regemu_core.Algorithm2.factory
+    else Regemu_baselines.Naive_reg.factory
+  in
+  match
+    Scenario.chaos factory (Params.make_exn ~k:2 ~f:1 ~n:3)
+      ~writes_per_writer:3 ~readers:1 ~reads_per_reader:2 ~crashes:1 ~seed ()
+  with
+  | Ok r -> Sim.trace r.sim
+  | Error e -> Alcotest.failf "scenario failed: %a" Scenario.error_pp e
+
+let differential_tests =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make
+         ~name:"linear single-pending scan = quadratic reference" ~count:300
+         QCheck.(pair bool (int_range 0 1_000_000))
+         (fun (use_alg2, seed) ->
+           let tr = random_trace ~use_alg2 ~seed in
+           let got = Invariants.single_pending_write_per_writer_register tr in
+           let want = reference_single_pending tr in
+           if got = want then true
+           else
+             let pp =
+               Fmt.result ~ok:(Fmt.any "Ok") ~error:Invariants.violation_pp
+             in
+             QCheck.Test.fail_reportf "got %a, reference %a" pp got pp want));
+    test "the differential's naive traces do violate" (fun () ->
+        let violating =
+          List.filter
+            (fun seed ->
+              Result.is_error
+                (reference_single_pending (random_trace ~use_alg2:false ~seed)))
+            (List.init 20 Fun.id)
+        in
+        Alcotest.(check bool)
+          (Fmt.str "%d of 20 naive traces violate" (List.length violating))
+          true
+          (List.length violating >= 5));
+  ]
+
 let suites =
   [
+    ("invariants:differential", differential_tests);
     ("invariants:unit", unit_tests);
     ("invariants:discipline", discipline_tests);
     ("invariants:properties", property_tests);

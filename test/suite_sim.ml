@@ -138,6 +138,58 @@ let trigger_tests =
         let _ = Driver.quiesce sim policy ~budget:10 in
         Alcotest.check value_t "second write applied" (Value.Int 2)
           (Sim.peek sim a));
+    test "pending and enabled responds stay in trigger order" (fun () ->
+        (* the explorers pick events by index into [enabled], so every
+           committed replay depends on this order *)
+        let sim = make_sim () in
+        let b0 = Sim.alloc sim ~server:s0 Base_object.Register in
+        let b1 = Sim.alloc sim ~server:s1 Base_object.Register in
+        let c = Sim.new_client sim in
+        let stepper = Sim.new_client sim in
+        ignore
+          (Sim.invoke sim ~client:stepper Trace.H_read (fun () ->
+               Sim.wait_until (fun () -> true);
+               Value.v0));
+        let trig o =
+          Sim.trigger sim ~client:c o (Base_object.Write (Value.Int 1))
+            ~on_response:ignore
+        in
+        (* lids 0..5 alternate b0, b1 *)
+        let l = Array.init 6 (fun i -> trig (if i mod 2 = 0 then b0 else b1)) in
+        let ints = List.map Id.Lop.to_int in
+        let pending () =
+          ints (List.map (fun (p : Sim.pending_info) -> p.lid) (Sim.pending sim))
+        in
+        let responds () =
+          List.filter_map
+            (function Sim.Respond x -> Some (Id.Lop.to_int x) | Sim.Step _ -> None)
+            (Sim.enabled sim)
+        in
+        let check label want_pending want_responds =
+          Alcotest.(check (list int)) (label ^ ": pending") want_pending
+            (pending ());
+          Alcotest.(check (list int)) (label ^ ": enabled responds")
+            want_responds (responds ());
+          match Sim.enabled sim with
+          | Sim.Step s :: _ when Id.Client.equal s stepper -> ()
+          | _ -> Alcotest.failf "%s: the step does not come first" label
+        in
+        check "triggered" [ 0; 1; 2; 3; 4; 5 ] [ 0; 1; 2; 3; 4; 5 ];
+        Sim.fire sim (Sim.Respond l.(3));
+        Sim.fire sim (Sim.Respond l.(0));
+        check "out of order" [ 1; 2; 4; 5 ] [ 1; 2; 4; 5 ];
+        let l6 = trig b0 in
+        Alcotest.(check int) "lids keep increasing" 6 (Id.Lop.to_int l6);
+        Sim.crash_server sim s1;
+        check "s1 crashed" [ 1; 2; 4; 5; 6 ] [ 2; 4; 6 ];
+        Sim.fire sim (Sim.Respond l.(4));
+        check "after crash" [ 1; 2; 5; 6 ] [ 2; 6 ];
+        Alcotest.(check (list int))
+          "pending_on b1 keeps the crashed server's lops in order" [ 1; 5 ]
+          (ints
+             (List.map
+                (fun (p : Sim.pending_info) -> p.lid)
+                (Sim.pending_on sim b1))));
   ]
 
 (* --- crashes -------------------------------------------------------- *)
