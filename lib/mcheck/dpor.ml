@@ -90,7 +90,6 @@ let clock_add (v : clock) d : clock =
 module CMap = Map.Make (struct
   type t = comp
 
-  (* [Chist] first, as under polymorphic [compare] *)
   let compare a b =
     match (a, b) with
     | Chist, Chist -> 0
@@ -227,39 +226,15 @@ let stats_pp ppf s =
    object values (a leftover respond firing between the last return
    and the end of the run changes them without affecting anything any
    client observed) are all below the abstraction line and stay
-   out. *)
-(* The text [Value.pp] and [Trace.hop_pp] print, written straight into
-   the buffer: formatting every entry through [Fmt] cost more than the
-   rest of the terminal check. *)
-let rec add_value b = function
-  | Value.Unit -> Buffer.add_string b "v0"
-  | Value.Bool x -> Buffer.add_string b (string_of_bool x)
-  | Value.Int i -> Buffer.add_string b (string_of_int i)
-  | Value.Str s ->
-      Buffer.add_char b '"';
-      Buffer.add_string b (String.escaped s);
-      Buffer.add_char b '"'
-  | Value.Pair (x, y) ->
-      Buffer.add_char b '<';
-      add_value b x;
-      Buffer.add_char b ',';
-      add_value b y;
-      Buffer.add_char b '>'
-
-let add_hop b = function
-  | Trace.H_write v ->
-      Buffer.add_string b "write(";
-      add_value b v;
-      Buffer.add_char b ')'
-  | Trace.H_read -> Buffer.add_string b "read()"
-
+   out.  Entries go straight into one buffer: formatting each through
+   [Fmt] cost more than the rest of the terminal check. *)
 let fingerprint sim ~stuck verdict_s verdict_r =
   let b = Buffer.create 128 in
   let add_entry tag c hop =
     Buffer.add_char b tag;
     Buffer.add_string b (string_of_int (Id.Client.to_int c));
     Buffer.add_char b ':';
-    add_hop b hop
+    Trace.add_hop_to_buffer b hop
   in
   Trace.iter
     (fun e ->
@@ -270,7 +245,7 @@ let fingerprint sim ~stuck verdict_s verdict_r =
       | Trace.Return (c, hop, v) ->
           add_entry 'R' c hop;
           Buffer.add_char b '=';
-          add_value b v;
+          Value.add_to_buffer b v;
           Buffer.add_char b ';'
       | _ -> ())
     (Sim.trace sim);
@@ -423,7 +398,8 @@ let run ?(dpor = true) ?(sleep = true) ?(check_invariants = true)
     for i = time_before to Trace.time tr - 1 do
       match Trace.get tr i with
       | Trace.Invoke _ | Trace.Return _ -> recorded_h := true
-      | Trace.Trigger { lid; _ } -> triggered := TL (Id.Lop.to_int lid) :: !triggered
+      | Trace.Trigger { lid; _ } ->
+          triggered := TL (Id.Lop.to_int lid) :: !triggered
       | _ -> ()
     done;
     let invoked_clients =
@@ -433,7 +409,9 @@ let run ?(dpor = true) ?(sleep = true) ?(check_invariants = true)
       |> List.map (fun c -> Id.Client.to_int (Sim.call_client c))
     in
     let exec_comps =
-      List.filter (fun (c, _) -> !recorded_h || not (comp_equal c Chist)) t.comps
+      List.filter
+        (fun (c, _) -> !recorded_h || not (comp_equal c Chist))
+        t.comps
       @ List.map (fun c -> (Cclient c, Write)) invoked_clients
     in
     nd.exec_idx <- idx;

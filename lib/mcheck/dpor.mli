@@ -5,15 +5,21 @@
     Where {!Explore.run} fires every enabled transition at every state,
     this engine executes one transition per state and plants {e
     backtrack points} only where two transitions genuinely race:
-    happens-before is tracked with vector clocks over a component
-    model — a per-client component (predicate wake-ups and response
-    delivery), a per-object component (state application at respond),
-    and a history component carried by every step that records an
-    invocation or return — and a transition is re-ordered against an
-    earlier one only when their footprints intersect and neither is in
-    the other's causal past.  Sleep sets prune the remaining
-    commutative permutations.  Crash choices are treated as globally
-    dependent, so every crash placement is still explored.
+    happens-before is tracked over a component model — a per-client
+    component (predicate wake-ups and response delivery), a per-object
+    component (state application at respond), and a history component
+    carried by every step that records an invocation or return — and a
+    transition is re-ordered against an earlier one only when their
+    footprints intersect and neither is in the other's causal past.
+    Sleep sets prune the remaining commutative permutations.  Crash
+    choices are treated as globally dependent, so every crash placement
+    is still explored.
+
+    A clock is the set of DFS depths whose events are in the causal
+    past, kept as an immutable bitset.  Every clock is closed downward
+    per thread (an event's clock contains its thread's previous clock,
+    and clocks only grow by joins), so this set says exactly what a
+    per-thread vector clock says, and a join is a word-wise [lor].
 
     Soundness relies on two facts about the substrate checked in
     test/suite_explore.ml: high-level history entries are recorded

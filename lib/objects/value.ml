@@ -28,14 +28,27 @@ let rec compare a b =
 let equal a b = compare a b = 0
 let max a b = if compare a b >= 0 then a else b
 
-let rec pp ppf = function
-  | Unit -> Fmt.string ppf "v0"
-  | Bool b -> Fmt.bool ppf b
-  | Int i -> Fmt.int ppf i
-  | Str s -> Fmt.pf ppf "%S" s
-  | Pair (a, b) -> Fmt.pf ppf "<%a,%a>" pp a pp b
+let rec add_to_buffer buf = function
+  | Unit -> Buffer.add_string buf "v0"
+  | Bool b -> Buffer.add_string buf (string_of_bool b)
+  | Int i -> Buffer.add_string buf (string_of_int i)
+  | Str s ->
+      Buffer.add_char buf '"';
+      Buffer.add_string buf (String.escaped s);
+      Buffer.add_char buf '"'
+  | Pair (a, b) ->
+      Buffer.add_char buf '<';
+      add_to_buffer buf a;
+      Buffer.add_char buf ',';
+      add_to_buffer buf b;
+      Buffer.add_char buf '>'
 
-let to_string v = Fmt.str "%a" pp v
+let to_string v =
+  let buf = Buffer.create 16 in
+  add_to_buffer buf v;
+  Buffer.contents buf
+
+let pp ppf v = Fmt.string ppf (to_string v)
 let with_ts ts v = Pair (Int ts, v)
 let ts = function Pair (Int ts, _) -> ts | _ -> 0
 let payload = function Pair (Int _, v) -> v | v -> v

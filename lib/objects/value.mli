@@ -31,6 +31,10 @@ val max : t -> t -> t
 val pp : t Fmt.t
 val to_string : t -> string
 
+(** [add_to_buffer buf v] appends the text [pp] prints for [v]
+    (strings quoted and escaped as OCaml literals). *)
+val add_to_buffer : Buffer.t -> t -> unit
+
 (** {2 Timestamped values} *)
 
 (** [with_ts ts v] is the timestamped value [<ts, v>]. *)

@@ -2,9 +2,17 @@ open Regemu_objects
 
 type hop = H_write of Value.t | H_read
 
-let hop_pp ppf = function
-  | H_write v -> Fmt.pf ppf "write(%a)" Value.pp v
-  | H_read -> Fmt.string ppf "read()"
+let add_hop_to_buffer buf = function
+  | H_write v ->
+      Buffer.add_string buf "write(";
+      Value.add_to_buffer buf v;
+      Buffer.add_char buf ')'
+  | H_read -> Buffer.add_string buf "read()"
+
+let hop_pp ppf h =
+  let buf = Buffer.create 16 in
+  add_hop_to_buffer buf h;
+  Fmt.string ppf (Buffer.contents buf)
 
 let hop_is_write = function H_write _ -> true | H_read -> false
 

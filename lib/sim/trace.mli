@@ -12,6 +12,9 @@ open Regemu_objects
 type hop = H_write of Value.t | H_read
 
 val hop_pp : hop Fmt.t
+
+(** [add_hop_to_buffer buf h] appends the text [hop_pp] prints. *)
+val add_hop_to_buffer : Buffer.t -> hop -> unit
 val hop_is_write : hop -> bool
 
 type entry =
