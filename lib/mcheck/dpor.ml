@@ -64,7 +64,7 @@ let clock_mem (v : clock) i =
   let w = i / bits in
   w < Array.length v && (v.(w) lsr (i mod bits)) land 1 = 1
 
-(* [b] is a subset of [a] when [Array.length a >= Array.length b] *)
+(* words [0..i] of [b] are contained in [a]'s; needs [Array.length a > i] *)
 let rec subset_from (a : clock) (b : clock) i =
   i < 0 || (b.(i) land lnot a.(i) = 0 && subset_from a b (i - 1))
 

@@ -256,19 +256,21 @@ let step_enabled (cr : client_rec) =
   && match cr.fiber with Waiting { pred; _ } -> pred () | Idle -> false
 
 let enabled t =
-  let responds =
+  (* predicates run in ascending client order *)
+  let rec steps_rev i acc =
+    if i = t.num_cls then acc
+    else
+      let cr = t.cls.(i) in
+      steps_rev (i + 1) (if step_enabled cr then Step cr.cid :: acc else acc)
+  in
+  let steps_rev = steps_rev 0 [] in
+  let responds_rev =
     Pending.fold
       (fun _ p acc ->
         if obj_crashed t p.info.obj then acc else Respond p.info.lid :: acc)
       t.pending_map []
   in
-  let rec steps i acc =
-    if i < 0 then acc
-    else
-      let cr = t.cls.(i) in
-      steps (i - 1) (if step_enabled cr then Step cr.cid :: acc else acc)
-  in
-  steps (t.num_cls - 1) (List.rev responds)
+  List.rev_append steps_rev (List.rev responds_rev)
 
 let fire t ev =
   match ev with
