@@ -279,8 +279,8 @@ let differential_tests =
 
 let suites =
   [
-    ("invariants:differential", differential_tests);
     ("invariants:unit", unit_tests);
     ("invariants:discipline", discipline_tests);
     ("invariants:properties", property_tests);
+    ("invariants:differential", differential_tests);
   ]
