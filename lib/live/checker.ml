@@ -327,10 +327,14 @@ let stop t =
         | Ws_check.Vacuous -> Ws_check.Vacuous
         | Ws_check.Holds | Ws_check.Violated _ -> Ws_check.Holds)
   in
-  let h = Cluster.history t.cluster in
+  (* the log counts its own operations; the merged history is built
+     only for the atomicity pass, which is bounded by [atomic_limit] *)
+  let ops = Histlog.invoked (Cluster.log t.cluster) in
   let atomic =
-    if t.final_atomic && List.length h <= t.atomic_limit then
-      Some (Linearize.linearizable Linearize.register h)
+    if t.final_atomic && ops <= t.atomic_limit then
+      Some
+        (Linearize.linearizable Linearize.register
+           (Cluster.history t.cluster))
     else None
   in
-  { checks = t.checks; ws; atomic; ops_checked = List.length h }
+  { checks = t.checks; ws; atomic; ops_checked = ops }

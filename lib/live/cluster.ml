@@ -52,6 +52,12 @@ type server = {
   sid : int;
   store : Proto.store;
   mailbox : (int * Proto.payload) Mailbox.t;
+  backlog : int Atomic.t;
+      (* requests handed to the mailbox and not yet stepped: queued, or
+         popped and in the server thread's hands *)
+  xm : Mutex.t;
+      (* the execution lock: held for every [Proto.step] and store wipe,
+         whichever thread runs it *)
   sm : Mutex.t;
   sc : Condition.t;
   mutable up : bool;
@@ -76,6 +82,10 @@ type client = {
       (* the current op's span is open (it was sampled); client-thread
          private, so awaits know whether to nest their own spans *)
   cm : Mutex.t;
+  mutable owner : int;
+      (* id of the thread holding [cm], -1 when none: a reply delivered
+         on that thread runs its handler in place (OCaml's mutexes are
+         error-checking, so re-locking would raise) *)
   cc : Condition.t;
   handlers : (int, Proto.payload -> unit) Hashtbl.t;
   pending : (int, Retry.pending) Hashtbl.t;  (* rid -> retransmission state *)
@@ -101,6 +111,9 @@ type t = {
   sched : Sched_hook.t option;
   backend : Transport.backend;  (* the fabric actually running (sched forces
                                    [Threads]); decides where servers execute *)
+  step_inline : bool;  (* unscheduled [Threads]: an uncontended request may
+                          be stepped on its delivering thread *)
+  inline_steps : int Atomic.t;
   sink : Sink.t;
   ctl : Sink.Trace.recorder option;  (* control-plane events: faults, nemesis *)
   alarm : Alarm.t;  (* interrupts the heartbeat/pacer sleeps at shutdown *)
@@ -137,28 +150,78 @@ let sink t = t.sink
 
 (* --- routing ----------------------------------------------------------- *)
 
+let self_id () = Thread.id (Thread.self ())
+
+(* every holder of [cm] that may send goes through these two, so
+   [owner] names the holding thread whenever a reply can reach it *)
+let lock_client cl =
+  Mutex.lock cl.cm;
+  cl.owner <- self_id ()
+
+let unlock_client cl =
+  cl.owner <- -1;
+  Mutex.unlock cl.cm
+
+(* caller holds [cl.cm] *)
+let run_reply cl payload =
+  match Hashtbl.find_opt cl.handlers (Proto.rid_of payload) with
+  | Some f ->
+      (* one-shot: a duplicated or retransmitted reply must not
+         double-count toward a quorum *)
+      Hashtbl.remove cl.handlers (Proto.rid_of payload);
+      f payload;
+      (* targeted wakeup: only the client this reply progressed, only
+         when it is blocked, and only when its awaited predicate
+         flipped — a duplicate reply (no handler) or a sub-quorum
+         reply wakes nobody *)
+      if cl.waiting then (
+        match cl.pred with
+        | Some p -> if p () then Condition.signal cl.cc
+        | None -> Condition.signal cl.cc)
+  | None -> ()
+
 let dispatch_to_client t cid payload =
   let clients = t.clients in
   if cid >= 0 && cid < Array.length clients then begin
     let cl = clients.(cid) in
-    Mutex.lock cl.cm;
-    (match Hashtbl.find_opt cl.handlers (Proto.rid_of payload) with
-    | Some f ->
-        (* one-shot: a duplicated or retransmitted reply must not
-           double-count toward a quorum *)
-        Hashtbl.remove cl.handlers (Proto.rid_of payload);
-        f payload;
-        (* targeted wakeup: only the client this reply progressed, only
-           when it is blocked, and only when its awaited predicate
-           flipped — a duplicate reply (no handler) or a sub-quorum
-           reply wakes nobody *)
-        if cl.waiting then (
-          match cl.pred with
-          | Some p -> if p () then Condition.signal cl.cc
-          | None -> Condition.signal cl.cc)
-    | None -> ());
-    Mutex.unlock cl.cm
+    (* a reply delivered synchronously inside this client's own
+       critical section (an [rpc] whose round completed on the sending
+       thread) runs its handler in place.  Only the unscheduled
+       fabric nests deliveries that way; under a scheduler every actor
+       shares one thread id, so the check stays off there. *)
+    if t.step_inline && cl.owner = self_id () then run_reply cl payload
+    else begin
+      lock_client cl;
+      run_reply cl payload;
+      unlock_client cl
+    end
   end
+
+let send_replies t srv src replies =
+  List.iter
+    (fun reply ->
+      Transport.send (transport t)
+        {
+          Transport.src = srv.sid;
+          dest = Transport.To_client src;
+          payload = reply;
+        })
+    replies
+
+(* one protocol step; the caller holds the execution lock, released
+   here before the caller sends the replies *)
+let step_and_unlock srv payload =
+  match Proto.step srv.store payload with
+  | replies ->
+      Mutex.unlock srv.xm;
+      replies
+  | exception e ->
+      Mutex.unlock srv.xm;
+      raise e
+
+let step_locked srv payload =
+  Mutex.lock srv.xm;
+  step_and_unlock srv payload
 
 (* Execute one server step on the delivering thread — the [Domains]
    backend's request path: the lane's domain is the server's execution
@@ -175,25 +238,47 @@ let step_here t srv src payload =
   let closing = srv.closing in
   Mutex.unlock srv.sm;
   if not closing then
-    List.iter
-      (fun reply ->
-        Transport.send (transport t)
-          {
-            Transport.src = srv.sid;
-            dest = Transport.To_client src;
-            payload = reply;
-          })
-      (Proto.step srv.store payload)
+    send_replies t srv src (step_locked srv payload)
+
+(* The unscheduled [Threads] request path: step on the delivering
+   thread instead of waking the server thread, when the server is up,
+   nothing is queued for it or in its thread's hands, and its
+   execution lock is free.  The server thread takes the same lock for
+   each step, so steps stay mutually exclusive and a request is never
+   stepped ahead of one delivered before it.  [up] is read without
+   [sm]: a step racing a crash is ordered before it.  Returns [false]
+   when the request must go to the mailbox instead. *)
+let try_step_inline t srv src payload =
+  (* a backlogged server is not even try-locked: its thread is the one
+     that needs the lock *)
+  Atomic.get srv.backlog = 0
+  && Mutex.try_lock srv.xm
+  &&
+  if srv.up && Atomic.get srv.backlog = 0 then begin
+    let replies = step_and_unlock srv payload in
+    Atomic.incr t.inline_steps;
+    send_replies t srv src replies;
+    true
+  end
+  else begin
+    Mutex.unlock srv.xm;
+    false
+  end
 
 let deliver t (env : Transport.envelope) =
   match env.dest with
   | Transport.To_server i -> (
+      let srv = t.servers.(i) in
       match t.backend with
-      | Transport.Domains -> step_here t t.servers.(i) env.src env.payload
+      | Transport.Domains -> step_here t srv env.src env.payload
+      | Transport.Threads
+        when t.step_inline && try_step_inline t srv env.src env.payload ->
+          ()
       | Transport.Threads | Transport.Socket ->
           (* [Socket] never routes a request here — children serve
              them — but a stray one waits in the mailbox harmlessly *)
-          Mailbox.push t.servers.(i).mailbox (env.src, env.payload))
+          Atomic.incr srv.backlog;
+          Mailbox.push srv.mailbox (env.src, env.payload))
   | Transport.To_client c -> dispatch_to_client t c env.payload
 
 (* --- servers ----------------------------------------------------------- *)
@@ -219,16 +304,11 @@ let server_loop t srv =
     in
     if closing then false
     else begin
-      let replies = Proto.step srv.store payload in
-      List.iter
-        (fun reply ->
-          Transport.send (transport t)
-            {
-              Transport.src = srv.sid;
-              dest = Transport.To_client src;
-              payload = reply;
-            })
-        replies;
+      let replies = step_locked srv payload in
+      (* left the backlog only once stepped: an inline step that sees
+         0 under [xm] has nothing queued ahead of it *)
+      Atomic.decr srv.backlog;
+      send_replies t srv src replies;
       true
     end
   in
@@ -254,6 +334,8 @@ let create ?sched ?(sink = Sink.none) cfg =
           sid;
           store = Proto.store_create ();
           mailbox = Mailbox.create ?sched ();
+          backlog = Atomic.make 0;
+          xm = Mutex.create ();
           sm = Mutex.create ();
           sc = Condition.create ();
           up = true;
@@ -261,11 +343,14 @@ let create ?sched ?(sink = Sink.none) cfg =
           sthread = None;
         })
   in
+  let backend = Transport.effective_backend ?sched cfg.transport in
   let t =
     {
       cfg;
       sched;
-      backend = Transport.effective_backend ?sched cfg.transport;
+      backend;
+      step_inline = Option.is_none sched && backend = Transport.Threads;
+      inline_steps = Atomic.make 0;
       sink;
       ctl = Sink.recorder sink ~name:"cluster";
       alarm = Alarm.create ();
@@ -316,6 +401,9 @@ let create ?sched ?(sink = Sink.none) cfg =
   Sink.gauge_fn sink ~help:"messages drained from server mailboxes"
     "mailbox.popped" (fun () ->
       Array.fold_left (fun a s -> a + Mailbox.popped s.mailbox) 0 t.servers);
+  Sink.gauge_fn sink
+    ~help:"requests stepped on their delivering thread, bypassing the mailbox"
+    "server.inline_steps" (fun () -> Atomic.get t.inline_steps);
   Sink.gauge_fn sink ~help:"server crashes injected" "cluster.crashes"
     (fun () -> t.crashes);
   Sink.gauge_fn sink ~help:"server restarts" "cluster.restarts" (fun () ->
@@ -358,6 +446,7 @@ let new_client t =
       crec = Sink.recorder t.sink ~name:(Fmt.str "client-%d" ix);
       op_live = false;
       cm = Mutex.create ();
+      owner = -1;
       cc = Condition.create ();
       handlers = Hashtbl.create 32;
       pending = Hashtbl.create 32;
@@ -392,8 +481,8 @@ let alloc_reg t ~server =
 let fresh_rid t = Atomic.fetch_and_add t.rid 1
 
 let locked cl f =
-  Mutex.lock cl.cm;
-  Fun.protect ~finally:(fun () -> Mutex.unlock cl.cm) f
+  lock_client cl;
+  Fun.protect ~finally:(fun () -> unlock_client cl) f
 
 let check_server t i =
   if i < 0 || i >= t.cfg.n then invalid_arg "Cluster: unknown server"
@@ -574,9 +663,9 @@ let pacer_loop t (h : Hedge.config) =
           match cl.hedge with
           | None -> ()
           | Some _ ->
-              Mutex.lock cl.cm;
+              lock_client cl;
               fire_due_hedge t cl (Clock.now_s ());
-              Mutex.unlock cl.cm)
+              unlock_client cl)
         t.clients
   done
 
@@ -688,62 +777,69 @@ let await_body t cl ?need pred =
           let now = Clock.now_s () in
           retransmit_due t cl now;
           fire_due_hedge t cl now;
-          (match t.cfg.retry with
-          | None -> ()
-          | Some rcfg ->
-              if now -. op_t0 > effective_deadline_s t cl rcfg then begin
-                clear_round_pendings cl;
-                let reachable, required =
-                  match need with
-                  | None -> (0, 0)
-                  | Some (servers, q) ->
-                      (List.length (List.filter (is_reachable t) servers), q)
-                in
-                fail_unavailable t cl ~cause:Deadline_exceeded
-                  ~elapsed:(now -. op_t0) ~reachable ~required
-              end
-              else
-                match need with
-                | Some (servers, required)
-                  when now -. t_enter > rcfg.Retry.grace_s ->
-                    let reachable =
-                      List.length (List.filter (is_reachable t) servers)
-                    in
-                    if reachable < required then begin
-                      clear_round_pendings cl;
-                      fail_unavailable t cl ~cause:Quorum_lost
-                        ~elapsed:(now -. op_t0) ~reachable ~required
-                    end
-                | _ -> ());
-          if now > hard_deadline then
-            raise
-              (Timeout
-                 (Fmt.str "client %a: no quorum within %.1fs" Id.Client.pp
-                    cl.id t.cfg.op_timeout_s));
-          (match t.sched with
-          | None ->
-              cl.waiting <- true;
-              cl.pred <- Some pred;
-              Fun.protect
-                ~finally:(fun () ->
-                  cl.waiting <- false;
-                  cl.pred <- None)
-                (fun () -> Condition.wait cl.cc cl.cm)
-          | Some hook ->
-              (* park on the scheduler; the timeout stands in for the
-                 heartbeat so retransmissions and deadlines are still
-                 checked when no reply flips the predicate.  An armed
-                 hedge shortens the park so it fires on time (there is
-                 no pacer thread under the scheduler — the awaiting
-                 client is its own timer, in virtual time). *)
-              let timeout_s =
-                match cl.hedge with
-                | Some hp -> Float.max 1e-4 (Float.min 0.05 (hp.h_due -. now))
-                | None -> 0.05
-              in
-              hook.suspend ~timeout_s ~mutex:cl.cm pred);
-          go ()
+          (* a resend may have completed the round in place, on this
+             thread: no waker will signal it *)
+          if pred () then clear_round_pendings cl else park now
         end
+      and park now =
+        (match t.cfg.retry with
+        | None -> ()
+        | Some rcfg ->
+            if now -. op_t0 > effective_deadline_s t cl rcfg then begin
+              clear_round_pendings cl;
+              let reachable, required =
+                match need with
+                | None -> (0, 0)
+                | Some (servers, q) ->
+                    (List.length (List.filter (is_reachable t) servers), q)
+              in
+              fail_unavailable t cl ~cause:Deadline_exceeded
+                ~elapsed:(now -. op_t0) ~reachable ~required
+            end
+            else
+              match need with
+              | Some (servers, required)
+                when now -. t_enter > rcfg.Retry.grace_s ->
+                  let reachable =
+                    List.length (List.filter (is_reachable t) servers)
+                  in
+                  if reachable < required then begin
+                    clear_round_pendings cl;
+                    fail_unavailable t cl ~cause:Quorum_lost
+                      ~elapsed:(now -. op_t0) ~reachable ~required
+                  end
+              | _ -> ());
+        if now > hard_deadline then
+          raise
+            (Timeout
+               (Fmt.str "client %a: no quorum within %.1fs" Id.Client.pp
+                  cl.id t.cfg.op_timeout_s));
+        (* [cm] is released while parked: so is its ownership *)
+        cl.owner <- -1;
+        (match t.sched with
+        | None ->
+            cl.waiting <- true;
+            cl.pred <- Some pred;
+            Fun.protect
+              ~finally:(fun () ->
+                cl.waiting <- false;
+                cl.pred <- None)
+              (fun () -> Condition.wait cl.cc cl.cm)
+        | Some hook ->
+            (* park on the scheduler; the timeout stands in for the
+               heartbeat so retransmissions and deadlines are still
+               checked when no reply flips the predicate.  An armed
+               hedge shortens the park so it fires on time (there is
+               no pacer thread under the scheduler — the awaiting
+               client is its own timer, in virtual time). *)
+            let timeout_s =
+              match cl.hedge with
+              | Some hp -> Float.max 1e-4 (Float.min 0.05 (hp.h_due -. now))
+              | None -> 0.05
+            in
+            hook.suspend ~timeout_s ~mutex:cl.cm pred);
+        cl.owner <- self_id ();
+        go ()
       in
       go ())
 
@@ -830,6 +926,8 @@ let crash t i =
 let restart t i =
   check_server t i;
   let srv = t.servers.(i) in
+  (* the execution lock keeps a wipe from interleaving a step *)
+  Mutex.lock srv.xm;
   Mutex.lock srv.sm;
   let was_down = not srv.up in
   if
@@ -845,6 +943,7 @@ let restart t i =
   srv.up <- true;
   Condition.broadcast srv.sc;
   Mutex.unlock srv.sm;
+  Mutex.unlock srv.xm;
   if was_down then begin
     let wiped =
       t.cfg.recovery = Recovery.Amnesia || t.backend = Transport.Socket
@@ -953,6 +1052,7 @@ type stats = {
   unavailable : int;
   hedges : int;
   hedge_wins : int;
+  inline_steps : int;
   ops_completed : int;
 }
 
@@ -976,6 +1076,7 @@ let stats t =
     unavailable = Atomic.get t.unavailable;
     hedges = Atomic.get t.hedge_sent;
     hedge_wins = Atomic.get t.hedge_won;
+    inline_steps = Atomic.get t.inline_steps;
     ops_completed = Histlog.completed t.log;
   }
 

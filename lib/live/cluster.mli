@@ -44,15 +44,34 @@
     legacy [op_timeout_s] backstop ({!Timeout}) remains for
     retry-disabled clusters and genuine liveness bugs.
 
+    {2 Where a round runs}
+
+    Without a scheduler, on the [Threads] backend, a request whose
+    lane is idle and whose server is up, has no backlog and is not
+    mid-step is stepped on the sending thread, and its reply is
+    delivered there too: an uncontended quorum round runs to
+    completion inside {!rpc}, with no server, courier or client
+    wake-up.  Anything else (a backlog, a crashed or frozen server, a
+    busy lane or server, transport delays, any scheduled run) takes
+    the asynchronous path through the couriers and the server
+    threads.  Each server has one execution lock, held for every step
+    and every amnesia wipe, so steps stay mutually exclusive and a
+    request is never stepped ahead of one queued before it.
+
     {2 Locking discipline}
 
     Each client has one mutex guarding its reply-handler table,
     retransmission table, and any protocol state owned by that client.
-    Reply handlers run {e under} that mutex (on courier threads), so
-    handler bodies and the client's own thread never race; client code
-    wraps its accesses in {!locked}.  The only lock nesting is
-    client-mutex → transport/mailbox/server/global-mutex, so the system
-    is deadlock-free by ordering. *)
+    Reply handlers run {e under} that mutex, on whichever thread
+    delivers the reply: a courier, a server thread, or the thread that
+    holds the mutex and sent the request — then the handler runs in
+    place, inside {!rpc}.  Handler bodies and the client's own thread
+    never race; client code wraps its accesses in {!locked}.  A thread
+    holding a client's mutex only ever blocks on leaf locks (lanes,
+    mailboxes, server state) and only try-locks a server's execution
+    lock; replies reach only the client that sent the request, so no
+    thread holds one client's mutex while waiting for another's, and
+    the system is deadlock-free by ordering. *)
 
 open Regemu_objects
 open Regemu_netsim
@@ -161,7 +180,9 @@ val locked : client -> (unit -> 'a) -> 'a
     the end of the await that created them and keep being retransmitted
     by this client's later awaits — for requests whose acknowledgement
     matters beyond the current operation (Algorithm 2's covering
-    writes).  The caller must hold the client's mutex. *)
+    writes).  The caller must hold the client's mutex.  [handler] may
+    run before [rpc] returns, on the calling thread (see "Where a
+    round runs" above). *)
 val rpc :
   t ->
   src:client ->
@@ -288,6 +309,9 @@ type stats = {
   unavailable : int;  (** operations failed fast with {!Unavailable} *)
   hedges : int;  (** hedged retransmissions to deferred replicas *)
   hedge_wins : int;  (** hedged replies that counted toward a quorum *)
+  inline_steps : int;
+      (** requests stepped on their delivering thread instead of the
+          server thread (unscheduled [Threads] backend only) *)
   ops_completed : int;
 }
 

@@ -71,6 +71,7 @@ type outcome = {
   restarts : int;
   retries : int;
   unavailable : int;
+  inline_steps : int;  (* requests stepped on their delivering thread *)
   space_cells : int;  (* resident cells, max over servers, max over run *)
   space_bytes : int;  (* resident bytes likewise *)
   space_cells_total : int;  (* cluster-wide resident cells at the peak *)
@@ -212,6 +213,7 @@ let run ?(sink = Sink.none) spec =
     restarts = stats.Cluster.restarts;
     retries = stats.Cluster.retries;
     unavailable = stats.Cluster.unavailable;
+    inline_steps = stats.Cluster.inline_steps;
     space_cells;
     space_bytes;
     space_cells_total;
@@ -328,6 +330,7 @@ let outcome_json o =
       ("restarts", Json.Int o.restarts);
       ("retries", Json.Int o.retries);
       ("unavailable", Json.Int o.unavailable);
+      ("inline_steps", Json.Int o.inline_steps);
       ("space_resident_cells", Json.Int o.space_cells);
       ("space_resident_bytes", Json.Int o.space_bytes);
       ("space_cells_total", Json.Int o.space_cells_total);
@@ -464,6 +467,7 @@ let saturate_json outcomes =
          ("latency_p50_us", Json.Float (pct 0.50));
          ("latency_p95_us", Json.Float (pct 0.95));
          ("latency_p99_us", Json.Float (pct 0.99));
+         ("inline_steps", Json.Int o.inline_steps);
          ("space_resident_cells", Json.Int o.space_cells);
          ("space_resident_bytes", Json.Int o.space_bytes);
          ("clean", Json.Bool (clean o));

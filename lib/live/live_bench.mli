@@ -68,6 +68,9 @@ type outcome = {
   restarts : int;
   retries : int;  (** client retransmissions *)
   unavailable : int;  (** operations failed fast *)
+  inline_steps : int;
+      (** requests stepped on their delivering thread rather than by
+          the server thread ({!Cluster.stats}) *)
   space_cells : int;
       (** resident cells, max over servers and over the run — sampled
           every 5 ms plus once at quiesce ({!Cluster.resident_space}) *)

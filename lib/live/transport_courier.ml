@@ -180,9 +180,9 @@ let rec courier_loop t lane =
     Mutex.unlock lane.lm;
     List.iter
       (fun env ->
+        msg_point lane "recv" env;
         t.deliver env;
-        Atomic.incr t.delivered;
-        msg_point lane "recv" env)
+        Atomic.incr t.delivered)
       (List.rev !prompt);
     (* deliver the held envelopes in delay order, sleeping only the
        remaining gap — the courier holds exactly these messages while
@@ -197,9 +197,9 @@ let rec courier_loop t lane =
           courier_pause t (float_of_int (d - !slept) *. 1e-6);
           slept := d
         end;
+        msg_point lane "recv" env;
         t.deliver env;
-        Atomic.incr t.delivered;
-        msg_point lane "recv" env)
+        Atomic.incr t.delivered)
       held;
     Mutex.lock lane.lm;
     lane.inflight <- lane.inflight - n;
@@ -247,13 +247,16 @@ let send t env =
       end
       else begin
         let dup = hit lane.lrng t.cfg.dup_prob in
-        (* fast path: without reordering, an idle lane (nothing queued,
-           nothing popped-but-undelivered) may deliver on the sending
-           thread — same FIFO order, two context switches fewer.  Any
-           backlog, in-flight delayed message, or reorder mode goes
-           through the couriers. *)
+        (* fast path: an idle lane (nothing queued, nothing
+           popped-but-undelivered) may deliver on the sending thread —
+           two context switches fewer.  Without reordering the FIFO
+           order is the same; with it, an idle lane holds nothing for
+           this envelope to be reordered against.  A scheduled run
+           keeps reorder-mode traffic on the courier actors, so the
+           scheduler still picks every delivery order.  Any backlog or
+           in-flight delayed message goes through the couriers. *)
         let inline_ok =
-          (not t.cfg.reorder)
+          ((not t.cfg.reorder) || Option.is_none t.sched)
           && t.cfg.delay_prob = 0.0
           && Ringbuf.is_empty lane.buf
           && lane.inflight = 0
@@ -265,14 +268,24 @@ let send t env =
                | To_server s -> frozen_of st ~server:s
                | To_client _ -> false)
         in
+        (* the points go out before the envelope can be delivered — on
+           this thread or by a courier — so each rid's trace points
+           stay in causal order even when deliveries nest *)
+        Atomic.incr t.sent;
+        msg_point lane "send" env;
+        if dup then begin
+          Atomic.incr t.sent;
+          Atomic.incr t.duplicated;
+          msg_point lane "dup" env
+        end;
         if inline_ok then begin
           lane.inflight <- lane.inflight + 1;
           if dup then Ringbuf.push lane.buf env;
           if dup then Condition.signal lane.lc;
           Mutex.unlock lane.lm;
+          msg_point lane "recv" env;
           t.deliver env;
           Atomic.incr t.delivered;
-          msg_point lane "recv" env;
           Mutex.lock lane.lm;
           lane.inflight <- lane.inflight - 1;
           Mutex.unlock lane.lm
@@ -283,13 +296,6 @@ let send t env =
           Condition.signal lane.lc;
           if dup then Condition.signal lane.lc;
           Mutex.unlock lane.lm
-        end;
-        Atomic.incr t.sent;
-        msg_point lane "send" env;
-        if dup then begin
-          Atomic.incr t.sent;
-          Atomic.incr t.duplicated;
-          msg_point lane "dup" env
         end
       end
     end

@@ -12,6 +12,9 @@ open Regemu_objects
     - protocol state is touched only under [locked]: reply handlers run
       under the client's lock, and the client's own thread takes it for
       every access to state a handler may also touch;
+    - a handler may run inside the [rpc] (or [rpc_quorum]) that sent
+      its request, on the calling thread, before the call returns:
+      whatever the handler reads must be set up before the send;
     - a [~sticky:true] request outlives the operation that issued it: it
       is retransmitted by the client's later awaits until acknowledged;
     - [await ~need:(servers, required)] lists one server per awaited

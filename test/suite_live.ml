@@ -708,6 +708,230 @@ let cluster_tests =
         Alcotest.(check int) "every op completed" (3 * 40) o.ops);
   ]
 
+(* --- rounds run on the calling thread ------------------------------------- *)
+
+let metric mx name =
+  match Regemu_obs.Metrics.find mx name with
+  | None -> Alcotest.failf "metric %S not registered" name
+  | Some j -> (
+      match Json.(member "value" j |> Option.map to_int_opt |> Option.join) with
+      | Some v -> v
+      | None -> Alcotest.failf "metric %S has no integer value" name)
+
+(* one client thread on a quiet default-config cluster: every request
+   finds its lane idle and its server unclaimed, so each round runs to
+   completion on the calling thread and no server mailbox is touched *)
+let quiet_inline_run what ~setup () =
+  let mx = Regemu_obs.Metrics.create () in
+  let cluster =
+    Cluster.create ~sink:(Sink.make ~metrics:mx ())
+      (Cluster.default_config ~n:3 ~seed:21)
+  in
+  let c = Cluster.new_client cluster in
+  let write, read = setup cluster c in
+  Cluster.start cluster;
+  for i = 1 to 20 do
+    write (Value.Int i);
+    Alcotest.(check bool)
+      (what ^ ": read returns the last write")
+      true
+      (Value.equal (read ()) (Value.Int i))
+  done;
+  (* a bare quorum of queries: every reply handler runs on this thread
+     before the sends return *)
+  let me = Thread.id (Thread.self ()) in
+  let ran_on = ref [] in
+  Cluster.locked c (fun () ->
+      for s = 0 to 2 do
+        Cluster.rpc cluster ~src:c s
+          ~make:(fun rid -> Regemu_netsim.Proto.Query { rid })
+          ~handler:(fun _ -> ran_on := Thread.id (Thread.self ()) :: !ran_on)
+      done);
+  Alcotest.(check (list int)) (what ^ ": handlers ran in place") [ me; me; me ]
+    !ran_on;
+  let st = Cluster.stats cluster in
+  let pushed = metric mx "mailbox.pushed" in
+  let inline = metric mx "server.inline_steps" in
+  Cluster.shutdown cluster;
+  Alcotest.(check int) (what ^ ": ops completed") 40 st.Cluster.ops_completed;
+  Alcotest.(check int) (what ^ ": mailbox.pushed") 0 pushed;
+  Alcotest.(check int) (what ^ ": gauge = stats") st.Cluster.inline_steps inline;
+  Alcotest.(check bool) (what ^ ": steps ran inline") true (inline > 0)
+
+let inline_tests =
+  [
+    test "quiet ABD rounds never touch a server mailbox"
+      (quiet_inline_run "abd" ~setup:(fun cluster c ->
+           let abd = Abd_live.create cluster ~f:1 () in
+           (Abd_live.write abd c, fun () -> Abd_live.read abd c)));
+    test "quiet Algorithm 2 rounds never touch a server mailbox"
+      (quiet_inline_run "alg2" ~setup:(fun cluster c ->
+           let p = Regemu_bounds.Params.make_exn ~k:1 ~f:1 ~n:3 in
+           let alg = Alg2_live.create cluster p ~writers:[ c ] () in
+           (Alg2_live.write alg c, fun () -> Alg2_live.read alg c)));
+    test "quiet CDS rounds never touch a server mailbox"
+      (quiet_inline_run "cds" ~setup:(fun cluster c ->
+           let cds = Cds_live.create cluster ~f:1 ~writers:[ c ] () in
+           (Cds_live.write cds c, fun () -> Cds_live.read cds c)));
+    test "a request is never stepped ahead of a server's backlog" (fun () ->
+        (* plain-register writes: last stepped wins, so the cell's final
+           value shows whether the last request overtook the queued
+           ones.  No retry: a late retransmission would re-step an old
+           write. *)
+        let queued = 200 in
+        let run ~what ~transport ~stall ~resume =
+          let cluster =
+            Cluster.create
+              {
+                (Cluster.default_config ~n:3 ~seed:31) with
+                transport;
+                retry = None;
+              }
+          in
+          let c = Cluster.new_client cluster in
+          let reg = Cluster.alloc_reg cluster ~server:0 in
+          Cluster.start cluster;
+          let acked = ref 0 in
+          let write i =
+            Cluster.locked c (fun () ->
+                Cluster.rpc cluster ~src:c 0
+                  ~make:(fun rid ->
+                    Regemu_netsim.Proto.Reg_write
+                      { rid; reg; proposed = Value.Int i })
+                  ~handler:(fun _ -> incr acked))
+          in
+          stall cluster;
+          for i = 1 to queued do
+            write i
+          done;
+          resume cluster;
+          write (queued + 1);
+          Cluster.await cluster c (fun () -> !acked = queued + 1);
+          let final = Cluster.peek_reg cluster ~server:0 reg in
+          Cluster.shutdown cluster;
+          Alcotest.(check bool)
+            (what ^ ": the last request was stepped last")
+            true
+            (Value.equal final (Value.Int (queued + 1)))
+        in
+        (* one courier and no reordering: the lane itself is FIFO, so
+           any overtaking would be the cluster's *)
+        let transport =
+          { (Transport.default_config ~seed:31) with couriers = 1; reorder = false }
+        in
+        run ~what:"crashed then restarted" ~transport
+          ~stall:(fun cl -> Cluster.crash cl 0)
+          ~resume:(fun cl -> Cluster.restart cl 0);
+        run ~what:"frozen lane" ~transport
+          ~stall:(fun cl -> Cluster.freeze cl ~server:0)
+          ~resume:(fun cl -> Cluster.thaw cl ~server:0));
+    test "Algorithm 2's stale-ack re-send completes inside an in-place reply"
+      (fun () ->
+        (* cut server 0 off so the writer's request to its cell there
+           is lost: two writes complete on the other cells, and the
+           cell's first request stays outstanding (sticky).  After the
+           heal, the writer's own await retransmits it; the round runs
+           on the writer's thread, the stale acknowledgement is
+           dispatched in place under the writer's held lock, and its
+           handler re-sends the current value. *)
+        let p = Regemu_bounds.Params.make_exn ~k:1 ~f:1 ~n:3 in
+        let cluster = Cluster.create (Cluster.default_config ~n:3 ~seed:41) in
+        let w = Cluster.new_client cluster in
+        let alg = Alg2_live.create cluster p ~writers:[ w ] () in
+        Cluster.start cluster;
+        Cluster.split cluster ~groups:[ [ 1; 2 ]; [ 0 ] ] ~clients_with:0;
+        Alg2_live.write alg w (Value.Int 1);
+        Alg2_live.write alg w (Value.Int 2);
+        let cell0 () = Value.payload (Cluster.peek_reg cluster ~server:0 0) in
+        Alcotest.(check bool) "server 0's cell missed both writes" true
+          (Value.equal (cell0 ()) Value.v0);
+        Cluster.heal cluster;
+        (match
+           Cluster.await cluster w (fun () ->
+               Value.equal (cell0 ()) (Value.Int 2))
+         with
+        | () -> ()
+        | exception e ->
+            Alcotest.failf "await raised %s" (Printexc.to_string e));
+        let st = Cluster.stats cluster in
+        Cluster.shutdown cluster;
+        Alcotest.(check bool) "the stale request was retransmitted" true
+          (st.Cluster.retries > 0));
+    test "traced quiet run: each rid's points are in causal order" (fun () ->
+        let open Regemu_obs in
+        let tr = Trace.create () in
+        let cluster =
+          Cluster.create ~sink:(Sink.make ~trace:tr ())
+            (Cluster.default_config ~n:3 ~seed:51)
+        in
+        let abd = Abd_live.create cluster ~f:1 () in
+        let clients = List.init 2 (fun _ -> Cluster.new_client cluster) in
+        Cluster.start cluster;
+        (* two client threads: some rounds nest inline, some queue *)
+        let threads =
+          List.mapi
+            (fun i c ->
+              Thread.create
+                (fun () ->
+                  for j = 1 to 50 do
+                    Abd_live.write abd c (Value.Int ((100 * i) + j));
+                    ignore (Abd_live.read abd c)
+                  done)
+                ())
+            clients
+        in
+        List.iter Thread.join threads;
+        Cluster.shutdown cluster;
+        (* (rid, stage) -> earliest timestamp (events come sorted by
+           time); stages in causal order: rpc, request send, request
+           recv, reply send, reply recv *)
+        let first : (int * int, int64) Hashtbl.t = Hashtbl.create 4096 in
+        List.iter
+          (fun (_, (e : Event.t)) ->
+            let dest =
+              match List.assoc_opt "dest" e.args with
+              | Some (Event.S d) when d <> "" -> Some d.[0]
+              | _ -> None
+            in
+            let stage =
+              match (e.name, dest) with
+              | "rpc", _ -> Some 0
+              | "send", Some 's' -> Some 1
+              | "recv", Some 's' -> Some 2
+              | "send", Some 'c' -> Some 3
+              | "recv", Some 'c' -> Some 4
+              | _ -> None
+            in
+            match (e.ph, e.cat, stage, List.assoc_opt "rid" e.args) with
+            | Event.Instant, "msg", Some k, Some (Event.I rid) ->
+                if not (Hashtbl.mem first (rid, k)) then
+                  Hashtbl.replace first (rid, k) e.ts_ns
+            | _ -> ())
+          (Trace.events tr);
+        Alcotest.(check int) "no event overwritten" 0 (Trace.dropped tr);
+        let complete = ref 0 in
+        Hashtbl.iter
+          (fun (rid, k) _ ->
+            if k = 0 then begin
+              let chain =
+                List.filter_map
+                  (fun k -> Hashtbl.find_opt first (rid, k))
+                  [ 0; 1; 2; 3; 4 ]
+              in
+              if List.length chain = 5 then incr complete;
+              if List.sort Int64.compare chain <> chain then
+                Alcotest.failf
+                  "rid %d: points out of causal order (rpc, request send, \
+                   request recv, reply send, reply recv)"
+                  rid
+            end)
+          first;
+        (* 2 threads x 50 (write + read) = 300 rounds, each with at
+           least a quorum of 2 replies *)
+        Alcotest.(check bool) "every round's quorum rids joined" true
+          (!complete >= 300 * 2));
+  ]
+
 (* --- saturation bench / regemu-bench schema ------------------------------ *)
 
 let bench_tests =
@@ -788,5 +1012,6 @@ let suites =
     ("live.transport", transport_tests);
     ("live.histlog", histlog_tests @ histlog_property_tests);
     ("live.cluster", cluster_tests);
+    ("live.inline", inline_tests);
     ("live.bench", bench_tests);
   ]
