@@ -53,6 +53,9 @@ type t = {
   cfg : config;
   mutable cursors : cursor list;  (* refreshed as writers register *)
   keys : (int, kstate) Hashtbl.t;
+  open_ : (int, kstate) Hashtbl.t;
+      (* the keys of [keys] whose window is non-empty (a broken key's
+         never is): the only keys a settle step can change *)
   mutable pending : pread list;
   mutable pending_count : int;
   deeps : (int, deep) Hashtbl.t;
@@ -131,13 +134,14 @@ let decide_read t (r : pread) =
 
 (* --- write insertion and the settle step ------------------------------- *)
 
-let break ks t =
+let break t key ks =
   if not ks.broken then begin
     ks.broken <- true;
     (* a broken key keeps no window: its reads are vacuous forever *)
     t.window_ops <- t.window_ops - ks.wcount;
     ks.window <- [];
-    ks.wcount <- 0
+    ks.wcount <- 0;
+    Hashtbl.remove t.open_ key
   end
 
 (* insert a completed write, keeping [window] sorted by invocation and
@@ -147,7 +151,7 @@ let insert_write t key (w : wrec) =
   let ks = kstate t key in
   if not ks.broken then begin
     (match ks.wlast with
-    | Some last when w.winv < last.wret -> break ks t
+    | Some last when w.winv < last.wret -> break t key ks
     | _ -> ());
     if not ks.broken then begin
       (* [None] iff [w] overlaps a neighbour in invocation order — the
@@ -163,10 +167,11 @@ let insert_write t key (w : wrec) =
       in
       match ins ks.window with
       | Some nw ->
+          if ks.wcount = 0 then Hashtbl.replace t.open_ key ks;
           ks.window <- nw;
           ks.wcount <- ks.wcount + 1;
           t.window_ops <- t.window_ops + 1
-      | None -> break ks t
+      | None -> break t key ks
     end
   end
 
@@ -195,8 +200,14 @@ let settle_key t ks ~frontier =
         Sink.Metrics.add t.settled_ctr n
   end
 
+(* only open keys can settle anything: a round costs its open windows,
+   not every key the checker has ever seen *)
 let settle_all t ~frontier =
-  Hashtbl.iter (fun _ ks -> settle_key t ks ~frontier) t.keys
+  Hashtbl.filter_map_inplace
+    (fun _ ks ->
+      settle_key t ks ~frontier;
+      if ks.wcount > 0 then Some ks else None)
+    t.open_
 
 (* --- deep-sample retention --------------------------------------------- *)
 
@@ -259,7 +270,7 @@ let consume t cur =
               (* its effect may still land later: writes break the key,
                  reads constrain nothing *)
               if c.k_hop <> Regemu_sim.Trace.H_read then
-                break (kstate t c.k_key) t
+                break t c.k_key (kstate t c.k_key)
             end
             else begin
               match c.k_hop with
@@ -333,6 +344,7 @@ let spawn ?sched ?(sink = Sink.none) ?(config = default_config) klog =
       cfg = config;
       cursors = [];
       keys = Hashtbl.create 1024;
+      open_ = Hashtbl.create 64;
       pending = [];
       pending_count = 0;
       deeps = Hashtbl.create 64;
@@ -355,6 +367,8 @@ let spawn ?sched ?(sink = Sink.none) ?(config = default_config) klog =
     "kchecker.resident_ops" (fun () -> resident_ops t);
   Sink.gauge_fn sink ~help:"distinct keys with checker state" "kchecker.keys"
     (fun () -> Hashtbl.length t.keys);
+  Sink.gauge_fn sink ~help:"keys with an open (unsettled) write window"
+    "kchecker.open_keys" (fun () -> Hashtbl.length t.open_);
   Sink.gauge_fn sink ~help:"per-key WS-Regularity violations seen"
     "kchecker.violations" (fun () -> t.violations);
   (match sched with
@@ -363,6 +377,8 @@ let spawn ?sched ?(sink = Sink.none) ?(config = default_config) klog =
   t
 
 let checks t = t.checks
+let keys t = Hashtbl.length t.keys
+let open_keys t = Hashtbl.length t.open_
 let settled t = t.settled
 let violations_so_far t = t.violations
 

@@ -37,6 +37,17 @@
       prefix is settled is therefore still caught: the stale value the
       fault resurrects conflicts with [wlast].
 
+    {2 Per-round cost}
+
+    A round costs O(cells consumed + pending reads + open windows):
+    it consumes each writer's new cells, scans the pending-read queue
+    once to decide what the frontier allows, and settles only the
+    {e open} keys — those with a non-empty window, tracked as a set
+    that a completed write joins and that a key leaves when its window
+    empties (settled or broken).  A key that settles to [wlast] costs
+    nothing more until it is written again; no per-round walk visits
+    every key ever seen.  Only {!stop} folds over all keys, once.
+
     Keys whose write order goes non-sequential (concurrent or aborted
     writes) turn sticky-broken: their later reads are vacuous, exactly
     as the closed-form check requires.
@@ -83,8 +94,8 @@ type result = {
 }
 
 (** Spawn the checker over [klog].  Gauges ([kchecker.resident_ops],
-    [kchecker.keys], [kchecker.violations]) and the settled-prefix
-    counter register in [sink]'s metrics registry. *)
+    [kchecker.keys], [kchecker.open_keys], [kchecker.violations]) and
+    the settled-prefix counter register in [sink]'s metrics registry. *)
 val spawn :
   ?sched:Regemu_live.Sched_hook.t ->
   ?sink:Regemu_live.Sink.t ->
@@ -94,6 +105,14 @@ val spawn :
 
 (** Current decided-read count (monotone; test/progress use). *)
 val checks : t -> int
+
+(** Distinct keys the checker holds state for (every key ever read or
+    written). *)
+val keys : t -> int
+
+(** Keys with a non-empty window right now — the only keys the next
+    settle step visits. *)
+val open_keys : t -> int
 
 (** Writes discarded by the settle GC so far — the regression tests
     read it mid-run to prove a prefix was GC'd {e before} a fault was

@@ -31,9 +31,9 @@ let result_pp ppf r =
    Three facts make incrementality sound:
 
    - completed operations never change, so a pair of completed writes
-     once checked comparable stays comparable ([wseq] caches the
-     verified total order; [wbroken] is a sticky "two completed writes
-     overlap");
+     once checked comparable stays comparable ([winv]/[wret]/[wval]
+     cache the verified total order in append-only arrays; [wbroken]
+     is a sticky "two completed writes overlap");
    - a completed read validated against the write order stays valid as
      later writes arrive: any write it has not seen was invoked after
      the read returned, so it can only land at positions the check
@@ -54,9 +54,13 @@ type t = {
   mutable violation : Ws_check.verdict option;  (* first Violated seen *)
   cursors : (int, int) Hashtbl.t;  (* client -> consumed prefix length *)
   seen : (int, unit) Hashtbl.t;  (* invoked_at of collected ops *)
-  mutable wseq : History.op list;
-      (* completed writes, newest first, verified pairwise sequential *)
-  mutable max_wret : int;  (* latest return tick in [wseq] *)
+  (* completed writes, oldest first, verified pairwise sequential: the
+     first [wn] slots of three parallel arrays, grown by doubling *)
+  mutable winv : int array;
+  mutable wret : int array;
+  mutable wval : Value.t array;
+  mutable wn : int;
+  mutable max_wret : int;  (* latest return tick among the writes *)
   mutable wbroken : bool;  (* two completed writes overlap: vacuous for
                               good *)
   mutable backlog : History.op list;
@@ -74,75 +78,85 @@ let op_of_view client (cv : Histlog.cell_view) =
     result = cv.v_result;
   }
 
+let grow arr fill =
+  let a = Array.make (2 * Array.length arr) fill in
+  Array.blit arr 0 a 0 (Array.length arr);
+  a
+
 (* Insert a newly completed write into the verified order.  Writers are
    polled independently, so a write can surface after a later-invoked
-   one — it must land at its invocation position and be comparable with
-   both neighbours.  The common case (new latest write) is O(1). *)
+   one — it must land at its invocation position (shifting the newer
+   slots up) and be comparable with both neighbours.  The common case
+   (new latest write) is an O(1) append. *)
 let insert_write t (w : History.op) =
-  let rec ins newer_rev = function
-    | x :: rest when x.History.invoked_at > w.History.invoked_at ->
-        ins (x :: newer_rev) rest
-    | older ->
-        let ok_newer =
-          match newer_rev with
-          | [] -> true
-          | nx :: _ -> History.precedes w nx
-        in
-        let ok_older =
-          match older with [] -> true | p :: _ -> History.precedes p w
-        in
-        (List.rev_append newer_rev (w :: older), ok_newer && ok_older)
+  let inv = w.History.invoked_at in
+  let ret = match w.returned_at with Some r -> r | None -> assert false in
+  let v =
+    match History.written_value w with Some v -> v | None -> assert false
   in
-  let ws, sequential = ins [] t.wseq in
-  t.wseq <- ws;
-  (match w.History.returned_at with
-  | Some r -> if r > t.max_wret then t.max_wret <- r
-  | None -> assert false);
-  if not sequential then t.wbroken <- true
+  if t.wn = Array.length t.winv then begin
+    t.winv <- grow t.winv 0;
+    t.wret <- grow t.wret 0;
+    t.wval <- grow t.wval Value.v0
+  end;
+  let p = ref t.wn in
+  while !p > 0 && t.winv.(!p - 1) > inv do
+    decr p
+  done;
+  let p = !p in
+  let ok_newer = p = t.wn || ret < t.winv.(p)
+  and ok_older = p = 0 || t.wret.(p - 1) < inv in
+  let shift arr = Array.blit arr p arr (p + 1) (t.wn - p) in
+  shift t.winv;
+  shift t.wret;
+  shift t.wval;
+  t.winv.(p) <- inv;
+  t.wret.(p) <- ret;
+  t.wval.(p) <- v;
+  t.wn <- t.wn + 1;
+  if ret > t.max_wret then t.max_wret <- ret;
+  if not (ok_newer && ok_older) then t.wbroken <- true
 
-(* first index in [arr.(lo..)] with [arr.(i) >= x]; [arr] ascending *)
-let lower_bound arr x =
+(* first index [i < n] with [get i >= x]; [get] ascending *)
+let lower_bound get n x =
   let rec go lo hi =
     if lo >= hi then lo
     else
       let mid = (lo + hi) / 2 in
-      if arr.(mid) < x then go (mid + 1) hi else go lo mid
+      if get mid < x then go (mid + 1) hi else go lo mid
   in
-  go 0 (Array.length arr)
+  go 0 n
 
-(* Validate completed reads against the write order [wseq @ pending]:
+(* Validate completed reads against the write order [completed @ pending]:
    for each read, the admissible write positions form a contiguous
    window (writes returned before its invocation are excluded below,
    writes invoked after its return above), found by binary search —
    O(log writes + window) per read instead of the closed-form checker's
    O(writes). *)
 let validate_reads t ~pending reads =
-  let ws = Array.of_list (List.rev_append t.wseq pending) in
-  let rets =
-    Array.map
-      (fun (w : History.op) ->
-        match w.returned_at with Some r -> r | None -> max_int)
-      ws
-  in
-  let invs = Array.map (fun (w : History.op) -> w.invoked_at) ws
-  and vals =
-    Array.map
-      (fun w ->
+  (* the pending writes (still running, no return tick) follow the
+     completed ones; index [i] reads the arrays below [wn] *)
+  let pend = Array.of_list pending in
+  let n = t.wn + Array.length pend in
+  let at arr f i = if i < t.wn then arr.(i) else f pend.(i - t.wn) in
+  let inv = at t.winv (fun (w : History.op) -> w.invoked_at)
+  and ret = at t.wret (fun _ -> max_int)
+  and value =
+    at t.wval (fun w ->
         match History.written_value w with Some v -> v | None -> assert false)
-      ws
   in
   let check_read (rd : History.op) =
     match (rd.result, rd.returned_at) with
-    | Some got, Some ret ->
+    | Some got, Some rret ->
         (* positions [p .. q], 1-based over writes; position 0 is the
            initial value, admissible when no write precedes the read *)
-        let p = lower_bound rets rd.invoked_at in
-        let q = lower_bound invs ret in
+        let p = lower_bound ret n rd.invoked_at in
+        let q = lower_bound inv n rret in
         let admissible =
           (p = 0 && Value.equal got Value.v0)
           ||
           let rec probe j =
-            j <= q && (Value.equal got vals.(j - 1) || probe (j + 1))
+            j <= q && (Value.equal got (value (j - 1)) || probe (j + 1))
           in
           probe (max p 1)
         in
@@ -151,7 +165,7 @@ let validate_reads t ~pending reads =
           let allowed =
             (if p = 0 then [ Value.v0 ] else [])
             @ List.init (max 0 (q - max p 1 + 1)) (fun i ->
-                  vals.(max p 1 + i - 1))
+                  value (max p 1 + i - 1))
           in
           Some
             {
@@ -283,7 +297,10 @@ let spawn ?sched cluster ?(interval_s = 0.02) ?(final_atomic = false)
       violation = None;
       cursors = Hashtbl.create 32;
       seen = Hashtbl.create 64;
-      wseq = [];
+      winv = Array.make 64 0;
+      wret = Array.make 64 0;
+      wval = Array.make 64 Value.v0;
+      wn = 0;
       max_wret = 0;
       wbroken = false;
       backlog = [];

@@ -190,6 +190,94 @@ let openload_tests =
           (Hashtbl.length uniform > 900));
   ]
 
+(* --- Kchecker open-key tracking --------------------------------------- *)
+
+let write w ~key v =
+  Klog.return
+    (Klog.invoke w ~key Regemu_sim.Trace.(H_write (Value.Int v)))
+    Value.Unit
+
+let read w ~key got =
+  Klog.return (Klog.invoke w ~key Regemu_sim.Trace.H_read) got
+
+let kchecker_tests =
+  [
+    test "a quiesced burst leaves no open key behind" (fun () ->
+        (* every key ever touched keeps its state, but once the writers
+           are idle every window settles: the set a round walks is
+           empty again *)
+        let distinct = 10_000 in
+        let klog = Klog.create () in
+        let w = Klog.new_writer klog ~client:(Id.Client.of_int 0) in
+        let k = Kchecker.spawn klog in
+        for key = 0 to distinct - 1 do
+          write w ~key (key + 1);
+          read w ~key (Value.Int (key + 1))
+        done;
+        let r = Kchecker.stop k in
+        check_int "keys" distinct (Kchecker.keys k);
+        check_int "open keys" 0 (Kchecker.open_keys k);
+        check_int "settled" distinct r.Kchecker.settled_writes;
+        check_int "checks" distinct r.Kchecker.checks;
+        check_int "violations" 0 r.Kchecker.violations);
+    test "a re-written settled key is settled again and flags a stale read"
+      (fun () ->
+        (* settle key 7 to wlast = 2, write 3 (the window re-opens),
+           let it settle, then read the stale 2 *)
+        let module Sched = Regemu_dst.Sched in
+        let obs, report =
+          Sched.run (Sched.default_config ~seed:1) (fun s ->
+              let hook = Sched.hook s in
+              let klog = Klog.create () in
+              let w = Klog.new_writer klog ~client:(Id.Client.of_int 0) in
+              let k =
+                Kchecker.spawn ~sched:hook
+                  ~config:
+                    {
+                      Kchecker.interval_s = 0.001;
+                      deep_sample = 0;
+                      deep_cap = 1;
+                    }
+                  klog
+              in
+              let snap () =
+                hook.Regemu_live.Sched_hook.sleep 0.01;
+                (Kchecker.settled k, Kchecker.open_keys k)
+              in
+              write w ~key:7 1;
+              write w ~key:7 2;
+              let first = snap () in
+              (* a read in flight on a second writer holds the frontier
+                 below the next write, so a round consumes it without
+                 settling it *)
+              let w2 = Klog.new_writer klog ~client:(Id.Client.of_int 1) in
+              let inflight = Klog.invoke w2 ~key:7 Regemu_sim.Trace.H_read in
+              write w ~key:7 3;
+              let reopened = snd (snap ()) in
+              Klog.return inflight (Value.Int 3);
+              let second = snap () in
+              read w ~key:7 (Value.Int 2);
+              ignore (snap ());
+              let flagged = Kchecker.violations_so_far k in
+              (first, reopened, second, flagged, Kchecker.stop k))
+        in
+        match obs with
+        | None ->
+            Alcotest.failf "run did not finish (%d steps)" report.Sched.steps
+        | Some ((s1, o1), reopened, (s2, o2), seen, r) ->
+            check_int "first settle" 2 s1;
+            check_int "closed after the first settle" 0 o1;
+            check_int "re-written key is open again" 1 reopened;
+            check_int "the re-opened window settled" 3 s2;
+            check_int "closed after the second settle" 0 o2;
+            check_int "stale read flagged online" 1 seen;
+            check_int "violations" 1 r.Kchecker.violations;
+            check_int "both reads decided" 2 r.Kchecker.checks;
+            match r.Kchecker.first_violation with
+            | Some v -> check_int "violating key" 7 v.Kchecker.v_key
+            | None -> Alcotest.fail "no first violation");
+  ]
+
 (* --- end-to-end: live smoke + checker GC soundness under DST ------- *)
 
 let dst_gc_test profile =
@@ -210,6 +298,32 @@ let dst_gc_test profile =
       Alcotest.(check bool)
         "gc_soundness_holds" true
         (Regemu_dst.Dst_keyspace.gc_soundness_holds o))
+
+(* A few seeds of both profiles, wiped and clean: the settle step only
+   visits open keys, so these runs cover windows that settle, re-open
+   and break under drops, duplicates and reordering. *)
+let dst_sweep_test =
+  test "DST sweep: wipes caught, clean runs fully deep-checked" (fun () ->
+      let module D = Regemu_dst.Dst_keyspace in
+      List.iter
+        (fun profile ->
+          for seed = 1 to 15 do
+            let base = D.default_config ~profile ~seed in
+            let where = Fmt.str "%s seed %d" (D.profile_name profile) seed in
+            let o = D.run base in
+            if not (D.gc_soundness_holds o) then
+              Alcotest.failf "%s wiped: %a" where D.outcome_pp o;
+            let o = D.run { base with wipe_frac = 0.0; deep_sample = 1 } in
+            match (o.D.problems, o.D.result) with
+            | [], Some r ->
+                check_int (where ^ " violations") 0 r.Kchecker.violations;
+                check_int (where ^ " deep mismatches") 0
+                  r.Kchecker.deep_mismatches;
+                Alcotest.(check bool)
+                  (where ^ " deep-checked") true (r.Kchecker.deep_keys > 0)
+            | _ -> Alcotest.failf "%s clean: %a" where D.outcome_pp o
+          done)
+        [ D.Quiet; D.Chaos ])
 
 let e2e_tests =
   [
@@ -234,6 +348,7 @@ let e2e_tests =
             Alcotest.(check bool) "checks ran" true (r.Kchecker.checks > 0));
     dst_gc_test Regemu_dst.Dst_keyspace.Quiet;
     dst_gc_test Regemu_dst.Dst_keyspace.Chaos;
+    dst_sweep_test;
     test "live smoke run stays within its memory budget" (fun () ->
         let spec =
           { Kbench.smoke_spec with zipfs = [ 0.9 ]; total_ops = 300 }
@@ -298,6 +413,7 @@ let suites =
     ("keyspace.placement", placement_tests);
     ("keyspace.klog", klog_tests);
     ("keyspace.openload", openload_tests);
+    ("keyspace.kchecker", kchecker_tests);
     ("keyspace.e2e", e2e_tests);
     ("keyspace.schema", schema_tests);
   ]
