@@ -383,9 +383,9 @@ let one_straggler ?(algo = Abd) ~seed ~slow_us ~ops () =
     name = "one-straggler" ^ algo_suffix algo;
     descr =
       Fmt.str
-        "one server's link turns gray (+%dus per message) mid-workload: \
-         hedged quorum rounds must keep every operation completing at \
-         healthy-replica speed (%s)"
+        "one server's link turns gray (+%dus per message) mid-workload, \
+         hedging on: every operation must complete and the online checker \
+         stay quiet (%s)"
         slow_us (algo_name algo);
     algo;
     hedge = true;
@@ -401,8 +401,8 @@ let rotating_straggler ~seed ~slow_us ~ops =
     name = "rotating-straggler";
     descr =
       "the slowdown wanders: each server takes a turn as the gray \
-       straggler, so no fixed replica subset is safe — the adaptive \
-       deadline and health-biased hedging must keep adapting";
+       straggler, hedging on: every operation must complete and the \
+       online checker stay quiet";
     hedge = true;
     phases =
       one_phase ~label:"rotate" ~writes:ops ~reads:ops ~gap_ms:30
@@ -420,8 +420,8 @@ let straggler_at_f ~seed ~slow_us ~ops =
     name = "straggler-at-f";
     descr =
       "a crash spends the whole f=1 budget while a second server turns \
-       gray: the quorum that remains includes the straggler, so only \
-       patience (adaptive deadlines) keeps operations completing";
+       gray, so the quorum that remains includes the straggler: every \
+       operation must complete and the online checker stay quiet";
     hedge = true;
     phases =
       one_phase ~label:"squeeze" ~writes:ops ~reads:ops ~gap_ms:40

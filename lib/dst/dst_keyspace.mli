@@ -13,7 +13,7 @@
     The point of the regression: the wipe fires {e after} the checker
     has settled (GC'd) a prefix of history — [settled_at_wipe] proves
     it — and the checker must flag the fallout anyway, from the
-    [wlast] writes it kept.  Settled means settled. *)
+    floor writes it kept.  Settled means settled. *)
 
 type profile = Quiet  (** clean transport *) | Chaos  (** drops + dups + reorder *)
 

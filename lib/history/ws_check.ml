@@ -63,6 +63,9 @@ let check_read ws rd ~only_position ~reason =
       if List.exists (Value.equal got) allowed then None
       else Some (Violated { read = rd; got; allowed; reason })
 
+let regular_reason =
+  "WS-Regular: no linearization of the writes and this read exists"
+
 let check ~safe_only h =
   if not (History.write_sequential h) then Vacuous
   else
@@ -83,10 +86,7 @@ let check ~safe_only h =
               ( Some (preceding_writes ws rd),
                 "WS-Safe: read with no concurrent write must return the \
                  last preceding write" )
-            else
-              ( None,
-                "WS-Regular: no linearization of the writes and this read \
-                 exists" )
+            else (None, regular_reason)
           in
           match check_read ws rd ~only_position ~reason with
           | None -> go rest
@@ -96,15 +96,6 @@ let check ~safe_only h =
 
 let check_ws_regular h = check ~safe_only:false h
 let check_ws_safe h = check ~safe_only:true h
-
-let check_read_ws_regular ~writes rd =
-  match
-    check_read writes rd ~only_position:None
-      ~reason:
-        "WS-Regular: no linearization of the writes and this read exists"
-  with
-  | Some (Violated v) -> Some v
-  | Some _ | None -> None
 
 let not_violated = function Holds | Vacuous -> true | Violated _ -> false
 let is_ws_regular h = not_violated (check_ws_regular h)

@@ -10,7 +10,14 @@
 
     In a write-sequential schedule the writes are totally ordered by
     precedence, which reduces both checks to closed-form conditions on
-    each read; no linearization search is needed. *)
+    each read; no linearization search is needed.
+
+    This module is the offline reference: it re-derives the write order
+    from a whole history on every call.  The incremental rule the
+    online checkers run lives in {!Write_order}; this module does not
+    use it, so DPOR's terminal check, DST's online-against-full-pass
+    agreement and the keyspace checker's deep cross-check compare two
+    independent statements of the rule. *)
 
 open Regemu_objects
 
@@ -34,18 +41,9 @@ val verdict_equal : verdict -> verdict -> bool
 val check_ws_regular : History.t -> verdict
 val check_ws_safe : History.t -> verdict
 
-(** [check_read_ws_regular ~writes rd] checks one read against the
-    total write order [writes] (the caller must have verified the
-    history is write-sequential, e.g. via {!History.write_sequential}).
-    [None] when the read is admissible or incomplete.
-
-    This is the incremental entry point for online checking: once a
-    completed read has been validated against the write order it stays
-    valid — any write that appears later was invoked after the read
-    returned, so it can only land at excluded positions.  Validating
-    each completed read once is therefore equivalent to re-checking the
-    full history every time. *)
-val check_read_ws_regular : writes:History.op list -> History.op -> violation option
+(** The reason a WS-Regularity violation carries, shared with the
+    online checkers so their reports read the same. *)
+val regular_reason : string
 
 (** [true] iff the corresponding check does not return [Violated]. *)
 val is_ws_regular : History.t -> bool

@@ -2,6 +2,7 @@ open Regemu_objects
 open Regemu_live
 module History = Regemu_history.History
 module Ws_check = Regemu_history.Ws_check
+module Write_order = Regemu_history.Write_order
 
 type config = {
   interval_s : float;
@@ -10,16 +11,6 @@ type config = {
 }
 
 let default_config = { interval_s = 0.02; deep_sample = 64; deep_cap = 4096 }
-
-(* a completed write on one key, as the window retains it *)
-type wrec = { winv : int; wret : int; wval : Value.t }
-
-type kstate = {
-  mutable wlast : wrec option;  (* latest write settled below the frontier *)
-  mutable window : wrec list;  (* completed writes, oldest first by winv *)
-  mutable wcount : int;  (* List.length window *)
-  mutable broken : bool;  (* non-write-sequential: reads are vacuous *)
-}
 
 (* a completed read waiting for the frontier to pass its return *)
 type pread = { rkey : int; rinv : int; rret : int; rgot : Value.t }
@@ -52,8 +43,8 @@ type t = {
   klog : Klog.t;
   cfg : config;
   mutable cursors : cursor list;  (* refreshed as writers register *)
-  keys : (int, kstate) Hashtbl.t;
-  open_ : (int, kstate) Hashtbl.t;
+  keys : (int, Write_order.t) Hashtbl.t;
+  open_ : (int, Write_order.t) Hashtbl.t;
       (* the keys of [keys] whose window is non-empty (a broken key's
          never is): the only keys a settle step can change *)
   mutable pending : pread list;
@@ -63,7 +54,7 @@ type t = {
   mutable violations : int;
   mutable first_violation : violation option;
   mutable settled : int;
-  mutable window_ops : int;  (* total wrecs across keys *)
+  mutable window_ops : int;  (* total window writes across keys *)
   mutable deep_ops : int;  (* total retained deep cells *)
   mutable max_resident : int;
   mutable running : bool;
@@ -72,141 +63,74 @@ type t = {
   settled_ctr : Sink.Metrics.counter;
 }
 
-let kstate t key =
+let order t key =
   match Hashtbl.find_opt t.keys key with
-  | Some s -> s
+  | Some wo -> wo
   | None ->
-      let s = { wlast = None; window = []; wcount = 0; broken = false } in
-      Hashtbl.add t.keys key s;
-      s
+      let wo = Write_order.create () in
+      Hashtbl.add t.keys key wo;
+      wo
 
 let resident_ops t = t.window_ops + t.pending_count + t.deep_ops
 
-(* --- the closed-form read check over the GC'd write list --------------- *)
+(* feed [key]'s write order, keeping the window count and the open set
+   in step with its window *)
+let update t key f =
+  let wo = order t key in
+  let before = Write_order.length wo in
+  f wo;
+  let after = Write_order.length wo in
+  t.window_ops <- t.window_ops + after - before;
+  if before = 0 && after > 0 then Hashtbl.replace t.open_ key wo
+  else if before > 0 && after = 0 then Hashtbl.remove t.open_ key
 
 let opc = Id.Client.of_int 0 (* client ids are irrelevant to the check *)
 
-let op_of_wrec (w : wrec) =
-  {
-    History.index = 0;
-    client = opc;
-    hop = Regemu_sim.Trace.H_write w.wval;
-    invoked_at = w.winv;
-    returned_at = Some w.wret;
-    result = Some Value.Unit;
-  }
-
-(* the write list a read on this key is checked against: the settled
-   [wlast] (positions below it are excluded by it anyway) then the
-   window, oldest first.  [v0] stays admissible only when no write at
-   all has settled — exactly the full-history semantics, because any
-   GC'd write returned before [wlast] did. *)
-let write_ops ks =
-  let tail = List.map op_of_wrec ks.window in
-  match ks.wlast with Some w -> op_of_wrec w :: tail | None -> tail
-
 let decide_read t (r : pread) =
-  let ks = kstate t r.rkey in
   t.checks <- t.checks + 1;
-  if not ks.broken then begin
-    let rd =
-      {
-        History.index = 0;
-        client = opc;
-        hop = Regemu_sim.Trace.H_read;
-        invoked_at = r.rinv;
-        returned_at = Some r.rret;
-        result = Some r.rgot;
-      }
-    in
-    match Ws_check.check_read_ws_regular ~writes:(write_ops ks) rd with
-    | None -> ()
-    | Some viol ->
-        t.violations <- t.violations + 1;
-        if t.first_violation = None then
-          t.first_violation <-
-            Some
-              {
-                v_key = r.rkey;
-                v_detail = Fmt.str "key %d: %a" r.rkey Ws_check.violation_pp viol;
-              }
-  end
-
-(* --- write insertion and the settle step ------------------------------- *)
-
-let break t key ks =
-  if not ks.broken then begin
-    ks.broken <- true;
-    (* a broken key keeps no window: its reads are vacuous forever *)
-    t.window_ops <- t.window_ops - ks.wcount;
-    ks.window <- [];
-    ks.wcount <- 0;
-    Hashtbl.remove t.open_ key
-  end
-
-(* insert a completed write, keeping [window] sorted by invocation and
-   verifying the write order stays sequential (adjacent non-overlap is
-   enough on a list sorted by invocation) *)
-let insert_write t key (w : wrec) =
-  let ks = kstate t key in
-  if not ks.broken then begin
-    (match ks.wlast with
-    | Some last when w.winv < last.wret -> break t key ks
-    | _ -> ());
-    if not ks.broken then begin
-      (* [None] iff [w] overlaps a neighbour in invocation order — the
-         key's writes are then concurrent, not sequential *)
-      let rec ins = function
-        | [] -> Some [ w ]
-        | x :: rest when x.winv < w.winv ->
-            if w.winv <= x.wret then None
-            else Option.map (fun tail -> x :: tail) (ins rest)
-        | x :: _ when x.winv = w.winv -> None
-        | x :: _ when x.winv <= w.wret -> None
-        | rest -> Some (w :: rest)
-      in
-      match ins ks.window with
-      | Some nw ->
-          if ks.wcount = 0 then Hashtbl.replace t.open_ key ks;
-          ks.window <- nw;
-          ks.wcount <- ks.wcount + 1;
-          t.window_ops <- t.window_ops + 1
-      | None -> break t key ks
-    end
-  end
-
-(* fold every window write returning strictly below the frontier into
-   [wlast] — final in the write order, never again an admissible value
-   for a future read except as the latest of them *)
-let settle_key t ks ~frontier =
-  if not ks.broken then begin
-    let rec split = function
-      | w :: rest when w.wret < frontier ->
-          let settled, keep = split rest in
-          (w :: settled, keep)
-      | keep -> ([], keep)
-    in
-    let settled, keep = split ks.window in
-    match settled with
-    | [] -> ()
-    | _ ->
-        let n = List.length settled in
-        let last = List.nth settled (n - 1) in
-        ks.wlast <- Some last;
-        ks.window <- keep;
-        ks.wcount <- ks.wcount - n;
-        t.window_ops <- t.window_ops - n;
-        t.settled <- t.settled + n;
-        Sink.Metrics.add t.settled_ctr n
-  end
+  match
+    Write_order.check_read (order t r.rkey) ~inv:r.rinv ~ret:r.rret r.rgot
+  with
+  | None -> ()
+  | Some allowed ->
+      t.violations <- t.violations + 1;
+      if t.first_violation = None then
+        let read =
+          {
+            History.index = 0;
+            client = opc;
+            hop = Regemu_sim.Trace.H_read;
+            invoked_at = r.rinv;
+            returned_at = Some r.rret;
+            result = Some r.rgot;
+          }
+        in
+        t.first_violation <-
+          Some
+            {
+              v_key = r.rkey;
+              v_detail =
+                Fmt.str "key %d: %a" r.rkey Ws_check.violation_pp
+                  {
+                    read;
+                    got = r.rgot;
+                    allowed;
+                    reason = Ws_check.regular_reason;
+                  };
+            }
 
 (* only open keys can settle anything: a round costs its open windows,
    not every key the checker has ever seen *)
 let settle_all t ~frontier =
   Hashtbl.filter_map_inplace
-    (fun _ ks ->
-      settle_key t ks ~frontier;
-      if ks.wcount > 0 then Some ks else None)
+    (fun _ wo ->
+      let n = Write_order.settle wo ~frontier in
+      if n > 0 then begin
+        t.window_ops <- t.window_ops - n;
+        t.settled <- t.settled + n;
+        Sink.Metrics.add t.settled_ctr n
+      end;
+      if Write_order.length wo > 0 then Some wo else None)
     t.open_
 
 (* --- deep-sample retention --------------------------------------------- *)
@@ -270,13 +194,13 @@ let consume t cur =
               (* its effect may still land later: writes break the key,
                  reads constrain nothing *)
               if c.k_hop <> Regemu_sim.Trace.H_read then
-                break t c.k_key (kstate t c.k_key)
+                update t c.k_key Write_order.break
             end
             else begin
               match c.k_hop with
               | Regemu_sim.Trace.H_write v ->
-                  insert_write t c.k_key
-                    { winv = c.k_invoked_at; wret = ret; wval = v }
+                  update t c.k_key (fun wo ->
+                      Write_order.add wo ~inv:c.k_invoked_at ~ret v)
               | Regemu_sim.Trace.H_read ->
                   let got =
                     match c.k_result with Some v -> v | None -> Value.v0
@@ -312,7 +236,7 @@ let round t =
     t.pending_count <- List.length still;
     (* a write concurrent with a still-undecided read must stay in the
        window — its value is admissible for that read, so folding it
-       into [wlast] would flag the read falsely.  Bound the GC below
+       into the floor would flag the read falsely.  Bound the GC below
        every pending invocation, not just the cursor frontier. *)
     let gc_frontier =
       List.fold_left (fun acc (r : pread) -> min acc r.rinv) frontier still
@@ -426,8 +350,8 @@ let stop t =
             (* the offline pass found a violation the incremental
                checker must have seen too — unless the key was decided
                clean, which would mean the GC lost an answer *)
-            let ks = kstate t key in
-            if t.violations = 0 && not ks.broken then begin
+            if t.violations = 0 && not (Write_order.broken (order t key))
+            then begin
               incr deep_mismatches;
               if t.first_violation = None then
                 t.first_violation <-
@@ -446,7 +370,9 @@ let stop t =
     violations = t.violations;
     first_violation = t.first_violation;
     broken_keys =
-      Hashtbl.fold (fun _ ks acc -> if ks.broken then acc + 1 else acc) t.keys 0;
+      Hashtbl.fold
+        (fun _ wo acc -> if Write_order.broken wo then acc + 1 else acc)
+        t.keys 0;
     settled_writes = t.settled;
     pending_undecided = t.pending_count;
     deep_keys = !deep_keys;

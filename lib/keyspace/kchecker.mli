@@ -4,13 +4,15 @@
     so consistency is checked {e per key}: each key's subhistory must
     be WS-Regular.  The checker consumes the {!Klog} incrementally and
     keeps, per key, only what future reads can still be compared
-    against — not the key's whole history:
+    against — not the key's whole history.  Each key's state is one
+    {!Regemu_history.Write_order}, the incremental WS-Regularity rule
+    the live checker runs too:
 
     - a {e window} of completed writes whose returns are at or above
       the GC frontier, plus
-    - the single latest write settled below the frontier ([wlast] — the
-      "latest preceding write" base any future read may still need),
-      plus a sticky broken flag.
+    - the {e floor}: the single latest write settled below the frontier
+      (the "latest preceding write" base any future read may still
+      need), plus a sticky broken flag.
 
     {2 The frontier argument (settled means settled)}
 
@@ -23,19 +25,19 @@
 
     - A read is {e decided} only once its return tick is [<= F]: every
       write invoked before the read returned has then been consumed,
-      so the admissible-value window of
-      {!Regemu_history.Ws_check.check_read_ws_regular} is complete.
+      so the read's window of admissible writes
+      ({!Regemu_history.Write_order.check_read}) is complete.
       Undecidable reads wait in a pending queue bounded by the
       in-flight window.
     - A write returning strictly below [F] is final in the key's write
       order (any later-consumed write is invoked at or after [F],
       strictly after this one returned) and can only ever serve a
       future read as "latest preceding write" if it is the {e newest}
-      such write.  So the settle step folds all such writes into
-      [wlast] and discards the rest — GC that never discards an answer
+      such write.  So the settle step folds all such writes into the
+      floor and discards the rest — GC that never discards an answer
       a future read could need.  A violation injected {e after} a
       prefix is settled is therefore still caught: the stale value the
-      fault resurrects conflicts with [wlast].
+      fault resurrects conflicts with the floor.
 
     {2 Per-round cost}
 
@@ -44,7 +46,7 @@
     once to decide what the frontier allows, and settles only the
     {e open} keys — those with a non-empty window, tracked as a set
     that a completed write joins and that a key leaves when its window
-    empties (settled or broken).  A key that settles to [wlast] costs
+    empties (settled or broken).  A key that settles to its floor costs
     nothing more until it is written again; no per-round walk visits
     every key ever seen.  Only {!stop} folds over all keys, once.
 

@@ -22,18 +22,11 @@ let result_pp ppf r =
 
 (* The online checker is incremental: work per tick is proportional to
    the operations that completed since the last tick, not to the whole
-   history.  The old implementation snapshotted and reran the full
-   [Ws_check.check_ws_regular] — an O(writes²) sequentiality scan plus
-   an O(reads × writes) admissibility scan over an O(n log n) snapshot
-   — every 10 ms on the single runtime lock, which visibly throttled
-   the cluster as histories grew.
-
-   Three facts make incrementality sound:
+   history.  Three facts make incrementality sound:
 
    - completed operations never change, so a pair of completed writes
-     once checked comparable stays comparable ([winv]/[wret]/[wval]
-     cache the verified total order in append-only arrays; [wbroken]
-     is a sticky "two completed writes overlap");
+     once checked comparable stays comparable ([writes] keeps the
+     verified total order; its broken flag is sticky);
    - a completed read validated against the write order stays valid as
      later writes arrive: any write it has not seen was invoked after
      the read returned, so it can only land at positions the check
@@ -54,15 +47,7 @@ type t = {
   mutable violation : Ws_check.verdict option;  (* first Violated seen *)
   cursors : (int, int) Hashtbl.t;  (* client -> consumed prefix length *)
   seen : (int, unit) Hashtbl.t;  (* invoked_at of collected ops *)
-  (* completed writes, oldest first, verified pairwise sequential: the
-     first [wn] slots of three parallel arrays, grown by doubling *)
-  mutable winv : int array;
-  mutable wret : int array;
-  mutable wval : Value.t array;
-  mutable wn : int;
-  mutable max_wret : int;  (* latest return tick among the writes *)
-  mutable wbroken : bool;  (* two completed writes overlap: vacuous for
-                              good *)
+  writes : Write_order.t;  (* every completed write; never settled *)
   mutable backlog : History.op list;
       (* completed reads collected during a non-write-sequential tick
          (e.g. while a write was in flight), awaiting validation *)
@@ -78,119 +63,29 @@ let op_of_view client (cv : Histlog.cell_view) =
     result = cv.v_result;
   }
 
-let grow arr fill =
-  let a = Array.make (2 * Array.length arr) fill in
-  Array.blit arr 0 a 0 (Array.length arr);
-  a
-
-(* Insert a newly completed write into the verified order.  Writers are
-   polled independently, so a write can surface after a later-invoked
-   one — it must land at its invocation position (shifting the newer
-   slots up) and be comparable with both neighbours.  The common case
-   (new latest write) is an O(1) append. *)
-let insert_write t (w : History.op) =
-  let inv = w.History.invoked_at in
-  let ret = match w.returned_at with Some r -> r | None -> assert false in
-  let v =
-    match History.written_value w with Some v -> v | None -> assert false
-  in
-  if t.wn = Array.length t.winv then begin
-    t.winv <- grow t.winv 0;
-    t.wret <- grow t.wret 0;
-    t.wval <- grow t.wval Value.v0
-  end;
-  let p = ref t.wn in
-  while !p > 0 && t.winv.(!p - 1) > inv do
-    decr p
-  done;
-  let p = !p in
-  let ok_newer = p = t.wn || ret < t.winv.(p)
-  and ok_older = p = 0 || t.wret.(p - 1) < inv in
-  let shift arr = Array.blit arr p arr (p + 1) (t.wn - p) in
-  shift t.winv;
-  shift t.wret;
-  shift t.wval;
-  t.winv.(p) <- inv;
-  t.wret.(p) <- ret;
-  t.wval.(p) <- v;
-  t.wn <- t.wn + 1;
-  if ret > t.max_wret then t.max_wret <- ret;
-  if not (ok_newer && ok_older) then t.wbroken <- true
-
-(* first index [i < n] with [get i >= x]; [get] ascending *)
-let lower_bound get n x =
-  let rec go lo hi =
-    if lo >= hi then lo
-    else
-      let mid = (lo + hi) / 2 in
-      if get mid < x then go (mid + 1) hi else go lo mid
-  in
-  go 0 n
-
-(* Validate completed reads against the write order [completed @ pending]:
-   for each read, the admissible write positions form a contiguous
-   window (writes returned before its invocation are excluded below,
-   writes invoked after its return above), found by binary search —
-   O(log writes + window) per read instead of the closed-form checker's
-   O(writes). *)
-let validate_reads t ~pending reads =
-  (* the pending writes (still running, no return tick) follow the
-     completed ones; index [i] reads the arrays below [wn] *)
-  let pend = Array.of_list pending in
-  let n = t.wn + Array.length pend in
-  let at arr f i = if i < t.wn then arr.(i) else f pend.(i - t.wn) in
-  let inv = at t.winv (fun (w : History.op) -> w.invoked_at)
-  and ret = at t.wret (fun _ -> max_int)
-  and value =
-    at t.wval (fun w ->
-        match History.written_value w with Some v -> v | None -> assert false)
-  in
-  let check_read (rd : History.op) =
-    match (rd.result, rd.returned_at) with
-    | Some got, Some rret ->
-        (* positions [p .. q], 1-based over writes; position 0 is the
-           initial value, admissible when no write precedes the read *)
-        let p = lower_bound ret n rd.invoked_at in
-        let q = lower_bound inv n rret in
-        let admissible =
-          (p = 0 && Value.equal got Value.v0)
-          ||
-          let rec probe j =
-            j <= q && (Value.equal got (value (j - 1)) || probe (j + 1))
-          in
-          probe (max p 1)
-        in
-        if admissible then None
-        else
-          let allowed =
-            (if p = 0 then [ Value.v0 ] else [])
-            @ List.init (max 0 (q - max p 1 + 1)) (fun i ->
-                  value (max p 1 + i - 1))
-          in
-          Some
-            {
-              Ws_check.read = rd;
-              got;
-              allowed;
-              reason =
-                "WS-Regular: no linearization of the writes and this read \
-                 exists";
-            }
-    | _ -> None
-  in
+(* the first read of [reads] outside its window of admissible writes *)
+let verdict_of_reads t ~in_flight reads =
   let rec go = function
     | [] -> Ws_check.Holds
-    | rd :: rest -> (
-        match check_read rd with
-        | None -> go rest
-        | Some v -> Ws_check.Violated v)
+    | (rd : History.op) :: rest -> (
+        match (rd.result, rd.returned_at) with
+        | Some got, Some ret -> (
+            match
+              Write_order.check_read t.writes ~in_flight ~inv:rd.invoked_at
+                ~ret got
+            with
+            | None -> go rest
+            | Some allowed ->
+                Ws_check.Violated
+                  { read = rd; got; allowed; reason = Ws_check.regular_reason })
+        | _ -> go rest)
   in
   go reads
 
 (* One incremental pass over the log. *)
 let check_once t =
   t.checks <- t.checks + 1;
-  let new_writes = ref [] and pending_w = ref [] and fresh = ref [] in
+  let new_writes = ref [] and in_flight = ref [] and fresh = ref [] in
   List.iter
     (fun w ->
       let client = Histlog.writer_client w in
@@ -198,56 +93,42 @@ let check_once t =
       let cur = Option.value ~default:0 (Hashtbl.find_opt t.cursors key) in
       let newcur = ref cur and contiguous = ref true in
       let _len =
-        Histlog.poll w ~from:cur (fun cv ->
-            let completed = cv.Histlog.v_returned_at <> None in
+        Histlog.poll w ~from:cur (fun (cv : Histlog.cell_view) ->
+            let inv = cv.v_invoked_at in
+            let completed = cv.v_returned_at <> None in
             if completed && !contiguous then incr newcur
             else contiguous := false;
-            let is_write = Regemu_sim.Trace.hop_is_write cv.Histlog.v_hop in
-            if completed && not (Hashtbl.mem t.seen cv.Histlog.v_invoked_at)
-            then begin
-              Hashtbl.replace t.seen cv.Histlog.v_invoked_at ();
-              let op = op_of_view client cv in
-              if is_write then new_writes := op :: !new_writes
-              else fresh := op :: !fresh
-            end
-            else if (not completed) && is_write then
-              pending_w := op_of_view client cv :: !pending_w)
+            match (cv.v_returned_at, cv.v_hop) with
+            | Some ret, hop when not (Hashtbl.mem t.seen inv) -> (
+                Hashtbl.replace t.seen inv ();
+                match hop with
+                | Regemu_sim.Trace.H_write v ->
+                    new_writes := (inv, ret, v) :: !new_writes
+                | Regemu_sim.Trace.H_read ->
+                    fresh := op_of_view client cv :: !fresh)
+            | None, Regemu_sim.Trace.H_write v ->
+                in_flight := (inv, v) :: !in_flight
+            | _ -> ())
       in
       Hashtbl.replace t.cursors key !newcur)
     (Histlog.writers (Cluster.log t.cluster));
-  List.iter (insert_write t)
-    (List.sort
-       (fun (a : History.op) b -> Int.compare a.invoked_at b.invoked_at)
-       !new_writes);
-  let sequential_now =
-    (not t.wbroken)
-    &&
-    (* a pending write is comparable only with writes that returned
-       before it was invoked; two pending writes never are *)
-    match !pending_w with
-    | [] -> true
-    | [ w ] -> w.History.invoked_at > t.max_wret
-    | _ :: _ :: _ -> false
-  in
+  (* in invocation order, so each insertion is the common-case append *)
+  List.iter
+    (fun (inv, ret, v) -> Write_order.add t.writes ~inv ~ret v)
+    (List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b) !new_writes);
+  let in_flight = Array.of_list !in_flight in
+  Array.sort (fun (a, _) (b, _) -> Int.compare a b) in_flight;
   let v =
-    if not sequential_now then begin
-      (* vacuous this tick (sticky only via [wbroken]); hold the reads
-         until the write order is total again *)
+    if not (Write_order.total t.writes ~in_flight) then begin
+      (* vacuous this tick (sticky only once the order breaks); hold
+         the reads until the write order is total again *)
       t.backlog <- List.rev_append !fresh t.backlog;
       Ws_check.Vacuous
     end
     else begin
       let reads = List.rev_append !fresh t.backlog in
       t.backlog <- [];
-      match reads with
-      | [] -> Ws_check.Holds
-      | _ ->
-          let pending =
-            List.sort
-              (fun (a : History.op) b -> Int.compare a.invoked_at b.invoked_at)
-              !pending_w
-          in
-          validate_reads t ~pending reads
+      verdict_of_reads t ~in_flight reads
     end
   in
   (match v with
@@ -297,12 +178,7 @@ let spawn ?sched cluster ?(interval_s = 0.02) ?(final_atomic = false)
       violation = None;
       cursors = Hashtbl.create 32;
       seen = Hashtbl.create 64;
-      winv = Array.make 64 0;
-      wret = Array.make 64 0;
-      wval = Array.make 64 Value.v0;
-      wn = 0;
-      max_wret = 0;
-      wbroken = false;
+      writes = Write_order.create ();
       backlog = [];
     }
   in

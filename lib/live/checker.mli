@@ -1,19 +1,20 @@
 (** Online consistency checking of a live run.
 
-    A checker thread periodically snapshots the cluster history —
-    completed {e and} pending operations, in wall-clock real-time order
-    — and runs the paper's WS-Regularity checker on it, so a violation
-    is caught while the run is still in progress, not post-mortem.
-    [stop] performs a final check on the complete history and, when
-    requested, the brute-force atomicity (linearizability) check for
-    write-back variants.
+    A checker thread periodically polls the cluster's history log and
+    checks the paper's WS-Regularity incrementally: each newly
+    completed write joins one {!Regemu_history.Write_order}, and each
+    newly completed read is checked once against its window of
+    admissible writes, so a violation is caught while the run is still
+    in progress, not post-mortem.  [stop] runs one more pass over the
+    log's tail and, when requested, the brute-force atomicity
+    (linearizability) check for write-back variants.
 
-    Mid-run snapshots are sound: the checkers treat a pending write as
-    concurrent with everything after its invocation, which is exactly
-    its status in real time. *)
+    Mid-run checks are sound: a pending write is treated as concurrent
+    with everything after its invocation, which is exactly its status
+    in real time. *)
 
 type result = {
-  checks : int;  (** snapshots checked (including the final one) *)
+  checks : int;  (** passes over the log (including the final one) *)
   ws : Regemu_history.Ws_check.verdict;
       (** first violation seen, otherwise the final verdict *)
   atomic : bool option;
@@ -44,5 +45,5 @@ val spawn :
   unit ->
   t
 
-(** Final checks, then join the checker thread. *)
+(** Join the checker thread, then the final pass and checks. *)
 val stop : t -> result

@@ -222,7 +222,7 @@ let kchecker_tests =
         check_int "violations" 0 r.Kchecker.violations);
     test "a re-written settled key is settled again and flags a stale read"
       (fun () ->
-        (* settle key 7 to wlast = 2, write 3 (the window re-opens),
+        (* settle key 7 to floor = 2, write 3 (the window re-opens),
            let it settle, then read the stale 2 *)
         let module Sched = Regemu_dst.Sched in
         let obs, report =

@@ -68,38 +68,141 @@ let checker_tests =
         Alcotest.(check bool) "weak regular" true (Regularity.is_weak_regular h));
   ]
 
-(* agreement with Ws_check on write-sequential histories (random) *)
+(* Random one-register histories: writes that mostly follow each other
+   but sometimes overlap (ticks may tie), the last one sometimes still
+   in flight, and a few reads returning a written value or v0. *)
 let gen_ws_history =
   QCheck.Gen.(
-    let* num_writes = int_range 0 3 in
-    let* gap = int_range 0 (2 * Stdlib.max 1 num_writes) in
-    let* len = int_range 1 3 in
-    let* v_ix = int_range 0 (Stdlib.max 0 (num_writes - 1)) in
-    let writes =
-      List.init num_writes (fun i ->
-          w ~index:i ~client:i
-            ~inv:((2 * i) + 1)
-            ~ret:((2 * i) + 2)
-            (Fmt.str "v%d" i))
+    let* num_writes = int_range 0 4 in
+    (* per write: ticks from the previous write's return to this
+       invocation (<= 0 overlaps it), then to this return *)
+    let* shapes =
+      list_repeat num_writes (pair (int_range (-1) 6) (int_range 1 2))
     in
-    let read =
-      if num_writes = 0 then
-        op ~index:0 ~client:99 ~hop:Trace.H_read ~inv:gap ~ret:(gap + len)
-          ~result:Value.v0 ()
-      else
-        r ~index:num_writes ~client:99 ~inv:gap ~ret:(gap + len)
-          (Fmt.str "v%d" v_ix)
+    let* last_in_flight = map (( = ) 0) (int_range 0 3) in
+    let* num_reads = int_range 1 3 in
+    let horizon = (6 * num_writes) + 4 in
+    let* reads =
+      list_repeat num_reads
+        (triple (int_range 0 horizon) (int_range 1 3)
+           (int_range (-1) (num_writes - 1)))
     in
-    return (writes @ [ read ]))
+    let writes, _ =
+      List.fold_left
+        (fun (acc, prev_ret) (gap, len) ->
+          let i = List.length acc in
+          let inv = Stdlib.max 1 (prev_ret + gap) in
+          let ret =
+            if last_in_flight && i = num_writes - 1 then None
+            else Some (inv + len)
+          in
+          (w ?ret ~index:i ~client:i ~inv (Fmt.str "v%d" i) :: acc, inv + len))
+        ([], 0) shapes
+    in
+    let reads =
+      List.mapi
+        (fun j (inv, len, v_ix) ->
+          op ~index:(num_writes + j) ~client:(99 + j) ~hop:Trace.H_read ~inv
+            ~ret:(inv + len)
+            ~result:
+              (if v_ix < 0 then Value.v0 else Value.Str (Fmt.str "v%d" v_ix))
+            ())
+        reads
+    in
+    return (List.rev writes @ reads))
+
+let arb_ws_history =
+  QCheck.make gen_ws_history ~print:(fun h -> Fmt.str "%a" History.pp h)
+
+(* the verdict the incremental rule gives [rd] right now *)
+let kernel_verdict wo ~in_flight (rd : History.op) =
+  match (rd.result, rd.returned_at) with
+  | Some got, Some ret when Write_order.total wo ~in_flight -> (
+      match
+        Write_order.check_read wo ~in_flight ~inv:rd.invoked_at ~ret got
+      with
+      | None -> Ws_check.Holds
+      | Some allowed ->
+          Ws_check.Violated
+            { read = rd; got; allowed; reason = Ws_check.regular_reason })
+  | _ -> Ws_check.Vacuous
+
+(* Feed [h] to a Write_order as the online checkers do: completed
+   writes in a shuffled arrival order (writers are polled
+   independently); each read decided once every write invoked before
+   it returned has arrived; settles at random frontiers that stay below
+   every undecided read and every write still to arrive.  Returns each
+   read's verdict and the final order. *)
+let feed_kernel h ~seed =
+  let rng = Random.State.make [| seed |] in
+  let shuffle l =
+    List.map snd
+      (List.sort
+         (fun (a, _) (b, _) -> Int.compare a b)
+         (List.map (fun x -> (Random.State.bits rng, x)) l))
+  in
+  let arrival = shuffle (History.complete (History.writes h)) in
+  let in_flight =
+    Array.of_list
+      (List.filter_map
+         (fun (o : History.op) ->
+           if History.is_complete o then None
+           else
+             Option.map (fun v -> (o.invoked_at, v)) (History.written_value o))
+         (History.writes_in_order h))
+  in
+  let wo = Write_order.create () in
+  let verdicts = ref [] in
+  let decide undecided ~to_come =
+    List.filter
+      (fun (rd : History.op) ->
+        let ready = List.for_all (History.precedes rd) to_come in
+        if ready then
+          verdicts := (rd, kernel_verdict wo ~in_flight rd) :: !verdicts;
+        not ready)
+      undecided
+  in
+  let rec go undecided = function
+    | [] -> ignore (decide undecided ~to_come:[])
+    | (o : History.op) :: to_come ->
+        (match (o.returned_at, History.written_value o) with
+        | Some ret, Some v -> Write_order.add wo ~inv:o.invoked_at ~ret v
+        | _ -> assert false);
+        let undecided = decide undecided ~to_come in
+        (* every tick of these histories is below 100 *)
+        let bound =
+          List.fold_left
+            (fun acc (o : History.op) -> Stdlib.min acc o.invoked_at)
+            100 (undecided @ to_come)
+        in
+        if Random.State.bool rng then
+          ignore
+            (Write_order.settle wo
+               ~frontier:
+                 (if Random.State.bool rng then bound
+                  else Random.State.int rng (bound + 1)));
+        go undecided to_come
+  in
+  go (decide (History.complete (History.reads h)) ~to_come:arrival) arrival;
+  (List.rev !verdicts, wo, in_flight)
+
+let same_verdict a b =
+  match (a, b) with
+  | Ws_check.Violated x, Ws_check.Violated y ->
+      x.read.index = y.read.index
+      && Value.equal x.got y.got
+      && List.equal Value.equal x.allowed y.allowed
+  | _ -> Ws_check.verdict_equal a b
 
 let agreement_tests =
   [
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make
          ~name:"weak regularity = WS-Regularity on write-sequential histories"
-         ~count:800
-         (QCheck.make gen_ws_history ~print:(fun h -> Fmt.str "%a" History.pp h))
+         ~count:800 arb_ws_history
          (fun h ->
+           (not (History.write_sequential h))
+           ||
            let weak = Regularity.is_weak_regular h in
            let ws =
              match Ws_check.check_ws_regular h with
@@ -107,6 +210,33 @@ let agreement_tests =
              | Ws_check.Violated _ -> false
            in
            weak = ws));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make
+         ~name:"incremental write order = Ws_check, read by read" ~count:2000
+         (QCheck.pair arb_ws_history QCheck.small_nat)
+         (fun (h, seed) ->
+           let verdicts, wo, in_flight = feed_kernel h ~seed in
+           let sequential = History.write_sequential h in
+           if Write_order.total wo ~in_flight <> sequential then
+             QCheck.Test.fail_reportf "total: %b, write-sequential: %b"
+               (Write_order.total wo ~in_flight) sequential;
+           if
+             Write_order.broken wo
+             <> not (History.write_sequential (History.complete h))
+           then QCheck.Test.fail_report "broken flag";
+           List.length verdicts = List.length (History.complete (History.reads h))
+           && List.for_all
+             (fun (rd, v) ->
+               (not sequential)
+               ||
+               let expected =
+                 Ws_check.check_ws_regular (History.writes h @ [ rd ])
+               in
+               same_verdict v expected
+               || QCheck.Test.fail_reportf "read #%d: kernel %a, Ws_check %a"
+                    rd.History.index Ws_check.verdict_pp v Ws_check.verdict_pp
+                    expected)
+             verdicts));
   ]
 
 (* --- emulations under fully concurrent writes -------------------------- *)
