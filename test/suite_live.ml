@@ -995,6 +995,23 @@ let bench_tests =
                        ];
                    ] );
              ]));
+    test "the committed BENCH documents pass their schema validators"
+      (fun () ->
+        List.iter
+          (fun (file, validate) ->
+            match Json.of_file (Filename.concat ".." file) with
+            | Error m -> Alcotest.failf "%s does not parse: %s" file m
+            | Ok doc -> (
+                match validate doc with
+                | Ok () -> ()
+                | Error m -> Alcotest.failf "%s rejected: %s" file m))
+          [
+            ("BENCH_live.json", Live_bench.validate_bench_json);
+            ("BENCH_tail.json", Tail_bench.validate_tail_json);
+            ("BENCH_compare.json", Compare_bench.validate_compare_json);
+            ( "BENCH_keyspace.json",
+              Regemu_keyspace.Kbench.validate_keyspace_json );
+          ]);
     test "saturate_spec rejects fewer than two clients" (fun () ->
         Alcotest.(check bool) "raises" true
           (match
