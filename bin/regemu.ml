@@ -990,6 +990,19 @@ end
 
 (* --- live --------------------------------------------------------------- *)
 
+(* Every bench document leaves through one door: validated, written,
+   re-read from disk and validated again; then the run's own verdict
+   sets the exit code. *)
+let write_bench_doc ~validate json doc ~clean ~dirty =
+  match Json.write_checked ~validate json doc with
+  | Error m ->
+      Fmt.epr "error: %s@." m;
+      1
+  | Ok () when clean -> 0
+  | Ok () ->
+      Fmt.epr "error: %s@." dirty;
+      1
+
 (* One source of truth for live algorithm names: parse through
    Live_bench.algo_of_name, so an unknown name is rejected with the
    valid list quoted — never silently defaulted — and a newly
@@ -1076,7 +1089,9 @@ let live_cmd =
       & opt (some string) None
       & info [ "json" ] ~docv:"FILE"
           ~doc:"Also write the results as JSON (regemu-live-bench/1 schema; \
-                regemu-bench/2 with $(b,--saturate)).")
+                regemu-bench/2 with $(b,--saturate), regemu-tail/1 with \
+                $(b,--tail)), validated both before the write and re-parsed \
+                from the bytes on disk.")
   in
   let saturate_arg =
     Arg.(
@@ -1095,9 +1110,11 @@ let live_cmd =
       value
       & opt (some int) None
       & info [ "reps" ] ~docv:"N"
-          ~doc:"Repetitions per benchmark point; the median-throughput run \
-                is reported.  Defaults to 3 for $(b,--saturate) sweeps \
-                (1 with $(b,--smoke)), 1 otherwise.")
+          ~doc:"Repetitions per benchmark point, run round-robin over the \
+                whole list with rep $(i,i) at seed + 1000$(i,i); the median \
+                run is reported (by throughput, by p99 with $(b,--tail)).  \
+                Defaults to 3 for $(b,--saturate) sweeps and 5 for \
+                $(b,--tail) (1 with $(b,--smoke)), 1 otherwise.")
   in
   let tail_arg =
     Arg.(
@@ -1111,47 +1128,12 @@ let live_cmd =
   in
   let run bench smoke saturate tail chaos algo k readers f n ops couriers
       backend json seed reps trace sample metrics =
-    if tail then
-      Obs_cli.with_sink ~trace ~sample ~metrics @@ fun sink ->
-      let spec =
-        if smoke then Tail_bench.smoke_spec ~backend ~algo ~seed ()
-        else Tail_bench.default_spec ~backend ~algo ~seed ()
-      in
-      (* full tail runs report median-of-5 arms: single-core p99 is
-         noisy and a median, not one roll, is the number worth
-         committing to BENCH_tail.json *)
-      let reps =
-        match reps with Some r -> r | None -> if smoke then 1 else 5
-      in
-      match Tail_bench.run ~sink ~reps spec with
-      | exception Invalid_argument m ->
-          Fmt.epr "error: %s@." m;
-          1
-      | o -> (
-          Fmt.pr "%a@." Tail_bench.outcome_pp o;
-          let doc = Tail_bench.to_json o in
-          match Tail_bench.validate_tail_json doc with
-          | Error m ->
-              Fmt.epr
-                "error: emitted document fails the regemu-tail/1 schema \
-                 check: %s@."
-                m;
-              1
-          | Ok () -> (
-              match Option.iter (fun path -> Json.to_file path doc) json with
-              | exception Sys_error m ->
-                  Fmt.epr "error: %s@." m;
-                  1
-              | () ->
-                  if Tail_bench.clean o then 0
-                  else (
-                    Fmt.epr
-                      "error: a tail arm failed its consistency checks or \
-                       lost operations@.";
-                    1)))
-    else
     let specs =
-      if saturate then
+      if tail then
+        Tail_bench.arms
+          (if smoke then Tail_bench.smoke_spec ~backend ~algo ~seed ()
+           else Tail_bench.default_spec ~backend ~algo ~seed ())
+      else if saturate then
         if smoke then
           Live_bench.saturate_specs ~backend ~clients:[ 2; 4 ]
             ~ops_per_client:40 ~seed ()
@@ -1165,61 +1147,42 @@ let live_cmd =
         [
           {
             Live_bench.algo; k; readers; f; n; ops_per_client = ops;
-            couriers; chaos; reorder = true; backend; seed;
+            couriers; chaos; reorder = true; backend; seed; gray = None;
           };
         ]
     in
-    (* full saturation sweeps report median-of-3 per point by default:
-       single-core thread throughput is noisy and a median, not one
-       roll, is the number worth tracking in BENCH_live.json *)
+    (* full saturation sweeps report the median-throughput of 3 reps
+       per point and full tail runs the median-p99 of 5 per arm:
+       single-core throughput and p99 are noisy, and a median, not one
+       roll, is the number worth committing to BENCH_*.json *)
     let reps =
       match reps with
       | Some r -> r
-      | None -> if saturate && not smoke then 3 else 1
+      | None when smoke -> 1
+      | None -> if tail then 5 else if saturate then 3 else 1
+    in
+    let by =
+      if tail then fun o -> Live_bench.pct o 0.99
+      else fun o -> o.Live_bench.throughput
     in
     Obs_cli.with_sink ~trace ~sample ~metrics @@ fun sink ->
-    match
-      if saturate then begin
-        (* round-robin the repetitions across the whole sweep so a
-           transient machine stall cannot poison one point's reps *)
-        let outs = Live_bench.run_sweep_median ~reps ~sink specs in
-        List.iter (Fmt.pr "%a@." Live_bench.outcome_pp) outs;
-        outs
-      end
-      else
-        List.map
-          (fun spec ->
-            let o = Live_bench.run_median ~reps ~sink spec in
-            Fmt.pr "%a@." Live_bench.outcome_pp o;
-            o)
-          specs
-    with
+    match Live_bench.run_reps ~reps ~sink ~by specs with
     | exception Invalid_argument m ->
         Fmt.epr "error: %s@." m;
         1
-    | outcomes -> (
-        let doc =
-          if saturate then Live_bench.saturate_json outcomes
-          else Live_bench.to_json outcomes
+    | outs ->
+        if tail then Fmt.pr "%a@." Tail_bench.outcome_pp outs
+        else List.iter (Fmt.pr "%a@." Live_bench.outcome_pp) outs;
+        let doc, validate =
+          if tail then (Tail_bench.to_json outs, Tail_bench.validate_tail_json)
+          else if saturate then
+            (Live_bench.saturate_json outs, Live_bench.validate_bench_json)
+          else (Live_bench.to_json outs, Live_bench.validate_live_json)
         in
-        match
-          if saturate then Live_bench.validate_bench_json doc else Ok ()
-        with
-        | Error m ->
-            Fmt.epr "error: emitted document fails the regemu-bench/2 schema \
-                     check: %s@." m;
-            1
-        | Ok () -> (
-            match Option.iter (fun path -> Json.to_file path doc) json with
-            | exception Sys_error m ->
-                Fmt.epr "error: %s@." m;
-                1
-            | () ->
-                if List.for_all Live_bench.clean outcomes then 0
-                else (
-                  Fmt.epr
-                    "error: a live run failed its online consistency checks@.";
-                  1)))
+        write_bench_doc ~validate json doc
+          ~clean:(List.for_all Live_bench.clean outs)
+          ~dirty:"a live run failed its online consistency checks or lost \
+                  operations"
   in
   Cmd.v
     (Cmd.info "live"
@@ -1280,50 +1243,13 @@ let compare_cmd =
     | exception Invalid_argument m ->
         Fmt.epr "error: %s@." m;
         1
-    | rows -> (
+    | rows ->
         List.iter (Fmt.pr "%a@." Compare_bench.row_pp) rows;
-        let doc = Compare_bench.to_json ~seed ~smoke rows in
-        match Compare_bench.validate_compare_json doc with
-        | Error m ->
-            Fmt.epr
-              "error: refusing to write: emitted document fails the \
-               regemu-compare/1 schema check: %s@."
-              m;
-            1
-        | Ok () -> (
-            let persisted =
-              match json with
-              | None -> Ok ()
-              | Some path -> (
-                  match Json.to_file path doc with
-                  | exception Sys_error m -> Error m
-                  | () -> (
-                      (* re-validate what actually landed on disk, not
-                         the in-memory value we meant to write *)
-                      match Json.of_file path with
-                      | Error m ->
-                          Error (Fmt.str "read-back of %s failed: %s" path m)
-                      | Ok disk -> (
-                          match Compare_bench.validate_compare_json disk with
-                          | Error m ->
-                              Error
-                                (Fmt.str
-                                   "read-back of %s fails the schema check: \
-                                    %s"
-                                   path m)
-                          | Ok () -> Ok ())))
-            in
-            match persisted with
-            | Error m ->
-                Fmt.epr "error: %s@." m;
-                1
-            | Ok () ->
-                if Compare_bench.clean rows then 0
-                else (
-                  Fmt.epr
-                    "error: a comparison run failed its online consistency \
-                     checks or lost operations@.";
-                  1)))
+        write_bench_doc ~validate:Compare_bench.validate_compare_json json
+          (Compare_bench.to_json ~seed ~smoke rows)
+          ~clean:(Compare_bench.clean rows)
+          ~dirty:"a comparison run failed its online consistency checks or \
+                  lost operations"
   in
   Cmd.v
     (Cmd.info "compare"
@@ -1830,7 +1756,8 @@ let keyspace_cmd =
       & info [ "json" ] ~docv:"FILE"
           ~doc:
             "Write the trajectory as JSON (regemu-keyspace/1 schema), \
-             validated before the write.")
+             validated both before the write and re-parsed from the bytes \
+             on disk.")
   in
   let quiet_arg =
     Arg.(
@@ -1853,22 +1780,13 @@ let keyspace_cmd =
             "Message fabric under each skew's cluster: $(b,threads), \
              $(b,domains), or $(b,socket).")
   in
-  let kalgo_arg =
-    Arg.(
-      value
-      & opt live_algo_conv Regemu_live.Live_bench.Abd
-      & info [ "algo" ]
-          ~doc:"Emulation running the per-key quorums.  Only $(b,abd) has \
-                a keyed form today; anything else is rejected.")
-  in
-  let run smoke keys zipfs rate ops window budget nval fval algo backend json
-      quiet seed trace sample metrics =
+  let run smoke keys zipfs rate ops window budget nval fval backend json quiet
+      seed trace sample metrics =
     let spec = if smoke then Kbench.smoke_spec else Kbench.default_spec in
     let spec =
       {
         spec with
-        Kbench.algo;
-        seed;
+        Kbench.seed;
         n = Option.value nval ~default:spec.Kbench.n;
         f = Option.value fval ~default:spec.Kbench.f;
         keys = Option.value keys ~default:spec.Kbench.keys;
@@ -1885,36 +1803,22 @@ let keyspace_cmd =
     | exception Invalid_argument m ->
         Fmt.epr "error: %s@." m;
         1
-    | outcome -> (
+    | outcome ->
         Fmt.pr "%a@." Kbench.outcome_pp outcome;
-        let doc = Kbench.to_json outcome in
-        match Kbench.validate_keyspace_json doc with
-        | Error m ->
-            Fmt.epr "error: refusing to write invalid %s document: %s@."
-              Kbench.schema m;
-            1
-        | Ok () -> (
-            match Option.iter (fun path -> Json.to_file path doc) json with
-            | exception Sys_error m ->
-                Fmt.epr "error: %s@." m;
-                1
-            | () ->
-                let bad =
-                  List.filter
-                    (fun s ->
-                      s.Kbench.violations > 0
-                      || s.Kbench.deep_mismatches > 0
-                      || not s.Kbench.within_budget)
-                    outcome.Kbench.skews
-                in
-                if bad = [] then 0
-                else begin
-                  Fmt.epr
-                    "error: %d skew(s) failed (violations, deep mismatch, \
-                     or over budget)@."
-                    (List.length bad);
-                  1
-                end))
+        let bad =
+          List.filter
+            (fun s ->
+              s.Kbench.violations > 0
+              || s.Kbench.deep_mismatches > 0
+              || not s.Kbench.within_budget)
+            outcome.Kbench.skews
+        in
+        write_bench_doc ~validate:Kbench.validate_keyspace_json json
+          (Kbench.to_json outcome) ~clean:(bad = [])
+          ~dirty:
+            (Fmt.str
+               "%d skew(s) failed (violations, deep mismatch, or over budget)"
+               (List.length bad))
   in
   Cmd.v
     (Cmd.info "keyspace"
@@ -1934,7 +1838,6 @@ let keyspace_cmd =
           value
           & opt (some int) None
           & info [ "f" ] ~doc:"Failure threshold.")
-      $ kalgo_arg
       $ backend_arg $ json_arg $ quiet_arg $ seed_arg $ Obs_cli.trace_arg
       $ Obs_cli.sample_arg ~default:64
       $ Obs_cli.metrics_arg)

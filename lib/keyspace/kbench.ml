@@ -2,7 +2,6 @@ open Regemu_live
 module Json = Regemu_obs.Json
 
 type spec = {
-  algo : Live_bench.algo;
   n : int;
   f : int;
   keys : int;
@@ -19,7 +18,6 @@ type spec = {
 
 let default_spec =
   {
-    algo = Live_bench.Abd;
     n = 7;
     f = 1;
     keys = 100_000;
@@ -36,7 +34,6 @@ let default_spec =
 
 let smoke_spec =
   {
-    algo = Live_bench.Abd;
     n = 5;
     f = 1;
     keys = 128;
@@ -136,14 +133,6 @@ let run_skew ?(quiet = true) ?(sink = Sink.none) spec zipf =
   o
 
 let run ?(quiet = true) ?(sink = Sink.none) spec =
-  (* the keyspace's per-key quorum ops are the keyed ABD construction;
-     other live algorithms have no keyed form (yet), so anything else
-     is a spec error, not a silent fallback *)
-  if spec.algo <> Live_bench.Abd then
-    invalid_arg
-      (Fmt.str "Kbench: the keyspace runs per-key %s quorums only (got %s)"
-         (Live_bench.algo_name Live_bench.Abd)
-         (Live_bench.algo_name spec.algo));
   { spec; skews = List.map (run_skew ~quiet ~sink spec) spec.zipfs }
 
 let schema = "regemu-keyspace/1"
@@ -151,7 +140,8 @@ let schema = "regemu-keyspace/1"
 let spec_json s =
   Json.Obj
     [
-      ("algo", Json.Str (Live_bench.algo_name s.algo));
+      (* the keyspace's per-key quorums are the keyed ABD construction *)
+      ("algo", Json.Str (Live_bench.algo_name Live_bench.Abd));
       ("n", Json.Int s.n);
       ("f", Json.Int s.f);
       ("keys", Json.Int s.keys);
@@ -197,12 +187,7 @@ let to_json o =
 let validate_keyspace_json doc =
   let ( let* ) = Result.bind in
   let err fmt = Fmt.kstr Result.error fmt in
-  let* () =
-    match Json.member "schema" doc with
-    | Some (Json.Str s) when s = schema -> Ok ()
-    | Some (Json.Str s) -> err "schema mismatch: %S, wanted %S" s schema
-    | _ -> err "missing schema tag"
-  in
+  let* () = Json.check_schema schema doc in
   let* () =
     match Json.member "spec" doc with
     | Some (Json.Obj _ as s) -> (

@@ -7,10 +7,9 @@
     resident high-water mark against the spec's fixed [budget_ops] —
     the measured form of the bounded-memory claim. *)
 
+(** The per-key quorums are the keyed ABD construction
+    ({!Kspace}); the document records it as ["algo": "abd"]. *)
 type spec = {
-  algo : Regemu_live.Live_bench.algo;
-      (** which emulation runs the per-key quorums; only [Abd] has a
-          keyed form — {!run} rejects anything else *)
   n : int;
   f : int;
   keys : int;
@@ -53,8 +52,7 @@ type outcome = { spec : spec; skews : skew_outcome list }
 
 (** One fresh cluster + keyspace + checker per skew; [quiet] silences
     the per-skew progress lines.  [sink] reaches each skew's cluster,
-    keyspace gauges, and checker.  Raises [Invalid_argument] when
-    [spec.algo] is not [Abd] (the only algorithm with a keyed form). *)
+    keyspace gauges, and checker. *)
 val run : ?quiet:bool -> ?sink:Regemu_live.Sink.t -> spec -> outcome
 
 val schema : string

@@ -50,6 +50,7 @@ let spec_of ~backend ~algo ~ops_per_client ~seed l =
     reorder = false;
     backend;
     seed;
+    gray = None;
   }
 
 (* backends adjacent per (load, algo) so the round-robined reps measure
@@ -71,15 +72,16 @@ let smoke_specs ~seed () = specs ~loads:smoke_loads ~ops_per_client:25 ~seed ()
 type row = { load : load; outcome : Live_bench.outcome }
 
 let run ?sink ?(reps = 1) pairs =
-  let outs = Live_bench.run_sweep_median ~reps ?sink (List.map snd pairs) in
+  let outs =
+    Live_bench.run_reps ~reps ?sink
+      ~by:(fun o -> o.Live_bench.throughput)
+      (List.map snd pairs)
+  in
   List.map2 (fun (l, _) o -> { load = l; outcome = o }) pairs outs
 
 let clean rows = List.for_all (fun r -> Live_bench.clean r.outcome) rows
 
 (* --- reporting ---------------------------------------------------------- *)
-
-let pct o p =
-  try List.assoc p o.Live_bench.pcts_us with Not_found -> 0.0
 
 let row_pp ppf r =
   let o = r.outcome in
@@ -90,7 +92,7 @@ let row_pp ppf r =
     (Live_bench.algo_name s.Live_bench.algo)
     (Transport.backend_name s.Live_bench.backend)
     r.load.label s.Live_bench.f s.Live_bench.n s.Live_bench.k
-    o.Live_bench.throughput (pct o 0.95) o.Live_bench.space_cells
+    o.Live_bench.throughput (Live_bench.pct o 0.95) o.Live_bench.space_cells
     o.Live_bench.space_bytes o.Live_bench.space_cells_total
     (formula_cells_total ~algo:s.Live_bench.algo r.load)
     (if Live_bench.clean o then "" else " DIRTY")
@@ -110,8 +112,8 @@ let row_json r =
       ("clients", Json.Int (s.Live_bench.k + s.Live_bench.readers));
       ("ops", Json.Int o.Live_bench.ops);
       ("ops_per_s", Json.Float o.Live_bench.throughput);
-      ("latency_p50_us", Json.Float (pct o 0.50));
-      ("latency_p95_us", Json.Float (pct o 0.95));
+      ("latency_p50_us", Json.Float (Live_bench.pct o 0.50));
+      ("latency_p95_us", Json.Float (Live_bench.pct o 0.95));
       ("space_resident_cells", Json.Int o.Live_bench.space_cells);
       ("space_resident_bytes", Json.Int o.Live_bench.space_bytes);
       ("space_cells_total", Json.Int o.Live_bench.space_cells_total);
@@ -138,97 +140,45 @@ let to_json ~seed ~smoke rows =
 
 let backend_names = List.map Transport.backend_name backends
 
-let validate_compare_json json =
+let validate_compare_json doc =
   let ( let* ) = Result.bind in
-  let field name = function
-    | Json.Obj kvs -> (
-        match List.assoc_opt name kvs with
-        | Some v -> Ok v
-        | None -> Error (Fmt.str "missing field %S" name))
-    | _ -> Error "expected an object"
-  in
-  let str what = function
-    | Json.Str s -> Ok s
-    | _ -> Error (Fmt.str "%s must be a string" what)
-  in
-  let* schema_v = field "schema" json in
-  let* schema_s = str "schema" schema_v in
-  let* () =
-    if schema_s = schema then Ok () else Error (Fmt.str "bad schema %S" schema_s)
-  in
-  let* rows = field "rows" json in
-  let* rows =
-    match rows with
-    | Json.List [] -> Error "rows must be non-empty"
-    | Json.List rs -> Ok rs
-    | _ -> Error "rows must be a list"
-  in
-  let* triples =
+  let* () = Json.check_schema schema doc in
+  let* rows = Json.get "rows" Json.to_list_opt doc in
+  let* () = if rows = [] then Error "rows must be non-empty" else Ok () in
+  let* cells =
     List.fold_left
       (fun acc r ->
         let* acc = acc in
-        let* algo = Result.bind (field "algo" r) (str "algo") in
+        let* algo = Json.get "algo" (Json.to_enum_opt algo_names) r in
+        let* backend = Json.get "backend" (Json.to_enum_opt backend_names) r in
+        let* load = Json.get "load" Json.to_str_opt r in
         let* () =
-          if List.mem algo algo_names then Ok ()
-          else
-            Error
-              (Fmt.str "unknown algo %S; expected one of %s" algo
-                 (String.concat ", " algo_names))
-        in
-        let* backend = Result.bind (field "backend" r) (str "backend") in
-        let* () =
-          if List.mem backend backend_names then Ok ()
-          else Error (Fmt.str "unknown backend %S" backend)
-        in
-        let* load = Result.bind (field "load" r) (str "load") in
-        let* () =
-          List.fold_left
-            (fun acc k ->
-              let* () = acc in
-              let* v = field k r in
-              match v with
-              | Json.Float _ | Json.Int _ -> Ok ()
-              | _ -> Error (Fmt.str "%s must be a number" k))
-            (Ok ())
+          Json.each
+            (fun k -> Result.map ignore (Json.get k Json.to_float_opt r))
             [
               "ops_per_s"; "latency_p50_us"; "latency_p95_us";
               "space_resident_cells"; "space_resident_bytes";
               "space_cells_total"; "space_formula_cells_total"; "f"; "n";
             ]
         in
-        let* () =
-          match field "clean" r with
-          | Ok (Json.Bool _) -> Ok ()
-          | Ok _ -> Error "clean must be a bool"
-          | Error e -> Error e
-        in
+        let* _ = Json.get "clean" Json.to_bool_opt r in
         Ok ((algo, backend, load) :: acc))
       (Ok []) rows
   in
   (* coverage: exactly one row per (algo × backend) for every load
      point present — a missing or duplicated cell is a schema error,
      not a dashboard surprise *)
-  let load_labels = List.sort_uniq compare (List.map (fun (_, _, l) -> l) triples) in
-  List.fold_left
-    (fun acc l ->
-      let* () = acc in
-      List.fold_left
-        (fun acc algo ->
-          let* () = acc in
-          List.fold_left
-            (fun acc backend ->
-              let* () = acc in
-              match
-                List.length
-                  (List.filter (fun t -> t = (algo, backend, l)) triples)
-              with
-              | 1 -> Ok ()
-              | 0 ->
-                  Error
-                    (Fmt.str "missing row (%s, %s, %s)" algo backend l)
-              | n ->
-                  Error
-                    (Fmt.str "%d duplicate rows (%s, %s, %s)" n algo backend l))
-            (Ok ()) backend_names)
-        (Ok ()) algo_names)
-    (Ok ()) load_labels
+  let loads = List.sort_uniq compare (List.map (fun (_, _, l) -> l) cells) in
+  Json.each
+    (fun ((algo, backend, load) as cell) ->
+      match List.length (List.filter (( = ) cell) cells) with
+      | 1 -> Ok ()
+      | 0 -> Error (Fmt.str "missing row (%s, %s, %s)" algo backend load)
+      | n ->
+          Error (Fmt.str "%d duplicate rows (%s, %s, %s)" n algo backend load))
+    (List.concat_map
+       (fun load ->
+         List.concat_map
+           (fun algo -> List.map (fun b -> (algo, b, load)) backend_names)
+           algo_names)
+       loads)

@@ -51,7 +51,7 @@ val formula_cells_total : algo:Live_bench.algo -> load -> int
 
 (** The full matrix as [(load, spec)] pairs: every load × algorithm ×
     backend, backends adjacent per (load, algo) so
-    {!Live_bench.run_sweep_median}'s round-robin measures each
+    {!Live_bench.run_reps}'s round-robin measures each
     threads/domains pair under the same machine weather.  Default
     [ops_per_client = 150]. *)
 val specs :
@@ -62,9 +62,9 @@ val smoke_specs : seed:int -> unit -> (load * Live_bench.spec) list
 
 type row = { load : load; outcome : Live_bench.outcome }
 
-(** Run the matrix through {!Live_bench.run_sweep_median} and zip the
-    load points back on.  Default [reps = 1]; pass [reps = 3] for the
-    committed table. *)
+(** Run the matrix through {!Live_bench.run_reps}, median by
+    throughput, and zip the load points back on.  Default [reps = 1];
+    pass [reps = 3] for the committed table. *)
 val run :
   ?sink:Sink.t -> ?reps:int -> (load * Live_bench.spec) list -> row list
 

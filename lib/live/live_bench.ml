@@ -36,6 +36,12 @@ let emulation algo cluster ~f ~writers =
       let cds = Cds_live.create cluster ~f ~writers () in
       (Cds_live.write cds, Cds_live.read cds)
 
+type gray = {
+  base_us : int;
+  straggler : (int * int) option;
+  hedge_fires : bool;
+}
+
 type spec = {
   algo : algo;
   k : int;
@@ -48,11 +54,12 @@ type spec = {
   reorder : bool;
   backend : Transport.backend;
   seed : int;
+  gray : gray option;
 }
 
 let default_spec ?(backend = Transport.Threads) ~algo ~chaos ~seed () =
   { algo; k = 1; readers = 3; f = 1; n = 3; ops_per_client = 150;
-    couriers = 3; chaos; reorder = true; backend; seed }
+    couriers = 3; chaos; reorder = true; backend; seed; gray = None }
 
 type outcome = {
   spec : spec;
@@ -72,6 +79,9 @@ type outcome = {
   retries : int;
   unavailable : int;
   inline_steps : int;  (* requests stepped on their delivering thread *)
+  hedges : int;
+  hedge_wins : int;
+  msgs_slowed : int;
   space_cells : int;  (* resident cells, max over servers, max over run *)
   space_bytes : int;  (* resident bytes likewise *)
   space_cells_total : int;  (* cluster-wide resident cells at the peak *)
@@ -81,6 +91,8 @@ type outcome = {
 let clean o =
   Checker.ok o.check
   && o.ops = (o.spec.k + o.spec.readers) * o.spec.ops_per_client
+
+let pct o p = try List.assoc p o.pcts_us with Not_found -> 0.0
 
 let outcome_pp ppf o =
   Fmt.pf ppf
@@ -99,6 +111,16 @@ let outcome_pp ppf o =
     o.crashes o.restarts o.retries o.unavailable Checker.result_pp o.check
 
 let run ?(sink = Sink.none) spec =
+  Option.iter
+    (fun g ->
+      match g.straggler with
+      | _ when g.base_us < 0 -> invalid_arg "Live_bench: negative base_us"
+      | Some (srv, us) when srv < 0 || srv >= spec.n || us < g.base_us ->
+          invalid_arg
+            "Live_bench: the straggler needs a server in [0, n) and a delay \
+             >= base_us"
+      | _ -> ())
+    spec.gray;
   let transport =
     {
       Transport.couriers = spec.couriers;
@@ -120,14 +142,31 @@ let run ?(sink = Sink.none) spec =
         op_timeout_s = 30.0;
         recovery = Recovery.Persist;
         retry = Some Retry.default_config;
-        hedge = None;
-        deadline = None;
+        (* a gray run arms the hedge/deadline machinery whether or not
+           hedges fire, so subset selection and the adaptive deadline
+           are held constant across a tail A/B's arms *)
+        hedge =
+          Option.map
+            (fun g -> { Hedge.default_config with fire = g.hedge_fires })
+            spec.gray;
+        deadline = Option.map (fun _ -> Deadline.default_config) spec.gray;
       }
   in
   let writers = List.init spec.k (fun _ -> Cluster.new_client cluster) in
   let readers = List.init spec.readers (fun _ -> Cluster.new_client cluster) in
   let write, read = emulation spec.algo cluster ~f:spec.f ~writers in
   Cluster.start cluster;
+  (* the gray injection: a uniform per-envelope delay on every link
+     models the network floor, and the straggler gets its own *)
+  Option.iter
+    (fun g ->
+      for server = 0 to spec.n - 1 do
+        Cluster.set_slow cluster ~server g.base_us
+      done;
+      Option.iter
+        (fun (server, us) -> Cluster.set_slow cluster ~server us)
+        g.straggler)
+    spec.gray;
   (* the space axis: sample resident cells/bytes through the run and
      keep the maxima.  Sampling is unsynchronised (a gauge, not an
      invariant) — a mid-rehash glance on the domains backend may throw,
@@ -167,10 +206,12 @@ let run ?(sink = Sink.none) spec =
     else None
   in
   let t0 = Clock.now_s () in
+  (* failed ops leave [ops] short of the target, which [clean] sees *)
   let result =
     try
-      Load.run ~write ~read ~writers ~readers
-        ~ops_per_client:spec.ops_per_client;
+      ignore
+        (Load.run ~write ~read ~writers ~readers
+           ~ops_per_client:spec.ops_per_client);
       Ok ()
     with e -> Error e
   in
@@ -214,48 +255,44 @@ let run ?(sink = Sink.none) spec =
     retries = stats.Cluster.retries;
     unavailable = stats.Cluster.unavailable;
     inline_steps = stats.Cluster.inline_steps;
+    hedges = stats.Cluster.hedges;
+    hedge_wins = stats.Cluster.hedge_wins;
+    msgs_slowed = stats.Cluster.msgs_slowed;
     space_cells;
     space_bytes;
     space_cells_total;
     check;
   }
 
-(* Single-core thread-pipeline throughput is noisy (scheduler +
-   machine-neighbour effects, easily ±30% run to run); the saturation
-   numbers are medians so one unlucky run doesn't masquerade as a
-   regression.  The median outcome is kept whole — its latency
-   percentiles belong to the run whose throughput is reported. *)
-let run_median ?(reps = 1) ?sink spec =
-  if reps < 1 then invalid_arg "run_median: reps must be >= 1";
-  let outcomes = List.init reps (fun _ -> run ?sink spec) in
-  let sorted =
-    List.sort (fun a b -> Float.compare a.throughput b.throughput) outcomes
+(* Single-core thread-pipeline throughput and p99 are noisy (scheduler
+   and machine-neighbour effects, easily ±30% run to run), so a point
+   is the median of [reps] runs, kept whole: its percentiles belong to
+   the run whose key is reported.  The list runs round-robin, so a
+   machine stall of a few seconds poisons one pass of every point
+   rather than every rep of one; rep [i] runs at [seed + 1000 i], so
+   the reps are independent samples. *)
+let run_reps ?(reps = 1) ?sink ~by specs =
+  if reps < 1 then invalid_arg "Live_bench.run_reps: reps must be >= 1";
+  let rounds =
+    List.init reps (fun i ->
+        List.map
+          (fun s -> run ?sink { s with seed = s.seed + (1000 * i) })
+          specs)
   in
-  (* any dirty rep disqualifies the point: surface the first dirty one
-     so [clean] reports the failure rather than a lucky median *)
-  match List.find_opt (fun o -> not (clean o)) outcomes with
-  | Some bad -> bad
-  | None -> List.nth sorted (reps / 2)
-
-(* Same defence, for a whole sweep: run the spec list [reps] times
-   round-robin and keep each spec's median.  A machine stall lasting a
-   few seconds poisons every back-to-back repetition of one point but
-   only one round-robin pass of each, so the medians survive it. *)
-let run_sweep_median ?(reps = 1) ?sink specs =
-  if reps < 1 then invalid_arg "run_sweep_median: reps must be >= 1";
-  let rounds = List.init reps (fun _ -> List.map (run ?sink) specs) in
   List.mapi
-    (fun i _ ->
+    (fun i spec ->
       let outs = List.map (fun round -> List.nth round i) rounds in
-      match List.find_opt (fun o -> not (clean o)) outs with
-      | Some bad -> bad
-      | None ->
-          let sorted =
-            List.sort
-              (fun a b -> Float.compare a.throughput b.throughput)
-              outs
-          in
-          List.nth sorted (reps / 2))
+      (* any dirty rep disqualifies the point: surface it so [clean]
+         reports the failure rather than a lucky median *)
+      let o =
+        match List.find_opt (fun o -> not (clean o)) outs with
+        | Some bad -> bad
+        | None ->
+            List.nth
+              (List.sort (fun a b -> Float.compare (by a) (by b)) outs)
+              (reps / 2)
+      in
+      { o with spec })
     specs
 
 let suite ?(ops_per_client = 150) ~seed () =
@@ -305,11 +342,7 @@ let spec_json s =
     ]
 
 let outcome_json o =
-  let pct name p =
-    ( name,
-      Json.Float
-        (try List.assoc p o.pcts_us with Not_found -> 0.0) )
-  in
+  let pct name p = (name, Json.Float (pct o p)) in
   Json.Obj
     [
       ("spec", spec_json o.spec);
@@ -372,6 +405,7 @@ let saturate_spec ?(backend = Transport.Threads) ~algo ~clients
     reorder = false;
     backend;
     seed;
+    gray = None;
   }
 
 let saturate_clients = [ 2; 4; 8; 16 ]
@@ -388,7 +422,7 @@ let saturate_specs ?(backend = Transport.Threads) ?(clients = saturate_clients)
 
 (* The head-to-head sweep: the same saturation point on every backend,
    backends adjacent in the run order (and the whole list round-robined
-   by [run_sweep_median]), so each threads/domains/socket triple is
+   by [run_reps]), so each threads/domains/socket triple is
    measured under the same machine weather. *)
 let saturate_ab_clients = [ 16; 32; 64; 128; 256 ]
 
@@ -438,7 +472,6 @@ let saturate_json outcomes =
   in
   let bench o =
     let clients = clients_of_spec o.spec in
-    let pct p = try List.assoc p o.pcts_us with Not_found -> 0.0 in
     let baseline =
       (* the pre-sharding baseline was recorded on the threaded
          runtime: it is only an apples-to-apples column there *)
@@ -464,9 +497,9 @@ let saturate_json outcomes =
          ("clients", Json.Int clients);
          ("ops", Json.Int o.ops);
          ("ops_per_s", Json.Float o.throughput);
-         ("latency_p50_us", Json.Float (pct 0.50));
-         ("latency_p95_us", Json.Float (pct 0.95));
-         ("latency_p99_us", Json.Float (pct 0.99));
+         ("latency_p50_us", Json.Float (pct o 0.50));
+         ("latency_p95_us", Json.Float (pct o 0.95));
+         ("latency_p99_us", Json.Float (pct o 0.99));
          ("inline_steps", Json.Int o.inline_steps);
          ("space_resident_cells", Json.Int o.space_cells);
          ("space_resident_bytes", Json.Int o.space_bytes);
@@ -501,71 +534,50 @@ let saturate_json outcomes =
     ]
 
 let backend_names = List.map Transport.backend_name saturate_ab_backends
+let ( let* ) = Result.bind
 
-(* Structural check of the regemu-bench/2 document, run before every
-   write: catches a schema drift before a dashboard does.  /2 requires
-   a valid [backend] on every row and rejects a lingering [r_square]
-   (always null in /1, dropped rather than carried dead). *)
-let validate_bench_json json =
-  let ( let* ) = Result.bind in
-  let field name = function
-    | Json.Obj kvs -> (
-        match List.assoc_opt name kvs with
-        | Some v -> Ok v
-        | None -> Error (Fmt.str "missing field %S" name))
-    | _ -> Error "expected an object"
+(* Structural check of the regemu-bench/2 document: catches a schema
+   drift before a dashboard does.  /2 requires a valid [backend] on
+   every row and rejects a lingering [r_square] (always null in /1,
+   dropped rather than carried dead). *)
+let validate_bench_json doc =
+  let num_or_null = function
+    | Json.Null -> Some ()
+    | j -> Option.map ignore (Json.to_float_opt j)
   in
-  let* schema = field "schema" json in
-  let* () =
-    match schema with
-    | Json.Str "regemu-bench/2" -> Ok ()
-    | Json.Str s -> Error (Fmt.str "bad schema %S" s)
-    | _ -> Error "schema must be a string"
-  in
-  let* benchmarks = field "benchmarks" json in
-  let* bs =
-    match benchmarks with
-    | Json.List bs -> Ok bs
-    | _ -> Error "benchmarks must be a list"
-  in
-  List.fold_left
-    (fun acc b ->
-      let* () = acc in
-      let* name = field "name" b in
+  let* () = Json.check_schema "regemu-bench/2" doc in
+  let* rows = Json.get "benchmarks" Json.to_list_opt doc in
+  Json.each
+    (fun b ->
+      let* _ = Json.get "name" Json.to_str_opt b in
+      let* _ = Json.get "measure" Json.to_str_opt b in
+      let* _ = Json.get "backend" (Json.to_enum_opt backend_names) b in
       let* () =
-        match name with
-        | Json.Str _ -> Ok ()
-        | _ -> Error "name must be a string"
+        if Option.is_some (Json.member "r_square" b) then
+          Error "r_square was dropped in regemu-bench/2"
+        else Ok ()
       in
-      let* measure = field "measure" b in
+      let* () = Json.get "ns_per_run" num_or_null b in
+      if Option.is_some (Json.member "speedup_vs_threads" b) then
+        Json.get "speedup_vs_threads" num_or_null b
+      else Ok ())
+    rows
+
+let validate_live_json doc =
+  let* () = Json.check_schema "regemu-live-bench/1" doc in
+  let* results = Json.get "results" Json.to_list_opt doc in
+  let* () = if results = [] then Error "results must be non-empty" else Ok () in
+  Json.each
+    (fun r ->
+      let* spec =
+        Json.get "spec" (function Json.Obj _ as s -> Some s | _ -> None) r
+      in
+      let* _ = Json.get "algo" (Json.to_enum_opt algo_names) spec in
+      let* _ = Json.get "backend" (Json.to_enum_opt backend_names) spec in
       let* () =
-        match measure with
-        | Json.Str _ -> Ok ()
-        | _ -> Error "measure must be a string"
+        Json.each
+          (fun k -> Result.map ignore (Json.get k Json.to_float_opt r))
+          [ "ops_per_s"; "latency_p50_us"; "latency_p95_us"; "latency_p99_us" ]
       in
-      let* backend = field "backend" b in
-      let* () =
-        match backend with
-        | Json.Str s when List.mem s backend_names -> Ok ()
-        | Json.Str s -> Error (Fmt.str "unknown backend %S" s)
-        | _ -> Error "backend must be a string"
-      in
-      let* () =
-        match b with
-        | Json.Obj kvs when List.mem_assoc "r_square" kvs ->
-            Error "r_square was dropped in regemu-bench/2"
-        | _ -> Ok ()
-      in
-      let numeric what = function
-        | Json.Float _ | Json.Int _ | Json.Null -> Ok ()
-        | _ -> Error (Fmt.str "%s must be a number or null" what)
-      in
-      let* ns = field "ns_per_run" b in
-      let* () = numeric "ns_per_run" ns in
-      match b with
-      | Json.Obj kvs -> (
-          match List.assoc_opt "speedup_vs_threads" kvs with
-          | Some v -> numeric "speedup_vs_threads" v
-          | None -> Ok ())
-      | _ -> Ok ())
-    (Ok ()) bs
+      Result.map ignore (Json.get "clean" Json.to_bool_opt r))
+    results

@@ -32,6 +32,16 @@ val emulation :
   (Cluster.client -> Regemu_objects.Value.t -> unit)
   * (Cluster.client -> Regemu_objects.Value.t)
 
+(** A gray-failure run: every server link slowed, optionally one
+    straggler slowed further, and the hedge/deadline machinery armed
+    ({!Hedge}, {!Deadline}). *)
+type gray = {
+  base_us : int;  (** per-envelope delay on every server link *)
+  straggler : (int * int) option;
+      (** [(server, delay_us)]: the one server whose links run slower *)
+  hedge_fires : bool;  (** [false] arms the hedge but never fires it *)
+}
+
 type spec = {
   algo : algo;
   k : int;  (** writer threads *)
@@ -44,10 +54,11 @@ type spec = {
   reorder : bool;  (** transport reordering (off in saturation mode) *)
   backend : Transport.backend;  (** message fabric under the cluster *)
   seed : int;
+  gray : gray option;  (** [None]: no link delay, no hedge, no deadline *)
 }
 
 (** [k + readers = 4] client threads, [n = 2f+1] servers by default;
-    [backend] defaults to [Threads]. *)
+    [backend] defaults to [Threads], no gray. *)
 val default_spec :
   ?backend:Transport.backend -> algo:algo -> chaos:bool -> seed:int -> unit -> spec
 
@@ -71,6 +82,9 @@ type outcome = {
   inline_steps : int;
       (** requests stepped on their delivering thread rather than by
           the server thread ({!Cluster.stats}) *)
+  hedges : int;  (** hedge requests sent *)
+  hedge_wins : int;  (** rounds a hedged reply completed *)
+  msgs_slowed : int;  (** envelopes held back by a gray link *)
   space_cells : int;
       (** resident cells, max over servers and over the run — sampled
           every 5 ms plus once at quiesce ({!Cluster.resident_space}) *)
@@ -83,29 +97,36 @@ type outcome = {
     violation was found. *)
 val clean : outcome -> bool
 
+(** [pct o p] is the latency in µs at level [p] (one of 0.50, 0.95,
+    0.99); 0 when nothing was measured. *)
+val pct : outcome -> float -> float
+
 val outcome_pp : outcome Fmt.t
 
 (** Run one specification to completion (spawns and joins all threads).
-    [sink] instruments the run ({!Cluster.create}).  One sink may span
-    several runs: trace recorders are per-run (thread names repeat),
-    and metric registration is idempotent, so counters accumulate
-    across the runs Prometheus-style. *)
+    An operation that fails with {!Cluster.Unavailable} or
+    {!Cluster.Timeout} leaves the outcome short of its target, so not
+    {!clean}.  [sink] instruments the run ({!Cluster.create}).  One
+    sink may span several runs: trace recorders are per-run (thread
+    names repeat), and metric registration is idempotent, so counters
+    accumulate across the runs Prometheus-style.  Raises
+    [Invalid_argument] on a malformed [gray]. *)
 val run : ?sink:Sink.t -> spec -> outcome
 
-(** [run_median ~reps spec] runs [spec] [reps] times and keeps the
-    median-throughput outcome — the saturation sweep's defence against
-    single-core scheduler noise.  A rep that is not {!clean} is
-    returned instead, so failures are never averaged away.  Default
-    [reps = 1].  [sink] spans every rep (see {!run}). *)
-val run_median : ?reps:int -> ?sink:Sink.t -> spec -> outcome
-
-(** [run_sweep_median ~reps specs] runs the whole list [reps] times
-    round-robin and keeps each spec's median-throughput outcome — a
-    point's repetitions are spread across the sweep, so a transient
+(** [run_reps ~reps ~by specs] runs the whole list [reps] times
+    round-robin, rep [i] at [seed + 1000 i], and keeps each spec's
+    median outcome under [by] (throughput for a sweep, p99 for the
+    tail A/B), its [spec] field set back to the caller's spec.  A
+    point's repetitions are spread across the list, so a transient
     machine stall cannot poison all of them at once.  A rep that is
-    not {!clean} is surfaced instead.  Default [reps = 1].  [sink]
-    spans the whole sweep (see {!run}). *)
-val run_sweep_median : ?reps:int -> ?sink:Sink.t -> spec list -> outcome list
+    not {!clean} is surfaced instead, so failures are never averaged
+    away.  Default [reps = 1].  [sink] spans every run (see {!run}). *)
+val run_reps :
+  ?reps:int ->
+  ?sink:Sink.t ->
+  by:(outcome -> float) ->
+  spec list ->
+  outcome list
 
 (** The standard suite: quiet and chaos runs of each algorithm. *)
 val suite : ?ops_per_client:int -> seed:int -> unit -> spec list
@@ -119,6 +140,12 @@ val smoke_suite : ?backend:Transport.backend -> unit -> spec list
 
 (** The [regemu-live-bench/1] document: schema id, specs, and results. *)
 val to_json : outcome list -> Regemu_obs.Json.t
+
+(** Structural validation of a [regemu-live-bench/1] document: schema
+    id, a non-empty [results] list, each with a [spec] object naming a
+    known [algo] and [backend], numeric [ops_per_s] and
+    [latency_p50/95/99_us], and a boolean [clean]. *)
+val validate_live_json : Regemu_obs.Json.t -> (unit, string) result
 
 (** {2 Saturation mode}
 
@@ -154,7 +181,7 @@ val saturate_specs :
 (** {2 The three-way backend A/B}
 
     ABD at each client count on each backend, backends adjacent per
-    count so {!run_sweep_median}'s round-robin repeats every
+    count so {!run_reps}'s round-robin repeats every
     (clients, backend) triple under the same machine weather. *)
 
 (** The A/B client counts: [16; 32; 64; 128; 256]. *)

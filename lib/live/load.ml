@@ -2,6 +2,12 @@ open Regemu_objects
 
 let run ~write ~read ~writers ~readers ~ops_per_client =
   let first_error = Atomic.make None in
+  let failed = Atomic.make 0 in
+  (* a liveness failure is one failed op, not the end of the run *)
+  let op f =
+    try f ()
+    with Cluster.Unavailable _ | Cluster.Timeout _ -> Atomic.incr failed
+  in
   let guard body () =
     try body ()
     with e ->
@@ -9,12 +15,12 @@ let run ~write ~read ~writers ~readers ~ops_per_client =
   in
   let writer_thread i cl () =
     for j = 1 to ops_per_client do
-      write cl (Value.Str (Printf.sprintf "w%d-%04d" i j))
+      op (fun () -> write cl (Value.Str (Printf.sprintf "w%d-%04d" i j)))
     done
   in
   let reader_thread cl () =
     for _ = 1 to ops_per_client do
-      ignore (read cl)
+      op (fun () -> ignore (read cl))
     done
   in
   let threads =
@@ -22,4 +28,6 @@ let run ~write ~read ~writers ~readers ~ops_per_client =
     @ List.map (fun cl -> Thread.create (guard (reader_thread cl)) ()) readers
   in
   List.iter Thread.join threads;
-  match Atomic.get first_error with Some e -> raise e | None -> ()
+  match Atomic.get first_error with
+  | Some e -> raise e
+  | None -> Atomic.get failed

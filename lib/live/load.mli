@@ -3,10 +3,12 @@
 
     Each writer thread performs [ops_per_client] writes of distinct
     values ("w<writer>-<seq>"), each reader thread [ops_per_client]
-    reads, all concurrently.  Exceptions raised by any worker (e.g.
-    {!Cluster.Timeout}) are re-raised on the calling thread after all
-    workers have been joined, so a liveness failure surfaces as a test
-    failure. *)
+    reads, all concurrently.  An operation that raises
+    {!Cluster.Unavailable} or {!Cluster.Timeout} counts as failed and
+    its thread carries on with the next one; [run] returns the number
+    of failed operations.  Any other exception raised by a worker is
+    re-raised on the calling thread after all workers have been
+    joined. *)
 
 open Regemu_objects
 
@@ -16,4 +18,4 @@ val run :
   writers:Cluster.client list ->
   readers:Cluster.client list ->
   ops_per_client:int ->
-  unit
+  int

@@ -286,3 +286,44 @@ let to_float_opt = function
 let to_str_opt = function Str s -> Some s | _ -> None
 let to_bool_opt = function Bool b -> Some b | _ -> None
 let to_list_opt = function List xs -> Some xs | _ -> None
+
+let to_enum_opt names = function
+  | Str s when List.mem s names -> Some s
+  | _ -> None
+
+(* --- validation --------------------------------------------------------- *)
+
+let get k conv j =
+  match Option.bind (member k j) conv with
+  | Some v -> Ok v
+  | None -> Error (Printf.sprintf "field %S is missing or invalid" k)
+
+let check_schema id doc =
+  Result.bind (get "schema" to_str_opt doc) (fun s ->
+      if s = id then Ok ()
+      else Error (Printf.sprintf "schema %S, expected %S" s id))
+
+let rec each f = function
+  | [] -> Ok ()
+  | x :: xs -> Result.bind (f x) (fun () -> each f xs)
+
+(* Validate what is about to be written and, once written, what
+   actually landed on disk: a non-finite float, for one, is emitted as
+   [null] and only the read-back sees it. *)
+let write_checked ~validate path doc =
+  let check what d =
+    Result.map_error
+      (Printf.sprintf "%s fails its schema check: %s" what)
+      (validate d)
+  in
+  Result.bind (check "emitted document" doc) (fun () ->
+      match path with
+      | None -> Ok ()
+      | Some path -> (
+          match
+            to_file path doc;
+            of_file path
+          with
+          | exception Sys_error m -> Error m
+          | Error m -> Error (Printf.sprintf "read-back of %s: %s" path m)
+          | Ok disk -> check ("read-back of " ^ path) disk))

@@ -42,3 +42,30 @@ val to_float_opt : t -> float option
 val to_str_opt : t -> string option
 val to_bool_opt : t -> bool option
 val to_list_opt : t -> t list option
+
+(** [to_enum_opt names j] is [Some s] when [j] is [Str s] with [s] one
+    of [names]. *)
+val to_enum_opt : string list -> t -> string option
+
+(** {2 Validation} *)
+
+(** [get k conv j] is [conv] applied to member [k] of [j]; [Error]
+    naming [k] when it is missing or [conv] rejects it. *)
+val get : string -> (t -> 'a option) -> t -> ('a, string) result
+
+(** [check_schema id doc]: [doc]'s ["schema"] member is the string [id]. *)
+val check_schema : string -> t -> (unit, string) result
+
+(** [each f xs] is the first [Error] of [f] over [xs], in order, or
+    [Ok ()]. *)
+val each : ('a -> (unit, string) result) -> 'a list -> (unit, string) result
+
+(** [write_checked ~validate path doc] is the one way a benchmark
+    document reaches disk: [validate doc]; then, when [path] is given,
+    write it, read the file back and [validate] what was read.  The
+    first failing step is the [Error]; a [Sys_error] becomes one too. *)
+val write_checked :
+  validate:(t -> (unit, string) result) ->
+  string option ->
+  t ->
+  (unit, string) result

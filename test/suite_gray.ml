@@ -518,6 +518,67 @@ let keyed_retry_tests =
           (stats.Cluster.retries > 0));
   ]
 
+(* --- the tail A/B's arms through Live_bench.run -------------------------- *)
+
+let tail_arm_tests =
+  [
+    test "derived arms: slowed links, hedges only where they fire" (fun () ->
+        (* no link floor, so only the straggler slows envelopes *)
+        let spec =
+          {
+            (Tail_bench.smoke_spec ~seed:21 ()) with
+            ops_per_client = 10;
+            gray =
+              Some
+                {
+                  Live_bench.base_us = 0;
+                  straggler = Some (2, 2_000);
+                  hedge_fires = true;
+                };
+          }
+        in
+        let outs =
+          Live_bench.run_reps
+            ~by:(fun o -> Live_bench.pct o 0.99)
+            (Tail_bench.arms spec)
+        in
+        (* the validator pins the arm order: baseline, unhedged, hedged *)
+        (match Tail_bench.validate_tail_json (Tail_bench.to_json outs) with
+        | Ok () -> ()
+        | Error m -> Alcotest.failf "tail document rejected: %s" m);
+        match outs with
+        | [ baseline; unhedged; hedged ] ->
+            List.iter
+              (fun o ->
+                Alcotest.(check bool) "arm is clean" true (Live_bench.clean o))
+              outs;
+            Alcotest.(check int) "the unhedged arm fires no hedge" 0
+              unhedged.hedges;
+            Alcotest.(check int) "the baseline slows nothing" 0
+              baseline.msgs_slowed;
+            Alcotest.(check bool) "the unhedged arm slows the straggler" true
+              (unhedged.msgs_slowed > 0);
+            Alcotest.(check bool) "the hedged arm slows the straggler" true
+              (hedged.msgs_slowed > 0)
+        | _ -> Alcotest.fail "expected three arms");
+    test "malformed gray specs are rejected" (fun () ->
+        let spec = Tail_bench.smoke_spec ~seed:1 () in
+        expect_invalid "arms of a spec without a straggler" (fun () ->
+            Tail_bench.arms { spec with gray = None });
+        expect_invalid "straggler out of range" (fun () ->
+            Live_bench.run
+              {
+                spec with
+                gray =
+                  Some
+                    {
+                      Live_bench.base_us = 0;
+                      straggler = Some (spec.n, 1_000);
+                      hedge_fires = true;
+                    };
+              }));
+  ]
+
 let suites =
   [
     ("gray.deadline", deadline_tests);
@@ -526,4 +587,5 @@ let suites =
     ("gray.fault", fault_gray_tests);
     ("gray.hedged-runs", hedged_run_tests);
     ("gray.keyed-retry", keyed_retry_tests);
+    ("gray.tail-arms", tail_arm_tests);
   ]

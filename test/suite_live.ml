@@ -932,6 +932,63 @@ let inline_tests =
           (!complete >= 300 * 2));
   ]
 
+(* --- the load generator's failure contract ------------------------------- *)
+
+let with_clients f =
+  let cluster = Cluster.create (Cluster.default_config ~n:3 ~seed:1) in
+  let writers = List.init 2 (fun _ -> Cluster.new_client cluster) in
+  let readers = List.init 2 (fun _ -> Cluster.new_client cluster) in
+  Cluster.start cluster;
+  Fun.protect
+    ~finally:(fun () -> Cluster.shutdown cluster)
+    (fun () -> f ~writers ~readers)
+
+let load_tests =
+  [
+    test "an Unavailable op is counted and the run carries on" (fun () ->
+        with_clients @@ fun ~writers ~readers ->
+        let done_ops = Atomic.make 0 in
+        let raised = Atomic.make false in
+        let write cl _ =
+          if Atomic.compare_and_set raised false true then
+            raise
+              (Cluster.Unavailable
+                 {
+                   Cluster.client = Cluster.client_id cl;
+                   cause = Cluster.Quorum_lost;
+                   elapsed_s = 0.0;
+                   reachable = 1;
+                   required = 2;
+                 })
+          else Atomic.incr done_ops
+        in
+        let read _ =
+          Atomic.incr done_ops;
+          Value.Str "x"
+        in
+        let failed =
+          Load.run ~write ~read ~writers ~readers ~ops_per_client:5
+        in
+        Alcotest.(check int) "one failed op" 1 failed;
+        Alcotest.(check int) "every other op ran" ((4 * 5) - 1)
+          (Atomic.get done_ops));
+    test "a Timeout counts as failed; a Failure still propagates" (fun () ->
+        with_clients @@ fun ~writers ~readers ->
+        Alcotest.(check int) "every read timed out" 10
+          (Load.run
+             ~write:(fun _ _ -> ())
+             ~read:(fun _ -> raise (Cluster.Timeout "slow"))
+             ~writers ~readers ~ops_per_client:5);
+        match
+          Load.run
+            ~write:(fun _ _ -> failwith "boom")
+            ~read:(fun _ -> Value.Str "x")
+            ~writers ~readers ~ops_per_client:5
+        with
+        | exception Failure m -> Alcotest.(check string) "re-raised" "boom" m
+        | _ -> Alcotest.fail "a Failure was swallowed");
+  ]
+
 (* --- saturation bench / regemu-bench schema ------------------------------ *)
 
 let bench_tests =
@@ -942,7 +999,14 @@ let bench_tests =
           Live_bench.saturate_spec ~algo:Live_bench.Abd ~clients:2
             ~ops_per_client:10 ~seed:5 ()
         in
-        let o = Live_bench.run_median ~reps:2 spec in
+        let o =
+          match
+            Live_bench.run_reps ~reps:2 ~by:(fun o -> o.Live_bench.throughput)
+              [ spec ]
+          with
+          | [ o ] -> o
+          | _ -> Alcotest.fail "expected one outcome"
+        in
         Alcotest.(check bool) "clean" true (Live_bench.clean o);
         let doc = Live_bench.saturate_json [ o ] in
         (match Live_bench.validate_bench_json doc with
@@ -995,6 +1059,52 @@ let bench_tests =
                        ];
                    ] );
              ]));
+    test "a live smoke document validates; malformed ones do not" (fun () ->
+        let spec =
+          {
+            (Live_bench.default_spec ~algo:Live_bench.Abd ~chaos:false ~seed:6
+               ())
+            with
+            ops_per_client = 10;
+          }
+        in
+        let doc = Live_bench.to_json [ Live_bench.run spec ] in
+        (match Live_bench.validate_live_json doc with
+        | Ok () -> ()
+        | Error m -> Alcotest.failf "real outcome rejected: %s" m);
+        (* [edit k f] rewrites field [k] wherever it occurs *)
+        let rec edit k f = function
+          | Json.Obj kvs ->
+              Json.Obj
+                (List.filter_map
+                   (fun (k', v) ->
+                     if k' = k then Option.map (fun v -> (k', v)) (f v)
+                     else Some (k', edit k f v))
+                   kvs)
+          | Json.List l -> Json.List (List.map (edit k f) l)
+          | j -> j
+        in
+        let reject what doc =
+          match Live_bench.validate_live_json doc with
+          | Error _ -> ()
+          | Ok () -> Alcotest.failf "%s accepted" what
+        in
+        reject "wrong schema id"
+          (edit "schema" (fun _ -> Some (Json.Str "regemu-live-bench/2")) doc);
+        reject "empty results"
+          (edit "results" (fun _ -> Some (Json.List [])) doc);
+        reject "no spec" (edit "spec" (fun _ -> None) doc);
+        reject "unknown algo"
+          (edit "algo" (fun _ -> Some (Json.Str "paxos")) doc);
+        reject "unknown backend"
+          (edit "backend" (fun _ -> Some (Json.Str "carrier-pigeon")) doc);
+        reject "string ops_per_s"
+          (edit "ops_per_s" (fun _ -> Some (Json.Str "fast")) doc);
+        List.iter
+          (fun k -> reject ("no " ^ k) (edit k (fun _ -> None) doc))
+          [ "latency_p50_us"; "latency_p95_us"; "latency_p99_us" ];
+        reject "non-boolean clean"
+          (edit "clean" (fun _ -> Some (Json.Int 1)) doc));
     test "the committed BENCH documents pass their schema validators"
       (fun () ->
         List.iter
@@ -1030,5 +1140,6 @@ let suites =
     ("live.histlog", histlog_tests @ histlog_property_tests);
     ("live.cluster", cluster_tests);
     ("live.inline", inline_tests);
+    ("live.load", load_tests);
     ("live.bench", bench_tests);
   ]

@@ -524,6 +524,40 @@ let agreement_tests =
           "op spans = completed ops" o.Live_bench.ops (count op_begin));
   ]
 
+(* --- the one validated write path ----------------------------------------- *)
+
+let write_tests =
+  let validate doc =
+    Result.map ignore (Json.get "p99_us" Json.to_float_opt doc)
+  in
+  let with_tmp f =
+    let path = Filename.temp_file "regemu-doc" ".json" in
+    Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
+  in
+  [
+    test "write_checked validates, writes, and re-reads" (fun () ->
+        with_tmp @@ fun path ->
+        let doc = Json.Obj [ ("p99_us", Json.Float 12.5) ] in
+        (match Json.write_checked ~validate (Some path) doc with
+        | Ok () -> ()
+        | Error m -> Alcotest.failf "rejected: %s" m);
+        Alcotest.(check bool) "the file holds the document" true
+          (Json.of_file path = Ok doc);
+        match
+          Json.write_checked ~validate None (Json.Obj [ ("p99_us", Json.Null) ])
+        with
+        | Error _ -> ()
+        | Ok () -> Alcotest.fail "an invalid document passed without a path");
+    test "write_checked catches what only the bytes on disk show" (fun () ->
+        with_tmp @@ fun path ->
+        (* a non-finite float is a number in memory and null on disk *)
+        let doc = Json.Obj [ ("p99_us", Json.Float Float.nan) ] in
+        Alcotest.(check bool) "valid in memory" true (validate doc = Ok ());
+        match Json.write_checked ~validate (Some path) doc with
+        | Error _ -> ()
+        | Ok () -> Alcotest.fail "the read-back was not validated");
+  ]
+
 let suites =
   [
     ("obs.ring", ring_tests @ [ ring_model_property ]);
@@ -532,4 +566,5 @@ let suites =
     ("obs.export", export_tests);
     ("obs.determinism", determinism_tests);
     ("obs.agreement", agreement_tests);
+    ("obs.write", write_tests);
   ]
