@@ -453,15 +453,6 @@ let explore_cmd =
              genuinely race, so the reduced search covers every \
              Mazurkiewicz trace class with far fewer executions.")
   in
-  let brute_arg =
-    Arg.(
-      value & flag
-      & info [ "brute" ]
-          ~doc:
-            "With --exhaustive: disable the reduction (every enabled \
-             transition becomes a backtrack point) — the differential \
-             baseline the DPOR run is checked against in the tests.")
-  in
   let ops_each_arg =
     Arg.(
       value & opt int 1
@@ -571,21 +562,20 @@ let explore_cmd =
     }
   in
   let run_exhaustive (name, factory) p ~eager ~crashes ~ops_each ~budget
-      ~brute ~cert_out ~json =
+      ~cert_out ~json =
     let scenario = scenario_of factory p ~eager ~crashes ~ops_each in
     (* the naive baseline violates the pending-write invariants by
        design; keep the checks for the algorithms that promise them *)
     let check_invariants = name <> "naive-reg" in
     let stats =
-      Regemu_mcheck.Dpor.run ~dpor:(not brute) ~sleep:(not brute)
-        ~check_invariants scenario ~max_explored:budget
+      Regemu_mcheck.Dpor.run ~check_invariants scenario ~max_explored:budget
     in
     Fmt.pr "explore --exhaustive %s at %a:@.%a@." name Params.pp p
       Regemu_mcheck.Dpor.stats_pp stats;
     let cert =
       Regemu_explore.Cert.make
         ~config:(cert_config name p ~eager ~crashes ~ops_each ~budget)
-        ~dpor:(not brute) ~sleep:(not brute) stats
+        stats
     in
     Fmt.pr "%a@." Regemu_explore.Cert.pp cert;
     let cert_json = Regemu_explore.Cert.to_json cert in
@@ -661,7 +651,7 @@ let explore_cmd =
         ~config:
           (cert_config "abd-max" p ~eager:false ~crashes:0 ~ops_each:1
              ~budget:200_000)
-        ~dpor:true ~sleep:true stats
+        stats
     in
     let roundtrip =
       match
@@ -705,38 +695,39 @@ let explore_cmd =
       1
     end
   in
-  let run (name, factory) f n budget writes eager crashes exhaustive brute
-      ops_each cert_out fuzz_cg profile corpus readers ops json smoke seed =
+  let run_brute (name, factory) p ~eager ~crashes ~ops_each ~budget =
+    let r =
+      Regemu_mcheck.Explore.run
+        (scenario_of factory p ~eager ~crashes ~ops_each)
+        ~max_fired:budget
+    in
+    Fmt.pr "explore %s at %a: %a@." name Params.pp p
+      Regemu_mcheck.Explore.result_pp r;
+    let witnesses label =
+      List.iter (fun h ->
+          Fmt.pr "%s violating schedule:@.%a@." label
+            Regemu_history.History.pp h)
+    in
+    witnesses "WS-Safe" r.ws_safe_violations;
+    witnesses "WS-Regular" r.ws_regular_violations;
+    if r.ws_safe_violations = [] && r.ws_regular_violations = [] then 0 else 1
+  in
+  let run (name, factory) f n budget writes eager crashes exhaustive ops_each
+      cert_out fuzz_cg profile corpus readers ops json smoke seed =
     if smoke then run_smoke ~seed
     else
       match fuzz_cg with
       | Some cg_budget ->
           run_fuzz_cg name ~writers:writes ~readers ~f ~n ~ops ~seed ~profile
             ~corpus ~budget:cg_budget ~json
-      | None ->
-          exit_of
-            (Result.map
-               (fun p ->
-                 if exhaustive || brute then
-                   exit
-                     (run_exhaustive (name, factory) p ~eager ~crashes
-                        ~ops_each ~budget ~brute ~cert_out ~json)
-                 else begin
-                   let scenario =
-                     scenario_of factory p ~eager ~crashes ~ops_each
-                   in
-                   let r =
-                     Regemu_mcheck.Explore.run scenario ~max_fired:budget
-                   in
-                   Fmt.pr "explore %s at %a: %a@." name Params.pp p
-                     Regemu_mcheck.Explore.result_pp r;
-                   List.iter
-                     (fun h ->
-                       Fmt.pr "violating schedule:@.%a@."
-                         Regemu_history.History.pp h)
-                     r.ws_safe_violations
-                 end)
-               (params_of writes f n))
+      | None -> (
+          match params_of writes f n with
+          | Error e -> exit_of (Error e)
+          | Ok p when exhaustive ->
+              run_exhaustive (name, factory) p ~eager ~crashes ~ops_each
+                ~budget ~cert_out ~json
+          | Ok p ->
+              run_brute (name, factory) p ~eager ~crashes ~ops_each ~budget)
   in
   Cmd.v
     (Cmd.info "explore"
@@ -747,7 +738,7 @@ let explore_cmd =
           (--fuzz-cg).")
     Term.(
       const run $ algo_arg $ f_arg $ n_arg $ budget $ writes $ eager
-      $ crashes $ exhaustive_arg $ brute_arg $ ops_each_arg $ cert_out_arg
+      $ crashes $ exhaustive_arg $ ops_each_arg $ cert_out_arg
       $ fuzz_cg_arg $ profile_arg $ corpus_arg $ readers_arg $ ops_arg
       $ json_arg $ smoke_arg $ seed_arg)
 

@@ -16,8 +16,6 @@ type config = {
 
 type t = {
   config : config;
-  dpor : bool;
-  sleep : bool;
   explored : int;
   pruned : int;
   pruned_ratio : float;
@@ -48,11 +46,9 @@ let verdict_of (s : Dpor.stats) =
   else if s.exhaustive then "verified-clean"
   else "inconclusive"
 
-let make ~config ~dpor ~sleep (s : Dpor.stats) =
+let make ~config (s : Dpor.stats) =
   {
     config;
-    dpor;
-    sleep;
     explored = s.explored;
     pruned = s.pruned;
     pruned_ratio = ratio ~explored:s.explored ~pruned:s.pruned;
@@ -89,8 +85,8 @@ let to_json t =
     [
       ("schema", Json.Str schema);
       ("config", config_json t.config);
-      ("dpor", Json.Bool t.dpor);
-      ("sleep", Json.Bool t.sleep);
+      ("dpor", Json.Bool true);
+      ("sleep", Json.Bool true);
       ("explored", Json.Int t.explored);
       ("pruned", Json.Int t.pruned);
       ("pruned_ratio", Json.Float t.pruned_ratio);
@@ -146,6 +142,10 @@ let of_json j =
     let* max_explored = field "max_explored" Json.to_int_opt cj in
     let* dpor = field "dpor" Json.to_bool_opt j in
     let* sleep = field "sleep" Json.to_bool_opt j in
+    let* () =
+      if dpor && sleep then Ok ()
+      else Error "cert: \"dpor\" and \"sleep\" must be true"
+    in
     let* explored = field "explored" Json.to_int_opt j in
     let* pruned = field "pruned" Json.to_int_opt j in
     let* pruned_ratio = field "pruned_ratio" Json.to_float_opt j in
@@ -181,8 +181,6 @@ let of_json j =
             crashes;
             max_explored;
           };
-        dpor;
-        sleep;
         explored;
         pruned;
         pruned_ratio;

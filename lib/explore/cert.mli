@@ -11,7 +11,12 @@
     [brute_force_floor = explored + pruned] is a lower bound on the
     transitions an unreduced search of the same tree would have
     executed: every pruned transition was enabled at a visited state
-    and roots at least one unexplored subtree. *)
+    and roots at least one unexplored subtree.
+
+    The document also carries ["dpor": true] and ["sleep": true], and
+    {!of_json} rejects any other value: certificates come only from
+    the reduced search with sleep sets.  The brute-force search it is
+    tested against is {!Regemu_mcheck.Explore.Make}. *)
 
 type config = {
   algo : string;
@@ -28,8 +33,6 @@ type config = {
 
 type t = {
   config : config;
-  dpor : bool;  (** reduction on (false = brute force in the same engine) *)
-  sleep : bool;
   explored : int;
   pruned : int;
   pruned_ratio : float;  (** [pruned / (explored + pruned)] *)
@@ -51,8 +54,7 @@ type t = {
 
 val schema : string
 
-val make :
-  config:config -> dpor:bool -> sleep:bool -> Regemu_mcheck.Dpor.stats -> t
+val make : config:config -> Regemu_mcheck.Dpor.stats -> t
 
 val to_json : t -> Regemu_obs.Json.t
 val of_json : Regemu_obs.Json.t -> (t, string) result

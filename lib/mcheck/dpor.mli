@@ -1,11 +1,12 @@
 (** Bounded-exhaustive exploration with dynamic partial-order
-    reduction (Flanagan–Godefroid style), over the same scenarios as
-    {!Explore}.
+    reduction (Flanagan–Godefroid style), over any {!Model.S} — the
+    simulator's {!Explore.Session} and the network's {!Net_model}.
 
     Where {!Explore.run} fires every enabled transition at every state,
     this engine executes one transition per state and plants {e
     backtrack points} only where two transitions genuinely race:
-    happens-before is tracked over a component model — a per-client
+    happens-before is tracked over the footprints the model gives each
+    choice ({!Model.footprint}) — on the simulator a per-client
     component (predicate wake-ups and response delivery), a per-object
     component (state application at respond), and a history component
     carried by every step that records an invocation or return — and a
@@ -21,23 +22,22 @@
     and clocks only grow by joins), so this set says exactly what a
     per-thread vector clock says, and a join is a word-wise [lor].
 
-    Soundness relies on two facts about the substrate checked in
-    test/suite_explore.ml: high-level history entries are recorded
+    Soundness relies on two facts about each model, checked against
+    the brute-force {!Explore.Make} in test/suite_explore.ml and
+    test/suite_net_explore.ml: high-level history entries are recorded
     only during [Step] events (so any two history-recording
     transitions share the history component and the WS verdict is
     invariant across a Mazurkiewicz trace class), and commuting
-    independent transitions changes at most low-level operation
-    numbering, which no recorded verdict reads.  Dependence is
+    independent transitions changes at most low-level operation and
+    message numbering, which no recorded verdict reads.  Dependence is
     over-approximated (a step's static footprint includes the history
     component even if it ends up recording nothing), which can only
     cost pruning, never soundness.
 
     Every terminal (and stuck) state is checked for WS-Safety,
-    WS-Regularity, and the algorithm-level invariants of
-    {!Regemu_history.Invariants}; a fingerprint of the high-level
-    history, final register values, and verdict class is collected so
-    reduced and brute-force searches can be compared for state
-    equality. *)
+    WS-Regularity, and the model's invariants; its {!Model.judge}
+    fingerprint is collected so reduced and brute-force searches can be
+    compared for state equality. *)
 
 type stats = {
   explored : int;  (** transitions executed (DFS edges) *)
@@ -62,17 +62,15 @@ type stats = {
 
 val stats_pp : stats Fmt.t
 
-(** [run scenario ~max_explored] explores until done or until
-    [max_explored] transitions have been executed.  [~dpor:false]
-    disables the reduction (every enabled transition is a backtrack
-    point — brute force in the same engine, for differential testing);
-    [~sleep:false] disables sleep sets only.  [~check_invariants:false]
-    skips the {!Regemu_history.Invariants} checks (the naive algorithm
-    violates them by design). *)
+(** DPOR over any {!Model.S}. *)
+module Make (M : Model.S) : sig
+  (** [run scenario ~max_explored] explores until done or until
+      [max_explored] transitions have been executed.
+      [~check_invariants:false] skips the model's invariant checks (the
+      naive algorithm violates them by design). *)
+  val run : ?check_invariants:bool -> M.scenario -> max_explored:int -> stats
+end
+
+(** [Make (Explore.Session).run]: DPOR over the simulator. *)
 val run :
-  ?dpor:bool ->
-  ?sleep:bool ->
-  ?check_invariants:bool ->
-  Explore.scenario ->
-  max_explored:int ->
-  stats
+  ?check_invariants:bool -> Explore.scenario -> max_explored:int -> stats

@@ -51,6 +51,7 @@ type result = {
   ws_safe_violations : History.t list;
   ws_regular_violations : History.t list;
   first_violation_at : int option;
+  state_fingerprints : string list;
 }
 
 let result_pp ppf r =
@@ -62,18 +63,137 @@ let result_pp ppf r =
     (List.length r.ws_safe_violations)
     (List.length r.ws_regular_violations)
 
-(* A live run that can be advanced one chosen event at a time,
-   auto-invoking eligible script operations after every event.  Exposed
-   so other search strategies (the DPOR engine in {!Dpor}) can drive
-   the same scenarios. *)
+module Make (M : Model.S) = struct
+  let run ?(stop_on_violation = false) scenario ~max_fired =
+    let fired = ref 0 in
+    let truncated = ref false in
+    let halted = ref false in
+    let distinct : (string, unit) Hashtbl.t = Hashtbl.create 64 in
+    let terminal = ref 0 in
+    let stuck = ref 0 in
+    let max_depth = ref 0 in
+    let safe_bad = ref [] in
+    let regular_bad = ref [] in
+    let first_violation = ref None in
+    let keep_violation store h =
+      if !first_violation = None then first_violation := Some !fired;
+      if List.length !store < 3 then store := h :: !store
+    in
+    let advance s idx =
+      M.advance s idx;
+      incr fired
+    in
+    let replay prefix =
+      let s = M.create scenario in
+      List.iter (advance s) prefix;
+      s
+    in
+    let record s ~stuck =
+      let h = M.history s in
+      let vs, vr, key = Model.judge h ~stuck in
+      Hashtbl.replace distinct key ();
+      let violated = ref false in
+      (match vs with
+      | Ws_check.Violated _ ->
+          violated := true;
+          keep_violation safe_bad h
+      | Ws_check.Holds | Ws_check.Vacuous -> ());
+      (match vr with
+      | Ws_check.Violated _ ->
+          violated := true;
+          keep_violation regular_bad h
+      | Ws_check.Holds | Ws_check.Vacuous -> ());
+      if stop_on_violation && !violated then halted := true
+    in
+    (* [s] is live and positioned at [prefix]; the first child is
+       explored by advancing it in place (saving one replay per node),
+       the siblings by replaying their prefixes from scratch. *)
+    let rec dfs s prefix =
+      if !halted then ()
+      else if !fired >= max_fired then truncated := true
+      else begin
+        let depth = List.length prefix in
+        if depth > !max_depth then max_depth := depth;
+        if M.finished s then begin
+          incr terminal;
+          record s ~stuck:false
+        end
+        else
+          match M.width s with
+          | 0 ->
+              incr stuck;
+              record s ~stuck:true
+          | width ->
+              advance s 0;
+              dfs s (prefix @ [ 0 ]);
+              for i = 1 to width - 1 do
+                if (not !halted) && !fired < max_fired then
+                  dfs (replay (prefix @ [ i ])) (prefix @ [ i ])
+              done
+      end
+    in
+    dfs (M.create scenario) [];
+    let fingerprints =
+      List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) distinct [])
+    in
+    {
+      terminal_runs = !terminal;
+      distinct_histories = List.length fingerprints;
+      stuck_runs = !stuck;
+      fired_events = !fired;
+      exhaustive = (not !truncated) && not !halted;
+      max_depth = !max_depth;
+      ws_safe_violations = List.rev !safe_bad;
+      ws_regular_violations = List.rev !regular_bad;
+      first_violation_at = !first_violation;
+      state_fingerprints = fingerprints;
+    }
+end
+
 module Session = struct
+  type nonrec scenario = scenario
+
   type t = {
     scenario : scenario;
     sim : Sim.t;
-    get_calls : unit -> Sim.call list;
-    all_invoked : unit -> bool;
-    advance : int -> unit;  (* fire the idx-th enabled event, auto-invoke *)
+    invoke1 : Id.Client.t -> Trace.hop -> Sim.call;
+    remaining : (int, Id.Client.t * Trace.hop list) Hashtbl.t;
+    mutable seq_queue : (Id.Client.t * Trace.hop) list;
+        (* script order, for Sequential mode *)
+    mutable calls : Sim.call list;
+    mutable invoked : int list;  (* by the last step, newest first *)
+    mutable time_before : int;  (* trace time when the last step began *)
   }
+
+  let invoke t c hop =
+    t.calls <- t.invoke1 c hop :: t.calls;
+    t.invoked <- Id.Client.to_int c :: t.invoked
+
+  let rec auto_invoke t =
+    match t.scenario.mode with
+    | Eager ->
+        let progressed = ref false in
+        Hashtbl.iter
+          (fun key (c, ops) ->
+            match ops with
+            | hop :: rest when not (Sim.client_busy t.sim c) ->
+                Hashtbl.replace t.remaining key (c, rest);
+                invoke t c hop;
+                progressed := true
+            | _ -> ())
+          (Hashtbl.copy t.remaining);
+        if !progressed then auto_invoke t
+    | Sequential -> (
+        match t.seq_queue with
+        | (c, hop) :: rest when List.for_all Sim.call_returned t.calls ->
+            t.seq_queue <- rest;
+            (match Hashtbl.find_opt t.remaining (Id.Client.to_int c) with
+            | Some (c', _ :: ops_rest) ->
+                Hashtbl.replace t.remaining (Id.Client.to_int c) (c', ops_rest)
+            | _ -> ());
+            invoke t c hop;
+            auto_invoke t
+        | _ -> ())
 
   let create scenario =
     let sim, invoke1, script = scenario.make () in
@@ -81,73 +201,31 @@ module Session = struct
     List.iter
       (fun (c, ops) -> Hashtbl.replace remaining (Id.Client.to_int c) (c, ops))
       script;
-    let calls = ref [] in
-    (* script-order queue for Sequential mode *)
-    let seq_queue =
-      ref
-        (List.concat_map
-           (fun (c, ops) -> List.map (fun o -> (c, o)) ops)
-           script)
+    let t =
+      {
+        scenario;
+        sim;
+        invoke1;
+        remaining;
+        seq_queue =
+          List.concat_map
+            (fun (c, ops) -> List.map (fun o -> (c, o)) ops)
+            script;
+        calls = [];
+        invoked = [];
+        time_before = 0;
+      }
     in
-    let rec auto_invoke () =
-      match scenario.mode with
-      | Eager ->
-          let progressed = ref false in
-          Hashtbl.iter
-            (fun key (c, ops) ->
-              match ops with
-              | hop :: rest when not (Sim.client_busy sim c) ->
-                  Hashtbl.replace remaining key (c, rest);
-                  calls := invoke1 c hop :: !calls;
-                  progressed := true
-              | _ -> ())
-            (Hashtbl.copy remaining);
-          if !progressed then auto_invoke ()
-      | Sequential -> (
-          let all_returned = List.for_all Sim.call_returned !calls in
-          match !seq_queue with
-          | (c, hop) :: rest when all_returned ->
-              seq_queue := rest;
-              (match Hashtbl.find_opt remaining (Id.Client.to_int c) with
-              | Some (c', _ :: ops_rest) ->
-                  Hashtbl.replace remaining (Id.Client.to_int c) (c', ops_rest)
-              | _ -> ());
-              calls := invoke1 c hop :: !calls;
-              auto_invoke ()
-          | _ -> ())
-    in
-    auto_invoke ();
-    {
-      scenario;
-      sim;
-      get_calls = (fun () -> !calls);
-      all_invoked =
-        (fun () ->
-          Hashtbl.fold (fun _ (_, ops) acc -> acc && ops = []) remaining true);
-      advance =
-        (fun idx ->
-          let evs = Sim.enabled sim in
-          let n_ev = List.length evs in
-          if idx < n_ev then Sim.fire sim (List.nth evs idx)
-          else begin
-            (* a crash choice: index into the correct servers *)
-            let correct =
-              List.filter
-                (fun s -> not (Sim.server_crashed sim s))
-                (Sim.servers sim)
-            in
-            Sim.crash_server sim (List.nth correct (idx - n_ev))
-          end;
-          auto_invoke ());
-    }
+    auto_invoke t;
+    t
 
   let sim t = t.sim
-  let calls t = t.get_calls ()
-  let advance t idx = t.advance idx
 
   let finished t =
-    t.all_invoked () && List.for_all Sim.call_returned (t.get_calls ())
+    Hashtbl.fold (fun _ (_, ops) acc -> acc && ops = []) t.remaining true
+    && List.for_all Sim.call_returned t.calls
 
+  (* servers that may still be crashed, in choice order *)
   let crash_candidates t =
     let so_far = Id.Server.Set.cardinal (Sim.crashed_servers t.sim) in
     if so_far < t.scenario.crashes then
@@ -156,97 +234,76 @@ module Session = struct
         (Sim.servers t.sim)
     else []
 
-  let enabled_events t = Sim.enabled t.sim
-
   let width t =
-    List.length (enabled_events t) + List.length (crash_candidates t)
+    List.length (Sim.enabled t.sim) + List.length (crash_candidates t)
 
-  let replay scenario prefix =
-    let t = create scenario in
-    List.iter (advance t) prefix;
-    t
+  (* a respond accumulates into its client's response set and writes
+     its object *)
+  let choices t =
+    (* enabled responds come in trigger order, a subsequence of
+       [Sim.pending]'s, so one forward walk finds each *)
+    let pend = ref (Sim.pending t.sim) in
+    let rec lop_info l =
+      match !pend with
+      | [] -> invalid_arg "Explore.Session.choices: respond not pending"
+      | (p : Sim.pending_info) :: rest ->
+          pend := rest;
+          if Id.Lop.equal p.lid l then p else lop_info l
+    in
+    let events =
+      List.map
+        (function
+          | Sim.Step c -> Model.client_step (Id.Client.to_int c)
+          | Sim.Respond l ->
+              let p = lop_info l in
+              {
+                Model.thread = Job (Id.Lop.to_int l);
+                comps =
+                  [
+                    (Cclient (Id.Client.to_int p.client), Accum);
+                    (Cobj (Id.Obj.to_int p.obj), Write);
+                  ];
+              })
+        (Sim.enabled t.sim)
+    in
+    let crashes =
+      List.map (fun s -> Model.crash (Id.Server.to_int s)) (crash_candidates t)
+    in
+    Array.of_list (events @ crashes)
+
+  let advance t idx =
+    t.time_before <- Sim.now t.sim;
+    t.invoked <- [];
+    let evs = Sim.enabled t.sim in
+    let n_ev = List.length evs in
+    if idx < n_ev then Sim.fire t.sim (List.nth evs idx)
+    else Sim.crash_server t.sim (List.nth (crash_candidates t) (idx - n_ev));
+    auto_invoke t
+
+  let last_step t =
+    let recorded = ref false in
+    let spawned = ref [] in
+    let tr = Sim.trace t.sim in
+    for i = t.time_before to Trace.time tr - 1 do
+      match Trace.get tr i with
+      | Trace.Invoke _ | Trace.Return _ -> recorded := true
+      | Trace.Trigger { lid; _ } -> spawned := Id.Lop.to_int lid :: !spawned
+      | _ -> ()
+    done;
+    { Model.recorded = !recorded; spawned = !spawned; invoked = t.invoked }
+
+  let history t = History.of_trace (Sim.trace t.sim)
+
+  let invariants t =
+    let tr = Sim.trace t.sim in
+    List.filter_map
+      (function
+        | Ok () -> None
+        | Error v -> Some (Fmt.str "invariant: %a" Invariants.violation_pp v))
+      [
+        Invariants.single_pending_write_per_writer_register tr;
+        Invariants.max_pending_writes_at_return tr ~f:t.scenario.params.f;
+      ]
 end
 
-let run ?(stop_on_violation = false) scenario ~max_fired =
-  let fired = ref 0 in
-  let truncated = ref false in
-  let halted = ref false in
-  let distinct : (string, unit) Hashtbl.t = Hashtbl.create 64 in
-  let terminal = ref 0 in
-  let stuck = ref 0 in
-  let max_depth = ref 0 in
-  let safe_bad = ref [] in
-  let regular_bad = ref [] in
-  let first_violation = ref None in
-  let keep_violation store h =
-    if !first_violation = None then first_violation := Some !fired;
-    if List.length !store < 3 then store := h :: !store
-  in
-  let fresh_session () = Session.create scenario in
-  let advance s idx =
-    Session.advance s idx;
-    incr fired
-  in
-  let replay prefix =
-    let s = fresh_session () in
-    List.iter (advance s) prefix;
-    s
-  in
-  let record_history ?(terminal_run = false) sim =
-    let h = History.of_trace (Sim.trace sim) in
-    if terminal_run then
-      Hashtbl.replace distinct (Fmt.str "%a" History.pp h) ();
-    let violated = ref false in
-    (match Ws_check.check_ws_safe h with
-    | Ws_check.Violated _ ->
-        violated := true;
-        keep_violation safe_bad h
-    | Ws_check.Holds | Ws_check.Vacuous -> ());
-    (match Ws_check.check_ws_regular h with
-    | Ws_check.Violated _ ->
-        violated := true;
-        keep_violation regular_bad h
-    | Ws_check.Holds | Ws_check.Vacuous -> ());
-    if stop_on_violation && !violated then halted := true
-  in
-  (* [session] is live and positioned at [prefix]; the first child is
-     explored by advancing it in place (saving one replay per node), the
-     siblings by replaying their prefixes from scratch. *)
-  let rec dfs session prefix =
-    if !halted then ()
-    else if !fired >= max_fired then truncated := true
-    else begin
-      let depth = List.length prefix in
-      if depth > !max_depth then max_depth := depth;
-      if Session.finished session then begin
-        incr terminal;
-        record_history ~terminal_run:true (Session.sim session)
-      end
-      else
-        let crash_choices = List.length (Session.crash_candidates session) in
-        match Session.enabled_events session with
-        | [] when crash_choices = 0 ->
-            incr stuck;
-            record_history (Session.sim session)
-        | evs ->
-            let width = List.length evs + crash_choices in
-            advance session 0;
-            dfs session (prefix @ [ 0 ]);
-            for i = 1 to width - 1 do
-              if (not !halted) && !fired < max_fired then
-                dfs (replay (prefix @ [ i ])) (prefix @ [ i ])
-            done
-    end
-  in
-  dfs (fresh_session ()) [];
-  {
-    terminal_runs = !terminal;
-    distinct_histories = Hashtbl.length distinct;
-    stuck_runs = !stuck;
-    fired_events = !fired;
-    exhaustive = (not !truncated) && not !halted;
-    max_depth = !max_depth;
-    ws_safe_violations = List.rev !safe_bad;
-    ws_regular_violations = List.rev !regular_bad;
-    first_violation_at = !first_violation;
-  }
+include Make (Session)

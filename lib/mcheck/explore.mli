@@ -3,11 +3,13 @@
     Where the fuzzer samples schedules and the scripted adversary
     replays one known-bad schedule, this module enumerates {e all}
     schedules of a small scenario by depth-first search with replay:
-    every branch re-executes the run from a fresh simulator, following
-    a recorded prefix of event choices and then diverging.  On tiny
+    every branch re-executes the run from a fresh model, following a
+    recorded prefix of choices and then diverging.  On tiny
     configurations the search is exhaustive, upgrading "no violation
     found" from a sampling statement to a proof over the bounded
-    scenario.
+    scenario.  The search is written once ({!Make}) and runs on the
+    simulator ({!Session}, {!run}) and on the network ({!Net_model});
+    it is the reference the DPOR engine ({!Dpor}) is tested against.
 
     Scenario semantics: each client runs its operations in program
     order; an operation is invoked eagerly as soon as the client is
@@ -66,47 +68,12 @@ val emulation_scenario :
   unit ->
   scenario
 
-(** A live run of a scenario that can be advanced one chosen transition
-    at a time, auto-invoking eligible script operations after every
-    event.  The brute-force search below and the DPOR engine
-    ({!Dpor}) both drive scenarios through this interface. *)
-module Session : sig
-  type t
-
-  (** Fresh run, with the initially eligible operations invoked. *)
-  val create : scenario -> t
-
-  val sim : t -> Sim.t
-  val calls : t -> Sim.call list
-
-  (** [advance t idx] fires the [idx]-th choice: indices below the
-      number of enabled simulator events fire that event; the rest
-      index into {!crash_candidates}.  Auto-invokes afterwards. *)
-  val advance : t -> int -> unit
-
-  (** Every scripted operation invoked and returned. *)
-  val finished : t -> bool
-
-  (** Servers that may still be crashed, in choice order — empty once
-      the scenario's crash budget is spent. *)
-  val crash_candidates : t -> Id.Server.t list
-
-  val enabled_events : t -> Sim.event list
-
-  (** Number of choices available now (events + crashes). *)
-  val width : t -> int
-
-  (** [replay scenario prefix] rebuilds a run and advances it through
-      [prefix] — choices are deterministic, so this reproduces the
-      state exactly. *)
-  val replay : scenario -> int list -> t
-end
-
 type result = {
   terminal_runs : int;  (** complete schedules explored *)
   distinct_histories : int;
-      (** semantically distinct high-level histories among the
-          terminal runs — usually far fewer than the schedules *)
+      (** distinct terminal states among the terminal and stuck runs —
+          the length of [state_fingerprints], usually far fewer than
+          the schedules *)
   stuck_runs : int;  (** schedules ending with no enabled event *)
   fired_events : int;  (** total events fired across all replays *)
   exhaustive : bool;  (** the whole space was covered within budget *)
@@ -115,12 +82,36 @@ type result = {
   ws_regular_violations : History.t list;
   first_violation_at : int option;
       (** total fired events when the first violation surfaced *)
+  state_fingerprints : string list;
+      (** sorted {!Model.judge} fingerprints, the key {!Dpor} counts
+          [distinct_states] by; for DPOR-vs-brute-force equivalence
+          checks *)
 }
 
 val result_pp : result Fmt.t
 
-(** [run scenario ~max_fired] explores depth-first until done or until
-    [max_fired] events have been fired in total.  With
-    [~stop_on_violation:true] the search also stops at the first
-    violating run (useful as a bug-finding mode). *)
+(** The brute-force search, over any {!Model.S}: a depth-first search
+    that fires every choice at every state. *)
+module Make (M : Model.S) : sig
+  (** [run scenario ~max_fired] explores depth-first until done or
+      until [max_fired] events have been fired in total.  With
+      [~stop_on_violation:true] the search also stops at the first
+      violating run (useful as a bug-finding mode). *)
+  val run : ?stop_on_violation:bool -> M.scenario -> max_fired:int -> result
+end
+
+(** The simulator model: a live run of a scenario, auto-invoking
+    eligible script operations after every event.  Its choices are the
+    enabled simulator events, then crashing each server still correct
+    while the scenario's crash budget lasts.  A [Step] writes its
+    client and the history component; a [Respond] accumulates into its
+    client and writes its object.  Both engines search it: {!run}
+    below and {!Dpor.run}. *)
+module Session : sig
+  include Model.S with type scenario = scenario
+
+  val sim : t -> Sim.t
+end
+
+(** [Make (Session).run]. *)
 val run : ?stop_on_violation:bool -> scenario -> max_fired:int -> result

@@ -81,7 +81,7 @@ module Net_fuzz = Regemu_netsim.Net_fuzz
 (** {1 Systematic schedule exploration} *)
 
 module Explore = Regemu_mcheck.Explore
-module Net_explore = Regemu_mcheck.Net_explore
+module Net_model = Regemu_mcheck.Net_model
 
 (** {1 Applications} *)
 

@@ -25,25 +25,26 @@ let scenario ?(mode = Explore.Sequential) ?(p = p1) factory ~writer_ops
   Explore.emulation_scenario factory p ~mode ~writer_ops ~readers ~reads_each
     ()
 
-(* DPOR must reach exactly the terminal/verdict states brute force
-   reaches, while executing no more transitions. *)
+(* DPOR must reach exactly the terminal/verdict states the brute-force
+   search reaches, while firing no more transitions (its replays
+   included).  Shared with the Net differentials. *)
+let check_reduction name (b : Explore.result) (d : Dpor.stats) =
+  Alcotest.(check bool) (name ^ ": dpor exhaustive") true d.Dpor.exhaustive;
+  Alcotest.(check bool) (name ^ ": brute exhaustive") true b.Explore.exhaustive;
+  Alcotest.(check (list string))
+    (name ^ ": identical terminal states")
+    b.Explore.state_fingerprints d.Dpor.state_fingerprints;
+  Alcotest.(check bool)
+    (name ^ ": dpor fires no more transitions")
+    true
+    (d.Dpor.explored + d.Dpor.replayed <= b.Explore.fired_events)
+
 let check_dpor_vs_brute name factory ~writer_ops ~readers ~reads_each
     ~max_explored =
   let sc () = scenario factory ~writer_ops ~readers ~reads_each () in
   let d = Dpor.run ~check_invariants:false (sc ()) ~max_explored in
-  let b =
-    Dpor.run ~dpor:false ~sleep:false ~check_invariants:false (sc ())
-      ~max_explored
-  in
-  Alcotest.(check bool) (name ^ ": dpor exhaustive") true d.Dpor.exhaustive;
-  Alcotest.(check bool) (name ^ ": brute exhaustive") true b.Dpor.exhaustive;
-  Alcotest.(check (list string))
-    (name ^ ": identical terminal states")
-    b.Dpor.state_fingerprints d.Dpor.state_fingerprints;
-  Alcotest.(check bool)
-    (name ^ ": dpor explores a subset")
-    true
-    (d.Dpor.explored <= b.Dpor.explored);
+  let b = Explore.run (sc ()) ~max_fired:max_explored in
+  check_reduction name b d;
   (d, b)
 
 let dpor_tests =
@@ -56,7 +57,7 @@ let dpor_tests =
         in
         Alcotest.(check bool)
           "dpor strictly smaller" true
-          (d.Dpor.explored < b.Dpor.explored);
+          (d.Dpor.explored + d.Dpor.replayed < b.Explore.fired_events);
         Alcotest.(check int) "no ws-safe violations" 0 d.Dpor.ws_safe_violations;
         Alcotest.(check int)
           "no ws-regular violations" 0 d.Dpor.ws_regular_violations);
@@ -224,7 +225,7 @@ let abd_cert () =
         crashes = 0;
         max_explored = 500_000;
       }
-    ~dpor:true ~sleep:true stats
+    stats
 
 let cert_tests =
   [
@@ -252,9 +253,22 @@ let cert_tests =
         (match Cert.of_json (Regemu_obs.Json.Obj [ ("schema", Regemu_obs.Json.Str "nope/9") ]) with
         | Ok _ -> Alcotest.fail "wrong schema accepted"
         | Error _ -> ());
-        match Cert.of_json (Regemu_obs.Json.Obj [ ("schema", Regemu_obs.Json.Str "regemu-cert/1") ]) with
+        (match Cert.of_json (Regemu_obs.Json.Obj [ ("schema", Regemu_obs.Json.Str "regemu-cert/1") ]) with
         | Ok _ -> Alcotest.fail "empty certificate accepted"
         | Error _ -> ());
+        (* only the reduced search certifies *)
+        match Cert.to_json (abd_cert ()) with
+        | Regemu_obs.Json.Obj fields -> (
+            let unreduced =
+              List.map
+                (fun (k, v) ->
+                  (k, if k = "dpor" then Regemu_obs.Json.Bool false else v))
+                fields
+            in
+            match Cert.of_json (Regemu_obs.Json.Obj unreduced) with
+            | Ok _ -> Alcotest.fail "\"dpor\": false accepted"
+            | Error _ -> ())
+        | _ -> Alcotest.fail "certificate is not an object");
   ]
 
 (* --- coverage bitmap ----------------------------------------------------- *)
