@@ -561,14 +561,31 @@ let explore_cmd =
       max_explored = budget;
     }
   in
+  (* the search's cost, on stdout only: [fired] counts every transition
+     fired, [replayed] of them the ones re-fired to rebuild a state *)
+  let timed_search f =
+    let t0 = Sys.time () in
+    let r = f () in
+    (r, Sys.time () -. t0)
+  in
+  let print_search_cost ~cpu_s ~fired ~replayed =
+    Fmt.pr
+      "search: %.3f CPU s, %.0f transitions fired per CPU s, \
+       replayed/explored %.3f@."
+      cpu_s
+      (float_of_int fired /. Float.max cpu_s 1e-6)
+      (float_of_int replayed /. float_of_int (max 1 (fired - replayed)))
+  in
   let run_exhaustive (name, factory) p ~eager ~crashes ~ops_each ~budget
       ~cert_out ~json =
     let scenario = scenario_of factory p ~eager ~crashes ~ops_each in
     (* the naive baseline violates the pending-write invariants by
        design; keep the checks for the algorithms that promise them *)
     let check_invariants = name <> "naive-reg" in
-    let stats =
-      Regemu_mcheck.Dpor.run ~check_invariants scenario ~max_explored:budget
+    let stats, cpu_s =
+      timed_search (fun () ->
+          Regemu_mcheck.Dpor.run ~check_invariants scenario
+            ~max_explored:budget)
     in
     Fmt.pr "explore --exhaustive %s at %a:@.%a@." name Params.pp p
       Regemu_mcheck.Dpor.stats_pp stats;
@@ -578,6 +595,9 @@ let explore_cmd =
         stats
     in
     Fmt.pr "%a@." Regemu_explore.Cert.pp cert;
+    print_search_cost ~cpu_s
+      ~fired:(stats.explored + stats.replayed)
+      ~replayed:stats.replayed;
     let cert_json = Regemu_explore.Cert.to_json cert in
     List.iter
       (fun path ->
@@ -696,13 +716,15 @@ let explore_cmd =
     end
   in
   let run_brute (name, factory) p ~eager ~crashes ~ops_each ~budget =
-    let r =
-      Regemu_mcheck.Explore.run
-        (scenario_of factory p ~eager ~crashes ~ops_each)
-        ~max_fired:budget
+    let r, cpu_s =
+      timed_search (fun () ->
+          Regemu_mcheck.Explore.run
+            (scenario_of factory p ~eager ~crashes ~ops_each)
+            ~max_fired:budget)
     in
     Fmt.pr "explore %s at %a: %a@." name Params.pp p
       Regemu_mcheck.Explore.result_pp r;
+    print_search_cost ~cpu_s ~fired:r.fired_events ~replayed:r.replayed;
     let witnesses label =
       List.iter (fun h ->
           Fmt.pr "%s violating schedule:@.%a@." label

@@ -6,89 +6,98 @@ type violation = { at : int; client : Id.Client.t; detail : string }
 let violation_pp ppf v =
   Fmt.pf ppf "at t=%d, client %a: %s" v.at Id.Client.pp v.client v.detail
 
-let is_write = function Base_object.Write _ -> true | _ -> false
+(* [a] itself when index [i] fits, else a copy grown to hold it with
+   room to spare *)
+let grow a i fill =
+  if i < Array.length a then a
+  else begin
+    let b = Array.make (max (2 * Array.length a) (i + 8)) fill in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+  end
 
-(* fold over the trace maintaining, per (client, object), the number of
-   pending writes; call [check] after every entry *)
-let scan tr ~check =
-  let pending : (int * int, int) Hashtbl.t = Hashtbl.create 32 in
-  (* pending write count per client (all objects) *)
-  let per_client : (int, int) Hashtbl.t = Hashtbl.create 8 in
-  let owner_of_lop : (int, int * int) Hashtbl.t = Hashtbl.create 32 in
-  let time = ref 0 in
-  let error = ref None in
-  Trace.iter
-    (fun entry ->
-      incr time;
-      if !error = None then begin
-        (match entry with
-        | Trace.Trigger { lid; client; obj; op } when is_write op ->
-            let key = (Id.Client.to_int client, Id.Obj.to_int obj) in
-            Hashtbl.replace owner_of_lop (Id.Lop.to_int lid) key;
-            Hashtbl.replace pending key
-              (Option.value ~default:0 (Hashtbl.find_opt pending key) + 1);
-            Hashtbl.replace per_client
-              (Id.Client.to_int client)
-              (Option.value ~default:0
-                 (Hashtbl.find_opt per_client (Id.Client.to_int client))
-              + 1)
-        | Trace.Respond { lid; op; _ } when is_write op -> (
-            match Hashtbl.find_opt owner_of_lop (Id.Lop.to_int lid) with
-            | Some ((c, _) as key) ->
-                Hashtbl.replace pending key
-                  (Option.value ~default:0 (Hashtbl.find_opt pending key) - 1);
-                Hashtbl.replace per_client c
-                  (Option.value ~default:0 (Hashtbl.find_opt per_client c) - 1)
-            | None -> ())
-        | _ -> ());
-        match check ~time:!time ~entry ~pending ~per_client with
-        | None -> ()
-        | Some v -> error := Some v
-      end)
-    tr;
-  match !error with None -> Ok () | Some v -> Error v
+module Monitor = struct
+  type t = {
+    f : int;
+    mutable seen : int;  (* entries observed: the time of the last one *)
+    mutable pending : int array array;
+        (* pending low-level writes, per client and object *)
+    mutable single : (unit, violation) result;
+    mutable at_return : (unit, violation) result;
+  }
 
-(* Counts grow only at a write [Trigger], and the scan stops at the
-   first violation, so the first count above one is always on the key
-   that entry just incremented: checking that key alone finds it. *)
-let single_pending_write_per_writer_register tr =
-  scan tr ~check:(fun ~time ~entry ~pending ~per_client:_ ->
-      match entry with
-      | Trace.Trigger { client; obj; op; _ } when is_write op ->
-          let count =
-            Hashtbl.find pending
-              (Id.Client.to_int client, Id.Obj.to_int obj)
-          in
-          if count > 1 then
-            Some
+  let create ~f =
+    { f; seen = 0; pending = [||]; single = Ok (); at_return = Ok () }
+
+  (* add [d] to the pending writes of [client] on [obj]; returns the new
+     count.  A respond carries its trigger's client and object, so no
+     per-lop table is needed. *)
+  let bump m client obj d =
+    let c = Id.Client.to_int client and o = Id.Obj.to_int obj in
+    m.pending <- grow m.pending c [||];
+    let r = grow m.pending.(c) o 0 in
+    m.pending.(c) <- r;
+    r.(o) <- r.(o) + d;
+    r.(o)
+
+  let feed m entry =
+    m.seen <- m.seen + 1;
+    match entry with
+    | Trace.Trigger { client; obj; op = Base_object.Write _; _ } ->
+        (* counts grow only here, so the first count above one is on
+           the key this entry just incremented *)
+        let n = bump m client obj 1 in
+        if n > 1 && Result.is_ok m.single then
+          m.single <-
+            Error
               {
-                at = time;
+                at = m.seen;
                 client;
                 detail =
-                  Fmt.str "%d of its writes pending on %a simultaneously"
-                    count Id.Obj.pp obj;
+                  Fmt.str "%d of its writes pending on %a simultaneously" n
+                    Id.Obj.pp obj;
               }
-          else None
-      | _ -> None)
-
-let max_pending_writes_at_return tr ~f =
-  scan tr ~check:(fun ~time ~entry ~pending:_ ~per_client ->
-      match entry with
-      | Trace.Return (c, Trace.H_write _, _) ->
-          let n =
-            Option.value ~default:0
-              (Hashtbl.find_opt per_client (Id.Client.to_int c))
-          in
-          if n > f then
-            Some
+    | Trace.Respond { client; obj; op = Base_object.Write _; _ } ->
+        ignore (bump m client obj (-1))
+    | Trace.Return (client, Trace.H_write _, _) ->
+        (* write returns are rare: summing the row is cheaper than
+           keeping a per-client count on every trigger and respond *)
+        let c = Id.Client.to_int client in
+        let n =
+          if c < Array.length m.pending then
+            Array.fold_left ( + ) 0 m.pending.(c)
+          else 0
+        in
+        if n > m.f && Result.is_ok m.at_return then
+          m.at_return <-
+            Error
               {
-                at = time;
-                client = c;
+                at = m.seen;
+                client;
                 detail =
                   Fmt.str
                     "write returned with %d of its low-level writes pending \
                      (> f = %d)"
-                    n f;
+                    n m.f;
               }
-          else None
-      | _ -> None)
+    | _ -> ()
+
+  let observe m tr =
+    for i = m.seen to Trace.time tr - 1 do
+      feed m (Trace.get tr i)
+    done
+
+  let single_pending m = m.single
+  let pending_at_return m = m.at_return
+end
+
+let fold tr ~f verdict =
+  let m = Monitor.create ~f in
+  Monitor.observe m tr;
+  verdict m
+
+let single_pending_write_per_writer_register tr =
+  fold tr ~f:max_int Monitor.single_pending
+
+let max_pending_writes_at_return tr ~f =
+  fold tr ~f Monitor.pending_at_return

@@ -11,7 +11,10 @@
     - {!max_pending_writes_at_return}: when a high-level write returns,
       its writer has at most [f] of its own low-level writes pending —
       the "leaves no more than f covered registers" obligation from the
-      paper's upper-bound argument (Observation 3). *)
+      paper's upper-bound argument (Observation 3).
+
+    Both are stated once, as the incremental {!Monitor}; the offline
+    checks are folds of it over a whole trace. *)
 
 open Regemu_objects
 open Regemu_sim
@@ -19,6 +22,25 @@ open Regemu_sim
 type violation = { at : int; client : Id.Client.t; detail : string }
 
 val violation_pp : violation Fmt.t
+
+(** Both invariants in one pass over a growing trace, on int-array
+    counters of pending low-level writes per client and per
+    (client, object).  Each verdict is the first violation of its
+    invariant ([at] is the violating entry's time), or [Ok ()]. *)
+module Monitor : sig
+  type t
+
+  (** [f] is the bound {!pending_at_return} checks. *)
+  val create : f:int -> t
+
+  (** [observe m tr] feeds [m] the entries [tr] recorded since the last
+      call (all of them on the first).  [tr] must be the one trace [m]
+      has been observing, grown since. *)
+  val observe : t -> Trace.t -> unit
+
+  val single_pending : t -> (unit, violation) result
+  val pending_at_return : t -> (unit, violation) result
+end
 
 val single_pending_write_per_writer_register :
   Trace.t -> (unit, violation) result

@@ -73,6 +73,9 @@ let clock_add (v : clock) d : clock =
     r
   end
 
+(* a thread's clock; a thread that has not run yet has the empty one *)
+let clock_of th cv = Option.value ~default:clock_empty (TMap.find_opt th cv)
+
 module CMap = Map.Make (struct
   type t = comp
 
@@ -115,7 +118,6 @@ type node = {
   mutable cur_sleep : footprint list;
   mutable executed : int;  (* children actually fired from here *)
   (* set while one child subtree is active *)
-  mutable exec_idx : int;
   mutable exec_comps : (comp * access) list;
       (* refined post-execution footprint *)
   mutable exec_thread : thread;
@@ -207,11 +209,7 @@ module Make (M : Model.S) = struct
        enabled — the conservative patch that keeps the reduction
        sound). *)
     let race_detect d (t : footprint) =
-      let vt =
-        match TMap.find_opt t.thread (stack_get d).cv with
-        | Some v -> v
-        | None -> clock_empty
-      in
+      let vt = clock_of t.thread (stack_get d).cv in
       let rec scan i =
         if i >= 0 then begin
           let ni = stack_get i in
@@ -239,20 +237,15 @@ module Make (M : Model.S) = struct
       in
       scan (d - 1)
     in
-    (* execute descs.(idx) on [session] positioned at depth [d]'s state,
+    (* execute choice [t] on [session] positioned at depth [d]'s state,
        updating node [nd]'s exec fields; returns the child's snapshots *)
-    let execute nd d session idx =
-      let t = nd.descs.(idx) in
-      M.advance session idx;
+    let execute nd d session (t : footprint) =
+      M.fire session t.thread;
       let step = M.last_step session in
       incr explored;
       (* the event's clock: its thread's past, the last writers of its
          components, the global clock, and itself *)
-      let base =
-        match TMap.find_opt t.thread nd.cv with
-        | Some v -> v
-        | None -> clock_empty
-      in
+      let base = clock_of t.thread nd.cv in
       let v =
         List.fold_left
           (fun vacc (c, a) ->
@@ -271,7 +264,6 @@ module Make (M : Model.S) = struct
           t.comps
         @ List.map (fun c -> (Cclient c, Write)) step.invoked
       in
-      nd.exec_idx <- idx;
       nd.exec_comps <- exec_comps;
       nd.exec_thread <- t.thread;
       (* child snapshots *)
@@ -279,13 +271,7 @@ module Make (M : Model.S) = struct
       let cv =
         List.fold_left
           (fun acc c ->
-            let th = Client c in
-            let old =
-              match TMap.find_opt th acc with
-              | Some w -> w
-              | None -> clock_empty
-            in
-            TMap.add th (clock_join old v) acc)
+            TMap.add (Client c) (clock_join (clock_of (Client c) acc) v) acc)
           cv step.invoked
       in
       let cv =
@@ -295,9 +281,8 @@ module Make (M : Model.S) = struct
         List.fold_left
           (fun acc (c, a) ->
             let w, all =
-              match CMap.find_opt c acc with
-              | Some p -> p
-              | None -> (clock_empty, clock_empty)
+              Option.value ~default:(clock_empty, clock_empty)
+                (CMap.find_opt c acc)
             in
             let entry =
               match a with
@@ -316,15 +301,13 @@ module Make (M : Model.S) = struct
       nd.executed <- nd.executed + 1;
       (cv, clast, gclock, sleep')
     in
-    let prefix_of d =
-      let rec go i acc =
-        if i < 0 then acc else go (i - 1) ((stack_get i).exec_idx :: acc)
-      in
-      go (d - 1) []
-    in
-    let replay prefix =
+    (* a fresh run re-firing the threads executed at depths [0, d) *)
+    let replay d =
       let s = M.create scenario in
-      List.iter (M.advance s) prefix;
+      for i = 0 to d - 1 do
+        M.fire s (stack_get i).exec_thread
+      done;
+      replayed := !replayed + d;
       s
     in
     let rec explore session d ~cv ~clast ~gclock ~sleep_in =
@@ -352,7 +335,6 @@ module Make (M : Model.S) = struct
                 done_ = TSet.empty;
                 cur_sleep = sleep_in;
                 executed = 0;
-                exec_idx = -1;
                 exec_comps = [];
                 exec_thread = Client (-1);
               }
@@ -384,26 +366,18 @@ module Make (M : Model.S) = struct
                     end
                     else if !explored >= max_explored then truncated := true
                     else begin
-                      let idx = ref (-1) in
-                      Array.iteri
-                        (fun i (t : footprint) ->
-                          if !idx < 0 && thread_equal t.thread th then idx := i)
-                        nd.descs;
-                      let s =
-                        if !fresh then session
-                        else begin
-                          let prefix = prefix_of d in
-                          replayed := !replayed + List.length prefix;
-                          replay prefix
-                        end
+                      let t =
+                        Option.get
+                          (Array.find_opt
+                             (fun (t : footprint) -> thread_equal t.thread th)
+                             nd.descs)
                       in
+                      let s = if !fresh then session else replay d in
                       fresh := false;
-                      let cv', clast', gclock', sleep' =
-                        execute nd d s !idx
-                      in
+                      let cv', clast', gclock', sleep' = execute nd d s t in
                       explore s (d + 1) ~cv:cv' ~clast:clast' ~gclock:gclock'
                         ~sleep_in:sleep';
-                      nd.cur_sleep <- nd.descs.(!idx) :: nd.cur_sleep;
+                      nd.cur_sleep <- t :: nd.cur_sleep;
                       loop ()
                     end
             in

@@ -46,6 +46,7 @@ type result = {
   distinct_histories : int;
   stuck_runs : int;
   fired_events : int;
+  replayed : int;
   exhaustive : bool;
   max_depth : int;
   ws_safe_violations : History.t list;
@@ -66,6 +67,7 @@ let result_pp ppf r =
 module Make (M : Model.S) = struct
   let run ?(stop_on_violation = false) scenario ~max_fired =
     let fired = ref 0 in
+    let replayed = ref 0 in
     let truncated = ref false in
     let halted = ref false in
     let distinct : (string, unit) Hashtbl.t = Hashtbl.create 64 in
@@ -75,64 +77,65 @@ module Make (M : Model.S) = struct
     let safe_bad = ref [] in
     let regular_bad = ref [] in
     let first_violation = ref None in
-    let keep_violation store h =
-      if !first_violation = None then first_violation := Some !fired;
-      if List.length !store < 3 then store := h :: !store
+    (* keeps the first few violating histories; true on a violation *)
+    let keep_violation store h = function
+      | Ws_check.Violated _ ->
+          if !first_violation = None then first_violation := Some !fired;
+          if List.length !store < 3 then store := h :: !store;
+          true
+      | Ws_check.Holds | Ws_check.Vacuous -> false
     in
-    let advance s idx =
-      M.advance s idx;
+    let fire s th =
+      M.fire s th;
       incr fired
     in
-    let replay prefix =
-      let s = M.create scenario in
-      List.iter (advance s) prefix;
-      s
+    (* [path] is newest first *)
+    let rec replay_onto s = function
+      | [] -> ()
+      | th :: older ->
+          replay_onto s older;
+          fire s th
     in
     let record s ~stuck =
       let h = M.history s in
       let vs, vr, key = Model.judge h ~stuck in
       Hashtbl.replace distinct key ();
-      let violated = ref false in
-      (match vs with
-      | Ws_check.Violated _ ->
-          violated := true;
-          keep_violation safe_bad h
-      | Ws_check.Holds | Ws_check.Vacuous -> ());
-      (match vr with
-      | Ws_check.Violated _ ->
-          violated := true;
-          keep_violation regular_bad h
-      | Ws_check.Holds | Ws_check.Vacuous -> ());
-      if stop_on_violation && !violated then halted := true
+      let unsafe = keep_violation safe_bad h vs in
+      let irregular = keep_violation regular_bad h vr in
+      if stop_on_violation && (unsafe || irregular) then halted := true
     in
-    (* [s] is live and positioned at [prefix]; the first child is
-       explored by advancing it in place (saving one replay per node),
-       the siblings by replaying their prefixes from scratch. *)
-    let rec dfs s prefix =
+    (* [s] is live and positioned at [path], [depth] choices long; the
+       first child is explored by firing it in place (saving one replay
+       per node), the siblings by replaying their paths from scratch. *)
+    let rec dfs s path depth =
       if !halted then ()
       else if !fired >= max_fired then truncated := true
       else begin
-        let depth = List.length prefix in
         if depth > !max_depth then max_depth := depth;
         if M.finished s then begin
           incr terminal;
           record s ~stuck:false
         end
         else
-          match M.width s with
-          | 0 ->
+          match M.choices s with
+          | [||] ->
               incr stuck;
               record s ~stuck:true
-          | width ->
-              advance s 0;
-              dfs s (prefix @ [ 0 ]);
-              for i = 1 to width - 1 do
-                if (not !halted) && !fired < max_fired then
-                  dfs (replay (prefix @ [ i ])) (prefix @ [ i ])
+          | cs ->
+              fire s cs.(0).thread;
+              dfs s (cs.(0).thread :: path) (depth + 1);
+              for i = 1 to Array.length cs - 1 do
+                if (not !halted) && !fired < max_fired then begin
+                  let s' = M.create scenario in
+                  replay_onto s' path;
+                  replayed := !replayed + depth;
+                  fire s' cs.(i).thread;
+                  dfs s' (cs.(i).thread :: path) (depth + 1)
+                end
               done
       end
     in
-    dfs (M.create scenario) [];
+    dfs (M.create scenario) [] 0;
     let fingerprints =
       List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) distinct [])
     in
@@ -141,6 +144,7 @@ module Make (M : Model.S) = struct
       distinct_histories = List.length fingerprints;
       stuck_runs = !stuck;
       fired_events = !fired;
+      replayed = !replayed;
       exhaustive = (not !truncated) && not !halted;
       max_depth = !max_depth;
       ws_safe_violations = List.rev !safe_bad;
@@ -163,6 +167,7 @@ module Session = struct
     mutable calls : Sim.call list;
     mutable invoked : int list;  (* by the last step, newest first *)
     mutable time_before : int;  (* trace time when the last step began *)
+    monitor : Invariants.Monitor.t;  (* fed the trace after every step *)
   }
 
   let invoke t c hop =
@@ -214,9 +219,11 @@ module Session = struct
         calls = [];
         invoked = [];
         time_before = 0;
+        monitor = Invariants.Monitor.create ~f:scenario.params.f;
       }
     in
     auto_invoke t;
+    Invariants.Monitor.observe t.monitor (Sim.trace sim);
     t
 
   let sim t = t.sim
@@ -233,9 +240,6 @@ module Session = struct
         (fun s -> not (Sim.server_crashed t.sim s))
         (Sim.servers t.sim)
     else []
-
-  let width t =
-    List.length (Sim.enabled t.sim) + List.length (crash_candidates t)
 
   (* a respond accumulates into its client's response set and writes
      its object *)
@@ -271,14 +275,16 @@ module Session = struct
     in
     Array.of_list (events @ crashes)
 
-  let advance t idx =
+  let fire t th =
     t.time_before <- Sim.now t.sim;
     t.invoked <- [];
-    let evs = Sim.enabled t.sim in
-    let n_ev = List.length evs in
-    if idx < n_ev then Sim.fire t.sim (List.nth evs idx)
-    else Sim.crash_server t.sim (List.nth (crash_candidates t) (idx - n_ev));
-    auto_invoke t
+    (match th with
+    | Model.Client c -> Sim.fire t.sim (Sim.Step (Id.Client.of_int c))
+    | Job l -> Sim.fire t.sim (Sim.Respond (Id.Lop.of_int l))
+    | Crash s ->
+        Model.fire_crash (crash_candidates t) (Sim.crash_server t.sim) s);
+    auto_invoke t;
+    Invariants.Monitor.observe t.monitor (Sim.trace t.sim)
 
   let last_step t =
     let recorded = ref false in
@@ -295,14 +301,13 @@ module Session = struct
   let history t = History.of_trace (Sim.trace t.sim)
 
   let invariants t =
-    let tr = Sim.trace t.sim in
     List.filter_map
       (function
         | Ok () -> None
         | Error v -> Some (Fmt.str "invariant: %a" Invariants.violation_pp v))
       [
-        Invariants.single_pending_write_per_writer_register tr;
-        Invariants.max_pending_writes_at_return tr ~f:t.scenario.params.f;
+        Invariants.Monitor.single_pending t.monitor;
+        Invariants.Monitor.pending_at_return t.monitor;
       ]
 end
 

@@ -76,6 +76,9 @@ type result = {
           the schedules *)
   stuck_runs : int;  (** schedules ending with no enabled event *)
   fired_events : int;  (** total events fired across all replays *)
+  replayed : int;
+      (** of those, the events re-fired to rebuild a state; the rest
+          are the search tree's edges *)
   exhaustive : bool;  (** the whole space was covered within budget *)
   max_depth : int;
   ws_safe_violations : History.t list;  (** first few violating runs *)
@@ -105,8 +108,10 @@ end
     enabled simulator events, then crashing each server still correct
     while the scenario's crash budget lasts.  A [Step] writes its
     client and the history component; a [Respond] accumulates into its
-    client and writes its object.  Both engines search it: {!run}
-    below and {!Dpor.run}. *)
+    client and writes its object.  It feeds every step's trace entries
+    to an {!Regemu_history.Invariants.Monitor}, so its [invariants] at a
+    terminal state read the monitor's verdicts.  Both engines search
+    it: {!run} below and {!Dpor.run}. *)
 module Session : sig
   include Model.S with type scenario = scenario
 

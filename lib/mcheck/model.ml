@@ -1,11 +1,13 @@
 (** The transition system the search engines run over.
 
     A model is a scenario that can be started fresh and advanced one
-    chosen transition at a time.  The brute-force search
-    ({!Explore.Make}) needs only the number of choices at a state; the
-    DPOR engine ({!Dpor.Make}) also needs each choice's {e footprint} —
-    which thread fires it and which state components it touches — and
-    what a fired step actually did.
+    chosen transition at a time.  A choice is named by its {!thread}:
+    no thread has two choices at one state, so a search records and
+    replays a schedule as the threads it fired.  The brute-force search
+    ({!Explore.Make}) needs only the threads of the choices at a state;
+    the DPOR engine ({!Dpor.Make}) also needs each choice's {e
+    footprint} — which state components it touches — and what a fired
+    step actually did.
 
     Two models implement {!S}: {!Explore.Session} over the
     shared-memory simulator and {!Net_model} over the message-passing
@@ -51,6 +53,16 @@ let client_step c =
 
 let crash s = { thread = Crash s; comps = [] }
 
+(** [fire_crash candidates crash s] crashes server [s] if it is one of
+    the [candidates], and raises [Invalid_argument] otherwise: both
+    simulators' own crash is a no-op on a crashed server, so a replay
+    that crashed one twice would pass unnoticed. *)
+let fire_crash candidates crash s =
+  let s = Id.Server.of_int s in
+  if not (List.exists (Id.Server.equal s) candidates) then
+    invalid_arg "Model.fire: crash not available";
+  crash s
+
 (** What a fired choice did. *)
 type step = {
   recorded : bool;  (** it recorded a high-level invoke or return *)
@@ -65,19 +77,17 @@ module type S = sig
   (** Fresh run, with the initially eligible operations invoked. *)
   val create : scenario -> t
 
-  (** Number of choices available now; [0] at a stuck state. *)
-  val width : t -> int
-
-  (** The footprints of the choices available now, in choice order. *)
+  (** The footprints of the choices available now, in choice order;
+      empty at a stuck state. *)
   val choices : t -> footprint array
 
-  (** [advance t idx] fires the [idx]-th choice and invokes the
-      operations that became eligible.  Choices are deterministic, so
-      replaying a prefix of indices on a fresh run reproduces the
-      state exactly. *)
-  val advance : t -> int -> unit
+  (** [fire t th] fires [th]'s choice and invokes the operations that
+      became eligible.  Choices are deterministic, so firing a recorded
+      sequence of threads on a fresh run reproduces the state exactly.
+      Raises [Invalid_argument] if [th] has no choice now. *)
+  val fire : t -> thread -> unit
 
-  (** What the last {!advance} did.  Separate from it so that replays,
+  (** What the last {!fire} did.  Separate from it so that replays,
       which fire most transitions, skip the bookkeeping. *)
   val last_step : t -> step
 

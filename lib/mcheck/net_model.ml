@@ -78,9 +78,6 @@ let crash_candidates t =
     correct
   else []
 
-let width t =
-  List.length (Net.enabled t.net) + List.length (crash_candidates t)
-
 let choices t =
   (* enabled deliveries come in flight order, a subsequence of
      [Net.flight]'s, so one forward walk finds each destination *)
@@ -113,14 +110,14 @@ let choices t =
 let returned t =
   List.fold_left (fun n c -> if Net.call_returned c then n + 1 else n) 0 t.calls
 
-let advance t idx =
+let fire t th =
   t.sent_before <- Net.sent t.net;
   t.returned_before <- returned t;
   t.invoked <- [];
-  let evs = Net.enabled t.net in
-  let n_ev = List.length evs in
-  if idx < n_ev then Net.fire t.net (List.nth evs idx)
-  else Net.crash_server t.net (List.nth (crash_candidates t) (idx - n_ev));
+  (match th with
+  | Model.Client c -> Net.fire t.net (Net.Step (Id.Client.of_int c))
+  | Job mid -> Net.fire t.net (Net.Deliver mid)
+  | Crash s -> Model.fire_crash (crash_candidates t) (Net.crash_server t.net) s);
   auto_invoke t
 
 let last_step t =

@@ -50,7 +50,7 @@ let entry_pp ppf = function
 
 type t = { mutable entries : entry array; mutable len : int }
 
-let create () = { entries = Array.make 256 (Client_crash (Id.Client.of_int 0)); len = 0 }
+let create () = { entries = Array.make 32 (Client_crash (Id.Client.of_int 0)); len = 0 }
 let time t = t.len
 
 let record t e =

@@ -128,47 +128,80 @@ let dpor_tests =
           true (ratio >= 0.3));
     test "search is pinned on the capped one-crash Algorithm 2 scenario"
       (fun () ->
-        (* Algorithm 2, n=3, f=1, one crash, 1 writer x 2 writes, 1
-           reader x 2 reads, capped at 10000 transitions, invariants
-           on.  Fingerprint equality with brute force cannot see a
-           clock bug that loses pruning or plants extra backtrack
-           points; these counters can. *)
-        let r =
-          Dpor.run
-            (Explore.emulation_scenario Regemu_core.Algorithm2.factory p1
-               ~mode:Explore.Sequential ~crashes:1
-               ~writer_ops:[ [ Value.Int 1001; Value.Int 1002 ] ]
-               ~readers:1 ~reads_each:2 ())
-            ~max_explored:10_000
+        (* n=3, f=1, one crash, 1 writer x 2 writes, capped at 10000
+           transitions, invariants on.  Fingerprint equality with brute
+           force cannot see a clock bug that loses pruning or plants
+           extra backtrack points; these counters can.  Algorithm 2 (1
+           reader x 2 reads, sequential) keeps the invariants; the naive
+           register (1 reader x 1 read, eager) double-pends a register
+           on 1881 terminal runs, so the invariant checks cannot go
+           quiet unnoticed. *)
+        let pinned ~name factory ~mode ~writer_ops ~reads_each ~want
+            ~want_first =
+          let r =
+            Dpor.run
+              (Explore.emulation_scenario factory p1 ~mode ~crashes:1
+                 ~writer_ops:[ writer_ops ] ~readers:1 ~reads_each ())
+              ~max_explored:10_000
+          in
+          let got =
+            [
+              ("explored", r.Dpor.explored);
+              ("replayed", r.Dpor.replayed);
+              ("pruned", r.Dpor.pruned);
+              ("sleep_skipped", r.Dpor.sleep_skipped);
+              ("terminal_runs", r.Dpor.terminal_runs);
+              ("stuck_runs", r.Dpor.stuck_runs);
+              ("distinct_states", r.Dpor.distinct_states);
+              ("max_depth", r.Dpor.max_depth);
+              ("invariant_violations", r.Dpor.invariant_violations);
+            ]
+          in
+          Alcotest.(check (list (pair string int)))
+            (name ^ ": every search counter") want got;
+          Alcotest.(check (option string))
+            (name ^ ": first violation") want_first r.Dpor.first_violation;
+          Alcotest.(check bool)
+            (name ^ ": capped, not exhaustive")
+            false r.Dpor.exhaustive
         in
-        let got =
-          [
-            ("explored", r.Dpor.explored);
-            ("replayed", r.Dpor.replayed);
-            ("pruned", r.Dpor.pruned);
-            ("sleep_skipped", r.Dpor.sleep_skipped);
-            ("terminal_runs", r.Dpor.terminal_runs);
-            ("stuck_runs", r.Dpor.stuck_runs);
-            ("distinct_states", r.Dpor.distinct_states);
-            ("max_depth", r.Dpor.max_depth);
-            ("invariant_violations", r.Dpor.invariant_violations);
-          ]
-        in
-        Alcotest.(check (list (pair string int)))
-          "every search counter"
-          [
-            ("explored", 10000);
-            ("replayed", 53694);
-            ("pruned", 5276);
-            ("sleep_skipped", 470);
-            ("terminal_runs", 2710);
-            ("stuck_runs", 0);
-            ("distinct_states", 1);
-            ("max_depth", 24);
-            ("invariant_violations", 0);
-          ]
-          got;
-        Alcotest.(check bool) "capped, not exhaustive" false r.Dpor.exhaustive);
+        pinned ~name:"algorithm2" Regemu_core.Algorithm2.factory
+          ~mode:Explore.Sequential
+          ~writer_ops:[ Value.Int 1001; Value.Int 1002 ]
+          ~reads_each:2
+          ~want:
+            [
+              ("explored", 10000);
+              ("replayed", 53694);
+              ("pruned", 5276);
+              ("sleep_skipped", 470);
+              ("terminal_runs", 2710);
+              ("stuck_runs", 0);
+              ("distinct_states", 1);
+              ("max_depth", 24);
+              ("invariant_violations", 0);
+            ]
+          ~want_first:None;
+        pinned ~name:"naive-reg" Regemu_baselines.Naive_reg.factory
+          ~mode:Explore.Eager
+          ~writer_ops:[ Value.Int 1; Value.Int 2 ]
+          ~reads_each:1
+          ~want:
+            [
+              ("explored", 10000);
+              ("replayed", 43862);
+              ("pruned", 5141);
+              ("sleep_skipped", 430);
+              ("terminal_runs", 2759);
+              ("stuck_runs", 0);
+              ("distinct_states", 1);
+              ("max_depth", 20);
+              ("invariant_violations", 1881);
+            ]
+          ~want_first:
+            (Some
+               "invariant: at t=30, client c0: 2 of its writes pending on b2 \
+                simultaneously"));
     test "terminal fingerprints are pinned byte for byte" (fun () ->
         (* pairs, booleans, escaped strings, negative ints and v0 all
            reach the fingerprint; both the clean and the violating

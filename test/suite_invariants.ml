@@ -233,6 +233,62 @@ let reference_single_pending tr =
     tr;
   match !error with None -> Ok () | Some v -> Error v
 
+(* The pending-at-return scan as it was before the incremental
+   monitor: per-(client, object) and per-client counts in tuple-keyed
+   tables, the owner of every write looked up by its lop. *)
+let reference_pending_at_return tr ~f =
+  let is_write = function Base_object.Write _ -> true | _ -> false in
+  let per_client : (int, int) Hashtbl.t = Hashtbl.create 8 in
+  let owner_of_lop : (int, int) Hashtbl.t = Hashtbl.create 32 in
+  let count c = Option.value ~default:0 (Hashtbl.find_opt per_client c) in
+  let time = ref 0 in
+  let error = ref None in
+  Trace.iter
+    (fun entry ->
+      incr time;
+      if !error = None then
+        match entry with
+        | Trace.Trigger { lid; client; op; _ } when is_write op ->
+            let c = Id.Client.to_int client in
+            Hashtbl.replace owner_of_lop (Id.Lop.to_int lid) c;
+            Hashtbl.replace per_client c (count c + 1)
+        | Trace.Respond { lid; op; _ } when is_write op -> (
+            match Hashtbl.find_opt owner_of_lop (Id.Lop.to_int lid) with
+            | Some c -> Hashtbl.replace per_client c (count c - 1)
+            | None -> ())
+        | Trace.Return (client, Trace.H_write _, _)
+          when count (Id.Client.to_int client) > f ->
+            error :=
+              Some
+                {
+                  Invariants.at = !time;
+                  client;
+                  detail =
+                    Fmt.str
+                      "write returned with %d of its low-level writes \
+                       pending (> f = %d)"
+                      (count (Id.Client.to_int client))
+                      f;
+                }
+        | _ -> ())
+    tr;
+  match !error with None -> Ok () | Some v -> Error v
+
+(* [tr] copied into a fresh trace in random chunks (some empty), the
+   monitor observing the copy after each *)
+let monitor_in_chunks tr ~f ~seed =
+  let rng = Random.State.make [| seed |] in
+  let m = Invariants.Monitor.create ~f in
+  let copy = Trace.create () in
+  while Trace.time copy < Trace.time tr do
+    let upto = min (Trace.time tr) (Trace.time copy + Random.State.int rng 8) in
+    for i = Trace.time copy to upto - 1 do
+      Trace.record copy (Trace.get tr i)
+    done;
+    Invariants.Monitor.observe m copy
+  done;
+  (Invariants.Monitor.single_pending m, Invariants.Monitor.pending_at_return m)
+
 (* k=2, so the naive register does double-pend under a uniform
    schedule; Algorithm 2 never does *)
 let random_trace ~use_alg2 ~seed =
@@ -255,14 +311,28 @@ let differential_tests =
          QCheck.(pair bool (int_range 0 1_000_000))
          (fun (use_alg2, seed) ->
            let tr = random_trace ~use_alg2 ~seed in
-           let got = Invariants.single_pending_write_per_writer_register tr in
-           let want = reference_single_pending tr in
-           if got = want then true
-           else
-             let pp =
-               Fmt.result ~ok:(Fmt.any "Ok") ~error:Invariants.violation_pp
-             in
-             QCheck.Test.fail_reportf "got %a, reference %a" pp got pp want));
+           (* at f=1 the naive register's returns violate on most
+              seeds and Algorithm 2's never; at f=0 both violate *)
+           let f = seed mod 2 in
+           let want_single = reference_single_pending tr in
+           let want_return = reference_pending_at_return tr ~f in
+           let got_single, got_return = monitor_in_chunks tr ~f ~seed in
+           let pp =
+             Fmt.result ~ok:(Fmt.any "Ok") ~error:Invariants.violation_pp
+           in
+           let agree label got want =
+             got = want
+             || QCheck.Test.fail_reportf "%s: got %a, reference %a" label pp
+                  got pp want
+           in
+           agree "single-pending scan"
+             (Invariants.single_pending_write_per_writer_register tr)
+             want_single
+           && agree "pending-at-return scan"
+                (Invariants.max_pending_writes_at_return tr ~f)
+                want_return
+           && agree "monitor single-pending" got_single want_single
+           && agree "monitor pending-at-return" got_return want_return));
     test "the differential's naive traces do violate" (fun () ->
         let violating =
           List.filter

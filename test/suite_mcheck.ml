@@ -214,6 +214,43 @@ let crash_tests =
           with_c.terminal_runs);
   ]
 
+(* --- the fire contract ------------------------------------------------ *)
+
+(* A model's [fire] rejects a thread with no choice now, so a replay bug
+   cannot pass unnoticed: a job already fired, a crash of a crashed
+   server, a crash past the budget.  [s] is a fresh run with a job
+   enabled and a crash budget of two. *)
+let check_fire_contract (type t) (module M : Model.S with type t = t) (s : t)
+    =
+  let rejects label th =
+    match M.fire s th with
+    | () -> Alcotest.failf "%s: fired" label
+    | exception Invalid_argument _ -> ()
+  in
+  let is_job (c : Model.footprint) =
+    match c.thread with Model.Job _ -> true | Client _ | Crash _ -> false
+  in
+  match Array.find_opt is_job (M.choices s) with
+  | None -> Alcotest.fail "no job enabled on the fresh run"
+  | Some { thread = job; _ } ->
+      M.fire s job;
+      rejects "a job already fired" job;
+      M.fire s (Model.Crash 0);
+      rejects "a crashed server" (Model.Crash 0);
+      M.fire s (Model.Crash 1);
+      rejects "a crash past the budget" (Model.Crash 2)
+
+let fire_tests =
+  [
+    test "fire rejects a thread with no choice now" (fun () ->
+        check_fire_contract
+          (module Explore.Session)
+          (Explore.Session.create
+             (Explore.emulation_scenario Regemu_core.Algorithm2.factory p1
+                ~mode:Explore.Sequential ~crashes:2
+                ~writer_ops:[ [ Value.Str "a" ] ]
+                ~readers:0 ~reads_each:0 ())));
+  ]
 
 let determinism_tests =
   [
@@ -237,5 +274,6 @@ let suites =
     ("mcheck:search", search_tests);
     ("mcheck:features", feature_tests);
     ("mcheck:crashes", crash_tests);
+    ("mcheck:fire", fire_tests);
     ("mcheck:determinism", determinism_tests);
   ]

@@ -105,6 +105,11 @@ let net_explore_tests =
         Alcotest.(check bool) "stuck found" true (r.stuck_runs > 0);
         Alcotest.(check int) "but never unsafe" 0
           (List.length r.ws_safe_violations));
+    test "fire rejects a thread with no choice now" (fun () ->
+        Suite_mcheck.check_fire_contract
+          (module Net_model)
+          (Net_model.create
+             (scenario ~crashes:2 (Net_scenario.abd ~write_back:false))));
   ]
 
 let suites = [ ("net-explore", net_explore_tests) ]
