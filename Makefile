@@ -108,4 +108,6 @@ clean:
 	dune clean
 
 loc:
+	@printf '%8d non-blank lines in lib/ + bin/\n' \
+	  "$$(find lib bin \( -name '*.ml' -o -name '*.mli' \) | xargs cat | grep -cv '^[[:space:]]*$$')"
 	@find . \( -name '*.ml' -o -name '*.mli' \) -not -path './_build/*' | xargs wc -l | tail -1

@@ -54,138 +54,77 @@ let default_config ~seed =
 let effective_backend ?sched cfg =
   match sched with Some _ -> Threads | None -> cfg.backend
 
-type t =
+type fabric =
   | C of Transport_courier.t
   | D of Transport_domains.t
   | S of Transport_socket.t
 
+(* every control and counter lives in the shared control plane; only
+   the data plane is dispatched *)
+type t = { ctl : Transport_intf.control; fabric : fabric }
+
 let create ?sched ?sink ?server_regs cfg ~servers ~deliver =
   match effective_backend ?sched cfg with
-  | Threads -> C (Transport_courier.create ?sched ?sink cfg ~servers ~deliver)
-  | Domains -> D (Transport_domains.create ?sink cfg ~servers ~deliver)
+  | Threads ->
+      let x = Transport_courier.create ?sched ?sink cfg ~servers ~deliver in
+      { ctl = x.ctl; fabric = C x }
+  | Domains ->
+      let x = Transport_domains.create ?sink cfg ~servers ~deliver in
+      { ctl = x.ctl; fabric = D x }
   | Socket ->
-      S
-        (Transport_socket.create ?sink cfg ~servers ~deliver
-           ~server_regs:(Option.value server_regs ~default:(fun _ -> 0)))
+      let x =
+        Transport_socket.create ?sink cfg ~servers ~deliver
+          ~server_regs:(Option.value server_regs ~default:(fun _ -> 0))
+      in
+      { ctl = x.ctl; fabric = S x }
 
-let backend = function C _ -> Threads | D _ -> Domains | S _ -> Socket
+let backend t =
+  match t.fabric with C _ -> Threads | D _ -> Domains | S _ -> Socket
 
-let start = function
+let start t =
+  match t.fabric with
   | C x -> Transport_courier.start x
   | D x -> Transport_domains.start x
   | S x -> Transport_socket.start x
 
 let send t env =
-  match t with
+  match t.fabric with
   | C x -> Transport_courier.send x env
   | D x -> Transport_domains.send x env
   | S x -> Transport_socket.send x env
 
 let set_server_up t ~server v =
-  match t with
+  match t.fabric with
   | C _ -> ()  (* courier delivery is up-agnostic: the mailbox gates *)
   | D x -> Transport_domains.set_server_up x ~server v
   | S x -> Transport_socket.set_server_up x ~server v
 
-let split t ~groups ~clients_with =
-  match t with
-  | C x -> Transport_courier.split x ~groups ~clients_with
-  | D x -> Transport_domains.split x ~groups ~clients_with
-  | S x -> Transport_socket.split x ~groups ~clients_with
-
-let heal = function
-  | C x -> Transport_courier.heal x
-  | D x -> Transport_domains.heal x
-  | S x -> Transport_socket.heal x
-
-let set_drop t ?requests ?replies () =
-  match t with
-  | C x -> Transport_courier.set_drop x ?requests ?replies ()
-  | D x -> Transport_domains.set_drop x ?requests ?replies ()
-  | S x -> Transport_socket.set_drop x ?requests ?replies ()
-
-let reachable t ~server =
-  match t with
-  | C x -> Transport_courier.reachable x ~server
-  | D x -> Transport_domains.reachable x ~server
-  | S x -> Transport_socket.reachable x ~server
-
-let set_slow t ~server us =
-  match t with
-  | C x -> Transport_courier.set_slow x ~server us
-  | D x -> Transport_domains.set_slow x ~server us
-  | S x -> Transport_socket.set_slow x ~server us
-
-let slow_us t ~server =
-  match t with
-  | C x -> Transport_courier.slow_us x ~server
-  | D x -> Transport_domains.slow_us x ~server
-  | S x -> Transport_socket.slow_us x ~server
-
-let freeze t ~server =
-  match t with
-  | C x -> Transport_courier.freeze x ~server
-  | D x -> Transport_domains.freeze x ~server
-  | S x -> Transport_socket.freeze x ~server
-
-let thaw t ~server =
-  match t with
-  | C x -> Transport_courier.thaw x ~server
-  | D x -> Transport_domains.thaw x ~server
-  | S x -> Transport_socket.thaw x ~server
-
-let frozen t ~server =
-  match t with
-  | C x -> Transport_courier.frozen x ~server
-  | D x -> Transport_domains.frozen x ~server
-  | S x -> Transport_socket.frozen x ~server
-
-let heal_gray = function
-  | C x -> Transport_courier.heal_gray x
-  | D x -> Transport_domains.heal_gray x
-  | S x -> Transport_socket.heal_gray x
-
-let stop = function
+let stop t =
+  match t.fabric with
   | C x -> Transport_courier.stop x
   | D x -> Transport_domains.stop x
   | S x -> Transport_socket.stop x
 
-let lanes = function
+let lanes t =
+  match t.fabric with
   | C x -> Transport_courier.lanes x
   | D x -> Transport_domains.lanes x
   | S x -> Transport_socket.lanes x
 
-let sent = function
-  | C x -> Transport_courier.sent x
-  | D x -> Transport_domains.sent x
-  | S x -> Transport_socket.sent x
-
-let delivered = function
-  | C x -> Transport_courier.delivered x
-  | D x -> Transport_domains.delivered x
-  | S x -> Transport_socket.delivered x
-
-let duplicated = function
-  | C x -> Transport_courier.duplicated x
-  | D x -> Transport_domains.duplicated x
-  | S x -> Transport_socket.duplicated x
-
-let delayed = function
-  | C x -> Transport_courier.delayed x
-  | D x -> Transport_domains.delayed x
-  | S x -> Transport_socket.delayed x
-
-let slowed = function
-  | C x -> Transport_courier.slowed x
-  | D x -> Transport_domains.slowed x
-  | S x -> Transport_socket.slowed x
-
-let dropped = function
-  | C x -> Transport_courier.dropped x
-  | D x -> Transport_domains.dropped x
-  | S x -> Transport_socket.dropped x
-
-let cut = function
-  | C x -> Transport_courier.cut x
-  | D x -> Transport_domains.cut x
-  | S x -> Transport_socket.cut x
+let split t = Transport_intf.split t.ctl
+let heal t = Transport_intf.heal t.ctl
+let set_drop t = Transport_intf.set_drop t.ctl
+let reachable t = Transport_intf.reachable t.ctl
+let set_slow t = Transport_intf.set_slow t.ctl
+let slow_us t = Transport_intf.slow_us t.ctl
+let freeze t = Transport_intf.freeze t.ctl
+let thaw t = Transport_intf.thaw t.ctl
+let frozen t = Transport_intf.frozen t.ctl
+let heal_gray t = Transport_intf.heal_gray t.ctl
+let sent t = Transport_intf.sent t.ctl
+let delivered t = Transport_intf.delivered t.ctl
+let duplicated t = Transport_intf.duplicated t.ctl
+let delayed t = Transport_intf.delayed t.ctl
+let slowed t = Transport_intf.slowed t.ctl
+let dropped t = Transport_intf.dropped t.ctl
+let cut t = Transport_intf.cut t.ctl

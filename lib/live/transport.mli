@@ -1,84 +1,85 @@
-(** The live message fabric behind a pluggable backend seam: one
-    nemesis-ready network API, three implementations.
+(** The live message fabric: one nemesis-ready network API, one fault
+    model, three backends that differ only in how messages move.
+
+    {2 The fault model}
+
+    The faults of the paper's asynchronous model are injected on every
+    backend by the same code ({!Transport_intf}).  Each envelope is
+    decided in two steps, with draws from a seeded per-lane RNG in a
+    fixed order:
+
+    + {e admit}: an envelope whose link server (its destination, or for
+      a reply its source) is on the far side of a partition
+      ({!split} / {!heal}) is {e cut}; otherwise it is {e dropped}
+      with the current request or reply rate ([drop_prob], adjustable
+      with {!set_drop}); otherwise it is {e duplicated} with
+      [dup_prob] (at-least-once delivery; the protocol layer must
+      tolerate it).  Drops and cuts lose the message for good: the
+      client layer retransmits ({!Retry}).
+    + {e hold}, for each surviving copy: a random {e delay} of up to
+      [max_delay_us] with [delay_prob], plus the link's {e gray
+      slowness} ({!set_slow}) — the replica is slow, not dead.
+
+    Beyond the per-envelope decision, {e reorder} lets a lane pick a
+    random queued envelope instead of the oldest, and a {e stutter}
+    freezes a server's request lane ({!freeze} / {!thaw}): queued
+    requests wait, nothing is lost, and replies the server already
+    produced still flow.  Every fault is counted ({!cut}, {!dropped},
+    {!duplicated}, {!delayed}, {!slowed}) and traced as a [msg] point
+    event on the deciding lane's recorder.
+
+    Messages to a {e crashed but reachable} server wait — in its
+    mailbox or its parked lane — indistinguishable from an arbitrarily
+    slow server, exactly the asynchronous model's treatment of
+    crashes.
+
+    {2 The backends}
 
     {ul
-    {- [Threads] (the default): the seeded in-process courier fabric
-       described below — deterministic per lane, DST-replayable, and
-       the backend every existing digest was recorded against.}
-    {- [Domains]: each server lane is its own OCaml 5 [Domain.t]
-       draining a lock-free MPSC ring ({!Mpsc}); a send is one atomic
-       exchange, with no lock or condvar on the path, and the lane's
-       domain doubles as the server's execution context.  Fault
-       rates and seeds are honoured, but decisions are made by the
-       consuming domain, so runs are {e not} DST-replayable; delivery
-       delays are served head-of-line, preserving per-destination
-       FIFO.}
+    {- [Threads] (the default): the seeded in-process courier fabric,
+       sharded into per-destination {e lanes} — one per server plus
+       one for all client-bound replies (or a single shared lane with
+       [sharded = false]).  Each lane has its own lock, condition
+       variable, ring buffer ({!Ringbuf}), seeded RNG and pool of
+       [couriers] threads.  [send] admits under the lane lock; the
+       couriers drain in batches, draw each envelope's hold, and
+       deliver.  A courier holding a delayed envelope sleeps while its
+       lane's other couriers deliver past it, so with [couriers = 1] a
+       lane serialises its holds: one slow server's replies then delay
+       every reply on the client lane (on a 2-vCPU VM, a 50 ms slow
+       link on one server held the other servers' replies about 50 ms
+       with one courier, and under 1 ms with two).  When a lane is idle and nothing needs
+       holding, [send] delivers on the calling thread (without
+       [reorder], or unscheduled), so [deliver] must be safe to call
+       from courier {e and} sending threads.  Each lane's fault stream
+       is a pure function of the seed and its send order: this is the
+       deterministic backend, and the only one a {!Sched_hook} can
+       drive — a scheduler forces it regardless of the configured
+       backend ({!effective_backend}).}
+    {- [Domains]: each server lane is an OCaml 5 [Domain.t] draining
+       a lock-free MPSC ring ({!Mpsc}); a send is one atomic exchange,
+       and the lane's domain doubles as the server's execution
+       context.  A server lane decides its requests' faults and serves
+       their holds head-of-line, preserving per-destination FIFO.  A
+       reply is decided, and held, on the sending thread — the
+       replying server's own domain — so a slow server holds only its
+       own replies.  Decisions draw from the lane RNGs but the
+       interleaving is the machine's: runs are {e not}
+       DST-replayable.}
     {- [Socket]: each server is a forked process of the current
        executable speaking the length-prefixed binary {!Codec} over a
-       Unix-domain socketpair (TCP-ready framing).  Crash injection
-       SIGKILLs the process; restarts exec a fresh image, so recovery
-       is inherently amnesiac, and in-kernel bytes die with the child
-       (real message loss, absorbed by the retry layer).  [reorder]
-       is ignored: a stream socket is FIFO.  Executables hosting this
-       backend must call {!Transport_socket.child_check} first thing
-       in [main].}}
+       Unix-domain socketpair (TCP-ready framing).  A per-server
+       writer thread decides request faults before writing to the
+       child; a reader thread decides reply faults before delivering.
+       [reorder] is ignored: a stream socket is FIFO.  Crash injection
+       SIGKILLs the process and in-kernel bytes die with it (real
+       message loss); restarts exec a fresh image, so recovery is
+       inherently amnesiac.  Executables hosting this backend must
+       call {!Transport_socket.child_check} first thing in [main].}}
 
-    A {!Sched_hook} forces the [Threads] backend regardless of the
-    configured one ({!effective_backend}): the deterministic scheduler
-    owns all concurrency in a DST run, and only the courier fabric
-    cooperates with it.
-
-    The [Threads] backend: an asynchronous, reordering, duplicating,
-    delaying — and, when asked, lossy and partitionable — network made
-    of real threads, sharded into per-destination {e lanes}.
-
-    [send] enqueues an envelope into the lane of its destination: one
-    lane per server plus one lane for all client-bound replies (or a
-    single shared lane with [sharded = false]).  Each lane has its own
-    lock, condition variable, array-backed ring buffer ({!Ringbuf}),
-    seeded RNG, and dedicated pool of {e courier} threads — so
-    concurrent RPCs to different servers, and the replies streaming
-    back, never contend on a common lock.  Couriers drain their lane in
-    batches (one lock acquisition per batch) and hand each envelope to
-    the [deliver] callback supplied at creation.
-
-    The faults of the paper's asynchronous model are injected here,
-    with configurable rates drawn from each lane's deterministic RNG:
-
-    - {e reorder}: couriers pick a random queued envelope (an O(1)
-      pick-and-swap on the ring buffer) instead of the oldest;
-    - {e delay}: a courier sleeps before delivering, holding exactly
-      the envelopes it drew delays for — its lane's other couriers
-      keep delivering past it;
-    - {e duplicate}: an envelope is enqueued twice (at-least-once
-      delivery; the protocol layer must tolerate it);
-    - {e drop}: a send is discarded at the lane, so delivery is
-      at-most-once and the client layer must retransmit ({!Retry});
-    - {e partition}: a dynamic reachability map over servers
-      ({!split} / {!heal}); an envelope whose server-side endpoint is
-      in a different group than the clients is cut, in both
-      directions;
-    - {e gray slowness}: a per-server added delivery delay
-      ({!set_slow}) applied to every envelope whose link touches that
-      server, in both directions — the replica is slow, not dead;
-    - {e stutter}: a server's request lane can be frozen and thawed
-      ({!freeze} / {!thaw}); queued requests wait, nothing is lost,
-      and replies the server already produced still flow.
-
-    When [reorder] is off and a lane is completely idle (no backlog,
-    no in-flight delivery), [send] delivers on the calling thread —
-    the same FIFO order with two context switches fewer.  [deliver]
-    must therefore be safe to call from courier threads {e and} from
-    sending threads.
-
-    Determinism: each lane's fault stream is a pure function of the
-    seed and that lane's send order, so single-threaded (or otherwise
-    externally ordered) traffic replays exactly.
-
-    Messages to a {e crashed but reachable} server still wait in its
-    mailbox, indistinguishable from an arbitrarily slow server —
-    exactly the asynchronous model's treatment of crashes.  Drops and
-    cuts, by contrast, lose the message for good. *)
+    {!sent} counts an envelope after admission on [Threads], and at
+    [send] on the other two (where admission happens later, off the
+    sending thread); duplicates count on every backend. *)
 
 type backend = Transport_intf.backend = Threads | Domains | Socket
 
@@ -129,8 +130,8 @@ type t
     delivery delays elapse in virtual time ({!Sched_hook}) — and the
     backend is forced to [Threads].  With [sink] ({!Sink.none} by
     default), every lane records sampled
-    [send]/[recv]/[drop]/[cut]/[dup]/[delay] point events on its own
-    trace recorder and the message counters below register in the
+    [send]/[recv]/[drop]/[cut]/[dup]/[delay]/[slow] point events on
+    its own trace recorder and the message counters below register in the
     metrics registry.  [server_regs] (used by the [Socket] backend
     only) reports the parent-side register-cell count of a server, so
     freshly spawned or restarted children can mirror parent-side
@@ -191,7 +192,9 @@ val reachable : t -> server:int -> bool
 
 (** [set_slow t ~server us] adds [us] microseconds to the delivery of
     every envelope on [server]'s link (requests to it and replies
-    from it); [0] heals the link.  Raises [Invalid_argument] on a
+    from it); [0] heals the link.  Only that link's envelopes wait,
+    except on a [Threads] lane with [couriers = 1], which serialises
+    its holds.  Raises [Invalid_argument] on a
     negative delay or an out-of-range server. *)
 val set_slow : t -> server:int -> int -> unit
 

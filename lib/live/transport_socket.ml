@@ -113,62 +113,36 @@ type slot = {
 }
 
 type t = {
-  cfg : config;
-  deliver : envelope -> unit;
-  nservers : int;
+  ctl : control;
   server_regs : int -> int;  (* parent-side register count, per server *)
   slots : slot array;
-  state : net_state Atomic.t;
   up : bool Atomic.t array;
-  stopped : bool Atomic.t;
-  sent : int Atomic.t;
-  duplicated : int Atomic.t;
-  delayed : int Atomic.t;
-  slowed : int Atomic.t;
-  dropped : int Atomic.t;
-  cut : int Atomic.t;
-  delivered : int Atomic.t;
 }
 
 let create ?(sink = Sink.none) cfg ~servers ~deliver ~server_regs =
-  validate_config cfg;
-  if servers < 1 then invalid_arg "Transport.create: need >= 1 server";
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  {
-    cfg;
-    deliver;
-    nservers = servers;
-    server_regs;
-    slots =
-      Array.init servers (fun i ->
-          {
-            server = i;
-            outq = Mpsc.create ();
-            wrng = Regemu_sim.Rng.create (cfg.seed + ((i + 1) * 0x9e3779b9));
-            rrng = Regemu_sim.Rng.create (cfg.seed + ((i + 1) * 0x85ebca6b));
-            lrec = Sink.recorder sink ~name:(Fmt.str "sock-s%d" i);
-            child = Atomic.make None;
-            child_regs = 0;
-            writer = None;
-            readers = [];
-            rm = Mutex.create ();
-            old_fds = [];
-          });
-    state = Atomic.make (initial_state cfg);
-    up = Array.init servers (fun _ -> Atomic.make true);
-    stopped = Atomic.make false;
-    sent = Sink.counter sink ~help:"envelopes accepted for delivery" "transport.sent";
-    duplicated = Sink.counter sink ~help:"envelopes duplicated in flight" "transport.duplicated";
-    delayed = Sink.counter sink ~help:"envelopes held by a delivery delay" "transport.delayed";
-    slowed = Sink.counter sink ~help:"envelopes held by a gray slow link" "transport.slowed";
-    dropped = Sink.counter sink ~help:"envelopes lost to the drop rates" "transport.dropped";
-    cut = Sink.counter sink ~help:"envelopes lost to a partition" "transport.cut";
-    delivered = Sink.counter sink ~help:"envelopes handed to their destination" "transport.delivered";
-  }
-
-let msg_point slot name env =
-  if Sink.sample_msg slot.lrec then
-    Sink.instant slot.lrec ~cat:"msg" ~args:(env_args env) name
+  let slots =
+    Array.init servers (fun i ->
+        {
+          server = i;
+          outq = Mpsc.create ();
+          wrng = Regemu_sim.Rng.create (cfg.seed + ((i + 1) * 0x9e3779b9));
+          rrng = Regemu_sim.Rng.create (cfg.seed + ((i + 1) * 0x85ebca6b));
+          lrec = Sink.recorder sink ~name:(Fmt.str "sock-s%d" i);
+          child = Atomic.make None;
+          child_regs = 0;
+          writer = None;
+          readers = [];
+          rm = Mutex.create ();
+          old_fds = [];
+        })
+  in
+  let ctl =
+    control ~sink cfg ~servers ~deliver ~wake:(fun s ->
+        Mpsc.wake slots.(s).outq)
+  in
+  let up = Array.init servers (fun _ -> Atomic.make true) in
+  { ctl; server_regs; slots; up }
 
 let spawn_child t slot =
   let parent_end, child_end =
@@ -226,30 +200,14 @@ let await_magic fd =
   go ()
 
 let reader_loop t slot fd =
+  let c = t.ctl in
+  let out = hand c slot.lrec in
   let rec loop () =
     match Codec.read_msg fd with
     | None -> ()  (* EOF: the child died or we are stopping *)
     | Some (Codec.Ensure_regs _) -> loop ()  (* children never send these *)
     | Some (Codec.Env env) ->
-        let st = Atomic.get t.state in
-        if not (reachable_of st ~server:env.src) then begin
-          Atomic.incr t.cut;
-          msg_point slot "cut" env
-        end
-        else if hit slot.rrng st.drop_replies then begin
-          Atomic.incr t.dropped;
-          msg_point slot "drop" env
-        end
-        else begin
-          let slow_us = slow_of st ~server:env.src in
-          if slow_us > 0 then begin
-            Atomic.incr t.slowed;
-            Thread.delay (float_of_int slow_us *. 1e-6)
-          end;
-          t.deliver env;
-          Atomic.incr t.delivered;
-          msg_point slot "recv" env
-        end;
+        forward c ~rng:slot.rrng ~lrec:slot.lrec (Atomic.get c.state) env out;
         loop ()
   in
   (* a SIGKILL mid-frame surfaces as a malformed tail — expected *)
@@ -267,7 +225,7 @@ let add_reader t slot fd =
 
 let slot_gated t slot =
   (not (Atomic.get t.up.(slot.server)))
-  || frozen_of (Atomic.get t.state) ~server:slot.server
+  || frozen_of (Atomic.get t.ctl.state) ~server:slot.server
   || Atomic.get slot.child = None
 
 (* one attempted frame write; a dead or dying child loses the message,
@@ -277,63 +235,34 @@ let try_write t slot msg =
   | None -> ()
   | Some c -> (
       try Codec.write_msg c.fd msg
-      with Unix.Unix_error _ ->
-        Atomic.incr t.dropped)
+      with Unix.Unix_error _ -> Atomic.incr t.ctl.dropped)
+
+(* hand one request copy to the child, forwarding any parent-side
+   register growth first so the child can step a Reg_* request the
+   parent just set up *)
+let write_env t slot env =
+  let want = t.server_regs slot.server in
+  if want > slot.child_regs then begin
+    try_write t slot (Codec.Ensure_regs want);
+    slot.child_regs <- want
+  end;
+  try_write t slot (Codec.Env env)
 
 let writer_loop t slot =
+  let c = t.ctl in
+  let out = write_env t slot in
   let ready () =
-    Atomic.get t.stopped
+    Atomic.get c.stopped
     || ((not (Mpsc.is_empty slot.outq)) && not (slot_gated t slot))
   in
-  while not (Atomic.get t.stopped) do
+  while not (Atomic.get c.stopped) do
     if Mpsc.is_empty slot.outq || slot_gated t slot then
       Mpsc.park slot.outq ~ready
-    else begin
+    else
       match Mpsc.try_pop slot.outq with
       | None -> ()
       | Some env ->
-          let st = Atomic.get t.state in
-          if not (reachable_of st ~server:slot.server) then begin
-            Atomic.incr t.cut;
-            msg_point slot "cut" env
-          end
-          else if hit slot.wrng st.drop_requests then begin
-            Atomic.incr t.dropped;
-            msg_point slot "drop" env
-          end
-          else begin
-            let dup = hit slot.wrng t.cfg.dup_prob in
-            if dup then begin
-              Atomic.incr t.sent;
-              Atomic.incr t.duplicated;
-              msg_point slot "dup" env
-            end;
-            let delay_us =
-              if hit slot.wrng t.cfg.delay_prob && t.cfg.max_delay_us > 0
-              then begin
-                Atomic.incr t.delayed;
-                1 + Regemu_sim.Rng.int slot.wrng ~bound:t.cfg.max_delay_us
-              end
-              else 0
-            in
-            let slow_us = slow_of st ~server:slot.server in
-            if slow_us > 0 then Atomic.incr t.slowed;
-            let delay_us = delay_us + slow_us in
-            if delay_us > 0 then
-              Thread.delay (float_of_int delay_us *. 1e-6);
-            (* forward any parent-side register growth first, so the
-               child can step a Reg_* request the parent just set up *)
-            let want = t.server_regs slot.server in
-            if want > slot.child_regs then begin
-              try_write t slot (Codec.Ensure_regs want);
-              slot.child_regs <- want
-            end;
-            try_write t slot (Codec.Env env);
-            for _ = 1 to if dup then 1 else 0 do
-              try_write t slot (Codec.Env env)
-            done
-          end
-    end
+          forward c ~rng:slot.wrng ~lrec:slot.lrec (Atomic.get c.state) env out
   done
 
 (* --- lifecycle ----------------------------------------------------------- *)
@@ -348,26 +277,20 @@ let start t =
     t.slots
 
 let send t env =
-  if not (Atomic.get t.stopped) then begin
+  let c = t.ctl in
+  if not (Atomic.get c.stopped) then begin
     match env.dest with
-    | To_server s when s >= 0 && s < t.nservers ->
-        Atomic.incr t.sent;
-        msg_point t.slots.(s) "send" env;
+    | To_server s when s >= 0 && s < c.nservers ->
+        Atomic.incr c.sent;
+        msg_point t.slots.(s).lrec "send" env;
         Mpsc.push t.slots.(s).outq env
     | To_server _ -> ()
     | To_client _ ->
         (* parent-local: only possible if a layer above loops a reply
            back through the transport — deliver directly *)
-        Atomic.incr t.sent;
-        t.deliver env;
-        Atomic.incr t.delivered
+        Atomic.incr c.sent;
+        hand c None env
   end
-
-let check_server t what server =
-  if server < 0 || server >= t.nservers then
-    invalid_arg
-      (Fmt.str "Transport.%s: server %d out of range [0,%d)" what server
-         t.nservers)
 
 let kill_child slot =
   match Atomic.exchange slot.child None with
@@ -383,14 +306,15 @@ let kill_child slot =
       Mutex.unlock slot.rm
 
 let set_server_up t ~server v =
-  check_server t "set_server_up" server;
+  check_server t.ctl "set_server_up" server;
   let slot = t.slots.(server) in
   if not v then begin
     Atomic.set t.up.(server) false;
     kill_child slot
   end
   else begin
-    if Atomic.get slot.child = None && not (Atomic.get t.stopped) then begin
+    if Atomic.get slot.child = None && not (Atomic.get t.ctl.stopped)
+    then begin
       let c = spawn_child t slot in
       Atomic.set slot.child (Some c);
       add_reader t slot c.fd
@@ -399,62 +323,8 @@ let set_server_up t ~server v =
     Mpsc.wake slot.outq
   end
 
-(* --- hostile-network controls ------------------------------------------- *)
-
-let update_state t f = Atomic.set t.state (f (Atomic.get t.state))
-
-let split t ~groups ~clients_with =
-  let h = groups_table ~groups ~clients_with in
-  update_state t (fun st ->
-      { st with groups = Some h; client_group = clients_with })
-
-let heal t = update_state t (fun st -> { st with groups = None; client_group = 0 })
-
-let set_drop t ?requests ?replies () =
-  Option.iter (check_prob "requests") requests;
-  Option.iter (check_prob "replies") replies;
-  update_state t (fun st ->
-      {
-        st with
-        drop_requests = Option.value ~default:st.drop_requests requests;
-        drop_replies = Option.value ~default:st.drop_replies replies;
-      })
-
-let reachable t ~server = reachable_of (Atomic.get t.state) ~server
-
-let set_slow t ~server us =
-  check_server t "set_slow" server;
-  if us < 0 then invalid_arg "Transport.set_slow: negative delay";
-  update_state t (fun st ->
-      { st with slow = with_cell st.slow t.nservers server us ~default:0 })
-
-let slow_us t ~server =
-  check_server t "slow_us" server;
-  slow_of (Atomic.get t.state) ~server
-
-let set_frozen t ~server v =
-  update_state t (fun st ->
-      { st with frozen = with_cell st.frozen t.nservers server v ~default:false });
-  if not v then Mpsc.wake t.slots.(server).outq
-
-let freeze t ~server =
-  check_server t "freeze" server;
-  set_frozen t ~server true
-
-let thaw t ~server =
-  check_server t "thaw" server;
-  set_frozen t ~server false
-
-let frozen t ~server =
-  check_server t "frozen" server;
-  frozen_of (Atomic.get t.state) ~server
-
-let heal_gray t =
-  update_state t (fun st -> { st with slow = [||]; frozen = [||] });
-  Array.iter (fun slot -> Mpsc.wake slot.outq) t.slots
-
 let stop t =
-  Atomic.set t.stopped true;
+  Atomic.set t.ctl.stopped true;
   Array.iter (fun slot -> Mpsc.wake slot.outq) t.slots;
   Array.iter
     (fun slot ->
@@ -476,11 +346,4 @@ let stop t =
         fds)
     t.slots
 
-let lanes t = t.nservers
-let sent t = Atomic.get t.sent
-let delivered t = Atomic.get t.delivered
-let duplicated t = Atomic.get t.duplicated
-let delayed t = Atomic.get t.delayed
-let slowed t = Atomic.get t.slowed
-let dropped t = Atomic.get t.dropped
-let cut t = Atomic.get t.cut
+let lanes t = t.ctl.nservers

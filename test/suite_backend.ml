@@ -350,6 +350,54 @@ let domains_tests =
         Transport.stop tr);
   ]
 
+(* --- socket faults -------------------------------------------------------- *)
+
+let socket_tests =
+  [
+    test "socket: replies run the same fault decision as requests" (fun () ->
+        (* every envelope is duplicated and every copy delayed: 5
+           queries become 10 request copies, the child answers each,
+           and the 10 replies become 20 copies *)
+        let open Regemu_obs in
+        let trace = Trace.create () in
+        let got = Atomic.make 0 in
+        let tr =
+          Transport.create ~sink:(Sink.make ~trace ())
+            {
+              (Transport.default_config ~seed:21) with
+              backend = Transport.Socket;
+              reorder = false;
+              dup_prob = 1.0;
+              delay_prob = 1.0;
+              max_delay_us = 200;
+            }
+            ~servers:1
+            ~deliver:(fun _ -> Atomic.incr got)
+        in
+        Transport.start tr;
+        for i = 0 to 4 do
+          Transport.send tr
+            { Transport.src = 0; dest = Transport.To_server 0; payload = query i }
+        done;
+        Alcotest.(check bool) "every reply copy delivered" true
+          (settle (fun () -> Atomic.get got) 20);
+        Thread.delay 0.02;
+        Transport.stop tr;
+        Alcotest.(check int) "no extra copies" 20 (Atomic.get got);
+        Alcotest.(check int) "request and reply duplicates" (5 + 10)
+          (Transport.duplicated tr);
+        Alcotest.(check int) "one delay draw per copy" (10 + 20)
+          (Transport.delayed tr);
+        let delay_events =
+          List.length
+            (List.filter
+               (fun (_, (e : Event.t)) -> e.name = "delay")
+               (Trace.events trace))
+        in
+        Alcotest.(check int) "a delay event per held copy" (10 + 20)
+          delay_events);
+  ]
+
 (* --- cluster-level smoke on the new fabrics ------------------------------ *)
 
 let run_spec backend ~chaos ~seed =
@@ -376,6 +424,44 @@ let cluster_tests =
         check_clean "socket quiet" o.Live_bench.check;
         Alcotest.(check int) "every op completed" (3 * 40) o.Live_bench.ops;
         Alcotest.(check bool) "clean" true (Live_bench.clean o));
+    test "socket: ABD under drop, dup and delay completes clean" (fun () ->
+        (* no crash injector: socket restarts are amnesiac, and this
+           test is about the message faults alone *)
+        let cfg =
+          let base = Cluster.default_config ~n:3 ~seed:14 in
+          {
+            base with
+            Cluster.transport =
+              {
+                base.Cluster.transport with
+                Transport.backend = Transport.Socket;
+                drop_prob = 0.05;
+                dup_prob = 0.1;
+                delay_prob = 0.1;
+                max_delay_us = 500;
+              };
+          }
+        in
+        let cluster = Cluster.create cfg in
+        let abd = Abd_live.create cluster ~f:1 () in
+        let w = Cluster.new_client cluster in
+        let r = Cluster.new_client cluster in
+        Cluster.start cluster;
+        let checker = Checker.spawn cluster () in
+        for i = 1 to 20 do
+          Abd_live.write abd w (Value.Int i);
+          ignore (Abd_live.read abd r)
+        done;
+        let res = Checker.stop checker in
+        let st = Cluster.stats cluster in
+        Cluster.shutdown cluster;
+        check_clean "socket message faults" res;
+        Alcotest.(check int) "all 40 ops completed" 40
+          st.Cluster.ops_completed;
+        Alcotest.(check bool) "every fault fired" true
+          (st.Cluster.msgs_dropped > 0
+          && st.Cluster.msgs_duplicated > 0
+          && st.Cluster.msgs_delayed > 0));
     test "socket: one crash/restart (a fresh amnesiac child) stays \
           WS-regular at f=1" (fun () ->
         (* one wiped server of three: every f+1 quorum still touches an
@@ -480,6 +566,7 @@ let suites =
     ("backend.alarm", alarm_tests);
     ("backend.codec", codec_tests);
     ("backend.domains", domains_tests);
+    ("backend.socket", socket_tests);
     ("backend.cluster", cluster_tests);
     ("backend.schema", schema_tests);
   ]

@@ -210,16 +210,25 @@ let hedge_tests =
 
 let query i = Regemu_netsim.Proto.Query { rid = i }
 
-let mk_transport ?(seed = 71) ?(couriers = 2) ~servers deliver =
+let mk_transport ?(seed = 71) ?(couriers = 2) ~backend ~servers deliver =
   let tr =
     Transport.create
-      { (Transport.default_config ~seed) with couriers }
+      { (Transport.default_config ~seed) with couriers; backend }
       ~servers ~deliver
   in
   Transport.start tr;
   tr
 
-let transport_gray_tests =
+let send_query tr ~server i =
+  Transport.send tr
+    { Transport.src = 0; dest = To_server server; payload = query i }
+
+(* The controls run on every backend.  A [Socket] server is a child
+   process that answers each query, so there [deliver] sees the
+   replies — one per query, on the same link. *)
+let transport_gray_tests backend =
+  let test name = test (Transport.backend_name backend ^ ": " ^ name) in
+  let mk_transport = mk_transport ~backend in
   [
     test "set_slow round-trips and validates" (fun () ->
         let tr = mk_transport ~servers:3 ignore in
@@ -243,14 +252,17 @@ let transport_gray_tests =
         Transport.set_slow tr ~server:0 2000;
         let total = 20 in
         for i = 0 to total - 1 do
-          Transport.send tr
-            { Transport.src = 0; dest = To_server 0; payload = query i }
+          send_query tr ~server:0 i
         done;
         Alcotest.(check bool)
           "all delivered despite the slow link" true
           (settle (fun () -> Atomic.get delivered) total);
-        Alcotest.(check int) "every envelope was held" total
-          (Transport.slowed tr);
+        let held =
+          match backend with Transport.Socket -> 2 * total | _ -> total
+        in
+        Alcotest.(check bool) "every envelope was held" true
+          (settle (fun () -> Transport.slowed tr) held);
+        Alcotest.(check int) "and none twice" held (Transport.slowed tr);
         Transport.stop tr);
     test "freeze queues requests, thaw releases the backlog" (fun () ->
         let delivered = Atomic.make 0 in
@@ -263,12 +275,12 @@ let transport_gray_tests =
           "other lanes unaffected" false
           (Transport.frozen tr ~server:1);
         for i = 0 to 9 do
-          Transport.send tr
-            { Transport.src = 0; dest = To_server 0; payload = query i }
+          send_query tr ~server:0 i
         done;
         Thread.delay 0.05;
         Alcotest.(check int) "nothing drains while frozen" 0
           (Atomic.get delivered);
+        (* the backend's wake hook must rouse the parked lane *)
         Transport.thaw tr ~server:0;
         Alcotest.(check bool)
           "backlog delivered after thaw" true
@@ -292,7 +304,97 @@ let transport_gray_tests =
             (Transport.frozen tr ~server:s)
         done;
         Transport.stop tr);
+    test "split/heal and set_drop validate, cut and drop" (fun () ->
+        let delivered = Atomic.make 0 in
+        let tr =
+          mk_transport ~servers:3 (fun _ -> Atomic.incr delivered)
+        in
+        let split groups clients_with () =
+          Transport.split tr ~groups ~clients_with
+        in
+        expect_invalid "no groups" (split [] 0);
+        expect_invalid "clients_with out of range" (split [ [ 0 ]; [ 1 ] ] 2);
+        expect_invalid "overlapping groups" (split [ [ 0; 1 ]; [ 1; 2 ] ] 0);
+        expect_invalid "negative server id" (split [ [ -1 ]; [ 0 ] ] 1);
+        expect_invalid "request rate above 1" (fun () ->
+            Transport.set_drop tr ~requests:1.5 ());
+        expect_invalid "negative reply rate" (fun () ->
+            Transport.set_drop tr ~replies:(-0.1) ());
+        split [ [ 0 ]; [ 1; 2 ] ] 1 ();
+        Alcotest.(check bool) "minority side cut off" false
+          (Transport.reachable tr ~server:0);
+        Alcotest.(check bool) "majority side reachable" true
+          (Transport.reachable tr ~server:1);
+        for i = 0 to 4 do
+          send_query tr ~server:0 i
+        done;
+        Alcotest.(check bool) "sends across the cut are lost" true
+          (settle (fun () -> Transport.cut tr) 5);
+        Transport.heal tr;
+        Alcotest.(check bool) "healed" true (Transport.reachable tr ~server:0);
+        Transport.set_drop tr ~requests:1.0 ();
+        for i = 0 to 4 do
+          send_query tr ~server:1 i
+        done;
+        Alcotest.(check bool) "every request dropped" true
+          (settle (fun () -> Transport.dropped tr) 5);
+        Transport.set_drop tr ~requests:0.0 ();
+        send_query tr ~server:0 99;
+        Alcotest.(check bool) "traffic flows again" true
+          (settle (fun () -> Atomic.get delivered) 1);
+        Alcotest.(check int) "only the last send got through" 1
+          (Atomic.get delivered);
+        Transport.stop tr);
   ]
+
+(* Replies from different servers travel in parallel, as the servers
+   send them: a slow server holds its own replies and nobody else's.
+   (Not [Socket]: there replies come from the server children.) *)
+let slow_reply_test backend =
+  test
+    (Transport.backend_name backend
+   ^ ": a slow server holds only its own replies")
+    (fun () ->
+      let t0 = Unix.gettimeofday () in
+      let arrived = Array.init 3 (fun _ -> Atomic.make infinity) in
+      let tr =
+        mk_transport ~backend ~servers:3 (fun (e : Transport.envelope) ->
+            Atomic.set arrived.(e.src) (Unix.gettimeofday () -. t0))
+      in
+      Transport.set_slow tr ~server:0 100_000;
+      let reply s =
+        Thread.create
+          (fun () ->
+            Transport.send tr
+              {
+                Transport.src = s;
+                dest = To_client 0;
+                payload =
+                  Regemu_netsim.Proto.Query_reply
+                    { rid = s; stored = Value.Int s };
+              })
+          ()
+      in
+      let slow = reply 0 in
+      (* the slow reply is already held when the others are sent *)
+      Thread.delay 0.005;
+      List.iter Thread.join [ slow; reply 1; reply 2 ];
+      Alcotest.(check bool) "all three replies arrive" true
+        (settle
+           (fun () ->
+             Array.fold_left
+               (fun n a -> if Atomic.get a < infinity then n + 1 else n)
+               0 arrived)
+           3);
+      Transport.stop tr;
+      Alcotest.(check bool) "the slow reply was held" true
+        (Atomic.get arrived.(0) >= 0.09);
+      for s = 1 to 2 do
+        if Atomic.get arrived.(s) >= 0.05 then
+          Alcotest.failf "server %d's reply waited %.1f ms behind server 0's"
+            s
+            (Atomic.get arrived.(s) *. 1e3)
+      done)
 
 (* --- the seeded gray injector --------------------------------------------- *)
 
@@ -583,7 +685,10 @@ let suites =
   [
     ("gray.deadline", deadline_tests);
     ("gray.hedge", hedge_tests);
-    ("gray.transport", transport_gray_tests);
+    ( "gray.transport",
+      List.concat_map transport_gray_tests
+        Transport.[ Threads; Domains; Socket ]
+      @ List.map slow_reply_test Transport.[ Threads; Domains ] );
     ("gray.fault", fault_gray_tests);
     ("gray.hedged-runs", hedged_run_tests);
     ("gray.keyed-retry", keyed_retry_tests);
