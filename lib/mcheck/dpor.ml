@@ -15,18 +15,6 @@ let thread_compare a b =
 
 let thread_equal a b = thread_compare a b = 0
 
-module TMap = Map.Make (struct
-  type t = thread
-
-  let compare = thread_compare
-end)
-
-module TSet = Set.Make (struct
-  type t = thread
-
-  let compare = thread_compare
-end)
-
 let comp_equal a b =
   match (a, b) with
   | Cclient x, Cclient y | Cobj x, Cobj y -> x = y
@@ -35,93 +23,249 @@ let comp_equal a b =
 
 let acc_dep a b = match (a, b) with Accum, Accum -> false | _ -> true
 
+(* --- dependence ------------------------------------------------------------ *)
+
+(* the access [a] to [c] conflicts with one in [comps] *)
+let rec comp_dep c a = function
+  | [] -> false
+  | (c', a') :: rest -> (comp_equal c c' && acc_dep a a') || comp_dep c a rest
+
+(* a write to client [c] conflicts with any access to it in [comps] *)
+let rec client_dep c = function
+  | [] -> false
+  | (Cclient c', _) :: _ when c = c' -> true
+  | _ :: rest -> client_dep c rest
+
+(* an executed event's refined footprint — its choice's components
+   minus the history one when it [recorded] nothing — against [comps] *)
+let rec comps_dep ~recorded ca comps =
+  match ca with
+  | [] -> false
+  | (Chist, _) :: rest when not recorded -> comps_dep ~recorded rest comps
+  | (c, a) :: rest -> comp_dep c a comps || comps_dep ~recorded rest comps
+
+let rec invoked_dep invoked comps =
+  match invoked with
+  | [] -> false
+  | c :: rest -> client_dep c comps || invoked_dep rest comps
+
+(* dependence between an executed event — choice [e], whose step [st]
+   also wrote every client it invoked on — and a choice's footprint
+   [b]; a crash on either side short-circuits the intersection *)
+let dep_exec (e : footprint) (st : step) (b : footprint) =
+  is_crash e.thread || is_crash b.thread
+  || comps_dep ~recorded:st.recorded e.comps b.comps
+  || invoked_dep st.invoked b.comps
+
+(* --- clocks ----------------------------------------------------------------- *)
+
 (* A clock is the set of DFS depths whose events are in the causal
-   past, as an immutable bitset.  Every clock is closed downward per
-   thread — an event's clock contains its thread's previous clock, and
-   clocks only grow by joins — so "depth [i] is in the set" says
-   exactly what a vector clock's "v[thread(i)] >= i" says, and join is
-   a word-wise [lor]. *)
-type clock = int array
+   past, as a bitset.  Every clock is closed downward per thread — an
+   event's clock contains its thread's previous clock, and clocks only
+   grow by joins — so "depth [i] is in the set" says exactly what a
+   vector clock's "v[thread(i)] >= i" says, and join is a word-wise
+   [lor].
 
-let bits = Sys.int_size
-let clock_empty : clock = [||]
+   The clocks of the current node live as rows of [width] words in flat
+   int tables, one table per tag below; a row never written is the
+   empty clock.  The search writes rows on the way down and a trail of
+   the overwritten rows restores them on the way up, so neither a join
+   nor a backtrack allocates. *)
+module Clocks = struct
+  (* thread clocks; then, per component kind, the join of its writing
+     accessors and the join of all its accessors (an accumulation's
+     past needs only the writers, a write's past needs everyone); then
+     the global clock, which every event joins and crashes write *)
+  let client = 0
+  let job = 1
+  let crash_tag = 2
+  let writers = function Cclient _ -> 3 | Cobj _ -> 5 | Chist -> 7
+  let accessors c = writers c + 1
+  let global = 9
+  let tags = 10
+  let bits = Sys.int_size
 
-let clock_mem (v : clock) i =
-  let w = i / bits in
-  w < Array.length v && (v.(w) lsr (i mod bits)) land 1 = 1
+  type t = {
+    mutable width : int;  (* words per row *)
+    rows : int array array;  (* by tag; row [id] at [id * width] *)
+    mutable ev : int array;  (* the event clock being built *)
+    mutable trail : int array;  (* entries [tag; id; old row] *)
+    mutable len : int;  (* entries in [trail] *)
+  }
 
-(* words [0..i] of [b] are contained in [a]'s; needs [Array.length a > i] *)
-let rec subset_from (a : clock) (b : clock) i =
-  i < 0 || (b.(i) land lnot a.(i) = 0 && subset_from a b (i - 1))
+  let create () =
+    { width = 1; rows = Array.make tags [||]; ev = [| 0 |]; trail = [||]; len = 0 }
 
-let clock_join (a : clock) (b : clock) : clock =
-  let a, b = if Array.length a >= Array.length b then (a, b) else (b, a) in
-  if a == b || subset_from a b (Array.length b - 1) then a
-  else begin
-    let r = Array.copy a in
-    Array.iteri (fun i x -> r.(i) <- r.(i) lor x) b;
+  let word t tag id k =
+    let r = t.rows.(tag) and o = (id * t.width) + k in
+    if o < Array.length r then r.(o) else 0
+
+  (* depth [i] is in row [id] of [tag] *)
+  let mem t tag id i =
+    let k = i / bits in
+    k < t.width && (word t tag id k lsr (i mod bits)) land 1 = 1
+
+  (* every row, trail entry and the event clock one word wider, so
+     depth [width * bits] fits *)
+  let widen t =
+    let w = t.width and w' = t.width + 1 in
+    (* [n] entries of [head] ints and a row *)
+    let relayout a ~head n =
+      let a' = Array.make (2 * n * (head + w')) 0 in
+      for e = 0 to n - 1 do
+        Array.blit a (e * (head + w)) a' (e * (head + w')) (head + w)
+      done;
+      a'
+    in
+    Array.iteri
+      (fun tag r -> t.rows.(tag) <- relayout r ~head:0 (Array.length r / w))
+      t.rows;
+    t.trail <- relayout t.trail ~head:2 t.len;
+    t.ev <- Array.append t.ev [| 0 |];
+    t.width <- w'
+
+  (* the event clock: row [id] of [tag] *)
+  let load t tag id =
+    for k = 0 to t.width - 1 do
+      t.ev.(k) <- word t tag id k
+    done
+
+  (* the event clock joins row [id] of [tag] *)
+  let join t tag id =
+    for k = 0 to t.width - 1 do
+      t.ev.(k) <- t.ev.(k) lor word t tag id k
+    done
+
+  (* the event clock gains depth [d] *)
+  let add t d =
+    while d >= t.width * bits do
+      widen t
+    done;
+    let k = d / bits in
+    t.ev.(k) <- t.ev.(k) lor (1 lsl (d mod bits))
+
+  (* row [id] of [tag], trailed and grown to exist *)
+  let row t tag id =
+    let w = t.width in
+    let need = (id + 1) * w in
+    if need > Array.length t.rows.(tag) then begin
+      let r = Array.make (2 * need) 0 in
+      Array.blit t.rows.(tag) 0 r 0 (Array.length t.rows.(tag));
+      t.rows.(tag) <- r
+    end;
+    let o = t.len * (2 + w) in
+    if o + 2 + w > Array.length t.trail then begin
+      let tr = Array.make (max 64 (2 * (o + 2 + w))) 0 in
+      Array.blit t.trail 0 tr 0 o;
+      t.trail <- tr
+    end;
+    let r = t.rows.(tag) in
+    t.trail.(o) <- tag;
+    t.trail.(o + 1) <- id;
+    (* rows are a word or two: loops beat [Array.blit]'s C call *)
+    for k = 0 to w - 1 do
+      t.trail.(o + 2 + k) <- r.((id * w) + k)
+    done;
+    t.len <- t.len + 1;
     r
-  end
 
-let clock_add (v : clock) d : clock =
-  if clock_mem v d then v
-  else begin
-    let w = d / bits in
-    let r = Array.make (max (Array.length v) (w + 1)) 0 in
-    Array.blit v 0 r 0 (Array.length v);
-    r.(w) <- r.(w) lor (1 lsl (d mod bits));
-    r
-  end
+  (* row [id] of [tag] becomes the event clock *)
+  let store t tag id =
+    let r = row t tag id and o = id * t.width in
+    for k = 0 to t.width - 1 do
+      r.(o + k) <- t.ev.(k)
+    done
 
-(* a thread's clock; a thread that has not run yet has the empty one *)
-let clock_of th cv = Option.value ~default:clock_empty (TMap.find_opt th cv)
+  (* row [id] of [tag] joins the event clock *)
+  let merge t tag id =
+    let r = row t tag id and o = id * t.width in
+    for k = 0 to t.width - 1 do
+      r.(o + k) <- r.(o + k) lor t.ev.(k)
+    done
 
-module CMap = Map.Make (struct
-  type t = comp
+  (* restore every row written since the trail held [mark] entries *)
+  let undo t mark =
+    let w = t.width in
+    while t.len > mark do
+      t.len <- t.len - 1;
+      let o = t.len * (2 + w) in
+      let r = t.rows.(t.trail.(o)) and at = t.trail.(o + 1) * w in
+      for k = 0 to w - 1 do
+        r.(at + k) <- t.trail.(o + 2 + k)
+      done
+    done
+end
 
-  let compare a b =
-    match (a, b) with
-    | Chist, Chist -> 0
-    | Chist, _ -> -1
-    | _, Chist -> 1
-    | Cclient x, Cclient y | Cobj x, Cobj y -> Int.compare x y
-    | Cclient _, Cobj _ -> -1
-    | Cobj _, Cclient _ -> 1
-end)
+let thread_tag = function
+  | Client _ -> Clocks.client
+  | Job _ -> Clocks.job
+  | Crash _ -> Clocks.crash_tag
 
-(* dependence between an executed event (refined footprint [ca], its
-   thread [ta]) and a choice's footprint [b]; a crash on either side
-   short-circuits the component intersection *)
-let dep_exec ~ca ~ta (b : footprint) =
-  is_crash ta || is_crash b.thread
-  || List.exists
-       (fun (c, a) ->
-         List.exists (fun (c', a') -> comp_equal c c' && acc_dep a a') b.comps)
-       ca
+let thread_id = function Client i | Job i | Crash i -> i
+let comp_id = function Cclient i | Cobj i -> i | Chist -> 0
 
 (* --- search nodes --------------------------------------------------------- *)
 
+(* a choice's place in its node's backtrack set *)
+let idle = 0 (* not in it *)
+let pending = 1 (* in it, not fired yet *)
+let done_ = 2 (* in it and fired, or skipped as sleeping *)
+
 type node = {
   descs : footprint array;
-  enabled_threads : TSet.t;
-  (* entry snapshots; immutable maps and clocks make backtracking free.
-     A clock is the set of depths (indices into the DFS stack) of the
-     events in its causal past. *)
-  cv : clock TMap.t;  (* per-thread clocks *)
-  clast : (clock * clock) CMap.t;
-      (* per component: (join of writing accessors, join of all
-         accessors) — an accumulation's past needs only the writers,
-         a write's past needs everyone *)
-  gclock : clock;  (* joined into everything; crashes write it *)
-  mutable backtrack : TSet.t;
-  mutable done_ : TSet.t;
+  marks : int array;  (* per choice: [idle], [pending] or [done_] *)
   mutable cur_sleep : footprint list;
   mutable executed : int;  (* children actually fired from here *)
   (* set while one child subtree is active *)
-  mutable exec_comps : (comp * access) list;
-      (* refined post-execution footprint *)
-  mutable exec_thread : thread;
+  mutable exec : footprint;
+  mutable exec_step : step;  (* refines [exec]'s footprint *)
 }
+
+let no_step = { recorded = false; spawned = []; invoked = [] }
+
+let dummy =
+  {
+    descs = [||];
+    marks = [||];
+    cur_sleep = [];
+    executed = 0;
+    exec = crash (-1);
+    exec_step = no_step;
+  }
+
+(* the index of [th]'s choice in [descs], or -1 *)
+let find_thread descs th =
+  let rec go descs th k =
+    if k = Array.length descs then -1
+    else if thread_equal descs.(k).thread th then k
+    else go descs th (k + 1)
+  in
+  go descs th 0
+
+let mark nd k = if nd.marks.(k) = idle then nd.marks.(k) <- pending
+
+(* the pending choice least by [thread_compare], or -1 *)
+let next_pick nd =
+  let best = ref (-1) in
+  for k = 0 to Array.length nd.descs - 1 do
+    if
+      nd.marks.(k) = pending
+      && (!best < 0
+         || thread_compare nd.descs.(k).thread nd.descs.(!best).thread < 0)
+    then best := k
+  done;
+  !best
+
+let rec sleeping th = function
+  | [] -> false
+  | (q : footprint) :: rest -> thread_equal q.thread th || sleeping th rest
+
+(* the sleepers an executed event leaves asleep, in order *)
+let rec still_asleep e st = function
+  | [] -> []
+  | q :: rest ->
+      if dep_exec e st q then still_asleep e st rest
+      else q :: still_asleep e st rest
 
 type stats = {
   explored : int;
@@ -131,6 +275,7 @@ type stats = {
   terminal_runs : int;
   stuck_runs : int;
   distinct_states : int;
+  judged : int;
   max_depth : int;
   exhaustive : bool;
   ws_safe_violations : int;
@@ -161,7 +306,7 @@ module Make (M : Model.S) = struct
     let stuck = ref 0 in
     let max_depth = ref 0 in
     let truncated = ref false in
-    let fingerprints : (string, unit) Hashtbl.t = Hashtbl.create 64 in
+    let verdicts = Model.Verdicts.create () in
     let safe_bad = ref 0 in
     let regular_bad = ref 0 in
     let inv_bad = ref 0 in
@@ -170,37 +315,40 @@ module Make (M : Model.S) = struct
       if !first_violation = None then first_violation := Some msg
     in
     let record session ~is_stuck =
-      let vs, vr, key = Model.judge (M.history session) ~stuck:is_stuck in
-      (match vs with
-      | Ws_check.Violated v ->
-          incr safe_bad;
-          note_violation (Fmt.str "ws-safe: %a" Ws_check.violation_pp v)
-      | _ -> ());
-      (match vr with
-      | Ws_check.Violated v ->
-          incr regular_bad;
-          note_violation (Fmt.str "ws-regular: %a" Ws_check.violation_pp v)
-      | _ -> ());
+      let vs, vr, _ =
+        Model.Verdicts.judge verdicts (M.history_key session) ~stuck:is_stuck
+          M.history session
+      in
+      (* formatted only while nothing is noted: a violating key seen
+         again was noted when first judged *)
+      let note_ws label count = function
+        | Ws_check.Violated v ->
+            incr count;
+            if !first_violation = None then
+              note_violation (Fmt.str "%s: %a" label Ws_check.violation_pp v)
+        | Ws_check.Holds | Ws_check.Vacuous -> ()
+      in
+      note_ws "ws-safe" safe_bad vs;
+      note_ws "ws-regular" regular_bad vr;
       if check_invariants then
         List.iter
           (fun msg ->
             incr inv_bad;
             note_violation msg)
           (M.invariants session);
-      Hashtbl.replace fingerprints key ();
       if is_stuck then incr stuck else incr terminal
     in
+    let clocks = Clocks.create () in
     (* the DFS stack; nodes stay addressable for race detection *)
-    let stack : node option array ref = ref (Array.make 64 None) in
+    let stack = ref (Array.make 64 dummy) in
     let stack_set d n =
       if d >= Array.length !stack then begin
-        let bigger = Array.make (2 * (d + 1)) None in
+        let bigger = Array.make (2 * (d + 1)) dummy in
         Array.blit !stack 0 bigger 0 (Array.length !stack);
         stack := bigger
       end;
-      !stack.(d) <- Some n
+      !stack.(d) <- n
     in
-    let stack_get d = Option.get !stack.(d) in
     (* Flanagan–Godefroid race detection: for enabled transition [t] at
        depth [d], find the latest executed event that is dependent with
        [t] and not in its causal past, and plant a backtrack point just
@@ -209,108 +357,112 @@ module Make (M : Model.S) = struct
        enabled — the conservative patch that keeps the reduction
        sound). *)
     let race_detect d (t : footprint) =
-      let vt = clock_of t.thread (stack_get d).cv in
-      let rec scan i =
-        if i >= 0 then begin
-          let ni = stack_get i in
-          if
-            dep_exec ~ca:ni.exec_comps ~ta:ni.exec_thread t
-            && not (clock_mem vt i)
-          then begin
-            if TSet.mem t.thread ni.enabled_threads then
-              ni.backtrack <- TSet.add t.thread ni.backtrack
-            else begin
-              (* threads with events in (i, d) inside t's causal past *)
-              let feeders = ref TSet.empty in
-              for m = i + 1 to d - 1 do
-                if clock_mem vt m then
-                  feeders := TSet.add (stack_get m).exec_thread !feeders
-              done;
-              let cands = TSet.inter !feeders ni.enabled_threads in
-              ni.backtrack <-
-                TSet.union ni.backtrack
-                  (if TSet.is_empty cands then ni.enabled_threads else cands)
-            end
-          end
-          else scan (i - 1)
+      (* [t]'s causal past is its thread's clock *)
+      let tag = thread_tag t.thread and id = thread_id t.thread in
+      let i = ref (d - 1) in
+      while !i >= 0 do
+        let ni = !stack.(!i) in
+        if
+          dep_exec ni.exec ni.exec_step t
+          && not (Clocks.mem clocks tag id !i)
+        then begin
+          let k = find_thread ni.descs t.thread in
+          if k >= 0 then mark ni k
+          else begin
+            (* threads with events in (i, d) inside t's causal past *)
+            let fed = ref false in
+            for m = !i + 1 to d - 1 do
+              if Clocks.mem clocks tag id m then begin
+                let k = find_thread ni.descs !stack.(m).exec.thread in
+                if k >= 0 then begin
+                  fed := true;
+                  mark ni k
+                end
+              end
+            done;
+            if not !fed then
+              for k = 0 to Array.length ni.descs - 1 do
+                mark ni k
+              done
+          end;
+          i := -1
         end
-      in
-      scan (d - 1)
+        else decr i
+      done
+    in
+    (* the event clock joins the past each access inherits *)
+    let rec join_pasts = function
+      | [] -> ()
+      | (c, a) :: rest ->
+          Clocks.join clocks
+            (match a with
+            | Accum -> Clocks.writers c
+            | Write -> Clocks.accessors c)
+            (comp_id c);
+          join_pasts rest
+    in
+    (* the components of an executed event's refined footprint join
+       its clock *)
+    let rec access_all ~recorded = function
+      | [] -> ()
+      | (Chist, _) :: rest when not recorded -> access_all ~recorded rest
+      | (c, a) :: rest ->
+          (match a with
+          | Write -> Clocks.merge clocks (Clocks.writers c) (comp_id c)
+          | Accum -> ());
+          Clocks.merge clocks (Clocks.accessors c) (comp_id c);
+          access_all ~recorded rest
+    in
+    (* a client it invoked on joins its clock, as thread and as a
+       written component *)
+    let rec write_clients = function
+      | [] -> ()
+      | c :: rest ->
+          Clocks.merge clocks Clocks.client c;
+          Clocks.merge clocks (Clocks.writers (Cclient c)) c;
+          Clocks.merge clocks (Clocks.accessors (Cclient c)) c;
+          write_clients rest
+    in
+    (* a job it spawned starts a thread whose past is its clock *)
+    let rec start_jobs = function
+      | [] -> ()
+      | j :: rest ->
+          Clocks.store clocks Clocks.job j;
+          start_jobs rest
     in
     (* execute choice [t] on [session] positioned at depth [d]'s state,
-       updating node [nd]'s exec fields; returns the child's snapshots *)
+       recording it in [nd] and writing the child's clocks; returns the
+       child's sleep set *)
     let execute nd d session (t : footprint) =
       M.fire session t.thread;
       let step = M.last_step session in
       incr explored;
       (* the event's clock: its thread's past, the last writers of its
          components, the global clock, and itself *)
-      let base = clock_of t.thread nd.cv in
-      let v =
-        List.fold_left
-          (fun vacc (c, a) ->
-            match CMap.find_opt c nd.clast with
-            | Some (w, all) ->
-                clock_join vacc (match a with Accum -> w | Write -> all)
-            | None -> vacc)
-          (clock_join base nd.gclock) t.comps
-      in
-      let v = clock_add v d in
-      (* refine the footprint with what actually happened; a job
-         spawned by this event starts a thread whose past is [v] *)
-      let exec_comps =
-        List.filter
-          (fun (c, _) -> step.recorded || not (comp_equal c Chist))
-          t.comps
-        @ List.map (fun c -> (Cclient c, Write)) step.invoked
-      in
-      nd.exec_comps <- exec_comps;
-      nd.exec_thread <- t.thread;
-      (* child snapshots *)
-      let cv = TMap.add t.thread v nd.cv in
-      let cv =
-        List.fold_left
-          (fun acc c ->
-            TMap.add (Client c) (clock_join (clock_of (Client c) acc) v) acc)
-          cv step.invoked
-      in
-      let cv =
-        List.fold_left (fun acc j -> TMap.add (Job j) v acc) cv step.spawned
-      in
-      let clast =
-        List.fold_left
-          (fun acc (c, a) ->
-            let w, all =
-              Option.value ~default:(clock_empty, clock_empty)
-                (CMap.find_opt c acc)
-            in
-            let entry =
-              match a with
-              | Write -> (clock_join w v, clock_join all v)
-              | Accum -> (w, clock_join all v)
-            in
-            CMap.add c entry acc)
-          nd.clast exec_comps
-      in
-      let gclock = if is_crash t.thread then v else nd.gclock in
-      let sleep' =
-        List.filter
-          (fun q -> not (dep_exec ~ca:exec_comps ~ta:t.thread q))
-          nd.cur_sleep
-      in
+      Clocks.load clocks (thread_tag t.thread) (thread_id t.thread);
+      Clocks.join clocks Clocks.global 0;
+      join_pasts t.comps;
+      Clocks.add clocks d;
+      nd.exec <- t;
+      nd.exec_step <- step;
+      Clocks.store clocks (thread_tag t.thread) (thread_id t.thread);
+      start_jobs step.spawned;
+      access_all ~recorded:step.recorded t.comps;
+      write_clients step.invoked;
+      if is_crash t.thread then Clocks.store clocks Clocks.global 0;
       nd.executed <- nd.executed + 1;
-      (cv, clast, gclock, sleep')
+      still_asleep t step nd.cur_sleep
     in
     (* a fresh run re-firing the threads executed at depths [0, d) *)
     let replay d =
       let s = M.create scenario in
       for i = 0 to d - 1 do
-        M.fire s (stack_get i).exec_thread
+        M.fire s !stack.(i).exec.thread
       done;
       replayed := !replayed + d;
       s
     in
-    let rec explore session d ~cv ~clast ~gclock ~sleep_in =
+    let rec explore session d ~sleep_in =
       if !truncated then ()
       else begin
         if d > !max_depth then max_depth := d;
@@ -319,77 +471,53 @@ module Make (M : Model.S) = struct
           let descs = M.choices session in
           if Array.length descs = 0 then record session ~is_stuck:true
           else begin
-            let enabled_threads =
-              Array.fold_left
-                (fun acc (t : footprint) -> TSet.add t.thread acc)
-                TSet.empty descs
-            in
             let nd =
               {
                 descs;
-                enabled_threads;
-                cv;
-                gclock;
-                clast;
-                backtrack = TSet.empty;
-                done_ = TSet.empty;
+                marks = Array.make (Array.length descs) idle;
                 cur_sleep = sleep_in;
                 executed = 0;
-                exec_comps = [];
-                exec_thread = Client (-1);
+                exec = dummy.exec;
+                exec_step = no_step;
               }
             in
             stack_set d nd;
-            Array.iter (fun t -> race_detect d t) descs;
-            let sleeping th =
-              List.exists (fun (q : footprint) -> thread_equal q.thread th)
-                nd.cur_sleep
-            in
+            for k = 0 to Array.length descs - 1 do
+              race_detect d descs.(k)
+            done;
             (* seed the backtrack set with one non-sleeping transition *)
-            (match
-               Array.find_opt (fun (t : footprint) -> not (sleeping t.thread))
-                 descs
-             with
-            | Some t -> nd.backtrack <- TSet.add t.thread nd.backtrack
-            | None -> ());
+            (let rec seed k =
+               if k < Array.length descs then
+                 if sleeping descs.(k).thread sleep_in then seed (k + 1)
+                 else mark nd k
+             in
+             seed 0);
             let fresh = ref true in
-            let rec loop () =
-              if !truncated then ()
-              else
-                match TSet.choose_opt (TSet.diff nd.backtrack nd.done_) with
-                | None -> ()
-                | Some th ->
-                    nd.done_ <- TSet.add th nd.done_;
-                    if sleeping th then begin
-                      incr sleep_skipped;
-                      loop ()
-                    end
-                    else if !explored >= max_explored then truncated := true
-                    else begin
-                      let t =
-                        Option.get
-                          (Array.find_opt
-                             (fun (t : footprint) -> thread_equal t.thread th)
-                             nd.descs)
-                      in
-                      let s = if !fresh then session else replay d in
-                      fresh := false;
-                      let cv', clast', gclock', sleep' = execute nd d s t in
-                      explore s (d + 1) ~cv:cv' ~clast:clast' ~gclock:gclock'
-                        ~sleep_in:sleep';
-                      nd.cur_sleep <- t :: nd.cur_sleep;
-                      loop ()
-                    end
-            in
-            loop ();
+            let k = ref (next_pick nd) in
+            while (not !truncated) && !k >= 0 do
+              let t = descs.(!k) in
+              nd.marks.(!k) <- done_;
+              if sleeping t.thread nd.cur_sleep then incr sleep_skipped
+              else if !explored >= max_explored then truncated := true
+              else begin
+                let s = if !fresh then session else replay d in
+                fresh := false;
+                let mark = clocks.len in
+                let sleep' = execute nd d s t in
+                explore s (d + 1) ~sleep_in:sleep';
+                Clocks.undo clocks mark;
+                nd.cur_sleep <- t :: nd.cur_sleep
+              end;
+              k := next_pick nd
+            done;
             pruned := !pruned + (Array.length descs - nd.executed);
-            !stack.(d) <- None
+            !stack.(d) <- dummy
           end
         end
       end
     in
-    explore (M.create scenario) 0 ~cv:TMap.empty ~clast:CMap.empty
-      ~gclock:clock_empty ~sleep_in:[];
+    explore (M.create scenario) 0 ~sleep_in:[];
+    let fingerprints = Model.Verdicts.fingerprints verdicts in
     {
       explored = !explored;
       replayed = !replayed;
@@ -397,16 +525,15 @@ module Make (M : Model.S) = struct
       sleep_skipped = !sleep_skipped;
       terminal_runs = !terminal;
       stuck_runs = !stuck;
-      distinct_states = Hashtbl.length fingerprints;
+      distinct_states = List.length fingerprints;
+      judged = Model.Verdicts.misses verdicts;
       max_depth = !max_depth;
       exhaustive = not !truncated;
       ws_safe_violations = !safe_bad;
       ws_regular_violations = !regular_bad;
       invariant_violations = !inv_bad;
       first_violation = !first_violation;
-      state_fingerprints =
-        List.sort compare
-          (Hashtbl.fold (fun k () acc -> k :: acc) fingerprints []);
+      state_fingerprints = fingerprints;
     }
 end
 

@@ -17,10 +17,14 @@
     is still explored.
 
     A clock is the set of DFS depths whose events are in the causal
-    past, kept as an immutable bitset.  Every clock is closed downward
-    per thread (an event's clock contains its thread's previous clock,
-    and clocks only grow by joins), so this set says exactly what a
-    per-thread vector clock says, and a join is a word-wise [lor].
+    past, kept as a bitset.  Every clock is closed downward per thread
+    (an event's clock contains its thread's previous clock, and clocks
+    only grow by joins), so this set says exactly what a per-thread
+    vector clock says, and a join is a word-wise [lor].  The current
+    node's clocks, per thread and per component, are rows of flat int
+    tables written on the way down and restored from a trail on the way
+    up, and a node's backtrack and done sets are one mark per choice, so
+    bookkeeping and race detection allocate nearly nothing.
 
     Soundness relies on two facts about each model, checked against
     the brute-force {!Explore.Make} in test/suite_explore.ml and
@@ -37,7 +41,8 @@
     Every terminal (and stuck) state is checked for WS-Safety,
     WS-Regularity, and the model's invariants; its {!Model.judge}
     fingerprint is collected so reduced and brute-force searches can be
-    compared for state equality. *)
+    compared for state equality.  The WS verdicts are computed once per
+    history key ({!Model.Verdicts}); the invariants, once per state. *)
 
 type stats = {
   explored : int;  (** transitions executed (DFS edges) *)
@@ -50,6 +55,9 @@ type stats = {
   terminal_runs : int;
   stuck_runs : int;
   distinct_states : int;  (** distinct terminal fingerprints *)
+  judged : int;
+      (** histories built and checked: the distinct history keys among
+          the terminal and stuck runs ({!Model.Verdicts}) *)
   max_depth : int;
   exhaustive : bool;  (** finished within [max_explored] *)
   ws_safe_violations : int;

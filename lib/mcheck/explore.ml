@@ -47,6 +47,7 @@ type result = {
   stuck_runs : int;
   fired_events : int;
   replayed : int;
+  judged : int;
   exhaustive : bool;
   max_depth : int;
   ws_safe_violations : History.t list;
@@ -70,21 +71,13 @@ module Make (M : Model.S) = struct
     let replayed = ref 0 in
     let truncated = ref false in
     let halted = ref false in
-    let distinct : (string, unit) Hashtbl.t = Hashtbl.create 64 in
+    let verdicts = Model.Verdicts.create () in
     let terminal = ref 0 in
     let stuck = ref 0 in
     let max_depth = ref 0 in
     let safe_bad = ref [] in
     let regular_bad = ref [] in
     let first_violation = ref None in
-    (* keeps the first few violating histories; true on a violation *)
-    let keep_violation store h = function
-      | Ws_check.Violated _ ->
-          if !first_violation = None then first_violation := Some !fired;
-          if List.length !store < 3 then store := h :: !store;
-          true
-      | Ws_check.Holds | Ws_check.Vacuous -> false
-    in
     let fire s th =
       M.fire s th;
       incr fired
@@ -96,20 +89,37 @@ module Make (M : Model.S) = struct
           replay_onto s older;
           fire s th
     in
+    let violated = function
+      | Ws_check.Violated _ -> true
+      | Ws_check.Holds | Ws_check.Vacuous -> false
+    in
+    (* keeps the first few violating histories, building one only on a
+       verdict-table hit that still has room for it *)
     let record s ~stuck =
-      let h = M.history s in
-      let vs, vr, key = Model.judge h ~stuck in
-      Hashtbl.replace distinct key ();
-      let unsafe = keep_violation safe_bad h vs in
-      let irregular = keep_violation regular_bad h vr in
-      if stop_on_violation && (unsafe || irregular) then halted := true
+      let vs, vr, h =
+        Model.Verdicts.judge verdicts (M.history_key s) ~stuck M.history s
+      in
+      if violated vs || violated vr then begin
+        if !first_violation = None then first_violation := Some !fired;
+        let keeps store v = violated v && List.length !store < 3 in
+        let keep_safe = keeps safe_bad vs and keep_regular = keeps regular_bad vr in
+        if keep_safe || keep_regular then begin
+          let h = match h with Some h -> h | None -> M.history s in
+          if keep_safe then safe_bad := h :: !safe_bad;
+          if keep_regular then regular_bad := h :: !regular_bad
+        end;
+        if stop_on_violation then halted := true
+      end
     in
     (* [s] is live and positioned at [path], [depth] choices long; the
        first child is explored by firing it in place (saving one replay
-       per node), the siblings by replaying their paths from scratch. *)
+       per node), the siblings by replaying their paths from scratch.
+       The budget is checked before each branch fires, so the state the
+       last permitted fire reaches is still judged; a branch whose
+       replay overshoots it is not. *)
     let rec dfs s path depth =
       if !halted then ()
-      else if !fired >= max_fired then truncated := true
+      else if !fired > max_fired then truncated := true
       else begin
         if depth > !max_depth then max_depth := depth;
         if M.finished s then begin
@@ -122,10 +132,15 @@ module Make (M : Model.S) = struct
               incr stuck;
               record s ~stuck:true
           | cs ->
-              fire s cs.(0).thread;
-              dfs s (cs.(0).thread :: path) (depth + 1);
+              if !fired >= max_fired then truncated := true
+              else begin
+                fire s cs.(0).thread;
+                dfs s (cs.(0).thread :: path) (depth + 1)
+              end;
               for i = 1 to Array.length cs - 1 do
-                if (not !halted) && !fired < max_fired then begin
+                if !halted then ()
+                else if !fired >= max_fired then truncated := true
+                else begin
                   let s' = M.create scenario in
                   replay_onto s' path;
                   replayed := !replayed + depth;
@@ -136,15 +151,14 @@ module Make (M : Model.S) = struct
       end
     in
     dfs (M.create scenario) [] 0;
-    let fingerprints =
-      List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) distinct [])
-    in
+    let fingerprints = Model.Verdicts.fingerprints verdicts in
     {
       terminal_runs = !terminal;
       distinct_histories = List.length fingerprints;
       stuck_runs = !stuck;
       fired_events = !fired;
       replayed = !replayed;
+      judged = Model.Verdicts.misses verdicts;
       exhaustive = (not !truncated) && not !halted;
       max_depth = !max_depth;
       ws_safe_violations = List.rev !safe_bad;
@@ -164,15 +178,30 @@ module Session = struct
     remaining : (int, Id.Client.t * Trace.hop list) Hashtbl.t;
     mutable seq_queue : (Id.Client.t * Trace.hop) list;
         (* script order, for Sequential mode *)
-    mutable calls : Sim.call list;
+    mutable uninvoked : int;  (* script operations not invoked yet *)
+    mutable open_calls : Sim.call list;
+        (* every call not yet seen returned is here, newest first *)
     mutable invoked : int list;  (* by the last step, newest first *)
     mutable time_before : int;  (* trace time when the last step began *)
+    step_choices : Model.footprint array;
+        (* each client's step, by client id; a scenario makes every
+           client before the run starts *)
+    crash_choices : Model.footprint array;  (* each server's crash, by id *)
     monitor : Invariants.Monitor.t;  (* fed the trace after every step *)
   }
 
   let invoke t c hop =
-    t.calls <- t.invoke1 c hop :: t.calls;
+    t.open_calls <- t.invoke1 c hop :: t.open_calls;
+    t.uninvoked <- t.uninvoked - 1;
     t.invoked <- Id.Client.to_int c :: t.invoked
+
+  (* every call invoked so far has returned; they are dropped if so *)
+  let all_returned t =
+    if List.for_all Sim.call_returned t.open_calls then begin
+      t.open_calls <- [];
+      true
+    end
+    else false
 
   let rec auto_invoke t =
     match t.scenario.mode with
@@ -190,7 +219,7 @@ module Session = struct
         if !progressed then auto_invoke t
     | Sequential -> (
         match t.seq_queue with
-        | (c, hop) :: rest when List.for_all Sim.call_returned t.calls ->
+        | (c, hop) :: rest when all_returned t ->
             t.seq_queue <- rest;
             (match Hashtbl.find_opt t.remaining (Id.Client.to_int c) with
             | Some (c', _ :: ops_rest) ->
@@ -216,9 +245,17 @@ module Session = struct
           List.concat_map
             (fun (c, ops) -> List.map (fun o -> (c, o)) ops)
             script;
-        calls = [];
+        uninvoked =
+          List.fold_left (fun n (_, ops) -> n + List.length ops) 0 script;
+        open_calls = [];
         invoked = [];
         time_before = 0;
+        step_choices =
+          Array.of_list
+            (List.map
+               (fun c -> Model.client_step (Id.Client.to_int c))
+               (Sim.clients sim));
+        crash_choices = Array.init (Sim.num_servers sim) Model.crash;
         monitor = Invariants.Monitor.create ~f:scenario.params.f;
       }
     in
@@ -227,53 +264,56 @@ module Session = struct
     t
 
   let sim t = t.sim
+  let finished t = t.uninvoked = 0 && all_returned t
 
-  let finished t =
-    Hashtbl.fold (fun _ (_, ops) acc -> acc && ops = []) t.remaining true
-    && List.for_all Sim.call_returned t.calls
+  (* [f] folded over the servers that may still be crashed, in choice
+     order *)
+  let fold_crashable t f acc =
+    let n = Sim.num_servers t.sim in
+    let so_far = ref 0 in
+    for s = 0 to n - 1 do
+      if Sim.server_crashed t.sim (Id.Server.of_int s) then incr so_far
+    done;
+    let acc = ref acc in
+    if !so_far < t.scenario.crashes then
+      for s = 0 to n - 1 do
+        if not (Sim.server_crashed t.sim (Id.Server.of_int s)) then
+          acc := f s !acc
+      done;
+    !acc
 
-  (* servers that may still be crashed, in choice order *)
   let crash_candidates t =
-    let so_far = Id.Server.Set.cardinal (Sim.crashed_servers t.sim) in
-    if so_far < t.scenario.crashes then
-      List.filter
-        (fun s -> not (Sim.server_crashed t.sim s))
-        (Sim.servers t.sim)
-    else []
+    List.rev (fold_crashable t (fun s acc -> Id.Server.of_int s :: acc) [])
 
   (* a respond accumulates into its client's response set and writes
      its object *)
+  let respond (p : Sim.pending_info) acc =
+    {
+      Model.thread = Job (Id.Lop.to_int p.lid);
+      comps =
+        [
+          (Cclient (Id.Client.to_int p.client), Accum);
+          (Cobj (Id.Obj.to_int p.obj), Write);
+        ];
+    }
+    :: acc
+
+  (* the enabled events, then the servers that may still crash, built
+     newest first and laid out in order *)
   let choices t =
-    (* enabled responds come in trigger order, a subsequence of
-       [Sim.pending]'s, so one forward walk finds each *)
-    let pend = ref (Sim.pending t.sim) in
-    let rec lop_info l =
-      match !pend with
-      | [] -> invalid_arg "Explore.Session.choices: respond not pending"
-      | (p : Sim.pending_info) :: rest ->
-          pend := rest;
-          if Id.Lop.equal p.lid l then p else lop_info l
+    let rev =
+      Sim.fold_enabled t.sim
+        ~step:(fun c acc -> t.step_choices.(Id.Client.to_int c) :: acc)
+        ~respond []
     in
-    let events =
-      List.map
-        (function
-          | Sim.Step c -> Model.client_step (Id.Client.to_int c)
-          | Sim.Respond l ->
-              let p = lop_info l in
-              {
-                Model.thread = Job (Id.Lop.to_int l);
-                comps =
-                  [
-                    (Cclient (Id.Client.to_int p.client), Accum);
-                    (Cobj (Id.Obj.to_int p.obj), Write);
-                  ];
-              })
-        (Sim.enabled t.sim)
-    in
-    let crashes =
-      List.map (fun s -> Model.crash (Id.Server.to_int s)) (crash_candidates t)
-    in
-    Array.of_list (events @ crashes)
+    let rev = fold_crashable t (fun s acc -> t.crash_choices.(s) :: acc) rev in
+    match rev with
+    | [] -> [||]
+    | last :: _ ->
+        let n = List.length rev in
+        let a = Array.make n last in
+        List.iteri (fun i c -> a.(n - 1 - i) <- c) rev;
+        a
 
   let fire t th =
     t.time_before <- Sim.now t.sim;
@@ -299,6 +339,21 @@ module Session = struct
     { Model.recorded = !recorded; spawned = !spawned; invoked = t.invoked }
 
   let history t = History.of_trace (Sim.trace t.sim)
+
+  (* the trace's invoke and return entries are the history's events in
+     time order, each return carrying its call's hop *)
+  let history_key t =
+    let tr = Sim.trace t.sim in
+    let b = Buffer.create 128 in
+    for i = 0 to Trace.time tr - 1 do
+      match Trace.get tr i with
+      | Trace.Invoke (c, hop) ->
+          Model.add_event b ~ret:false (Id.Client.to_int c) hop None
+      | Trace.Return (c, hop, v) ->
+          Model.add_event b ~ret:true (Id.Client.to_int c) hop (Some v)
+      | _ -> ()
+    done;
+    Buffer.contents b
 
   let invariants t =
     List.filter_map

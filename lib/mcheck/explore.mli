@@ -20,7 +20,9 @@
     enabled (a stuck state, recorded separately).
 
     The total number of fired events across all branches is capped;
-    [exhaustive] in the result tells whether the cap was hit. *)
+    [exhaustive] in the result tells whether the cap was hit.  The cap
+    is checked before each branch fires, so a space of exactly
+    [max_fired] events is covered, and exhaustive. *)
 
 open Regemu_bounds
 open Regemu_objects
@@ -79,6 +81,9 @@ type result = {
   replayed : int;
       (** of those, the events re-fired to rebuild a state; the rest
           are the search tree's edges *)
+  judged : int;
+      (** histories built and checked: the distinct history keys among
+          the terminal and stuck runs ({!Model.Verdicts}) *)
   exhaustive : bool;  (** the whole space was covered within budget *)
   max_depth : int;
   ws_safe_violations : History.t list;  (** first few violating runs *)
@@ -110,8 +115,11 @@ end
     client and the history component; a [Respond] accumulates into its
     client and writes its object.  It feeds every step's trace entries
     to an {!Regemu_history.Invariants.Monitor}, so its [invariants] at a
-    terminal state read the monitor's verdicts.  Both engines search
-    it: {!run} below and {!Dpor.run}. *)
+    terminal state read the monitor's verdicts.  [choices] is one walk
+    of {!Regemu_sim.Sim.fold_enabled}, [finished] reads a count of
+    uninvoked operations and the calls still open, and [history_key]
+    is one pass over the trace's invoke and return entries.  Both
+    engines search it: {!run} below and {!Dpor.run}. *)
 module Session : sig
   include Model.S with type scenario = scenario
 

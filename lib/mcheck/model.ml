@@ -96,24 +96,37 @@ module type S = sig
 
   val history : t -> History.t
 
+  (** The invoke/return field of this state's {!judge} fingerprint:
+      exactly the text {!history_key_of} prints for [history t], built
+      without building the history.  The WS verdicts read only what the
+      key records — which operations were invoked and returned in which
+      order, by which client, with which argument and result — so two
+      states with equal keys have equal verdicts, and the engines judge
+      each key once per run ({!Verdicts}). *)
+  val history_key : t -> string
+
   (** The model's algorithm-level invariants, one message per
       violated invariant. *)
   val invariants : t -> string list
 end
 
-(** [judge h ~stuck] checks a run's history for WS-Safety and
-    WS-Regularity and returns both verdicts with the run's terminal
-    fingerprint: the invoke/return order with every result, the two
-    verdict letters, and a stuck mark.  Times, low-level operation and
-    message ids (their numbering shifts under commuting transitions),
-    and raw base-object values (a leftover response firing after the
-    last return changes them without affecting anything any client
-    observed) stay out, so the fingerprint is the same for every
-    schedule of one Mazurkiewicz trace class and reduced and
-    brute-force searches can be compared for state equality. *)
-let judge h ~stuck =
-  let vs = Ws_check.check_ws_safe h in
-  let vr = Ws_check.check_ws_regular h in
+(** [add_event b ~ret client hop result] appends one entry of a history
+    key: an invocation, or a return with its result. *)
+let add_event b ~ret client hop result =
+  Buffer.add_char b (if ret then 'R' else 'I');
+  Value.add_int b client;
+  Buffer.add_char b ':';
+  Regemu_sim.Trace.add_hop_to_buffer b hop;
+  (match result with
+  | Some v when ret ->
+      Buffer.add_char b '=';
+      Value.add_to_buffer b v
+  | _ -> ());
+  Buffer.add_char b ';'
+
+(** [history_key_of h] is [h]'s invoke/return order with every result:
+    the first field of {!judge}'s fingerprint. *)
+let history_key_of h =
   (* high-level entries are recorded only by steps that share [Chist],
      so their order is class-invariant.  Entries go straight into one
      buffer: formatting each through [Fmt] cost more than the rest of
@@ -129,24 +142,96 @@ let judge h ~stuck =
   in
   List.iter
     (fun (_, (o : History.op), ret) ->
-      Buffer.add_char b (if ret then 'R' else 'I');
-      Buffer.add_string b (string_of_int (Id.Client.to_int o.client));
-      Buffer.add_char b ':';
-      Regemu_sim.Trace.add_hop_to_buffer b o.hop;
-      (match o.result with
-      | Some v when ret ->
-          Buffer.add_char b '=';
-          Value.add_to_buffer b v
-      | _ -> ());
-      Buffer.add_char b ';')
+      add_event b ~ret (Id.Client.to_int o.client) o.hop o.result)
     events;
+  Buffer.contents b
+
+(** [key], the two verdict letters and a stuck mark: {!judge}'s
+    fingerprint of a history whose key is [key]. *)
+let fingerprint ~key vs vr ~stuck =
   let letter = function
     | Ws_check.Holds -> 'H'
     | Ws_check.Vacuous -> 'V'
     | Ws_check.Violated _ -> 'X'
   in
+  let b = Buffer.create (String.length key + 9) in
+  Buffer.add_string b key;
   Buffer.add_char b '|';
   Buffer.add_char b (letter vs);
   Buffer.add_char b (letter vr);
   if stuck then Buffer.add_string b "|stuck";
-  (vs, vr, Buffer.contents b)
+  Buffer.contents b
+
+(** [judge h ~stuck] checks a run's history for WS-Safety and
+    WS-Regularity and returns both verdicts with the run's terminal
+    fingerprint: the invoke/return order with every result
+    ({!history_key_of}), the two verdict letters, and a stuck mark.
+    Times, low-level operation and message ids (their numbering shifts
+    under commuting transitions), and raw base-object values (a
+    leftover response firing after the last return changes them
+    without affecting anything any client observed) stay out, so the
+    fingerprint is the same for every schedule of one Mazurkiewicz
+    trace class and reduced and brute-force searches can be compared
+    for state equality.  It is the reference the engines' {!Verdicts}
+    table reproduces. *)
+let judge h ~stuck =
+  let vs = Ws_check.check_ws_safe h in
+  let vr = Ws_check.check_ws_regular h in
+  (vs, vr, fingerprint ~key:(history_key_of h) vs vr ~stuck)
+
+(** One run's terminal verdicts, keyed by {!S.history_key}.  A key seen
+    before reuses its verdicts; only a new key builds the history and
+    runs {!Ws_check}.  Equal keys give equal verdicts (see
+    {!S.history_key}), so every count and fingerprint is the one
+    {!judge} would give each state, and a violating key is judged on
+    the history of the first state that reaches it.  The table is also
+    the run's fingerprint set: each key with the stuck marks it was
+    seen with. *)
+module Verdicts = struct
+  type entry = {
+    vs : Ws_check.verdict;
+    vr : Ws_check.verdict;
+    mutable plain : bool;  (* seen at a finished state *)
+    mutable stuck : bool;  (* seen at a stuck state *)
+  }
+
+  type t = { table : (string, entry) Hashtbl.t; mutable misses : int }
+
+  let create () = { table = Hashtbl.create 16; misses = 0 }
+
+  (** [judge t key ~stuck history s] is the verdicts of state [s] with
+      key [key], and [Some (history s)] when the key was new. *)
+  let judge t key ~stuck history s =
+    let e, h =
+      match Hashtbl.find_opt t.table key with
+      | Some e -> (e, None)
+      | None ->
+          let h = history s in
+          let e =
+            {
+              vs = Ws_check.check_ws_safe h;
+              vr = Ws_check.check_ws_regular h;
+              plain = false;
+              stuck = false;
+            }
+          in
+          Hashtbl.add t.table key e;
+          t.misses <- t.misses + 1;
+          (e, Some h)
+    in
+    if stuck then e.stuck <- true else e.plain <- true;
+    (e.vs, e.vr, h)
+
+  (** Keys judged: the histories built and checked. *)
+  let misses t = t.misses
+
+  (** The distinct fingerprints {!judge} gives the states seen, sorted. *)
+  let fingerprints t =
+    Hashtbl.fold
+      (fun key e acc ->
+        let add stuck acc = fingerprint ~key e.vs e.vr ~stuck :: acc in
+        let acc = if e.plain then add false acc else acc in
+        if e.stuck then add true acc else acc)
+      t.table []
+    |> List.sort compare
+end

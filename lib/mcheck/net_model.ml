@@ -129,4 +129,5 @@ let last_step t =
   }
 
 let history t = Net.history t.net
+let history_key t = Model.history_key_of (history t)
 let invariants _ = []

@@ -28,10 +28,22 @@ let rec compare a b =
 let equal a b = compare a b = 0
 let max a b = if compare a b >= 0 then a else b
 
+let rec add_digits buf n =
+  if n >= 10 then add_digits buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 + (n mod 10)))
+
+(* [string_of_int]'s text without its format parsing or string *)
+let add_int buf i =
+  if i = min_int then Buffer.add_string buf (string_of_int i)
+  else begin
+    if i < 0 then Buffer.add_char buf '-';
+    add_digits buf (abs i)
+  end
+
 let rec add_to_buffer buf = function
   | Unit -> Buffer.add_string buf "v0"
   | Bool b -> Buffer.add_string buf (string_of_bool b)
-  | Int i -> Buffer.add_string buf (string_of_int i)
+  | Int i -> add_int buf i
   | Str s ->
       Buffer.add_char buf '"';
       Buffer.add_string buf (String.escaped s);

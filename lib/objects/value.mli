@@ -35,6 +35,9 @@ val to_string : t -> string
     (strings quoted and escaped as OCaml literals). *)
 val add_to_buffer : Buffer.t -> t -> unit
 
+(** [add_int buf i] appends [string_of_int i]. *)
+val add_int : Buffer.t -> int -> unit
+
 (** {2 Timestamped values} *)
 
 (** [with_ts ts v] is the timestamped value [<ts, v>]. *)

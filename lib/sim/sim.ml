@@ -255,22 +255,24 @@ let step_enabled (cr : client_rec) =
   (not cr.crashed)
   && match cr.fiber with Waiting { pred; _ } -> pred () | Idle -> false
 
-let enabled t =
+let fold_enabled t ~step ~respond acc =
   (* predicates run in ascending client order *)
-  let rec steps_rev i acc =
+  let rec steps i acc =
     if i = t.num_cls then acc
     else
       let cr = t.cls.(i) in
-      steps_rev (i + 1) (if step_enabled cr then Step cr.cid :: acc else acc)
+      steps (i + 1) (if step_enabled cr then step cr.cid acc else acc)
   in
-  let steps_rev = steps_rev 0 [] in
-  let responds_rev =
-    Pending.fold
-      (fun _ p acc ->
-        if obj_crashed t p.info.obj then acc else Respond p.info.lid :: acc)
-      t.pending_map []
-  in
-  List.rev_append steps_rev (List.rev responds_rev)
+  Pending.fold
+    (fun _ p acc -> if obj_crashed t p.info.obj then acc else respond p.info acc)
+    t.pending_map (steps 0 acc)
+
+let enabled t =
+  List.rev
+    (fold_enabled t
+       ~step:(fun c acc -> Step c :: acc)
+       ~respond:(fun p acc -> Respond p.lid :: acc)
+       [])
 
 let fire t ev =
   match ev with

@@ -126,12 +126,6 @@ val event_equal : event -> event -> bool
     then responses (ascending trigger order) on non-crashed objects. *)
 val enabled : t -> event list
 
-(** Fire one event.  Raises [Invalid_argument] if the event is not
-    currently enabled. *)
-val fire : t -> event -> unit
-
-(** {2 Introspection} *)
-
 type pending_info = {
   lid : Id.Lop.t;
   obj : Id.Obj.t;
@@ -139,6 +133,23 @@ type pending_info = {
   client : Id.Client.t;
   triggered_at : int;
 }
+
+(** [fold_enabled t ~step ~respond acc] folds over the events {!enabled}
+    lists, in its order, without building the list: [step] gets each
+    enabled client step, [respond] the pending operation of each
+    enabled response. *)
+val fold_enabled :
+  t ->
+  step:(Id.Client.t -> 'a -> 'a) ->
+  respond:(pending_info -> 'a -> 'a) ->
+  'a ->
+  'a
+
+(** Fire one event.  Raises [Invalid_argument] if the event is not
+    currently enabled. *)
+val fire : t -> event -> unit
+
+(** {2 Introspection} *)
 
 (** All pending (triggered, not yet responded) low-level operations,
     in trigger order — including those on crashed servers. *)

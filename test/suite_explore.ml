@@ -95,20 +95,75 @@ let dpor_tests =
         Alcotest.(check int) "clean" 0
           (r.Dpor.ws_safe_violations + r.Dpor.ws_regular_violations));
     test "dpor finds the naive-register violations" (fun () ->
-        let r =
-          Dpor.run ~check_invariants:false
-            (scenario Regemu_baselines.Naive_reg.factory ~p:p2
-               ~writer_ops:[ [ Value.Str "a" ]; [ Value.Str "b" ] ]
-               ~readers:1 ~reads_each:1 ())
-            ~max_explored:2_000_000
+        (* exact counts: a verdict table that dropped or double-counted
+           a run, or reused a violating verdict for a clean history,
+           would move them *)
+        let sc () =
+          scenario Regemu_baselines.Naive_reg.factory ~p:p2
+            ~writer_ops:[ [ Value.Str "a" ]; [ Value.Str "b" ] ]
+            ~readers:1 ~reads_each:1 ()
         in
+        let r = Dpor.run ~check_invariants:false (sc ()) ~max_explored:2_000_000 in
         Alcotest.(check bool) "exhaustive" true r.Dpor.exhaustive;
-        Alcotest.(check bool)
-          "ws-safe violations found" true
-          (r.Dpor.ws_safe_violations > 0);
-        Alcotest.(check bool)
-          "a witness is reported" true
-          (r.Dpor.first_violation <> None));
+        Alcotest.(check (list (pair string int)))
+          "dpor verdict counts"
+          [
+            ("explored", 12291);
+            ("terminal_runs", 3362);
+            ("distinct_states", 2);
+            ("ws_safe_violations", 152);
+            ("ws_regular_violations", 152);
+            ("judged", 2);
+          ]
+          [
+            ("explored", r.Dpor.explored);
+            ("terminal_runs", r.Dpor.terminal_runs);
+            ("distinct_states", r.Dpor.distinct_states);
+            ("ws_safe_violations", r.Dpor.ws_safe_violations);
+            ("ws_regular_violations", r.Dpor.ws_regular_violations);
+            ("judged", r.Dpor.judged);
+          ];
+        Alcotest.(check (option string))
+          "the witness"
+          (Some
+             "ws-safe: read #2 c2 read() [27,35] -> \"a\" returned \"a\" but \
+              only {\"b\"} allowed: WS-Safe: read with no concurrent write \
+              must return the last preceding write")
+          r.Dpor.first_violation;
+        let b = Explore.run (sc ()) ~max_fired:2_000_000 in
+        Alcotest.(check (option int))
+          "brute force: fired when the first violation surfaced" (Some 655_324)
+          b.Explore.first_violation_at;
+        Alcotest.(check int) "brute force: distinct" 2
+          b.Explore.distinct_histories;
+        Alcotest.(check (pair int int))
+          "brute force: violating histories kept" (3, 3)
+          ( List.length b.Explore.ws_safe_violations,
+            List.length b.Explore.ws_regular_violations ));
+    test "an exact budget covers the whole space, on both engines" (fun () ->
+        (* abd-max, 1 write + 1 read, sequential: brute force fires
+           251,424 transitions and DPOR explores 191 *)
+        let sc () =
+          scenario Regemu_baselines.Abd_max.factory
+            ~writer_ops:[ [ Value.Str "a" ] ]
+            ~readers:1 ~reads_each:1 ()
+        in
+        let brute budget =
+          let b = Explore.run (sc ()) ~max_fired:budget in
+          (b.Explore.terminal_runs, b.Explore.exhaustive)
+        in
+        let dpor budget =
+          let d = Dpor.run (sc ()) ~max_explored:budget in
+          (d.Dpor.terminal_runs, d.Dpor.exhaustive)
+        in
+        let outcome = Alcotest.(pair int bool) in
+        Alcotest.check outcome "brute force at its exact budget"
+          (22_248, true) (brute 251_424);
+        Alcotest.check outcome "brute force one short" (22_247, false)
+          (brute 251_423);
+        Alcotest.check outcome "dpor at its exact budget" (50, true)
+          (dpor 191);
+        Alcotest.check outcome "dpor one short" (49, false) (dpor 190));
     test "pruning is substantial on the certificate config" (fun () ->
         (* the acceptance config: 1 writer x 2 ops, 1 reader x 2 reads *)
         let r =
@@ -232,6 +287,114 @@ let dpor_tests =
             r.Dpor.sleep_skipped;
             r.Dpor.terminal_runs;
           ]);
+  ]
+
+(* --- history keys against the reference judge ---------------------------- *)
+
+(* [M] whose [history_key] also checks itself against {!Model.judge} at
+   every state an engine judges: the key must be the judged
+   fingerprint's invoke/return field (the fingerprint without its
+   verdict letters and stuck mark, which is the text before its first
+   [|] when no value prints a [|]), and the engine's fingerprints must
+   be exactly the judged ones. *)
+module Keyed (M : Model.S) = struct
+  include M
+
+  let judged : (string, unit) Hashtbl.t = Hashtbl.create 16
+  let mismatches = ref []
+  let calls = ref 0
+  let violating = ref 0
+
+  let history_key s =
+    let key = M.history_key s in
+    let stuck = not (M.finished s) in
+    let vs, vr, fp = Model.judge (M.history s) ~stuck in
+    let field =
+      String.sub fp 0 (String.length fp - if stuck then 9 else 3)
+    in
+    if key <> field then mismatches := (field, key) :: !mismatches;
+    (match (vs, vr) with
+    | Regemu_history.Ws_check.Violated _, _ | _, Regemu_history.Ws_check.Violated _ ->
+        incr violating
+    | _ -> ());
+    Hashtbl.replace judged fp ();
+    incr calls;
+    key
+
+  (* every judged state went through [history_key]; returns the
+     distinct fingerprints and the number of violating states *)
+  let check name ~fingerprints ~runs =
+    Alcotest.(check (list (pair string string)))
+      (name ^ ": keys match the reference") [] !mismatches;
+    Alcotest.(check int) (name ^ ": every terminal and stuck state keyed") runs
+      !calls;
+    Alcotest.(check (list string))
+      (name ^ ": fingerprints match the reference")
+      (List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) judged []))
+      fingerprints;
+    (Hashtbl.length judged, !violating)
+end
+
+(* both engines over the keyed simulator; the distinct fingerprints and
+   violating states DPOR saw *)
+let keyed_sim name ~max_fired sc =
+  let module K = Keyed (Explore.Session) in
+  let module D = Dpor.Make (K) in
+  let d = D.run ~check_invariants:false sc ~max_explored:1_000_000 in
+  let seen =
+    K.check (name ^ ", dpor") ~fingerprints:d.Dpor.state_fingerprints
+      ~runs:(d.Dpor.terminal_runs + d.Dpor.stuck_runs)
+  in
+  let module K = Keyed (Explore.Session) in
+  let module B = Explore.Make (K) in
+  let b = B.run sc ~max_fired in
+  ignore
+    (K.check (name ^ ", brute force") ~fingerprints:b.Explore.state_fingerprints
+       ~runs:(b.Explore.terminal_runs + b.Explore.stuck_runs));
+  seen
+
+let key_tests =
+  [
+    qcheck ~name:"history keys match the judge on random tiny scenarios"
+      ~count:3
+      QCheck.(
+        pair (bool : bool arbitrary) (string_gen_of_size (Gen.return 3) Gen.printable))
+      (fun (use_alg2, v) ->
+        let factory =
+          if use_alg2 then Regemu_core.Algorithm2.factory
+          else Regemu_baselines.Abd_max.factory
+        in
+        ignore
+          (keyed_sim "qcheck" ~max_fired:100_000
+             (scenario factory ~writer_ops:[ [ Value.Str v ] ] ~readers:1
+                ~reads_each:1 ()));
+        true);
+    test "history keys match the judge: eager, naive-reg, stuck states"
+      (fun () ->
+        let distinct, _ =
+          keyed_sim "eager read-old/read-new" ~max_fired:300_000
+            (scenario Regemu_baselines.Abd_max.factory ~mode:Explore.Eager
+               ~writer_ops:[ [ Value.Str "a" ] ]
+               ~readers:1 ~reads_each:1 ())
+        in
+        Alcotest.(check bool) "eager: several keys" true (distinct >= 2);
+        let distinct, violating =
+          keyed_sim "naive-reg" ~max_fired:300_000
+            (scenario Regemu_baselines.Naive_reg.factory ~p:p2
+               ~writer_ops:[ [ Value.Str "a" ]; [ Value.Str "b" ] ]
+               ~readers:1 ~reads_each:1 ())
+        in
+        Alcotest.(check (pair int int)) "naive-reg: keys, violating states"
+          (2, 152) (distinct, violating);
+        let distinct, _ =
+          keyed_sim "wait-all, one crash" ~max_fired:300_000
+            (Explore.emulation_scenario Regemu_baselines.Waitall_reg.factory p1
+               ~mode:Explore.Sequential ~crashes:1
+               ~writer_ops:[ [ Value.Str "a" ] ]
+               ~readers:0 ~reads_each:0 ())
+        in
+        Alcotest.(check bool) "wait-all: finished and stuck keys" true
+          (distinct >= 2));
   ]
 
 (* --- regemu-cert/1 ------------------------------------------------------- *)
@@ -415,6 +578,7 @@ let cgfuzz_tests =
 let suites =
   [
     ("explore.dpor", dpor_tests);
+    ("explore.history-key", key_tests);
     ("explore.cert", cert_tests);
     ("explore.coverage", coverage_tests);
     ("explore.cgfuzz", cgfuzz_tests);

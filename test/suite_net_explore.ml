@@ -105,6 +105,67 @@ let net_explore_tests =
         Alcotest.(check bool) "stuck found" true (r.stuck_runs > 0);
         Alcotest.(check int) "but never unsafe" 0
           (List.length r.ws_safe_violations));
+    test "DPOR is pinned past one clock word (depth > 63)" (fun () ->
+        (* k=2, four writes and two reads, one crash, capped: the search
+           goes 70 and 106 deep, so every clock row is two words wide
+           for part of it *)
+        let p2 = Params.make_exn ~k:2 ~f:1 ~n:3 in
+        let w v = `Write (Value.Str v) in
+        let pinned name protocol want =
+          let d =
+            Reduced.run
+              {
+                Net_model.params = p2;
+                protocol;
+                ops = [ w "a"; w "b"; `Read; w "c"; w "d"; `Read ];
+                crashes = 1;
+              }
+              ~max_explored:3_000
+          in
+          Alcotest.(check (list (pair string int)))
+            (name ^ ": every DPOR search counter") want
+            [
+              ("explored", d.Dpor.explored);
+              ("replayed", d.Dpor.replayed);
+              ("pruned", d.Dpor.pruned);
+              ("sleep_skipped", d.Dpor.sleep_skipped);
+              ("terminal_runs", d.Dpor.terminal_runs);
+              ("max_depth", d.Dpor.max_depth);
+            ]
+        in
+        pinned "abd" (Net_scenario.abd ~write_back:false)
+          [
+            ("explored", 3000);
+            ("replayed", 60457);
+            ("pruned", 1945);
+            ("sleep_skipped", 118);
+            ("terminal_runs", 911);
+            ("max_depth", 70);
+          ];
+        pinned "alg2" Net_scenario.alg2
+          [
+            ("explored", 3000);
+            ("replayed", 114248);
+            ("pruned", 2198);
+            ("sleep_skipped", 0);
+            ("terminal_runs", 1108);
+            ("max_depth", 106);
+          ]);
+    test "history keys match the judge on the wire (ABD, write then read)"
+      (fun () ->
+        let module K = Suite_explore.Keyed (Net_model) in
+        let module D = Dpor.Make (K) in
+        let d =
+          D.run
+            (scenario
+               ~ops:[ `Write (Value.Str "a"); `Read ]
+               (Net_scenario.abd ~write_back:false))
+            ~max_explored:1_000_000
+        in
+        Alcotest.(check bool) "exhaustive" true d.Dpor.exhaustive;
+        ignore
+          (K.check "net abd" ~fingerprints:d.Dpor.state_fingerprints
+             ~runs:(d.Dpor.terminal_runs + d.Dpor.stuck_runs)));
     test "fire rejects a thread with no choice now" (fun () ->
         Suite_mcheck.check_fire_contract
           (module Net_model)
