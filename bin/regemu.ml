@@ -562,23 +562,26 @@ let explore_cmd =
     }
   in
   (* the search's cost, on stdout only: [fired] counts every transition
-     fired, [replayed] of them the ones re-fired to rebuild a state, the
-     rest are the explored ones the benchmark's transitions_per_cpu_s
-     counts; [judged] of the [runs] terminal and stuck states had their
-     history built and checked *)
+     fired, [replayed] of them the ones re-fired to rebuild a state in
+     [replays] fresh runs, the rest are the explored ones the
+     benchmark's transitions_per_cpu_s counts; [judged] of the [runs]
+     terminal and stuck states had their history built and checked *)
   let timed_search f =
     let t0 = Sys.time () in
     let r = f () in
     (r, Sys.time () -. t0)
   in
-  let print_search_cost ~cpu_s ~fired ~replayed ~judged ~runs =
+  let print_search_cost ~cpu_s ~fired ~replays ~replayed ~judged ~runs =
     let per_s n = float_of_int n /. Float.max cpu_s 1e-6 in
     let explored = fired - replayed in
     Fmt.pr
       "search: %.3f CPU s, %.0f transitions_per_cpu_s (explored), %.0f \
-       fired per CPU s, replayed/explored %.3f, judged %d of %d histories@."
+       fired per CPU s, replayed/explored %.3f, %d replays of mean depth \
+       %.1f, judged %d of %d histories@."
       cpu_s (per_s explored) (per_s fired)
       (float_of_int replayed /. float_of_int (max 1 explored))
+      replays
+      (float_of_int replayed /. float_of_int (max 1 replays))
       judged runs
   in
   let run_exhaustive (name, factory) p ~eager ~crashes ~ops_each ~budget
@@ -602,7 +605,7 @@ let explore_cmd =
     Fmt.pr "%a@." Regemu_explore.Cert.pp cert;
     print_search_cost ~cpu_s
       ~fired:(stats.explored + stats.replayed)
-      ~replayed:stats.replayed ~judged:stats.judged
+      ~replays:stats.replays ~replayed:stats.replayed ~judged:stats.judged
       ~runs:(stats.terminal_runs + stats.stuck_runs);
     let cert_json = Regemu_explore.Cert.to_json cert in
     List.iter
@@ -730,7 +733,8 @@ let explore_cmd =
     in
     Fmt.pr "explore %s at %a: %a@." name Params.pp p
       Regemu_mcheck.Explore.result_pp r;
-    print_search_cost ~cpu_s ~fired:r.fired_events ~replayed:r.replayed
+    print_search_cost ~cpu_s ~fired:r.fired_events ~replays:r.replays
+      ~replayed:r.replayed
       ~judged:r.judged ~runs:(r.terminal_runs + r.stuck_runs);
     let witnesses label =
       List.iter (fun h ->

@@ -75,28 +75,28 @@ let passed o = o.violations = []
    result, logical invocation/return order — two runs with equal
    schedule digests must also agree here *)
 let history_digest h =
-  let d = ref 0xcbf29ce484222325L in
-  let prime = 0x100000001b3L in
-  let mix_str s =
-    String.iter
-      (fun c ->
-        d := Int64.mul (Int64.logxor !d (Int64.of_int (Char.code c))) prime)
-      s
-  in
-  let mix_int i =
-    mix_str (string_of_int i);
-    mix_str ";"
+  (* the op fields go into one buffer, hashed once with FNV-1a *)
+  let b = Buffer.create 256 in
+  let add_int i =
+    Value.add_int b i;
+    Buffer.add_char b ';'
   in
   List.iter
     (fun (op : Regemu_history.History.op) ->
-      mix_int (Id.Client.to_int op.client);
-      mix_str (Fmt.str "%a" Regemu_sim.Trace.hop_pp op.hop);
+      add_int (Id.Client.to_int op.client);
+      Regemu_sim.Trace.add_hop_to_buffer b op.hop;
       (match op.result with
-      | None -> mix_str "?"
-      | Some v -> mix_str (Fmt.str "%a" Value.pp v));
-      mix_int op.invoked_at;
-      mix_int (Option.value ~default:(-1) op.returned_at))
+      | None -> Buffer.add_char b '?'
+      | Some v -> Value.add_to_buffer b v);
+      add_int op.invoked_at;
+      add_int (Option.value ~default:(-1) op.returned_at))
     h;
+  let bytes = Buffer.contents b in
+  let d = ref 0xcbf29ce484222325L in
+  for i = 0 to String.length bytes - 1 do
+    let c = Int64.of_int (Char.code bytes.[i]) in
+    d := Int64.mul (Int64.logxor !d c) 0x100000001b3L
+  done;
   Printf.sprintf "%016Lx" !d
 
 (* class of a WS verdict, for online-vs-full agreement: two Violated

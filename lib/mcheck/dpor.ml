@@ -13,7 +13,10 @@ let thread_compare a b =
   | Job _, _ -> -1
   | _, Job _ -> 1
 
-let thread_equal a b = thread_compare a b = 0
+let thread_equal a b =
+  match (a, b) with
+  | Client x, Client y | Job x, Job y | Crash x, Crash y -> x = y
+  | (Client _ | Job _ | Crash _), _ -> false
 
 let comp_equal a b =
   match (a, b) with
@@ -22,6 +25,17 @@ let comp_equal a b =
   | _ -> false
 
 let acc_dep a b = match (a, b) with Accum, Accum -> false | _ -> true
+
+let rec comps_equal a b =
+  match (a, b) with
+  | [], [] -> true
+  | (c, x) :: a, (c', x') :: b -> comp_equal c c' && x = x' && comps_equal a b
+  | _ -> false
+
+let footprint_equal (a : footprint) (b : footprint) =
+  a == b || (thread_equal a.thread b.thread && comps_equal a.comps b.comps)
+
+let rec mem_int i = function [] -> false | j :: rest -> i = j || mem_int i rest
 
 (* --- dependence ------------------------------------------------------------ *)
 
@@ -48,6 +62,16 @@ let rec invoked_dep invoked comps =
   match invoked with
   | [] -> false
   | c :: rest -> client_dep c comps || invoked_dep rest comps
+
+(* the executed event [e], whose step was [st], wrote thread [th]'s
+   clock: it is [th]'s own event, or it spawned or invoked on [th] *)
+let writes_thread (e : footprint) (st : step) th =
+  thread_equal e.thread th
+  ||
+  match th with
+  | Job j -> mem_int j st.spawned
+  | Client c -> mem_int c st.invoked
+  | Crash _ -> false
 
 (* dependence between an executed event — choice [e], whose step [st]
    also wrote every client it invoked on — and a choice's footprint
@@ -269,6 +293,7 @@ let rec still_asleep e st = function
 
 type stats = {
   explored : int;
+  replays : int;
   replayed : int;
   pruned : int;
   sleep_skipped : int;
@@ -299,6 +324,7 @@ let stats_pp ppf s =
 module Make (M : Model.S) = struct
   let run ?(check_invariants = true) scenario ~max_explored =
     let explored = ref 0 in
+    let replays = ref 0 in
     let replayed = ref 0 in
     let pruned = ref 0 in
     let sleep_skipped = ref 0 in
@@ -314,19 +340,19 @@ module Make (M : Model.S) = struct
     let note_violation msg =
       if !first_violation = None then first_violation := Some msg
     in
+    (* formatted only while nothing is noted: a violating key seen
+       again was noted when first judged *)
+    let note_ws label count = function
+      | Ws_check.Violated v ->
+          incr count;
+          if !first_violation = None then
+            note_violation (Fmt.str "%s: %a" label Ws_check.violation_pp v)
+      | Ws_check.Holds | Ws_check.Vacuous -> ()
+    in
     let record session ~is_stuck =
       let vs, vr, _ =
         Model.Verdicts.judge verdicts (M.history_key session) ~stuck:is_stuck
           M.history session
-      in
-      (* formatted only while nothing is noted: a violating key seen
-         again was noted when first judged *)
-      let note_ws label count = function
-        | Ws_check.Violated v ->
-            incr count;
-            if !first_violation = None then
-              note_violation (Fmt.str "%s: %a" label Ws_check.violation_pp v)
-        | Ws_check.Holds | Ws_check.Vacuous -> ()
       in
       note_ws "ws-safe" safe_bad vs;
       note_ws "ws-regular" regular_bad vr;
@@ -356,15 +382,15 @@ module Make (M : Model.S) = struct
        the threads that causally feed [t] (or, failing that, everything
        enabled — the conservative patch that keeps the reduction
        sound). *)
-    let race_detect d (t : footprint) =
+    let walk d (t : footprint) =
       (* [t]'s causal past is its thread's clock *)
       let tag = thread_tag t.thread and id = thread_id t.thread in
       let i = ref (d - 1) in
       while !i >= 0 do
         let ni = !stack.(!i) in
         if
-          dep_exec ni.exec ni.exec_step t
-          && not (Clocks.mem clocks tag id !i)
+          (not (Clocks.mem clocks tag id !i))
+          && dep_exec ni.exec ni.exec_step t
         then begin
           let k = find_thread ni.descs t.thread in
           if k >= 0 then mark ni k
@@ -389,6 +415,23 @@ module Make (M : Model.S) = struct
         end
         else decr i
       done
+    in
+    (* A choice the parent node also had, with the same footprint and a
+       thread clock the parent's event left alone, was raced there
+       against every earlier event, and planted the same points a walk
+       would plant now (the event at [d - 1] is outside its clock); only
+       that event is new. *)
+    let race_detect d (t : footprint) =
+      let p = if d > 0 then !stack.(d - 1) else dummy in
+      let k = find_thread p.descs t.thread in
+      if
+        k >= 0
+        && footprint_equal p.descs.(k) t
+        && not (writes_thread p.exec p.exec_step t.thread)
+      then begin
+        if dep_exec p.exec p.exec_step t then mark p k
+      end
+      else walk d t
     in
     (* the event clock joins the past each access inherits *)
     let rec join_pasts = function
@@ -459,6 +502,7 @@ module Make (M : Model.S) = struct
       for i = 0 to d - 1 do
         M.fire s !stack.(i).exec.thread
       done;
+      incr replays;
       replayed := !replayed + d;
       s
     in
@@ -520,6 +564,7 @@ module Make (M : Model.S) = struct
     let fingerprints = Model.Verdicts.fingerprints verdicts in
     {
       explored = !explored;
+      replays = !replays;
       replayed = !replayed;
       pruned = !pruned;
       sleep_skipped = !sleep_skipped;

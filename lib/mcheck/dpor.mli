@@ -24,7 +24,22 @@
     node's clocks, per thread and per component, are rows of flat int
     tables written on the way down and restored from a trail on the way
     up, and a node's backtrack and done sets are one mark per choice, so
-    bookkeeping and race detection allocate nearly nothing.
+    bookkeeping and race detection allocate nearly nothing.  A choice
+    the parent node also offered, whose thread the parent's event did
+    not touch, was raced there against every earlier event; only the
+    parent's event is checked again.
+
+    The search is stateless.  A model's state cannot be cloned (on the
+    simulator, clients are one-shot effect continuations), so the first
+    child of a node is explored on the live run and every other child
+    on a fresh run ([M.create]) that re-fires the path down to the
+    node.  The tree fixes how many fresh runs there are and how deep:
+
+    {v fired = explored + (sum of the depths of all replays) v}
+
+    and a search's cost is the transitions it explores, plus the fresh
+    runs it starts and the transitions they re-fire ([replays] and
+    [replayed] below), each at the model's price.
 
     Soundness relies on two facts about each model, checked against
     the brute-force {!Explore.Make} in test/suite_explore.ml and
@@ -46,7 +61,10 @@
 
 type stats = {
   explored : int;  (** transitions executed (DFS edges) *)
-  replayed : int;  (** prefix transitions re-fired to rebuild states *)
+  replays : int;  (** fresh runs started to rebuild a state *)
+  replayed : int;
+      (** prefix transitions re-fired to rebuild states: the sum of the
+          replays' depths *)
   pruned : int;
       (** enabled transitions never fired at visited states — a lower
           bound on the extra work brute force would have done, since

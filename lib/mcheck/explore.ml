@@ -19,18 +19,18 @@ let emulation_scenario (factory : Regemu_core.Emulation.factory)
     ~reads_each () =
   if List.length writer_ops <> p.k then
     invalid_arg "Explore.emulation_scenario: writer_ops size must be k";
+  (* the operations are the same in every run; only the clients are
+     the run's own *)
+  let writer_hops = List.map (List.map (fun v -> Trace.H_write v)) writer_ops in
+  let reader_hops = List.init reads_each (fun _ -> Trace.H_read) in
   let make () =
     let sim = Sim.create ~n:p.n () in
     let writers = List.init p.k (fun _ -> Sim.new_client sim) in
     let instance = factory.make sim p ~writers in
     let reader_clients = List.init readers (fun _ -> Sim.new_client sim) in
     let script =
-      List.map2
-        (fun w vs -> (w, List.map (fun v -> Trace.H_write v) vs))
-        writers writer_ops
-      @ List.map
-          (fun r -> (r, List.init reads_each (fun _ -> Trace.H_read)))
-          reader_clients
+      List.combine writers writer_hops
+      @ List.map (fun r -> (r, reader_hops)) reader_clients
     in
     let invoke1 c hop =
       match hop with
@@ -46,6 +46,7 @@ type result = {
   distinct_histories : int;
   stuck_runs : int;
   fired_events : int;
+  replays : int;
   replayed : int;
   judged : int;
   exhaustive : bool;
@@ -68,6 +69,7 @@ let result_pp ppf r =
 module Make (M : Model.S) = struct
   let run ?(stop_on_violation = false) scenario ~max_fired =
     let fired = ref 0 in
+    let replays = ref 0 in
     let replayed = ref 0 in
     let truncated = ref false in
     let halted = ref false in
@@ -143,6 +145,7 @@ module Make (M : Model.S) = struct
                 else begin
                   let s' = M.create scenario in
                   replay_onto s' path;
+                  incr replays;
                   replayed := !replayed + depth;
                   fire s' cs.(i).thread;
                   dfs s' (cs.(i).thread :: path) (depth + 1)
@@ -157,6 +160,7 @@ module Make (M : Model.S) = struct
       distinct_histories = List.length fingerprints;
       stuck_runs = !stuck;
       fired_events = !fired;
+      replays = !replays;
       replayed = !replayed;
       judged = Model.Verdicts.misses verdicts;
       exhaustive = (not !truncated) && not !halted;
@@ -175,19 +179,18 @@ module Session = struct
     scenario : scenario;
     sim : Sim.t;
     invoke1 : Id.Client.t -> Trace.hop -> Sim.call;
-    remaining : (int, Id.Client.t * Trace.hop list) Hashtbl.t;
-    mutable seq_queue : (Id.Client.t * Trace.hop) list;
-        (* script order, for Sequential mode *)
+    clients : Id.Client.t array;  (* the script's clients, in visiting order *)
+    ops : Trace.hop list array;  (* each one's operations not invoked yet *)
+    mutable seq_at : int;
+        (* Sequential mode: [clients.(seq_at)] holds the next operation *)
     mutable uninvoked : int;  (* script operations not invoked yet *)
+    mutable crashed : int;  (* servers crashed so far *)
     mutable open_calls : Sim.call list;
         (* every call not yet seen returned is here, newest first *)
     mutable invoked : int list;  (* by the last step, newest first *)
     mutable time_before : int;  (* trace time when the last step began *)
-    step_choices : Model.footprint array;
-        (* each client's step, by client id; a scenario makes every
-           client before the run starts *)
-    crash_choices : Model.footprint array;  (* each server's crash, by id *)
-    monitor : Invariants.Monitor.t;  (* fed the trace after every step *)
+    mutable buf : Model.footprint array;  (* where [choices] builds *)
+    monitor : Invariants.Monitor.t;  (* fed the trace when read *)
   }
 
   let invoke t c hop =
@@ -203,64 +206,82 @@ module Session = struct
     end
     else false
 
+  (* the client in slot [i] invokes its next operation *)
+  let invoke_next t i =
+    match t.ops.(i) with
+    | hop :: rest ->
+        t.ops.(i) <- rest;
+        invoke t t.clients.(i) hop
+    | [] -> invalid_arg "Explore.Session: no operation left"
+
   let rec auto_invoke t =
     match t.scenario.mode with
     | Eager ->
+        (* one pass over the clients, each free one invoking, until a
+           pass invokes nothing *)
         let progressed = ref false in
-        Hashtbl.iter
-          (fun key (c, ops) ->
-            match ops with
-            | hop :: rest when not (Sim.client_busy t.sim c) ->
-                Hashtbl.replace t.remaining key (c, rest);
-                invoke t c hop;
-                progressed := true
-            | _ -> ())
-          (Hashtbl.copy t.remaining);
+        for i = 0 to Array.length t.ops - 1 do
+          match t.ops.(i) with
+          | _ :: _ when not (Sim.client_busy t.sim t.clients.(i)) ->
+              invoke_next t i;
+              progressed := true
+          | _ -> ()
+        done;
         if !progressed then auto_invoke t
-    | Sequential -> (
-        match t.seq_queue with
-        | (c, hop) :: rest when all_returned t ->
-            t.seq_queue <- rest;
-            (match Hashtbl.find_opt t.remaining (Id.Client.to_int c) with
-            | Some (c', _ :: ops_rest) ->
-                Hashtbl.replace t.remaining (Id.Client.to_int c) (c', ops_rest)
-            | _ -> ());
-            invoke t c hop;
-            auto_invoke t
-        | _ -> ())
+    | Sequential ->
+        while
+          t.seq_at < Array.length t.ops
+          && match t.ops.(t.seq_at) with [] -> true | _ :: _ -> false
+        do
+          t.seq_at <- t.seq_at + 1
+        done;
+        if t.seq_at < Array.length t.ops && all_returned t then begin
+          invoke_next t t.seq_at;
+          auto_invoke t
+        end
+
+  (* Sequential mode runs the script in order.  The eager pass visits
+     the clients in the iteration order of a [Hashtbl] keyed by client
+     id, as it always has: when several clients are free at once, the
+     order decides which invokes first, and recorded histories show
+     it. *)
+  let visiting_order mode script =
+    match mode with
+    | Sequential -> Array.of_list script
+    | Eager ->
+        let by_id = Hashtbl.create 8 in
+        List.iter
+          (fun (c, ops) -> Hashtbl.replace by_id (Id.Client.to_int c) (c, ops))
+          script;
+        Array.of_seq (Hashtbl.to_seq_values by_id)
+
+  let count_crashed sim =
+    List.fold_left
+      (fun n s -> if Sim.server_crashed sim s then n + 1 else n)
+      0 (Sim.servers sim)
 
   let create scenario =
     let sim, invoke1, script = scenario.make () in
-    let remaining = Hashtbl.create 8 in
-    List.iter
-      (fun (c, ops) -> Hashtbl.replace remaining (Id.Client.to_int c) (c, ops))
-      script;
+    let slots = visiting_order scenario.mode script in
     let t =
       {
         scenario;
         sim;
         invoke1;
-        remaining;
-        seq_queue =
-          List.concat_map
-            (fun (c, ops) -> List.map (fun o -> (c, o)) ops)
-            script;
+        clients = Array.map fst slots;
+        ops = Array.map snd slots;
+        seq_at = 0;
         uninvoked =
           List.fold_left (fun n (_, ops) -> n + List.length ops) 0 script;
+        crashed = count_crashed sim;
         open_calls = [];
         invoked = [];
         time_before = 0;
-        step_choices =
-          Array.of_list
-            (List.map
-               (fun c -> Model.client_step (Id.Client.to_int c))
-               (Sim.clients sim));
-        crash_choices = Array.init (Sim.num_servers sim) Model.crash;
+        buf = Array.make 8 (Model.crash 0);
         monitor = Invariants.Monitor.create ~f:scenario.params.f;
       }
     in
     auto_invoke t;
-    Invariants.Monitor.observe t.monitor (Sim.trace sim);
     t
 
   let sim t = t.sim
@@ -269,25 +290,22 @@ module Session = struct
   (* [f] folded over the servers that may still be crashed, in choice
      order *)
   let fold_crashable t f acc =
-    let n = Sim.num_servers t.sim in
-    let so_far = ref 0 in
-    for s = 0 to n - 1 do
-      if Sim.server_crashed t.sim (Id.Server.of_int s) then incr so_far
-    done;
-    let acc = ref acc in
-    if !so_far < t.scenario.crashes then
-      for s = 0 to n - 1 do
+    if t.crashed >= t.scenario.crashes then acc
+    else begin
+      let acc = ref acc in
+      for s = 0 to Sim.num_servers t.sim - 1 do
         if not (Sim.server_crashed t.sim (Id.Server.of_int s)) then
           acc := f s !acc
       done;
-    !acc
+      !acc
+    end
 
   let crash_candidates t =
     List.rev (fold_crashable t (fun s acc -> Id.Server.of_int s :: acc) [])
 
   (* a respond accumulates into its client's response set and writes
      its object *)
-  let respond (p : Sim.pending_info) acc =
+  let respond (p : Sim.pending_info) =
     {
       Model.thread = Job (Id.Lop.to_int p.lid);
       comps =
@@ -296,35 +314,42 @@ module Session = struct
           (Cobj (Id.Obj.to_int p.obj), Write);
         ];
     }
-    :: acc
 
-  (* the enabled events, then the servers that may still crash, built
-     newest first and laid out in order *)
+  (* footprint [fp] at index [n] of [buf]; the next index *)
+  let put t n fp =
+    if n = Array.length t.buf then begin
+      let bigger = Array.make (2 * n) fp in
+      Array.blit t.buf 0 bigger 0 n;
+      t.buf <- bigger
+    end;
+    t.buf.(n) <- fp;
+    n + 1
+
+  (* the enabled events, then the servers that may still crash, laid
+     out in [buf] and copied out *)
   let choices t =
-    let rev =
+    let n =
       Sim.fold_enabled t.sim
-        ~step:(fun c acc -> t.step_choices.(Id.Client.to_int c) :: acc)
-        ~respond []
+        ~step:(fun c n -> put t n (Model.client_step (Id.Client.to_int c)))
+        ~respond:(fun p n -> put t n (respond p))
+        0
     in
-    let rev = fold_crashable t (fun s acc -> t.crash_choices.(s) :: acc) rev in
-    match rev with
-    | [] -> [||]
-    | last :: _ ->
-        let n = List.length rev in
-        let a = Array.make n last in
-        List.iteri (fun i c -> a.(n - 1 - i) <- c) rev;
-        a
+    let n = fold_crashable t (fun s n -> put t n (Model.crash s)) n in
+    Array.sub t.buf 0 n
 
+  (* a call returns only while its client's fiber runs, so only a client
+     step can free a client for its next operation *)
   let fire t th =
     t.time_before <- Sim.now t.sim;
     t.invoked <- [];
-    (match th with
-    | Model.Client c -> Sim.fire t.sim (Sim.Step (Id.Client.of_int c))
+    match th with
+    | Model.Client c ->
+        Sim.fire t.sim (Sim.Step (Id.Client.of_int c));
+        auto_invoke t
     | Job l -> Sim.fire t.sim (Sim.Respond (Id.Lop.of_int l))
     | Crash s ->
-        Model.fire_crash (crash_candidates t) (Sim.crash_server t.sim) s);
-    auto_invoke t;
-    Invariants.Monitor.observe t.monitor (Sim.trace t.sim)
+        Model.fire_crash (crash_candidates t) (Sim.crash_server t.sim) s;
+        t.crashed <- t.crashed + 1
 
   let last_step t =
     let recorded = ref false in
@@ -340,22 +365,68 @@ module Session = struct
 
   let history t = History.of_trace (Sim.trace t.sim)
 
+  let same_hop a b =
+    a == b
+    ||
+    match (a, b) with
+    | Trace.H_write v, Trace.H_write v' -> Value.equal v v'
+    | Trace.H_read, Trace.H_read -> true
+    | (Trace.H_write _ | Trace.H_read), _ -> false
+
+  (* an invoke or return entry renders as [e'] does *)
+  let same_event e e' =
+    match (e, e') with
+    | Trace.Invoke (c, h), Trace.Invoke (c', h') ->
+        Id.Client.equal c c' && same_hop h h'
+    | Trace.Return (c, h, v), Trace.Return (c', h', v') ->
+        Id.Client.equal c c' && same_hop h h' && Value.equal v v'
+    | _ -> false
+
+  (* Rendering a key costs more than the rest of a terminal check, and
+     most runs end in the history the run before them ended in.  The
+     text last rendered is kept with the invoke and return entries it
+     renders, and reused while a run's entries equal them.  It caches a
+     function of those entries alone, so a run of any scenario may read
+     what another left; the pair is replaced whole, so runs on other
+     domains read one consistent pair. *)
+  let last_key = ref ([||], "")
+
   (* the trace's invoke and return entries are the history's events in
      time order, each return carrying its call's hop *)
-  let history_key t =
-    let tr = Sim.trace t.sim in
-    let b = Buffer.create 128 in
+  let render tr =
+    let b = Buffer.create 128 and events = ref [] in
     for i = 0 to Trace.time tr - 1 do
       match Trace.get tr i with
-      | Trace.Invoke (c, hop) ->
+      | Trace.Invoke (c, hop) as e ->
+          events := e :: !events;
           Model.add_event b ~ret:false (Id.Client.to_int c) hop None
-      | Trace.Return (c, hop, v) ->
+      | Trace.Return (c, hop, v) as e ->
+          events := e :: !events;
           Model.add_event b ~ret:true (Id.Client.to_int c) hop (Some v)
       | _ -> ()
     done;
-    Buffer.contents b
+    let key = Buffer.contents b in
+    last_key := (Array.of_list (List.rev !events), key);
+    key
+
+  let history_key t =
+    let tr = Sim.trace t.sim in
+    let events, key = !last_key in
+    (* the invoke and return entries seen so far equal [events]' first
+       [n]; [n] is -1 once one differs *)
+    let n = ref 0 and i = ref 0 in
+    while !n >= 0 && !i < Trace.time tr do
+      (match Trace.get tr !i with
+      | (Trace.Invoke _ | Trace.Return _) as e ->
+          if !n < Array.length events && same_event e events.(!n) then incr n
+          else n := -1
+      | _ -> ());
+      incr i
+    done;
+    if !n = Array.length events then key else render tr
 
   let invariants t =
+    Invariants.Monitor.observe t.monitor (Sim.trace t.sim);
     List.filter_map
       (function
         | Ok () -> None

@@ -78,6 +78,7 @@ type result = {
           the schedules *)
   stuck_runs : int;  (** schedules ending with no enabled event *)
   fired_events : int;  (** total events fired across all replays *)
+  replays : int;  (** fresh runs started to rebuild a state *)
   replayed : int;
       (** of those, the events re-fired to rebuild a state; the rest
           are the search tree's edges *)
@@ -113,12 +114,14 @@ end
     enabled simulator events, then crashing each server still correct
     while the scenario's crash budget lasts.  A [Step] writes its
     client and the history component; a [Respond] accumulates into its
-    client and writes its object.  It feeds every step's trace entries
-    to an {!Regemu_history.Invariants.Monitor}, so its [invariants] at a
-    terminal state read the monitor's verdicts.  [choices] is one walk
+    client and writes its object.  A fresh run and a re-fired choice do
+    only the simulator's work: [invariants] feeds the trace to an
+    {!Regemu_history.Invariants.Monitor} when it is called, and
+    [last_step] reads the trace only when asked.  [choices] is one walk
     of {!Regemu_sim.Sim.fold_enabled}, [finished] reads a count of
     uninvoked operations and the calls still open, and [history_key]
-    is one pass over the trace's invoke and return entries.  Both
+    is one pass over the trace's invoke and return entries, which
+    reuses the last key rendered while those entries are equal.  Both
     engines search it: {!run} below and {!Dpor.run}. *)
 module Session : sig
   include Model.S with type scenario = scenario

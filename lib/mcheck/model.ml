@@ -45,13 +45,25 @@ type footprint = { thread : thread; comps : (comp * access) list }
 
 let is_crash = function Crash _ -> true | Client _ | Job _ -> false
 
+(* Footprints are immutable, so those of the first few clients and
+   servers are built once and shared by every run. *)
+let shared = 64
+
 (* on both models a client step writes its client and the history (it
    may record returns and invokes; the DPOR engine drops [Chist] when
    it recorded nothing) *)
-let client_step c =
+let build_client_step c =
   { thread = Client c; comps = [ (Cclient c, Write); (Chist, Write) ] }
 
-let crash s = { thread = Crash s; comps = [] }
+let client_steps = Array.init shared build_client_step
+
+let client_step c =
+  if c >= 0 && c < shared then client_steps.(c) else build_client_step c
+
+let crashes = Array.init shared (fun s -> { thread = Crash s; comps = [] })
+
+let crash s =
+  if s >= 0 && s < shared then crashes.(s) else { thread = Crash s; comps = [] }
 
 (** [fire_crash candidates crash s] crashes server [s] if it is one of
     the [candidates], and raises [Invalid_argument] otherwise: both

@@ -4,6 +4,11 @@ let src = Logs.Src.create "regemu.sim" ~doc:"Simulator event log"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
+(* the log level [Log.debug] tests, read first so that a disabled log
+   builds no message closure on the hot paths *)
+let debug_on () =
+  match Logs.Src.level src with Some Logs.Debug -> true | _ -> false
+
 type _ Effect.t += Wait_until : (unit -> bool) -> unit Effect.t
 
 let wait_until pred = Effect.perform (Wait_until pred)
@@ -24,11 +29,17 @@ type pending_info = {
   triggered_at : int;
 }
 
-type pending_rec = { info : pending_info; on_response : Value.t -> unit }
+(* fills the free slots of the pending table *)
+let no_info =
+  {
+    lid = Id.Lop.of_int (-1);
+    obj = Id.Obj.of_int (-1);
+    op = Base_object.Read;
+    client = Id.Client.of_int (-1);
+    triggered_at = -1;
+  }
 
-(* Lids are allocated in increasing order at trigger time, so the
-   map's key order is trigger order. *)
-module Pending = Map.Make (Int)
+let no_response (_ : Value.t) = ()
 
 type call = {
   cl : Id.Client.t;
@@ -42,11 +53,16 @@ type fiber =
   | Idle
   | Waiting of { pred : unit -> bool; k : (unit, unit) Effect.Deep.continuation }
 
+(* A client runs one call at a time, so its effect handler is built
+   once, with the client, and reads the call in progress from it. *)
 type client_rec = {
   cid : Id.Client.t;
   mutable crashed : bool;
   mutable fiber : fiber;
   mutable busy : bool;
+  mutable call : call;  (* the call in progress, or the last one *)
+  mutable parking : unit -> bool;  (* the predicate being waited on *)
+  mutable handler : (Value.t, unit) Effect.Deep.handler;
 }
 
 type t = {
@@ -56,7 +72,15 @@ type t = {
   mutable num_objs : int;
   mutable cls : client_rec array;
   mutable num_cls : int;
-  mutable pending_map : pending_rec Pending.t;  (* keyed by lid *)
+  (* Lids are allocated in increasing order at trigger time, so the
+     pending table is indexed by lid and its index order is trigger
+     order.  Slot [l] holds lid [l]'s info and handler while it is
+     pending, [no_info] after; lids below [first_pending] all responded.
+     A pending operation's object and client exist, so they are read
+     without [obj_rec]'s and [client_rec]'s checks. *)
+  mutable pending_infos : pending_info array;
+  mutable on_responses : (Value.t -> unit) array;
+  mutable first_pending : int;
   mutable next_lid : int;
   tr : Trace.t;
 }
@@ -70,7 +94,9 @@ let create ~n () =
     num_objs = 0;
     cls = [||];
     num_cls = 0;
-    pending_map = Pending.empty;
+    pending_infos = [||];
+    on_responses = [||];
+    first_pending = 0;
     next_lid = 0;
     tr = Trace.create ();
   }
@@ -98,6 +124,42 @@ let push_client t c =
   end;
   t.cls.(t.num_cls) <- c;
   t.num_cls <- t.num_cls + 1
+
+let push_pending t info on_response =
+  let l = t.next_lid in
+  if l = Array.length t.pending_infos then begin
+    let size = Stdlib.max 32 (2 * l) in
+    let infos = Array.make size no_info in
+    let handlers = Array.make size no_response in
+    Array.blit t.pending_infos 0 infos 0 l;
+    Array.blit t.on_responses 0 handlers 0 l;
+    t.pending_infos <- infos;
+    t.on_responses <- handlers
+  end;
+  t.pending_infos.(l) <- info;
+  t.on_responses.(l) <- on_response;
+  t.next_lid <- l + 1
+
+let is_pending t l = l >= 0 && l < t.next_lid && t.pending_infos.(l) != no_info
+
+(* lid [l] responded: free its slot and skip the responded prefix *)
+let remove_pending t l =
+  t.pending_infos.(l) <- no_info;
+  t.on_responses.(l) <- no_response;
+  while
+    t.first_pending < t.next_lid && t.pending_infos.(t.first_pending) == no_info
+  do
+    t.first_pending <- t.first_pending + 1
+  done
+
+(* [f] folded over the pending infos in lid order *)
+let fold_pending t f acc =
+  let acc = ref acc in
+  for l = t.first_pending to t.next_lid - 1 do
+    let p = t.pending_infos.(l) in
+    if p != no_info then acc := f p !acc
+  done;
+  !acc
 
 let check_server t s =
   let i = Id.Server.to_int s in
@@ -138,9 +200,58 @@ let used_objects t =
   in
   go 0 Id.Obj.Set.empty
 
+let no_call =
+  {
+    cl = Id.Client.of_int (-1);
+    hop = Trace.H_read;
+    invoked_at = -1;
+    result = None;
+    returned_at = None;
+  }
+
+(* [cr]'s handler: a return completes [cr.call]; a [wait_until] parks
+   the fiber on its predicate *)
+let handler_for t cr : (Value.t, unit) Effect.Deep.handler =
+  let park =
+    Some
+      (fun (k : (unit, unit) Effect.Deep.continuation) ->
+        cr.fiber <- Waiting { pred = cr.parking; k })
+  in
+  {
+    retc =
+      (fun v ->
+        let call = cr.call in
+        call.result <- Some v;
+        Trace.record t.tr (Return (call.cl, call.hop, v));
+        call.returned_at <- Some (now t);
+        cr.busy <- false;
+        cr.fiber <- Idle);
+    exnc = raise;
+    effc =
+      (fun (type a) (eff : a Effect.t) :
+           ((a, unit) Effect.Deep.continuation -> unit) option ->
+        match eff with
+        | Wait_until pred ->
+            cr.parking <- pred;
+            park
+        | _ -> None);
+  }
+
 let new_client t =
   let cid = Id.Client.of_int t.num_cls in
-  push_client t { cid; crashed = false; fiber = Idle; busy = false };
+  let cr =
+    {
+      cid;
+      crashed = false;
+      fiber = Idle;
+      busy = false;
+      call = no_call;
+      parking = Fun.const false;
+      handler = { retc = ignore; exnc = raise; effc = (fun _ -> None) };
+    }
+  in
+  cr.handler <- handler_for t cr;
+  push_client t cr;
   cid
 
 let clients t = List.init t.num_cls Id.Client.of_int
@@ -149,7 +260,8 @@ let crash_server t s =
   check_server t s;
   if not t.server_crashed.(Id.Server.to_int s) then begin
     t.server_crashed.(Id.Server.to_int s) <- true;
-    Log.debug (fun m -> m "t=%d: server %a crashes" (now t) Id.Server.pp s);
+    if debug_on () then
+      Log.debug (fun m -> m "t=%d: server %a crashes" (now t) Id.Server.pp s);
     Trace.record t.tr (Server_crash s)
   end
 
@@ -173,8 +285,6 @@ let crashed_servers t =
       if server_crashed t s then Id.Server.Set.add s acc else acc)
     Id.Server.Set.empty (servers t)
 
-let obj_crashed t oid = server_crashed t (obj_rec t oid).server
-
 let trigger t ~client oid op ~on_response =
   let o = obj_rec t oid in
   if not (Base_object.matches o.kind op) then
@@ -185,47 +295,22 @@ let trigger t ~client oid op ~on_response =
   if cr.crashed then invalid_arg "Sim.trigger: client crashed";
   o.used <- true;
   let lid = Id.Lop.of_int t.next_lid in
-  t.next_lid <- t.next_lid + 1;
-  Log.debug (fun m ->
-      m "t=%d: %a triggers %a on %a" (now t) Id.Client.pp client
-        Base_object.op_pp op Id.Obj.pp oid);
+  if debug_on () then
+    Log.debug (fun m ->
+        m "t=%d: %a triggers %a on %a" (now t) Id.Client.pp client
+          Base_object.op_pp op Id.Obj.pp oid);
   Trace.record t.tr (Trigger { lid; client; obj = oid; op });
-  let info = { lid; obj = oid; op; client; triggered_at = now t } in
-  t.pending_map <-
-    Pending.add (Id.Lop.to_int lid) { info; on_response } t.pending_map;
+  push_pending t { lid; obj = oid; op; client; triggered_at = now t } on_response;
   lid
 
 let call_client c = c.cl
 let call_hop c = c.hop
 let call_result c = c.result
-let call_returned c = c.result <> None
+let call_returned c = match c.result with Some _ -> true | None -> false
 let call_invoked_at c = c.invoked_at
 let call_returned_at c = c.returned_at
 
 let client_busy t c = (client_rec t c).busy
-
-let run_fiber t (cr : client_rec) (call : call) (body : unit -> Value.t) =
-  let handler : (Value.t, unit) Effect.Deep.handler =
-    {
-      retc =
-        (fun v ->
-          call.result <- Some v;
-          Trace.record t.tr (Return (call.cl, call.hop, v));
-          call.returned_at <- Some (now t);
-          cr.busy <- false;
-          cr.fiber <- Idle);
-      exnc = (fun e -> raise e);
-      effc =
-        (fun (type a) (eff : a Effect.t) ->
-          match eff with
-          | Wait_until pred ->
-              Some
-                (fun (k : (a, unit) Effect.Deep.continuation) ->
-                  cr.fiber <- Waiting { pred; k })
-          | _ -> None);
-    }
-  in
-  Effect.Deep.match_with body () handler
 
 let invoke t ~client hop body =
   let cr = client_rec t client in
@@ -236,7 +321,8 @@ let invoke t ~client hop body =
   let call =
     { cl = client; hop; invoked_at = now t; result = None; returned_at = None }
   in
-  run_fiber t cr call body;
+  cr.call <- call;
+  Effect.Deep.match_with body () cr.handler;
   call
 
 type event = Step of Id.Client.t | Respond of Id.Lop.t
@@ -263,9 +349,12 @@ let fold_enabled t ~step ~respond acc =
       let cr = t.cls.(i) in
       steps (i + 1) (if step_enabled cr then step cr.cid acc else acc)
   in
-  Pending.fold
-    (fun _ p acc -> if obj_crashed t p.info.obj then acc else respond p.info acc)
-    t.pending_map (steps 0 acc)
+  fold_pending t
+    (fun p acc ->
+      let o = t.objs.(Id.Obj.to_int p.obj) in
+      if t.server_crashed.(Id.Server.to_int o.server) then acc
+      else respond p acc)
+    (steps 0 acc)
 
 let enabled t =
   List.rev
@@ -285,32 +374,26 @@ let fire t ev =
           cr.fiber <- Idle;
           Effect.Deep.continue k ()
       | Idle -> assert false)
-  | Respond lid -> (
-      match Pending.find_opt (Id.Lop.to_int lid) t.pending_map with
-      | None -> invalid_arg (Fmt.str "Sim.fire: %a not pending" event_pp ev)
-      | Some p ->
-          if obj_crashed t p.info.obj then
-            invalid_arg (Fmt.str "Sim.fire: %a on crashed server" event_pp ev);
-          t.pending_map <- Pending.remove (Id.Lop.to_int lid) t.pending_map;
-          let o = obj_rec t p.info.obj in
-          let state', result = Base_object.apply o.kind o.state p.info.op in
-          o.state <- state';
-          Log.debug (fun m ->
-              m "t=%d: %a responds %a on %a" (now t) Id.Lop.pp lid Value.pp
-                result Id.Obj.pp p.info.obj);
-          Trace.record t.tr
-            (Respond
-               {
-                 lid;
-                 client = p.info.client;
-                 obj = p.info.obj;
-                 op = p.info.op;
-                 result;
-               });
-          if not (client_crashed t p.info.client) then p.on_response result)
+  | Respond lid ->
+      let l = Id.Lop.to_int lid in
+      if not (is_pending t l) then
+        invalid_arg (Fmt.str "Sim.fire: %a not pending" event_pp ev);
+      let p = t.pending_infos.(l) and on_response = t.on_responses.(l) in
+      let o = t.objs.(Id.Obj.to_int p.obj) in
+      if t.server_crashed.(Id.Server.to_int o.server) then
+        invalid_arg (Fmt.str "Sim.fire: %a on crashed server" event_pp ev);
+      remove_pending t l;
+      let state', result = Base_object.apply o.kind o.state p.op in
+      o.state <- state';
+      if debug_on () then
+        Log.debug (fun m ->
+            m "t=%d: %a responds %a on %a" (now t) Id.Lop.pp lid Value.pp
+              result Id.Obj.pp p.obj);
+      Trace.record t.tr
+        (Respond { lid; client = p.client; obj = p.obj; op = p.op; result });
+      if not t.cls.(Id.Client.to_int p.client).crashed then on_response result
 
-let pending t =
-  Pending.fold (fun _ p acc -> p.info :: acc) t.pending_map [] |> List.rev
+let pending t = List.rev (fold_pending t List.cons [])
 
 let pending_on t oid =
   List.filter (fun p -> Id.Obj.equal p.obj oid) (pending t)

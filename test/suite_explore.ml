@@ -202,6 +202,7 @@ let dpor_tests =
           let got =
             [
               ("explored", r.Dpor.explored);
+              ("replays", r.Dpor.replays);
               ("replayed", r.Dpor.replayed);
               ("pruned", r.Dpor.pruned);
               ("sleep_skipped", r.Dpor.sleep_skipped);
@@ -227,6 +228,7 @@ let dpor_tests =
           ~want:
             [
               ("explored", 10000);
+              ("replays", 2717);
               ("replayed", 53694);
               ("pruned", 5276);
               ("sleep_skipped", 470);
@@ -244,6 +246,7 @@ let dpor_tests =
           ~want:
             [
               ("explored", 10000);
+              ("replays", 2764);
               ("replayed", 43862);
               ("pruned", 5141);
               ("sleep_skipped", 430);
@@ -395,6 +398,82 @@ let key_tests =
         in
         Alcotest.(check bool) "wait-all: finished and stuck keys" true
           (distinct >= 2));
+  ]
+
+(* --- replay reproduces a state ---------------------------------------------- *)
+
+(* The engines rebuild every state they backtrack to by starting a fresh
+   run and re-firing the recorded threads, relying on {!Model.S.fire}'s
+   promise that this reproduces the state exactly.  [Replayed] walks a
+   random prefix the way an engine explores (reading [choices],
+   [last_step], [finished] and, now and then, [invariants] at every
+   state), rebuilds it with [create] and [fire] alone, and compares what
+   an engine reads next.  [same] compares model-specific state. *)
+module Replayed (M : Model.S) = struct
+  let check ~name ?(same = fun _ _ -> ()) sc ~seed ~steps =
+    let rng = Random.State.make [| seed |] in
+    let s = M.create sc in
+    let rec walk path k =
+      if k = 0 || M.finished s then path
+      else
+        match M.choices s with
+        | [||] -> path
+        | cs ->
+            let th = cs.(Random.State.int rng (Array.length cs)).thread in
+            M.fire s th;
+            ignore (M.last_step s);
+            if Random.State.bool rng then ignore (M.invariants s);
+            walk (th :: path) (k - 1)
+    in
+    let path = List.rev (walk [] steps) in
+    let r = M.create sc in
+    List.iter (M.fire r) path;
+    let at = Fmt.str "%s, seed %d, %d fired" name seed (List.length path) in
+    Alcotest.(check bool)
+      (at ^ ": same choices") true
+      (M.choices s = M.choices r);
+    Alcotest.(check bool)
+      (at ^ ": same finished") (M.finished s) (M.finished r);
+    Alcotest.(check string) (at ^ ": same history key") (M.history_key s)
+      (M.history_key r);
+    Alcotest.(check (list string)) (at ^ ": same invariants") (M.invariants s)
+      (M.invariants r);
+    same s r
+end
+
+(* on [Sim], also the pending low-level operations and every object's
+   value *)
+let same_sim s r =
+  let sim = Explore.Session.sim in
+  Alcotest.(check bool) "same pending operations" true
+    (Regemu_sim.Sim.pending (sim s) = Regemu_sim.Sim.pending (sim r));
+  let values x =
+    List.map (Regemu_sim.Sim.peek (sim x)) (Regemu_sim.Sim.objects (sim x))
+  in
+  Alcotest.(check bool) "same object values" true (values s = values r)
+
+let replay_tests =
+  let module R = Replayed (Explore.Session) in
+  let seeds = QCheck.(pair small_nat (int_bound 30)) in
+  [
+    qcheck ~name:"replay reproduces the capped one-crash Algorithm 2 state"
+      ~count:60 seeds (fun (seed, steps) ->
+        R.check ~name:"algorithm2" ~same:same_sim
+          (Explore.emulation_scenario Regemu_core.Algorithm2.factory p1
+             ~mode:Explore.Sequential ~crashes:1
+             ~writer_ops:[ [ Value.Int 1001; Value.Int 1002 ] ]
+             ~readers:1 ~reads_each:2 ())
+          ~seed ~steps;
+        true);
+    qcheck ~name:"replay reproduces the eager naive-reg state" ~count:60 seeds
+      (fun (seed, steps) ->
+        R.check ~name:"naive-reg" ~same:same_sim
+          (Explore.emulation_scenario Regemu_baselines.Naive_reg.factory p1
+             ~mode:Explore.Eager ~crashes:1
+             ~writer_ops:[ [ Value.Int 1; Value.Int 2 ] ]
+             ~readers:1 ~reads_each:1 ())
+          ~seed ~steps;
+        true);
   ]
 
 (* --- regemu-cert/1 ------------------------------------------------------- *)
@@ -579,6 +658,7 @@ let suites =
   [
     ("explore.dpor", dpor_tests);
     ("explore.history-key", key_tests);
+    ("explore.replay", replay_tests);
     ("explore.cert", cert_tests);
     ("explore.coverage", coverage_tests);
     ("explore.cgfuzz", cgfuzz_tests);

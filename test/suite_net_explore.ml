@@ -166,6 +166,17 @@ let net_explore_tests =
         ignore
           (K.check "net abd" ~fingerprints:d.Dpor.state_fingerprints
              ~runs:(d.Dpor.terminal_runs + d.Dpor.stuck_runs)));
+    Suite_explore.qcheck
+      ~name:"replay reproduces the state (ABD, write then read)" ~count:60
+      QCheck.(pair small_nat (int_bound 40))
+      (fun (seed, steps) ->
+        let module R = Suite_explore.Replayed (Net_model) in
+        R.check ~name:"net abd"
+          (scenario
+             ~ops:[ `Write (Value.Str "a"); `Read ]
+             (Net_scenario.abd ~write_back:false))
+          ~seed ~steps;
+        true);
     test "fire rejects a thread with no choice now" (fun () ->
         Suite_mcheck.check_fire_contract
           (module Net_model)
