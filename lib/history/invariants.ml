@@ -10,7 +10,6 @@ let violation_pp ppf v =
    room to spare *)
 let grow a i fill =
   if i < Array.length a then a
-  else if Array.length a = 0 then Array.make (i + 8) fill
   else begin
     let b = Array.make (max (2 * Array.length a) (i + 8)) fill in
     Array.blit a 0 b 0 (Array.length a);

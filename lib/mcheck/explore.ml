@@ -365,65 +365,18 @@ module Session = struct
 
   let history t = History.of_trace (Sim.trace t.sim)
 
-  let same_hop a b =
-    a == b
-    ||
-    match (a, b) with
-    | Trace.H_write v, Trace.H_write v' -> Value.equal v v'
-    | Trace.H_read, Trace.H_read -> true
-    | (Trace.H_write _ | Trace.H_read), _ -> false
-
-  (* an invoke or return entry renders as [e'] does *)
-  let same_event e e' =
-    match (e, e') with
-    | Trace.Invoke (c, h), Trace.Invoke (c', h') ->
-        Id.Client.equal c c' && same_hop h h'
-    | Trace.Return (c, h, v), Trace.Return (c', h', v') ->
-        Id.Client.equal c c' && same_hop h h' && Value.equal v v'
-    | _ -> false
-
-  (* Rendering a key costs more than the rest of a terminal check, and
-     most runs end in the history the run before them ended in.  The
-     text last rendered is kept with the invoke and return entries it
-     renders, and reused while a run's entries equal them.  It caches a
-     function of those entries alone, so a run of any scenario may read
-     what another left; the pair is replaced whole, so runs on other
-     domains read one consistent pair. *)
-  let last_key = ref ([||], "")
-
-  (* the trace's invoke and return entries are the history's events in
-     time order, each return carrying its call's hop *)
-  let render tr =
-    let b = Buffer.create 128 and events = ref [] in
+  let history_key t =
+    let tr = Sim.trace t.sim in
+    let b = Buffer.create 128 in
     for i = 0 to Trace.time tr - 1 do
       match Trace.get tr i with
-      | Trace.Invoke (c, hop) as e ->
-          events := e :: !events;
+      | Trace.Invoke (c, hop) ->
           Model.add_event b ~ret:false (Id.Client.to_int c) hop None
-      | Trace.Return (c, hop, v) as e ->
-          events := e :: !events;
+      | Trace.Return (c, hop, v) ->
           Model.add_event b ~ret:true (Id.Client.to_int c) hop (Some v)
       | _ -> ()
     done;
-    let key = Buffer.contents b in
-    last_key := (Array.of_list (List.rev !events), key);
-    key
-
-  let history_key t =
-    let tr = Sim.trace t.sim in
-    let events, key = !last_key in
-    (* the invoke and return entries seen so far equal [events]' first
-       [n]; [n] is -1 once one differs *)
-    let n = ref 0 and i = ref 0 in
-    while !n >= 0 && !i < Trace.time tr do
-      (match Trace.get tr !i with
-      | (Trace.Invoke _ | Trace.Return _) as e ->
-          if !n < Array.length events && same_event e events.(!n) then incr n
-          else n := -1
-      | _ -> ());
-      incr i
-    done;
-    if !n = Array.length events then key else render tr
+    Buffer.contents b
 
   let invariants t =
     Invariants.Monitor.observe t.monitor (Sim.trace t.sim);

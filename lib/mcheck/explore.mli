@@ -120,8 +120,7 @@ end
     [last_step] reads the trace only when asked.  [choices] is one walk
     of {!Regemu_sim.Sim.fold_enabled}, [finished] reads a count of
     uninvoked operations and the calls still open, and [history_key]
-    is one pass over the trace's invoke and return entries, which
-    reuses the last key rendered while those entries are equal.  Both
+    is one pass over the trace's invoke and return entries.  Both
     engines search it: {!run} below and {!Dpor.run}. *)
 module Session : sig
   include Model.S with type scenario = scenario

@@ -72,15 +72,16 @@ type t = {
   mutable num_objs : int;
   mutable cls : client_rec array;
   mutable num_cls : int;
-  (* Lids are allocated in increasing order at trigger time, so the
-     pending table is indexed by lid and its index order is trigger
-     order.  Slot [l] holds lid [l]'s info and handler while it is
-     pending, [no_info] after; lids below [first_pending] all responded.
-     A pending operation's object and client exist, so they are read
-     without [obj_rec]'s and [client_rec]'s checks. *)
+  (* The pending operations are [pending_infos.(0 .. num_pending - 1)],
+     with their handlers at the same index of [on_responses].  Lids are
+     allocated in increasing order at trigger time, so a trigger
+     appends and the arrays stay in lid order, which is trigger order.
+     They hold only what is pending: a respond shifts the later entries
+     down.  A pending operation's object and client exist, so they are
+     read without [obj_rec]'s and [client_rec]'s checks. *)
   mutable pending_infos : pending_info array;
   mutable on_responses : (Value.t -> unit) array;
-  mutable first_pending : int;
+  mutable num_pending : int;
   mutable next_lid : int;
   tr : Trace.t;
 }
@@ -96,7 +97,7 @@ let create ~n () =
     num_cls = 0;
     pending_infos = [||];
     on_responses = [||];
-    first_pending = 0;
+    num_pending = 0;
     next_lid = 0;
     tr = Trace.create ();
   }
@@ -126,38 +127,49 @@ let push_client t c =
   t.num_cls <- t.num_cls + 1
 
 let push_pending t info on_response =
-  let l = t.next_lid in
-  if l = Array.length t.pending_infos then begin
-    let size = Stdlib.max 32 (2 * l) in
+  let i = t.num_pending in
+  if i = Array.length t.pending_infos then begin
+    let size = Stdlib.max 16 (2 * i) in
     let infos = Array.make size no_info in
     let handlers = Array.make size no_response in
-    Array.blit t.pending_infos 0 infos 0 l;
-    Array.blit t.on_responses 0 handlers 0 l;
+    Array.blit t.pending_infos 0 infos 0 i;
+    Array.blit t.on_responses 0 handlers 0 i;
     t.pending_infos <- infos;
     t.on_responses <- handlers
   end;
-  t.pending_infos.(l) <- info;
-  t.on_responses.(l) <- on_response;
-  t.next_lid <- l + 1
+  t.pending_infos.(i) <- info;
+  t.on_responses.(i) <- on_response;
+  t.num_pending <- i + 1;
+  t.next_lid <- t.next_lid + 1
 
-let is_pending t l = l >= 0 && l < t.next_lid && t.pending_infos.(l) != no_info
+(* the index of lid [l] among the pending operations, or -1.  The
+   search runs from the newest: operations stuck on a crashed server
+   gather at the front. *)
+let find_pending t l =
+  let infos = t.pending_infos in
+  let i = ref (t.num_pending - 1) in
+  while !i >= 0 && Id.Lop.to_int infos.(!i).lid > l do
+    decr i
+  done;
+  if !i >= 0 && Id.Lop.to_int infos.(!i).lid = l then !i else -1
 
-(* lid [l] responded: free its slot and skip the responded prefix *)
-let remove_pending t l =
-  t.pending_infos.(l) <- no_info;
-  t.on_responses.(l) <- no_response;
-  while
-    t.first_pending < t.next_lid && t.pending_infos.(t.first_pending) == no_info
-  do
-    t.first_pending <- t.first_pending + 1
-  done
+(* the operation at index [i] responded *)
+let remove_pending t i =
+  let infos = t.pending_infos and handlers = t.on_responses in
+  let last = t.num_pending - 1 in
+  for j = i to last - 1 do
+    infos.(j) <- infos.(j + 1);
+    handlers.(j) <- handlers.(j + 1)
+  done;
+  infos.(last) <- no_info;
+  handlers.(last) <- no_response;
+  t.num_pending <- last
 
 (* [f] folded over the pending infos in lid order *)
 let fold_pending t f acc =
   let acc = ref acc in
-  for l = t.first_pending to t.next_lid - 1 do
-    let p = t.pending_infos.(l) in
-    if p != no_info then acc := f p !acc
+  for i = 0 to t.num_pending - 1 do
+    acc := f t.pending_infos.(i) !acc
   done;
   !acc
 
@@ -375,14 +387,13 @@ let fire t ev =
           Effect.Deep.continue k ()
       | Idle -> assert false)
   | Respond lid ->
-      let l = Id.Lop.to_int lid in
-      if not (is_pending t l) then
-        invalid_arg (Fmt.str "Sim.fire: %a not pending" event_pp ev);
-      let p = t.pending_infos.(l) and on_response = t.on_responses.(l) in
+      let i = find_pending t (Id.Lop.to_int lid) in
+      if i < 0 then invalid_arg (Fmt.str "Sim.fire: %a not pending" event_pp ev);
+      let p = t.pending_infos.(i) and on_response = t.on_responses.(i) in
       let o = t.objs.(Id.Obj.to_int p.obj) in
       if t.server_crashed.(Id.Server.to_int o.server) then
         invalid_arg (Fmt.str "Sim.fire: %a on crashed server" event_pp ev);
-      remove_pending t l;
+      remove_pending t i;
       let state', result = Base_object.apply o.kind o.state p.op in
       o.state <- state';
       if debug_on () then

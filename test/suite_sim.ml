@@ -184,6 +184,14 @@ let trigger_tests =
         check "s1 crashed" [ 1; 2; 4; 5; 6 ] [ 2; 4; 6 ];
         Sim.fire sim (Sim.Respond l.(4));
         check "after crash" [ 1; 2; 5; 6 ] [ 2; 6 ];
+        (* lids below, between, just past and above the pending ones *)
+        List.iter
+          (fun x ->
+            match Sim.fire sim (Sim.Respond (Id.Lop.of_int x)) with
+            | () -> Alcotest.failf "respond(%d) fired but is not pending" x
+            | exception Invalid_argument _ -> ())
+          [ 0; 3; 4; 7; -1 ];
+        check "unchanged by the refused responds" [ 1; 2; 5; 6 ] [ 2; 6 ];
         Alcotest.(check (list int))
           "pending_on b1 keeps the crashed server's lops in order" [ 1; 5 ]
           (ints
