@@ -1,62 +1,30 @@
 open Regemu_bounds
 open Regemu_objects
-open Regemu_sim
 open Regemu_core
+open Regemu_netsim
+module Abd = Quorum_client.Abd (Quorum_client.Sim_runtime)
 
-(* Phase helper: trigger [op] on every object, collect responses, block
-   until [quorum] of them responded; return the max response. *)
-let quorum_phase sim ~client ~objects ~op ~quorum =
-  let count = ref 0 in
-  let best = ref Value.v0 in
-  List.iter
-    (fun b ->
-      ignore
-        (Sim.trigger sim ~client b op ~on_response:(fun v ->
-             best := Value.max !best v;
-             incr count)))
-    objects;
-  Sim.wait_until (fun () -> !count >= quorum);
-  !best
-
-let make sim (p : Params.t) ~writers =
+let make ?write_back_reads ~algo sim (p : Params.t) ~writers =
   if List.length writers <> p.k then
-    invalid_arg "Abd_max.make: writer count mismatch";
-  if Sim.num_servers sim <> p.n then
-    invalid_arg "Abd_max.make: server count mismatch";
-  let replicas = (2 * p.f) + 1 in
-  let objects =
-    List.init replicas (fun i ->
-        Sim.alloc sim ~server:(Id.Server.of_int i) Base_object.Max_register)
+    invalid_arg (algo ^ ".make: writer count mismatch");
+  if Regemu_sim.Sim.num_servers sim <> p.n then
+    invalid_arg (algo ^ ".make: server count mismatch");
+  let rt =
+    Quorum_client.Sim_runtime.create sim ~max_registers:((2 * p.f) + 1)
   in
-  let quorum = p.f + 1 in
-  let is_writer c = List.exists (Id.Client.equal c) writers in
+  let t = Abd.create rt ~f:p.f ?write_back_reads () in
   let write c v =
-    if not (is_writer c) then invalid_arg "Abd_max.write: not a writer";
-    Sim.invoke sim ~client:c (Trace.H_write v) (fun () ->
-        let latest =
-          quorum_phase sim ~client:c ~objects ~op:Base_object.Max_read ~quorum
-        in
-        let ts_val = Value.with_ts (Value.ts latest + 1) v in
-        let _ =
-          quorum_phase sim ~client:c ~objects
-            ~op:(Base_object.Max_write ts_val) ~quorum
-        in
-        Value.Unit)
-  in
-  let read c =
-    Sim.invoke sim ~client:c Trace.H_read (fun () ->
-        let latest =
-          quorum_phase sim ~client:c ~objects ~op:Base_object.Max_read ~quorum
-        in
-        Value.payload latest)
+    if not (List.exists (Id.Client.equal c) writers) then
+      invalid_arg (algo ^ ".write: not a writer");
+    Abd.write t c v
   in
   {
-    Emulation.algo = "abd-max";
+    Emulation.algo;
     kind = Base_object.Max_register;
     params = p;
     write;
-    read;
-    objects = (fun () -> objects);
+    read = Abd.read t;
+    objects = (fun () -> Quorum_client.Sim_runtime.objects rt);
   }
 
 let factory =
@@ -64,5 +32,5 @@ let factory =
     Emulation.name = "abd-max";
     obj_kind = Base_object.Max_register;
     expected_objects = Formulas.maxreg_bound;
-    make;
+    make = (fun sim p ~writers -> make ~algo:"abd-max" sim p ~writers);
   }

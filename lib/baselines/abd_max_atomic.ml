@@ -1,73 +1,9 @@
-open Regemu_bounds
-open Regemu_objects
-open Regemu_sim
-open Regemu_core
-
-(* identical quorum helper to Abd_max, kept local to stay dependency-free *)
-let quorum_phase sim ~client ~objects ~op ~quorum =
-  let count = ref 0 in
-  let best = ref Value.v0 in
-  List.iter
-    (fun b ->
-      ignore
-        (Sim.trigger sim ~client b op ~on_response:(fun v ->
-             best := Value.max !best v;
-             incr count)))
-    objects;
-  Sim.wait_until (fun () -> !count >= quorum);
-  !best
-
-let make sim (p : Params.t) ~writers =
-  if List.length writers <> p.k then
-    invalid_arg "Abd_max_atomic.make: writer count mismatch";
-  if Sim.num_servers sim <> p.n then
-    invalid_arg "Abd_max_atomic.make: server count mismatch";
-  let replicas = (2 * p.f) + 1 in
-  let objects =
-    List.init replicas (fun i ->
-        Sim.alloc sim ~server:(Id.Server.of_int i) Base_object.Max_register)
-  in
-  let quorum = p.f + 1 in
-  let is_writer c = List.exists (Id.Client.equal c) writers in
-  let write c v =
-    if not (is_writer c) then invalid_arg "Abd_max_atomic.write: not a writer";
-    Sim.invoke sim ~client:c (Trace.H_write v) (fun () ->
-        let latest =
-          quorum_phase sim ~client:c ~objects ~op:Base_object.Max_read ~quorum
-        in
-        let ts_val = Value.with_ts (Value.ts latest + 1) v in
-        let _ =
-          quorum_phase sim ~client:c ~objects
-            ~op:(Base_object.Max_write ts_val) ~quorum
-        in
-        Value.Unit)
-  in
-  let read c =
-    Sim.invoke sim ~client:c Trace.H_read (fun () ->
-        let latest =
-          quorum_phase sim ~client:c ~objects ~op:Base_object.Max_read ~quorum
-        in
-        (* write-back: ensure a majority stores what we are about to
-           return, so no later read can observe an older value *)
-        let _ =
-          quorum_phase sim ~client:c ~objects
-            ~op:(Base_object.Max_write latest) ~quorum
-        in
-        Value.payload latest)
-  in
-  {
-    Emulation.algo = "abd-max-atomic";
-    kind = Base_object.Max_register;
-    params = p;
-    write;
-    read;
-    objects = (fun () -> objects);
-  }
-
 let factory =
   {
-    Emulation.name = "abd-max-atomic";
-    obj_kind = Base_object.Max_register;
-    expected_objects = Formulas.maxreg_bound;
-    make;
+    Abd_max.factory with
+    Regemu_core.Emulation.name = "abd-max-atomic";
+    make =
+      (fun sim p ~writers ->
+        Abd_max.make ~write_back_reads:true ~algo:"abd-max-atomic" sim p
+          ~writers);
   }

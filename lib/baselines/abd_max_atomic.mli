@@ -1,5 +1,6 @@
 (** Atomic multi-writer ABD over max-registers: {!Abd_max} plus a
-    reader {e write-back} phase.
+    reader {e write-back} phase ({!Abd_max.make}
+    [~write_back_reads:true]).
 
     The paper targets WS-Regularity for its upper bounds precisely
     because atomicity usually requires readers to write (Section 1),

@@ -1,61 +1,18 @@
 open Regemu_bounds
-open Regemu_objects
-open Regemu_sim
-open Regemu_core
+open Regemu_netsim
+module Alg2 = Quorum_client.Alg2 (Quorum_client.Sim_runtime)
 
-type t = {
-  sim : Sim.t;
-  params : Params.t;  (* the layout parameters: k' = k + r slots *)
-  f : int;
-  layout : Layout.t;
-  writer_slots : (int * Quorum_write.t) list;
-  reader_slots : (int * Quorum_write.t) list;
-}
+type t = { rt : Quorum_client.Sim_runtime.t; alg : Alg2.t }
 
 let expected_objects (p : Params.t) ~readers =
   Formulas.register_upper_bound
     (Params.make_exn ~k:(p.k + readers) ~f:p.f ~n:p.n)
 
 let create sim (p : Params.t) ~writers ~readers =
-  if List.length writers <> p.k then
-    invalid_arg "Algorithm2_rwb.create: writer count mismatch";
   if readers = [] then invalid_arg "Algorithm2_rwb.create: no readers";
-  let p' = Params.make_exn ~k:(p.k + List.length readers) ~f:p.f ~n:p.n in
-  let layout = Layout.build sim p' in
-  let slot_of i c = (Id.Client.to_int c, Quorum_write.create c (Layout.set_for_slot layout ~slot:i)) in
-  let writer_slots = List.mapi slot_of writers in
-  let reader_slots =
-    List.mapi (fun i c -> slot_of (p.k + i) c) readers
-  in
-  { sim; params = p'; f = p.f; layout; writer_slots; reader_slots }
+  let rt = Quorum_client.Sim_runtime.create sim ~max_registers:0 in
+  { rt; alg = Alg2.create rt p ~readers ~writers () }
 
-let objects t = Layout.all_objects t.layout
-
-let collect t ~client =
-  Emulation.collect t.sim ~client
-    ~objects_on:(Layout.objects_on t.layout)
-    ~n:t.params.Params.n ~f:t.f
-
-let submit t slot v =
-  let quorum = Array.length (Quorum_write.registers slot) - t.f in
-  Quorum_write.submit t.sim slot v ~quorum
-
-let find_slot slots c what =
-  match List.assoc_opt (Id.Client.to_int c) slots with
-  | Some s -> s
-  | None -> invalid_arg (Fmt.str "Algorithm2_rwb.%s: unregistered client" what)
-
-let write t c v =
-  let slot = find_slot t.writer_slots c "write" in
-  Sim.invoke t.sim ~client:c (Trace.H_write v) (fun () ->
-      let latest = collect t ~client:c in
-      submit t slot (Value.with_ts (Value.ts latest + 1) v);
-      Value.Unit)
-
-let read t c =
-  let slot = find_slot t.reader_slots c "read" in
-  Sim.invoke t.sim ~client:c Trace.H_read (fun () ->
-      let latest = collect t ~client:c in
-      (* write-back before returning: a later collect must see it *)
-      submit t slot latest;
-      Value.payload latest)
+let write t = Alg2.write t.alg
+let read t = Alg2.read t.alg
+let objects t = Quorum_client.Sim_runtime.objects t.rt

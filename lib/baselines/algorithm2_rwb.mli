@@ -25,7 +25,10 @@
     set — its stale covering writes would be indistinguishable from the
     Lemma 1 adversary's, which is why readers cost space here while
     they are free with max-register servers
-    ({!Abd_max_atomic}). *)
+    ({!Abd_max_atomic}).
+
+    The protocol is {!Regemu_netsim.Quorum_client.Alg2} with reader
+    slots ([?readers]) on {!Regemu_netsim.Quorum_client.Sim_runtime}. *)
 
 open Regemu_bounds
 open Regemu_objects

@@ -7,9 +7,12 @@
     not wait for its own register on every server; it waits for [f+1]
     servers to durably hold its new timestamped value.  A register
     whose previous low-level write is still pending is not written
-    again; instead the new value is queued and re-triggered by the
-    response handler (the same never-two-own-pending-writes discipline
-    as Algorithm 2, applied per server).
+    again; its response handler re-sends the current value instead.
+
+    This is Algorithm 2 at [n = 2f+1]: there [z = 1], so each writer
+    owns a set of [2f+1] registers and its quorum is [|R| - f = f+1].
+    It is built by {!Regemu_core.Algorithm2.make}, with register [j] of
+    every set placed on server [j].
 
     At [n = 2f+1] the object count [(2f+1)k = kf + k(f+1)] is exactly
     [Formulas.register_upper_bound] — the point where the paper's lower

@@ -12,6 +12,9 @@
 
     Under benign (e.g. synchronous, responses-first) schedules the
     algorithm behaves fine — which is why the asynchrony argument of
-    the paper is needed at all. *)
+    the paper is needed at all.
+
+    It is {!Regemu_netsim.Quorum_client.Alg2} in naive mode, the same
+    strawman {!Regemu_netsim.Alg2_net} and the live backends build. *)
 
 val factory : Regemu_core.Emulation.factory

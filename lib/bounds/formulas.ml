@@ -12,6 +12,8 @@ let set_sizes (p : Params.t) =
   let fulls = List.init full (fun _ -> y) in
   if rem = 0 then fulls else fulls @ [ (rem * p.f) + p.f + 1 ]
 
+let placement ~set ~index ~n = (set + index) mod n
+
 let register_lower_bound (p : Params.t) =
   (p.k * p.f) + (ceil_div (p.k * p.f) (p.n - (p.f + 1)) * (p.f + 1))
 

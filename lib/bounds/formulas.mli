@@ -26,6 +26,13 @@ val num_sets : Params.t -> int
     [(k mod z) * f + f + 1]. *)
 val set_sizes : Params.t -> int list
 
+(** [placement ~set ~index ~n] is the server of register [index] of set
+    [R_set]: [(set + index) mod n].  Sets are smaller than [n], so a
+    set's registers land on pairwise distinct servers
+    ([|delta(R_i)| = |R_i|]), and consecutive sets are spread
+    round-robin (Figure 1). *)
+val placement : set:int -> index:int -> n:int -> int
+
 (** Lower bound on the number of base read/write registers needed by any
     [f]-tolerant WS-Safe obstruction-free [k]-register emulation
     (Theorem 1): [kf + ceil (kf / (n - (f+1))) * (f+1)]. *)

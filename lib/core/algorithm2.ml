@@ -1,72 +1,24 @@
-open Regemu_bounds
 open Regemu_objects
-open Regemu_sim
+open Regemu_bounds
+open Regemu_netsim
+module Alg2 = Quorum_client.Alg2 (Quorum_client.Sim_runtime)
 
-(* Per-writer state — a covering-discipline slot over the writer's
-   register set R_{slot/z} — kept across high-level writes (the paper's
-   State_i; rdSet lives inside each collect). *)
-
-let write_body sim (p : Params.t) layout slot v () =
-  let value =
-    Emulation.collect sim
-      ~client:(Quorum_write.client slot)
-      ~objects_on:(Layout.objects_on layout) ~n:p.n ~f:p.f
-  in
-  let ts_val = Value.with_ts (Value.ts value + 1) v in
-  let quorum = Array.length (Quorum_write.registers slot) - p.f in
-  Quorum_write.submit sim slot ts_val ~quorum;
-  Value.Unit
-
-let read_body sim (p : Params.t) layout client () =
-  let value =
-    Emulation.collect sim ~client ~objects_on:(Layout.objects_on layout)
-      ~n:p.n ~f:p.f
-  in
-  Value.payload value
-
-let make_with_layout ?(build = Layout.build) sim (p : Params.t) ~writers =
-  if List.length writers <> p.k then
-    invalid_arg
-      (Fmt.str "Algorithm2.make: expected %d writers, got %d" p.k
-         (List.length writers));
-  let layout = build sim p in
-  let slots =
-    List.mapi
-      (fun slot c ->
-        ( Id.Client.to_int c,
-          Quorum_write.create c (Layout.set_for_slot layout ~slot) ))
-      writers
-  in
-  let slot_of c =
-    match List.assoc_opt (Id.Client.to_int c) slots with
-    | Some st -> st
-    | None ->
-        invalid_arg
-          (Fmt.str "Algorithm2.write: %a is not a registered writer"
-             Id.Client.pp c)
-  in
-  let instance =
-    {
-      Emulation.algo = "algorithm2";
-      kind = Base_object.Register;
-      params = p;
-      write =
-        (fun c v ->
-          let slot = slot_of c in
-          Sim.invoke sim ~client:c (Trace.H_write v)
-            (write_body sim p layout slot v));
-      read =
-        (fun c ->
-          Sim.invoke sim ~client:c Trace.H_read (read_body sim p layout c));
-      objects = (fun () -> Layout.all_objects layout);
-    }
-  in
-  (instance, layout)
+let make ?naive ?placement ~algo sim (p : Params.t) ~writers =
+  let rt = Quorum_client.Sim_runtime.create sim ~max_registers:0 in
+  let t = Alg2.create rt p ?naive ?placement ~writers () in
+  {
+    Emulation.algo;
+    kind = Base_object.Register;
+    params = p;
+    write = Alg2.write t;
+    read = Alg2.read t;
+    objects = (fun () -> Quorum_client.Sim_runtime.objects rt);
+  }
 
 let factory =
   {
     Emulation.name = "algorithm2";
     obj_kind = Base_object.Register;
     expected_objects = Formulas.register_upper_bound;
-    make = (fun sim p ~writers -> fst (make_with_layout sim p ~writers));
+    make = (fun sim p ~writers -> make ~algo:"algorithm2" sim p ~writers);
   }

@@ -4,17 +4,11 @@
     [kf + ceil(k/z)(f+1)] read/write registers laid out as in
     {!Layout}, where [z = floor((n-(f+1))/f)].
 
-    Faithful to the pseudocode: a writer keeps per-writer state
-    [(tsVal, wrSet, coverSet)] {e across} high-level writes.  On each
-    write it re-covers the registers whose previous low-level writes
-    are still pending ([coverSet <- R_j \ wrSet]) and triggers fresh
-    writes only on the uncovered ones; when a covered register finally
-    responds, the persistent response handler immediately re-triggers a
-    write of the current [tsVal] (lines 29–34).  This discipline
-    ensures a writer never has two of its own writes pending on one
-    register and leaves at most [f] registers covered when a write
-    returns — which is what defeats the adversarial environment of
-    Definition 3 with only [f] spare registers per write quorum. *)
+    The protocol, with its covering discipline, is
+    {!Regemu_netsim.Quorum_client.Alg2}, the code the network simulator
+    and the live backends run; here its runtime is
+    {!Regemu_netsim.Quorum_client.Sim_runtime}, so every request is a
+    low-level operation on a base register of the simulator. *)
 
 open Regemu_bounds
 open Regemu_objects
@@ -24,13 +18,16 @@ open Regemu_sim
     [Regemu_bounds.Formulas.register_upper_bound]. *)
 val factory : Emulation.factory
 
-(** Like [factory.make], but also returns the underlying {!Layout} for
-    tests and experiments that inspect placement.  [build] defaults to
-    {!Layout.build}; pass {!Layout.build_colocated} for the placement
-    ablation. *)
-val make_with_layout :
-  ?build:(Sim.t -> Params.t -> Layout.t) ->
+(** [make ~algo sim p ~writers] is [factory.make] reporting [algo] as
+    its name; [naive] and [placement] are passed to
+    {!Regemu_netsim.Quorum_client.Alg2.create}.  The strawman
+    ({!Regemu_baselines.Naive_reg}), the layered construction and the
+    placement ablation are built this way. *)
+val make :
+  ?naive:bool ->
+  ?placement:(set:int -> index:int -> n:int -> int) ->
+  algo:string ->
   Sim.t ->
   Params.t ->
   writers:Id.Client.t list ->
-  Emulation.instance * Layout.t
+  Emulation.instance

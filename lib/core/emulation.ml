@@ -28,28 +28,6 @@ let writer_slot writers c =
   in
   go 0 writers
 
-let collect sim ~client ~objects_on ~n ~f =
-  let scans_done = ref 0 in
-  let best = ref Value.v0 in
-  List.iter
-    (fun s ->
-      match objects_on s with
-      | [] -> incr scans_done
-      | objs ->
-          let remaining = ref (List.length objs) in
-          List.iter
-            (fun b ->
-              ignore
-                (Sim.trigger sim ~client b Base_object.Read
-                   ~on_response:(fun v ->
-                     best := Value.max !best v;
-                     decr remaining;
-                     if !remaining = 0 then incr scans_done)))
-            objs)
-    (Sim.servers sim);
-  Sim.wait_until (fun () -> !scans_done >= n - f);
-  !best
-
 let call_sync sim ~client b op =
   let result = ref None in
   ignore

@@ -1,5 +1,5 @@
-(** The common interface of all register emulations, plus fiber-side
-    helpers shared by the quorum-based algorithms.
+(** The common interface of all register emulations, plus a fiber-side
+    helper shared by the shared-memory constructions.
 
     An {!instance} is a live emulated [k]-register wired to a simulator;
     a {!factory} knows how to build one.  The harness, the tests, and
@@ -37,20 +37,7 @@ type factory = {
     list.  Raises [Invalid_argument] if [c] is not a writer. *)
 val writer_slot : Id.Client.t list -> Id.Client.t -> int
 
-(** {2 Fiber-side helpers} *)
-
-(** [collect sim ~client ~objects_on ~n ~f] is the [collect()] of
-    Algorithm 2 (lines 20–26): trigger a read on every object of every
-    server (a per-server {e scan}), wait until [n - f] scans complete
-    (servers with no objects complete vacuously), and return the
-    maximum response.  Must run inside a fiber. *)
-val collect :
-  Sim.t ->
-  client:Id.Client.t ->
-  objects_on:(Id.Server.t -> Id.Obj.t list) ->
-  n:int ->
-  f:int ->
-  Value.t
+(** {2 Fiber-side helper} *)
 
 (** [call_sync sim ~client b op] triggers [op] on [b] and blocks the
     fiber until the response arrives.  Only safe when [b]'s server

@@ -6,10 +6,9 @@ type t = {
   params : Params.t;
   sets : Id.Obj.t array array;
   by_server : Id.Obj.t list array;
-  sim : Sim.t;
 }
 
-let build_with ~placement sim (p : Params.t) =
+let build sim (p : Params.t) =
   if Sim.num_servers sim <> p.n then
     invalid_arg
       (Fmt.str "Layout.build: sim has %d servers but params need %d"
@@ -20,26 +19,16 @@ let build_with ~placement sim (p : Params.t) =
     List.mapi
       (fun i size ->
         Array.init size (fun j ->
-            let s = Id.Server.of_int (placement ~set:i ~index:j ~n:p.n) in
-            let b = Sim.alloc sim ~server:s Base_object.Register in
-            by_server.(Id.Server.to_int s) <-
-              by_server.(Id.Server.to_int s) @ [ b ];
+            let s = Formulas.placement ~set:i ~index:j ~n:p.n in
+            let b =
+              Sim.alloc sim ~server:(Id.Server.of_int s) Base_object.Register
+            in
+            by_server.(s) <- by_server.(s) @ [ b ];
             b))
       sizes
     |> Array.of_list
   in
-  { params = p; sets; by_server; sim }
-
-(* register j of set i goes to server (i + j) mod n; sets are smaller
-   than n, so servers within a set are pairwise distinct *)
-let build sim p =
-  build_with ~placement:(fun ~set ~index ~n -> (set + index) mod n) sim p
-
-(* the ablation: two consecutive registers of a set share a server *)
-let build_colocated sim p =
-  build_with
-    ~placement:(fun ~set:_ ~index ~n -> index / 2 mod n)
-    sim p
+  { params = p; sets; by_server }
 
 let params t = t.params
 let num_sets t = Array.length t.sets

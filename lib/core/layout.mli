@@ -7,7 +7,7 @@
     divide [k]) has [(k mod z) f + f + 1].  Every register of a set is
     mapped to a distinct server ([|delta(R_i)| = |R_i|]), registers are
     spread round-robin across servers (Figure 1 shows one such layout
-    for [n=6, k=5, f=2]).
+    for [n=6, k=5, f=2]) by {!Formulas.placement}.
 
     The total number of registers is exactly
     [Formulas.register_upper_bound]. *)
@@ -21,15 +21,6 @@ type t
 (** [build sim p] allocates all base registers on [sim]'s servers.
     Requires [Sim.num_servers sim = p.n]. *)
 val build : Sim.t -> Params.t -> t
-
-(** Ablation of the distinct-servers requirement: same set sizes, but
-    every set's registers are packed onto as few servers as possible
-    (server 0 first).  Violates [|delta(R_i)| = |R_i|]; a single crash
-    can then take out several of a set's registers at once, so the
-    construction is no longer [f]-tolerant — demonstrated in the test
-    suite by a write blocking forever after one crash.  Never use this
-    outside ablation experiments. *)
-val build_colocated : Sim.t -> Params.t -> t
 
 val params : t -> Params.t
 

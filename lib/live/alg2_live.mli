@@ -3,8 +3,8 @@
     {!Regemu_netsim.Alg2_net}, with blocking awaits in place of
     simulator fibers.
 
-    Register cells are laid out by the Section 3.3 construction (set
-    [i]'s register [j] on server [(i+j) mod n]); each writer owns a
+    Register cells are laid out by the Section 3.3 construction
+    ({!Regemu_bounds.Formulas.placement}); each writer owns a
     slot over its register set and follows the covering discipline: a
     stale acknowledgement (the cell now holds an old value) triggers an
     immediate re-send of the current value.  Reads collect every cell
@@ -18,9 +18,18 @@ type t
 
 (** [create cluster p ~writers ()] allocates the layout's register
     cells (call before {!Cluster.start}) and registers the [k] writer
-    clients.  [naive] uses the unsafe 2f+1-cell strawman instead. *)
+    clients.  [naive] uses the unsafe 2f+1-cell strawman instead;
+    [placement] and [readers] as in
+    {!Regemu_netsim.Quorum_client.Alg2.create}. *)
 val create :
-  Cluster.t -> Params.t -> ?naive:bool -> writers:Cluster.client list -> unit -> t
+  Cluster.t ->
+  Params.t ->
+  ?naive:bool ->
+  ?placement:(set:int -> index:int -> n:int -> int) ->
+  ?readers:Cluster.client list ->
+  writers:Cluster.client list ->
+  unit ->
+  t
 
 (** Total register cells allocated. *)
 val cells : t -> int

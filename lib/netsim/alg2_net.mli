@@ -25,8 +25,17 @@ open Regemu_objects
 type t
 
 (** [create net p ~writers] allocates the layout's cells on [net]'s
-    servers.  [~naive:true] builds the 2f+1-cell strawman instead. *)
-val create : Net.t -> Params.t -> ?naive:bool -> writers:Id.Client.t list -> unit -> t
+    servers.  [~naive:true] builds the 2f+1-cell strawman instead;
+    [placement] and [readers] as in {!Quorum_client.Alg2.create}. *)
+val create :
+  Net.t ->
+  Params.t ->
+  ?naive:bool ->
+  ?placement:(set:int -> index:int -> n:int -> int) ->
+  ?readers:Id.Client.t list ->
+  writers:Id.Client.t list ->
+  unit ->
+  t
 
 (** Total register cells allocated. *)
 val cells : t -> int

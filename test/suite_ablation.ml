@@ -15,35 +15,37 @@ open Regemu_core
 
 let test name f = Alcotest.test_case name `Quick f
 
-let setup ~build ~k ~f ~n =
+(* the ablation: two consecutive registers of a set share a server *)
+let colocated ~set:_ ~index ~n = index / 2 mod n
+
+let setup ?placement ~k ~f ~n () =
   let p = Params.make_exn ~k ~f ~n in
   let sim = Sim.create ~n () in
   let writers = List.init k (fun _ -> Sim.new_client sim) in
-  let instance, layout = Algorithm2.make_with_layout ~build sim p ~writers in
-  (p, sim, instance, layout, writers)
+  let instance =
+    Algorithm2.make ?placement ~algo:"algorithm2" sim p ~writers
+  in
+  (p, sim, instance, writers)
 
 let ablation_tests =
   [
     test "colocated layout really colocates" (fun () ->
-        let _, sim, _, layout, _ =
-          setup ~build:Layout.build_colocated ~k:1 ~f:1 ~n:3
+        let _, sim, instance, _ =
+          setup ~placement:colocated ~k:1 ~f:1 ~n:3 ()
         in
+        (* k=1: the instance's registers are exactly set 0 *)
+        let set0 = instance.objects () in
         let servers =
-          Array.to_list (Layout.set layout 0)
-          |> List.map (Sim.delta sim)
-          |> Id.Server.set_of_list
+          List.map (Sim.delta sim) set0 |> Id.Server.set_of_list
         in
         (* a set of >= 3 registers lands on fewer servers than registers *)
         Alcotest.(check bool)
           "shared server" true
-          (Id.Server.Set.cardinal servers
-          < Array.length (Layout.set layout 0)));
+          (Id.Server.Set.cardinal servers < List.length set0));
     test "healthy placement: a write survives any single crash" (fun () ->
         List.iter
           (fun victim ->
-            let _, sim, instance, _, writers =
-              setup ~build:Layout.build ~k:1 ~f:1 ~n:3
-            in
+            let _, sim, instance, writers = setup ~k:1 ~f:1 ~n:3 () in
             Sim.crash_server sim (Id.Server.of_int victim);
             let call = instance.write (List.hd writers) (Value.Int 1) in
             match
@@ -57,10 +59,10 @@ let ablation_tests =
       (fun () ->
         (* with registers 0 and 1 of the set sharing server 0, crashing
            it removes two registers; the quorum |R|-f is unreachable *)
-        let _, sim, instance, layout, writers =
-          setup ~build:Layout.build_colocated ~k:1 ~f:1 ~n:3
+        let _, sim, instance, writers =
+          setup ~placement:colocated ~k:1 ~f:1 ~n:3 ()
         in
-        let shared = Sim.delta sim (Layout.set layout 0).(0) in
+        let shared = Sim.delta sim (List.hd (instance.objects ())) in
         Sim.crash_server sim shared;
         let call = instance.write (List.hd writers) (Value.Int 1) in
         match
@@ -71,8 +73,8 @@ let ablation_tests =
         | Error o -> Alcotest.failf "expected Stuck, got %a" Driver.outcome_pp o);
     test "without crashes the ablated layout still works (the flaw is \
           fault-tolerance, not logic)" (fun () ->
-        let _, sim, instance, _, writers =
-          setup ~build:Layout.build_colocated ~k:2 ~f:1 ~n:3
+        let _, sim, instance, writers =
+          setup ~placement:colocated ~k:2 ~f:1 ~n:3 ()
         in
         let policy = Policy.uniform (Rng.create 3) in
         List.iteri

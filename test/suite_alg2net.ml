@@ -217,6 +217,49 @@ let violation_tests =
         match Ws_check.check_ws_safe (Net.history net) with
         | Ws_check.Violated _ -> ()
         | v -> Alcotest.failf "expected violation, got %a" Ws_check.verdict_pp v);
+    test "naive mode counts only the current write's acknowledgements"
+      (fun () ->
+        let s i = Id.Server.of_int i in
+        let write_of str d p =
+          match (d, p) with
+          | Net.To_server _, Net.Reg_write { proposed; _ } ->
+              Value.equal (Value.payload proposed) (Value.Str str)
+          | _ -> false
+        in
+        let _, net, t, writers = setup ~naive:true ~k:1 ~f:1 ~n:3 () in
+        let c = List.hd writers in
+        (* W1 returns on servers 0 and 1; its request to server 2 stays
+           in the network *)
+        let w1 = Alg2_net.write t c (Value.Str "v1") in
+        settle_reads net;
+        step_client net c;
+        List.iter
+          (fun srv ->
+            deliver_where net ~what:"W1 write req"
+              (fun d p -> to_server (s srv) d && write_of "v1" d p))
+          [ 0; 1 ];
+        deliver_all_where net is_write_ack;
+        step_client net c;
+        Alcotest.(check bool) "W1 returned" true (Net.call_returned w1);
+        (* W2 sends to every cell; then W1's old request to server 2 and
+           W2's request to server 0 are acknowledged *)
+        let w2 = Alg2_net.write t c (Value.Str "v2") in
+        settle_reads net;
+        step_client net c;
+        deliver_where net ~what:"stale W1 request"
+          (fun d p -> to_server (s 2) d && write_of "v1" d p);
+        deliver_where net ~what:"W2 write req to s0"
+          (fun d p -> to_server (s 0) d && write_of "v2" d p);
+        deliver_all_where net is_write_ack;
+        (* one cell holds v2: the stale reply must not make it a quorum *)
+        Alcotest.(check bool)
+          "W2 still waiting" false
+          (List.mem (Net.Step c) (Net.enabled net));
+        deliver_where net ~what:"W2 write req to s1"
+          (fun d p -> to_server (s 1) d && write_of "v2" d p);
+        deliver_all_where net is_write_ack;
+        step_client net c;
+        Alcotest.(check bool) "W2 returned" true (Net.call_returned w2));
     test "the covering discipline survives the same schedule idea" (fun () ->
         (* full algorithm2 layout: the same writer-interleaving with a
            random finish stays WS-Safe because nobody reuses a cell with

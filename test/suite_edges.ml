@@ -1,5 +1,5 @@
 (* Edge and error paths across the public APIs, plus focused unit tests
-   for the covering-discipline quorum write. *)
+   for Algorithm 2's covering-discipline quorum write. *)
 
 open Regemu_bounds
 open Regemu_objects
@@ -88,107 +88,111 @@ let sim_edge_tests =
           (raises (fun () -> ignore (Rng.int (Rng.create 1) ~bound:0))));
   ]
 
-(* --- quorum write (the covering discipline in isolation) ------------------- *)
+(* --- quorum write (Algorithm 2's covering discipline, on Sim) -------------- *)
 
+(* k=1, f=1, n=3: one set of three registers, one per server, and a
+   write quorum of |R| - f = 2 *)
 let qw_setup () =
   let sim = Sim.create ~n:3 () in
-  let regs =
-    Array.init 3 (fun i ->
-        Sim.alloc sim ~server:(Id.Server.of_int i) Base_object.Register)
-  in
   let c = Sim.new_client sim in
-  (sim, regs, c)
+  let inst =
+    Algorithm2.factory.make sim (Params.make_exn ~k:1 ~f:1 ~n:3) ~writers:[ c ]
+  in
+  (sim, inst, Array.of_list (inst.objects ()), c)
 
-(* run a submit inside a fiber and return the call *)
-let submit_call sim qw v ~quorum =
-  Sim.invoke sim
-    ~client:(Quorum_write.client qw)
-    (Trace.H_write v)
-    (fun () ->
-      Quorum_write.submit sim qw v ~quorum;
-      Value.Unit)
+let step_fiber sim =
+  match List.find_opt (function Sim.Step _ -> true | _ -> false) (Sim.enabled sim) with
+  | Some ev -> Sim.fire sim ev
+  | None -> Alcotest.fail "fiber not runnable"
+
+(* start a write and finish its collect: respond every pending read,
+   then step the fiber into the quorum write *)
+let write_call sim (inst : Emulation.instance) c v =
+  let call = inst.write c v in
+  List.iter
+    (fun (p : Sim.pending_info) ->
+      if p.op = Base_object.Read then Sim.fire sim (Sim.Respond p.lid))
+    (Sim.pending sim);
+  step_fiber sim;
+  call
+
+let respond_on sim target =
+  match
+    List.find_opt
+      (fun (p : Sim.pending_info) -> Id.Obj.equal p.obj target)
+      (Sim.pending sim)
+  with
+  | Some p -> Sim.fire sim (Sim.Respond p.lid)
+  | None -> Alcotest.failf "no pending on %a" Id.Obj.pp target
 
 let quorum_write_tests =
   [
-    test "first submit triggers on every register" (fun () ->
-        let sim, regs, c = qw_setup () in
-        let qw = Quorum_write.create c regs in
-        ignore (submit_call sim qw (Value.Int 1) ~quorum:2);
+    test "first write triggers on every register" (fun () ->
+        let sim, inst, _, c = qw_setup () in
+        ignore (write_call sim inst c (Value.Int 1));
         Alcotest.(check int) "three pending" 3 (List.length (Sim.pending sim)));
-    test "quorum larger than the set raises" (fun () ->
-        let sim, regs, c = qw_setup () in
-        let qw = Quorum_write.create c regs in
-        Alcotest.(check bool)
-          "raises" true
-          (raises (fun () ->
-               ignore (submit_call sim qw (Value.Int 1) ~quorum:4))));
     test "returns after exactly quorum responses" (fun () ->
-        let sim, regs, c = qw_setup () in
-        let qw = Quorum_write.create c regs in
-        let call = submit_call sim qw (Value.Int 1) ~quorum:2 in
-        let respond_one () =
-          match
-            List.filter
-              (function Sim.Respond _ -> true | _ -> false)
-              (Sim.enabled sim)
-          with
-          | ev :: _ -> Sim.fire sim ev
-          | [] -> Alcotest.fail "no response available"
-        in
-        respond_one ();
+        let sim, inst, regs, c = qw_setup () in
+        let call = write_call sim inst c (Value.Int 1) in
+        respond_on sim regs.(0);
         Alcotest.(check bool) "not yet" false (Sim.call_returned call);
-        respond_one ();
+        respond_on sim regs.(1);
         (* predicate now true: step the fiber *)
-        (match Sim.enabled sim with
-        | Sim.Step _ :: _ as evs -> Sim.fire sim (List.hd evs)
-        | _ -> Alcotest.fail "fiber not runnable");
+        step_fiber sim;
         Alcotest.(check bool) "returned" true (Sim.call_returned call));
-    test "second submit skips covered registers and re-triggers on their \
+    test "second write skips covered registers and re-triggers on their \
           response" (fun () ->
-        let sim, regs, c = qw_setup () in
-        let qw = Quorum_write.create c regs in
-        let call1 = submit_call sim qw (Value.Int 1) ~quorum:2 in
+        let sim, inst, regs, c = qw_setup () in
+        let call1 = write_call sim inst c (Value.Int 1) in
         (* respond on regs 0 and 1 only; reg 2 stays covered *)
-        let respond_on target =
-          match
-            List.find_opt
-              (fun (p : Sim.pending_info) -> Id.Obj.equal p.obj target)
-              (Sim.pending sim)
-          with
-          | Some p -> Sim.fire sim (Sim.Respond p.lid)
-          | None -> Alcotest.failf "no pending on %a" Id.Obj.pp target
-        in
-        respond_on regs.(0);
-        respond_on regs.(1);
-        ignore
-          (Driver.run_until sim Policy.steps_first ~budget:5 (fun () ->
-               Sim.call_returned call1));
+        respond_on sim regs.(0);
+        respond_on sim regs.(1);
+        step_fiber sim;
         Alcotest.(check bool) "call1 done" true (Sim.call_returned call1);
         Alcotest.(check int) "reg2 covered" 1 (List.length (Sim.pending sim));
-        (* submit a new value: regs 0 and 1 get fresh triggers; reg 2
+        (* write a new value: regs 0 and 1 get fresh triggers; reg 2
            must NOT *)
-        ignore (submit_call sim qw (Value.Int 2) ~quorum:2);
+        ignore (write_call sim inst c (Value.Int 2));
         let pend_on r = List.length (Sim.pending_on sim r) in
         Alcotest.(check int) "reg0" 1 (pend_on regs.(0));
         Alcotest.(check int) "reg1" 1 (pend_on regs.(1));
         Alcotest.(check int) "reg2 still single" 1 (pend_on regs.(2));
         (* when reg2's old write finally responds, the current value is
            re-triggered immediately *)
-        respond_on regs.(2);
+        respond_on sim regs.(2);
         Alcotest.(check int) "reg2 re-triggered" 1 (pend_on regs.(2));
-        (match List.hd (Sim.pending_on sim regs.(2)) with
+        match List.hd (Sim.pending_on sim regs.(2)) with
         | { op = Base_object.Write v; _ } ->
             Alcotest.(check bool)
               "carries the current value" true
-              (Value.equal v (Value.Int 2))
-        | _ -> Alcotest.fail "expected a write"));
-    test "current reflects the latest submitted value" (fun () ->
-        let sim, regs, c = qw_setup () in
-        let qw = Quorum_write.create c regs in
-        ignore (submit_call sim qw (Value.Int 7) ~quorum:1);
+              (Value.equal (Value.payload v) (Value.Int 2))
+        | _ -> Alcotest.fail "expected a write");
+    test "a read returns the latest written value" (fun () ->
+        let sim, inst, _, c = qw_setup () in
+        ignore
+          (Driver.finish_call_exn sim Policy.responds_first ~budget:50
+             (inst.write c (Value.Int 7)));
+        let v =
+          Driver.finish_call_exn sim Policy.responds_first ~budget:50
+            (inst.read (Sim.new_client sim))
+        in
+        Alcotest.(check bool) "7" true (Value.equal v (Value.Int 7)));
+  ]
+
+(* --- the Sim runtime of the client protocols ---------------------------------- *)
+
+let sim_runtime_tests =
+  let open Regemu_netsim in
+  [
+    test "a request no base object serves raises" (fun () ->
+        let sim = Sim.create ~n:3 () in
+        let rt = Quorum_client.Sim_runtime.create sim ~max_registers:3 in
         Alcotest.(check bool)
-          "current" true
-          (Value.equal (Quorum_write.current qw) (Value.Int 7)));
+          "raises" true
+          (raises (fun () ->
+               Quorum_client.Sim_runtime.rpc rt ~src:(Sim.new_client sim) 0
+                 ~make:(fun rid -> Proto.Cquery { rid })
+                 ~handler:ignore)));
   ]
 
 (* --- formulas edge cases ----------------------------------------------------- *)
@@ -220,5 +224,6 @@ let suites =
   [
     ("edges:sim", sim_edge_tests);
     ("edges:quorum-write", quorum_write_tests);
+    ("edges:sim-runtime", sim_runtime_tests);
     ("edges:formulas", formula_edge_tests);
   ]

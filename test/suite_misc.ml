@@ -168,19 +168,28 @@ let emulation_helper_tests =
         in
         Alcotest.(check bool) "7" true (Value.equal v (Value.Int 7)));
     test "collect over empty servers completes vacuously" (fun () ->
-        let sim = Sim.create ~n:3 () in
-        let c = Sim.new_client sim in
-        let call =
-          Sim.invoke sim ~client:c Trace.H_read (fun () ->
-              Regemu_core.Emulation.collect sim ~client:c
-                ~objects_on:(fun _ -> [])
-                ~n:3 ~f:1)
+        (* naive-reg at n=5, f=1 keeps cells on servers 0..2 only: the
+           two empty servers count as scanned, so a read needs n-f = 4
+           scans but only two replies *)
+        let sim = Sim.create ~n:5 () in
+        let w = Sim.new_client sim in
+        let inst =
+          Regemu_baselines.Naive_reg.factory.make sim
+            (Params.make_exn ~k:1 ~f:1 ~n:5)
+            ~writers:[ w ]
         in
-        (* all scans vacuous: the fiber still needs one step *)
-        let v =
-          Driver.finish_call_exn sim Policy.responds_first ~budget:5 call
-        in
-        Alcotest.(check bool) "v0" true (Value.equal v Value.v0));
+        let call = inst.read (Sim.new_client sim) in
+        (match Sim.pending sim with
+        | a :: b :: _ ->
+            Sim.fire sim (Sim.Respond a.lid);
+            Sim.fire sim (Sim.Respond b.lid)
+        | _ -> Alcotest.fail "expected three pending reads");
+        (match Sim.enabled sim with
+        | (Sim.Step _ as ev) :: _ -> Sim.fire sim ev
+        | _ -> Alcotest.fail "reader not runnable after two replies");
+        Alcotest.(check bool)
+          "v0" true
+          (Sim.call_result call = Some Value.v0));
   ]
 
 (* --- pretty-printers -------------------------------------------------------- *)
