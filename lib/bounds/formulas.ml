@@ -14,6 +14,13 @@ let set_sizes (p : Params.t) =
 
 let placement ~set ~index ~n = (set + index) mod n
 
+(* [List.mapi] and [Array.init] both apply in index order *)
+let walk_sets ?(placement = placement) ~n sizes alloc =
+  List.mapi
+    (fun set size ->
+      Array.init size (fun index -> alloc (placement ~set ~index ~n)))
+    sizes
+
 let register_lower_bound (p : Params.t) =
   (p.k * p.f) + (ceil_div (p.k * p.f) (p.n - (p.f + 1)) * (p.f + 1))
 

@@ -33,6 +33,18 @@ val set_sizes : Params.t -> int list
     round-robin (Figure 1). *)
 val placement : set:int -> index:int -> n:int -> int
 
+(** [walk_sets ?placement ~n sizes alloc] builds the register sets of
+    the Section 3.3 layout: set [i] has [List.nth sizes i] registers,
+    register [j] of it allocated by [alloc server] with [server =
+    placement ~set:i ~index:j ~n] (default {!placement}).  Registers
+    are allocated set by set, in index order. *)
+val walk_sets :
+  ?placement:(set:int -> index:int -> n:int -> int) ->
+  n:int ->
+  int list ->
+  (int -> 'a) ->
+  'a array list
+
 (** Lower bound on the number of base read/write registers needed by any
     [f]-tolerant WS-Safe obstruction-free [k]-register emulation
     (Theorem 1): [kf + ceil (kf / (n - (f+1))) * (f+1)]. *)

@@ -18,16 +18,6 @@ type factory = {
   make : Sim.t -> Params.t -> writers:Id.Client.t list -> instance;
 }
 
-let writer_slot writers c =
-  let rec go i = function
-    | [] ->
-        invalid_arg
-          (Fmt.str "Emulation.writer_slot: %a is not a registered writer"
-             Id.Client.pp c)
-    | w :: rest -> if Id.Client.equal w c then i else go (i + 1) rest
-  in
-  go 0 writers
-
 let call_sync sim ~client b op =
   let result = ref None in
   ignore

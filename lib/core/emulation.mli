@@ -33,10 +33,6 @@ type factory = {
           [List.length writers = p.k] *)
 }
 
-(** [writer_slot writers c] is the 0-based position of [c] in the writer
-    list.  Raises [Invalid_argument] if [c] is not a writer. *)
-val writer_slot : Id.Client.t list -> Id.Client.t -> int
-
 (** {2 Fiber-side helper} *)
 
 (** [call_sync sim ~client b op] triggers [op] on [b] and blocks the

@@ -13,19 +13,14 @@ let build sim (p : Params.t) =
     invalid_arg
       (Fmt.str "Layout.build: sim has %d servers but params need %d"
          (Sim.num_servers sim) p.n);
-  let sizes = Formulas.set_sizes p in
   let by_server = Array.make p.n [] in
   let sets =
-    List.mapi
-      (fun i size ->
-        Array.init size (fun j ->
-            let s = Formulas.placement ~set:i ~index:j ~n:p.n in
-            let b =
-              Sim.alloc sim ~server:(Id.Server.of_int s) Base_object.Register
-            in
-            by_server.(s) <- by_server.(s) @ [ b ];
-            b))
-      sizes
+    Formulas.walk_sets ~n:p.n (Formulas.set_sizes p) (fun s ->
+        let b =
+          Sim.alloc sim ~server:(Id.Server.of_int s) Base_object.Register
+        in
+        by_server.(s) <- by_server.(s) @ [ b ];
+        b)
     |> Array.of_list
   in
   { params = p; sets; by_server }

@@ -47,3 +47,27 @@ val spawn :
 
 (** Join the checker thread, then the final pass and checks. *)
 val stop : t -> result
+
+(** {2 The incremental core}
+
+    What the checker thread runs each tick, usable on its own over any
+    {!Histlog}.  Its state is bounded by the operations in flight: per
+    client a cursor past every completed or aborted cell, the write
+    order settled up to the frontier below which nothing can still
+    arrive, and the completed reads not yet checked. *)
+
+type online
+
+val online : Histlog.t -> online
+
+(** [tick o] polls every client's new cells and checks the reads that
+    completed since the last tick.  [Vacuous] while the writes seen are
+    not write-sequential (then the reads are held for a later tick),
+    [Violated] for the first read outside its admissible window, else
+    [Holds].  An aborted write stays in flight for good; an aborted
+    read constrains nothing. *)
+val tick : online -> Regemu_history.Ws_check.verdict
+
+(** History cells visited by all ticks so far: O(new cells + pending
+    cells) per tick. *)
+val cells_polled : online -> int

@@ -891,8 +891,10 @@ let invoke _t cl hop body =
       end;
       v
   | exception e ->
-      (* the ticket stays pending (sound for the checkers); the span
-         still closes, labelled with how the operation escaped *)
+      (* the ticket is aborted: pending for the checkers (its effect may
+         still land), but no longer a cell to re-poll; the span still
+         closes, labelled with how the operation escaped *)
+      Histlog.abort ticket;
       if sampled then begin
         cl.op_live <- false;
         Sink.span_end cl.crec ~cat:"op"

@@ -232,8 +232,9 @@ type call = Value.t
     [invoke t cl hop body] records the operation in the cluster history
     (real-time invocation ticket), runs [body] on the calling thread,
     records the return, and yields the result.  Starts the per-op
-    retry-deadline clock.  If [body] escapes with {!Unavailable}, the
-    ticket stays pending — sound for the checkers, which treat a
+    retry-deadline clock.  If [body] escapes with an exception (e.g.
+    {!Unavailable}), the ticket is aborted ({!Histlog.abort}): it stays
+    pending in the history — sound for the checkers, which treat a
     pending operation as concurrent with everything after it. *)
 val invoke : t -> client -> Regemu_sim.Trace.hop -> (unit -> Value.t) -> call
 

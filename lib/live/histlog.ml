@@ -1,27 +1,35 @@
 open Regemu_objects
 open Regemu_sim
 
-let chunk_size = 256
-
-type cell = {
-  hop : Trace.hop;
-  invoked_at : int;
-  invoked_ns : int64;  (* monotonic *)
-  mutable returned_at : int option;
-  mutable result : Value.t option;
-  mutable latency_ns : int;
+(* One chunk of a writer's cells as parallel arrays: slot [i] is the
+   writer's operation number [base + i].  No per-op record, no option
+   boxes, no hop box: an operation costs one slot in each of five
+   arrays. *)
+type chunk = {
+  base : int;
+  inv : int array;  (* invocation tick [lsl 1], [lor 1] for a write *)
+  arg : Value.t array;  (* a write's value *)
+  ret : int array;  (* 0 while pending (the clock starts at 1), -1 aborted *)
+  ns : int array;  (* monotonic invocation ns until return, then the latency *)
+  result : Value.t array;  (* meaningful once [ret > 0] *)
 }
 
-(* placeholder for preallocated chunk slots; never read (only slots
-   [< count] are) *)
-let hole =
+let pending = 0
+let aborted = -1
+
+(* chunks start small and double up to [max_chunk] slots: a short-lived
+   client allocates little, a long run pays one header per 256 ops *)
+let first_chunk = 8
+let max_chunk = 256
+
+let new_chunk ~base size =
   {
-    hop = Trace.H_read;
-    invoked_at = 0;
-    invoked_ns = 0L;
-    returned_at = None;
-    result = None;
-    latency_ns = 0;
+    base;
+    inv = Array.make size 0;
+    arg = Array.make size Value.v0;
+    ret = Array.make size pending;
+    ns = Array.make size 0;
+    result = Array.make size Value.v0;
   }
 
 type t = {
@@ -37,13 +45,12 @@ and writer = {
   client : Id.Client.t;
   wm : Mutex.t;  (* guards this client's chunks; never contended across
                     clients — the op hot path shares no lock *)
-  mutable full : cell array list;  (* filled chunks, newest first *)
-  mutable nfull : int;
-  mutable last : cell array;  (* current chunk, preallocated *)
-  mutable last_len : int;
+  mutable chunks : chunk array;  (* the first [nchunks], oldest first *)
+  mutable nchunks : int;
+  mutable len : int;  (* cells appended *)
 }
 
-type ticket = { tw : writer; cell : cell }
+type ticket = { tw : writer; tc : chunk; slot : int }
 
 let create () =
   {
@@ -60,10 +67,9 @@ let new_writer t ~client =
       log = t;
       client;
       wm = Mutex.create ();
-      full = [];
-      nfull = 0;
-      last = Array.make chunk_size hole;
-      last_len = 0;
+      chunks = [| new_chunk ~base:0 first_chunk |];
+      nchunks = 1;
+      len = 0;
     }
   in
   Mutex.lock t.m;
@@ -72,52 +78,78 @@ let new_writer t ~client =
   w
 
 let tick t = Atomic.fetch_and_add t.clock 1
+let capacity c = Array.length c.inv
+let invoked_at c i = c.inv.(i) lsr 1
+
+let hop c i =
+  if c.inv.(i) land 1 = 1 then Trace.H_write c.arg.(i) else Trace.H_read
+
+(* the chunk with room for cell [w.len]; caller holds [wm] *)
+let room w =
+  let c = w.chunks.(w.nchunks - 1) in
+  if w.len < c.base + capacity c then c
+  else begin
+    let c' = new_chunk ~base:w.len (min max_chunk (2 * capacity c)) in
+    if w.nchunks = Array.length w.chunks then
+      w.chunks <- Array.append w.chunks (Array.make w.nchunks c');
+    w.chunks.(w.nchunks) <- c';
+    w.nchunks <- w.nchunks + 1;
+    c'
+  end
 
 let invoke w hop =
   let t = w.log in
-  let cell =
-    {
-      hop;
-      invoked_at = tick t;
-      invoked_ns = Clock.now_ns ();
-      returned_at = None;
-      result = None;
-      latency_ns = 0;
-    }
-  in
+  let ns = Int64.to_int (Clock.now_ns ()) in
   Mutex.lock w.wm;
-  if w.last_len = chunk_size then begin
-    w.full <- w.last :: w.full;
-    w.nfull <- w.nfull + 1;
-    w.last <- Array.make chunk_size hole;
-    w.last_len <- 0
-  end;
-  w.last.(w.last_len) <- cell;
-  w.last_len <- w.last_len + 1;
+  let c = room w in
+  let i = w.len - c.base in
+  (* the tick is taken under [wm]: once a poll of this writer has
+     released the lock, every cell it missed is invoked after the clock
+     value read before that poll *)
+  (match hop with
+  | Trace.H_write v ->
+      c.inv.(i) <- (tick t lsl 1) lor 1;
+      c.arg.(i) <- v
+  | Trace.H_read -> c.inv.(i) <- tick t lsl 1);
+  c.ns.(i) <- ns;
+  w.len <- w.len + 1;
   Mutex.unlock w.wm;
   Atomic.incr t.invoked;
-  { tw = w; cell }
+  { tw = w; tc = c; slot = i }
 
-let return { tw; cell } v =
+let return { tw; tc; slot } v =
   let t = tw.log in
   Mutex.lock tw.wm;
-  cell.returned_at <- Some (tick t);
-  cell.result <- Some v;
-  cell.latency_ns <- Int64.to_int (Int64.sub (Clock.now_ns ()) cell.invoked_ns);
+  tc.ret.(slot) <- tick t;
+  tc.result.(slot) <- v;
+  tc.ns.(slot) <- Int64.to_int (Clock.now_ns ()) - tc.ns.(slot);
   Mutex.unlock tw.wm;
   Atomic.incr t.completed
 
-(* Copy one writer's cells under its lock: a consistent per-client view
-   (each op's returned_at/result pair is published atomically under
-   [wm]).  [f] receives each cell's fields, oldest first. *)
-let fold_writer w f acc =
-  Mutex.lock w.wm;
-  let chunks = List.rev (Array.sub w.last 0 w.last_len :: w.full) in
-  let acc =
-    List.fold_left (fun acc chunk -> Array.fold_left f acc chunk) acc chunks
+let abort { tw; tc; slot } =
+  Mutex.lock tw.wm;
+  tc.ret.(slot) <- aborted;
+  Mutex.unlock tw.wm
+
+(* Visit cells [from ..] of one writer, oldest first, under its lock.
+   [f] gets the chunk and the slot. *)
+let iter_from w ~from f =
+  let rec first ci =
+    if ci > 0 && w.chunks.(ci).base > from then first (ci - 1) else ci
   in
+  for ci = first (w.nchunks - 1) to w.nchunks - 1 do
+    let c = w.chunks.(ci) in
+    for i = max 0 (from - c.base) to min (capacity c) (w.len - c.base) - 1 do
+      f c i
+    done
+  done
+
+let fold_writer w f acc =
+  let acc = ref acc in
+  Mutex.lock w.wm;
+  iter_from w ~from:0 (fun c i -> acc := f !acc c i);
   Mutex.unlock w.wm;
-  acc
+  !acc
 
 let writers t =
   Mutex.lock t.m;
@@ -130,105 +162,92 @@ let writer_client w = w.client
 type cell_view = {
   v_hop : Trace.hop;
   v_invoked_at : int;
-  v_returned_at : int option;
-  v_result : Value.t option;
+  v_returned_at : int;
+  v_aborted : bool;
+  v_result : Value.t;
 }
 
-(* Visit cells [from ..] of one writer, oldest first, under its lock —
-   the online checker's incremental feed.  Only the chunks holding the
-   requested suffix are touched, so a poll that is nearly caught up
-   costs O(new cells), not O(history). *)
+(* the online checker's incremental feed: the chunks before [from] are
+   skipped by walking back from the newest, so a poll that is nearly
+   caught up costs O(new cells), not O(history) *)
 let poll w ~from f =
   Mutex.lock w.wm;
-  let len = (w.nfull * chunk_size) + w.last_len in
-  if from < len then begin
-    let start_chunk = from / chunk_size in
-    (* [full] is newest first: the chunks at or after [start_chunk] are
-       a prefix of it *)
-    let rec prefix n = function
-      | x :: rest when n > 0 -> x :: prefix (n - 1) rest
-      | _ -> []
-    in
-    let visit base chunk upto =
-      for i = 0 to upto - 1 do
-        if base + i >= from then begin
-          let c = chunk.(i) in
-          f
-            {
-              v_hop = c.hop;
-              v_invoked_at = c.invoked_at;
-              v_returned_at = c.returned_at;
-              v_result = c.result;
-            }
-        end
-      done
-    in
-    List.iteri
-      (fun i chunk ->
-        visit ((start_chunk + i) * chunk_size) chunk chunk_size)
-      (List.rev (prefix (w.nfull - start_chunk) w.full));
-    visit (w.nfull * chunk_size) w.last w.last_len
-  end;
+  iter_from w ~from (fun c i ->
+      let r = c.ret.(i) in
+      f
+        {
+          v_hop = hop c i;
+          v_invoked_at = invoked_at c i;
+          v_returned_at = max r 0;
+          v_aborted = r = aborted;
+          v_result = c.result.(i);
+        });
+  let len = w.len in
   Mutex.unlock w.wm;
   len
 
+let clock t = Atomic.get t.clock
+
 (* Cells across clients merge by the shared atomic clock: sorting by
    [invoked_at] rebuilds global invocation order, and the index is the
-   rank in that order — exactly what the old single-list log produced,
-   without its global hot-path mutex. *)
+   rank in that order.  An aborted cell reads as pending: its effect
+   has no return point. *)
 let snapshot t =
   let cells =
     List.fold_left
       (fun acc w ->
         fold_writer w
-          (fun acc (c : cell) ->
-            ( c.invoked_at,
+          (fun acc c i ->
+            let hop = hop c i and invoked_at = invoked_at c i in
+            let returned_at, result =
+              if c.ret.(i) > 0 then (Some c.ret.(i), Some c.result.(i))
+              else (None, None)
+            in
+            ( invoked_at,
               fun index ->
                 {
                   Regemu_history.History.index;
                   client = w.client;
-                  hop = c.hop;
-                  invoked_at = c.invoked_at;
-                  returned_at = c.returned_at;
-                  result = c.result;
+                  hop;
+                  invoked_at;
+                  returned_at;
+                  result;
                 } )
             :: acc)
           acc)
       [] (writers t)
   in
-  let cells =
-    List.sort (fun (a, _) (b, _) -> Int.compare a b) cells
-  in
+  let cells = List.sort (fun (a, _) (b, _) -> Int.compare a b) cells in
   List.mapi (fun i (_, mk) -> mk i) cells
 
 let completed t = Atomic.get t.completed
 let invoked t = Atomic.get t.invoked
 
-(* Resident footprint, for the checker-memory gauges: count whole
-   chunks (allocation is chunked, so that is what the GC sees) and
-   price each cell at a conservative boxed-record estimate. *)
-let cell_bytes = 96
-
-let resident_cells t =
-  List.fold_left
-    (fun acc w ->
-      Mutex.lock w.wm;
-      let n = ((w.nfull + 1) * chunk_size) in
-      Mutex.unlock w.wm;
-      acc + n)
-    0 (writers t)
-
-let approx_bytes t = resident_cells t * cell_bytes
+(* The words the log keeps alive: each chunk's five arrays and record,
+   and each writer's chunk table and record.  Written values and read
+   results are the callers' data and are not counted. *)
+let approx_bytes t =
+  let words =
+    List.fold_left
+      (fun acc w ->
+        Mutex.lock w.wm;
+        let n = ref (Array.length w.chunks + 1 + 8) in
+        for ci = 0 to w.nchunks - 1 do
+          n := !n + (5 * (capacity w.chunks.(ci) + 1)) + 7
+        done;
+        Mutex.unlock w.wm;
+        acc + !n)
+      0 (writers t)
+  in
+  words * (Sys.word_size / 8)
 
 let latencies_ns t =
   let lats =
     List.fold_left
       (fun acc w ->
         fold_writer w
-          (fun acc (c : cell) ->
-            match c.returned_at with
-            | Some _ -> (c.invoked_at, c.latency_ns) :: acc
-            | None -> acc)
+          (fun acc c i ->
+            if c.ret.(i) > 0 then (invoked_at c i, c.ns.(i)) :: acc else acc)
           acc)
       [] (writers t)
   in

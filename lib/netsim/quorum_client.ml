@@ -223,7 +223,7 @@ module Alg2 (R : RUNTIME) = struct
   let cells t = Array.fold_left (fun a l -> a + List.length l) 0 t.by_server
 
   let create rt (p : Params.t) ?(naive = false)
-      ?(placement = Formulas.placement) ?(readers = []) ~writers () =
+      ?placement ?(readers = []) ~writers () =
     if List.length writers <> p.k then
       invalid_arg "Alg2.create: writer count mismatch";
     if R.num_servers rt <> p.n then
@@ -245,12 +245,7 @@ module Alg2 (R : RUNTIME) = struct
       if naive then ([ (2 * p.f) + 1 ], slot_params.k)
       else (Formulas.set_sizes slot_params, Formulas.z slot_params)
     in
-    let sets =
-      List.mapi
-        (fun i size ->
-          Array.init size (fun j -> cell (placement ~set:i ~index:j ~n:p.n)))
-        sizes
-    in
+    let sets = Formulas.walk_sets ?placement ~n:p.n sizes cell in
     let slot i client =
       let rset = List.nth sets (i / z) in
       ( Id.Client.to_int (R.client_id client),

@@ -482,9 +482,11 @@ let histlog_tests =
                     Alcotest.(check bool) "invoked_at strictly increases" true
                       (cv.Histlog.v_invoked_at > last_inv.(i));
                     last_inv.(i) <- cv.Histlog.v_invoked_at;
-                    match (cv.Histlog.v_returned_at, cv.Histlog.v_result) with
-                    | Some _, None ->
-                        Alcotest.fail "completed cell without a result"
+                    match cv.Histlog.v_hop with
+                    | Regemu_sim.Trace.H_write v
+                      when cv.Histlog.v_returned_at > 0
+                           && not (Value.equal v cv.Histlog.v_result) ->
+                        Alcotest.fail "completed cell without its result"
                     | _ -> ())
               in
               Alcotest.(check int) "poll visits exactly the suffix" !fresh
@@ -627,6 +629,245 @@ let histlog_property_tests =
                    h
                in
                idxs = List.init (List.length h) Fun.id)));
+  ]
+
+(* --- the online checker's incremental core ------------------------------ *)
+
+let verdict_class = function
+  | Regemu_history.Ws_check.Holds -> "holds"
+  | Regemu_history.Ws_check.Vacuous -> "vacuous"
+  | Regemu_history.Ws_check.Violated _ -> "violated"
+
+let online_checker_tests =
+  [
+    test "an aborted op does not stall the checker's cursor" (fun () ->
+        let cluster = Cluster.create (Cluster.default_config ~n:3 ~seed:7) in
+        let c = Cluster.new_client cluster in
+        let o = Checker.online (Cluster.log cluster) in
+        (match
+           Cluster.invoke cluster c (Regemu_sim.Trace.H_write (Value.Int 0))
+             (fun () -> raise Exit)
+         with
+        | _ -> Alcotest.fail "the body's exception was swallowed"
+        | exception Exit -> ());
+        let ops = 400 and ticks = 40 in
+        for _ = 1 to ticks do
+          for _ = 1 to ops / ticks do
+            ignore
+              (Cluster.invoke cluster c Regemu_sim.Trace.H_read (fun () ->
+                   Value.v0))
+          done;
+          Alcotest.(check string) "reads of v0 hold" "holds"
+            (verdict_class (Checker.tick o))
+        done;
+        let h = Cluster.history cluster in
+        Cluster.shutdown cluster;
+        (* a cursor stuck at the aborted write re-polls every later op on
+           every tick: ~ops*ticks/2 cells instead of ops+1 *)
+        Alcotest.(check bool)
+          (Fmt.str "O(ops + ticks) cells polled (%d)" (Checker.cells_polled o))
+          true
+          (Checker.cells_polled o <= 1 + ops + ticks);
+        Alcotest.(check bool) "the aborted write is pending in the history"
+          true
+          ((List.hd h).Regemu_history.History.returned_at = None);
+        Alcotest.(check int) "only the reads completed" ops
+          (Histlog.completed (Cluster.log cluster)));
+    test "a 10k-op log holds at most 8 words per op, as approx_bytes says"
+      (fun () ->
+        let log = Histlog.create () in
+        let w = Histlog.new_writer log ~client:(Id.Client.of_int 0) in
+        let ops = 10_000 in
+        let last = ref Value.v0 in
+        for j = 1 to ops do
+          if j mod 2 = 1 then begin
+            let v = Value.Int j in
+            Histlog.return (Histlog.invoke w (Regemu_sim.Trace.H_write v)) v;
+            last := v
+          end
+          else Histlog.return (Histlog.invoke w Regemu_sim.Trace.H_read) !last
+        done;
+        let words = Obj.reachable_words (Obj.repr log) in
+        let per_op = float_of_int words /. float_of_int ops in
+        Alcotest.(check bool)
+          (Fmt.str "%.2f reachable words per op" per_op)
+          true (per_op <= 8.0);
+        let ratio =
+          float_of_int (Histlog.approx_bytes log)
+          /. float_of_int (words * (Sys.word_size / 8))
+        in
+        Alcotest.(check bool)
+          (Fmt.str "approx_bytes / reachable bytes = %.2f" ratio)
+          true
+          (ratio >= 0.75 && ratio <= 1.25));
+  ]
+
+(* A reference log: one record per operation, the shape the history had
+   before the log went columnar.  The clock mirrors the log's: every
+   invocation and return takes a tick, an abort none. *)
+type ref_op = {
+  r_client : int;
+  r_hop : Regemu_sim.Trace.hop;
+  r_inv : int;
+  r_inv_ns : int;
+  mutable r_ret : int option;
+  mutable r_result : Value.t option;
+  mutable r_lat : int;
+}
+
+let ref_snapshot ops =
+  List.mapi
+    (fun index r ->
+      {
+        Regemu_history.History.index;
+        client = Id.Client.of_int r.r_client;
+        hop = r.r_hop;
+        invoked_at = r.r_inv;
+        returned_at = r.r_ret;
+        result = r.r_result;
+      })
+    ops
+
+let ref_latencies ops =
+  List.filter_map (fun r -> Option.map (fun _ -> r.r_lat) r.r_ret) ops
+
+(* one scheduling step: a checker tick, or client [c] moves — invokes
+   if idle (a write with [write]), else returns or aborts ([abort]);
+   a read returns the newest invoked write's value, or with [stale] an
+   arbitrary earlier one *)
+type step = Tick | Move of { c : int; write : bool; abort : bool; pick : int }
+
+let step_gen k =
+  QCheck.Gen.(
+    frequency
+      [
+        (1, return Tick);
+        ( 6,
+          let* c = int_range 0 (k - 1) in
+          (* client 0 mostly writes, the others mostly read, so many
+             histories stay write-sequential and the checks bite *)
+          let* write =
+            map (fun x -> x < if c = 0 then 7 else 1) (int_bound 9)
+          in
+          let* abort = map (fun x -> x = 0) (int_bound 9) in
+          let* pick = int_bound 1000 in
+          return (Move { c; write; abort; pick }) );
+      ])
+
+let step_print = function
+  | Tick -> "tick"
+  | Move { c; write; abort; pick } ->
+      Fmt.str "c%d%s%s/%d" c
+        (if write then "w" else "")
+        (if abort then "!" else "")
+        pick
+
+let online_checker_property_tests =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make
+         ~name:
+           "the online checker agrees with the offline WS check, the log \
+            with a list-of-records log"
+         ~count:300
+         (QCheck.make
+            QCheck.Gen.(
+              let* k = int_range 1 4 in
+              let* steps = list_size (int_range 0 120) (step_gen k) in
+              return (k, steps))
+            ~print:(fun (k, steps) ->
+              Fmt.str "%d clients: %s" k
+                (String.concat " " (List.map step_print steps))))
+         (fun (k, steps) ->
+           let now = ref 0 in
+           Clock.set_source (fun () -> Int64.of_int !now);
+           Fun.protect ~finally:Clock.clear_source @@ fun () ->
+           let log = Histlog.create () in
+           let ws =
+             Array.init k (fun i ->
+                 Histlog.new_writer log ~client:(Id.Client.of_int i))
+           in
+           let o = Checker.online log in
+           let clock = ref 1 and next_value = ref 0 in
+           let refs = ref [] (* newest first *) and written = ref [] in
+           let busy = Array.make k None in
+           let violated = ref false in
+           let agrees () =
+             let v = Checker.tick o in
+             (match v with
+             | Regemu_history.Ws_check.Violated _ -> violated := true
+             | _ -> ());
+             let online =
+               match v with
+               | Regemu_history.Ws_check.Vacuous -> "vacuous"
+               | _ -> if !violated then "violated" else "holds"
+             in
+             let offline =
+               verdict_class
+                 (Regemu_history.Ws_check.check_ws_regular
+                    (Histlog.snapshot log))
+             in
+             if online <> offline then
+               QCheck.Test.fail_reportf "online %a, offline %s on@.%a"
+                 Regemu_history.Ws_check.verdict_pp v offline
+                 Regemu_history.History.pp (Histlog.snapshot log)
+           in
+           List.iteri
+             (fun i step ->
+               now := 1000 * (i + 1);
+               match step with
+               | Tick -> agrees ()
+               | Move { c; write; abort; pick } -> (
+                   match busy.(c) with
+                   | None ->
+                       let hop =
+                         if write then begin
+                           incr next_value;
+                           let v = Value.Int !next_value in
+                           written := v :: !written;
+                           Regemu_sim.Trace.H_write v
+                         end
+                         else Regemu_sim.Trace.H_read
+                       in
+                       let tk = Histlog.invoke ws.(c) hop in
+                       let r =
+                         {
+                           r_client = c;
+                           r_hop = hop;
+                           r_inv = !clock;
+                           r_inv_ns = !now;
+                           r_ret = None;
+                           r_result = None;
+                           r_lat = 0;
+                         }
+                       in
+                       incr clock;
+                       refs := r :: !refs;
+                       busy.(c) <- Some (tk, r)
+                   | Some (tk, r) ->
+                       busy.(c) <- None;
+                       if abort then Histlog.abort tk
+                       else begin
+                         let v =
+                           match r.r_hop with
+                           | Regemu_sim.Trace.H_write v -> v
+                           | Regemu_sim.Trace.H_read -> (
+                               let all = Value.v0 :: List.rev !written in
+                               match !written with
+                               | newest :: _ when pick mod 4 <> 0 -> newest
+                               | _ -> List.nth all (pick mod List.length all))
+                         in
+                         Histlog.return tk v;
+                         r.r_ret <- Some !clock;
+                         r.r_result <- Some v;
+                         r.r_lat <- !now - r.r_inv_ns;
+                         incr clock
+                       end))
+             steps;
+           agrees ();
+           let ops = List.rev !refs in
+           Histlog.snapshot log = ref_snapshot ops
+           && Histlog.latencies_ns log = ref_latencies ops));
   ]
 
 (* --- live cluster runs -------------------------------------------------- *)
@@ -1138,6 +1379,7 @@ let suites =
     ("live.mailbox", mailbox_tests);
     ("live.transport", transport_tests);
     ("live.histlog", histlog_tests @ histlog_property_tests);
+    ("live.checker", online_checker_tests @ online_checker_property_tests);
     ("live.cluster", cluster_tests);
     ("live.inline", inline_tests);
     ("live.load", load_tests);

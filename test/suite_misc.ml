@@ -140,18 +140,6 @@ let driver_tests =
 
 let emulation_helper_tests =
   [
-    test "writer_slot finds positions and rejects strangers" (fun () ->
-        let cs = List.map Id.Client.of_int [ 4; 7; 9 ] in
-        Alcotest.(check int)
-          "slot" 1
-          (Regemu_core.Emulation.writer_slot cs (Id.Client.of_int 7));
-        Alcotest.(check bool)
-          "raises" true
-          (try
-             ignore
-               (Regemu_core.Emulation.writer_slot cs (Id.Client.of_int 5));
-             false
-           with Invalid_argument _ -> true));
     test "call_sync round-trips a value" (fun () ->
         let sim = Sim.create ~n:1 () in
         let b = Sim.alloc sim ~server:s0 Base_object.Register in
