@@ -63,6 +63,8 @@ type server = {
   mutable up : bool;
   mutable closing : bool;
   mutable sthread : Thread.t option;
+      (* unscheduled [Threads]: started by the first request pushed to
+         [mailbox] ({!deliver}); written under the cluster's [gm] *)
 }
 
 (* a hedged round's deferred sends, armed until the round completes or
@@ -119,14 +121,19 @@ type t = {
   alarm : Alarm.t;  (* interrupts the heartbeat/pacer sleeps at shutdown *)
   servers : server array;
   mutable clients : client array;
-  gm : Mutex.t;  (* guards [clients] growth and fault counters *)
+  gm : Mutex.t;
+      (* guards [clients] growth, fault counters, [shut], and the start
+         of every thread that starts on first use *)
   rid : int Atomic.t;
   log : Histlog.t;
   mutable transport : Transport.t option;
-  mutable heartbeat : Thread.t option;
-  mutable pacer : Thread.t option;  (* hedge timer thread (threaded mode) *)
+  mutable heartbeat : Thread.t option;  (* started by the first park *)
+  mutable pacer : Thread.t option;
+      (* hedge timer thread (threaded mode), started by the first armed
+         hedge *)
   mutable running : bool;
   mutable shut : bool;
+  mutable threads_started : int;  (* servers, heartbeat, pacer; under [gm] *)
   mutable crashes : int;
   mutable restarts : int;
   mutable wipes : int;
@@ -265,22 +272,6 @@ let try_step_inline t srv src payload =
     false
   end
 
-let deliver t (env : Transport.envelope) =
-  match env.dest with
-  | Transport.To_server i -> (
-      let srv = t.servers.(i) in
-      match t.backend with
-      | Transport.Domains -> step_here t srv env.src env.payload
-      | Transport.Threads
-        when t.step_inline && try_step_inline t srv env.src env.payload ->
-          ()
-      | Transport.Threads | Transport.Socket ->
-          (* [Socket] never routes a request here — children serve
-             them — but a stray one waits in the mailbox harmlessly *)
-          Atomic.incr srv.backlog;
-          Mailbox.push srv.mailbox (env.src, env.payload))
-  | Transport.To_client c -> dispatch_to_client t c env.payload
-
 (* --- servers ----------------------------------------------------------- *)
 
 let server_loop t srv =
@@ -318,6 +309,48 @@ let server_loop t srv =
     | Some batch -> if List.for_all handle batch then go ()
   in
   go ()
+
+(* --- threads on first use ------------------------------------------------ *)
+
+(* Without a scheduler each live thread starts the first time it has
+   work, so a cluster whose rounds all run inline starts none.  Each
+   [ensure_*] reads its thread field once without [gm] (already
+   started: the common case), then again under it.  [shut] shares that
+   lock, so no thread starts once {!shutdown} has begun and shutdown
+   joins every thread that did.  A scheduler's actors all spawn at
+   {!start} instead: actor ids and spawn order are part of every DST
+   digest. *)
+
+(* caller holds [gm] *)
+let spawn t f x =
+  t.threads_started <- t.threads_started + 1;
+  Some (Thread.create f x)
+
+(* a server's thread, at the first request pushed to its mailbox *)
+let ensure_server t srv =
+  if Option.is_none srv.sthread then begin
+    Mutex.lock t.gm;
+    if Option.is_none srv.sthread && not t.shut then
+      srv.sthread <- spawn t (server_loop t) srv;
+    Mutex.unlock t.gm
+  end
+
+let deliver t (env : Transport.envelope) =
+  match env.dest with
+  | Transport.To_server i -> (
+      let srv = t.servers.(i) in
+      match t.backend with
+      | Transport.Domains -> step_here t srv env.src env.payload
+      | Transport.Threads
+        when t.step_inline && try_step_inline t srv env.src env.payload ->
+          ()
+      | Transport.Threads | Transport.Socket ->
+          (* [Socket] never routes a request here — children serve
+             them — but a stray one waits in the mailbox harmlessly *)
+          Atomic.incr srv.backlog;
+          Mailbox.push srv.mailbox (env.src, env.payload);
+          if t.step_inline then ensure_server t srv)
+  | Transport.To_client c -> dispatch_to_client t c env.payload
 
 (* --- construction ------------------------------------------------------ *)
 
@@ -364,6 +397,7 @@ let create ?sched ?(sink = Sink.none) cfg =
       pacer = None;
       running = false;
       shut = false;
+      threads_started = 0;
       crashes = 0;
       restarts = 0;
       wipes = 0;
@@ -598,38 +632,7 @@ let fire_due_hedge t cl now =
   | Some hp when now >= hp.h_due -> fire_hedge t cl hp
   | _ -> ()
 
-let rpc_quorum t ~src:cl ~quorum ~make ~handler replicas =
-  match t.cfg.hedge with
-  | None -> List.iter (fun s -> rpc t ~src:cl s ~make ~handler) replicas
-  | Some h ->
-      (* health-biased, seeded-rotation subset: contact quorum+spares
-         now, arm the rest behind the adaptive hedge delay *)
-      let n = List.length replicas in
-      let rot = if n = 0 then 0 else Regemu_sim.Rng.int cl.crng ~bound:n in
-      let health s = Atomic.get t.health.(s) in
-      let initial, deferred = Hedge.select h ~rot ~health ~quorum replicas in
-      List.iter (fun s -> rpc t ~src:cl s ~make ~handler) initial;
-      if deferred <> [] && h.Hedge.fire then begin
-        (* key the hedge delay off the EWMA (typical latency), not
-           [latency_s]'s tail quantile: one straggler-inflated sample
-           would otherwise hold the quantile — and with it the hedge
-           delay — above the very stall the hedge exists to cut short *)
-        let latency_s =
-          match cl.dl with Some dl -> Deadline.ewma dl | None -> 0.0
-        in
-        let now = Clock.now_s () in
-        cl.hedge <-
-          Some
-            {
-              h_armed = now;
-              h_due = now +. Hedge.delay_s h ~latency_s;
-              h_servers = deferred;
-              h_make = make;
-              h_handler = handler;
-            }
-      end
-
-(* --- background threads and startup ------------------------------------- *)
+(* --- background threads --------------------------------------------------- *)
 
 let heartbeat_loop t =
   (* periodically wake awaiting clients so deadlines and due
@@ -669,35 +672,73 @@ let pacer_loop t (h : Hedge.config) =
         t.clients
   done
 
+(* the heartbeat, at the first client that parks; it and the pacer
+   loop only while [running], so neither starts before {!start} *)
+let ensure_heartbeat t =
+  if Option.is_none t.heartbeat then begin
+    Mutex.lock t.gm;
+    if Option.is_none t.heartbeat && t.running then
+      t.heartbeat <- spawn t heartbeat_loop t;
+    Mutex.unlock t.gm
+  end
+
+(* the hedge pacer, at the first armed hedge *)
+let ensure_pacer t h =
+  if Option.is_none t.pacer then begin
+    Mutex.lock t.gm;
+    if Option.is_none t.pacer && t.running then
+      t.pacer <- spawn t (pacer_loop t) h;
+    Mutex.unlock t.gm
+  end
+
+let rpc_quorum t ~src:cl ~quorum ~make ~handler replicas =
+  match t.cfg.hedge with
+  | None -> List.iter (fun s -> rpc t ~src:cl s ~make ~handler) replicas
+  | Some h ->
+      (* health-biased, seeded-rotation subset: contact quorum+spares
+         now, arm the rest behind the adaptive hedge delay *)
+      let n = List.length replicas in
+      let rot = if n = 0 then 0 else Regemu_sim.Rng.int cl.crng ~bound:n in
+      let health s = Atomic.get t.health.(s) in
+      let initial, deferred = Hedge.select h ~rot ~health ~quorum replicas in
+      List.iter (fun s -> rpc t ~src:cl s ~make ~handler) initial;
+      if deferred <> [] && h.Hedge.fire then begin
+        (* key the hedge delay off the EWMA (typical latency), not
+           [latency_s]'s tail quantile: one straggler-inflated sample
+           would otherwise hold the quantile — and with it the hedge
+           delay — above the very stall the hedge exists to cut short *)
+        let latency_s =
+          match cl.dl with Some dl -> Deadline.ewma dl | None -> 0.0
+        in
+        let now = Clock.now_s () in
+        cl.hedge <-
+          Some
+            {
+              h_armed = now;
+              h_due = now +. Hedge.delay_s h ~latency_s;
+              h_servers = deferred;
+              h_make = make;
+              h_handler = handler;
+            };
+        (* under a scheduler the awaiting client is its own hedge timer *)
+        if Option.is_none t.sched then ensure_pacer t h
+      end
+
 let start t =
   t.running <- true;
   (match t.sched with
-  | None ->
-      (* only the threaded backend hosts servers in this process's
-         threads: [Domains] executes them in the lane domains
-         ([step_here]), [Socket] in forked children *)
-      if t.backend = Transport.Threads then
-        Array.iter
-          (fun srv -> srv.sthread <- Some (Thread.create (server_loop t) srv))
-          t.servers
+  | None -> ()  (* threads start on first use *)
   | Some hook ->
       Array.iter
         (fun srv ->
           hook.spawn ~name:(Fmt.str "server-%d" srv.sid) (fun () ->
               server_loop t srv))
         t.servers);
-  Transport.start (transport t);
   (* no heartbeat or pacer under a scheduler: [await] parks with a
      timeout instead (shortened to an armed hedge's due time), so
      deadline, retransmission, and hedge checks run off virtual time
      rather than off polling threads *)
-  if Option.is_none t.sched then begin
-    t.heartbeat <- Some (Thread.create heartbeat_loop t);
-    match t.cfg.hedge with
-    | Some h when h.Hedge.fire ->
-        t.pacer <- Some (Thread.create (pacer_loop t) h)
-    | _ -> ()
-  end
+  Transport.start (transport t)
 
 let note_retry t backoff_s =
   Atomic.incr t.retries;
@@ -818,6 +859,7 @@ let await_body t cl ?need pred =
         cl.owner <- -1;
         (match t.sched with
         | None ->
+            ensure_heartbeat t;
             cl.waiting <- true;
             cl.pred <- Some pred;
             Fun.protect
@@ -1055,6 +1097,7 @@ type stats = {
   hedges : int;
   hedge_wins : int;
   inline_steps : int;
+  threads_started : int;
   ops_completed : int;
 }
 
@@ -1062,6 +1105,7 @@ let stats t =
   let tr = transport t in
   Mutex.lock t.gm;
   let crashes = t.crashes and restarts = t.restarts and wipes = t.wipes in
+  let threads_started = t.threads_started in
   Mutex.unlock t.gm;
   {
     msgs_sent = Transport.sent tr;
@@ -1079,6 +1123,7 @@ let stats t =
     hedges = Atomic.get t.hedge_sent;
     hedge_wins = Atomic.get t.hedge_won;
     inline_steps = Atomic.get t.inline_steps;
+    threads_started = threads_started + Transport.threads_started tr;
     ops_completed = Histlog.completed t.log;
   }
 
@@ -1133,9 +1178,13 @@ let resident_space t =
 (* --- teardown ----------------------------------------------------------- *)
 
 let shutdown t =
-  if not t.shut then begin
-    t.shut <- true;
-    t.running <- false;
+  Mutex.lock t.gm;
+  let first = not t.shut in
+  t.shut <- true;
+  t.running <- false;
+  Mutex.unlock t.gm;
+  (* from here no thread starts: join the ones that did *)
+  if first then begin
     (* interrupt the periodic sleeps: joining must not wait out a tick *)
     Alarm.ring t.alarm;
     Option.iter Thread.join t.heartbeat;

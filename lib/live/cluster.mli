@@ -1,7 +1,8 @@
 (** A live cluster: every server of the network model as a real OS
-    thread draining a {!Mailbox}, clients as caller threads blocking on
-    per-client [Condition]s, and the environment as the {!Transport}
-    couriers plus whatever crash/partition/loss faults are injected.
+    thread draining a {!Mailbox} (started by the first request queued
+    there), clients as caller threads blocking on per-client
+    [Condition]s, and the environment as the {!Transport} couriers
+    plus whatever crash/partition/loss faults are injected.
 
     The servers execute {!Regemu_netsim.Proto.step} — byte-for-byte the
     same protocol core as the scripted simulator in
@@ -54,9 +55,10 @@
     wake-up.  Anything else (a backlog, a crashed or frozen server, a
     busy lane or server, transport delays, any scheduled run) takes
     the asynchronous path through the couriers and the server
-    threads.  Each server has one execution lock, held for every step
-    and every amnesia wipe, so steps stay mutually exclusive and a
-    request is never stepped ahead of one queued before it.
+    threads, which start the first time such a request needs them.
+    Each server has one execution lock, held for every step and every
+    amnesia wipe, so steps stay mutually exclusive and a request is
+    never stepped ahead of one queued before it.
 
     {2 Locking discipline}
 
@@ -150,10 +152,15 @@ val create : ?sched:Sched_hook.t -> ?sink:Sink.t -> config -> t
 (** The observability sink the cluster was created with. *)
 val sink : t -> Sink.t
 
-(** Spawn server, courier, and heartbeat threads (or register them as
-    scheduler actors under [?sched], which replaces the heartbeat with
-    timed parks).  Allocate clients and register cells before
-    starting. *)
+(** Start the cluster.  Under [?sched], register every server and
+    courier as a scheduler actor (timed parks replace the heartbeat
+    and the hedge pacer).  Without one, start no thread here: each
+    starts the first time it has work — a server's at the first
+    request queued in its mailbox, a lane's couriers at the first
+    envelope queued on it, the heartbeat at the first client that
+    parks, the hedge pacer at the first armed hedge
+    ({!stats}[.threads_started]).  Allocate clients and register
+    cells before starting. *)
 val start : t -> unit
 
 val num_servers : t -> int
@@ -313,6 +320,9 @@ type stats = {
   inline_steps : int;
       (** requests stepped on their delivering thread instead of the
           server thread (unscheduled [Threads] backend only) *)
+  threads_started : int;
+      (** server, courier, heartbeat and hedge-pacer threads this
+          cluster started (see {!start}); 0 under a scheduler *)
   ops_completed : int;
 }
 
@@ -351,5 +361,6 @@ val server_resident_bytes : t -> server:int -> int
 val resident_space : t -> int * int * int
 
 (** Stop everything: revive crashed servers so they can exit, close
-    mailboxes, stop the transport, join all threads.  Idempotent. *)
+    mailboxes, stop the transport, join every thread that started.
+    No thread starts once shutdown has begun.  Idempotent. *)
 val shutdown : t -> unit

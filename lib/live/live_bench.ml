@@ -79,6 +79,7 @@ type outcome = {
   retries : int;
   unavailable : int;
   inline_steps : int;  (* requests stepped on their delivering thread *)
+  threads_started : int;  (* text output only: no BENCH_* schema has it *)
   hedges : int;
   hedge_wins : int;
   msgs_slowed : int;
@@ -98,7 +99,8 @@ let outcome_pp ppf o =
   Fmt.pf ppf
     "%-10s %-7s %s k=%d readers=%d f=%d n=%d: %d ops in %.3fs (%.0f ops/s), \
      latency µs mean=%.0f %a; %d msgs (%d dup, %d delayed, %d dropped), %d \
-     crashes / %d restarts, %d retries, %d unavailable; %a"
+     crashes / %d restarts, %d retries, %d unavailable, %d threads started; \
+     %a"
     (algo_name o.spec.algo)
     (Transport.backend_name o.spec.backend)
     (if o.spec.chaos then "chaos" else "quiet")
@@ -108,7 +110,8 @@ let outcome_pp ppf o =
       list ~sep:(any " ") (fun ppf (p, v) ->
           Fmt.pf ppf "p%.0f=%.0f" (p *. 100.) v))
     o.pcts_us o.msgs_sent o.msgs_duplicated o.msgs_delayed o.msgs_dropped
-    o.crashes o.restarts o.retries o.unavailable Checker.result_pp o.check
+    o.crashes o.restarts o.retries o.unavailable o.threads_started
+    Checker.result_pp o.check
 
 let run ?(sink = Sink.none) spec =
   Option.iter
@@ -255,6 +258,7 @@ let run ?(sink = Sink.none) spec =
     retries = stats.Cluster.retries;
     unavailable = stats.Cluster.unavailable;
     inline_steps = stats.Cluster.inline_steps;
+    threads_started = stats.Cluster.threads_started;
     hedges = stats.Cluster.hedges;
     hedge_wins = stats.Cluster.hedge_wins;
     msgs_slowed = stats.Cluster.msgs_slowed;

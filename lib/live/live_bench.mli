@@ -82,6 +82,9 @@ type outcome = {
   inline_steps : int;
       (** requests stepped on their delivering thread rather than by
           the server thread ({!Cluster.stats}) *)
+  threads_started : int;
+      (** threads the cluster started ({!Cluster.stats}); printed by
+          {!outcome_pp}, kept out of every JSON schema *)
   hedges : int;  (** hedge requests sent *)
   hedge_wins : int;  (** rounds a hedged reply completed *)
   msgs_slowed : int;  (** envelopes held back by a gray link *)

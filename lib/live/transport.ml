@@ -111,6 +111,11 @@ let lanes t =
   | D x -> Transport_domains.lanes x
   | S x -> Transport_socket.lanes x
 
+let threads_started t =
+  match t.fabric with
+  | C x -> Transport_courier.threads_started x
+  | D _ | S _ -> 0
+
 let split t = Transport_intf.split t.ctl
 let heal t = Transport_intf.heal t.ctl
 let set_drop t = Transport_intf.set_drop t.ctl

@@ -41,7 +41,8 @@
        one for all client-bound replies (or a single shared lane with
        [sharded = false]).  Each lane has its own lock, condition
        variable, ring buffer ({!Ringbuf}), seeded RNG and pool of
-       [couriers] threads.  [send] admits under the lane lock; the
+       [couriers] threads, started when the first envelope queues on
+       the lane.  [send] admits under the lane lock; the
        couriers drain in batches, draw each envelope's hold, and
        deliver.  A courier holding a delayed envelope sleeps while its
        lane's other couriers deliver past it, so with [couriers = 1] a
@@ -51,11 +52,14 @@
        with one courier, and under 1 ms with two).  When a lane is idle and nothing needs
        holding, [send] delivers on the calling thread (without
        [reorder], or unscheduled), so [deliver] must be safe to call
-       from courier {e and} sending threads.  Each lane's fault stream
-       is a pure function of the seed and its send order: this is the
-       deterministic backend, and the only one a {!Sched_hook} can
-       drive — a scheduler forces it regardless of the configured
-       backend ({!effective_backend}).}
+       from courier {e and} sending threads.  A lane's admit draws
+       and its couriers' reorder draws share the lane's RNG, so its
+       fault stream is a pure function of the seed and the order in
+       which sends and drains take the lane lock: under a scheduler
+       that order is the schedule's.  This is the deterministic
+       backend, and the only one a {!Sched_hook} can drive — a
+       scheduler forces it regardless of the configured backend
+       ({!effective_backend}).}
     {- [Domains]: each server lane is an OCaml 5 [Domain.t] draining
        a lock-free MPSC ring ({!Mpsc}); a send is one atomic exchange,
        and the lane's domain doubles as the server's execution
@@ -126,7 +130,9 @@ type t
 
 (** [create ?sched cfg ~servers ~deliver] builds the fabric for a
     cluster of [servers] server endpoints; no thread runs until
-    {!start}.  With [sched], couriers run as cooperative actors and
+    {!start}, and an unscheduled [Threads] lane starts its couriers
+    only when an envelope first queues on it ({!threads_started}).
+    With [sched], couriers run as cooperative actors and
     delivery delays elapse in virtual time ({!Sched_hook}) — and the
     backend is forced to [Threads].  With [sink] ({!Sink.none} by
     default), every lane records sampled
@@ -222,6 +228,13 @@ val stop : t -> unit
 (** {2 Accounting} *)
 
 val lanes : t -> int  (** number of lanes (servers + 1, or 1) *)
+
+val threads_started : t -> int
+(** Courier threads started so far.  An unscheduled [Threads] lane
+    starts its [couriers] at the first envelope it queues rather than
+    delivers inline, so a fabric whose every send delivered inline
+    reads 0.  Always 0 under a scheduler (its couriers are actors) and
+    on [Domains] and [Socket] (their lanes are domains and children). *)
 
 val sent : t -> int  (** envelopes accepted, duplicates included *)
 

@@ -19,12 +19,15 @@ type lane = {
   lrec : Sink.Trace.recorder option;  (* this lane's trace stream *)
   mutable inflight : int;  (* popped but not yet delivered; under [lm] *)
   mutable lthreads : Thread.t list;
+      (* unscheduled: the couriers, started by the lane's first queued
+         envelope; under [lm] *)
 }
 
 type t = {
   ctl : control;
   sched : Sched_hook.t option;
   lanes : lane array;  (* sharded: one per server + a client lane *)
+  started : int Atomic.t;  (* courier threads started *)
 }
 
 (* how many envelopes a courier drains per wakeup *)
@@ -42,11 +45,14 @@ let make_lane ~seed ~sink ~name ~lserver i =
     lthreads = [];
   }
 
-(* one lane per server, then the client lane ({!lane_for}).
-   (Splitting the client lane into a hashed per-client pool was
-   measured and is a wash on a single core: replies to different
-   clients rarely collide for long, and the extra courier threads cost
-   as much as the collisions.) *)
+(* one lane per server, then the client lane ({!lane_for}).  No
+   courier exists yet: a scheduled fabric spawns its actors at
+   {!start}, an unscheduled lane starts its threads at its first
+   queued envelope ({!enqueue}), so a lane whose sends all deliver
+   inline never starts one.  (Splitting the client lane into a hashed
+   per-client pool was measured and is a wash on a single core:
+   replies to different clients rarely collide for long, and the extra
+   courier threads cost as much as the collisions.) *)
 let create ?sched ?(sink = Sink.none) cfg ~servers ~deliver =
   let num_lanes = if cfg.sharded then servers + 1 else 1 in
   let lane_name i =
@@ -68,7 +74,12 @@ let create ?sched ?(sink = Sink.none) cfg ~servers ~deliver =
     Condition.broadcast lane.lc;
     Mutex.unlock lane.lm
   in
-  { ctl = control ~sink cfg ~servers ~deliver ~wake; sched; lanes }
+  {
+    ctl = control ~sink cfg ~servers ~deliver ~wake;
+    sched;
+    lanes;
+    started = Atomic.make 0;
+  }
 
 (* pause a courier that drew a delivery delay — virtual time under DST *)
 let courier_pause t s =
@@ -148,25 +159,40 @@ let rec courier_loop t lane =
     courier_loop t lane
   end
 
+(* The actor ids and spawn order of a scheduled run are part of every
+   DST digest, so its couriers all spawn here; unscheduled threads wait
+   for their lane's first queued envelope. *)
 let start t =
-  let couriers = t.ctl.cfg.couriers in
   match t.sched with
-  | None ->
-      Array.iter
-        (fun lane ->
-          lane.lthreads <-
-            List.init couriers (fun _ ->
-                Thread.create (fun () -> courier_loop t lane) ()))
-        t.lanes
+  | None -> ()
   | Some hook ->
       Array.iteri
         (fun li lane ->
-          for ci = 0 to couriers - 1 do
+          for ci = 0 to t.ctl.cfg.couriers - 1 do
             hook.spawn
               ~name:(Fmt.str "courier-%d.%d" li ci)
               (fun () -> courier_loop t lane)
           done)
         t.lanes
+
+(* Queue [env] for the couriers; caller holds [lane.lm].  [stopped] is
+   read under [lm], which {!stop} takes after setting it: a lane either
+   starts its couriers before [stop] collects them or never starts
+   them. *)
+let enqueue t lane env =
+  Ringbuf.push lane.buf env;
+  Condition.signal lane.lc;
+  if
+    lane.lthreads = []
+    && Option.is_none t.sched
+    && not (Atomic.get t.ctl.stopped)
+  then begin
+    let couriers = t.ctl.cfg.couriers in
+    lane.lthreads <-
+      List.init couriers (fun _ ->
+          Thread.create (fun () -> courier_loop t lane) ());
+    ignore (Atomic.fetch_and_add t.started couriers)
+  end
 
 let send t env =
   let c = t.ctl in
@@ -207,8 +233,7 @@ let send t env =
         if dup then count_dup c lane.lrec env;
         if inline_ok then begin
           lane.inflight <- lane.inflight + 1;
-          if dup then Ringbuf.push lane.buf env;
-          if dup then Condition.signal lane.lc;
+          if dup then enqueue t lane env;
           Mutex.unlock lane.lm;
           hand c lane.lrec env;
           Mutex.lock lane.lm;
@@ -216,27 +241,27 @@ let send t env =
           Mutex.unlock lane.lm
         end
         else begin
-          Ringbuf.push lane.buf env;
-          if dup then Ringbuf.push lane.buf env;
-          Condition.signal lane.lc;
-          if dup then Condition.signal lane.lc;
+          enqueue t lane env;
+          if dup then enqueue t lane env;
           Mutex.unlock lane.lm
         end
   end
 
 let stop t =
   Atomic.set t.ctl.stopped true;
-  Array.iter
-    (fun lane ->
-      Mutex.lock lane.lm;
-      Ringbuf.clear lane.buf;
-      Condition.broadcast lane.lc;
-      Mutex.unlock lane.lm)
-    t.lanes;
-  Array.iter
-    (fun lane ->
-      List.iter Thread.join lane.lthreads;
-      lane.lthreads <- [])
-    t.lanes
+  let started =
+    Array.map
+      (fun lane ->
+        Mutex.lock lane.lm;
+        Ringbuf.clear lane.buf;
+        Condition.broadcast lane.lc;
+        let threads = lane.lthreads in
+        lane.lthreads <- [];
+        Mutex.unlock lane.lm;
+        threads)
+      t.lanes
+  in
+  Array.iter (List.iter Thread.join) started
 
 let lanes t = Array.length t.lanes
+let threads_started t = Atomic.get t.started

@@ -331,8 +331,12 @@ let transport_tests =
     test "lane fault streams are deterministic under a fixed seed" (fun () ->
         (* run the same externally ordered traffic through two fabrics
            with the same seed: every per-rid delivery count and every
-           fault counter must agree — each lane's RNG is a pure
-           function of the seed and that lane's send order *)
+           fault counter must agree.  A lane's RNG serves both [send]'s
+           admit draws and its couriers' reorder draws, so its stream
+           is a pure function of the seed and the order in which sends
+           and drains take the lane lock.  Both servers stay frozen
+           while sending, so no courier drains between two sends and
+           every admit draw comes first. *)
         let one () =
           let seen = Hashtbl.create 64 in
           let lock = Mutex.create () in
@@ -354,6 +358,8 @@ let transport_tests =
               ~servers:2 ~deliver
           in
           Transport.start tr;
+          Transport.freeze tr ~server:0;
+          Transport.freeze tr ~server:1;
           for i = 0 to 399 do
             Transport.send tr
               {
@@ -362,6 +368,8 @@ let transport_tests =
                 payload = query i;
               }
           done;
+          Transport.thaw tr ~server:0;
+          Transport.thaw tr ~server:1;
           (* [sent] counts accepted envelopes (duplicates in, drops
              out), so it is exactly the expected delivery count *)
           let expect = Transport.sent tr in
@@ -961,7 +969,8 @@ let metric mx name =
 
 (* one client thread on a quiet default-config cluster: every request
    finds its lane idle and its server unclaimed, so each round runs to
-   completion on the calling thread and no server mailbox is touched *)
+   completion on the calling thread, no server mailbox is touched, and
+   no server, courier or heartbeat thread ever starts *)
 let quiet_inline_run what ~setup () =
   let mx = Regemu_obs.Metrics.create () in
   let cluster =
@@ -997,7 +1006,9 @@ let quiet_inline_run what ~setup () =
   Alcotest.(check int) (what ^ ": ops completed") 40 st.Cluster.ops_completed;
   Alcotest.(check int) (what ^ ": mailbox.pushed") 0 pushed;
   Alcotest.(check int) (what ^ ": gauge = stats") st.Cluster.inline_steps inline;
-  Alcotest.(check bool) (what ^ ": steps ran inline") true (inline > 0)
+  Alcotest.(check bool) (what ^ ": steps ran inline") true (inline > 0);
+  Alcotest.(check int) (what ^ ": no thread started") 0
+    st.Cluster.threads_started
 
 let inline_tests =
   [
@@ -1171,6 +1182,107 @@ let inline_tests =
            least a quorum of 2 replies *)
         Alcotest.(check bool) "every round's quorum rids joined" true
           (!complete >= 300 * 2));
+  ]
+
+(* --- threads start on first use ------------------------------------------ *)
+
+let threads_started cluster = (Cluster.stats cluster).Cluster.threads_started
+
+let query_rpc cluster c server ~handler =
+  Cluster.locked c (fun () ->
+      Cluster.rpc cluster ~src:c server
+        ~make:(fun rid -> Regemu_netsim.Proto.Query { rid })
+        ~handler)
+
+let first_use_tests =
+  [
+    test "a request to a crashed server starts only that server's thread"
+      (fun () ->
+        let mx = Regemu_obs.Metrics.create () in
+        let cluster =
+          Cluster.create ~sink:(Sink.make ~metrics:mx ())
+            (Cluster.default_config ~n:3 ~seed:52)
+        in
+        let c = Cluster.new_client cluster in
+        Cluster.start cluster;
+        Cluster.crash cluster 1;
+        let replied = Atomic.make 0 in
+        query_rpc cluster c 1 ~handler:(fun _ -> Atomic.incr replied);
+        Alcotest.(check int) "the request waits in server 1's mailbox" 1
+          (metric mx "mailbox.pushed");
+        Alcotest.(check int) "only that server's thread started" 1
+          (threads_started cluster);
+        Alcotest.(check int) "not served while crashed" 0 (Atomic.get replied);
+        Cluster.restart cluster 1;
+        Alcotest.(check bool) "served after restart" true
+          (settle (fun () -> Atomic.get replied) 1);
+        (* the reply came back inline on the server's thread *)
+        Alcotest.(check int) "still one thread" 1 (threads_started cluster);
+        Cluster.shutdown cluster);
+    test "a lane with delay_prob > 0 starts its couriers on its first send"
+      (fun () ->
+        let delivered = Atomic.make 0 in
+        let tr =
+          Transport.create
+            {
+              (Transport.default_config ~seed:53) with
+              delay_prob = 0.5;
+              max_delay_us = 200;
+              couriers = 2;
+            }
+            ~servers:2
+            ~deliver:(fun _ -> Atomic.incr delivered)
+        in
+        Transport.start tr;
+        Alcotest.(check int) "none at start" 0 (Transport.threads_started tr);
+        let send i s =
+          Transport.send tr
+            { Transport.src = 0; dest = To_server s; payload = query i }
+        in
+        send 0 0;
+        Alcotest.(check int) "server 0's lane started its two" 2
+          (Transport.threads_started tr);
+        for i = 1 to 20 do
+          send i 0
+        done;
+        Alcotest.(check int) "later sends on that lane start none" 2
+          (Transport.threads_started tr);
+        send 21 1;
+        Alcotest.(check int) "server 1's lane started its own" 4
+          (Transport.threads_started tr);
+        Alcotest.(check bool) "all delivered" true
+          (settle (fun () -> Atomic.get delivered) 22);
+        Transport.stop tr);
+    test "shutdown starts no thread, during it or after" (fun () ->
+        let unused = Cluster.create (Cluster.default_config ~n:5 ~seed:54) in
+        ignore (Cluster.new_client unused);
+        Cluster.start unused;
+        Cluster.shutdown unused;
+        Alcotest.(check int) "an unused cluster started nothing" 0
+          (threads_started unused);
+        (* a request held 100 ms on a slow link reaches its crashed
+           server while shutdown joins the lane's couriers: it is
+           queued, and starts no server thread *)
+        let cluster = Cluster.create (Cluster.default_config ~n:3 ~seed:54) in
+        let c = Cluster.new_client cluster in
+        Cluster.start cluster;
+        Cluster.crash cluster 0;
+        Cluster.set_slow cluster ~server:0 100_000;
+        query_rpc cluster c 0 ~handler:ignore;
+        Alcotest.(check bool) "the courier holds the request" true
+          (settle (fun () -> (Cluster.stats cluster).Cluster.msgs_slowed) 1);
+        Alcotest.(check int) "the lane's couriers started" 2
+          (threads_started cluster);
+        Cluster.shutdown cluster;
+        let st = Cluster.stats cluster in
+        Alcotest.(check int) "delivered during shutdown" 1
+          st.Cluster.msgs_delivered;
+        Alcotest.(check int) "no server thread started" 2
+          st.Cluster.threads_started;
+        query_rpc cluster c 1 ~handler:ignore;
+        query_rpc cluster c 0 ~handler:ignore;
+        Alcotest.(check int) "sends after shutdown start none" 2
+          (threads_started cluster));
   ]
 
 (* --- the load generator's failure contract ------------------------------- *)
@@ -1382,6 +1494,7 @@ let suites =
     ("live.checker", online_checker_tests @ online_checker_property_tests);
     ("live.cluster", cluster_tests);
     ("live.inline", inline_tests);
+    ("live.first-use", first_use_tests);
     ("live.load", load_tests);
     ("live.bench", bench_tests);
   ]
