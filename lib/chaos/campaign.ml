@@ -209,9 +209,7 @@ let run ?(log = ignore) ?(sink = Sink.none) s =
     | Keyed ->
         (* every operation targets key 0: the schedule partitions that
            key's replica set, so the keyed retry/fail-fast path is what
-           gets exercised.  Keyed ops log to the kspace's Klog, not the
-           cluster Histlog, so the online checker sees an empty (clean)
-           history — judgment rides on the expectation instead. *)
+           gets exercised, and the online checker judges that key *)
         let ks = Regemu_keyspace.Kspace.create cluster ~f:s.f () in
         let worker =
           let table =

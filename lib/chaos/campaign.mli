@@ -24,8 +24,8 @@ type algo =
   | Cds  (** the CDS multi-writer data store ({!Regemu_live.Cds_live}) *)
   | Keyed
       (** drive {!Regemu_keyspace.Kspace} operations on key 0 — the
-          keyed retry path; keyed ops log to the kspace's Klog, so the
-          single-register online checker sees an empty history *)
+          keyed retry path; keyed ops go into the cluster's log, so the
+          online checker judges key 0 *)
 
 val algo_name : algo -> string
 

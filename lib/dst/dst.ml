@@ -191,7 +191,12 @@ let run ?(choices = [||]) ?(sink = Sink.none) cfg =
           Live_bench.emulation cfg.algo cluster ~f:cfg.f ~writers
         in
         Cluster.start cluster;
-        let checker = Checker.spawn ~sched:hook cluster ~interval_s:0.005 () in
+        (* the checker retains the whole run: its digest and full pass *)
+        let checker =
+          Checker.spawn ~sched:hook cluster ~interval_s:0.005
+            ~retain:((cfg.writers + cfg.readers) * cfg.ops_per_client)
+            ()
+        in
         let nem =
           if cfg.nemesis = [] then None
           else Some (Nemesis.start ~sched:hook cluster cfg.nemesis)
@@ -237,8 +242,11 @@ let run ?(choices = [||]) ?(sink = Sink.none) cfg =
           | Some nm -> Nemesis.join nm
         in
         let online = Checker.stop checker in
-        let h = Cluster.history cluster in
-        let full_ws = Regemu_history.Ws_check.check_ws_regular h in
+        let h, full_ws =
+          match Checker.full_pass checker with
+          | Some pass -> pass
+          | None -> failwith "Dst: the checker kept no history of the run"
+        in
         let cluster_stats = Cluster.stats cluster in
         let history_digest = history_digest h in
         Cluster.shutdown cluster;

@@ -116,7 +116,7 @@ let run ?(sink = Sink.none) cfg =
           let duration = float_of_int cfg.total_ops /. cfg.arrival_rate in
           Sched.spawn s ~name:"wiper" (fun () ->
               hook.Sched_hook.sleep (cfg.wipe_frac *. duration);
-              settled_at_wipe := Kchecker.settled checker;
+              settled_at_wipe := Checker.settled checker;
               for srv = 0 to cfg.n - 1 do
                 Cluster.crash cluster srv;
                 Cluster.restart cluster srv

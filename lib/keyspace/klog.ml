@@ -1,187 +1,4 @@
-open Regemu_objects
-open Regemu_sim
-
-let chunk_size = 256
-
-type cell = {
-  key : int;
-  hop : Trace.hop;
-  invoked_at : int;
-  mutable returned_at : int option;
-  mutable result : Value.t option;
-  mutable aborted : bool;
-}
-
-let hole =
-  {
-    key = 0;
-    hop = Trace.H_read;
-    invoked_at = 0;
-    returned_at = None;
-    result = None;
-    aborted = false;
-  }
-
-type t = {
-  m : Mutex.t;
-  mutable ws : writer list;
-  clock : int Atomic.t;
-  n_invoked : int Atomic.t;
-  n_completed : int Atomic.t;
-  n_aborted : int Atomic.t;
-}
-
-and writer = {
-  log : t;
-  client : Id.Client.t;
-  wm : Mutex.t;
-  (* filled chunks newest first, each tagged with its absolute base
-     position; trimmed chunks are simply absent *)
-  mutable full : (int * cell array) list;
-  mutable last : cell array;
-  mutable last_base : int;
-  mutable last_len : int;
-}
-
-type ticket = { tw : writer; cell : cell }
-
-let create () =
-  {
-    m = Mutex.create ();
-    ws = [];
-    clock = Atomic.make 1;
-    n_invoked = Atomic.make 0;
-    n_completed = Atomic.make 0;
-    n_aborted = Atomic.make 0;
-  }
-
-let new_writer t ~client =
-  let w =
-    {
-      log = t;
-      client;
-      wm = Mutex.create ();
-      full = [];
-      last = Array.make chunk_size hole;
-      last_base = 0;
-      last_len = 0;
-    }
-  in
-  Mutex.lock t.m;
-  t.ws <- w :: t.ws;
-  Mutex.unlock t.m;
-  w
-
-let invoke w ~key hop =
-  let t = w.log in
-  Mutex.lock w.wm;
-  (* the tick is taken under [wm]: a poll of this writer bounds every
-     future cell's tick from below (see the .mli's frontier contract) *)
-  let cell =
-    {
-      key;
-      hop;
-      invoked_at = Atomic.fetch_and_add t.clock 1;
-      returned_at = None;
-      result = None;
-      aborted = false;
-    }
-  in
-  if w.last_len = chunk_size then begin
-    w.full <- (w.last_base, w.last) :: w.full;
-    w.last <- Array.make chunk_size hole;
-    w.last_base <- w.last_base + chunk_size;
-    w.last_len <- 0
-  end;
-  w.last.(w.last_len) <- cell;
-  w.last_len <- w.last_len + 1;
-  Mutex.unlock w.wm;
-  Atomic.incr t.n_invoked;
-  { tw = w; cell }
-
-let return { tw; cell } v =
-  let t = tw.log in
-  Mutex.lock tw.wm;
-  cell.returned_at <- Some (Atomic.fetch_and_add t.clock 1);
-  cell.result <- Some v;
-  Mutex.unlock tw.wm;
-  Atomic.incr t.n_completed
-
-let abort { tw; cell } =
-  let t = tw.log in
-  Mutex.lock tw.wm;
-  cell.returned_at <- Some (Atomic.fetch_and_add t.clock 1);
-  cell.aborted <- true;
-  Mutex.unlock tw.wm;
-  (* an aborted cell is complete — it never blocks a cursor *)
-  Atomic.incr t.n_completed;
-  Atomic.incr t.n_aborted
-
-let writers t =
-  Mutex.lock t.m;
-  let ws = t.ws in
-  Mutex.unlock t.m;
-  ws
-
-let writer_client w = w.client
-
-type cell_view = {
-  k_key : int;
-  k_hop : Trace.hop;
-  k_invoked_at : int;
-  k_returned_at : int option;
-  k_result : Value.t option;
-  k_aborted : bool;
-}
-
-type poll_view = { len : int; clock : int }
-
-let poll w ~from f =
-  Mutex.lock w.wm;
-  let visit base chunk upto =
-    for i = 0 to upto - 1 do
-      if base + i >= from then begin
-        let c = chunk.(i) in
-        f
-          {
-            k_key = c.key;
-            k_hop = c.hop;
-            k_invoked_at = c.invoked_at;
-            k_returned_at = c.returned_at;
-            k_result = c.result;
-            k_aborted = c.aborted;
-          }
-      end
-    done
-  in
-  List.iter
-    (fun (base, chunk) ->
-      if base + chunk_size > from then visit base chunk chunk_size)
-    (List.rev w.full);
-  visit w.last_base w.last w.last_len;
-  let len = w.last_base + w.last_len in
-  let clock = Atomic.get w.log.clock in
-  Mutex.unlock w.wm;
-  { len; clock }
-
-let trim w ~upto =
-  Mutex.lock w.wm;
-  w.full <- List.filter (fun (base, _) -> base + chunk_size > upto) w.full;
-  Mutex.unlock w.wm
-
-let invoked t = Atomic.get t.n_invoked
-let completed t = Atomic.get t.n_completed
-let aborted t = Atomic.get t.n_aborted
-
-let cell_bytes = 96
-
-let resident_cells t =
-  List.fold_left
-    (fun acc w ->
-      Mutex.lock w.wm;
-      let n = (List.length w.full + 1) * chunk_size in
-      Mutex.unlock w.wm;
-      acc + n)
-    0 (writers t)
-
-let approx_bytes t = resident_cells t * cell_bytes
+(* The keyspace's operation log is the cluster's: keyed operations go
+   through [Cluster.invoke ~key] into its [Histlog].  This name remains
+   for callers that still spell it [Klog]. *)
+include Regemu_live.Histlog

@@ -7,10 +7,9 @@ type t = {
   placement : Placement.t;
   f : int;
   write_back_reads : bool;
-  klog : Klog.t;
 }
 
-type worker = { cl : Cluster.client; kw : Klog.writer }
+type worker = Cluster.client
 
 let server_cells t =
   let n = Cluster.num_servers t.cluster in
@@ -24,7 +23,7 @@ let server_cells t =
 
 let create cluster ~f ?(write_back_reads = false) () =
   let placement = Placement.create ~n:(Cluster.num_servers cluster) ~f in
-  let t = { cluster; placement; f; write_back_reads; klog = Klog.create () } in
+  let t = { cluster; placement; f; write_back_reads } in
   let sink = Cluster.sink cluster in
   Sink.gauge_fn sink ~unit_:"cells"
     ~help:"per-key max-register cells resident across all servers"
@@ -32,24 +31,14 @@ let create cluster ~f ?(write_back_reads = false) () =
   Sink.gauge_fn sink ~unit_:"cells"
     ~help:"per-key max-register cells on the fullest server"
     "keyspace.server_cells.max" (fun () -> fst (server_cells t));
-  Sink.gauge_fn sink ~unit_:"bytes" ~help:"resident keyspace op log"
-    "keyspace.klog.resident_bytes" (fun () -> Klog.approx_bytes t.klog);
   t
 
 let cluster t = t.cluster
 let placement t = t.placement
-let klog t = t.klog
-
-let new_worker t =
-  let cl = Cluster.new_client t.cluster in
-  { cl; kw = Klog.new_writer t.klog ~client:(Cluster.client_id cl) }
-
-(* wrap an existing cluster client (a chaos-campaign thread that also
-   runs single-register ops, say) as a keyspace worker *)
-let worker_of t cl =
-  { cl; kw = Klog.new_writer t.klog ~client:(Cluster.client_id cl) }
-
-let worker_client w = w.cl
+let klog t = Cluster.log t.cluster
+let new_worker t = Cluster.new_client t.cluster
+let worker_of _ cl = cl
+let worker_client w = w
 
 module Q = Quorum_client.Round (Cluster)
 
@@ -57,7 +46,7 @@ module Q = Quorum_client.Round (Cluster)
    round, so keyed rounds hedge, retransmit and dedupe replies exactly
    like single-register rounds *)
 let quorum_round t w ~key =
-  Q.quorum_round t.cluster w.cl
+  Q.quorum_round t.cluster w
     ~replicas:(Placement.replicas t.placement key)
     ~quorum:(t.f + 1)
 
@@ -75,28 +64,15 @@ let update t w ~key ts_val =
     ~request:(fun rid -> Proto.Kupdate { rid; key; proposed = ts_val })
     ~init:() ~fold:(fun () _ -> ())
 
-(* record the op in the klog; an Unavailable/Timeout escape aborts the
-   cell (its effect may still land — the checker breaks the key) *)
-let logged w ~key hop body =
-  Cluster.begin_op w.cl;
-  let ticket = Klog.invoke w.kw ~key hop in
-  match body () with
-  | v ->
-      Klog.return ticket v;
-      v
-  | exception e ->
-      Klog.abort ticket;
-      raise e
-
 let write t w ~key v =
   ignore
-    (logged w ~key (Regemu_sim.Trace.H_write v) (fun () ->
+    (Cluster.invoke t.cluster w ~key (Regemu_sim.Trace.H_write v) (fun () ->
          let latest = query_max t w ~key in
          update t w ~key (Value.with_ts (Value.ts latest + 1) v);
          Value.Unit))
 
 let read t w ~key =
-  logged w ~key Regemu_sim.Trace.H_read (fun () ->
+  Cluster.invoke t.cluster w ~key Regemu_sim.Trace.H_read (fun () ->
       let latest = query_max t w ~key in
       if t.write_back_reads then update t w ~key latest;
       Value.payload latest)

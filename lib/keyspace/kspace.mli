@@ -9,11 +9,13 @@
     of messages for {e many} keys — its retry/watchdog machinery, and
     its fault injectors; nothing per-key is spawned.
 
-    Operations are recorded in a {!Klog} (bounded, trimmable), not the
-    cluster's {!Regemu_live.Histlog}: open-loop runs are long, and the
-    per-op history must be garbage-collectible by the checker.  An
-    operation that fails with {!Regemu_live.Cluster.Unavailable} is
-    {e aborted} in the log and the exception re-raised. *)
+    An operation runs through {!Regemu_live.Cluster.invoke} with its
+    key, so it is recorded in the cluster's operation log like a
+    register operation, gets its op spans, and on
+    {!Regemu_live.Cluster.Unavailable} is {e aborted} in the log and
+    the exception re-raised.  The log's one consumer, the online
+    checker ({!Kchecker}), trims it as it goes, so a long open-loop run
+    holds its operations in flight, not its history. *)
 
 open Regemu_objects
 
@@ -27,23 +29,24 @@ type t
 
     Registers keyspace gauges in the cluster's sink:
     [keyspace.server_cells.total] / [.max] (resident per-key cells
-    across/on servers) and [keyspace.klog.resident_bytes]. *)
+    across/on servers). *)
 val create : Regemu_live.Cluster.t -> f:int -> ?write_back_reads:bool -> unit -> t
 
 val cluster : t -> Regemu_live.Cluster.t
 val placement : t -> Placement.t
+
+(** The cluster's operation log. *)
 val klog : t -> Klog.t
 
 type worker
 
-(** A worker: one sequential stream of keyspace operations (a cluster
-    client plus its {!Klog} writer).  The open-loop generator runs a
-    bounded pool of these. *)
+(** A worker: one sequential stream of keyspace operations (a new
+    cluster client).  The open-loop generator runs a bounded pool of
+    these. *)
 val new_worker : t -> worker
 
-(** Wrap an existing cluster client as a worker — for harnesses (the
-    chaos campaign) that own their clients.  Each wrap allocates a
-    fresh {!Klog} writer; keep one worker per client. *)
+(** An existing cluster client as a worker — for harnesses (the chaos
+    campaign) that own their clients. *)
 val worker_of : t -> Regemu_live.Cluster.client -> worker
 
 val worker_client : worker -> Regemu_live.Cluster.client

@@ -1,6 +1,539 @@
 open Regemu_objects
 open Regemu_history
 
+type config = { interval_s : float; deep_sample : int; deep_cap : int }
+
+let default_config = { interval_s = 0.02; deep_sample = 0; deep_cap = 4096 }
+
+module Stats = struct
+  type violation = { v_key : int; v_detail : string }
+
+  type t = {
+    checks : int;
+    violations : int;
+    first_violation : violation option;
+    broken_keys : int;
+    settled_writes : int;
+    pending_undecided : int;
+    deep_keys : int;
+    deep_evicted : int;
+    deep_mismatches : int;
+    max_resident_ops : int;
+  }
+end
+
+(* The checker is incremental: work per tick is proportional to the
+   operations that completed since the last tick, not to the whole
+   history, and its state is bounded by the operations in flight.
+   Four facts make this sound, per key:
+
+   - completed operations never change, so a pair of completed writes
+     once checked comparable stays comparable (the key's
+     [Write_order] keeps the verified total order; its broken flag is
+     sticky);
+   - a completed read validated against the write order stays valid as
+     later writes arrive: any write it has not seen was invoked after
+     the read returned, so it can only land at positions the check
+     already excludes — each read is checked exactly once;
+   - each client is sequential, so a per-writer cursor into the
+     {!Histlog} advances past every completed or aborted cell, only the
+     in-flight tail is ever re-polled, and everything behind the cursor
+     can be trimmed;
+   - every write still to be added and every read still to be checked
+     is invoked at or after the frontier: the clock read before
+     polling, the pending cells and the held reads.  Writes returning
+     below it are folded into the order's floor ({!Write_order.settle}),
+     which changes no verdict. *)
+
+type cursor = {
+  w : Histlog.writer;
+  mutable pos : int;  (* cells consumed *)
+  mutable trimmed : int;  (* [pos] at the last trim *)
+}
+
+(* a completed operation as one tick collects it; a read not checked
+   yet is held as one: its key's writes were not write-sequential at
+   its tick, or it returned after the clock read that began the tick *)
+type op = {
+  key : int;
+  client : Id.Client.t;
+  inv : int;
+  ret : int;
+  value : Value.t;  (* a write's value, a read's result *)
+}
+
+(* a key's retained subhistory; [Evicted] once it went past the cap *)
+type deep = Kept of Histlog.store | Evicted
+
+type t = {
+  log : Histlog.t;
+  cfg : config;
+  hash : int -> int;
+  mutable cursors : cursor list;
+  mutable nwriters : int;  (* writers with a cursor *)
+  orders : (int, Write_order.t) Hashtbl.t;  (* every key seen *)
+  mutable last : (int * Write_order.t) option;  (* the last key looked up *)
+  open_ : (int, Write_order.t) Hashtbl.t;
+      (* the keys whose window is non-empty (a broken key's never is):
+         the only keys a settle can change *)
+  aborted : (int, (int * Value.t) list) Hashtbl.t;
+      (* aborted writes of keys not broken: their effect may still
+         land, so they stay in flight for good *)
+  mutable tails : (int * Write_order.in_flight) list;  (* this tick's *)
+  mutable held : op list;
+  mutable nheld : int;
+  deeps : (int, deep) Hashtbl.t;
+  mutable ticks : int;
+  mutable polled : int;
+  mutable checks : int;
+  mutable violations : int;
+  mutable first : (int * Ws_check.violation) option;
+  mutable broken : int;
+  mutable settled : int;
+  mutable window_ops : int;  (* window writes across keys *)
+  mutable deep_ops : int;  (* retained cells across keys *)
+  mutable max_resident : int;
+  mutable deep_keys : int;
+  mutable deep_evicted : int;
+  mutable mismatches : int;
+  mutable mismatch : Stats.violation option;
+  mutable full : (History.t * Ws_check.verdict) option;
+  (* the running checker *)
+  final_atomic : bool;
+  cr : Sink.Trace.recorder option;  (* verdict-flip instants *)
+  mutable last_class : string;  (* verdict class of the previous pass *)
+  settled_ctr : Sink.Metrics.counter;
+  mutable running : bool;
+  mutable thread : Thread.t option;
+}
+
+let make ?(config = default_config) ?(hash = Fun.id) ?(sink = Sink.none)
+    ?(final_atomic = false) log =
+  if config.interval_s <= 0.0 then
+    invalid_arg "Checker: interval_s must be positive";
+  if config.deep_sample < 0 || config.deep_cap < 1 then
+    invalid_arg "Checker: bad deep-check configuration";
+  {
+    log;
+    cfg = config;
+    hash;
+    cursors = [];
+    nwriters = 0;
+    orders = Hashtbl.create 1;
+    last = None;
+    open_ = Hashtbl.create 1;
+    aborted = Hashtbl.create 1;
+    tails = [];
+    held = [];
+    nheld = 0;
+    deeps = Hashtbl.create 1;
+    ticks = 0;
+    polled = 0;
+    checks = 0;
+    violations = 0;
+    first = None;
+    broken = 0;
+    settled = 0;
+    window_ops = 0;
+    deep_ops = 0;
+    max_resident = 0;
+    deep_keys = 0;
+    deep_evicted = 0;
+    mismatches = 0;
+    mismatch = None;
+    full = None;
+    final_atomic;
+    cr = Sink.recorder sink ~name:"checker";
+    last_class = "holds";
+    settled_ctr =
+      Sink.counter sink ~help:"writes folded away by settling"
+        "checker.settled";
+    running = false;
+    thread = None;
+  }
+
+let online ?config log = make ?config log
+let cells_polled t = t.polled
+let keys t = Hashtbl.length t.orders
+let open_keys t = Hashtbl.length t.open_
+let settled t = t.settled
+let violations_so_far t = t.violations
+let resident_ops t = t.window_ops + t.nheld + t.deep_ops
+
+let order t key =
+  match t.last with
+  | Some (k, wo) when k = key -> wo
+  | _ ->
+      let wo =
+        match Hashtbl.find_opt t.orders key with
+        | Some wo -> wo
+        | None ->
+            let wo = Write_order.create () in
+            Hashtbl.add t.orders key wo;
+            wo
+      in
+      t.last <- Some (key, wo);
+      wo
+
+(* change [key]'s write order, keeping the window count, the open set
+   and the broken count in step with it *)
+let update t key f =
+  let wo = order t key in
+  let before = Write_order.length wo and was_broken = Write_order.broken wo in
+  f wo;
+  let after = Write_order.length wo in
+  t.window_ops <- t.window_ops + after - before;
+  if before = 0 && after > 0 then Hashtbl.replace t.open_ key wo
+  else if before > 0 && after = 0 then Hashtbl.remove t.open_ key;
+  if (not was_broken) && Write_order.broken wo then begin
+    t.broken <- t.broken + 1;
+    Hashtbl.remove t.aborted key
+  end
+
+let retained t key =
+  t.cfg.deep_sample > 0 && t.hash key mod t.cfg.deep_sample = 0
+
+let retain t key client cv =
+  let keep s =
+    Histlog.keep s ~client cv;
+    t.deep_ops <- t.deep_ops + 1
+  in
+  match Hashtbl.find_opt t.deeps key with
+  | Some Evicted -> ()
+  | Some (Kept s) when Histlog.kept s >= t.cfg.deep_cap ->
+      (* past the cap: keep none rather than a truncated history *)
+      t.deep_ops <- t.deep_ops - Histlog.kept s;
+      Hashtbl.replace t.deeps key Evicted
+  | Some (Kept s) -> keep s
+  | None ->
+      let s = Histlog.store () in
+      Hashtbl.replace t.deeps key (Kept s);
+      keep s
+
+(* [Histlog.writers] only ever prepends: the new writers are a prefix *)
+let refresh_cursors t =
+  let ws = Histlog.writers t.log in
+  let n = List.length ws in
+  let rec fresh k = function
+    | w :: rest when k > 0 -> { w; pos = 0; trimmed = 0 } :: fresh (k - 1) rest
+    | _ -> []
+  in
+  if n > t.nwriters then begin
+    t.cursors <- fresh (n - t.nwriters) ws @ t.cursors;
+    t.nwriters <- n
+  end
+
+let by_inv ws =
+  let a = Array.of_list ws in
+  Array.sort (fun (x, _) (y, _) -> Int.compare x y) a;
+  a
+
+(* An aborted write never returns, so once it is unordered with another
+   aborted or a completed write, its key is vacuous for good: break it.
+   (A pending write may still turn out to precede it: a poll of another
+   client can predate the aborted write's invocation.) *)
+let break_aborted t =
+  let gone =
+    Hashtbl.fold
+      (fun key ws acc ->
+        if Write_order.total (order t key) ~in_flight:(by_inv ws) then acc
+        else key :: acc)
+      t.aborted []
+  in
+  List.iter (fun key -> update t key Write_order.break) gone
+
+(* this tick's in-flight tail of each key that has one: its pending
+   writes and its aborted ones, by invocation.  Few keys have one (a
+   pending write per client at most, and the aborted writes that have
+   not broken their key yet), and a key's tail holds one or two. *)
+let fill_tails t pending =
+  let add key w tails =
+    match List.assoc_opt key tails with
+    | None -> (key, [| w |]) :: tails
+    | Some a ->
+        (key, by_inv (w :: Array.to_list a)) :: List.remove_assoc key tails
+  in
+  t.tails <-
+    Hashtbl.fold
+      (fun key ws tails -> List.fold_left (fun tails w -> add key w tails) tails ws)
+      t.aborted
+      (List.fold_left (fun tails (key, w) -> add key w tails) [] pending)
+
+let rec tail_of key = function
+  | [] -> [||]
+  | (k, a) :: rest -> if k = key then a else tail_of key rest
+
+(* One incremental pass over the log. *)
+let tick t =
+  t.ticks <- t.ticks + 1;
+  refresh_cursors t;
+  (* every cell a poll below misses is invoked at or after [clock] *)
+  let clock = Histlog.clock t.log in
+  let frontier = ref clock in
+  let pending = ref [] and writes = ref [] and reads = ref [] in
+  let consume client (cv : Histlog.cell_view) =
+    let key = cv.v_key and inv = cv.v_invoked_at in
+    if retained t key then retain t key client cv;
+    let op value = { key; client; inv; ret = cv.v_returned_at; value } in
+    match cv.v_hop with
+    | Regemu_sim.Trace.H_write v ->
+        if not cv.v_aborted then writes := op v :: !writes
+        else if not (Write_order.broken (order t key)) then
+          Hashtbl.replace t.aborted key
+            ((inv, v)
+            :: Option.value ~default:[] (Hashtbl.find_opt t.aborted key))
+    | Regemu_sim.Trace.H_read ->
+        if not cv.v_aborted then reads := op cv.v_result :: !reads
+  in
+  List.iter
+    (fun cur ->
+      let client = Histlog.writer_client cur.w in
+      (* a client is sequential: its one pending cell, if any, is its
+         newest, so the cursor stops there *)
+      let stopped = ref false in
+      ignore
+        (Histlog.poll cur.w ~from:cur.pos (fun (cv : Histlog.cell_view) ->
+             t.polled <- t.polled + 1;
+             if not !stopped then
+               if cv.v_returned_at > 0 || cv.v_aborted then begin
+                 cur.pos <- cur.pos + 1;
+                 consume client cv
+               end
+               else begin
+                 stopped := true;
+                 frontier := min !frontier cv.v_invoked_at;
+                 match cv.v_hop with
+                 | Regemu_sim.Trace.H_write v ->
+                     pending := (cv.v_key, (cv.v_invoked_at, v)) :: !pending
+                 | Regemu_sim.Trace.H_read -> ()
+               end));
+      (* a chunk holds at most 256 cells: trimming more often frees
+         nothing more *)
+      if cur.pos - cur.trimmed >= 256 then begin
+        Histlog.trim cur.w ~upto:cur.pos;
+        cur.trimmed <- cur.pos
+      end)
+    t.cursors;
+  (* in invocation order, so each insertion is the common-case append *)
+  List.iter
+    (fun w ->
+      update t w.key (fun wo -> Write_order.add wo ~inv:w.inv ~ret:w.ret w.value))
+    (List.sort (fun a b -> Int.compare a.inv b.inv) !writes);
+  if Hashtbl.length t.aborted > 0 then break_aborted t;
+  (* a key whose tail is not totally ordered is vacuous this tick *)
+  fill_tails t !pending;
+  let vacuous =
+    t.broken > 0
+    || List.exists
+         (fun (key, in_flight) ->
+           not (Write_order.total (order t key) ~in_flight))
+         t.tails
+  in
+  (* [true] once the read is decided: checked, or vacuous for good *)
+  let found = ref None in
+  let decide r =
+    let wo = order t r.key in
+    let in_flight = tail_of r.key t.tails in
+    let broken = Write_order.broken wo in
+    let decided = broken || Write_order.total wo ~in_flight in
+    if decided then t.checks <- t.checks + 1;
+    if decided && not broken then begin
+      match
+        Write_order.check_read wo ~in_flight ~inv:r.inv ~ret:r.ret r.value
+      with
+      | None -> ()
+      | Some allowed ->
+          t.violations <- t.violations + 1;
+          let read =
+            {
+              History.index = r.inv;
+              client = r.client;
+              hop = Regemu_sim.Trace.H_read;
+              invoked_at = r.inv;
+              returned_at = Some r.ret;
+              result = Some r.value;
+            }
+          in
+          let v =
+            {
+              Ws_check.read;
+              got = r.value;
+              allowed;
+              reason = Ws_check.regular_reason;
+            }
+          in
+          if !found = None then found := Some v;
+          if t.first = None then t.first <- Some (r.key, v)
+    end;
+    decided
+  in
+  (* this tick's reads in poll order, then the held ones; a read
+     returning at or after [clock] may have seen a write invoked after
+     its writer's poll, so it waits a tick *)
+  let later = ref [] in
+  List.iter
+    (fun r -> if r.ret >= clock || not (decide r) then later := r :: !later)
+    (List.rev_append !reads t.held);
+  t.held <- List.rev !later;
+  t.nheld <- List.length t.held;
+  let frontier =
+    List.fold_left (fun acc r -> min acc r.inv) !frontier t.held
+  in
+  (* only open keys can settle anything: a tick costs its open windows,
+     not every key ever seen *)
+  if Hashtbl.length t.open_ > 0 then
+    Hashtbl.filter_map_inplace
+      (fun _ wo ->
+        let n = Write_order.settle wo ~frontier in
+        if n > 0 then begin
+          t.window_ops <- t.window_ops - n;
+          t.settled <- t.settled + n;
+          Sink.Metrics.add t.settled_ctr n
+        end;
+        if Write_order.length wo > 0 then Some wo else None)
+      t.open_;
+  t.max_resident <- max t.max_resident (resident_ops t);
+  match !found with
+  | Some v -> Ws_check.Violated v
+  | None -> if vacuous then Ws_check.Vacuous else Holds
+
+(* a pass of the running checker: a tick, and its verdict-class flips
+   as control events, always recorded *)
+let pass t =
+  let v = tick t in
+  let cls =
+    match v with
+    | Ws_check.Holds -> "holds"
+    | Ws_check.Vacuous -> "vacuous"
+    | Ws_check.Violated _ -> "violated"
+  in
+  if cls <> t.last_class then begin
+    Sink.instant t.cr ~cat:"checker"
+      ~args:
+        [ ("from", Sink.Event.S t.last_class); ("to", Sink.Event.S cls) ]
+      "verdict";
+    t.last_class <- cls
+  end;
+  v
+
+let loop ?sched t =
+  let pause =
+    match sched with
+    | None -> Thread.delay
+    | Some (hook : Sched_hook.t) -> hook.sleep
+  in
+  while t.running do
+    pause t.cfg.interval_s;
+    if t.running then ignore (pass t)
+  done
+
+let launch ?sched ?(sink = Sink.none) ?hash ?config ?final_atomic log =
+  let t = make ?config ?hash ~sink ?final_atomic log in
+  t.running <- true;
+  Sink.gauge_fn sink ~help:"online checker passes" "checker.checks" (fun () ->
+      t.ticks);
+  Sink.gauge_fn sink ~help:"reads that failed their WS-Regularity check"
+    "checker.violations" (fun () -> t.violations);
+  Sink.gauge_fn sink ~help:"log cells visited by the checker's polls"
+    "checker.cells_polled" (fun () -> t.polled);
+  Sink.gauge_fn sink ~unit_:"bytes"
+    ~help:"operation log feeding the checker (trimmed behind its cursors)"
+    "checker.resident_bytes" (fun () -> Histlog.approx_bytes log);
+  Sink.gauge_fn sink ~help:"invoked but not yet completed operations"
+    "checker.pending_ops" (fun () ->
+      Histlog.invoked log - Histlog.completed log);
+  Sink.gauge_fn sink ~help:"checker state (window + held + retained ops)"
+    "checker.resident_ops" (fun () -> resident_ops t);
+  Sink.gauge_fn sink ~help:"distinct keys with checker state" "checker.keys"
+    (fun () -> keys t);
+  Sink.gauge_fn sink ~help:"keys with an open (unsettled) write window"
+    "checker.open_keys" (fun () -> open_keys t);
+  (match sched with
+  | None -> t.thread <- Some (Thread.create (loop ?sched:None) t)
+  | Some hook ->
+      hook.Sched_hook.spawn ~name:"checker" (fun () -> loop ~sched:hook t));
+  t
+
+let start ?sched ?sink ?hash ?config log =
+  launch ?sched ?sink ?hash ?config log
+
+(* the offline pass over each retained key: a violation the incremental
+   check must have seen too, unless the key was decided clean, which
+   would mean settling lost an answer *)
+let cross_check t =
+  Hashtbl.iter
+    (fun key d ->
+      match d with
+      | Evicted -> t.deep_evicted <- t.deep_evicted + 1
+      | Kept s -> (
+          t.deep_keys <- t.deep_keys + 1;
+          let h = Histlog.history s in
+          let v = Ws_check.check_ws_regular h in
+          if key = 0 then t.full <- Some (h, v);
+          match v with
+          | Ws_check.Holds | Ws_check.Vacuous -> ()
+          | Ws_check.Violated viol ->
+              if t.violations = 0 && not (Write_order.broken (order t key))
+              then begin
+                t.mismatches <- t.mismatches + 1;
+                if t.mismatch = None then
+                  t.mismatch <-
+                    Some
+                      {
+                        Stats.v_key = key;
+                        v_detail =
+                          Fmt.str "deep-check key %d: %a" key
+                            Ws_check.violation_pp viol;
+                      }
+              end))
+    t.deeps
+
+let finish t =
+  t.running <- false;
+  Option.iter Thread.join t.thread;
+  t.thread <- None;
+  (* the final pass sees the complete log; everything validated online
+     was trimmed, so it costs only the tail *)
+  let v = pass t in
+  cross_check t;
+  v
+
+let stats t =
+  {
+    Stats.checks = t.checks;
+    violations = t.violations;
+    first_violation =
+      (match t.first with
+      | Some (key, v) ->
+          Some
+            {
+              Stats.v_key = key;
+              v_detail = Fmt.str "key %d: %a" key Ws_check.violation_pp v;
+            }
+      | None -> t.mismatch);
+    broken_keys = t.broken;
+    settled_writes = t.settled;
+    pending_undecided = t.nheld;
+    deep_keys = t.deep_keys;
+    deep_evicted = t.deep_evicted;
+    deep_mismatches = t.mismatches;
+    max_resident_ops = t.max_resident;
+  }
+
+(* a retained key 0 that saw no operation has the empty history *)
+let full_pass t =
+  match (t.full, Hashtbl.mem t.deeps 0) with
+  | None, false when retained t 0 -> Some ([], Ws_check.Holds)
+  | full, _ -> full
+
+let latencies_ns t =
+  match Hashtbl.find_opt t.deeps 0 with
+  | Some (Kept s) -> Some (Histlog.latencies_ns s)
+  | None when retained t 0 -> Some []
+  | Some Evicted | None -> None
+
+(* --- the register front-end --------------------------------------------- *)
+
 type result = {
   checks : int;
   ws : Ws_check.verdict;
@@ -20,346 +553,34 @@ let result_pp ppf r =
           Fmt.pf ppf ", atomic %s" (if a then "yes" else "NO")))
     r.atomic
 
-(* The online checker is incremental: work per tick is proportional to
-   the operations that completed since the last tick, not to the whole
-   history, and its state is bounded by the operations in flight.
-   Four facts make this sound:
+(* the brute-force atomicity pass's history limit *)
+let atomic_limit = 600
 
-   - completed operations never change, so a pair of completed writes
-     once checked comparable stays comparable ([writes] keeps the
-     verified total order; its broken flag is sticky);
-   - a completed read validated against the write order stays valid as
-     later writes arrive: any write it has not seen was invoked after
-     the read returned, so it can only land at positions the check
-     already excludes — each read is checked exactly once;
-   - each client is sequential, so a per-writer cursor into the
-     {!Histlog} advances past every completed or aborted cell and only
-     the in-flight tail is ever re-polled ({!Histlog.poll});
-   - every write still to be added and every read still to be checked
-     is invoked at or after the frontier: the clock read before
-     polling, the pending cells and the held reads.  Writes returning
-     below it are folded into the order's floor ({!Write_order.settle}),
-     which changes no verdict. *)
-
-type cursor = { w : Histlog.writer; mutable pos : int (* cells consumed *) }
-
-(* the completed cells of one kind one tick collects, in poll order:
-   columns kept across ticks, so collecting a cell allocates nothing *)
-type batch = {
-  mutable b_inv : int array;
-  mutable b_ret : int array;
-  mutable b_value : Value.t array;  (* a write's value, a read's result *)
-  mutable b_client : Id.Client.t array;
-  mutable b_n : int;
-}
-
-let batch () =
-  { b_inv = [||]; b_ret = [||]; b_value = [||]; b_client = [||]; b_n = 0 }
-
-let push b client ~inv ~ret v =
-  if b.b_n = Array.length b.b_inv then begin
-    let grow a fill = Array.append a (Array.make (max 16 b.b_n) fill) in
-    b.b_inv <- grow b.b_inv 0;
-    b.b_ret <- grow b.b_ret 0;
-    b.b_value <- grow b.b_value Value.v0;
-    b.b_client <- grow b.b_client client
-  end;
-  let i = b.b_n in
-  b.b_inv.(i) <- inv;
-  b.b_ret.(i) <- ret;
-  b.b_value.(i) <- v;
-  b.b_client.(i) <- client;
-  b.b_n <- i + 1
-
-(* empty [b] for a new tick; columns a quarter full last tick are
-   halved, so a burst does not pin its high-water mark for good *)
-let reset b =
-  let cap = Array.length b.b_inv in
-  if cap > 64 && b.b_n < cap / 4 then begin
-    b.b_inv <- Array.make (cap / 2) 0;
-    b.b_ret <- Array.make (cap / 2) 0;
-    b.b_value <- Array.make (cap / 2) Value.v0;
-    b.b_client <- Array.sub b.b_client 0 (cap / 2)
-  end;
-  b.b_n <- 0
-
-let read_op b i =
-  {
-    History.index = b.b_inv.(i);
-    client = b.b_client.(i);
-    hop = Regemu_sim.Trace.H_read;
-    invoked_at = b.b_inv.(i);
-    returned_at = Some b.b_ret.(i);
-    result = Some b.b_value.(i);
-  }
-
-type online = {
-  log : Histlog.t;
-  mutable cursors : cursor list;
-  mutable nwriters : int;  (* writers with a cursor *)
-  writes : Write_order.t;
-  mutable aborted : (int * Value.t) list;
-      (* aborted writes: their effect may still land, so they stay in
-         flight for good *)
-  new_writes : batch;  (* this tick's completed writes *)
-  fresh : batch;  (* this tick's completed reads *)
-  mutable backlog : History.op list;
-      (* completed reads not checked yet: the tick was not
-         write-sequential (e.g. a write was in flight), or the read
-         returned after the clock read that began the tick *)
-  mutable ticks : int;
-  mutable polled : int;
-}
-
-let online log =
-  {
-    log;
-    cursors = [];
-    nwriters = 0;
-    writes = Write_order.create ();
-    aborted = [];
-    new_writes = batch ();
-    fresh = batch ();
-    backlog = [];
-    ticks = 0;
-    polled = 0;
-  }
-
-let cells_polled o = o.polled
-
-(* [Histlog.writers] only ever prepends: the new writers are a prefix *)
-let refresh_cursors o =
-  let ws = Histlog.writers o.log in
-  let n = List.length ws in
-  let rec fresh k = function
-    | w :: rest when k > 0 -> { w; pos = 0 } :: fresh (k - 1) rest
-    | _ -> []
+let spawn ?sched cluster ?(interval_s = default_config.interval_s)
+    ?(final_atomic = false) ?(retain = 0) () =
+  let retain = if final_atomic then max retain atomic_limit else retain in
+  let config =
+    { interval_s; deep_sample = min 1 retain; deep_cap = max 1 retain }
   in
-  if n > o.nwriters then begin
-    o.cursors <- fresh (n - o.nwriters) ws @ o.cursors;
-    o.nwriters <- n
-  end
-
-(* the first read outside its window of admissible writes: this tick's
-   reads returning before [clock] in poll order, then the held ones;
-   the rest are held for the next tick *)
-let check_reads o ~in_flight ~clock =
-  let v = ref Ws_check.Holds and later = ref [] in
-  let check ~inv ~ret got op =
-    match !v with
-    | Ws_check.Holds -> (
-        match Write_order.check_read o.writes ~in_flight ~inv ~ret got with
-        | None -> ()
-        | Some allowed ->
-            let reason = Ws_check.regular_reason in
-            v := Ws_check.Violated { read = op (); got; allowed; reason })
-    | Ws_check.Vacuous | Ws_check.Violated _ -> ()
-  in
-  let r = o.fresh in
-  for i = 0 to r.b_n - 1 do
-    if r.b_ret.(i) >= clock then later := read_op r i :: !later
-    else
-      check ~inv:r.b_inv.(i) ~ret:r.b_ret.(i) r.b_value.(i) (fun () ->
-          read_op r i)
-  done;
-  List.iter
-    (fun (rd : History.op) ->
-      match (rd.returned_at, rd.result) with
-      | Some ret, Some got when ret < clock ->
-          check ~inv:rd.invoked_at ~ret got (fun () -> rd)
-      | _ -> later := rd :: !later)
-    o.backlog;
-  o.backlog <- List.rev !later;
-  !v
-
-(* One incremental pass over the log. *)
-let tick o =
-  o.ticks <- o.ticks + 1;
-  refresh_cursors o;
-  (* every cell a poll below misses is invoked at or after [clock] *)
-  let clock = Histlog.clock o.log in
-  let frontier = ref clock in
-  let in_flight = ref [] in
-  reset o.new_writes;
-  reset o.fresh;
-  List.iter
-    (fun cur ->
-      let client = Histlog.writer_client cur.w in
-      (* a client is sequential: its one pending cell, if any, is its
-         newest, so the cursor stops there and nothing after it is
-         consumed *)
-      let stopped = ref false in
-      ignore
-        (Histlog.poll cur.w ~from:cur.pos (fun (cv : Histlog.cell_view) ->
-             o.polled <- o.polled + 1;
-             let inv = cv.v_invoked_at in
-             let done_ = cv.v_returned_at > 0 || cv.v_aborted in
-             if done_ && not !stopped then begin
-               cur.pos <- cur.pos + 1;
-               match cv.v_hop with
-               | Regemu_sim.Trace.H_write v ->
-                   if cv.v_aborted then o.aborted <- (inv, v) :: o.aborted
-                   else push o.new_writes client ~inv ~ret:cv.v_returned_at v
-               | Regemu_sim.Trace.H_read ->
-                   if not cv.v_aborted then
-                     push o.fresh client ~inv ~ret:cv.v_returned_at cv.v_result
-             end;
-             if not done_ then begin
-               stopped := true;
-               frontier := min !frontier inv;
-               match cv.v_hop with
-               | Regemu_sim.Trace.H_write v ->
-                   in_flight := (inv, v) :: !in_flight
-               | Regemu_sim.Trace.H_read -> ()
-             end)))
-    o.cursors;
-  (* in invocation order, so each insertion is the common-case append *)
-  let w = o.new_writes in
-  let by_inv = Array.init w.b_n Fun.id in
-  Array.sort (fun a b -> Int.compare w.b_inv.(a) w.b_inv.(b)) by_inv;
-  Array.iter
-    (fun i ->
-      Write_order.add o.writes ~inv:w.b_inv.(i) ~ret:w.b_ret.(i)
-        w.b_value.(i))
-    by_inv;
-  let in_flight = Array.of_list (List.rev_append !in_flight o.aborted) in
-  Array.sort (fun (a, _) (b, _) -> Int.compare a b) in_flight;
-  let v =
-    if Write_order.broken o.writes then begin
-      (* vacuous for good: no read will ever be checked *)
-      o.backlog <- [];
-      Ws_check.Vacuous
-    end
-    else if not (Write_order.total o.writes ~in_flight) then begin
-      (* vacuous this tick; hold the reads until the write order is
-         total again *)
-      o.backlog <- List.init o.fresh.b_n (read_op o.fresh) @ o.backlog;
-      Ws_check.Vacuous
-    end
-    else
-      (* a read returning at or after [clock] may have seen a write
-         invoked after its writer's poll: it is checked next tick *)
-      check_reads o ~in_flight ~clock
-  in
-  let frontier =
-    List.fold_left
-      (fun acc (rd : History.op) -> min acc rd.invoked_at)
-      !frontier o.backlog
-  in
-  ignore (Write_order.settle o.writes ~frontier);
-  v
-
-type t = {
-  core : online;
-  cluster : Cluster.t;
-  interval_s : float;
-  final_atomic : bool;
-  atomic_limit : int;
-  cr : Sink.Trace.recorder option;  (* verdict-flip instants *)
-  mutable last_class : string;  (* verdict class of the previous tick *)
-  mutable running : bool;
-  mutable thread : Thread.t option;
-  mutable violation : Ws_check.verdict option;  (* first Violated seen *)
-}
-
-let check_once t =
-  let v = tick t.core in
-  (match v with
-  | Ws_check.Violated _ when t.violation = None -> t.violation <- Some v
-  | _ -> ());
-  (* a verdict-class flip is a control event: always recorded *)
-  let cls =
-    match v with
-    | Ws_check.Holds -> "holds"
-    | Ws_check.Vacuous -> "vacuous"
-    | Ws_check.Violated _ -> "violated"
-  in
-  if cls <> t.last_class then begin
-    Sink.instant t.cr ~cat:"checker"
-      ~args:
-        [ ("from", Sink.Event.S t.last_class); ("to", Sink.Event.S cls) ]
-      "verdict";
-    t.last_class <- cls
-  end;
-  v
-
-let checker_loop ?sched t =
-  let pause =
-    match sched with
-    | None -> Thread.delay
-    | Some (hook : Sched_hook.t) -> hook.sleep
-  in
-  while t.running do
-    pause t.interval_s;
-    if t.running then ignore (check_once t)
-  done
-
-let spawn ?sched cluster ?(interval_s = 0.02) ?(final_atomic = false)
-    ?(atomic_limit = 600) () =
-  let sink = Cluster.sink cluster in
-  let t =
-    {
-      core = online (Cluster.log cluster);
-      cluster;
-      interval_s;
-      final_atomic;
-      atomic_limit;
-      cr = Sink.recorder sink ~name:"checker";
-      last_class = "holds";
-      running = true;
-      thread = None;
-      violation = None;
-    }
-  in
-  Sink.gauge_fn sink ~help:"online checker passes" "checker.checks" (fun () ->
-      t.core.ticks);
-  Sink.gauge_fn sink ~help:"1 iff a WS-Regularity violation was seen"
-    "checker.violation" (fun () -> if t.violation = None then 0 else 1);
-  Sink.gauge_fn sink ~help:"history cells visited by the checker's polls"
-    "checker.cells_polled" (fun () -> t.core.polled);
-  (* checker memory: the checker's own state is bounded by the ops in
-     flight, but it reads the history log, which keeps every op of the
-     run — published here so the GC'd keyspace checker
-     ([Regemu_keyspace.Kchecker]) is directly comparable in the same
-     --metrics snapshot *)
-  let hlog = Cluster.log cluster in
-  Sink.gauge_fn sink ~unit_:"bytes"
-    ~help:"history log feeding the checker (every op of the run)"
-    "checker.resident_bytes" (fun () -> Histlog.approx_bytes hlog);
-  Sink.gauge_fn sink ~help:"invoked but not yet completed operations"
-    "checker.pending_ops" (fun () ->
-      Histlog.invoked hlog - Histlog.completed hlog);
-  (match sched with
-  | None -> t.thread <- Some (Thread.create (checker_loop ?sched:None) t)
-  | Some hook ->
-      hook.Sched_hook.spawn ~name:"checker" (fun () -> checker_loop ~sched:hook t));
-  t
+  launch ?sched ~sink:(Cluster.sink cluster) ~config ~final_atomic
+    (Cluster.log cluster)
 
 let stop t =
-  t.running <- false;
-  Option.iter Thread.join t.thread;
-  t.thread <- None;
-  (* the final pass sees the complete history; everything validated
-     online is skipped, so it costs only the tail *)
-  let final = check_once t in
+  let final = finish t in
   let ws =
-    match t.violation with
-    | Some v -> v
+    match t.first with
+    | Some (_, v) -> Ws_check.Violated v
     | None -> (
-        (* the last tick's verdict only covers fresh reads; lift it to
+        (* the last pass's verdict only covers fresh reads; lift it to
            the whole run *)
         match final with
         | Ws_check.Vacuous -> Ws_check.Vacuous
         | Ws_check.Holds | Ws_check.Violated _ -> Ws_check.Holds)
   in
-  (* the log counts its own operations; the merged history is built
-     only for the atomicity pass, which is bounded by [atomic_limit] *)
-  let ops = Histlog.invoked (Cluster.log t.cluster) in
   let atomic =
-    if t.final_atomic && ops <= t.atomic_limit then
-      Some
-        (Linearize.linearizable Linearize.register
-           (Cluster.history t.cluster))
-    else None
+    match t.full with
+    | Some (h, _) when t.final_atomic && List.length h <= atomic_limit ->
+        Some (Linearize.linearizable Linearize.register h)
+    | _ -> None
   in
-  { checks = t.core.ticks; ws; atomic; ops_checked = ops }
+  { checks = t.ticks; ws; atomic; ops_checked = Histlog.invoked t.log }

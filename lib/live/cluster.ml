@@ -901,13 +901,11 @@ let exn_label = function
   | Timeout _ -> "timeout"
   | e -> Printexc.exn_slot_name e
 
-let begin_op cl = cl.op_t0 <- Clock.now_s ()
-
 type call = Value.t
 
-let invoke _t cl hop body =
+let invoke _t cl ?key hop body =
   cl.op_t0 <- Clock.now_s ();
-  let ticket = Histlog.invoke cl.hlog hop in
+  let ticket = Histlog.invoke cl.hlog ?key hop in
   let sampled = Sink.sample_op cl.crec in
   let name =
     match hop with Regemu_sim.Trace.H_write _ -> "write" | H_read -> "read"
@@ -933,9 +931,9 @@ let invoke _t cl hop body =
       end;
       v
   | exception e ->
-      (* the ticket is aborted: pending for the checkers (its effect may
-         still land), but no longer a cell to re-poll; the span still
-         closes, labelled with how the operation escaped *)
+      (* the ticket is aborted: in flight for good for the checker (its
+         effect may still land), but no longer a cell to re-poll; the
+         span still closes, labelled with how the operation escaped *)
       Histlog.abort ticket;
       if sampled then begin
         cl.op_live <- false;
@@ -1076,10 +1074,7 @@ let heal_gray t =
 
 (* --- observation -------------------------------------------------------- *)
 
-let history t = Histlog.snapshot t.log
 let log t = t.log
-let latencies_ns t = Histlog.latencies_ns t.log
-let completed_ops t = Histlog.completed t.log
 
 type stats = {
   msgs_sent : int;

@@ -236,19 +236,16 @@ type call = Value.t
 
 (** {2 High-level operations}
 
-    [invoke t cl hop body] records the operation in the cluster history
-    (real-time invocation ticket), runs [body] on the calling thread,
-    records the return, and yields the result.  Starts the per-op
-    retry-deadline clock.  If [body] escapes with an exception (e.g.
-    {!Unavailable}), the ticket is aborted ({!Histlog.abort}): it stays
-    pending in the history — sound for the checkers, which treat a
-    pending operation as concurrent with everything after it. *)
-val invoke : t -> client -> Regemu_sim.Trace.hop -> (unit -> Value.t) -> call
-
-(** Start the per-op retry-deadline clock {e without} taking a history
-    ticket — for layers ([Regemu_keyspace]) that keep their own
-    bounded operation log instead of the cluster {!Histlog}. *)
-val begin_op : client -> unit
+    [invoke t cl ?key hop body] records the operation on [key] (default
+    0, the one register of a register run) in the cluster's
+    {!Histlog} (real-time invocation ticket), runs [body] on the
+    calling thread, records the return, and yields the result.  Starts
+    the per-op retry-deadline clock.  If [body] escapes with an
+    exception (e.g. {!Unavailable}), the ticket is aborted
+    ({!Histlog.abort}) and the exception re-raised: sound for the
+    checker, which treats an aborted write as in flight for good. *)
+val invoke :
+  t -> client -> ?key:int -> Regemu_sim.Trace.hop -> (unit -> Value.t) -> call
 
 (** {2 Failures} *)
 
@@ -294,13 +291,10 @@ val server_health : t -> server:int -> float
 
 (** {2 Observation} *)
 
-val history : t -> Regemu_history.History.t
-
-(** The underlying sharded history log — the online checker polls it
-    incrementally instead of snapshotting. *)
+(** The operation log: register and keyed operations alike.  Its one
+    consumer, the online {!Checker}, polls it incrementally and trims
+    what it has consumed. *)
 val log : t -> Histlog.t
-val latencies_ns : t -> int list
-val completed_ops : t -> int
 
 type stats = {
   msgs_sent : int;

@@ -199,6 +199,7 @@ let run ?(sink = Sink.none) spec =
   let checker =
     Checker.spawn cluster ~interval_s:0.01
       ~final_atomic:(spec.algo = Abd_wb && spec.k = 1)
+      ~retain:((spec.k + spec.readers) * spec.ops_per_client)
       ()
   in
   let injector =
@@ -226,7 +227,7 @@ let run ?(sink = Sink.none) spec =
   let space_cells, space_bytes, space_cells_total = !space in
   let check = Checker.stop checker in
   let stats = Cluster.stats cluster in
-  let lats = Cluster.latencies_ns cluster in
+  let lats = Option.value ~default:[] (Checker.latencies_ns checker) in
   Cluster.shutdown cluster;
   (match result with Ok () -> () | Error e -> raise e);
   let ops = stats.Cluster.ops_completed in

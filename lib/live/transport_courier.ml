@@ -28,6 +28,9 @@ type t = {
   sched : Sched_hook.t option;
   lanes : lane array;  (* sharded: one per server + a client lane *)
   started : int Atomic.t;  (* courier threads started *)
+  alarm : Alarm.t option Atomic.t;
+      (* what a courier holding an envelope sleeps on, so {!stop} cuts
+         the hold short; opened by the first hold *)
 }
 
 (* how many envelopes a courier drains per wakeup *)
@@ -79,11 +82,32 @@ let create ?sched ?(sink = Sink.none) cfg ~servers ~deliver =
     sched;
     lanes;
     started = Atomic.make 0;
+    alarm = Atomic.make None;
   }
 
-(* pause a courier that drew a delivery delay — virtual time under DST *)
+(* the fabric's alarm, opened on first use: a build whose envelopes are
+   never held opens no pipe.  An alarm opened after {!stop} read none is
+   rung here, so no hold outlives the stop. *)
+let alarm t =
+  match Atomic.get t.alarm with
+  | Some a -> a
+  | None ->
+      let a = Alarm.create () in
+      if Atomic.compare_and_set t.alarm None (Some a) then begin
+        if Atomic.get t.ctl.stopped then Alarm.ring a;
+        a
+      end
+      else begin
+        Alarm.close a;
+        Option.get (Atomic.get t.alarm)
+      end
+
+(* pause a courier that drew a delivery delay — virtual time under DST,
+   else until the delay passes or {!stop} rings *)
 let courier_pause t s =
-  match t.sched with None -> Thread.delay s | Some hook -> hook.sleep s
+  match t.sched with
+  | None -> Alarm.wait (alarm t) s
+  | Some hook -> hook.sleep s
 
 (* A frozen server lane stops draining: envelopes queue up exactly as
    they would behind a stuttering NIC.  Only sharded server lanes can
@@ -249,6 +273,8 @@ let send t env =
 
 let stop t =
   Atomic.set t.ctl.stopped true;
+  (* a courier holding an envelope hands it over now *)
+  Option.iter Alarm.ring (Atomic.get t.alarm);
   let started =
     Array.map
       (fun lane ->
@@ -261,7 +287,8 @@ let stop t =
         threads)
       t.lanes
   in
-  Array.iter (List.iter Thread.join) started
+  Array.iter (List.iter Thread.join) started;
+  Option.iter Alarm.close (Atomic.get t.alarm)
 
 let lanes t = Array.length t.lanes
 let threads_started t = Atomic.get t.started

@@ -30,7 +30,8 @@ module type RUNTIME = sig
     unit
 
   val await : t -> client -> ?need:int list * int -> (unit -> bool) -> unit
-  val invoke : t -> client -> Regemu_sim.Trace.hop -> (unit -> Value.t) -> call
+  val invoke :
+    t -> client -> ?key:int -> Regemu_sim.Trace.hop -> (unit -> Value.t) -> call
 end
 
 module Net_runtime = struct
@@ -54,7 +55,7 @@ module Net_runtime = struct
     List.iter (fun s -> rpc net ~src s ~make ~handler) replicas
 
   let await _ _ ?need:_ pred = Net.wait_until pred
-  let invoke net client hop body = Net.invoke net ~client hop body
+  let invoke net client ?key:_ hop body = Net.invoke net ~client hop body
 end
 
 module Sim_runtime = struct
@@ -118,7 +119,7 @@ module Sim_runtime = struct
     List.iter (fun s -> rpc t ~src s ~make ~handler) replicas
 
   let await _ _ ?need:_ pred = Sim.wait_until pred
-  let invoke t client hop body = Sim.invoke t.sim ~client hop body
+  let invoke t client ?key:_ hop body = Sim.invoke t.sim ~client hop body
 end
 
 module Round (R : RUNTIME) = struct

@@ -56,7 +56,12 @@ module type RUNTIME = sig
     unit
 
   val await : t -> client -> ?need:int list * int -> (unit -> bool) -> unit
-  val invoke : t -> client -> Regemu_sim.Trace.hop -> (unit -> Value.t) -> call
+
+  (** Run one high-level operation.  [key] names the register of a
+      keyed runtime (the live cluster's keyspace); the single-register
+      runtimes take none. *)
+  val invoke :
+    t -> client -> ?key:int -> Regemu_sim.Trace.hop -> (unit -> Value.t) -> call
 end
 
 (** {!Net}: no lock, no retransmission, [rpc_quorum] sends to every

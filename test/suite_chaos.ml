@@ -149,6 +149,23 @@ let determinism_tests =
           o1.Campaign.stats.Cluster.crashes o2.Campaign.stats.Cluster.crashes;
         Alcotest.(check int) "identical wipe count"
           o1.Campaign.stats.Cluster.wipes o2.Campaign.stats.Cluster.wipes);
+    test "the keyspace-outage checker judges the keyed ops" (fun () ->
+        let s =
+          List.find
+            (fun s -> s.Campaign.name = "keyspace-outage")
+            (Campaign.smoke ~seed:5)
+        in
+        let o = Campaign.run s in
+        Alcotest.(check bool) "passes" true o.Campaign.pass;
+        let invoked =
+          List.fold_left
+            (fun a p -> a + p.Campaign.completed + p.Campaign.failed)
+            0 o.Campaign.phases
+        in
+        Alcotest.(check bool) "ops were invoked" true (invoked > 0);
+        Alcotest.(check int) "the checker counts every invoked op" invoked
+          o.Campaign.check.Checker.ops_checked;
+        check_clean "keyspace outage" o.Campaign.check);
   ]
 
 (* --- the retry layer under forced loss ----------------------------------- *)

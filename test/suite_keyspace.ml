@@ -1,6 +1,7 @@
-(* Tests for the keyspace stack: placement, the trimmable op log, the
-   open-loop generator, the memory-bounded checker (GC soundness via
-   DST), and the bench JSON schema gate. *)
+(* Tests for the keyspace stack: placement, the open-loop generator,
+   the memory-bounded checker on keyed operations (GC soundness via
+   DST), and the bench JSON schema gate.  The operation log's own tests
+   are in suite_live ([live.histlog]). *)
 
 open Regemu_keyspace
 
@@ -81,68 +82,9 @@ let placement_tests =
         done);
   ]
 
-(* --- Klog --------------------------------------------------------- *)
-
 open Regemu_objects
-
-let klog_tests =
-  [
-    test "invoke/return round trip with keys" (fun () ->
-        let t = Klog.create () in
-        let w = Klog.new_writer t ~client:(Id.Client.of_int 0) in
-        let tk = Klog.invoke w ~key:5 Regemu_sim.Trace.(H_write (Value.Int 1)) in
-        Klog.return tk (Value.Int 9);
-        let seen = ref [] in
-        let view = Klog.poll w ~from:0 (fun c -> seen := c :: !seen) in
-        check_int "len" 1 view.Klog.len;
-        match !seen with
-        | [ c ] ->
-            check_int "key" 5 c.Klog.k_key;
-            Alcotest.(check bool)
-              "result" true
-              (c.Klog.k_result = Some (Value.Int 9));
-            Alcotest.(check bool) "not aborted" false c.Klog.k_aborted
-        | _ -> Alcotest.fail "expected one cell");
-    test "trim releases whole chunks and poll skips them" (fun () ->
-        let t = Klog.create () in
-        let w = Klog.new_writer t ~client:(Id.Client.of_int 0) in
-        (* 3 chunks' worth of completed ops *)
-        let per_chunk = 256 in
-        for i = 0 to (3 * per_chunk) - 1 do
-          let tk = Klog.invoke w ~key:(i mod 7) Regemu_sim.Trace.(H_write (Value.Int 1)) in
-          Klog.return tk (Value.Int i)
-        done;
-        let before = Klog.resident_cells t in
-        Klog.trim w ~upto:(2 * per_chunk);
-        let after = Klog.resident_cells t in
-        Alcotest.(check bool)
-          "trim released memory" true
-          (after < before && after > 0);
-        let first = ref None in
-        let view =
-          Klog.poll w ~from:0 (fun c ->
-              if !first = None then first := Some c.Klog.k_invoked_at)
-        in
-        check_int "absolute length survives the trim" (3 * per_chunk)
-          view.Klog.len;
-        (* cells below the trim point are gone: the first visited cell
-           is the first of chunk 2, whose ticks start at 2*per_chunk *)
-        match !first with
-        | Some tick ->
-            Alcotest.(check bool)
-              "trimmed prefix not revisited" true (tick >= 2 * per_chunk)
-        | None -> Alcotest.fail "poll visited nothing");
-    test "aborted ops complete the cell" (fun () ->
-        let t = Klog.create () in
-        let w = Klog.new_writer t ~client:(Id.Client.of_int 0) in
-        let tk = Klog.invoke w ~key:1 Regemu_sim.Trace.(H_write (Value.Int 1)) in
-        Klog.abort tk;
-        check_int "completed" 1 (Klog.completed t);
-        check_int "aborted" 1 (Klog.aborted t);
-        let aborted = ref false in
-        ignore (Klog.poll w ~from:0 (fun c -> aborted := c.Klog.k_aborted));
-        Alcotest.(check bool) "cell marked aborted" true !aborted);
-  ]
+module Histlog = Regemu_live.Histlog
+module Checker = Regemu_live.Checker
 
 (* --- Openload determinism ----------------------------------------- *)
 
@@ -190,15 +132,15 @@ let openload_tests =
           (Hashtbl.length uniform > 900));
   ]
 
-(* --- Kchecker open-key tracking --------------------------------------- *)
+(* --- the checker's open-key tracking on keyed ops ----------------------- *)
 
 let write w ~key v =
-  Klog.return
-    (Klog.invoke w ~key Regemu_sim.Trace.(H_write (Value.Int v)))
+  Histlog.return
+    (Histlog.invoke w ~key Regemu_sim.Trace.(H_write (Value.Int v)))
     Value.Unit
 
 let read w ~key got =
-  Klog.return (Klog.invoke w ~key Regemu_sim.Trace.H_read) got
+  Histlog.return (Histlog.invoke w ~key Regemu_sim.Trace.H_read) got
 
 let kchecker_tests =
   [
@@ -207,16 +149,16 @@ let kchecker_tests =
            are idle every window settles: the set a round walks is
            empty again *)
         let distinct = 10_000 in
-        let klog = Klog.create () in
-        let w = Klog.new_writer klog ~client:(Id.Client.of_int 0) in
+        let klog = Histlog.create () in
+        let w = Histlog.new_writer klog ~client:(Id.Client.of_int 0) in
         let k = Kchecker.spawn klog in
         for key = 0 to distinct - 1 do
           write w ~key (key + 1);
           read w ~key (Value.Int (key + 1))
         done;
         let r = Kchecker.stop k in
-        check_int "keys" distinct (Kchecker.keys k);
-        check_int "open keys" 0 (Kchecker.open_keys k);
+        check_int "keys" distinct (Checker.keys k);
+        check_int "open keys" 0 (Checker.open_keys k);
         check_int "settled" distinct r.Kchecker.settled_writes;
         check_int "checks" distinct r.Kchecker.checks;
         check_int "violations" 0 r.Kchecker.violations);
@@ -228,8 +170,8 @@ let kchecker_tests =
         let obs, report =
           Sched.run (Sched.default_config ~seed:1) (fun s ->
               let hook = Sched.hook s in
-              let klog = Klog.create () in
-              let w = Klog.new_writer klog ~client:(Id.Client.of_int 0) in
+              let klog = Histlog.create () in
+              let w = Histlog.new_writer klog ~client:(Id.Client.of_int 0) in
               let k =
                 Kchecker.spawn ~sched:hook
                   ~config:
@@ -242,7 +184,7 @@ let kchecker_tests =
               in
               let snap () =
                 hook.Regemu_live.Sched_hook.sleep 0.01;
-                (Kchecker.settled k, Kchecker.open_keys k)
+                (Checker.settled k, Checker.open_keys k)
               in
               write w ~key:7 1;
               write w ~key:7 2;
@@ -250,15 +192,15 @@ let kchecker_tests =
               (* a read in flight on a second writer holds the frontier
                  below the next write, so a round consumes it without
                  settling it *)
-              let w2 = Klog.new_writer klog ~client:(Id.Client.of_int 1) in
-              let inflight = Klog.invoke w2 ~key:7 Regemu_sim.Trace.H_read in
+              let w2 = Histlog.new_writer klog ~client:(Id.Client.of_int 1) in
+              let inflight = Histlog.invoke w2 ~key:7 Regemu_sim.Trace.H_read in
               write w ~key:7 3;
               let reopened = snd (snap ()) in
-              Klog.return inflight (Value.Int 3);
+              Histlog.return inflight (Value.Int 3);
               let second = snap () in
               read w ~key:7 (Value.Int 2);
               ignore (snap ());
-              let flagged = Kchecker.violations_so_far k in
+              let flagged = Checker.violations_so_far k in
               (first, reopened, second, flagged, Kchecker.stop k))
         in
         match obs with
@@ -411,7 +353,6 @@ let schema_tests =
 let suites =
   [
     ("keyspace.placement", placement_tests);
-    ("keyspace.klog", klog_tests);
     ("keyspace.openload", openload_tests);
     ("keyspace.kchecker", kchecker_tests);
     ("keyspace.e2e", e2e_tests);

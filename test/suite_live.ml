@@ -449,6 +449,14 @@ let transport_tests =
 
 (* --- histlog ------------------------------------------------------------- *)
 
+let write_hop v = Regemu_sim.Trace.H_write v
+
+(* every cell of [w] from [from] on, as seen by one poll *)
+let poll_all w ~from =
+  let seen = ref [] in
+  let len = Histlog.poll w ~from (fun cv -> seen := cv :: !seen) in
+  (List.rev !seen, len)
+
 let histlog_tests =
   [
     test "poll is a consistent incremental feed under live writers"
@@ -467,7 +475,7 @@ let histlog_tests =
                 (fun () ->
                   for j = 0 to per - 1 do
                     let v = Value.Str (Printf.sprintf "%d.%d" i j) in
-                    let tk = Histlog.invoke w (Regemu_sim.Trace.H_write v) in
+                    let tk = Histlog.invoke w (write_hop v) in
                     if j mod 7 = 0 then Thread.yield ();
                     Histlog.return tk v
                   done)
@@ -509,10 +517,17 @@ let histlog_tests =
         Alcotest.(check int) "all ops complete"
           (nwriters * per)
           (Histlog.completed log);
-        (* the final snapshot merges the shards into global real-time
+        (* a store of every cell merges the shards into global real-time
            order with dense indexes *)
-        let h = Histlog.snapshot log in
-        Alcotest.(check int) "snapshot has everything" (nwriters * per)
+        let kept = Histlog.store () in
+        List.iter
+          (fun w ->
+            ignore
+              (Histlog.poll w ~from:0
+                 (Histlog.keep kept ~client:(Histlog.writer_client w))))
+          ws;
+        let h = Histlog.history kept in
+        Alcotest.(check int) "the store has everything" (nwriters * per)
           (List.length h);
         List.iteri
           (fun i (op : Regemu_history.History.op) ->
@@ -522,7 +537,8 @@ let histlog_tests =
                 ((List.nth h (i - 1)).Regemu_history.History.invoked_at
                 < op.invoked_at))
           h);
-    test "snapshot while writers are live is a per-client prefix" (fun () ->
+    test "a poll racing a writer sees at most its newest cell pending"
+      (fun () ->
         let log = Histlog.create () in
         let w = Histlog.new_writer log ~client:(Id.Client.of_int 0) in
         let n = 500 in
@@ -531,48 +547,123 @@ let histlog_tests =
             (fun () ->
               for j = 0 to n - 1 do
                 let v = Value.Str (string_of_int j) in
-                let tk = Histlog.invoke w (Regemu_sim.Trace.H_write v) in
-                Histlog.return tk v
+                Histlog.return (Histlog.invoke w (write_hop v)) v
               done)
             ()
         in
-        (* snapshots race the writer: each must be internally consistent
-           (completed ops have results; at most one pending op for a
-           sequential client) *)
         for _ = 0 to 20 do
-          let h = Histlog.snapshot log in
-          let pending =
-            List.filter
-              (fun (op : Regemu_history.History.op) -> op.returned_at = None)
-              h
-          in
-          Alcotest.(check bool) "at most one in-flight op" true
-            (List.length pending <= 1);
-          List.iter
-            (fun (op : Regemu_history.History.op) ->
-              match (op.returned_at, op.result) with
-              | Some _, None -> Alcotest.fail "completed op lost its result"
-              | _ -> ())
-            h;
+          let cells, len = poll_all w ~from:0 in
+          Alcotest.(check int) "the poll sees every cell" len
+            (List.length cells);
+          List.iteri
+            (fun i (cv : Histlog.cell_view) ->
+              if cv.v_returned_at = 0 && i < len - 1 then
+                Alcotest.fail "a pending cell that is not the newest")
+            cells;
           Thread.yield ()
         done;
         Thread.join t;
-        Alcotest.(check int) "final snapshot exact" n
-          (List.length (Histlog.snapshot log)));
+        Alcotest.(check int) "every op completed" n (Histlog.completed log));
+    test "invoke/return round trip with keys" (fun () ->
+        let t = Histlog.create () in
+        let w = Histlog.new_writer t ~client:(Id.Client.of_int 0) in
+        let tk = Histlog.invoke w ~key:5 (write_hop (Value.Int 1)) in
+        Histlog.return tk (Value.Int 9);
+        match poll_all w ~from:0 with
+        | [ c ], len ->
+            Alcotest.(check int) "len" 1 len;
+            Alcotest.(check int) "key" 5 c.Histlog.v_key;
+            Alcotest.(check bool)
+              "result" true
+              (Value.equal c.Histlog.v_result (Value.Int 9));
+            Alcotest.(check bool) "not aborted" false c.Histlog.v_aborted
+        | _ -> Alcotest.fail "expected one cell");
+    test "trim releases whole chunks and poll skips them" (fun () ->
+        let t = Histlog.create () in
+        let w = Histlog.new_writer t ~client:(Id.Client.of_int 0) in
+        (* three full-size chunks' worth of completed ops *)
+        let ops = 3 * 256 in
+        for i = 0 to ops - 1 do
+          let tk = Histlog.invoke w ~key:(i mod 7) (write_hop (Value.Int 1)) in
+          Histlog.return tk (Value.Int i)
+        done;
+        let before = Histlog.approx_bytes t in
+        Histlog.trim w ~upto:(2 * 256);
+        let after = Histlog.approx_bytes t in
+        Alcotest.(check bool)
+          "trim released memory" true
+          (after < before && after > 0);
+        let cells, len = poll_all w ~from:(2 * 256) in
+        Alcotest.(check int) "absolute length survives the trim" ops len;
+        Alcotest.(check int) "a poll from the trim point sees the rest"
+          (ops - (2 * 256))
+          (List.length cells);
+        (* cells below the trim point are gone, whole chunks at a time:
+           a poll from 0 starts at the oldest chunk still held *)
+        let all, _ = poll_all w ~from:0 in
+        Alcotest.(check bool)
+          (Fmt.str "trimmed prefix not revisited (%d cells)" (List.length all))
+          true
+          (List.length all < ops - 256 && List.length all >= ops - (2 * 256)));
+    test "an aborted op is polled as aborted, not completed" (fun () ->
+        let t = Histlog.create () in
+        let w = Histlog.new_writer t ~client:(Id.Client.of_int 0) in
+        let tk = Histlog.invoke w ~key:1 (write_hop (Value.Int 1)) in
+        Histlog.abort tk;
+        Alcotest.(check int) "invoked" 1 (Histlog.invoked t);
+        Alcotest.(check int) "completed" 0 (Histlog.completed t);
+        match poll_all w ~from:0 with
+        | [ c ], _ ->
+            Alcotest.(check bool) "cell marked aborted" true c.Histlog.v_aborted;
+            Alcotest.(check int) "no return point" 0 c.Histlog.v_returned_at
+        | _ -> Alcotest.fail "expected one cell");
+    test "a 10k-op retained history holds at most 8 words per op, as \
+          store_bytes says"
+      (fun () ->
+        let log = Histlog.create () in
+        let client = Id.Client.of_int 0 in
+        let w = Histlog.new_writer log ~client in
+        let ops = 10_000 in
+        let last = ref Value.v0 in
+        for j = 1 to ops do
+          if j mod 2 = 1 then begin
+            let v = Value.Int j in
+            Histlog.return (Histlog.invoke w (write_hop v)) v;
+            last := v
+          end
+          else Histlog.return (Histlog.invoke w Regemu_sim.Trace.H_read) !last
+        done;
+        let kept = Histlog.store () in
+        ignore (Histlog.poll w ~from:0 (Histlog.keep kept ~client));
+        Alcotest.(check int) "every op kept" ops (Histlog.kept kept);
+        let words = Obj.reachable_words (Obj.repr kept) in
+        let per_op = float_of_int words /. float_of_int ops in
+        Alcotest.(check bool)
+          (Fmt.str "%.2f reachable words per op" per_op)
+          true (per_op <= 8.0);
+        let ratio =
+          float_of_int (Histlog.store_bytes kept)
+          /. float_of_int (words * (Sys.word_size / 8))
+        in
+        Alcotest.(check bool)
+          (Fmt.str "store_bytes / reachable bytes = %.2f" ratio)
+          true
+          (ratio >= 0.75 && ratio <= 1.25));
   ]
 
 (* the merged-shards property: however client operations interleave,
-   the snapshot is exactly the invocation-order sequence — same
-   clients, same hops, same results, dense indexes.  The interleaving
-   is randomized but applied deterministically, modelling each client
-   as a well-formed sequential process (invoke, later return). *)
+   a store of every polled cell rebuilds exactly the invocation-order
+   sequence — same clients, same hops, same results, dense indexes.
+   The interleaving is randomized but applied deterministically,
+   modelling each client as a well-formed sequential process (invoke,
+   later return). *)
 let histlog_property_tests =
   [
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make
          ~name:
-           "snapshot equals the merged per-client chunks under random \
-            writer interleavings"
+           "a store's history equals the merged per-client logs under \
+            random writer interleavings"
          ~count:150
          (QCheck.make
             QCheck.Gen.(
@@ -602,8 +693,7 @@ let histlog_property_tests =
                    counts.(w) <- j + 1;
                    let hop =
                      if j mod 2 = 0 then
-                       Regemu_sim.Trace.H_write
-                         (Value.Str (Printf.sprintf "w%d-%d" w j))
+                       write_hop (Value.Str (Printf.sprintf "w%d-%d" w j))
                      else Regemu_sim.Trace.H_read
                    in
                    let tk = Histlog.invoke ws.(w) hop in
@@ -622,7 +712,14 @@ let histlog_property_tests =
                    pending.(w) <- None)
              steps;
            let expected = List.rev !expected in
-           let h = Histlog.snapshot log in
+           let kept = Histlog.store () in
+           Array.iter
+             (fun w ->
+               ignore
+                 (Histlog.poll w ~from:0
+                    (Histlog.keep kept ~client:(Histlog.writer_client w))))
+             ws;
+           let h = Histlog.history kept in
            List.length h = List.length expected
            && List.for_all2
                 (fun (op : Regemu_history.History.op) (w, hop, cell) ->
@@ -646,15 +743,36 @@ let verdict_class = function
   | Regemu_history.Ws_check.Vacuous -> "vacuous"
   | Regemu_history.Ws_check.Violated _ -> "violated"
 
+(* key 0 retained up to [cap] ops *)
+let retaining cap =
+  { Checker.default_config with deep_sample = 1; deep_cap = cap }
+
+(* [ops] sequential reads through the cluster, with a checker tick every
+   [every] ops and one at the end; the log's bytes then *)
+let log_bytes_after ~ops ~every =
+  let cluster = Cluster.create (Cluster.default_config ~n:3 ~seed:7) in
+  let c = Cluster.new_client cluster in
+  let o = Checker.online (Cluster.log cluster) in
+  for j = 1 to ops do
+    ignore
+      (Cluster.invoke cluster c Regemu_sim.Trace.H_read (fun () -> Value.v0));
+    if j mod every = 0 then ignore (Checker.tick o)
+  done;
+  Alcotest.(check string) "reads of v0 hold" "holds"
+    (verdict_class (Checker.tick o));
+  let bytes = Histlog.approx_bytes (Cluster.log cluster) in
+  Cluster.shutdown cluster;
+  bytes
+
 let online_checker_tests =
   [
     test "an aborted op does not stall the checker's cursor" (fun () ->
         let cluster = Cluster.create (Cluster.default_config ~n:3 ~seed:7) in
         let c = Cluster.new_client cluster in
-        let o = Checker.online (Cluster.log cluster) in
+        let o = Checker.online ~config:(retaining 1000) (Cluster.log cluster) in
         (match
-           Cluster.invoke cluster c (Regemu_sim.Trace.H_write (Value.Int 0))
-             (fun () -> raise Exit)
+           Cluster.invoke cluster c (write_hop (Value.Int 0)) (fun () ->
+               raise Exit)
          with
         | _ -> Alcotest.fail "the body's exception was swallowed"
         | exception Exit -> ());
@@ -668,46 +786,51 @@ let online_checker_tests =
           Alcotest.(check string) "reads of v0 hold" "holds"
             (verdict_class (Checker.tick o))
         done;
-        let h = Cluster.history cluster in
-        Cluster.shutdown cluster;
         (* a cursor stuck at the aborted write re-polls every later op on
            every tick: ~ops*ticks/2 cells instead of ops+1 *)
         Alcotest.(check bool)
           (Fmt.str "O(ops + ticks) cells polled (%d)" (Checker.cells_polled o))
           true
           (Checker.cells_polled o <= 1 + ops + ticks);
-        Alcotest.(check bool) "the aborted write is pending in the history"
-          true
-          ((List.hd h).Regemu_history.History.returned_at = None);
+        ignore (Checker.finish o);
+        Cluster.shutdown cluster;
+        (match Checker.full_pass o with
+        | Some (h, _) ->
+            Alcotest.(check bool) "the aborted write is pending in the history"
+              true
+              ((List.hd h).Regemu_history.History.returned_at = None)
+        | None -> Alcotest.fail "the history was not retained");
         Alcotest.(check int) "only the reads completed" ops
           (Histlog.completed (Cluster.log cluster)));
-    test "a 10k-op log holds at most 8 words per op, as approx_bytes says"
+    test "the log stays one chunk apart over 20k and 80k checked ops"
       (fun () ->
-        let log = Histlog.create () in
-        let w = Histlog.new_writer log ~client:(Id.Client.of_int 0) in
-        let ops = 10_000 in
-        let last = ref Value.v0 in
-        for j = 1 to ops do
-          if j mod 2 = 1 then begin
-            let v = Value.Int j in
-            Histlog.return (Histlog.invoke w (Regemu_sim.Trace.H_write v)) v;
-            last := v
-          end
-          else Histlog.return (Histlog.invoke w Regemu_sim.Trace.H_read) !last
-        done;
-        let words = Obj.reachable_words (Obj.repr log) in
-        let per_op = float_of_int words /. float_of_int ops in
+        let short = log_bytes_after ~ops:20_000 ~every:1000 in
+        let long = log_bytes_after ~ops:80_000 ~every:1000 in
+        (* one writer; a full chunk is six 256-slot arrays *)
+        let chunk = ((6 * 257) + 8) * (Sys.word_size / 8) in
         Alcotest.(check bool)
-          (Fmt.str "%.2f reachable words per op" per_op)
-          true (per_op <= 8.0);
-        let ratio =
-          float_of_int (Histlog.approx_bytes log)
-          /. float_of_int (words * (Sys.word_size / 8))
-        in
-        Alcotest.(check bool)
-          (Fmt.str "approx_bytes / reachable bytes = %.2f" ratio)
+          (Fmt.str "log bytes %d after 20k ops, %d after 80k" short long)
           true
-          (ratio >= 0.75 && ratio <= 1.25));
+          (abs (long - short) <= chunk));
+    test "a register checker past its cap retains no history" (fun () ->
+        let run ~ops =
+          let cluster = Cluster.create (Cluster.default_config ~n:3 ~seed:7) in
+          let c = Cluster.new_client cluster in
+          let checker = Checker.spawn cluster ~retain:100 () in
+          for j = 1 to ops do
+            let v = Value.Int j in
+            ignore (Cluster.invoke cluster c (write_hop v) (fun () -> Value.Unit))
+          done;
+          let r = Checker.stop checker in
+          Cluster.shutdown cluster;
+          Alcotest.(check int) "every op checked" ops r.Checker.ops_checked;
+          ( Option.map (fun (h, _) -> List.length h) (Checker.full_pass checker),
+            Option.map List.length (Checker.latencies_ns checker) )
+        in
+        Alcotest.(check (pair (option int) (option int)))
+          "at the cap, the whole history" (Some 100, Some 100) (run ~ops:100);
+        Alcotest.(check (pair (option int) (option int)))
+          "past it, none" (None, None) (run ~ops:101));
   ]
 
 (* A reference log: one record per operation, the shape the history had
@@ -721,6 +844,7 @@ type ref_op = {
   mutable r_ret : int option;
   mutable r_result : Value.t option;
   mutable r_lat : int;
+  mutable r_done : bool;  (* returned or aborted *)
 }
 
 let ref_snapshot ops =
@@ -795,7 +919,7 @@ let online_checker_property_tests =
              Array.init k (fun i ->
                  Histlog.new_writer log ~client:(Id.Client.of_int i))
            in
-           let o = Checker.online log in
+           let o = Checker.online ~config:(retaining 1000) log in
            let clock = ref 1 and next_value = ref 0 in
            let refs = ref [] (* newest first *) and written = ref [] in
            let busy = Array.make k None in
@@ -810,15 +934,14 @@ let online_checker_property_tests =
                | Regemu_history.Ws_check.Vacuous -> "vacuous"
                | _ -> if !violated then "violated" else "holds"
              in
+             let h = ref_snapshot (List.rev !refs) in
              let offline =
-               verdict_class
-                 (Regemu_history.Ws_check.check_ws_regular
-                    (Histlog.snapshot log))
+               verdict_class (Regemu_history.Ws_check.check_ws_regular h)
              in
              if online <> offline then
                QCheck.Test.fail_reportf "online %a, offline %s on@.%a"
                  Regemu_history.Ws_check.verdict_pp v offline
-                 Regemu_history.History.pp (Histlog.snapshot log)
+                 Regemu_history.History.pp h
            in
            List.iteri
              (fun i step ->
@@ -847,6 +970,7 @@ let online_checker_property_tests =
                            r_ret = None;
                            r_result = None;
                            r_lat = 0;
+                           r_done = false;
                          }
                        in
                        incr clock;
@@ -854,6 +978,7 @@ let online_checker_property_tests =
                        busy.(c) <- Some (tk, r)
                    | Some (tk, r) ->
                        busy.(c) <- None;
+                       r.r_done <- true;
                        if abort then Histlog.abort tk
                        else begin
                          let v =
@@ -873,11 +998,15 @@ let online_checker_property_tests =
                        end))
              steps;
            agrees ();
-           let ops = List.rev !refs in
-           Histlog.snapshot log = ref_snapshot ops
-           && Histlog.latencies_ns log = ref_latencies ops));
+           (* the checker retained every op it consumed: the returned
+              and aborted ones *)
+           ignore (Checker.finish o);
+           let ops = List.filter (fun r -> r.r_done) (List.rev !refs) in
+           match (Checker.full_pass o, Checker.latencies_ns o) with
+           | Some (h, _), Some lats ->
+               h = ref_snapshot ops && lats = ref_latencies ops
+           | _ -> false));
   ]
-
 (* --- live cluster runs -------------------------------------------------- *)
 
 let check_clean what (r : Checker.result) =
@@ -1283,6 +1412,24 @@ let first_use_tests =
         query_rpc cluster c 0 ~handler:ignore;
         Alcotest.(check int) "sends after shutdown start none" 2
           (threads_started cluster));
+    test "shutdown cuts a courier's hold short" (fun () ->
+        let cluster = Cluster.create (Cluster.default_config ~n:3 ~seed:55) in
+        let c = Cluster.new_client cluster in
+        Cluster.start cluster;
+        let hold_s = 5.0 in
+        Cluster.set_slow cluster ~server:0 (int_of_float (hold_s *. 1e6));
+        query_rpc cluster c 0 ~handler:ignore;
+        Alcotest.(check bool) "the courier holds the request" true
+          (settle (fun () -> (Cluster.stats cluster).Cluster.msgs_slowed) 1);
+        let t0 = Clock.now_s () in
+        Cluster.shutdown cluster;
+        let took = Clock.now_s () -. t0 in
+        Alcotest.(check bool)
+          (Fmt.str "shutdown took %.3f s of a %.0f s hold" took hold_s)
+          true
+          (took < hold_s /. 10.0);
+        Alcotest.(check int) "the held request was handed over" 1
+          (Cluster.stats cluster).Cluster.msgs_delivered);
   ]
 
 (* --- the load generator's failure contract ------------------------------- *)
