@@ -211,16 +211,8 @@ let run ?(log = ignore) ?(sink = Sink.none) s =
            key's replica set, so the keyed retry/fail-fast path is what
            gets exercised, and the online checker judges that key *)
         let ks = Regemu_keyspace.Kspace.create cluster ~f:s.f () in
-        let worker =
-          let table =
-            List.map
-              (fun cl -> (cl, Regemu_keyspace.Kspace.worker_of ks cl))
-              (writers @ readers)
-          in
-          fun cl -> List.assq cl table
-        in
-        ( (fun cl v -> Regemu_keyspace.Kspace.write ks (worker cl) ~key:0 v),
-          fun cl -> Regemu_keyspace.Kspace.read ks (worker cl) ~key:0 )
+        ( (fun cl v -> Regemu_keyspace.Kspace.write ks cl ~key:0 v),
+          fun cl -> Regemu_keyspace.Kspace.read ks cl ~key:0 )
   in
   Cluster.start cluster;
   let checker = Checker.spawn cluster ~interval_s:0.02 () in

@@ -26,7 +26,7 @@ type result = Checker.Stats.t = {
 }
 
 let spawn ?sched ?sink ?(config = default_config) log =
-  Checker.start ?sched ?sink ~hash:Placement.hash ~config log
+  Checker.start ?sched ?sink ~config log
 
 let stop t =
   ignore (Checker.finish t);

@@ -6,7 +6,8 @@
     WS-Regular, and the checker keeps, per key, only what future reads
     can still be compared against (see doc/keyspace.md for the
     frontier argument).  With [deep_sample = s > 0], keys whose
-    {!Placement.hash} is [0 mod s] also retain their full subhistory
+    {!Placement.hash} ({!Regemu_live.Checker.key_hash}) is [0 mod s]
+    also retain their full subhistory
     (capped at [deep_cap]), and {!stop} re-checks each offline, the
     tail-end audit that keeps settling honest in every run. *)
 
@@ -39,7 +40,8 @@ type result = Regemu_live.Checker.Stats.t = {
       (** deep verdict Violated where the incremental check saw a clean
           write-sequential key — the settle-soundness alarm *)
   max_resident_ops : int;
-      (** high-water mark of window + held reads + deep cells *)
+      (** high-water mark of window + held reads + deep cells + aborted
+          writes in flight *)
 }
 
 (** Start the checker over [log] (an actor under [sched]), gauges in

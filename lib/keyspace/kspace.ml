@@ -37,7 +37,6 @@ let cluster t = t.cluster
 let placement t = t.placement
 let klog t = Cluster.log t.cluster
 let new_worker t = Cluster.new_client t.cluster
-let worker_of _ cl = cl
 let worker_client w = w
 
 module Q = Quorum_client.Round (Cluster)

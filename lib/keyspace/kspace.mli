@@ -38,16 +38,14 @@ val placement : t -> Placement.t
 (** The cluster's operation log. *)
 val klog : t -> Klog.t
 
-type worker
+(** A worker: one sequential stream of keyspace operations, a cluster
+    client.  The open-loop generator runs a bounded pool of these;
+    harnesses that own their clients (the chaos campaign) pass them
+    as they are. *)
+type worker = Regemu_live.Cluster.client
 
-(** A worker: one sequential stream of keyspace operations (a new
-    cluster client).  The open-loop generator runs a bounded pool of
-    these. *)
+(** A new cluster client. *)
 val new_worker : t -> worker
-
-(** An existing cluster client as a worker — for harnesses (the chaos
-    campaign) that own their clients. *)
-val worker_of : t -> Regemu_live.Cluster.client -> worker
 
 val worker_client : worker -> Regemu_live.Cluster.client
 

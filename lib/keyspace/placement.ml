@@ -14,19 +14,7 @@ let f t = t.f
 let replicas_per_key t = t.r
 let quorum t = t.f + 1
 
-(* FNV-1a over the key's decimal digits: stable across processes,
-   OCaml versions, and architectures (unlike Hashtbl.hash, which is
-   seed- and version-dependent). *)
-let hash key =
-  let h = ref 0xcbf29ce484222325L in
-  let prime = 0x100000001b3L in
-  String.iter
-    (fun c ->
-      h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) prime)
-    (string_of_int key);
-  (* keep 62 bits: [Int64.to_int] of a 63-bit value can wrap negative
-     on OCaml's 63-bit native int *)
-  Int64.to_int (Int64.logand !h 0x3FFF_FFFF_FFFF_FFFFL)
+let hash = Regemu_live.Checker.key_hash
 
 let replicas t key =
   let base = hash key mod t.n in

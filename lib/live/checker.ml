@@ -45,6 +45,20 @@ end
      below it are folded into the order's floor ({!Write_order.settle}),
      which changes no verdict. *)
 
+(* FNV-1a over the key's decimal digits: stable across processes,
+   OCaml versions, and architectures (unlike Hashtbl.hash, which is
+   seed- and version-dependent). *)
+let key_hash key =
+  let h = ref 0xcbf29ce484222325L in
+  let prime = 0x100000001b3L in
+  String.iter
+    (fun c ->
+      h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) prime)
+    (string_of_int key);
+  (* keep 62 bits: [Int64.to_int] of a 63-bit value can wrap negative
+     on OCaml's 63-bit native int *)
+  Int64.to_int (Int64.logand !h 0x3FFF_FFFF_FFFF_FFFFL)
+
 type cursor = {
   w : Histlog.writer;
   mutable pos : int;  (* cells consumed *)
@@ -68,7 +82,6 @@ type deep = Kept of Histlog.store | Evicted
 type t = {
   log : Histlog.t;
   cfg : config;
-  hash : int -> int;
   mutable cursors : cursor list;
   mutable nwriters : int;  (* writers with a cursor *)
   orders : (int, Write_order.t) Hashtbl.t;  (* every key seen *)
@@ -76,10 +89,12 @@ type t = {
   open_ : (int, Write_order.t) Hashtbl.t;
       (* the keys whose window is non-empty (a broken key's never is):
          the only keys a settle can change *)
-  aborted : (int, (int * Value.t) list) Hashtbl.t;
+  aborted : (int, Write_order.in_flight) Hashtbl.t;
       (* aborted writes of keys not broken: their effect may still
          land, so they stay in flight for good *)
-  mutable tails : (int * Write_order.in_flight) list;  (* this tick's *)
+  mutable naborted : int;  (* aborted writes across keys *)
+  tails : (int, Write_order.in_flight) Hashtbl.t;
+      (* this tick's in-flight tail of each key with a pending write *)
   mutable held : op list;
   mutable nheld : int;
   deeps : (int, deep) Hashtbl.t;
@@ -97,7 +112,6 @@ type t = {
   mutable deep_evicted : int;
   mutable mismatches : int;
   mutable mismatch : Stats.violation option;
-  mutable full : (History.t * Ws_check.verdict) option;
   (* the running checker *)
   final_atomic : bool;
   cr : Sink.Trace.recorder option;  (* verdict-flip instants *)
@@ -107,8 +121,8 @@ type t = {
   mutable thread : Thread.t option;
 }
 
-let make ?(config = default_config) ?(hash = Fun.id) ?(sink = Sink.none)
-    ?(final_atomic = false) log =
+let make ?(config = default_config) ?(sink = Sink.none) ?(final_atomic = false)
+    log =
   if config.interval_s <= 0.0 then
     invalid_arg "Checker: interval_s must be positive";
   if config.deep_sample < 0 || config.deep_cap < 1 then
@@ -116,14 +130,14 @@ let make ?(config = default_config) ?(hash = Fun.id) ?(sink = Sink.none)
   {
     log;
     cfg = config;
-    hash;
     cursors = [];
     nwriters = 0;
     orders = Hashtbl.create 1;
     last = None;
     open_ = Hashtbl.create 1;
     aborted = Hashtbl.create 1;
-    tails = [];
+    naborted = 0;
+    tails = Hashtbl.create 1;
     held = [];
     nheld = 0;
     deeps = Hashtbl.create 1;
@@ -141,7 +155,6 @@ let make ?(config = default_config) ?(hash = Fun.id) ?(sink = Sink.none)
     deep_evicted = 0;
     mismatches = 0;
     mismatch = None;
-    full = None;
     final_atomic;
     cr = Sink.recorder sink ~name:"checker";
     last_class = "holds";
@@ -158,7 +171,7 @@ let keys t = Hashtbl.length t.orders
 let open_keys t = Hashtbl.length t.open_
 let settled t = t.settled
 let violations_so_far t = t.violations
-let resident_ops t = t.window_ops + t.nheld + t.deep_ops
+let resident_ops t = t.window_ops + t.nheld + t.deep_ops + t.naborted
 
 let order t key =
   match t.last with
@@ -187,11 +200,18 @@ let update t key f =
   else if before > 0 && after = 0 then Hashtbl.remove t.open_ key;
   if (not was_broken) && Write_order.broken wo then begin
     t.broken <- t.broken + 1;
-    Hashtbl.remove t.aborted key
+    match Hashtbl.find_opt t.aborted key with
+    | Some ws ->
+        t.naborted <- t.naborted - Array.length ws;
+        Hashtbl.remove t.aborted key
+    | None -> ()
   end
 
 let retained t key =
-  t.cfg.deep_sample > 0 && t.hash key mod t.cfg.deep_sample = 0
+  match t.cfg.deep_sample with
+  | 0 -> false
+  | 1 -> true
+  | s -> key_hash key mod s = 0
 
 let retain t key client cv =
   let keep s =
@@ -223,45 +243,31 @@ let refresh_cursors t =
     t.nwriters <- n
   end
 
-let by_inv ws =
-  let a = Array.of_list ws in
-  Array.sort (fun (x, _) (y, _) -> Int.compare x y) a;
+(* [ws] with [w] inserted by invocation *)
+let insert ws w =
+  let a = Array.append ws [| w |] in
+  Array.stable_sort (fun (x, _) (y, _) -> Int.compare x y) a;
   a
 
 (* An aborted write never returns, so once it is unordered with another
    aborted or a completed write, its key is vacuous for good: break it.
-   (A pending write may still turn out to precede it: a poll of another
-   client can predate the aborted write's invocation.) *)
-let break_aborted t =
-  let gone =
-    Hashtbl.fold
-      (fun key ws acc ->
-        if Write_order.total (order t key) ~in_flight:(by_inv ws) then acc
-        else key :: acc)
-      t.aborted []
-  in
-  List.iter (fun key -> update t key Write_order.break) gone
+   Only a write added to [key] can change that, so a tick checks just
+   the keys it added writes to.  (A pending write may still turn out to
+   precede the aborted one: a poll of another client can predate the
+   aborted write's invocation.) *)
+let break_aborted t key =
+  match Hashtbl.find_opt t.aborted key with
+  | Some ws when not (Write_order.total (order t key) ~in_flight:ws) ->
+      update t key Write_order.break
+  | _ -> ()
 
-(* this tick's in-flight tail of each key that has one: its pending
-   writes and its aborted ones, by invocation.  Few keys have one (a
-   pending write per client at most, and the aborted writes that have
-   not broken their key yet), and a key's tail holds one or two. *)
-let fill_tails t pending =
-  let add key w tails =
-    match List.assoc_opt key tails with
-    | None -> (key, [| w |]) :: tails
-    | Some a ->
-        (key, by_inv (w :: Array.to_list a)) :: List.remove_assoc key tails
-  in
-  t.tails <-
-    Hashtbl.fold
-      (fun key ws tails -> List.fold_left (fun tails w -> add key w tails) tails ws)
-      t.aborted
-      (List.fold_left (fun tails (key, w) -> add key w tails) [] pending)
-
-let rec tail_of key = function
-  | [] -> [||]
-  | (k, a) :: rest -> if k = key then a else tail_of key rest
+(* the in-flight tail of [key] this tick: its pending writes and its
+   aborted ones, by invocation *)
+let tail_of t key =
+  match Hashtbl.find_opt t.tails key with
+  | Some a -> a
+  | None when Hashtbl.length t.aborted = 0 -> [||]
+  | None -> Option.value ~default:[||] (Hashtbl.find_opt t.aborted key)
 
 (* One incremental pass over the log. *)
 let tick t =
@@ -271,6 +277,7 @@ let tick t =
   let clock = Histlog.clock t.log in
   let frontier = ref clock in
   let pending = ref [] and writes = ref [] and reads = ref [] in
+  let aborted_keys = ref [] in
   let consume client (cv : Histlog.cell_view) =
     let key = cv.v_key and inv = cv.v_invoked_at in
     if retained t key then retain t key client cv;
@@ -278,10 +285,14 @@ let tick t =
     match cv.v_hop with
     | Regemu_sim.Trace.H_write v ->
         if not cv.v_aborted then writes := op v :: !writes
-        else if not (Write_order.broken (order t key)) then
+        else if not (Write_order.broken (order t key)) then begin
           Hashtbl.replace t.aborted key
-            ((inv, v)
-            :: Option.value ~default:[] (Hashtbl.find_opt t.aborted key))
+            (insert
+               (Option.value ~default:[||] (Hashtbl.find_opt t.aborted key))
+               (inv, v));
+          t.naborted <- t.naborted + 1;
+          aborted_keys := key :: !aborted_keys
+        end
     | Regemu_sim.Trace.H_read ->
         if not cv.v_aborted then reads := op cv.v_result :: !reads
   in
@@ -315,25 +326,32 @@ let tick t =
       end)
     t.cursors;
   (* in invocation order, so each insertion is the common-case append *)
+  let writes = List.sort (fun a b -> Int.compare a.inv b.inv) !writes in
   List.iter
     (fun w ->
       update t w.key (fun wo -> Write_order.add wo ~inv:w.inv ~ret:w.ret w.value))
-    (List.sort (fun a b -> Int.compare a.inv b.inv) !writes);
-  if Hashtbl.length t.aborted > 0 then break_aborted t;
+    writes;
+  if Hashtbl.length t.aborted > 0 then begin
+    List.iter (break_aborted t) !aborted_keys;
+    List.iter (fun w -> break_aborted t w.key) writes
+  end;
+  Hashtbl.clear t.tails;
+  List.iter
+    (fun (key, w) -> Hashtbl.replace t.tails key (insert (tail_of t key) w))
+    !pending;
   (* a key whose tail is not totally ordered is vacuous this tick *)
-  fill_tails t !pending;
   let vacuous =
     t.broken > 0
-    || List.exists
-         (fun (key, in_flight) ->
-           not (Write_order.total (order t key) ~in_flight))
-         t.tails
+    || Hashtbl.fold
+         (fun key in_flight acc ->
+           acc || not (Write_order.total (order t key) ~in_flight))
+         t.tails false
   in
   (* [true] once the read is decided: checked, or vacuous for good *)
   let found = ref None in
   let decide r =
     let wo = order t r.key in
-    let in_flight = tail_of r.key t.tails in
+    let in_flight = tail_of t r.key in
     let broken = Write_order.broken wo in
     let decided = broken || Write_order.total wo ~in_flight in
     if decided then t.checks <- t.checks + 1;
@@ -427,8 +445,8 @@ let loop ?sched t =
     if t.running then ignore (pass t)
   done
 
-let launch ?sched ?(sink = Sink.none) ?hash ?config ?final_atomic log =
-  let t = make ?config ?hash ~sink ?final_atomic log in
+let start ?sched ?(sink = Sink.none) ?config ?final_atomic log =
+  let t = make ?config ~sink ?final_atomic log in
   t.running <- true;
   Sink.gauge_fn sink ~help:"online checker passes" "checker.checks" (fun () ->
       t.ticks);
@@ -442,7 +460,8 @@ let launch ?sched ?(sink = Sink.none) ?hash ?config ?final_atomic log =
   Sink.gauge_fn sink ~help:"invoked but not yet completed operations"
     "checker.pending_ops" (fun () ->
       Histlog.invoked log - Histlog.completed log);
-  Sink.gauge_fn sink ~help:"checker state (window + held + retained ops)"
+  Sink.gauge_fn sink
+    ~help:"checker state (window + held + retained + aborted in-flight ops)"
     "checker.resident_ops" (fun () -> resident_ops t);
   Sink.gauge_fn sink ~help:"distinct keys with checker state" "checker.keys"
     (fun () -> keys t);
@@ -454,9 +473,6 @@ let launch ?sched ?(sink = Sink.none) ?hash ?config ?final_atomic log =
       hook.Sched_hook.spawn ~name:"checker" (fun () -> loop ~sched:hook t));
   t
 
-let start ?sched ?sink ?hash ?config log =
-  launch ?sched ?sink ?hash ?config log
-
 (* the offline pass over each retained key: a violation the incremental
    check must have seen too, unless the key was decided clean, which
    would mean settling lost an answer *)
@@ -467,10 +483,7 @@ let cross_check t =
       | Evicted -> t.deep_evicted <- t.deep_evicted + 1
       | Kept s -> (
           t.deep_keys <- t.deep_keys + 1;
-          let h = Histlog.history s in
-          let v = Ws_check.check_ws_regular h in
-          if key = 0 then t.full <- Some (h, v);
-          match v with
+          match Ws_check.check_ws_regular (Histlog.history s) with
           | Ws_check.Holds | Ws_check.Vacuous -> ()
           | Ws_check.Violated viol ->
               if t.violations = 0 && not (Write_order.broken (order t key))
@@ -488,13 +501,16 @@ let cross_check t =
               end))
     t.deeps
 
-let finish t =
+(* stop the thread; the final pass sees the complete log, and
+   everything validated online was trimmed, so it costs only the tail *)
+let halt t =
   t.running <- false;
   Option.iter Thread.join t.thread;
   t.thread <- None;
-  (* the final pass sees the complete log; everything validated online
-     was trimmed, so it costs only the tail *)
-  let v = pass t in
+  pass t
+
+let finish t =
+  let v = halt t in
   cross_check t;
   v
 
@@ -521,16 +537,20 @@ let stats t =
   }
 
 (* a retained key 0 that saw no operation has the empty history *)
-let full_pass t =
-  match (t.full, Hashtbl.mem t.deeps 0) with
-  | None, false when retained t 0 -> Some ([], Ws_check.Holds)
-  | full, _ -> full
-
-let latencies_ns t =
+let history0 t =
   match Hashtbl.find_opt t.deeps 0 with
-  | Some (Kept s) -> Some (Histlog.latencies_ns s)
-  | None when retained t 0 -> Some []
+  | Some (Kept s) -> Some s
+  | None when retained t 0 -> Some (Histlog.store ())
   | Some Evicted | None -> None
+
+let full_pass t =
+  Option.map
+    (fun s ->
+      let h = Histlog.history s in
+      (h, Ws_check.check_ws_regular h))
+    (history0 t)
+
+let latencies_ns t = Option.map Histlog.latencies_ns (history0 t)
 
 (* --- the register front-end --------------------------------------------- *)
 
@@ -562,11 +582,13 @@ let spawn ?sched cluster ?(interval_s = default_config.interval_s)
   let config =
     { interval_s; deep_sample = min 1 retain; deep_cap = max 1 retain }
   in
-  launch ?sched ~sink:(Cluster.sink cluster) ~config ~final_atomic
+  start ?sched ~sink:(Cluster.sink cluster) ~config ~final_atomic
     (Cluster.log cluster)
 
+(* no deep cross-check: a register run's one retained key is judged
+   offline only by a caller of {!full_pass} *)
 let stop t =
-  let final = finish t in
+  let final = halt t in
   let ws =
     match t.first with
     | Some (_, v) -> Ws_check.Violated v
@@ -578,9 +600,9 @@ let stop t =
         | Ws_check.Holds | Ws_check.Violated _ -> Ws_check.Holds)
   in
   let atomic =
-    match t.full with
-    | Some (h, _) when t.final_atomic && List.length h <= atomic_limit ->
-        Some (Linearize.linearizable Linearize.register h)
+    match history0 t with
+    | Some s when t.final_atomic && Histlog.kept s <= atomic_limit ->
+        Some (Linearize.linearizable Linearize.register (Histlog.history s))
     | _ -> None
   in
   { checks = t.ticks; ws; atomic; ops_checked = Histlog.invoked t.log }

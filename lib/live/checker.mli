@@ -19,12 +19,13 @@
     {2 Retention and the deep cross-check}
 
     What must outlive the trim is retained per key: with
-    [deep_sample = s > 0], keys whose [hash] is [0 mod s] keep their
-    whole subhistory up to [deep_cap] operations (a key past the cap
-    keeps none, and is counted), and {!finish} runs the offline
+    [deep_sample = s > 0], keys whose {!key_hash} is [0 mod s] keep
+    their whole subhistory up to [deep_cap] operations (a key past the
+    cap keeps none, and is counted), and {!finish} runs the offline
     {!Regemu_history.Ws_check.check_ws_regular} on each, cross-checking
     the incremental verdicts.  A register run retains key 0 this way
-    when it needs its history afterwards ({!spawn}'s [retain]). *)
+    when it needs its history afterwards ({!spawn}'s [retain]); its
+    {!stop} runs no offline pass. *)
 
 type config = {
   interval_s : float;  (** pause before each pass *)
@@ -34,6 +35,11 @@ type config = {
 
 (** 20 ms passes, nothing retained. *)
 val default_config : config
+
+(** Deterministic non-negative hash of a key (FNV-1a over its decimal
+    digits, 62 bits), the same in every process and OCaml version: it
+    picks the deep sample, and the keyspace places keys with it. *)
+val key_hash : int -> int
 
 (** What a checker saw, counted per read and per key. *)
 module Stats : sig
@@ -55,7 +61,7 @@ module Stats : sig
         (** deep verdict Violated where the incremental check saw a
             clean write-sequential key — the settle-soundness alarm *)
     max_resident_ops : int;
-        (** high-water mark of window + held reads + retained cells *)
+        (** high-water mark of {!resident_ops} *)
   }
 end
 
@@ -89,19 +95,23 @@ val settled : t -> int
 (** Reads that failed their window check so far. *)
 val violations_so_far : t -> int
 
+(** Window writes, held reads, retained cells and aborted writes still
+    in flight, across keys. *)
+val resident_ops : t -> int
+
 (** [start log] runs {!tick} every [config.interval_s] on its own
     thread (or, with [sched], as a cooperative actor whose pauses
     elapse in virtual time).  Gauges ([checker.checks],
     [checker.violations], [checker.cells_polled],
     [checker.resident_bytes], [checker.pending_ops],
     [checker.resident_ops], [checker.keys], [checker.open_keys]) and
-    the [checker.settled] counter register in [sink].  [hash] spreads
-    the deep sample over the keys (default: the key itself). *)
+    the [checker.settled] counter register in [sink].  [final_atomic]
+    is {!spawn}'s. *)
 val start :
   ?sched:Sched_hook.t ->
   ?sink:Sink.t ->
-  ?hash:(int -> int) ->
   ?config:config ->
+  ?final_atomic:bool ->
   Histlog.t ->
   t
 
@@ -115,8 +125,9 @@ val finish : t -> Regemu_history.Ws_check.verdict
 val stats : t -> Stats.t
 
 (** Key 0's retained history and its offline WS-Regularity verdict,
-    after {!finish}; [None] when key 0 is not retained or went past
-    the cap (never a truncated history). *)
+    computed on each call (after {!finish} or {!stop}); [None] when
+    key 0 is not retained or went past the cap (never a truncated
+    history). *)
 val full_pass :
   t -> (Regemu_history.History.t * Regemu_history.Ws_check.verdict) option
 
@@ -157,5 +168,6 @@ val spawn :
   unit ->
   t
 
-(** {!finish}, then the register verdicts. *)
+(** Stop the thread and run a last pass, as {!finish} does but with
+    no deep cross-check, then the register verdicts. *)
 val stop : t -> result

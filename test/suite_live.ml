@@ -831,6 +831,38 @@ let online_checker_tests =
           "at the cap, the whole history" (Some 100, Some 100) (run ~ops:100);
         Alcotest.(check (pair (option int) (option int)))
           "past it, none" (None, None) (run ~ops:101));
+    test "aborted writes on distinct keys stay resident until their key \
+          breaks"
+      (fun () ->
+        let log = Histlog.create () in
+        let w = Histlog.new_writer log ~client:(Id.Client.of_int 0) in
+        let o = Checker.online log in
+        let keys = 1000 in
+        let each f = for key = 0 to keys - 1 do f key done in
+        let complete key hop v = Histlog.return (Histlog.invoke w ~key hop) v in
+        each (fun key ->
+            Histlog.abort (Histlog.invoke w ~key (write_hop (Value.Int key))));
+        Alcotest.(check string) "one aborted write per key holds" "holds"
+          (verdict_class (Checker.tick o));
+        Alcotest.(check int) "each is counted" keys (Checker.resident_ops o);
+        (* its effect may land: a later read may return it *)
+        each (fun key ->
+            complete key Regemu_sim.Trace.H_read (Value.Int key));
+        Alcotest.(check string) "reads of the aborted values hold" "holds"
+          (verdict_class (Checker.tick o));
+        Alcotest.(check int) "still in flight" keys (Checker.resident_ops o);
+        (* a write after it is unordered with it: the key is vacuous for
+           good and drops its state *)
+        each (fun key ->
+            if key mod 2 = 0 then
+              complete key (write_hop (Value.Int (-key))) Value.Unit);
+        Alcotest.(check string) "half the keys break" "vacuous"
+          (verdict_class (Checker.tick o));
+        Alcotest.(check int) "the other half stay" (keys / 2)
+          (Checker.resident_ops o);
+        ignore (Checker.finish o);
+        Alcotest.(check int) "broken keys" (keys / 2)
+          (Checker.stats o).Checker.Stats.broken_keys);
   ]
 
 (* A reference log: one record per operation, the shape the history had
