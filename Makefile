@@ -1,6 +1,6 @@
 # Convenience targets; dune is the source of truth.
 
-.PHONY: all build test check bench perfbench perfbench-trace perf-bench live-bench tail-bench compare-bench chaos-bench keyspace-bench dst-fuzz explore-smoke explore-exhaustive experiments trace-demo verify examples clean loc
+.PHONY: all build test check bench perfbench perfbench-trace perf-ab perf-bench live-bench tail-bench compare-bench chaos-bench keyspace-bench dst-fuzz explore-smoke explore-exhaustive experiments trace-demo verify examples clean loc
 
 all: build
 
@@ -27,6 +27,16 @@ perfbench:
 
 perfbench-trace:
 	python3 perfbench/run.py --workload all --seed 1 --seconds 10 --trace 1
+
+# an interleaved A/B of one benchmark workload against commit PARENT:
+# PAIRS alternating-order runs per side, then each metric's median and
+# quartiles per side, the change's wins, and whether the gain rule
+# (9 in 10 wins, medians apart by more than the parent's IQR) holds
+PARENT ?= HEAD
+WORKLOAD ?= register-closed
+PAIRS ?= 10
+perf-ab:
+	python3 tools/perf_ab.py --parent $(PARENT) --workload $(WORKLOAD) --pairs $(PAIRS)
 
 # the tracked perf trajectory: the interleaved three-way backend A/B
 # (threads vs domains vs socket, ABD, 16..256 client threads, median of

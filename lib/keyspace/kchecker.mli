@@ -12,12 +12,13 @@
     tail-end audit that keeps settling honest in every run. *)
 
 type config = Regemu_live.Checker.config = {
-  interval_s : float;  (** poll pacing *)
+  interval_s : float;  (** the least time between two passes *)
   deep_sample : int;  (** deep-check 1 key in this many; 0 disables *)
   deep_cap : int;  (** max retained ops per deep-checked key *)
 }
 
-(** 20 ms polls, 1 key in 64 deep-checked, 4096 ops each. *)
+(** Passes at least 20 ms apart, 1 key in 64 deep-checked, 4096 ops
+    each. *)
 val default_config : config
 
 type t = Regemu_live.Checker.t
@@ -44,8 +45,9 @@ type result = Regemu_live.Checker.Stats.t = {
           writes in flight *)
 }
 
-(** Start the checker over [log] (an actor under [sched]), gauges in
-    [sink]. *)
+(** Start the checker over [log], gauges in [sink]: its passes run on
+    the threads that complete operations ({!Regemu_live.Checker.start};
+    an actor under [sched]). *)
 val spawn :
   ?sched:Regemu_live.Sched_hook.t ->
   ?sink:Regemu_live.Sink.t ->

@@ -118,7 +118,8 @@ type t = {
   mutable last_class : string;  (* verdict class of the previous pass *)
   settled_ctr : Sink.Metrics.counter;
   mutable running : bool;
-  mutable thread : Thread.t option;
+      (* passes are driven: by the log's completing threads, or by the
+         scheduled actor's loop *)
 }
 
 let make ?(config = default_config) ?(sink = Sink.none) ?(final_atomic = false)
@@ -162,7 +163,6 @@ let make ?(config = default_config) ?(sink = Sink.none) ?(final_atomic = false)
       Sink.counter sink ~help:"writes folded away by settling"
         "checker.settled";
     running = false;
-    thread = None;
   }
 
 let online ?config log = make ?config log
@@ -434,14 +434,11 @@ let pass t =
   end;
   v
 
-let loop ?sched t =
-  let pause =
-    match sched with
-    | None -> Thread.delay
-    | Some (hook : Sched_hook.t) -> hook.sleep
-  in
+(* the scheduled checker: an actor whose pauses elapse in virtual
+   time, so its passes are part of the schedule *)
+let loop (hook : Sched_hook.t) t =
   while t.running do
-    pause t.cfg.interval_s;
+    hook.sleep t.cfg.interval_s;
     if t.running then ignore (pass t)
   done
 
@@ -468,9 +465,11 @@ let start ?sched ?(sink = Sink.none) ?config ?final_atomic log =
   Sink.gauge_fn sink ~help:"keys with an open (unsettled) write window"
     "checker.open_keys" (fun () -> open_keys t);
   (match sched with
-  | None -> t.thread <- Some (Thread.create (loop ?sched:None) t)
+  | None ->
+      Histlog.attach log ~interval_s:t.cfg.interval_s (fun () ->
+          ignore (pass t))
   | Some hook ->
-      hook.Sched_hook.spawn ~name:"checker" (fun () -> loop ~sched:hook t));
+      hook.Sched_hook.spawn ~name:"checker" (fun () -> loop hook t));
   t
 
 (* the offline pass over each retained key: a violation the incremental
@@ -501,12 +500,14 @@ let cross_check t =
               end))
     t.deeps
 
-(* stop the thread; the final pass sees the complete log, and
-   everything validated online was trimmed, so it costs only the tail *)
+(* stop the passes (a running one ends first); the final pass sees
+   the complete log, and everything validated online was trimmed, so
+   it costs only the tail *)
 let halt t =
-  t.running <- false;
-  Option.iter Thread.join t.thread;
-  t.thread <- None;
+  if t.running then begin
+    t.running <- false;
+    Histlog.detach t.log
+  end;
   pass t
 
 let finish t =

@@ -1,8 +1,13 @@
 (** Online consistency checking of a live run.
 
-    A checker polls a {!Histlog} on an interval and checks the paper's
-    WS-Regularity incrementally, per key: a register run is the one
-    key 0, a keyspace run has many.  Each key's completed writes join
+    A checker polls a {!Histlog} in passes at most [interval_s] apart
+    and checks the paper's WS-Regularity incrementally, per key: a
+    register run is the one key 0, a keyspace run has many.  It owns no
+    thread.  Without a scheduler its passes run on the clients' own
+    threads: the operation that completes once [interval_s] has passed
+    since the last pass runs the next one, after its cell is logged
+    (see {!Histlog.attach}).  Under a scheduler it is one actor whose
+    pauses elapse in virtual time.  Each key's completed writes join
     one {!Regemu_history.Write_order}, and each completed read is
     checked once against its window of admissible writes, so a
     violation is caught while the run is still in progress, not
@@ -28,7 +33,9 @@
     {!stop} runs no offline pass. *)
 
 type config = {
-  interval_s : float;  (** pause before each pass *)
+  interval_s : float;
+      (** the least time between two passes; mid-run passes come only
+          with completing operations, so an idle run runs none *)
   deep_sample : int;  (** retain and deep-check 1 key in this many; 0 none *)
   deep_cap : int;  (** max retained ops per key *)
 }
@@ -67,7 +74,7 @@ end
 
 type t
 
-(** A checker with no thread: {!tick} drives it. *)
+(** A checker that runs a pass only when {!tick} is called. *)
 val online : ?config:config -> Histlog.t -> t
 
 (** [tick t] polls every client's new cells, trims what it consumed,
@@ -99,10 +106,13 @@ val violations_so_far : t -> int
     in flight, across keys. *)
 val resident_ops : t -> int
 
-(** [start log] runs {!tick} every [config.interval_s] on its own
-    thread (or, with [sched], as a cooperative actor whose pauses
-    elapse in virtual time).  Gauges ([checker.checks],
-    [checker.violations], [checker.cells_polled],
+(** [start log] fills [log]'s consumer slot ({!Histlog.attach}), so
+    the operation that completes once [config.interval_s] has passed
+    since the last pass runs the next {!tick} on its own thread; no
+    client waits for a pass, and a build starts no thread.  With
+    [sched] it spawns a cooperative actor that ticks every
+    [config.interval_s] of virtual time instead.  Gauges
+    ([checker.checks], [checker.violations], [checker.cells_polled],
     [checker.resident_bytes], [checker.pending_ops],
     [checker.resident_ops], [checker.keys], [checker.open_keys]) and
     the [checker.settled] counter register in [sink].  [final_atomic]
@@ -115,9 +125,10 @@ val start :
   Histlog.t ->
   t
 
-(** Stop the thread, run a last pass over the log's tail, and the deep
-    cross-checks.  Returns the last pass's verdict.  Call after the
-    clients have quiesced; reads still pending then are counted in
+(** Stop the passes (a pass running on a client's thread ends first;
+    nothing waits out an interval), run a last pass over the log's
+    tail, and the deep cross-checks.  Returns the last pass's verdict.
+    Call after the clients have quiesced; reads still pending then are counted in
     [pending_undecided], never guessed at. *)
 val finish : t -> Regemu_history.Ws_check.verdict
 
@@ -168,6 +179,7 @@ val spawn :
   unit ->
   t
 
-(** Stop the thread and run a last pass, as {!finish} does but with
-    no deep cross-check, then the register verdicts. *)
+(** Stop the passes and run a last pass, as {!finish} does but with
+    no deep cross-check, then the register verdicts.  Costs the log's
+    tail, never an interval. *)
 val stop : t -> result

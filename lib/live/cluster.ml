@@ -118,7 +118,9 @@ type t = {
   inline_steps : int Atomic.t;
   sink : Sink.t;
   ctl : Sink.Trace.recorder option;  (* control-plane events: faults, nemesis *)
-  alarm : Alarm.t;  (* interrupts the heartbeat/pacer sleeps at shutdown *)
+  mutable alarm : Alarm.t option;
+      (* interrupts the heartbeat/pacer sleeps at shutdown; opened under
+         [gm] by the first of them to start *)
   servers : server array;
   mutable clients : client array;
   gm : Mutex.t;
@@ -386,7 +388,7 @@ let create ?sched ?(sink = Sink.none) cfg =
       inline_steps = Atomic.make 0;
       sink;
       ctl = Sink.recorder sink ~name:"cluster";
-      alarm = Alarm.create ();
+      alarm = None;
       servers;
       clients = [||];
       gm = Mutex.create ();
@@ -477,7 +479,7 @@ let new_client t =
   let cl =
     {
       id;
-      crec = Sink.recorder t.sink ~name:(Fmt.str "client-%d" ix);
+      crec = Sink.recorder t.sink ~name:("client-" ^ string_of_int ix);
       op_live = false;
       cm = Mutex.create ();
       owner = -1;
@@ -634,14 +636,14 @@ let fire_due_hedge t cl now =
 
 (* --- background threads --------------------------------------------------- *)
 
-let heartbeat_loop t =
+let heartbeat_loop t alarm =
   (* periodically wake awaiting clients so deadlines and due
      retransmissions are checked even when no reply arrives; clients
      not blocked in [await] are skipped.  The sleep is an {!Alarm}
      wait, not [Thread.delay]: {!shutdown} rings it, so stopping never
      pays the period as a tail. *)
   while t.running do
-    Alarm.wait t.alarm 0.05;
+    Alarm.wait alarm 0.05;
     if t.running then
       Array.iter
         (fun cl ->
@@ -657,9 +659,9 @@ let heartbeat_loop t =
    the 50ms heartbeat, so due hedges get their own fine-grained scan.
    The unlocked [cl.hedge] peek is a benign race — the armed/not-armed
    decision is re-made under the client mutex. *)
-let pacer_loop t (h : Hedge.config) =
+let pacer_loop t alarm (h : Hedge.config) =
   while t.running do
-    Alarm.wait t.alarm h.Hedge.tick_s;
+    Alarm.wait alarm h.Hedge.tick_s;
     if t.running then
       Array.iter
         (fun cl ->
@@ -672,13 +674,24 @@ let pacer_loop t (h : Hedge.config) =
         t.clients
   done
 
+(* the alarm the heartbeat and pacer sleep on, opened by the first of
+   them to start, under [gm]: a run that parks no client and arms no
+   hedge opens no pipe *)
+let alarm t =
+  match t.alarm with
+  | Some a -> a
+  | None ->
+      let a = Alarm.create () in
+      t.alarm <- Some a;
+      a
+
 (* the heartbeat, at the first client that parks; it and the pacer
    loop only while [running], so neither starts before {!start} *)
 let ensure_heartbeat t =
   if Option.is_none t.heartbeat then begin
     Mutex.lock t.gm;
     if Option.is_none t.heartbeat && t.running then
-      t.heartbeat <- spawn t heartbeat_loop t;
+      t.heartbeat <- spawn t (heartbeat_loop t) (alarm t);
     Mutex.unlock t.gm
   end
 
@@ -687,7 +700,7 @@ let ensure_pacer t h =
   if Option.is_none t.pacer then begin
     Mutex.lock t.gm;
     if Option.is_none t.pacer && t.running then
-      t.pacer <- spawn t (pacer_loop t) h;
+      t.pacer <- spawn t (pacer_loop t (alarm t)) h;
     Mutex.unlock t.gm
   end
 
@@ -731,7 +744,7 @@ let start t =
   | Some hook ->
       Array.iter
         (fun srv ->
-          hook.spawn ~name:(Fmt.str "server-%d" srv.sid) (fun () ->
+          hook.spawn ~name:("server-" ^ string_of_int srv.sid) (fun () ->
               server_loop t srv))
         t.servers);
   (* no heartbeat or pacer under a scheduler: [await] parks with a
@@ -920,27 +933,30 @@ let invoke _t cl ?key hop body =
     in
     Sink.span_begin cl.crec ~cat:"op" ~args name
   end;
+  (* the span closes before the log completes the ticket: a checker
+     pass that falls due runs there, on this thread, and is not the
+     operation's time *)
   match body () with
   | v ->
-      Histlog.return ticket v;
       if sampled then begin
         cl.op_live <- false;
         Sink.span_end cl.crec ~cat:"op"
           ~args:[ ("result", Sink.Event.S (Value.to_string v)) ]
           name
       end;
+      Histlog.return ticket v;
       v
   | exception e ->
       (* the ticket is aborted: in flight for good for the checker (its
          effect may still land), but no longer a cell to re-poll; the
          span still closes, labelled with how the operation escaped *)
-      Histlog.abort ticket;
       if sampled then begin
         cl.op_live <- false;
         Sink.span_end cl.crec ~cat:"op"
           ~args:[ ("outcome", Sink.Event.S (exn_label e)) ]
           name
       end;
+      Histlog.abort ticket;
       raise e
 
 (* --- failures ----------------------------------------------------------- *)
@@ -1178,10 +1194,11 @@ let shutdown t =
   t.shut <- true;
   t.running <- false;
   Mutex.unlock t.gm;
-  (* from here no thread starts: join the ones that did *)
+  (* from here no thread starts and no alarm opens: join the threads
+     that did start *)
   if first then begin
     (* interrupt the periodic sleeps: joining must not wait out a tick *)
-    Alarm.ring t.alarm;
+    Option.iter Alarm.ring t.alarm;
     Option.iter Thread.join t.heartbeat;
     t.heartbeat <- None;
     Option.iter Thread.join t.pacer;
@@ -1201,5 +1218,5 @@ let shutdown t =
         Option.iter Thread.join srv.sthread;
         srv.sthread <- None)
       t.servers;
-    Alarm.close t.alarm
+    Option.iter Alarm.close t.alarm
   end

@@ -108,12 +108,25 @@ let words s =
   done;
   !n
 
+(* The log's one consumer: a pass that a completing thread runs at
+   most once per [every_ns], never two at once.  [pm] serialises the
+   passes; [live] turns false under it at {!detach}, so a thread that
+   read the slot before then runs nothing after. *)
+type consumer = {
+  pm : Mutex.t;
+  every_ns : int;
+  mutable due_ns : int;  (* written under [pm]; read racily, an int *)
+  mutable live : bool;  (* under [pm] *)
+  pass : unit -> unit;
+}
+
 type t = {
   m : Mutex.t;  (* guards [writers] registration only *)
   mutable writers : writer list;
   clock : int Atomic.t;  (* the real-time event order *)
   invoked : int Atomic.t;
   completed : int Atomic.t;
+  mutable consumer : consumer option;
 }
 
 and writer = {
@@ -133,6 +146,7 @@ let create () =
     clock = Atomic.make 1;
     invoked = Atomic.make 0;
     completed = Atomic.make 0;
+    consumer = None;
   }
 
 let new_writer t ~client =
@@ -167,19 +181,59 @@ let invoke w ?(key = 0) hop =
   Atomic.incr t.invoked;
   { tw = w; tc = c; slot = i }
 
+(* a pass that is due runs here, on the completing thread; a thread
+   that finds one already running skips it rather than wait *)
+let serve t now =
+  match t.consumer with
+  | Some c when now >= c.due_ns && Mutex.try_lock c.pm ->
+      Fun.protect
+        ~finally:(fun () -> Mutex.unlock c.pm)
+        (fun () ->
+          if c.live && now >= c.due_ns then begin
+            c.due_ns <- now + c.every_ns;
+            c.pass ()
+          end)
+  | _ -> ()
+
 let return { tw; tc; slot } v =
   let t = tw.log in
   Mutex.lock tw.wm;
   tc.ret.(slot) <- tick t;
   tc.result.(slot) <- v;
-  tc.ns.(slot) <- Int64.to_int (Clock.now_ns ()) - tc.ns.(slot);
+  let now = Int64.to_int (Clock.now_ns ()) in
+  tc.ns.(slot) <- now - tc.ns.(slot);
   Mutex.unlock tw.wm;
-  Atomic.incr t.completed
+  Atomic.incr t.completed;
+  serve t now
 
 let abort { tw; tc; slot } =
   Mutex.lock tw.wm;
   tc.ret.(slot) <- aborted;
-  Mutex.unlock tw.wm
+  Mutex.unlock tw.wm;
+  serve tw.log (Int64.to_int (Clock.now_ns ()))
+
+let attach t ~interval_s pass =
+  if Option.is_some t.consumer then
+    invalid_arg "Histlog.attach: the log has a consumer";
+  let every_ns = int_of_float (interval_s *. 1e9) in
+  t.consumer <-
+    Some
+      {
+        pm = Mutex.create ();
+        every_ns;
+        due_ns = Int64.to_int (Clock.now_ns ()) + every_ns;
+        live = true;
+        pass;
+      }
+
+let detach t =
+  Option.iter
+    (fun c ->
+      Mutex.lock c.pm;
+      c.live <- false;
+      t.consumer <- None;
+      Mutex.unlock c.pm)
+    t.consumer
 
 let writers t =
   Mutex.lock t.m;

@@ -20,7 +20,8 @@
     The log has one consumer, the online checker ([Checker]), which
     polls each writer behind its own cursor and {!trim}s what it has
     consumed: the log holds the operations in flight and the polling
-    lag, not the run.  What must outlive the trim (a history to replay,
+    lag, not the run.  Without a scheduler the consumer's passes run
+    on the completing clients' threads ({!attach}).  What must outlive the trim (a history to replay,
     latencies to report) the consumer copies into a {!store}. *)
 
 open Regemu_objects
@@ -47,14 +48,30 @@ val new_writer : t -> client:Id.Client.t -> writer
 val invoke : writer -> ?key:int -> Trace.hop -> ticket
 
 (** Complete a ticket with the operation's result.  Must be called
-    after the operation's last await. *)
+    after the operation's last await, holding no lock the {!attach}ed
+    pass could need: once the cell is logged and the writer's lock
+    released, a pass that is due runs here. *)
 val return : ticket -> Value.t -> unit
 
 (** Mark a ticket whose operation escaped with an exception.  It has
     no return point (its effect may still land), but {!poll} reports
     it [v_aborted], so the consumer can step past it instead of
-    re-polling it forever. *)
+    re-polling it forever.  A due pass runs here, as in {!return}. *)
 val abort : ticket -> unit
+
+(** [attach t ~interval_s pass] fills the log's one consumer slot.
+    From then on a {!return} or {!abort} that finds [interval_s]
+    elapsed since the last pass (or since [attach]) runs [pass] on
+    its own thread, after logging the cell.  Passes never overlap,
+    and a completing thread that finds one running skips it rather
+    than wait, so no client ever waits on the consumer; the cost to
+    an operation is one compare against the clock {!return} reads
+    anyway.  Raises [Invalid_argument] when the slot is filled. *)
+val attach : t -> interval_s:float -> (unit -> unit) -> unit
+
+(** Empty the consumer slot: waits for a running pass to end, and no
+    pass starts after it returns.  A no-op on an empty slot. *)
+val detach : t -> unit
 
 val writers : t -> writer list
 val writer_client : writer -> Id.Client.t

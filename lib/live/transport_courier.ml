@@ -60,7 +60,7 @@ let create ?sched ?(sink = Sink.none) cfg ~servers ~deliver =
   let num_lanes = if cfg.sharded then servers + 1 else 1 in
   let lane_name i =
     if num_lanes = 1 then "lane-all"
-    else if i < servers then Fmt.str "lane-s%d" i
+    else if i < servers then "lane-s" ^ string_of_int i
     else "lane-client"
   in
   let lanes =
@@ -194,7 +194,7 @@ let start t =
         (fun li lane ->
           for ci = 0 to t.ctl.cfg.couriers - 1 do
             hook.spawn
-              ~name:(Fmt.str "courier-%d.%d" li ci)
+              ~name:("courier-" ^ string_of_int li ^ "." ^ string_of_int ci)
               (fun () -> courier_loop t lane)
           done)
         t.lanes

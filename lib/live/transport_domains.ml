@@ -42,7 +42,7 @@ let batch_max = 32
 
 let create ?(sink = Sink.none) cfg ~servers ~deliver =
   let lane_name i =
-    if i < servers then Fmt.str "lane-s%d" i else "lane-client"
+    if i < servers then "lane-s" ^ string_of_int i else "lane-client"
   in
   let lanes =
     Array.init (servers + 1) (fun i ->

@@ -142,8 +142,52 @@ let write w ~key v =
 let read w ~key got =
   Histlog.return (Histlog.invoke w ~key Regemu_sim.Trace.H_read) got
 
+(* no deep sample: these tests count the incremental checks only *)
+let every interval_s = { Kchecker.interval_s; deep_sample = 0; deep_cap = 1 }
+
 let kchecker_tests =
   [
+    test "a stale read is flagged mid-run by a completing thread" (fun () ->
+        let klog = Histlog.create () in
+        let w = Histlog.new_writer klog ~client:(Id.Client.of_int 0) in
+        let k = Kchecker.spawn ~config:(every 0.001) klog in
+        write w ~key:7 1;
+        write w ~key:7 2;
+        read w ~key:7 (Value.Int 1);
+        (* later completions on another key run the passes: the read
+           is held one pass, then judged *)
+        let rec more i =
+          if Checker.violations_so_far k = 0 && i <= 1000 then begin
+            Thread.delay 0.002;
+            write w ~key:8 i;
+            more (i + 1)
+          end
+        in
+        more 1;
+        check_int "flagged before stop" 1 (Checker.violations_so_far k);
+        let r = Kchecker.stop k in
+        check_int "violations" 1 r.Kchecker.violations);
+    test "two threads' completions share the passes without deadlock"
+      (fun () ->
+        let klog = Histlog.create () in
+        let k = Kchecker.spawn ~config:(every 1e-4) klog in
+        let ops = 20_000 in
+        (* thread [c] writes then reads back keys [c], [c + 2], ... *)
+        let run c =
+          let w = Histlog.new_writer klog ~client:(Id.Client.of_int c) in
+          for i = 1 to ops / 2 do
+            let key = c + (2 * (i mod 100)) in
+            write w ~key i;
+            read w ~key (Value.Int i)
+          done
+        in
+        let threads = List.init 2 (Thread.create run) in
+        List.iter Thread.join threads;
+        Alcotest.(check bool) "passes ran before stop" true
+          (Checker.cells_polled k > 0);
+        let r = Kchecker.stop k in
+        check_int "every read checked" ops r.Kchecker.checks;
+        check_int "violations" 0 r.Kchecker.violations);
     test "a quiesced burst leaves no open key behind" (fun () ->
         (* every key ever touched keeps its state, but once the writers
            are idle every window settles: the set a round walks is

@@ -863,6 +863,31 @@ let online_checker_tests =
         ignore (Checker.finish o);
         Alcotest.(check int) "broken keys" (keys / 2)
           (Checker.stats o).Checker.Stats.broken_keys);
+    test "stop waits out no interval" (fun () ->
+        (* the passes run on the completing clients' threads: no
+           checker thread sleeps through its interval at stop *)
+        let cluster = Cluster.create (Cluster.default_config ~n:3 ~seed:8) in
+        let abd = Abd_live.create cluster ~f:1 () in
+        let w = Cluster.new_client cluster in
+        let r = Cluster.new_client cluster in
+        Cluster.start cluster;
+        let checker = Checker.spawn cluster ~interval_s:5.0 () in
+        (* time for a checker thread, were there one, to start its
+           interval's sleep *)
+        Thread.delay 0.05;
+        for i = 1 to 100 do
+          Abd_live.write abd w (Value.Int i);
+          ignore (Abd_live.read abd r)
+        done;
+        let t0 = Clock.now_s () in
+        let res = Checker.stop checker in
+        let took = Clock.now_s () -. t0 in
+        Cluster.shutdown cluster;
+        Alcotest.(check string) "holds" "holds" (verdict_class res.Checker.ws);
+        Alcotest.(check int) "every op checked" 200 res.Checker.ops_checked;
+        Alcotest.(check bool)
+          (Fmt.str "stop took %.3f s of a 5 s interval" took)
+          true (took < 0.5));
   ]
 
 (* A reference log: one record per operation, the shape the history had
@@ -1355,8 +1380,53 @@ let query_rpc cluster c server ~handler =
         ~make:(fun rid -> Regemu_netsim.Proto.Query { rid })
         ~handler)
 
+(* entries of a /proc/self directory; [None] where there is no /proc *)
+let proc_entries dir =
+  let dir = "/proc/self/" ^ dir in
+  if Sys.file_exists dir then Some (Array.length (Sys.readdir dir)) else None
+
 let first_use_tests =
   [
+    test "a build opens no descriptor and starts no thread" (fun () ->
+        match (proc_entries "fd", proc_entries "task") with
+        | Some fd0, Some task0 ->
+            let cluster =
+              Cluster.create (Cluster.default_config ~n:5 ~seed:56)
+            in
+            let abd = Abd_live.create cluster ~f:1 () in
+            let c = Cluster.new_client cluster in
+            Cluster.start cluster;
+            let checker = Checker.spawn cluster () in
+            Alcotest.(check (option int)) "unscheduled: no descriptor"
+              (Some fd0) (proc_entries "fd");
+            (* an earlier test's thread may still exit meanwhile *)
+            Alcotest.(check bool) "unscheduled: no thread" true
+              (Option.get (proc_entries "task") <= task0);
+            Abd_live.write abd c (Value.Int 1);
+            ignore (Checker.stop checker);
+            Cluster.shutdown cluster;
+            let module Sched = Regemu_dst.Sched in
+            let built, _ =
+              Sched.run (Sched.default_config ~seed:56) (fun s ->
+                  let hook = Sched.hook s in
+                  let cluster =
+                    Cluster.create ~sched:hook
+                      (Cluster.default_config ~n:5 ~seed:56)
+                  in
+                  ignore (Cluster.new_client cluster);
+                  Cluster.start cluster;
+                  let checker = Checker.spawn ~sched:hook cluster () in
+                  let fds = proc_entries "fd" in
+                  ignore (Checker.stop checker);
+                  Cluster.shutdown cluster;
+                  fds)
+            in
+            Alcotest.(check (option (option int)))
+              "scheduled: no descriptor" (Some (Some fd0)) built;
+            ignore (Regemu_dst.Dst.run (Regemu_dst.Dst.default_config ~seed:21));
+            Alcotest.(check (option int)) "none left by a Dst run" (Some fd0)
+              (proc_entries "fd")
+        | _ -> ());
     test "a request to a crashed server starts only that server's thread"
       (fun () ->
         let mx = Regemu_obs.Metrics.create () in
