@@ -6,7 +6,7 @@
     thread.  Without a scheduler its passes run on the clients' own
     threads: the operation that completes once [interval_s] has passed
     since the last pass runs the next one, after its cell is logged
-    (see {!Histlog.attach}).  Under a scheduler it is one actor whose
+    and before it returns to its client (see {!Histlog.attach}).  Under a scheduler it is one actor whose
     pauses elapse in virtual time.  Each key's completed writes join
     one {!Regemu_history.Write_order}, and each completed read is
     checked once against its window of admissible writes, so a
@@ -108,8 +108,10 @@ val resident_ops : t -> int
 
 (** [start log] fills [log]'s consumer slot ({!Histlog.attach}), so
     the operation that completes once [config.interval_s] has passed
-    since the last pass runs the next {!tick} on its own thread; no
-    client waits for a pass, and a build starts no thread.  With
+    since the last pass runs the next {!tick} on its own thread
+    before the operation returns, so that client's next operation
+    waits for the pass; a client that completes while a pass runs
+    skips it, and a build starts no thread.  With
     [sched] it spawns a cooperative actor that ticks every
     [config.interval_s] of virtual time instead.  Gauges
     ([checker.checks], [checker.violations], [checker.cells_polled],

@@ -181,8 +181,9 @@ let invoke w ?(key = 0) hop =
   Atomic.incr t.invoked;
   { tw = w; tc = c; slot = i }
 
-(* a pass that is due runs here, on the completing thread; a thread
-   that finds one already running skips it rather than wait *)
+(* a pass that is due runs here, on the completing thread, before
+   its operation returns to its caller; a thread that finds one
+   already running skips it rather than wait *)
 let serve t now =
   match t.consumer with
   | Some c when now >= c.due_ns && Mutex.try_lock c.pm ->

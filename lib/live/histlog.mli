@@ -62,11 +62,13 @@ val abort : ticket -> unit
 (** [attach t ~interval_s pass] fills the log's one consumer slot.
     From then on a {!return} or {!abort} that finds [interval_s]
     elapsed since the last pass (or since [attach]) runs [pass] on
-    its own thread, after logging the cell.  Passes never overlap,
-    and a completing thread that finds one running skips it rather
-    than wait, so no client ever waits on the consumer; the cost to
-    an operation is one compare against the clock {!return} reads
-    anyway.  Raises [Invalid_argument] when the slot is filled. *)
+    its own thread, after logging the cell and before returning, so
+    that one client starts its next operation only after the pass.
+    Passes never overlap: a completing thread that finds one running
+    skips it rather than wait, so no other client waits on the
+    consumer.  An operation that runs no pass pays one compare
+    against the clock {!return} reads anyway.  Raises
+    [Invalid_argument] when the slot is filled. *)
 val attach : t -> interval_s:float -> (unit -> unit) -> unit
 
 (** Empty the consumer slot: waits for a running pass to end, and no

@@ -1388,20 +1388,25 @@ let proc_entries dir =
 let first_use_tests =
   [
     test "a build opens no descriptor and starts no thread" (fun () ->
-        match (proc_entries "fd", proc_entries "task") with
-        | Some fd0, Some task0 ->
+        match proc_entries "fd" with
+        | Some fd0 ->
             let cluster =
               Cluster.create (Cluster.default_config ~n:5 ~seed:56)
             in
             let abd = Abd_live.create cluster ~f:1 () in
             let c = Cluster.new_client cluster in
             Cluster.start cluster;
+            (* counted right around the spawn, so that no thread left
+               by an earlier test can exit in between *)
+            let task0 = proc_entries "task" in
             let checker = Checker.spawn cluster () in
+            let task1 = proc_entries "task" in
             Alcotest.(check (option int)) "unscheduled: no descriptor"
               (Some fd0) (proc_entries "fd");
-            (* an earlier test's thread may still exit meanwhile *)
-            Alcotest.(check bool) "unscheduled: no thread" true
-              (Option.get (proc_entries "task") <= task0);
+            Alcotest.(check (option int)) "unscheduled: no checker thread"
+              task0 task1;
+            Alcotest.(check int) "unscheduled: no cluster thread" 0
+              (threads_started cluster);
             Abd_live.write abd c (Value.Int 1);
             ignore (Checker.stop checker);
             Cluster.shutdown cluster;

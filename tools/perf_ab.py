@@ -2,13 +2,14 @@
 """Interleaved A/B of the repository benchmark against a parent commit.
 
     python3 tools/perf_ab.py --parent REV --workload NAME [--pairs 10]
-        [--seed 1] [--seconds 10] [--trace 0|1]
+        [--seed 1]
 
 Run from the repository root.  Exports REV into a temporary directory
 (``git archive``, so nothing is added to the repository's own git
 state), builds the benchmark there and in the working tree, then runs
 ``perfbench/run.py`` PAIRS times on each side, alternating which side
-runs first.  Both sides run with the same arguments.
+runs first.  Both sides run with the same arguments, at the run
+length the benchmark itself uses (``--seconds 10 --trace 0``).
 
 For every metric the last JSON line of a run reports, it prints each
 side's median and quartiles, the change's median over the parent's,
@@ -139,9 +140,6 @@ def main():
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--seconds", default="10")
-    ap.add_argument("--trace", choices=["0", "1"], default="0")
-    ap.add_argument("--json", help="also write the rows to this file")
     a = ap.parse_args()
     if not (os.path.isfile("dune-project") and os.path.isfile("BENCHMARK.json")):
         fail("run from the repository root")
@@ -153,7 +151,7 @@ def main():
               for m in spec.get("end_to_end", []) + spec.get("per_layer", [])}
     bounds = {m["name"]: m["bound"] for m in spec.get("end_to_end", [])}
     args = ["--workload", a.workload, "--seed", str(a.seed),
-            "--seconds", a.seconds, "--trace", a.trace]
+            "--seconds", "10", "--trace", "0"]
     scratch = tempfile.mkdtemp(prefix="perf-ab-")
     try:
         sides = {"parent": export(a.parent, scratch), "change": "."}
@@ -178,15 +176,9 @@ def main():
     rows = [summarize(n, values["parent"][n], values["change"][n],
                       better.get(n, "lower"), bounds.get(n))
             for n in names]
-    print("%s: %d pairs, seed %d, %s s, trace %s, parent %s, nproc %d" % (
-        a.workload, a.pairs, a.seed, a.seconds, a.trace, a.parent,
-        os.cpu_count() or 0))
+    print("%s: %d pairs, seed %d, parent %s, nproc %d" % (
+        a.workload, a.pairs, a.seed, a.parent, os.cpu_count() or 0))
     print_rows(rows)
-    if a.json:
-        with open(a.json, "w") as fh:
-            json.dump({"workload": a.workload, "parent": a.parent,
-                       "pairs": a.pairs, "rows": rows,
-                       "runs": values}, fh, indent=1)
     if gates_failed:
         print("perf-ab: %d runs failed a correctness gate" % gates_failed,
               file=sys.stderr)
