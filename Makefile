@@ -38,10 +38,10 @@ PAIRS ?= 10
 perf-ab:
 	python3 tools/perf_ab.py --parent $(PARENT) --workload $(WORKLOAD) --pairs $(PAIRS)
 
-# the tracked perf trajectory: the interleaved three-way backend A/B
-# (threads vs domains vs socket, ABD, 16..256 client threads, median of
-# 3 per point) in the regemu-bench/2 schema, with per-point
-# speedup-vs-threads on the non-threads rows
+# the tracked perf trajectory: the interleaved backend A/B (threads vs
+# socket, ABD, 16..256 client threads, median of 3 per point) in the
+# regemu-bench/2 schema, with per-point speedup-vs-threads on the
+# socket rows
 perf-bench:
 	dune exec bin/regemu.exe -- live --saturate --ops 200 --seed 42 --json BENCH_live.json
 
@@ -57,7 +57,7 @@ tail-bench:
 
 # the three-way space-vs-throughput-vs-fault-tolerance race: ABD,
 # Algorithm 2, and the CDS data store at each load point on the
-# threads and domains fabrics, median of 3 per cell; writes
+# threads fabric, median of 3 per cell; writes
 # BENCH_compare.json in the regemu-compare/1 schema (validated before
 # the write and re-parsed from disk after it)
 compare-bench:

@@ -1044,6 +1044,32 @@ let live_algo_conv =
   Arg.conv
     (parse, fun ppf a -> Fmt.string ppf (Regemu_live.Live_bench.algo_name a))
 
+(* [--backend] for [live] and [keyspace]: one spelling per
+   {!Transport.backends} entry, so the enum, its usage error and the
+   doc string list the same backends *)
+let backend_arg ~doc =
+  let open Regemu_live in
+  let blurb = function
+    | Transport.Threads -> "the deterministic in-process courier fabric"
+    | Transport.Socket ->
+        "forked server processes speaking the binary codec over \
+         Unix-domain sockets"
+  in
+  let names =
+    List.map
+      (fun b ->
+        Fmt.str "$(b,%s) (%s)" (Transport.backend_name b) (blurb b))
+      Transport.backends
+  in
+  Arg.(
+    value
+    & opt
+        (enum
+           (List.map (fun b -> (Transport.backend_name b, b)) Transport.backends))
+        Transport.Threads
+    & info [ "backend" ]
+        ~doc:(Fmt.str "%s: %s." doc (String.concat ", " names)))
+
 let live_cmd =
   let open Regemu_live in
   let algo_arg =
@@ -1089,23 +1115,9 @@ let live_cmd =
       & info [ "couriers" ] ~doc:"Transport delivery threads.")
   in
   let backend_arg =
-    Arg.(
-      value
-      & opt
-          (enum
-             [
-               ("threads", Transport.Threads);
-               ("domains", Transport.Domains);
-               ("socket", Transport.Socket);
-             ])
-          Transport.Threads
-      & info [ "backend" ]
-          ~doc:"Message fabric: $(b,threads) (the deterministic in-process \
-                courier fabric), $(b,domains) (one OCaml domain per server \
-                lane over lock-free rings), or $(b,socket) (forked server \
-                processes speaking the binary codec over Unix-domain \
-                sockets).  A full $(b,--saturate) sweep ignores this and \
-                runs the three-way A/B.")
+    backend_arg
+      ~doc:"Message fabric (a full $(b,--saturate) sweep ignores this and \
+            runs the A/B over every backend)"
   in
   let json_arg =
     Arg.(
@@ -1122,10 +1134,10 @@ let live_cmd =
       value & flag
       & info [ "saturate" ]
           ~doc:"Saturation sweep on a quiet non-reordering transport.  The \
-                full sweep is the three-way backend A/B: ABD at each client \
-                count on the threads, domains, and socket fabrics \
-                interleaved, reporting ops/s, latency percentiles, and \
-                per-backend speedup over threads.  With $(b,--smoke), a \
+                full sweep is the backend A/B: ABD at each client count on \
+                the threads and socket fabrics interleaved, reporting \
+                ops/s, latency percentiles, and the socket fabric's \
+                speedup over threads.  With $(b,--smoke), a \
                 bounded single-backend sweep for CI (honours \
                 $(b,--backend)).")
   in
@@ -1250,7 +1262,7 @@ let compare_cmd =
       value
       & opt (some int) None
       & info [ "reps" ] ~docv:"N"
-          ~doc:"Repetitions per (algorithm, backend, load) cell; the \
+          ~doc:"Repetitions per (algorithm, load) cell; the \
                 median-throughput run is reported.  Defaults to 3 \
                 (1 with $(b,--smoke)).")
   in
@@ -1280,7 +1292,7 @@ let compare_cmd =
        ~doc:
          "Race the three emulations — ABD, Algorithm 2, and the CDS \
           multi-writer data store — at the same load points on the threads \
-          and domains fabrics, and report space (measured resident cells \
+          fabric, and report space (measured resident cells \
           and bytes per server, plus the paper-side formula), throughput, \
           and latency side by side (regemu-compare/1 schema with \
           $(b,--json)).")
@@ -1788,22 +1800,7 @@ let keyspace_cmd =
       value & flag
       & info [ "quiet" ] ~doc:"Suppress per-skew progress lines.")
   in
-  let backend_arg =
-    Arg.(
-      value
-      & opt
-          (enum
-             [
-               ("threads", Regemu_live.Transport.Threads);
-               ("domains", Regemu_live.Transport.Domains);
-               ("socket", Regemu_live.Transport.Socket);
-             ])
-          Regemu_live.Transport.Threads
-      & info [ "backend" ]
-          ~doc:
-            "Message fabric under each skew's cluster: $(b,threads), \
-             $(b,domains), or $(b,socket).")
-  in
+  let backend_arg = backend_arg ~doc:"Message fabric under each skew's cluster" in
   let run smoke keys zipfs rate ops window budget nval fval backend json quiet
       seed trace sample metrics =
     let spec = if smoke then Kbench.smoke_spec else Kbench.default_spec in

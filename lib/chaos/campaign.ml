@@ -182,7 +182,6 @@ let run ?(log = ignore) ?(sink = Sink.none) s =
       dup_prob = s.dup_prob;
       drop_prob = s.drop_prob;
       reorder = true;
-      sharded = true;
       backend = Transport.Threads;
       seed = s.seed;
     }
@@ -230,9 +229,11 @@ let run ?(log = ignore) ?(sink = Sink.none) s =
   in
   let wall_s = Unix.gettimeofday () -. t0 in
   let check = Checker.stop checker in
+  (* counted after shutdown has joined every courier, like
+     {!Live_bench.run}: no late delivery escapes the outcome *)
+  Cluster.shutdown cluster;
   let stats = Cluster.stats cluster in
   let backoff_ms = Cluster.backoff_histogram cluster in
-  Cluster.shutdown cluster;
   let phases, failure =
     match phases_result with
     | Ok phases -> (phases, evaluate s ~check ~stats phases)

@@ -161,7 +161,6 @@ let run ?(choices = [||]) ?(sink = Sink.none) cfg =
             dup_prob = cfg.dup_prob;
             drop_prob = cfg.drop_prob;
             reorder = cfg.reorder;
-            sharded = true;
             (* a DST run is scheduler-driven: Threads is the only backend
                the cooperative scheduler can replay *)
             backend = Transport.Threads;

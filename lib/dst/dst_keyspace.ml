@@ -64,7 +64,6 @@ let transport_of cfg =
       dup_prob = 0.0;
       drop_prob = 0.0;
       reorder = false;
-      sharded = true;
       backend = Transport.Threads;
       seed = cfg.seed;
     }

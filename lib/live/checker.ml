@@ -567,7 +567,7 @@ let ok r =
   && match r.atomic with Some false -> false | _ -> true
 
 let result_pp ppf r =
-  Fmt.pf ppf "%d online checks over %d ops: WS-Regular %a%a" r.checks
+  Fmt.pf ppf "%d checker passes over %d ops: WS-Regular %a%a" r.checks
     r.ops_checked Ws_check.verdict_pp r.ws
     Fmt.(
       option (fun ppf a ->

@@ -112,7 +112,7 @@ type t = {
   cfg : config;
   sched : Sched_hook.t option;
   backend : Transport.backend;  (* the fabric actually running (sched forces
-                                   [Threads]); decides where servers execute *)
+                                   [Threads]); [Socket] restarts wipe *)
   step_inline : bool;  (* unscheduled [Threads]: an uncontended request may
                           be stepped on its delivering thread *)
   inline_steps : int Atomic.t;
@@ -228,27 +228,6 @@ let step_and_unlock srv payload =
       Mutex.unlock srv.xm;
       raise e
 
-let step_locked srv payload =
-  Mutex.lock srv.xm;
-  step_and_unlock srv payload
-
-(* Execute one server step on the delivering thread — the [Domains]
-   backend's request path: the lane's domain is the server's execution
-   context, so there is no mailbox and no server thread.  A crashed
-   server blocks its lane head-of-line (messages wait, exactly like
-   mail to a crashed-but-reachable server); the transport gates the
-   lane too, so this wait only catches envelopes already drained when
-   the crash landed. *)
-let step_here t srv src payload =
-  Mutex.lock srv.sm;
-  while (not srv.up) && not srv.closing do
-    Condition.wait srv.sc srv.sm
-  done;
-  let closing = srv.closing in
-  Mutex.unlock srv.sm;
-  if not closing then
-    send_replies t srv src (step_locked srv payload)
-
 (* The unscheduled [Threads] request path: step on the delivering
    thread instead of waking the server thread, when the server is up,
    nothing is queued for it or in its thread's hands, and its
@@ -297,7 +276,8 @@ let server_loop t srv =
     in
     if closing then false
     else begin
-      let replies = step_locked srv payload in
+      Mutex.lock srv.xm;
+      let replies = step_and_unlock srv payload in
       (* left the backlog only once stepped: an inline step that sees
          0 under [xm] has nothing queued ahead of it *)
       Atomic.decr srv.backlog;
@@ -339,19 +319,16 @@ let ensure_server t srv =
 
 let deliver t (env : Transport.envelope) =
   match env.dest with
-  | Transport.To_server i -> (
+  | Transport.To_server i ->
       let srv = t.servers.(i) in
-      match t.backend with
-      | Transport.Domains -> step_here t srv env.src env.payload
-      | Transport.Threads
-        when t.step_inline && try_step_inline t srv env.src env.payload ->
-          ()
-      | Transport.Threads | Transport.Socket ->
-          (* [Socket] never routes a request here — children serve
-             them — but a stray one waits in the mailbox harmlessly *)
-          Atomic.incr srv.backlog;
-          Mailbox.push srv.mailbox (env.src, env.payload);
-          if t.step_inline then ensure_server t srv)
+      if not (t.step_inline && try_step_inline t srv env.src env.payload)
+      then begin
+        (* [Socket] never routes a request here — children serve
+           them — but a stray one waits in the mailbox harmlessly *)
+        Atomic.incr srv.backlog;
+        Mailbox.push srv.mailbox (env.src, env.payload);
+        if t.step_inline then ensure_server t srv
+      end
   | Transport.To_client c -> dispatch_to_client t c env.payload
 
 (* --- construction ------------------------------------------------------ *)
@@ -969,9 +946,8 @@ let crash t i =
   srv.up <- false;
   Mutex.unlock srv.sm;
   if was_up then begin
-    (* tell the fabric too: [Domains] parks the server's lane, [Socket]
-       SIGKILLs the child process; [Threads] ignores it (the mailbox
-       gates) *)
+    (* tell the fabric too: [Socket] SIGKILLs the child process;
+       [Threads] ignores it (the mailbox gates) *)
     Transport.set_server_up (transport t) ~server:i false;
     Mutex.lock t.gm;
     t.crashes <- t.crashes + 1;
@@ -1175,8 +1151,7 @@ let server_resident_bytes t ~server =
 (* On the [Socket] backend only the parent-side mirror store is
    visible here (children own the real ones), so resident space reads
    as the parent's view: allocated plain cells, nothing touched by
-   traffic.  The space benches therefore report on the in-process
-   backends. *)
+   traffic.  The space benches therefore report on [Threads]. *)
 let resident_space t =
   Array.fold_left
     (fun (cells, bytes, total) srv ->

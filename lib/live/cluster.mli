@@ -349,9 +349,10 @@ val server_resident_bytes : t -> server:int -> int
 
 (** [(cells_max, bytes_max, cells_total)] over all servers: the
     per-server maxima of resident cells and bytes plus the cluster-wide
-    cell total.  Best-effort on the [Domains] backend (stores are
-    sampled without synchronisation) and parent-side only on [Socket]
-    (children own the real stores). *)
+    cell total.  Best-effort: the stores are read without
+    synchronisation, so a read racing a server step may see a store
+    mid-update or raise.  Parent-side only on [Socket] (children own
+    the real stores). *)
 val resident_space : t -> int * int * int
 
 (** Stop everything: revive crashed servers so they can exit, close

@@ -22,11 +22,6 @@ let smoke_loads = [ { label = "k2-f1"; k = 2; readers = 2; f = 1; n = 5 } ]
 let algos = [ Live_bench.Abd; Live_bench.Alg2; Live_bench.Cds ]
 let algo_names = List.map Live_bench.algo_name algos
 
-(* the socket backend's stores live in child processes the sampler
-   cannot see, so the committed comparison covers the two in-process
-   fabrics *)
-let backends = [ Transport.Threads; Transport.Domains ]
-
 (* the paper-side prediction for the measured [space_cells_total]
    column: what each construction commits to holding, cluster-wide *)
 let formula_cells_total ~algo l =
@@ -36,7 +31,9 @@ let formula_cells_total ~algo l =
       Formulas.register_upper_bound (Params.make_exn ~k:l.k ~f:l.f ~n:l.n)
   | Live_bench.Cds -> l.k * ((2 * l.f) + 1)
 
-let spec_of ~backend ~algo ~ops_per_client ~seed l =
+(* on [Threads]: the socket backend's stores live in child processes
+   the space sampler cannot see *)
+let spec_of ~algo ~ops_per_client ~seed l =
   {
     Live_bench.algo;
     k = l.k;
@@ -48,23 +45,15 @@ let spec_of ~backend ~algo ~ops_per_client ~seed l =
     chaos = false;
     (* peak-pipeline mode, like the saturation sweep *)
     reorder = false;
-    backend;
+    backend = Transport.Threads;
     seed;
     gray = None;
   }
 
-(* backends adjacent per (load, algo) so the round-robined reps measure
-   each threads/domains pair under the same machine weather *)
 let specs ?(loads = loads) ?(ops_per_client = 150) ~seed () =
   List.concat_map
     (fun l ->
-      List.concat_map
-        (fun algo ->
-          List.map
-            (fun backend ->
-              (l, spec_of ~backend ~algo ~ops_per_client ~seed l))
-            backends)
-        algos)
+      List.map (fun algo -> (l, spec_of ~algo ~ops_per_client ~seed l)) algos)
     loads
 
 let smoke_specs ~seed () = specs ~loads:smoke_loads ~ops_per_client:25 ~seed ()
@@ -138,8 +127,6 @@ let to_json ~seed ~smoke rows =
 
 (* --- validation (on write and on read-back) ------------------------------ *)
 
-let backend_names = List.map Transport.backend_name backends
-
 let validate_compare_json doc =
   let ( let* ) = Result.bind in
   let* () = Json.check_schema schema doc in
@@ -150,7 +137,11 @@ let validate_compare_json doc =
       (fun acc r ->
         let* acc = acc in
         let* algo = Json.get "algo" (Json.to_enum_opt algo_names) r in
-        let* backend = Json.get "backend" (Json.to_enum_opt backend_names) r in
+        let* _ =
+          Json.get "backend"
+            (Json.to_enum_opt [ Transport.backend_name Transport.Threads ])
+            r
+        in
         let* load = Json.get "load" Json.to_str_opt r in
         let* () =
           Json.each
@@ -162,23 +153,19 @@ let validate_compare_json doc =
             ]
         in
         let* _ = Json.get "clean" Json.to_bool_opt r in
-        Ok ((algo, backend, load) :: acc))
+        Ok ((algo, load) :: acc))
       (Ok []) rows
   in
-  (* coverage: exactly one row per (algo × backend) for every load
-     point present — a missing or duplicated cell is a schema error,
-     not a dashboard surprise *)
-  let loads = List.sort_uniq compare (List.map (fun (_, _, l) -> l) cells) in
+  (* coverage: exactly one row per algorithm for every load point
+     present — a missing or duplicated cell is a schema error, not a
+     dashboard surprise *)
+  let loads = List.sort_uniq compare (List.map snd cells) in
   Json.each
-    (fun ((algo, backend, load) as cell) ->
+    (fun ((algo, load) as cell) ->
       match List.length (List.filter (( = ) cell) cells) with
       | 1 -> Ok ()
-      | 0 -> Error (Fmt.str "missing row (%s, %s, %s)" algo backend load)
-      | n ->
-          Error (Fmt.str "%d duplicate rows (%s, %s, %s)" n algo backend load))
+      | 0 -> Error (Fmt.str "missing row (%s, %s)" algo load)
+      | n -> Error (Fmt.str "%d duplicate rows (%s, %s)" n algo load))
     (List.concat_map
-       (fun load ->
-         List.concat_map
-           (fun algo -> List.map (fun b -> (algo, b, load)) backend_names)
-           algo_names)
+       (fun load -> List.map (fun algo -> (algo, load)) algo_names)
        loads)

@@ -4,7 +4,9 @@
     the same load points and reported side by side.
 
     Each row of the emitted [regemu-compare/1] document is one
-    (algorithm, backend, load point) cell carrying measured throughput,
+    (algorithm, load point) cell, run on the [Threads] backend (the
+    [Socket] backend's stores live in child processes the space
+    sampler cannot observe), carrying measured throughput,
     latency percentiles, the resident-space maxima sampled from the
     server stores ({!Cluster.resident_space}), and the paper-side
     predicted cluster-wide cell count for that configuration:
@@ -40,20 +42,12 @@ val smoke_loads : load list
     left out). *)
 val algos : Live_bench.algo list
 
-(** [Threads; Domains].  The socket backend's stores live in child
-    processes the space sampler cannot observe, so it is excluded
-    from the comparison. *)
-val backends : Transport.backend list
-
 (** The predicted cluster-wide resident cell count for [algo] at a
     load point (see the module header). *)
 val formula_cells_total : algo:Live_bench.algo -> load -> int
 
-(** The full matrix as [(load, spec)] pairs: every load × algorithm ×
-    backend, backends adjacent per (load, algo) so
-    {!Live_bench.run_reps}'s round-robin measures each
-    threads/domains pair under the same machine weather.  Default
-    [ops_per_client = 150]. *)
+(** The full matrix as [(load, spec)] pairs: every load × algorithm.
+    Default [ops_per_client = 150]. *)
 val specs :
   ?loads:load list -> ?ops_per_client:int -> seed:int -> unit -> (load * Live_bench.spec) list
 
@@ -74,14 +68,15 @@ val clean : row list -> bool
 val row_pp : row Fmt.t
 
 (** The [regemu-compare/1] document: schema id, seed, smoke flag,
-    one row per (algorithm, backend, load), and an overall [clean]
-    verdict. *)
+    one row per (algorithm, load), each with [backend: "threads"], and
+    an overall [clean] verdict. *)
 val to_json : seed:int -> smoke:bool -> row list -> Regemu_obs.Json.t
 
 (** Structural validation of a [regemu-compare/1] document — applied
     both to the document about to be written and to the bytes read
-    back from disk: schema id, non-empty rows, known algorithm and
-    backend names, numeric measurement fields, boolean [clean], and
-    full coverage (exactly one row per algorithm × backend for every
-    load label present — a missing or duplicated cell is an error). *)
+    back from disk: schema id, non-empty rows, a known algorithm name
+    and [backend: "threads"] on every row, numeric measurement fields,
+    boolean [clean], and full coverage (exactly one row per algorithm
+    for every load label present — a missing or duplicated cell is an
+    error). *)
 val validate_compare_json : Regemu_obs.Json.t -> (unit, string) result

@@ -132,7 +132,6 @@ let run ?(sink = Sink.none) spec =
       dup_prob = (if spec.chaos then 0.05 else 0.0);
       drop_prob = (if spec.chaos then 0.03 else 0.0);
       reorder = spec.reorder;
-      sharded = true;
       backend = spec.backend;
       seed = spec.seed;
     }
@@ -172,9 +171,10 @@ let run ?(sink = Sink.none) spec =
     spec.gray;
   (* the space axis: sample resident cells/bytes through the run and
      keep the maxima.  Sampling is unsynchronised (a gauge, not an
-     invariant) — a mid-rehash glance on the domains backend may throw,
-     so each sample is best-effort; the final sample after the load
-     drains is quiescent and authoritative for these monotone stores. *)
+     invariant): a glance that races a server thread's step may catch
+     a store mid-update and throw, so each sample is best-effort; the
+     final sample after the load drains is quiescent and authoritative
+     for these monotone stores. *)
   let space = ref (0, 0, 0) in
   let sample_space () =
     try
@@ -226,9 +226,12 @@ let run ?(sink = Sink.none) spec =
   sample_space ();
   let space_cells, space_bytes, space_cells_total = !space in
   let check = Checker.stop checker in
-  let stats = Cluster.stats cluster in
   let lats = Option.value ~default:[] (Checker.latencies_ns checker) in
+  (* counted once the transport has stopped and every courier is
+     joined, so no late delivery lands between this read and a metric
+     snapshot taken after the run *)
   Cluster.shutdown cluster;
+  let stats = Cluster.stats cluster in
   (match result with Ok () -> () | Error e -> raise e);
   let ops = stats.Cluster.ops_completed in
   let mean_us =
@@ -427,12 +430,10 @@ let saturate_specs ?(backend = Transport.Threads) ?(clients = saturate_clients)
 
 (* The head-to-head sweep: the same saturation point on every backend,
    backends adjacent in the run order (and the whole list round-robined
-   by [run_reps]), so each threads/domains/socket triple is
-   measured under the same machine weather. *)
+   by [run_reps]), so each threads/socket pair is measured under the
+   same machine weather. *)
 let saturate_ab_clients = [ 16; 32; 64; 128; 256 ]
-
-let saturate_ab_backends =
-  [ Transport.Threads; Transport.Domains; Transport.Socket ]
+let saturate_ab_backends = Transport.backends
 
 let saturate_ab_specs ?(clients = saturate_ab_clients)
     ?(ops_per_client = 200) ~seed () =
@@ -538,7 +539,7 @@ let saturate_json outcomes =
       ("benchmarks", Json.List (List.map bench outcomes));
     ]
 
-let backend_names = List.map Transport.backend_name saturate_ab_backends
+let backend_names = List.map Transport.backend_name Transport.backends
 let ( let* ) = Result.bind
 
 (* Structural check of the regemu-bench/2 document: catches a schema

@@ -181,16 +181,16 @@ val saturate_specs :
   unit ->
   spec list
 
-(** {2 The three-way backend A/B}
+(** {2 The backend A/B}
 
     ABD at each client count on each backend, backends adjacent per
     count so {!run_reps}'s round-robin repeats every
-    (clients, backend) triple under the same machine weather. *)
+    (clients, backend) pair under the same machine weather. *)
 
 (** The A/B client counts: [16; 32; 64; 128; 256]. *)
 val saturate_ab_clients : int list
 
-(** [Threads; Domains; Socket] — the A/B arms, in emission order. *)
+(** {!Transport.backends} — the A/B arms, in emission order. *)
 val saturate_ab_backends : Transport.backend list
 
 val saturate_ab_specs :

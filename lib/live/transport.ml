@@ -1,17 +1,16 @@
-(* The transport seam: one message-fabric API, three backends.
+(* The transport seam: one message-fabric API, two backends.
 
    [Threads] is the seeded in-process courier fabric
    ({!Transport_courier}) — the deterministic backend, and the only
    one a {!Sched_hook} can drive, so the presence of a scheduler
-   forces it regardless of the configured backend.  [Domains] runs
-   each server lane in its own OCaml 5 domain over lock-free MPSC
-   rings ({!Transport_domains}); [Socket] runs each server as a
-   forked process behind the binary codec ({!Transport_socket}).
-   Everything above this module — Cluster, the algorithms, the
-   nemesis, the checkers — is backend-agnostic. *)
+   forces it regardless of the configured backend.  [Socket] runs
+   each server as a forked process behind the binary codec
+   ({!Transport_socket}).  Everything above this module — Cluster,
+   the algorithms, the nemesis, the checkers — is backend-agnostic. *)
 
-type backend = Transport_intf.backend = Threads | Domains | Socket
+type backend = Transport_intf.backend = Threads | Socket
 
+let backends = Transport_intf.backends
 let backend_name = Transport_intf.backend_name
 let backend_of_name = Transport_intf.backend_of_name
 let backend_pp = Transport_intf.backend_pp
@@ -31,7 +30,6 @@ type config = Transport_intf.config = {
   dup_prob : float;
   drop_prob : float;
   reorder : bool;
-  sharded : bool;
   backend : backend;
   seed : int;
 }
@@ -44,7 +42,6 @@ let default_config ~seed =
     dup_prob = 0.0;
     drop_prob = 0.0;
     reorder = true;
-    sharded = true;
     backend = Threads;
     seed;
   }
@@ -54,10 +51,7 @@ let default_config ~seed =
 let effective_backend ?sched cfg =
   match sched with Some _ -> Threads | None -> cfg.backend
 
-type fabric =
-  | C of Transport_courier.t
-  | D of Transport_domains.t
-  | S of Transport_socket.t
+type fabric = C of Transport_courier.t | S of Transport_socket.t
 
 (* every control and counter lives in the shared control plane; only
    the data plane is dispatched *)
@@ -68,9 +62,6 @@ let create ?sched ?sink ?server_regs cfg ~servers ~deliver =
   | Threads ->
       let x = Transport_courier.create ?sched ?sink cfg ~servers ~deliver in
       { ctl = x.ctl; fabric = C x }
-  | Domains ->
-      let x = Transport_domains.create ?sink cfg ~servers ~deliver in
-      { ctl = x.ctl; fabric = D x }
   | Socket ->
       let x =
         Transport_socket.create ?sink cfg ~servers ~deliver
@@ -79,42 +70,37 @@ let create ?sched ?sink ?server_regs cfg ~servers ~deliver =
       { ctl = x.ctl; fabric = S x }
 
 let backend t =
-  match t.fabric with C _ -> Threads | D _ -> Domains | S _ -> Socket
+  match t.fabric with C _ -> Threads | S _ -> Socket
 
 let start t =
   match t.fabric with
   | C x -> Transport_courier.start x
-  | D x -> Transport_domains.start x
   | S x -> Transport_socket.start x
 
 let send t env =
   match t.fabric with
   | C x -> Transport_courier.send x env
-  | D x -> Transport_domains.send x env
   | S x -> Transport_socket.send x env
 
 let set_server_up t ~server v =
   match t.fabric with
   | C _ -> ()  (* courier delivery is up-agnostic: the mailbox gates *)
-  | D x -> Transport_domains.set_server_up x ~server v
   | S x -> Transport_socket.set_server_up x ~server v
 
 let stop t =
   match t.fabric with
   | C x -> Transport_courier.stop x
-  | D x -> Transport_domains.stop x
   | S x -> Transport_socket.stop x
 
 let lanes t =
   match t.fabric with
   | C x -> Transport_courier.lanes x
-  | D x -> Transport_domains.lanes x
   | S x -> Transport_socket.lanes x
 
 let threads_started t =
   match t.fabric with
   | C x -> Transport_courier.threads_started x
-  | D _ | S _ -> 0
+  | S _ -> 0
 
 let split t = Transport_intf.split t.ctl
 let heal t = Transport_intf.heal t.ctl

@@ -1,5 +1,5 @@
 (** The live message fabric: one nemesis-ready network API, one fault
-    model, three backends that differ only in how messages move.
+    model, two backends that differ only in how messages move.
 
     {2 The fault model}
 
@@ -38,9 +38,8 @@
     {ul
     {- [Threads] (the default): the seeded in-process courier fabric,
        sharded into per-destination {e lanes} — one per server plus
-       one for all client-bound replies (or a single shared lane with
-       [sharded = false]).  Each lane has its own lock, condition
-       variable, ring buffer ({!Ringbuf}), seeded RNG and pool of
+       one for all client-bound replies.  Each lane has its own lock,
+       condition variable, ring buffer ({!Ringbuf}), seeded RNG and pool of
        [couriers] threads, started when the first envelope queues on
        the lane.  [send] admits under the lane lock; the
        couriers drain in batches, draw each envelope's hold, and
@@ -60,16 +59,6 @@
        backend, and the only one a {!Sched_hook} can drive — a
        scheduler forces it regardless of the configured backend
        ({!effective_backend}).}
-    {- [Domains]: each server lane is an OCaml 5 [Domain.t] draining
-       a lock-free MPSC ring ({!Mpsc}); a send is one atomic exchange,
-       and the lane's domain doubles as the server's execution
-       context.  A server lane decides its requests' faults and serves
-       their holds head-of-line, preserving per-destination FIFO.  A
-       reply is decided, and held, on the sending thread — the
-       replying server's own domain — so a slow server holds only its
-       own replies.  Decisions draw from the lane RNGs but the
-       interleaving is the machine's: runs are {e not}
-       DST-replayable.}
     {- [Socket]: each server is a forked process of the current
        executable speaking the length-prefixed binary {!Codec} over a
        Unix-domain socketpair (TCP-ready framing).  A per-server
@@ -82,15 +71,21 @@
        call {!Transport_socket.child_check} first thing in [main].}}
 
     {!sent} counts an envelope after admission on [Threads], and at
-    [send] on the other two (where admission happens later, off the
-    sending thread); duplicates count on every backend. *)
+    [send] on [Socket] (where admission happens later, off the sending
+    thread); duplicates count on both backends. *)
 
-type backend = Transport_intf.backend = Threads | Domains | Socket
+type backend = Transport_intf.backend = Threads | Socket
+
+val backends : backend list
+(** Every backend, [Threads] first: the one list the CLI enums, the
+    bench A/B arms and the JSON validators derive from. *)
 
 val backend_name : backend -> string
-(** ["threads"], ["domains"], ["socket"] — the CLI/JSON spelling. *)
+(** ["threads"], ["socket"] — the CLI/JSON spelling. *)
 
 val backend_of_name : string -> backend option
+(** The inverse of {!backend_name} over {!backends}. *)
+
 val backend_pp : backend Fmt.t
 
 type dest = Transport_intf.dest = To_server of int | To_client of int
@@ -110,17 +105,13 @@ type config = Transport_intf.config = {
       (** chance a send is discarded (initial rate for both requests
           and replies; adjustable at runtime with {!set_drop}) *)
   reorder : bool;  (** couriers pick a random queued envelope *)
-  sharded : bool;
-      (** one lane per destination (the default); [false] forces the
-          single-queue fallback — every envelope through one lane.
-          [Threads] only; the other backends are always sharded *)
   backend : backend;  (** which fabric carries the messages *)
   seed : int;
 }
 
 val default_config : seed:int -> config
-(** [Threads] backend: 2 couriers per lane, sharded, reorder on, no
-    delays, no duplication, no loss. *)
+(** [Threads] backend: 2 couriers per lane, reorder on, no delays, no
+    duplication, no loss. *)
 
 (** The backend a given configuration will actually run: [cfg.backend],
     except that a scheduler forces [Threads]. *)
@@ -160,10 +151,8 @@ val start : t -> unit
 
 (** [set_server_up t ~server up] tells the fabric about a crash or
     restart.  [Threads]: a no-op (the server's mailbox gates).
-    [Domains]: the server's lane parks while down — queued messages
-    wait, like mail to a crashed-but-reachable server.  [Socket]:
-    down SIGKILLs the child process; up execs a fresh one (empty
-    store) and resumes the parent-side outbox. *)
+    [Socket]: down SIGKILLs the child process; up execs a fresh one
+    (empty store) and resumes the parent-side outbox. *)
 val set_server_up : t -> server:int -> bool -> unit
 
 (** Enqueue an envelope (dropped silently after {!stop}). *)
@@ -209,8 +198,7 @@ val slow_us : t -> server:int -> int
 
 (** [freeze t ~server] stops [server]'s request lane from draining:
     requests queue (nothing is dropped) until {!thaw}.  Replies from
-    the server still flow.  Only effective with sharded lanes (the
-    default); the single shared lane cannot freeze one server. *)
+    the server still flow. *)
 val freeze : t -> server:int -> unit
 
 (** Resume a frozen request lane, delivering its backlog. *)
@@ -227,14 +215,16 @@ val stop : t -> unit
 
 (** {2 Accounting} *)
 
-val lanes : t -> int  (** number of lanes (servers + 1, or 1) *)
+val lanes : t -> int
+(** Number of lanes: servers + 1 on [Threads] (the client lane), one
+    per server on [Socket]. *)
 
 val threads_started : t -> int
 (** Courier threads started so far.  An unscheduled [Threads] lane
     starts its [couriers] at the first envelope it queues rather than
     delivers inline, so a fabric whose every send delivered inline
     reads 0.  Always 0 under a scheduler (its couriers are actors) and
-    on [Domains] and [Socket] (their lanes are domains and children). *)
+    on [Socket] (its servers are child processes). *)
 
 val sent : t -> int  (** envelopes accepted, duplicates included *)
 

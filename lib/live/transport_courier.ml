@@ -26,7 +26,7 @@ type lane = {
 type t = {
   ctl : control;
   sched : Sched_hook.t option;
-  lanes : lane array;  (* sharded: one per server + a client lane *)
+  lanes : lane array;  (* one per server + the client lane *)
   started : int Atomic.t;  (* courier threads started *)
   alarm : Alarm.t option Atomic.t;
       (* what a courier holding an envelope sleeps on, so {!stop} cuts
@@ -48,6 +48,14 @@ let make_lane ~seed ~sink ~name ~lserver i =
     lthreads = [];
   }
 
+(* server [s]'s lane is [lanes.(s)]; the last lane carries the
+   client-bound replies *)
+let lane_for lanes dest =
+  let last = Array.length lanes - 1 in
+  match dest with
+  | To_server s when s >= 0 && s < last -> lanes.(s)
+  | To_server _ | To_client _ -> lanes.(last)
+
 (* one lane per server, then the client lane ({!lane_for}).  No
    courier exists yet: a scheduled fabric spawns its actors at
    {!start}, an unscheduled lane starts its threads at its first
@@ -57,16 +65,15 @@ let make_lane ~seed ~sink ~name ~lserver i =
    replies to different clients rarely collide for long, and the extra
    courier threads cost as much as the collisions.) *)
 let create ?sched ?(sink = Sink.none) cfg ~servers ~deliver =
-  let num_lanes = if cfg.sharded then servers + 1 else 1 in
-  let lane_name i =
-    if num_lanes = 1 then "lane-all"
-    else if i < servers then "lane-s" ^ string_of_int i
-    else "lane-client"
-  in
   let lanes =
-    Array.init num_lanes (fun i ->
-        let lserver = if cfg.sharded && i < servers then Some i else None in
-        make_lane ~seed:cfg.seed ~sink ~name:(lane_name i) ~lserver i)
+    Array.init (servers + 1) (fun i ->
+        let lserver = if i < servers then Some i else None in
+        let name =
+          match lserver with
+          | Some s -> "lane-s" ^ string_of_int s
+          | None -> "lane-client"
+        in
+        make_lane ~seed:cfg.seed ~sink ~name ~lserver i)
   in
   (* threaded couriers park on the lane condvar while frozen; a thaw
      wakes them so the predicate is re-checked (the DST runner re-polls
@@ -110,8 +117,8 @@ let courier_pause t s =
   | Some hook -> hook.sleep s
 
 (* A frozen server lane stops draining: envelopes queue up exactly as
-   they would behind a stuttering NIC.  Only sharded server lanes can
-   freeze (the shared client/fallback lane carries everyone's traffic). *)
+   they would behind a stuttering NIC.  Only server lanes freeze (the
+   client lane carries every server's replies). *)
 let lane_frozen t lane =
   match lane.lserver with
   | None -> false

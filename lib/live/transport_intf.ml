@@ -1,24 +1,20 @@
-(* Everything the three transport backends share: destinations,
+(* Everything the two transport backends share: destinations,
    envelopes, the configuration record, the control plane (the
    runtime-adjustable hostile-network state and the message counters),
    and the per-envelope fault decision.  The backends — the seeded
-   in-process courier ([Threads]), the multi-core [Domains] fabric and
-   the forked-process [Socket] fabric — keep only their data planes:
-   where messages queue, how lanes park, where a server step runs.
-   [Transport] dispatches those and forwards every control here. *)
+   in-process courier ([Threads]) and the forked-process [Socket]
+   fabric — keep only their data planes: where messages queue, how
+   lanes park, where a server step runs.  [Transport] dispatches those
+   and forwards every control here. *)
 
-type backend = Threads | Domains | Socket
+type backend = Threads | Socket
 
-let backend_name = function
-  | Threads -> "threads"
-  | Domains -> "domains"
-  | Socket -> "socket"
+let backends = [ Threads; Socket ]
 
-let backend_of_name = function
-  | "threads" -> Some Threads
-  | "domains" -> Some Domains
-  | "socket" -> Some Socket
-  | _ -> None
+let backend_name = function Threads -> "threads" | Socket -> "socket"
+
+let backend_of_name s =
+  List.find_opt (fun b -> backend_name b = s) backends
 
 let backend_pp ppf b = Fmt.string ppf (backend_name b)
 
@@ -33,7 +29,6 @@ type config = {
   dup_prob : float;
   drop_prob : float;
   reorder : bool;
-  sharded : bool;
   backend : backend;
   seed : int;
 }
@@ -118,14 +113,6 @@ let with_cell arr n server v ~default =
   Array.blit arr 0 a 0 (Array.length arr);
   a.(server) <- v;
   a
-
-(* server [s]'s lane is [lanes.(s)]; the last lane carries everything
-   else — client-bound replies, or all traffic when it is the only lane *)
-let lane_for lanes dest =
-  let last = Array.length lanes - 1 in
-  match dest with
-  | To_server s when s >= 0 && s < last -> lanes.(s)
-  | To_server _ | To_client _ -> lanes.(last)
 
 let dest_str = function
   | To_server s -> "s" ^ string_of_int s

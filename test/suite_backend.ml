@@ -1,7 +1,7 @@
 (* Tests for the pluggable transport backends: the lock-free MPSC ring
-   under the [Domains] backend, the interruptible Alarm, the binary
-   codec of the [Socket] backend, and cluster-level smoke on both new
-   fabrics. *)
+   under the [Socket] backend's outboxes, the interruptible Alarm, the
+   binary codec of the [Socket] backend, the backend list, and
+   cluster-level smoke on the socket fabric. *)
 
 open Regemu_objects
 open Regemu_live
@@ -264,90 +264,22 @@ let codec_tests =
         Unix.close r);
   ]
 
-(* --- domains transport --------------------------------------------------- *)
+(* --- the backend list -------------------------------------------------- *)
 
 let query i = Proto.Query { rid = i }
 
-let domains_config ~seed =
-  { (Transport.default_config ~seed) with backend = Transport.Domains }
-
-let domains_tests =
+let names_tests =
   [
-    test "per-destination FIFO when reorder=false (mirror of the \
-          sharded-lane test)" (fun () ->
-        let per_dest : (int, int list ref) Hashtbl.t = Hashtbl.create 8 in
-        let lock = Mutex.create () in
-        let deliver (e : Transport.envelope) =
-          Mutex.lock lock;
-          let key =
-            match e.dest with
-            | Transport.To_server s -> s
-            | Transport.To_client c -> 100 + c
-          in
-          let l =
-            match Hashtbl.find_opt per_dest key with
-            | Some l -> l
-            | None ->
-                let l = ref [] in
-                Hashtbl.replace per_dest key l;
-                l
-          in
-          l := Proto.rid_of e.payload :: !l;
-          Mutex.unlock lock
-        in
-        let tr =
-          Transport.create
-            { (domains_config ~seed:5) with reorder = false }
-            ~servers:3 ~deliver
-        in
-        Alcotest.(check bool) "domains backend selected" true
-          (Transport.backend tr = Transport.Domains);
-        Transport.start tr;
-        let total = 300 in
-        for i = 0 to total - 1 do
-          let dest =
-            if i mod 4 = 3 then Transport.To_client (i mod 2)
-            else Transport.To_server (i mod 4)
-          in
-          Transport.send tr { Transport.src = 0; dest; payload = query i }
-        done;
-        Alcotest.(check bool) "all delivered" true
-          (settle (fun () -> Transport.delivered tr) total);
-        Transport.stop tr;
-        Alcotest.(check int) "four lanes" 4 (Transport.lanes tr);
-        Hashtbl.iter
-          (fun _ l ->
-            let got = List.rev !l in
-            Alcotest.(check (list int)) "per-destination send order"
-              (List.sort compare got) got)
-          per_dest);
-    test "a downed server's lane parks; restart releases the backlog"
-      (fun () ->
-        let delivered = Atomic.make 0 in
-        let tr =
-          Transport.create
-            { (domains_config ~seed:6) with reorder = false }
-            ~servers:2
-            ~deliver:(fun _ -> Atomic.incr delivered)
-        in
-        Transport.start tr;
-        Transport.set_server_up tr ~server:0 false;
-        for i = 0 to 19 do
-          Transport.send tr
-            { Transport.src = 0; dest = Transport.To_server 0; payload = query i }
-        done;
-        Thread.delay 0.05;
-        Alcotest.(check int) "nothing delivered while down" 0
-          (Atomic.get delivered);
-        (* the other lanes still flow *)
-        Transport.send tr
-          { Transport.src = 0; dest = Transport.To_server 1; payload = query 99 };
-        Alcotest.(check bool) "other server unaffected" true
-          (settle (fun () -> Atomic.get delivered) 1);
-        Transport.set_server_up tr ~server:0 true;
-        Alcotest.(check bool) "backlog released on restart" true
-          (settle (fun () -> Atomic.get delivered) 21);
-        Transport.stop tr);
+    test "backend names round-trip over Transport.backends" (fun () ->
+        List.iter
+          (fun b ->
+            Alcotest.(check bool)
+              (Transport.backend_name b ^ " parses back")
+              true
+              (Transport.backend_of_name (Transport.backend_name b) = Some b))
+          Transport.backends;
+        Alcotest.(check bool) "domains is gone" true
+          (Transport.backend_of_name "domains" = None));
   ]
 
 (* --- socket faults -------------------------------------------------------- *)
@@ -398,7 +330,7 @@ let socket_tests =
           delay_events);
   ]
 
-(* --- cluster-level smoke on the new fabrics ------------------------------ *)
+(* --- cluster-level smoke on the socket fabric ---------------------------- *)
 
 let run_spec backend ~chaos ~seed =
   Live_bench.run
@@ -413,11 +345,6 @@ let check_clean what (r : Checker.result) =
 
 let cluster_tests =
   [
-    test "domains: ABD with chaos completes clean" (fun () ->
-        let o = run_spec Transport.Domains ~chaos:true ~seed:11 in
-        check_clean "domains chaos" o.Live_bench.check;
-        Alcotest.(check int) "every op completed" (3 * 40) o.Live_bench.ops;
-        Alcotest.(check bool) "clean" true (Live_bench.clean o));
     test "socket: ABD quiet run completes clean over real processes"
       (fun () ->
         let o = run_spec Transport.Socket ~chaos:false ~seed:12 in
@@ -565,7 +492,7 @@ let suites =
     ("backend.mpsc", mpsc_tests);
     ("backend.alarm", alarm_tests);
     ("backend.codec", codec_tests);
-    ("backend.domains", domains_tests);
+    ("backend.names", names_tests);
     ("backend.socket", socket_tests);
     ("backend.cluster", cluster_tests);
     ("backend.schema", schema_tests);

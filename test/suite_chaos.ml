@@ -32,7 +32,6 @@ let mk_cluster ?(recovery = Recovery.Persist) ?(retry = quick_retry)
           dup_prob;
           drop_prob = 0.0;
           reorder = true;
-          sharded = true;
           backend = Transport.Threads;
           seed;
         };

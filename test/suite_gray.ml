@@ -413,7 +413,6 @@ let mk_cluster ?(hedge = None) ?(deadline = None) ~seed () =
           dup_prob = 0.0;
           drop_prob = 0.0;
           reorder = true;
-          sharded = true;
           backend = Transport.Threads;
           seed;
         };
@@ -686,9 +685,9 @@ let suites =
     ("gray.deadline", deadline_tests);
     ("gray.hedge", hedge_tests);
     ( "gray.transport",
-      List.concat_map transport_gray_tests
-        Transport.[ Threads; Domains; Socket ]
-      @ List.map slow_reply_test Transport.[ Threads; Domains ] );
+      List.concat_map transport_gray_tests Transport.backends
+      @ List.map slow_reply_test
+          (List.filter (( <> ) Transport.Socket) Transport.backends) );
     ("gray.fault", fault_gray_tests);
     ("gray.hedged-runs", hedged_run_tests);
     ("gray.keyed-retry", keyed_retry_tests);
