@@ -1,7 +1,7 @@
 (* Tests for the pluggable transport backends: the lock-free MPSC ring
    under the [Socket] backend's outboxes, the interruptible Alarm, the
    binary codec of the [Socket] backend, the backend list, and
-   cluster-level smoke on the socket fabric. *)
+   cluster-level smoke on both fabrics. *)
 
 open Regemu_objects
 open Regemu_live
@@ -280,6 +280,72 @@ let names_tests =
           Transport.backends;
         Alcotest.(check bool) "domains is gone" true
           (Transport.backend_of_name "domains" = None));
+    test "a scheduler forces Threads whatever the configured backend"
+      (fun () ->
+        let sched =
+          {
+            Sched_hook.spawn = (fun ~name:_ _ -> ());
+            suspend = (fun ?timeout_s:_ ?mutex:_ _ -> ());
+            sleep = ignore;
+          }
+        in
+        List.iter
+          (fun b ->
+            let cfg = { (Transport.default_config ~seed:1) with backend = b } in
+            Alcotest.(check bool)
+              (Transport.backend_name b ^ " runs as configured")
+              true
+              (Transport.effective_backend cfg = b);
+            Alcotest.(check bool)
+              (Transport.backend_name b ^ " under a scheduler")
+              true
+              (Transport.effective_backend ~sched cfg = Transport.Threads))
+          Transport.backends);
+    test "lanes: servers + 1 on threads, one per server on socket"
+      (fun () ->
+        List.iter
+          (fun b ->
+            let tr =
+              Transport.create
+                { (Transport.default_config ~seed:2) with backend = b }
+                ~servers:3 ~deliver:ignore
+            in
+            Alcotest.(check bool) "backend selected" true
+              (Transport.backend tr = b);
+            let want = match b with Transport.Threads -> 4 | Socket -> 3 in
+            Alcotest.(check int)
+              (Transport.backend_name b ^ " lanes")
+              want (Transport.lanes tr);
+            Alcotest.(check int)
+              (Transport.backend_name b ^ " starts no thread before a send")
+              0
+              (Transport.threads_started tr);
+            Transport.stop tr)
+          Transport.backends);
+    test "create rejects a bad configuration on every backend" (fun () ->
+        let expect_invalid what f =
+          match f () with
+          | (_ : Transport.t) -> Alcotest.failf "%s: accepted" what
+          | exception Invalid_argument _ -> ()
+        in
+        List.iter
+          (fun b ->
+            let base =
+              { (Transport.default_config ~seed:3) with backend = b }
+            in
+            let mk ?(servers = 2) cfg () =
+              Transport.create cfg ~servers ~deliver:ignore
+            in
+            let what s = Transport.backend_name b ^ ": " ^ s in
+            expect_invalid (what "no server") (mk ~servers:0 base);
+            expect_invalid (what "no courier") (mk { base with couriers = 0 });
+            expect_invalid (what "dup_prob above 1")
+              (mk { base with dup_prob = 1.5 });
+            expect_invalid (what "negative drop_prob")
+              (mk { base with drop_prob = -0.1 });
+            expect_invalid (what "negative max_delay_us")
+              (mk { base with max_delay_us = -1 }))
+          Transport.backends);
   ]
 
 (* --- socket faults -------------------------------------------------------- *)
@@ -328,9 +394,92 @@ let socket_tests =
         in
         Alcotest.(check int) "a delay event per held copy" (10 + 20)
           delay_events);
+    test "socket: per-source FIFO when reorder=false" (fun () ->
+        (* one writer thread, one stream and one reader per server:
+           each server's replies come back in the order its queries
+           were sent, even though the servers race each other *)
+        let per_src : (int, int list ref) Hashtbl.t = Hashtbl.create 8 in
+        let lock = Mutex.create () in
+        let deliver (e : Transport.envelope) =
+          Mutex.lock lock;
+          let l =
+            match Hashtbl.find_opt per_src e.src with
+            | Some l -> l
+            | None ->
+                let l = ref [] in
+                Hashtbl.replace per_src e.src l;
+                l
+          in
+          l := Proto.rid_of e.payload :: !l;
+          Mutex.unlock lock
+        in
+        let tr =
+          Transport.create
+            {
+              (Transport.default_config ~seed:22) with
+              backend = Transport.Socket;
+              reorder = false;
+            }
+            ~servers:3 ~deliver
+        in
+        Transport.start tr;
+        let total = 150 in
+        for i = 0 to total - 1 do
+          Transport.send tr
+            {
+              Transport.src = 0;
+              dest = Transport.To_server (i mod 3);
+              payload = query i;
+            }
+        done;
+        Alcotest.(check bool) "every reply delivered" true
+          (settle (fun () -> Transport.delivered tr) total);
+        Transport.stop tr;
+        Alcotest.(check int) "every server answered" 3 (Hashtbl.length per_src);
+        Hashtbl.iter
+          (fun _ l ->
+            let got = List.rev !l in
+            Alcotest.(check int) "a third of the replies each" (total / 3)
+              (List.length got);
+            Alcotest.(check (list int)) "per-source send order"
+              (List.sort compare got) got)
+          per_src);
+    test "socket: a killed server's outbox waits; restart releases it"
+      (fun () ->
+        let delivered = Atomic.make 0 in
+        let tr =
+          Transport.create
+            {
+              (Transport.default_config ~seed:23) with
+              backend = Transport.Socket;
+              reorder = false;
+            }
+            ~servers:2
+            ~deliver:(fun _ -> Atomic.incr delivered)
+        in
+        Transport.start tr;
+        Transport.set_server_up tr ~server:0 false;
+        for i = 0 to 19 do
+          Transport.send tr
+            { Transport.src = 0; dest = Transport.To_server 0; payload = query i }
+        done;
+        Thread.delay 0.05;
+        Alcotest.(check int) "nothing answered while down" 0
+          (Atomic.get delivered);
+        (* the other server's outbox still flows *)
+        Transport.send tr
+          { Transport.src = 0; dest = Transport.To_server 1; payload = query 99 };
+        Alcotest.(check bool) "other server unaffected" true
+          (settle (fun () -> Atomic.get delivered) 1);
+        Transport.set_server_up tr ~server:0 true;
+        Alcotest.(check bool) "backlog answered by the fresh child" true
+          (settle (fun () -> Atomic.get delivered) 21);
+        Transport.stop tr;
+        Alcotest.(check int) "nothing lost, nothing doubled" 21
+          (Atomic.get delivered));
   ]
 
-(* --- cluster-level smoke on the socket fabric ---------------------------- *)
+(* --- cluster-level smoke on both fabrics -------------------------------- *)
 
 let run_spec backend ~chaos ~seed =
   Live_bench.run
@@ -430,6 +579,11 @@ let cluster_tests =
         check_clean "socket crash/restart" res;
         Alcotest.(check int) "all 41 ops completed" 41
           (Cluster.stats cluster).Cluster.ops_completed);
+    test "threads: ABD with chaos completes clean" (fun () ->
+        let o = run_spec Transport.Threads ~chaos:true ~seed:11 in
+        check_clean "threads chaos" o.Live_bench.check;
+        Alcotest.(check int) "every op completed" (3 * 40) o.Live_bench.ops;
+        Alcotest.(check bool) "clean" true (Live_bench.clean o));
   ]
 
 (* --- regemu-bench/2 validation ------------------------------------------ *)
@@ -485,6 +639,30 @@ let schema_tests =
         match Live_bench.validate_bench_json doc with
         | Error _ -> ()
         | Ok () -> Alcotest.fail "/1 accepted by the /2 validator");
+    test "validate_bench_json rejects a row from the deleted domains backend"
+      (fun () ->
+        let row b =
+          Json.Obj
+            [
+              ("name", Json.Str ("saturate/abd/" ^ b ^ "/clients=16"));
+              ("measure", Json.Str "throughput");
+              ("backend", Json.Str b);
+              ("ns_per_run", Json.Float 1.0);
+            ]
+        in
+        List.iter
+          (fun b ->
+            let name = Transport.backend_name b in
+            match Live_bench.validate_bench_json (bench_doc [ row name ]) with
+            | Ok () -> ()
+            | Error m -> Alcotest.failf "%s row rejected: %s" name m)
+          Transport.backends;
+        match
+          Live_bench.validate_bench_json
+            (bench_doc [ row "threads"; row "domains" ])
+        with
+        | Error _ -> ()
+        | Ok () -> Alcotest.fail "a domains row accepted");
   ]
 
 let suites =

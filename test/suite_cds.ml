@@ -316,6 +316,18 @@ let compare_tests =
         expect_invalid "wrong schema"
           (Compare_bench.validate_compare_json
              (Json.Obj [ ("schema", Json.Str "regemu-compare/2") ])));
+    test "a row from the deleted domains backend is rejected" (fun () ->
+        (* older documents carried a domains row for every cell; the
+           comparison now runs threads only *)
+        expect_invalid "domains row beside full coverage"
+          (Compare_bench.validate_compare_json
+             (doc (full_coverage @ [ row ~algo:"cds" ~backend:"domains" () ])));
+        expect_invalid "domains in place of threads"
+          (Compare_bench.validate_compare_json
+             (doc
+                (List.map
+                   (fun algo -> row ~algo ~backend:"domains" ())
+                   [ "abd"; "algorithm2"; "cds" ]))));
   ]
 
 let suites =
