@@ -1,162 +1,17 @@
 (* Benchmark & reproduction harness.
 
-   Running [dune exec bench/main.exe] first regenerates every table and
-   figure of the paper's evaluation (printed as aligned text tables),
-   then runs one Bechamel micro-benchmark per experiment to time the
-   machinery itself.
+   Running [dune exec bench/main.exe] first reproduces every claim of
+   the claim registry ({!Regemu_harness.Claim.all}: each table and
+   figure of the paper's evaluation, with its verdict), then runs one
+   Bechamel micro-benchmark per experiment to time the machinery
+   itself.
 
-   [dune exec bench/main.exe -- <section>] runs a single section; see
-   [usage] below. *)
+   [dune exec bench/main.exe -- <claim id>] reproduces a single claim;
+   see [usage] below.  The exit status is 1 if a reproduced claim
+   fails. *)
 
 open Regemu_bounds
 open Regemu_harness
-
-let pr_report r = Fmt.pr "%a@." Report.pp r
-
-let table1 () =
-  pr_report (Table1.report (Table1.compute ~seed:42 ()));
-  Fmt.pr
-    "shape check: max-register and CAS rows are 2f+1 and independent of k; \
-     the register row grows with k and shrinks with n until kf+f+1.@.@."
-
-let fig1 () =
-  Fmt.pr "%s@." (Figures.figure1 ());
-  pr_report (Theorems.load_balance ~k:5 ~f:2 ~n:6 ~rounds:2 ~seed:42)
-
-let fig2 () =
-  match Figures.figure2 ~f:2 () with
-  | Ok s -> Fmt.pr "%s@." s
-  | Error e -> Fmt.epr "figure2 failed: %s@." e
-
-let lemma1 () =
-  (match Theorems.lemma1 ~seed:42 () with
-  | Ok r -> pr_report r
-  | Error e -> Fmt.epr "lemma1 failed: %s@." e);
-  match
-    Regemu_adversary.Lowerbound.execute Regemu_core.Algorithm2.factory
-      (Params.make_exn ~k:5 ~f:2 ~n:6) ~seed:42 ()
-  with
-  | Ok run ->
-      Fmt.pr "Covering timeline (the staircase of the lower bound):@.%s@."
-        (Timeline.render run.trace)
-  | Error e -> Fmt.epr "timeline failed: %s@." e
-
-let thm1 () =
-  pr_report (Theorems.theorem1_sweep ~k:5 ~f:2 ());
-  pr_report (Theorems.theorem1_sweep ~k:8 ~f:1 ())
-
-let thm2 () = pr_report (Theorems.theorem2 ~ks:[ 1; 2; 4; 8; 16 ])
-
-let thm5 () =
-  match Theorems.theorem5 ~f:2 with
-  | Ok s -> Fmt.pr "%s@." s
-  | Error e -> Fmt.epr "theorem5 failed: %s@." e
-
-let thm6 () =
-  pr_report (Theorems.theorem6 ~k:4 ~f:2);
-  match Theorems.theorem6_adversarial ~k:4 ~f:2 ~seed:42 with
-  | Ok r -> pr_report r
-  | Error e -> Fmt.epr "theorem6 adversarial failed: %s@." e
-
-let inversion () =
-  match Theorems.inversion () with
-  | Ok s -> Fmt.pr "%s@." s
-  | Error e -> Fmt.epr "inversion failed: %s@." e
-
-let thm7 () =
-  pr_report (Theorems.theorem7 ~k:6 ~f:2 ~capacities:[ 1; 2; 3; 4; 6; 12 ])
-
-let thm8 () =
-  match Theorems.theorem8 ~seed:42 () with
-  | Ok r -> pr_report r
-  | Error e -> Fmt.epr "theorem8 failed: %s@." e
-
-let classification () =
-  pr_report (Theorems.classification ~k:5 ~f:2 ~n:6)
-
-let rspace () =
-  pr_report
-    (Theorems.reader_space ~k:3 ~f:1 ~n:5 ~readers_list:[ 0; 1; 2; 4; 8 ])
-
-let latency () =
-  let p = Params.make_exn ~k:3 ~f:1 ~n:5 in
-  pr_report (Latency.report p (Latency.compute p ~rounds:2));
-  let p' = Params.make_exn ~k:3 ~f:2 ~n:5 in
-  pr_report (Latency.report p' (Latency.compute p' ~rounds:2))
-
-let alg1 () =
-  pr_report
-    (Theorems.algorithm1_time ~writers_list:[ 1; 2; 4; 8 ] ~ops_per_writer:8
-       ~seed:42);
-  pr_report (Theorems.maxreg_comparison ~k:4 ~capacity:64 ~ops:6 ~seed:42)
-
-let netabd () =
-  pr_report (Wire.abd_messages ~fs:[ 1; 2; 3; 4 ] ~ops:6 ~seed:1);
-  pr_report
-    (Wire.alg2_messages
-       ~configs:[ (1, 1, 3); (2, 1, 4); (3, 1, 5); (3, 2, 7) ]
-       ~seed:3);
-  match Wire.staircase ~k:5 ~f:2 ~n:6 ~seed:42 with
-  | Ok r -> pr_report r
-  | Error e -> Fmt.epr "wire staircase failed: %s@." e
-
-let explore () =
-  let p = Params.make_exn ~k:1 ~f:1 ~n:3 in
-  let show name factory =
-    let r =
-      Regemu_mcheck.Explore.run
-        (Regemu_mcheck.Explore.emulation_scenario factory p
-           ~mode:Regemu_mcheck.Explore.Sequential
-           ~writer_ops:[ [ Regemu_objects.Value.Str "a" ] ]
-           ~readers:1 ~reads_each:1 ())
-        ~max_fired:2_000_000
-    in
-    Fmt.pr "%-12s %a@." name Regemu_mcheck.Explore.result_pp r
-  in
-  Fmt.pr
-    "== Systematic exploration: one write + one read at (k=1,f=1,n=3), all \
-     schedules ==@.";
-  show "algorithm2" Regemu_core.Algorithm2.factory;
-  show "abd-max" Regemu_baselines.Abd_max.factory;
-  show "naive-reg" Regemu_baselines.Naive_reg.factory;
-  Fmt.pr
-    "(for two writers the same search finds the Figure 2 violation against \
-     naive-reg; see `regemu explore --algo naive-reg --writes 2`)@.@."
-
-let saturate () =
-  (* a bounded cut of `regemu live --saturate` (the full sweep with
-     median-of-3 reps is the Makefile's perf-bench target) *)
-  let open Regemu_live in
-  Fmt.pr
-    "== Live-cluster saturation (bounded; see `make perf-bench` for the \
-     tracked sweep) ==@.";
-  List.iter
-    (fun spec ->
-      Fmt.pr "%a@." Live_bench.outcome_pp (Live_bench.run spec))
-    (Live_bench.saturate_specs ~clients:[ 2; 8 ] ~ops_per_client:100 ~seed:42
-       ())
-
-let sections =
-  [
-    ("table1", table1);
-    ("fig1", fig1);
-    ("fig2", fig2);
-    ("lemma1", lemma1);
-    ("thm1", thm1);
-    ("thm2", thm2);
-    ("thm5", thm5);
-    ("thm6", thm6);
-    ("inversion", inversion);
-    ("thm7", thm7);
-    ("thm8", thm8);
-    ("alg1", alg1);
-    ("latency", latency);
-    ("classification", classification);
-    ("rspace", rspace);
-    ("netabd", netabd);
-    ("explore", explore);
-    ("saturate", saturate);
-  ]
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks: one Test.make per table/figure.          *)
@@ -388,9 +243,14 @@ let run_benchmarks ?json () =
       Regemu_obs.Json.to_file path (json_of_results results);
       Fmt.pr "wrote %s@." path
 
+let claims = List.map (fun c -> (c.Claim.id, c)) Claim.all
+let reproduce cs =
+  Claim.run Format.std_formatter (List.map (fun c -> (c, c.Claim.defaults)) cs)
+
 let usage () =
   Fmt.pr "usage: main.exe [all|bench|%s] [--json FILE]@."
-    (String.concat "|" (List.map fst sections))
+    (String.concat "|" (List.map fst claims));
+  2
 
 let () =
   (* peel off a trailing [--json FILE] before dispatching *)
@@ -401,13 +261,17 @@ let () =
     | [] -> (List.rev acc, None)
   in
   let args, json = split [] argv in
-  match args with
-  | [ _ ] | [ _; "all" ] ->
-      List.iter (fun (_, f) -> f ()) sections;
-      run_benchmarks ?json ()
-  | [ _; "bench" ] -> run_benchmarks ?json ()
-  | [ _; name ] -> (
-      match List.assoc_opt name sections with
-      | Some f -> f ()
-      | None -> usage ())
-  | _ -> usage ()
+  exit
+    (match args with
+    | [ _ ] | [ _; "all" ] ->
+        let status = reproduce Claim.all in
+        run_benchmarks ?json ();
+        status
+    | [ _; "bench" ] ->
+        run_benchmarks ?json ();
+        0
+    | [ _; name ] -> (
+        match List.assoc_opt name claims with
+        | Some c -> reproduce [ c ]
+        | None -> usage ())
+    | _ -> usage ())

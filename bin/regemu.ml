@@ -8,15 +8,21 @@ open Regemu_bounds
 open Regemu_harness
 module Json = Regemu_obs.Json
 
-let pr_report r = Fmt.pr "%a@." Report.pp r
+(* common args; the claim subcommands share their infos, each with its
+   claim's own default *)
+let k_info = Arg.info [ "k" ] ~doc:"Number of writers."
+let f_info = Arg.info [ "f" ] ~doc:"Failure threshold."
+let n_info = Arg.info [ "n" ] ~doc:"Number of servers."
+let seed_info = Arg.info [ "seed" ] ~doc:"Deterministic RNG seed."
+let algo_info = Arg.info [ "algo" ] ~doc:"Emulation algorithm."
+let algo_conv = Arg.enum Regemu_baselines.Factories.all
+let k_arg = Arg.(value & opt int 5 & k_info)
+let f_arg = Arg.(value & opt int 2 & f_info)
+let n_arg = Arg.(value & opt int 6 & n_info)
+let seed_arg = Arg.(value & opt int 42 & seed_info)
 
-(* common args *)
-let k_arg = Arg.(value & opt int 5 & info [ "k" ] ~doc:"Number of writers.")
-let f_arg = Arg.(value & opt int 2 & info [ "f" ] ~doc:"Failure threshold.")
-let n_arg = Arg.(value & opt int 6 & info [ "n" ] ~doc:"Number of servers.")
-
-let seed_arg =
-  Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Deterministic RNG seed.")
+let algo_arg =
+  Arg.(value & opt algo_conv Regemu_core.Algorithm2.factory & algo_info)
 
 let params_of k f n =
   match Params.make ~k ~f ~n with
@@ -29,196 +35,67 @@ let exit_of = function
       Fmt.epr "error: %s@." m;
       1
 
-let factories =
-  [
-    ("algorithm2", Regemu_core.Algorithm2.factory);
-    ("abd-max", Regemu_baselines.Abd_max.factory);
-    ("abd-cas", Regemu_baselines.Abd_cas.factory);
-    ("abd-max-atomic", Regemu_baselines.Abd_max_atomic.factory);
-    ("layered", Regemu_baselines.Layered.factory);
-    ("naive-reg", Regemu_baselines.Naive_reg.factory);
-    ("waitall-reg", Regemu_baselines.Waitall_reg.factory);
-  ]
+(* --- the paper's artifacts: one subcommand per claim of the registry ---- *)
 
-let algo_arg =
-  Arg.(
-    value
-    & opt (enum (List.map (fun (n, f) -> (n, (n, f))) factories))
-        ("algorithm2", Regemu_core.Algorithm2.factory)
-    & info [ "algo" ] ~doc:"Emulation algorithm.")
+(* the shared settings [c] reads become its flags, with [c]'s defaults;
+   the ones it does not read stay at those defaults *)
+let claim_args (c : Claim.t) =
+  let d = c.defaults in
+  let opt flag kind default info =
+    if List.mem flag c.reads then Arg.value (Arg.opt kind default info)
+    else Term.const default
+  in
+  Term.(
+    const (fun k f n seed algo -> { Claim.k; f; n; seed; algo })
+    $ opt Claim.K Arg.int d.k k_info
+    $ opt Claim.F Arg.int d.f f_info
+    $ opt Claim.N Arg.int d.n n_info
+    $ opt Claim.Seed Arg.int d.seed seed_info
+    $ opt Claim.Algo algo_conv d.algo algo_info)
 
-(* --- table1 ----------------------------------------------------------- *)
+(* a bad k, f or n is a usage error, reported before the claim runs (a
+   claim that does not read n runs at n = 2f+1 or needs none) *)
+let claim_cmds =
+  List.map
+    (fun (c : Claim.t) ->
+      let run (a : Claim.args) =
+        let n = if List.mem Claim.N c.reads then a.n else (2 * a.f) + 1 in
+        match params_of a.k a.f n with
+        | Ok _ -> Claim.run Format.std_formatter [ (c, a) ]
+        | Error e -> exit_of (Error e)
+      in
+      Cmd.v (Cmd.info c.id ~doc:c.doc) Term.(const run $ claim_args c))
+    Claim.all
 
-let markdown_arg =
-  Arg.(value & flag & info [ "markdown" ] ~doc:"Render as a markdown table.")
+let registry seed = List.map (fun c -> (c, Claim.with_seed seed c)) Claim.all
 
-let table1_cmd =
+let all_cmd =
+  let markdown =
+    Arg.(
+      value & flag
+      & info [ "markdown" ]
+          ~doc:"Render tables as markdown and text blocks as code blocks.")
+  in
   let run seed markdown =
-    let report = Table1.report (Table1.compute ~seed ()) in
-    if markdown then print_string (Report.to_markdown report)
-    else pr_report report;
-    0
+    Claim.run ~markdown Format.std_formatter (registry seed)
   in
   Cmd.v
-    (Cmd.info "table1"
-       ~doc:"Reproduce Table 1: object counts per base-object type.")
-    Term.(const run $ seed_arg $ markdown_arg)
-
-(* --- fig1 ------------------------------------------------------------- *)
-
-let fig1_cmd =
-  let run k f n =
-    exit_of
-      (Result.map
-         (fun p -> Fmt.pr "%s@." (Figures.figure1 ~params:p ()))
-         (params_of k f n))
-  in
-  Cmd.v
-    (Cmd.info "fig1" ~doc:"Reproduce Figure 1: the register layout.")
-    Term.(const run $ k_arg $ f_arg $ n_arg)
-
-(* --- fig2 ------------------------------------------------------------- *)
-
-let fig2_cmd =
-  let run f =
-    exit_of
-      (Result.map_error
-         (fun e -> `Msg e)
-         (Result.map (Fmt.pr "%s@.") (Figures.figure2 ~f ())))
-  in
-  Cmd.v
-    (Cmd.info "fig2"
+    (Cmd.info "all"
        ~doc:
-         "Reproduce Figure 2: the Lemma 4 schedule that breaks the naive \
-          2f+1-register algorithm.")
-    Term.(const run $ f_arg)
+         "Reproduce every paper artifact and its verdict; exit 1 if any \
+          claim fails.")
+    Term.(const run $ seed_arg $ markdown)
 
-(* --- lemma1 ------------------------------------------------------------ *)
-
-let lemma1_cmd =
-  let run (_name, factory) k f n seed =
-    exit_of
-      (Result.bind (params_of k f n) (fun p ->
-           match Theorems.lemma1 ~params:p ~factory ~seed () with
-           | Ok r ->
-               pr_report r;
-               Ok ()
-           | Error e -> Error (`Msg e)))
+let verify_cmd =
+  let run seed =
+    Claim.run ~verdicts_only:true Format.std_formatter (registry seed)
   in
   Cmd.v
-    (Cmd.info "lemma1"
+    (Cmd.info "verify"
        ~doc:
-         "Run the Lemma 1 adversarial construction against an emulation and \
-          report the covering growth.")
-    Term.(const run $ algo_arg $ k_arg $ f_arg $ n_arg $ seed_arg)
-
-let timeline_cmd =
-  let run (name, factory) k f n seed =
-    exit_of
-      (Result.bind (params_of k f n) (fun p ->
-           match Regemu_adversary.Lowerbound.execute factory p ~seed () with
-           | Error e -> Error (`Msg e)
-           | Ok run ->
-               Fmt.pr
-                 "Covering timeline under Ad_i (%s at %a, seed %d):@.%s@."
-                 name Params.pp p seed
-                 (Timeline.render run.trace);
-               Ok ()))
-  in
-  Cmd.v
-    (Cmd.info "timeline"
-       ~doc:
-         "ASCII chart of |Cov(t)| over an adversarial run: the staircase \
-          that forces the space bound.")
-    Term.(const run $ algo_arg $ k_arg $ f_arg $ n_arg $ seed_arg)
-
-(* --- theorem sweeps ----------------------------------------------------- *)
-
-let thm1_cmd =
-  let n_max =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "n-max" ] ~doc:"Largest server count to sweep to.")
-  in
-  let run k f n_max =
-    pr_report (Theorems.theorem1_sweep ~k ~f ?n_max ());
-    0
-  in
-  Cmd.v
-    (Cmd.info "thm1" ~doc:"Sweep the Theorem 1/3 register bounds over n.")
-    Term.(const run $ k_arg $ f_arg $ n_max)
-
-let thm2_cmd =
-  let ks =
-    Arg.(
-      value
-      & opt (list int) [ 1; 2; 4; 8; 16 ]
-      & info [ "ks" ] ~doc:"Writer counts to evaluate.")
-  in
-  let run ks =
-    pr_report (Theorems.theorem2 ~ks);
-    0
-  in
-  Cmd.v
-    (Cmd.info "thm2"
-       ~doc:"Theorem 2: k-writer max-register needs (and our construction \
-             uses) k registers.")
-    Term.(const run $ ks)
-
-let thm5_cmd =
-  let run f =
-    exit_of
-      (Result.map_error
-         (fun e -> `Msg e)
-         (Result.map (Fmt.pr "%s@.") (Theorems.theorem5 ~f)))
-  in
-  Cmd.v
-    (Cmd.info "thm5"
-       ~doc:"Theorem 5: the partitioning impossibility at n = 2f, executed.")
-    Term.(const run $ f_arg)
-
-let inversion_cmd =
-  let run () =
-    exit_of
-      (Result.map_error
-         (fun e -> `Msg e)
-         (Result.map (Fmt.pr "%s@.") (Theorems.inversion ())))
-  in
-  Cmd.v
-    (Cmd.info "inversion"
-       ~doc:
-         "The new/old read inversion: why atomicity needs readers that \
-          write.")
-    Term.(const run $ const ())
-
-let thm6_cmd =
-  let run k f =
-    pr_report (Theorems.theorem6 ~k ~f);
-    (match Theorems.theorem6_adversarial ~k ~f ~seed:42 with
-    | Ok r -> pr_report r
-    | Error e -> Fmt.epr "adversarial witness failed: %s@." e);
-    0
-  in
-  Cmd.v
-    (Cmd.info "thm6" ~doc:"Theorem 6: per-server register counts at n=2f+1.")
-    Term.(const run $ k_arg $ f_arg)
-
-let thm7_cmd =
-  let caps =
-    Arg.(
-      value
-      & opt (list int) [ 1; 2; 3; 4; 6; 12 ]
-      & info [ "capacities" ] ~doc:"Per-server capacities to evaluate.")
-  in
-  let run k f caps =
-    pr_report (Theorems.theorem7 ~k ~f ~capacities:caps);
-    0
-  in
-  Cmd.v
-    (Cmd.info "thm7"
-       ~doc:"Theorem 7: minimum server count under bounded per-server storage.")
-    Term.(const run $ k_arg $ f_arg $ caps)
+         "Check every claim of the paper and print one PASS/FAIL/not-checked \
+          line per claim; exit 1 if any claim fails.")
+    Term.(const run $ seed_arg)
 
 let plan_cmd =
   let capacity =
@@ -266,101 +143,9 @@ let plan_cmd =
        ~doc:"Capacity planning with the paper's bounds.")
     Term.(const run $ k_arg $ f_arg $ n_arg $ capacity)
 
-let thm8_cmd =
-  let run k f n seed =
-    exit_of
-      (Result.bind (params_of k f n) (fun p ->
-           match Theorems.theorem8 ~params:p ~seed () with
-           | Ok r ->
-               pr_report r;
-               Ok ()
-           | Error e -> Error (`Msg e)))
-  in
-  Cmd.v
-    (Cmd.info "thm8"
-       ~doc:"Theorem 8: resource use grows while point contention stays 1.")
-    Term.(const run $ k_arg $ f_arg $ n_arg $ seed_arg)
-
-let classification_cmd =
-  let run k f n =
-    exit_of
-      (Result.map
-         (fun p ->
-           pr_report
-             (Theorems.classification ~k:p.Params.k ~f:p.Params.f ~n:p.Params.n))
-         (params_of k f n))
-  in
-  Cmd.v
-    (Cmd.info "classification"
-       ~doc:
-         "The paper's space-based classification vs Herlihy's consensus \
-          hierarchy.")
-    Term.(const run $ k_arg $ f_arg $ n_arg)
-
-let rspace_cmd =
-  let readers =
-    Arg.(
-      value
-      & opt (list int) [ 0; 1; 2; 4; 8 ]
-      & info [ "readers" ] ~doc:"Reader counts to evaluate.")
-  in
-  let run k f n readers =
-    exit_of
-      (Result.map
-         (fun p ->
-           pr_report
-             (Theorems.reader_space ~k:p.Params.k ~f:p.Params.f ~n:p.Params.n
-                ~readers_list:readers))
-         (params_of k f n))
-  in
-  Cmd.v
-    (Cmd.info "rspace"
-       ~doc:
-         "Does atomicity cost space per reader? (the paper's closing \
-          question, measured)")
-    Term.(const run $ k_arg $ f_arg $ n_arg $ readers)
-
-let alg1_cmd =
-  let writers =
-    Arg.(
-      value
-      & opt (list int) [ 1; 2; 4; 8 ]
-      & info [ "writers" ] ~doc:"Concurrency levels to evaluate.")
-  in
-  let ops =
-    Arg.(
-      value & opt int 8
-      & info [ "ops" ] ~doc:"write-max operations per writer.")
-  in
-  let run writers ops seed =
-    pr_report (Theorems.algorithm1_time ~writers_list:writers ~ops_per_writer:ops ~seed);
-    0
-  in
-  Cmd.v
-    (Cmd.info "alg1"
-       ~doc:"Algorithm 1: CAS cost of the max-register emulation.")
-    Term.(const run $ writers $ ops $ seed_arg)
-
-let latency_cmd =
-  let rounds =
-    Arg.(value & opt int 2 & info [ "rounds" ] ~doc:"Write+read rounds.")
-  in
-  let run k f n rounds =
-    exit_of
-      (Result.map
-         (fun p -> pr_report (Latency.report p (Latency.compute p ~rounds)))
-         (params_of k f n))
-  in
-  Cmd.v
-    (Cmd.info "latency"
-       ~doc:"Compare operation latencies (in scheduler steps) across \
-             emulations.")
-    Term.(const run $ k_arg $ f_arg $ n_arg $ rounds)
-
 (* --- run: drive an emulation through a workload ------------------------- *)
 
 let fuzz_cmd =
-  let algo = algo_arg in
   let runs =
     Arg.(value & opt int 50 & info [ "runs" ] ~doc:"Number of seeded runs.")
   in
@@ -385,7 +170,7 @@ let fuzz_cmd =
             "Hold ~40% of responses for 15 steps (the covering-adversary \
              pattern); finds bugs uniform schedules never hit.")
   in
-  let run (name, factory) k f n runs scenario seed procrastinate =
+  let run ({ Regemu_core.Emulation.name; _ } as factory) k f n runs scenario seed procrastinate =
     exit_of
       (Result.map
          (fun p ->
@@ -413,7 +198,7 @@ let fuzz_cmd =
     (Cmd.info "fuzz"
        ~doc:"Run many seeded random schedules and tally checker verdicts.")
     Term.(
-      const run $ algo $ k_arg $ f_arg $ n_arg $ runs $ scenario $ seed_arg
+      const run $ algo_arg $ k_arg $ f_arg $ n_arg $ runs $ scenario $ seed_arg
       $ procrastinate)
 
 let explore_cmd =
@@ -584,7 +369,7 @@ let explore_cmd =
       (float_of_int replayed /. float_of_int (max 1 replays))
       judged runs
   in
-  let run_exhaustive (name, factory) p ~eager ~crashes ~ops_each ~budget
+  let run_exhaustive ({ Regemu_core.Emulation.name; _ } as factory) p ~eager ~crashes ~ops_each ~budget
       ~cert_out ~json =
     let scenario = scenario_of factory p ~eager ~crashes ~ops_each in
     (* the naive baseline violates the pending-write invariants by
@@ -724,7 +509,7 @@ let explore_cmd =
       1
     end
   in
-  let run_brute (name, factory) p ~eager ~crashes ~ops_each ~budget =
+  let run_brute ({ Regemu_core.Emulation.name; _ } as factory) p ~eager ~crashes ~ops_each ~budget =
     let r, cpu_s =
       timed_search (fun () ->
           Regemu_mcheck.Explore.run
@@ -745,7 +530,7 @@ let explore_cmd =
     witnesses "WS-Regular" r.ws_regular_violations;
     if r.ws_safe_violations = [] && r.ws_regular_violations = [] then 0 else 1
   in
-  let run (name, factory) f n budget writes eager crashes exhaustive ops_each
+  let run ({ Regemu_core.Emulation.name; _ } as factory) f n budget writes eager crashes exhaustive ops_each
       cert_out fuzz_cg profile corpus readers ops json smoke seed =
     if smoke then run_smoke ~seed
     else
@@ -757,10 +542,10 @@ let explore_cmd =
           match params_of writes f n with
           | Error e -> exit_of (Error e)
           | Ok p when exhaustive ->
-              run_exhaustive (name, factory) p ~eager ~crashes ~ops_each
+              run_exhaustive factory p ~eager ~crashes ~ops_each
                 ~budget ~cert_out ~json
           | Ok p ->
-              run_brute (name, factory) p ~eager ~crashes ~ops_each ~budget)
+              run_brute factory p ~eager ~crashes ~ops_each ~budget)
   in
   Cmd.v
     (Cmd.info "explore"
@@ -776,13 +561,6 @@ let explore_cmd =
       $ json_arg $ smoke_arg $ seed_arg)
 
 let run_cmd =
-  let algo =
-    Arg.(
-      value
-      & opt (enum (List.map (fun (n, f) -> (n, (n, f))) factories))
-          ("algorithm2", Regemu_core.Algorithm2.factory)
-      & info [ "algo" ] ~doc:"Emulation algorithm to drive.")
-  in
   let rounds =
     Arg.(value & opt int 2 & info [ "rounds" ] ~doc:"Rounds of writes.")
   in
@@ -794,7 +572,7 @@ let run_cmd =
       value & opt int 0
       & info [ "crashes" ] ~doc:"Servers to crash (at most f).")
   in
-  let run (name, factory) k f n rounds readers crashes seed =
+  let run ({ Regemu_core.Emulation.name; _ } as factory) k f n rounds readers crashes seed =
     exit_of
       (Result.bind (params_of k f n) (fun p ->
            match
@@ -821,7 +599,7 @@ let run_cmd =
          "Drive an emulation through a workload (sequential writes, \
           concurrent readers, optional crashes) and check its history.")
     Term.(
-      const run $ algo $ k_arg $ f_arg $ n_arg $ rounds $ readers $ crashes
+      const run $ algo_arg $ k_arg $ f_arg $ n_arg $ rounds $ readers $ crashes
       $ seed_arg)
 
 let sweep_cmd =
@@ -852,91 +630,6 @@ let sweep_cmd =
          "Measure bounds, usage, coverage, and latency over a (k, f, n) \
           grid; CSV output for plotting.")
     Term.(const run $ seeds $ csv)
-
-let netabd_cmd =
-  let run k f n seed =
-    pr_report (Wire.abd_messages ~fs:[ 1; 2; 3; 4 ] ~ops:6 ~seed);
-    pr_report
-      (Wire.alg2_messages
-         ~configs:[ (1, 1, 3); (2, 1, 4); (3, 1, 5); (3, 2, 7) ]
-         ~seed);
-    match Wire.staircase ~k ~f ~n ~seed with
-    | Ok r ->
-        pr_report r;
-        0
-    | Error e ->
-        Fmt.epr "error: %s@." e;
-        1
-  in
-  Cmd.v
-    (Cmd.info "netabd"
-       ~doc:
-         "Message complexity on the wire, and the lower-bound staircase \
-          produced by an adversarial router.")
-    Term.(const run $ k_arg $ f_arg $ n_arg $ seed_arg)
-
-let verify_cmd =
-  let run seed =
-    let summary = Verify.run ~seed in
-    Fmt.pr "%a" Verify.summary_pp summary;
-    if summary.failed = 0 then 0 else 1
-  in
-  Cmd.v
-    (Cmd.info "verify"
-       ~doc:
-         "Re-establish every headline claim of the reproduction and report \
-          PASS/FAIL per claim.")
-    Term.(const run $ seed_arg)
-
-let all_cmd =
-  let run seed =
-    pr_report (Table1.report (Table1.compute ~seed ()));
-    Fmt.pr "%s@." (Figures.figure1 ());
-    pr_report (Theorems.load_balance ~k:5 ~f:2 ~n:6 ~rounds:2 ~seed);
-    (match Figures.figure2 ~f:2 () with
-    | Ok s -> Fmt.pr "%s@." s
-    | Error e -> Fmt.epr "fig2: %s@." e);
-    (match Theorems.lemma1 ~seed () with
-    | Ok r -> pr_report r
-    | Error e -> Fmt.epr "lemma1: %s@." e);
-    pr_report (Theorems.theorem1_sweep ~k:5 ~f:2 ());
-    pr_report (Theorems.theorem2 ~ks:[ 1; 2; 4; 8; 16 ]);
-    (match Theorems.theorem5 ~f:2 with
-    | Ok s -> Fmt.pr "%s@." s
-    | Error e -> Fmt.epr "thm5: %s@." e);
-    pr_report (Theorems.theorem6 ~k:4 ~f:2);
-    (match Theorems.theorem6_adversarial ~k:4 ~f:2 ~seed with
-    | Ok r -> pr_report r
-    | Error e -> Fmt.epr "thm6 adversarial: %s@." e);
-    (match Theorems.inversion () with
-    | Ok s -> Fmt.pr "%s@." s
-    | Error e -> Fmt.epr "inversion: %s@." e);
-    pr_report (Theorems.theorem7 ~k:6 ~f:2 ~capacities:[ 1; 2; 3; 4; 6; 12 ]);
-    (match Theorems.theorem8 ~seed () with
-    | Ok r -> pr_report r
-    | Error e -> Fmt.epr "thm8: %s@." e);
-    pr_report (Theorems.classification ~k:5 ~f:2 ~n:6);
-    pr_report (Theorems.reader_space ~k:3 ~f:1 ~n:5 ~readers_list:[ 0; 1; 2; 4; 8 ]);
-    pr_report
-      (Theorems.algorithm1_time ~writers_list:[ 1; 2; 4; 8 ] ~ops_per_writer:8
-         ~seed);
-    pr_report (Theorems.maxreg_comparison ~k:4 ~capacity:64 ~ops:6 ~seed);
-    let p = Params.make_exn ~k:3 ~f:1 ~n:5 in
-    pr_report (Latency.report p (Latency.compute p ~rounds:2));
-    pr_report (Wire.abd_messages ~fs:[ 1; 2; 3; 4 ] ~ops:6 ~seed);
-    pr_report
-      (Wire.alg2_messages
-         ~configs:[ (1, 1, 3); (2, 1, 4); (3, 1, 5); (3, 2, 7) ]
-         ~seed);
-    (match Wire.staircase ~k:5 ~f:2 ~n:6 ~seed with
-    | Ok r -> pr_report r
-    | Error e -> Fmt.epr "staircase: %s@." e);
-    0
-  in
-  Cmd.v
-    (Cmd.info "all"
-       ~doc:"Regenerate every table and figure (no micro-benchmarks).")
-    Term.(const run $ seed_arg)
 
 (* --- observability plumbing ---------------------------------------------- *)
 
@@ -2002,13 +1695,9 @@ let () =
   exit
     (Cmd.eval'
        (Cmd.group ~default info
-          [
-            table1_cmd; fig1_cmd; fig2_cmd; lemma1_cmd; timeline_cmd;
-            thm1_cmd; thm2_cmd;
-            thm5_cmd; thm6_cmd; thm7_cmd; thm8_cmd; plan_cmd; alg1_cmd;
-            classification_cmd; rspace_cmd; inversion_cmd;
-            latency_cmd; fuzz_cmd; explore_cmd; run_cmd; verify_cmd;
-            sweep_cmd; netabd_cmd; live_cmd; compare_cmd; chaos_cmd; dst_cmd;
-            keyspace_cmd; trace_cmd;
-            all_cmd;
-          ]))
+          (claim_cmds
+          @ [
+              all_cmd; verify_cmd; plan_cmd; fuzz_cmd; explore_cmd; run_cmd;
+              sweep_cmd; live_cmd; compare_cmd; chaos_cmd; dst_cmd;
+              keyspace_cmd; trace_cmd;
+            ])))

@@ -15,7 +15,7 @@ open Regemu_bounds
     the paper's ([n=6, k=5, f=2]). *)
 val figure1 : ?params:Params.t -> unit -> string
 
-(** Figure 2: the Lemma 4 schedule and the resulting WS-Safety
-    violation.  Returns the rendered narration; [Error] if the
-    construction unexpectedly fails. *)
-val figure2 : ?f:int -> unit -> (string, string) result
+(** Figure 2: the Lemma 4 schedule of
+    {!Regemu_adversary.Violation.against_naive} at [f] and the
+    resulting WS-Safety violation, rendered as a narration. *)
+val figure2 : f:int -> Regemu_adversary.Violation.outcome -> string

@@ -4,43 +4,35 @@ open Regemu_sim
 open Regemu_core
 open Regemu_adversary
 
-let lemma1 ?params ?(factory = Algorithm2.factory) ~seed () =
-  let p =
-    match params with Some p -> p | None -> Params.make_exn ~k:5 ~f:2 ~n:6
-  in
-  match Lowerbound.execute factory p ~seed () with
-  | Error e -> Error e
-  | Ok run ->
-      Ok
-        {
-          Report.title =
-            Fmt.str
-              "Lemma 1: adversarial covering growth, %s at %a \
-               (bound: |Cov(t_i)| >= i*f, none on F)"
-              factory.Emulation.name Params.pp p;
-          headers =
-            [
-              "epoch i"; "|Cov(t_i)|"; "i*f"; "on F"; "|Q_i|"; "|F_i|";
-              "fresh servers (>2f)"; "objects used"; "lemma2";
-            ];
-          rows =
-            List.map
-              (fun (s : Lowerbound.epoch_stats) ->
-                [
-                  Report.cell_int s.epoch;
-                  Report.cell_int s.cov_total;
-                  Report.cell_int (s.epoch * p.Params.f);
-                  Report.cell_int s.cov_on_f;
-                  Report.cell_int s.q_size;
-                  Report.cell_int s.f_size;
-                  Report.cell_int s.fresh_servers_triggered;
-                  Report.cell_int s.objects_used_total;
-                  (match s.lemma2_failure with
-                  | None -> "ok"
-                  | Some m -> m);
-                ])
-              run.epochs;
-        }
+let lemma1 (run : Lowerbound.run) =
+  let p = run.params in
+  {
+    Report.title =
+      Fmt.str
+        "Lemma 1: adversarial covering growth, %s at %a \
+         (bound: |Cov(t_i)| >= i*f, none on F)"
+        run.algo Params.pp p;
+    headers =
+      [
+        "epoch i"; "|Cov(t_i)|"; "i*f"; "on F"; "|Q_i|"; "|F_i|";
+        "fresh servers (>2f)"; "objects used"; "lemma2";
+      ];
+    rows =
+      List.map
+        (fun (s : Lowerbound.epoch_stats) ->
+          [
+            Report.cell_int s.epoch;
+            Report.cell_int s.cov_total;
+            Report.cell_int (s.epoch * p.Params.f);
+            Report.cell_int s.cov_on_f;
+            Report.cell_int s.q_size;
+            Report.cell_int s.f_size;
+            Report.cell_int s.fresh_servers_triggered;
+            Report.cell_int s.objects_used_total;
+            (match s.lemma2_failure with None -> "ok" | Some m -> m);
+          ])
+        run.epochs;
+  }
 
 let theorem1_sweep ~k ~f ?n_max () =
   let n_max =
@@ -83,8 +75,9 @@ let theorem1_sweep ~k ~f ?n_max () =
   }
 
 let theorem2 ~ks =
-  let rows =
-    List.map
+  let rows, tight =
+    List.split
+    @@ List.map
       (fun k ->
         let sim = Sim.create ~n:1 () in
         let writers = List.init k (fun _ -> Sim.new_client sim) in
@@ -93,48 +86,53 @@ let theorem2 ~ks =
             ~writers
         in
         let used = List.length (Regemu_baselines.Reg_maxreg.objects m) in
-        [
-          Report.cell_int k;
-          Report.cell_int used;
-          Report.cell_int (Formulas.maxreg_register_lower_bound ~k);
-          Report.cell_bool (used = k);
-        ])
-      ks
+        ( [
+            Report.cell_int k;
+            Report.cell_int used;
+            Report.cell_int (Formulas.maxreg_register_lower_bound ~k);
+            Report.cell_bool (used = k);
+          ],
+          used = k ))
+         ks
   in
-  {
-    Report.title =
-      "Theorem 2: k-writer max-register from MWMR registers (lower bound k; \
-       our construction is tight)";
-    headers = [ "k"; "registers used"; "lower bound"; "tight" ];
-    rows;
-  }
+  ( {
+      Report.title =
+        "Theorem 2: k-writer max-register from MWMR registers (lower bound \
+         k; our construction is tight)";
+      headers = [ "k"; "registers used"; "lower bound"; "tight" ];
+      rows;
+    },
+    List.for_all Fun.id tight )
 
 let theorem6 ~k ~f =
   let n = (2 * f) + 1 in
   let p = Params.make_exn ~k ~f ~n in
   let sim = Sim.create ~n () in
   let layout = Layout.build sim p in
-  let rows =
-    List.map
-      (fun s ->
-        let stored = List.length (Layout.objects_on layout s) in
-        [
-          Fmt.str "%a" Id.Server.pp s;
-          Report.cell_int stored;
-          Report.cell_int (Formulas.per_server_lower_bound_at_minimum_n p);
-          Report.cell_bool (stored >= k);
-        ])
-      (Sim.servers sim)
+  let rows, meets =
+    List.split
+    @@ List.map
+         (fun s ->
+           let stored = List.length (Layout.objects_on layout s) in
+           ( [
+               Fmt.str "%a" Id.Server.pp s;
+               Report.cell_int stored;
+               Report.cell_int (Formulas.per_server_lower_bound_at_minimum_n p);
+               Report.cell_bool (stored >= k);
+             ],
+             stored >= k ))
+         (Sim.servers sim)
   in
-  {
-    Report.title =
-      Fmt.str
-        "Theorem 6: registers per server at n=2f+1 (k=%d, f=%d; every server \
-         must store >= k)"
-        k f;
-    headers = [ "server"; "registers stored"; "lower bound"; "meets bound" ];
-    rows;
-  }
+  ( {
+      Report.title =
+        Fmt.str
+          "Theorem 6: registers per server at n=2f+1 (k=%d, f=%d; every \
+           server must store >= k)"
+          k f;
+      headers = [ "server"; "registers stored"; "lower bound"; "meets bound" ];
+      rows;
+    },
+    List.for_all Fun.id meets )
 
 let narration ~title ~steps ~verdict_line =
   let b = Buffer.create 512 in
@@ -145,37 +143,29 @@ let narration ~title ~steps ~verdict_line =
   Fmt.flush ppf ();
   Buffer.contents b
 
-let theorem5 ~f =
-  match Partition.impossibility ~f with
-  | Error e -> Error e
-  | Ok o ->
-      Ok
-        (narration
-           ~title:
-             (Fmt.str
-                "Theorem 5: with n = 2f = %d servers, safety is lost (the \
-                 partitioning argument)"
-                (2 * f))
-           ~steps:o.steps
-           ~verdict_line:
-             (Fmt.str "Checker verdict: %a" Regemu_history.Ws_check.verdict_pp
-                o.verdict))
+let theorem5 ~f (o : Partition.outcome) =
+  narration
+    ~title:
+      (Fmt.str
+         "Theorem 5: with n = 2f = %d servers, safety is lost (the \
+          partitioning argument)"
+         (2 * f))
+    ~steps:o.steps
+    ~verdict_line:
+      (Fmt.str "Checker verdict: %a" Regemu_history.Ws_check.verdict_pp
+         o.verdict)
 
-let inversion () =
-  match Inversion.against_abd_max () with
-  | Error e -> Error e
-  | Ok o ->
-      Ok
-        (narration
-           ~title:
-             "New/old read inversion: ABD without reader write-back is \
-              regular but not atomic"
-           ~steps:o.steps
-           ~verdict_line:
-             (Fmt.str
-                "atomic: %b, weakly regular: %b (the write-back variant \
-                 abd-max-atomic is atomic)"
-                o.atomic o.weakly_regular))
+let inversion (o : Inversion.outcome) =
+  narration
+    ~title:
+      "New/old read inversion: ABD without reader write-back is regular \
+       but not atomic"
+    ~steps:o.steps
+    ~verdict_line:
+      (Fmt.str
+         "atomic: %b, weakly regular: %b (the write-back variant \
+          abd-max-atomic is atomic)"
+         o.atomic o.weakly_regular)
 
 let theorem6_adversarial ~k ~f ~seed =
   let n = (2 * f) + 1 in
@@ -184,26 +174,29 @@ let theorem6_adversarial ~k ~f ~seed =
   | Error e -> Error e
   | Ok run ->
       Ok
-        {
-          Report.title =
-            Fmt.str
-              "Theorem 6 (adversarial witness): covered registers per server \
-               after the Lemma 1 run at n=2f+1 (k=%d, f=%d; servers outside \
-               F must reach k)"
-              k f;
-          headers =
-            [ "server"; "in F"; "covered registers"; "k" ];
-          rows =
-            List.map
-              (fun (s, c) ->
-                [
-                  Fmt.str "%a" Id.Server.pp s;
-                  Report.cell_bool (Id.Server.Set.mem s run.f_set);
-                  Report.cell_int c;
-                  Report.cell_int k;
-                ])
-              run.final_cov_per_server;
-        }
+        ( {
+            Report.title =
+              Fmt.str
+                "Theorem 6 (adversarial witness): covered registers per server \
+                 after the Lemma 1 run at n=2f+1 (k=%d, f=%d; servers outside \
+                 F must reach k)"
+                k f;
+            headers =
+              [ "server"; "in F"; "covered registers"; "k" ];
+            rows =
+              List.map
+                (fun (s, c) ->
+                  [
+                    Fmt.str "%a" Id.Server.pp s;
+                    Report.cell_bool (Id.Server.Set.mem s run.f_set);
+                    Report.cell_int c;
+                    Report.cell_int k;
+                  ])
+                run.final_cov_per_server;
+          },
+          List.for_all
+            (fun (s, c) -> Id.Server.Set.mem s run.f_set || c >= k)
+            run.final_cov_per_server )
 
 let max_per_server_load (p : Params.t) =
   let sim = Sim.create ~n:p.n () in
@@ -213,49 +206,53 @@ let max_per_server_load (p : Params.t) =
     0 (Sim.servers sim)
 
 let theorem7 ~k ~f ~capacities =
-  let rows =
-    List.map
-      (fun m ->
-        let servers_needed = Formulas.min_servers ~k ~f ~capacity:m in
-        let feasible_n =
-          (* smallest n >= max(2f+1, servers_needed) at which the layout's
-             per-server load fits within m *)
-          let rec search n =
-            if n > (1000 * k * f) + 10 then None
-            else
-              match Params.make ~k ~f ~n with
-              | Error _ -> search (n + 1)
-              | Ok p ->
-                  if max_per_server_load p <= m then Some n else search (n + 1)
-          in
-          search (Stdlib.max ((2 * f) + 1) 1)
-        in
-        [
-          Report.cell_int m;
-          Report.cell_int servers_needed;
-          (match feasible_n with
-          | Some n -> Report.cell_int n
-          | None -> "-");
-          Report.cell_bool
-            (match feasible_n with
-            | Some n -> n >= servers_needed
-            | None -> true);
-        ])
-      capacities
+  let rows, consistent =
+    List.split
+    @@ List.map
+         (fun m ->
+           let servers_needed = Formulas.min_servers ~k ~f ~capacity:m in
+           let feasible_n =
+             (* smallest n >= max(2f+1, servers_needed) at which the layout's
+                per-server load fits within m *)
+             let rec search n =
+               if n > (1000 * k * f) + 10 then None
+               else
+                 match Params.make ~k ~f ~n with
+                 | Error _ -> search (n + 1)
+                 | Ok p ->
+                     if max_per_server_load p <= m then Some n
+                     else search (n + 1)
+             in
+             search (Stdlib.max ((2 * f) + 1) 1)
+           in
+           let consistent =
+             match feasible_n with Some n -> n >= servers_needed | None -> true
+           in
+           ( [
+               Report.cell_int m;
+               Report.cell_int servers_needed;
+               (match feasible_n with
+               | Some n -> Report.cell_int n
+               | None -> "-");
+               Report.cell_bool consistent;
+             ],
+             consistent ))
+         capacities
   in
-  {
-    Report.title =
-      Fmt.str
-        "Theorem 7: minimum servers with per-server capacity m (k=%d, f=%d; \
-         bound ceil(kf/m)+f+1)"
-        k f;
-    headers =
-      [
-        "capacity m"; "lower bound on |S|"; "layout feasible at n";
-        "consistent";
-      ];
-    rows;
-  }
+  ( {
+      Report.title =
+        Fmt.str
+          "Theorem 7: minimum servers with per-server capacity m (k=%d, f=%d; \
+           bound ceil(kf/m)+f+1)"
+          k f;
+      headers =
+        [
+          "capacity m"; "lower bound on |S|"; "layout feasible at n";
+          "consistent";
+        ];
+      rows;
+    },
+    List.for_all Fun.id consistent )
 
 let theorem8 ?params ~seed () =
   let p =
@@ -264,26 +261,36 @@ let theorem8 ?params ~seed () =
   match Lowerbound.execute Algorithm2.factory p ~seed () with
   | Error e -> Error e
   | Ok run ->
+      let covered =
+        List.map (fun (s : Lowerbound.epoch_stats) -> s.cov_total) run.epochs
+      in
       Ok
-        {
-          Report.title =
-            Fmt.str
-              "Theorem 8: resource use grows with each write while point \
-               contention stays 1 (%a) — no adaptive emulation exists"
-              Params.pp p;
-          headers =
-            [ "write #"; "point contention"; "covered registers"; "objects used" ];
-          rows =
-            List.map
-              (fun (s : Lowerbound.epoch_stats) ->
-                [
-                  Report.cell_int s.epoch;
-                  Report.cell_int s.point_contention;
-                  Report.cell_int s.cov_total;
-                  Report.cell_int s.objects_used_total;
-                ])
-              run.epochs;
-        }
+        ( {
+            Report.title =
+              Fmt.str
+                "Theorem 8: resource use grows with each write while point \
+                 contention stays 1 (%a) — no adaptive emulation exists"
+                Params.pp p;
+            headers =
+              [
+                "write #"; "point contention"; "covered registers";
+                "objects used";
+              ];
+            rows =
+              List.map
+                (fun (s : Lowerbound.epoch_stats) ->
+                  [
+                    Report.cell_int s.epoch;
+                    Report.cell_int s.point_contention;
+                    Report.cell_int s.cov_total;
+                    Report.cell_int s.objects_used_total;
+                  ])
+                run.epochs;
+          },
+          List.for_all
+            (fun (s : Lowerbound.epoch_stats) -> s.point_contention = 1)
+            run.epochs
+          && covered = List.sort compare covered )
 
 let algorithm1_time ~writers_list ~ops_per_writer ~seed =
   let measure num_writers =

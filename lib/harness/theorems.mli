@@ -3,16 +3,11 @@
 
 open Regemu_bounds
 
-(** L1 — the Lemma 1 construction against Algorithm 2 (or any other
-    register-based emulation): per-epoch covering growth, [Q_i]/[F_i]
-    sizes, Lemma 4's fresh-server count, and the Lemma 2 invariant
-    monitor's verdict. *)
-val lemma1 :
-  ?params:Params.t ->
-  ?factory:Regemu_core.Emulation.factory ->
-  seed:int ->
-  unit ->
-  (Report.t, string) result
+(** L1 — the Lemma 1 construction's run against Algorithm 2 (or any
+    other register-based emulation): per-epoch covering growth,
+    [Q_i]/[F_i] sizes, Lemma 4's fresh-server count, and the Lemma 2
+    invariant monitor's verdict. *)
+val lemma1 : Regemu_adversary.Lowerbound.run -> Report.t
 
 (** TH1 — sweep the register bounds as a function of [n] for fixed
     [(k, f)]: shows the inverse dependence on [n], the coincidence
@@ -21,38 +16,45 @@ val lemma1 :
 val theorem1_sweep : k:int -> f:int -> ?n_max:int -> unit -> Report.t
 
 (** TH2 — the k-writer max-register: our construction from [k]
-    registers versus the lower bound of [k] (Theorem 2). *)
-val theorem2 : ks:int list -> Report.t
+    registers versus the lower bound of [k] (Theorem 2), and whether the
+    construction is tight at every [k]. *)
+val theorem2 : ks:int list -> Report.t * bool
 
 (** TH5 — the partitioning impossibility at [n = 2f]: the executed
     schedule and the checker's verdict, rendered as text. *)
-val theorem5 : f:int -> (string, string) result
+val theorem5 : f:int -> Regemu_adversary.Partition.outcome -> string
 
 (** A1b — the new/old read inversion against ABD without reader
     write-back, rendered as text (why the paper's upper bounds target
     WS-Regularity rather than atomicity). *)
-val inversion : unit -> (string, string) result
+val inversion : Regemu_adversary.Inversion.outcome -> string
 
 (** TH6 — at [n = 2f+1], registers stored per server by Algorithm 2's
-    layout versus the per-server lower bound [k]. *)
-val theorem6 : k:int -> f:int -> Report.t
+    layout versus the per-server lower bound [k], and whether every
+    server meets it. *)
+val theorem6 : k:int -> f:int -> Report.t * bool
 
 (** TH6 (adversarial) — run the Lemma 1 adversary at [n = 2f+1] and
     count the covered registers per server at the end of the run: every
     server outside [F] ends up with [k] covered registers, witnessing
-    the per-server bound of Theorem 6 from below. *)
+    the per-server bound of Theorem 6 from below.  The boolean says
+    whether every server outside [F] reached [k]. *)
 val theorem6_adversarial :
-  k:int -> f:int -> seed:int -> (Report.t, string) result
+  k:int -> f:int -> seed:int -> (Report.t * bool, string) result
 
 (** TH7 — minimum number of servers when each server stores at most
     [m] registers: the formula [ceil(kf/m) + f + 1] across capacities,
     with the layout's actual per-server maximum at that server count
-    as a feasibility cross-check. *)
-val theorem7 : k:int -> f:int -> capacities:int list -> Report.t
+    as a feasibility cross-check, and whether that cross-check agrees
+    with the bound at every capacity. *)
+val theorem7 : k:int -> f:int -> capacities:int list -> Report.t * bool
 
 (** TH8 — non-adaptivity to point contention: per-epoch resource
-    consumption of the Lemma 1 run while point contention stays 1. *)
-val theorem8 : ?params:Params.t -> seed:int -> unit -> (Report.t, string) result
+    consumption of the Lemma 1 run while point contention stays 1.  The
+    boolean says whether point contention stayed 1 and the covered
+    registers never fell. *)
+val theorem8 :
+  ?params:Params.t -> seed:int -> unit -> (Report.t * bool, string) result
 
 (** A1 — Algorithm 1's time complexity: CAS operations per write-max
     as a function of the number of concurrently writing clients

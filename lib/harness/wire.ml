@@ -110,3 +110,14 @@ let staircase ~k ~f ~n ~seed =
                 ])
               run.epochs;
         }
+
+let abd_survives_crash ~seed =
+  let net = Net.create ~n:3 () in
+  let abd = Abd_net.create net ~f:1 () in
+  let w = Net.new_client net in
+  let r = Net.new_client net in
+  let rng = Regemu_sim.Rng.create seed in
+  Net.crash_server net (Id.Server.of_int 1);
+  finish net rng (Abd_net.write abd w (Value.Str "x")) ~what:"abd write";
+  finish net rng (Abd_net.read abd r) ~what:"abd read";
+  Regemu_history.Ws_check.is_ws_regular (Net.history net)

@@ -15,3 +15,8 @@ val alg2_messages : configs:(int * int * int) list -> seed:int -> Report.t
     requests (the Lemma 1 construction on the wire). *)
 val staircase :
   k:int -> f:int -> n:int -> seed:int -> (Report.t, string) result
+
+(** ABD at [n = 3, f = 1] with server 1 crashed: whether the history
+    of a write and then a read, under a seeded random schedule, is
+    WS-Regular.  Raises [Failure] if either operation stalls. *)
+val abd_survives_crash : seed:int -> bool

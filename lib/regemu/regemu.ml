@@ -96,14 +96,6 @@ module Table1 = Regemu_harness.Table1
 module Figures = Regemu_harness.Figures
 module Theorems = Regemu_harness.Theorems
 
-(** All register-emulation factories, keyed by name. *)
+(** All register-emulation factories, keyed by their [Emulation.name]. *)
 let all_factories : (string * Emulation.factory) list =
-  [
-    ("algorithm2", Algorithm2.factory);
-    ("abd-max", Abd_max.factory);
-    ("abd-max-atomic", Abd_max_atomic.factory);
-    ("abd-cas", Abd_cas.factory);
-    ("layered-2f+1", Layered.factory);
-    ("naive-reg", Naive_reg.factory);
-    ("waitall-reg", Waitall_reg.factory);
-  ]
+  Regemu_baselines.Factories.all

@@ -313,7 +313,8 @@ let theorem6_tests =
     test "theorem6_adversarial report is well-formed" (fun () ->
         match Regemu_harness.Theorems.theorem6_adversarial ~k:3 ~f:1 ~seed:2 with
         | Error e -> Alcotest.failf "failed: %s" e
-        | Ok r ->
+        | Ok (r, covered) ->
+            Alcotest.(check bool) "covered outside F" true covered;
             Alcotest.(check int) "rows = n" 3 (List.length r.rows);
             (* servers not in F show k covered *)
             List.iter

@@ -122,11 +122,11 @@ let figures_tests =
         Alcotest.(check bool) "25 registers" true
           (Astring_contains.contains s "25 registers"));
     test "figure 2 ends in a violation" (fun () ->
-        match Figures.figure2 ~f:1 () with
+        match Regemu_adversary.Violation.against_naive ~f:1 with
         | Error e -> Alcotest.failf "failed: %s" e
-        | Ok s ->
+        | Ok o ->
             Alcotest.(check bool) "violated" true
-              (Astring_contains.contains s "VIOLATED"));
+              (Astring_contains.contains (Figures.figure2 ~f:1 o) "VIOLATED"));
   ]
 
 (* --- Theorem reports ------------------------------------------------------ *)
@@ -134,9 +134,13 @@ let figures_tests =
 let theorem_tests =
   [
     test "lemma1 report has k rows, all lemma2-clean" (fun () ->
-        match Theorems.lemma1 ~params:(Params.make_exn ~k:3 ~f:1 ~n:4) ~seed:1 () with
+        match
+          Regemu_adversary.Lowerbound.execute Regemu_core.Algorithm2.factory
+            (Params.make_exn ~k:3 ~f:1 ~n:4) ~seed:1 ()
+        with
         | Error e -> Alcotest.failf "failed: %s" e
-        | Ok r ->
+        | Ok run ->
+            let r = Theorems.lemma1 run in
             Alcotest.(check int) "rows" 3 (List.length r.rows);
             List.iter
               (fun row ->
@@ -155,18 +159,22 @@ let theorem_tests =
         Alcotest.(check int) "first" 0 (List.hd gaps);
         Alcotest.(check int) "last" 0 (List.nth gaps (List.length gaps - 1)));
     test "theorem2 rows are all tight" (fun () ->
-        let r = Theorems.theorem2 ~ks:[ 1; 3; 9 ] in
+        let r, tight = Theorems.theorem2 ~ks:[ 1; 3; 9 ] in
+        Alcotest.(check bool) "tight everywhere" true tight;
         List.iter
           (fun row -> Alcotest.(check string) "tight" "yes" (List.nth row 3))
           r.rows);
     test "theorem6 all servers meet the bound" (fun () ->
-        let r = Theorems.theorem6 ~k:3 ~f:1 in
+        let r, meets = Theorems.theorem6 ~k:3 ~f:1 in
+        Alcotest.(check bool) "every server meets it" true meets;
         Alcotest.(check int) "2f+1 rows" 3 (List.length r.rows);
         List.iter
           (fun row -> Alcotest.(check string) "meets" "yes" (List.nth row 3))
           r.rows);
     test "theorem7 feasibility is consistent with the bound" (fun () ->
-        let r = Theorems.theorem7 ~k:4 ~f:1 ~capacities:[ 1; 2; 4 ] in
+        let r, consistent =
+          Theorems.theorem7 ~k:4 ~f:1 ~capacities:[ 1; 2; 4 ] in
+        Alcotest.(check bool) "consistent everywhere" true consistent;
         List.iter
           (fun row ->
             Alcotest.(check string) "consistent" "yes" (List.nth row 3))
@@ -177,7 +185,8 @@ let theorem_tests =
           Theorems.theorem8 ~params:(Params.make_exn ~k:4 ~f:1 ~n:10) ~seed:3 ()
         with
         | Error e -> Alcotest.failf "failed: %s" e
-        | Ok r ->
+        | Ok (r, holds) ->
+            Alcotest.(check bool) "holds" true holds;
             let covered =
               List.map (fun row -> int_of_string (List.nth row 2)) r.rows
             in
@@ -333,19 +342,147 @@ let extra_experiment_tests =
         Alcotest.(check int) "tree cap-1" 31 (objects (List.nth r.rows 2)));
   ]
 
+(* the registry's runner at [seed] over every claim, as `regemu verify`
+   runs it: its exit status and what it printed *)
+let verify seed claims =
+  let b = Buffer.create 1024 in
+  let ppf = Format.formatter_of_buffer b in
+  let status =
+    Claim.run ~verdicts_only:true ppf
+      (List.map (fun c -> (c, Claim.with_seed seed c)) claims)
+  in
+  Format.pp_print_flush ppf ();
+  (status, Buffer.contents b)
+
 let verify_tests =
   [
     test "all self-checks pass" (fun () ->
-        let s = Verify.run ~seed:42 in
-        if s.failed > 0 then
-          Alcotest.failf "failures:@.%a" Verify.summary_pp s);
+        let status, out = verify 42 Claim.all in
+        if status <> 0 then Alcotest.failf "failures:@.%s" out);
     test "summary counts are consistent" (fun () ->
-        let s = Verify.run ~seed:7 in
+        let status, out = verify 7 Claim.all in
+        let lines = String.split_on_char '\n' out in
+        let count tag =
+          List.length (List.filter (String.starts_with ~prefix:tag) lines)
+        in
+        let passed = count "[PASS]" and failed = count "[FAIL]" in
+        let unchecked = count "[----]" in
         Alcotest.(check int)
-          "total" (List.length s.checks)
-          (s.passed + s.failed));
+          "total" (List.length Claim.all)
+          (passed + failed + unchecked);
+        Alcotest.(check bool)
+          "summary line" true
+          (List.mem
+             (Fmt.str "%d passed, %d failed, %d not checked" passed failed
+                unchecked)
+             lines);
+        Alcotest.(check int) "status" (if failed = 0 then 0 else 1) status);
   ]
 
+(* --- The claim registry ------------------------------------------------- *)
+
+let row ~k ~f ~n base used : Table1.row =
+  {
+    params = Params.make_exn ~k ~f ~n;
+    base;
+    bound_lower = used;
+    bound_upper = used;
+    allocated = used;
+    used_fair = used;
+    used_adversarial = None;
+    safety_ok = true;
+  }
+
+(* a Table 1 that has the paper's shape: 2f+1 flat rows, a register row
+   growing with k and at kf+f+1 once n >= kf+f+1 *)
+let table1_shaped ~maxreg =
+  [
+    row ~k:1 ~f:1 ~n:3 "max-register" 3;
+    row ~k:1 ~f:1 ~n:3 "register" 3;
+    row ~k:3 ~f:1 ~n:3 "max-register" maxreg;
+    row ~k:3 ~f:1 ~n:3 "CAS" 3;
+    row ~k:3 ~f:1 ~n:3 "register" 9;
+  ]
+
+let fails = function Claim.Fails _ -> true | _ -> false
+
+(* the documented claim ids of doc/paper-map.md's Results table, each with
+   its row's paper element *)
+let paper_map_claims () =
+  let lines =
+    In_channel.with_open_text "../doc/paper-map.md" In_channel.input_all
+    |> String.split_on_char '\n'
+  in
+  let rec results = function
+    | "## Results" :: rest -> rest
+    | _ :: rest -> results rest
+    | [] -> []
+  in
+  let rec table = function
+    | l :: _ when String.starts_with ~prefix:"## " l -> []
+    | l :: rest when String.starts_with ~prefix:"| " l -> l :: table rest
+    | _ :: rest -> table rest
+    | [] -> []
+  in
+  match table (results lines) with
+  | _header :: _separator :: rows ->
+      List.filter_map
+        (fun l ->
+          let cells = List.map String.trim (String.split_on_char '|' l) in
+          let claim = List.nth cells (List.length cells - 2) in
+          if claim = "—" then None
+          else
+            let unquote s = String.concat "" (String.split_on_char '`' s) in
+            Some (unquote claim, List.nth cells 1))
+        rows
+  | _ -> Alcotest.fail "no Results table in doc/paper-map.md"
+
+let claim_tests =
+  let defaults = (List.hd Claim.all).defaults in
+  let synthetic id run =
+    { Claim.id; paper = id; doc = ""; reads = []; defaults; run }
+  in
+  [
+    test "table1 verdict holds on the paper's shape" (fun () ->
+        match Claim.table1_verdict (table1_shaped ~maxreg:3) with
+        | Claim.Holds _ -> ()
+        | _ -> Alcotest.fail "expected the shape to hold");
+    test "table1 verdict fails on a max-register row at 2f+2" (fun () ->
+        Alcotest.(check bool)
+          "fails" true
+          (fails (Claim.table1_verdict (table1_shaped ~maxreg:4))));
+    test "the runner fails a failing claim and a raising one" (fun () ->
+        let status, out =
+          verify 42
+            [
+              synthetic "broken" (fun _ -> ([], Claim.Fails "broken on purpose"));
+              synthetic "raises" (fun _ -> failwith "raised on purpose");
+            ]
+        in
+        Alcotest.(check int) "exit status" 1 status;
+        Alcotest.(check bool)
+          "both FAIL" true
+          (Astring_contains.contains out "[FAIL] broken"
+          && Astring_contains.contains out "[FAIL] raises — raises: raised on purpose"
+          && Astring_contains.contains out "0 passed, 2 failed, 0 not checked"));
+    test "claim ids are unique" (fun () ->
+        let ids = List.map (fun (c : Claim.t) -> c.id) Claim.all in
+        Alcotest.(check int)
+          "unique" (List.length ids)
+          (List.length (List.sort_uniq compare ids)));
+    test "doc/paper-map.md's claim column names exactly the registry"
+      (fun () ->
+        let documented = paper_map_claims () in
+        Alcotest.(check (list string))
+          "ids"
+          (List.sort_uniq compare (List.map (fun (c : Claim.t) -> c.id) Claim.all))
+          (List.sort_uniq compare (List.map fst documented));
+        List.iter
+          (fun (c : Claim.t) ->
+            if not (List.mem (c.id, c.paper) documented) then
+              Alcotest.failf "%s: no Results row reads %S" c.id c.paper)
+          Claim.all);
+  ]
 
 let load_balance_tests =
   [
@@ -412,4 +549,5 @@ let suites =
     ("harness:load-balance", load_balance_tests);
     ("harness:wire", wire_tests);
     ("harness:verify", verify_tests);
+    ("harness:claim", claim_tests);
   ]
