@@ -24,8 +24,14 @@ let seed_arg = Arg.(value & opt int 42 & seed_info)
 let algo_arg =
   Arg.(value & opt algo_conv Regemu_core.Algorithm2.factory & algo_info)
 
-let params_of k f n =
-  match Params.make ~k ~f ~n with
+(* [algo], when given, must also accept the parameters *)
+let params_of ?algo k f n =
+  let accepts p =
+    match algo with
+    | Some (a : Regemu_core.Emulation.factory) -> a.accepts p
+    | None -> Ok ()
+  in
+  match Result.bind (Params.make ~k ~f ~n) (fun p -> Result.map (fun () -> p) (accepts p)) with
   | Ok p -> Ok p
   | Error e -> Error (`Msg ("invalid parameters: " ^ e))
 
@@ -53,14 +59,16 @@ let claim_args (c : Claim.t) =
     $ opt Claim.Seed Arg.int d.seed seed_info
     $ opt Claim.Algo algo_conv d.algo algo_info)
 
-(* a bad k, f or n is a usage error, reported before the claim runs (a
-   claim that does not read n runs at n = 2f+1 or needs none) *)
+(* a bad k, f or n, or one the chosen --algo does not accept, is a usage
+   error, reported before the claim runs (a claim that does not read n
+   runs at n = 2f+1 or needs none) *)
 let claim_cmds =
   List.map
     (fun (c : Claim.t) ->
       let run (a : Claim.args) =
         let n = if List.mem Claim.N c.reads then a.n else (2 * a.f) + 1 in
-        match params_of a.k a.f n with
+        let algo = if List.mem Claim.Algo c.reads then Some a.algo else None in
+        match params_of ?algo a.k a.f n with
         | Ok _ -> Claim.run Format.std_formatter [ (c, a) ]
         | Error e -> exit_of (Error e)
       in
@@ -192,7 +200,7 @@ let fuzz_cmd =
            | Some h ->
                Fmt.pr "first violating run:@.%a@." Regemu_history.History.pp h
            | None -> ())
-         (params_of k f n))
+         (params_of ~algo:factory k f n))
   in
   Cmd.v
     (Cmd.info "fuzz"
@@ -539,7 +547,7 @@ let explore_cmd =
           run_fuzz_cg name ~writers:writes ~readers ~f ~n ~ops ~seed ~profile
             ~corpus ~budget:cg_budget ~json
       | None -> (
-          match params_of writes f n with
+          match params_of ~algo:factory writes f n with
           | Error e -> exit_of (Error e)
           | Ok p when exhaustive ->
               run_exhaustive factory p ~eager ~crashes ~ops_each
@@ -574,7 +582,7 @@ let run_cmd =
   in
   let run ({ Regemu_core.Emulation.name; _ } as factory) k f n rounds readers crashes seed =
     exit_of
-      (Result.bind (params_of k f n) (fun p ->
+      (Result.bind (params_of ~algo:factory k f n) (fun p ->
            match
              Regemu_workload.Scenario.concurrent_reads factory p ~rounds
                ~readers ~crashes ~seed ()

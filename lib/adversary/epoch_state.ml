@@ -1,51 +1,56 @@
 open Regemu_objects
-open Regemu_sim
+
+type write = {
+  id : int;
+  client : Id.Client.t;
+  obj : Id.Obj.t;
+  server : Id.Server.t;
+}
+
+type action = Trigger of write | Respond of int
+
+module Ints = Set.Make (Int)
 
 type t = {
-  sim : Sim.t;
   f_set : Id.Server.Set.t;
   f : int;  (* |F| - 1 *)
-  start_time : int;
-  completed_clients : Id.Client.Set.t;
-  cov_start : Id.Obj.Set.t;
-  mutable cursor : int;  (* next trace index to consume *)
+  pending : (int, write) Hashtbl.t;  (* every pending write, by id *)
+  cover : (int, int) Hashtbl.t;  (* pending writes per register *)
+  servers : (int, Id.Server.t) Hashtbl.t;  (* delta, from the triggers *)
+  mutable completed : Id.Client.Set.t;  (* C(t_{i-1}) *)
+  mutable cov_start : Id.Obj.Set.t;
+  mutable epoch_writes : Ints.t;  (* ids triggered in-epoch *)
   mutable tri : Id.Obj.Set.t;
   mutable rri : Id.Obj.Set.t;
   mutable covi : Id.Obj.Set.t;
   mutable qi : Id.Server.Set.t;
   mutable fi : Id.Server.Set.t;
-  mutable epoch_writes : Id.Lop.Set.t;  (* in-epoch triggered write lids *)
-  pending_count : (int, int) Hashtbl.t;
-      (* in-epoch pending writes per object (for Cov_i maintenance) *)
 }
 
-let is_reg_write = function Base_object.Write _ -> true | _ -> false
-
-let start sim ~f_set ~completed_clients =
+let create ~f_set =
   {
-    sim;
     f_set;
     f = Id.Server.Set.cardinal f_set - 1;
-    start_time = Sim.now sim;
-    completed_clients;
-    cov_start = Sim.covered_objects sim;
-    cursor = Sim.now sim;
+    pending = Hashtbl.create 32;
+    cover = Hashtbl.create 32;
+    servers = Hashtbl.create 32;
+    completed = Id.Client.Set.empty;
+    cov_start = Id.Obj.Set.empty;
+    epoch_writes = Ints.empty;
     tri = Id.Obj.Set.empty;
     rri = Id.Obj.Set.empty;
     covi = Id.Obj.Set.empty;
     qi = Id.Server.Set.empty;
     fi = Id.Server.Set.empty;
-    epoch_writes = Id.Lop.Set.empty;
-    pending_count = Hashtbl.create 32;
   }
 
-let epoch_start_time t = t.start_time
 let f_set t = t.f_set
+let f_count t = t.f
+let delta t b = Hashtbl.find t.servers (Id.Obj.to_int b)
 
 let delta_set t objs =
-  Id.Obj.Set.fold
-    (fun b acc -> Id.Server.Set.add (Sim.delta t.sim b) acc)
-    objs Id.Server.Set.empty
+  Id.Obj.Set.fold (fun b acc -> Id.Server.Set.add (delta t b) acc) objs
+    Id.Server.Set.empty
 
 (* Definition 1.4: Q_i follows delta(Cov_i) \ F while that set has at
    most f servers, and freezes otherwise. *)
@@ -53,40 +58,54 @@ let update_qi t =
   let d = Id.Server.Set.diff (delta_set t t.covi) t.f_set in
   if Id.Server.Set.cardinal d <= t.f then t.qi <- d
 
+(* A register enters or leaves Cov(t) when its pending count moves
+   between 0 and 1; outside Cov(t_{i-1}) that is Cov_i moving too. *)
 let bump t b d =
   let key = Id.Obj.to_int b in
-  let v = Option.value ~default:0 (Hashtbl.find_opt t.pending_count key) + d in
-  Hashtbl.replace t.pending_count key v;
-  v
+  let before = Option.value ~default:0 (Hashtbl.find_opt t.cover key) in
+  let after = before + d in
+  if after = 0 then Hashtbl.remove t.cover key
+  else Hashtbl.replace t.cover key after;
+  if (before = 0 || after = 0) && not (Id.Obj.Set.mem b t.cov_start) then begin
+    t.covi <-
+      (if after = 0 then Id.Obj.Set.remove b t.covi
+       else Id.Obj.Set.add b t.covi);
+    update_qi t
+  end
 
-let consume t entry =
-  match entry with
-  | Trace.Trigger { lid; obj; op; _ } when is_reg_write op ->
-      t.epoch_writes <- Id.Lop.Set.add lid t.epoch_writes;
-      t.tri <- Id.Obj.Set.add obj t.tri;
-      let cnt = bump t obj 1 in
-      if cnt = 1 && not (Id.Obj.Set.mem obj t.cov_start) then begin
-        t.covi <- Id.Obj.Set.add obj t.covi;
-        update_qi t
-      end
-  | Trace.Respond { lid; obj; op; _ }
-    when is_reg_write op && Id.Lop.Set.mem lid t.epoch_writes ->
-      t.rri <- Id.Obj.Set.add obj t.rri;
-      let s = Sim.delta t.sim obj in
-      if Id.Server.Set.mem s t.f_set then t.fi <- Id.Server.Set.add s t.fi;
-      let cnt = bump t obj (-1) in
-      if cnt = 0 && not (Id.Obj.Set.mem obj t.cov_start) then begin
-        t.covi <- Id.Obj.Set.remove obj t.covi;
-        update_qi t
-      end
-  | Trace.Trigger _ | Trace.Respond _ | Trace.Invoke _ | Trace.Return _
-  | Trace.Server_crash _ | Trace.Client_crash _ ->
-      ()
+let apply t = function
+  | Trigger w ->
+      Hashtbl.replace t.pending w.id w;
+      Hashtbl.replace t.servers (Id.Obj.to_int w.obj) w.server;
+      t.epoch_writes <- Ints.add w.id t.epoch_writes;
+      t.tri <- Id.Obj.Set.add w.obj t.tri;
+      bump t w.obj 1
+  | Respond id -> (
+      match Hashtbl.find_opt t.pending id with
+      | None -> ()
+      | Some w ->
+          Hashtbl.remove t.pending id;
+          if Ints.mem id t.epoch_writes then begin
+            t.rri <- Id.Obj.Set.add w.obj t.rri;
+            if Id.Server.Set.mem w.server t.f_set then
+              t.fi <- Id.Server.Set.add w.server t.fi
+          end;
+          bump t w.obj (-1))
 
-let advance t =
-  let entries = Trace.since (Sim.trace t.sim) t.cursor in
-  t.cursor <- Sim.now t.sim;
-  List.iter (consume t) entries
+let cov_now t =
+  Hashtbl.fold
+    (fun _ (w : write) acc -> Id.Obj.Set.add w.obj acc)
+    t.pending Id.Obj.Set.empty
+
+let next_epoch t ~completed =
+  t.completed <- Id.Client.Set.add completed t.completed;
+  t.cov_start <- cov_now t;
+  t.epoch_writes <- Ints.empty;
+  t.tri <- Id.Obj.Set.empty;
+  t.rri <- Id.Obj.Set.empty;
+  t.covi <- Id.Obj.Set.empty;
+  t.qi <- Id.Server.Set.empty;
+  t.fi <- Id.Server.Set.empty
 
 let tri t = t.tri
 let rri t = t.rri
@@ -95,23 +114,21 @@ let qi t = t.qi
 let fi t = t.fi
 let delta_covi t = delta_set t t.covi
 let delta_rri t = delta_set t t.rri
-let f_count t = t.f
 let cov_start t = t.cov_start
-let cov_now t = Sim.covered_objects t.sim
 
 let mi t =
-  Id.Server.Set.inter (delta_set t t.covi) (Id.Server.Set.diff t.f_set t.fi)
+  Id.Server.Set.inter (delta_covi t) (Id.Server.Set.diff t.f_set t.fi)
 
 let gi t =
   if Id.Server.Set.cardinal t.qi < Id.Server.Set.cardinal t.fi then mi t
   else Id.Server.Set.empty
 
-let blocked t (p : Sim.pending_info) =
-  is_reg_write p.op
-  && (Id.Client.Set.mem p.client t.completed_clients
-     ||
-     let qg = Id.Server.Set.union t.qi (gi t) in
-     Id.Server.Set.mem (Sim.delta t.sim p.obj) qg)
+let blocked t id =
+  match Hashtbl.find_opt t.pending id with
+  | None -> false
+  | Some w ->
+      Id.Client.Set.mem w.client t.completed
+      || Id.Server.Set.mem w.server (Id.Server.Set.union t.qi (gi t))
 
 let servers_triggered_fresh t =
   delta_set t (Id.Obj.Set.diff t.tri t.cov_start)

@@ -11,7 +11,11 @@
     bound; for any correct algorithm the construction yields at least
     these covering counts.
 
-    Optionally monitors the Lemma 2 invariants at every step. *)
+    The construction is written once, in {!Make}, over a small
+    {!MODEL}: {!execute} runs it on the simulator ({!On_sim}), and
+    [Regemu_harness.Wire.staircase] runs it on the message-passing
+    network.  It optionally monitors the Lemma 2 invariants at every
+    step. *)
 
 open Regemu_bounds
 open Regemu_objects
@@ -41,6 +45,65 @@ type epoch_stats = {
 
 val epoch_stats_pp : epoch_stats Fmt.t
 
+(** [F] when none is given: the last [f+1] servers. *)
+val default_f_set : Params.t -> Id.Server.Set.t
+
+(** What the construction needs of a model of the system.  Events are
+    client steps or the completion of one pending operation; the
+    covering-write actions feed {!Epoch_state}. *)
+module type MODEL = sig
+  type t
+  type event
+
+  (** The events the environment may fire now, in a fixed order. *)
+  val enabled : t -> event list
+
+  val fire : t -> event -> unit
+
+  (** [None] for a client step; otherwise the id of the operation the
+      event completes, in the id space of {!actions}. *)
+  val completes : event -> int option
+
+  (** The covering-write actions since the last call, in order. *)
+  val actions : t -> Epoch_state.action list
+
+  (** Base objects accessed so far. *)
+  val objects_used : t -> int
+end
+
+(** The construction, once for every model: epoch [i] invokes
+    [write (List.nth writers (i-1)) "v<i>"] (the returned thunk says
+    whether it has returned), fires an [Ad_i]-allowed event picked by
+    the seeded RNG until it returns, then fires the first allowed
+    completion until none is left, and fails unless [F] then holds no
+    newly covered register.  [f_set] must have [f+1] servers.  With
+    [check_lemma2] (the default) Lemma 2 is checked after every event.
+    Fails with a message if a write does not return within the budget
+    or every enabled event is blocked (an obstruction-freedom violation
+    under [Ad_i]). *)
+module Make (M : MODEL) : sig
+  val execute :
+    M.t ->
+    Params.t ->
+    writers:Id.Client.t list ->
+    write:(Id.Client.t -> Value.t -> unit -> bool) ->
+    f_set:Id.Server.Set.t ->
+    ?check_lemma2:bool ->
+    ?budget_per_epoch:int ->
+    seed:int ->
+    unit ->
+    (epoch_stats list, string) result
+end
+
+(** The simulator as a model: the actions are the trace's register-write
+    triggers and responses from the model's creation on, with the
+    low-level operation ids as ids. *)
+module On_sim : sig
+  include MODEL with type event = Regemu_sim.Sim.event
+
+  val create : Regemu_sim.Sim.t -> t
+end
+
 type run = {
   params : Params.t;
   algo : string;
@@ -56,11 +119,9 @@ type run = {
   kind_of : Id.Obj.t -> Regemu_objects.Base_object.kind;
 }
 
-(** [execute factory p ~seed ()] runs the construction for all [k]
-    writers.  [f_set] defaults to the last [f+1] servers.  Fails with a
-    message if some write does not return within the budget (a genuine
-    obstruction-freedom violation under [Ad_i]) or the epoch-end
-    extension cannot clear [F]. *)
+(** [execute factory p ~seed ()] runs {!Make}'s construction on the
+    simulator for all [k] writers.  [f_set] defaults to
+    {!default_f_set}. *)
 val execute :
   Emulation.factory ->
   Params.t ->

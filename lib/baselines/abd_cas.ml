@@ -60,5 +60,6 @@ let factory =
     Emulation.name = "abd-cas";
     obj_kind = Base_object.Cas;
     expected_objects = Formulas.cas_bound;
+    accepts = Regemu_core.Emulation.any_params;
     make;
   }

@@ -32,5 +32,6 @@ let factory =
     Emulation.name = "abd-max";
     obj_kind = Base_object.Max_register;
     expected_objects = Formulas.maxreg_bound;
+    accepts = Regemu_core.Emulation.any_params;
     make = (fun sim p ~writers -> make ~algo:"abd-max" sim p ~writers);
   }

@@ -60,5 +60,6 @@ let factory =
     Emulation.name = "waitall-reg";
     obj_kind = Base_object.Register;
     expected_objects = (fun p -> (2 * p.f) + 1);
+    accepts = Regemu_core.Emulation.any_params;
     make;
   }

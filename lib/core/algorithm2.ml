@@ -20,5 +20,6 @@ let factory =
     Emulation.name = "algorithm2";
     obj_kind = Base_object.Register;
     expected_objects = Formulas.register_upper_bound;
+    accepts = Emulation.any_params;
     make = (fun sim p ~writers -> make ~algo:"algorithm2" sim p ~writers);
   }

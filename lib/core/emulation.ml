@@ -15,8 +15,11 @@ type factory = {
   name : string;
   obj_kind : Base_object.kind;
   expected_objects : Params.t -> int;
+  accepts : Params.t -> (unit, string) result;
   make : Sim.t -> Params.t -> writers:Id.Client.t list -> instance;
 }
+
+let any_params _ = Ok ()
 
 let call_sync sim ~client b op =
   let result = ref None in

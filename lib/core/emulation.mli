@@ -28,10 +28,16 @@ type factory = {
   obj_kind : Base_object.kind;
   expected_objects : Params.t -> int;
       (** object count the construction promises (Table 1 row) *)
+  accepts : Params.t -> (unit, string) result;
+      (** the parameters the construction is defined for, beyond
+          {!Params.make}'s; [Error] says why not *)
   make : Sim.t -> Params.t -> writers:Id.Client.t list -> instance;
-      (** requires [Sim.num_servers sim = p.n] and
-          [List.length writers = p.k] *)
+      (** requires [Sim.num_servers sim = p.n],
+          [List.length writers = p.k] and [accepts p = Ok ()] *)
 }
+
+(** [accepts] for a construction defined at every valid [Params.t]. *)
+val any_params : Params.t -> (unit, string) result
 
 (** {2 Fiber-side helper} *)
 

@@ -104,20 +104,24 @@ let base =
 let claim ?(defaults = base) id ~paper ~doc reads run =
   { id; paper; doc; reads; defaults; run }
 
+(* Lemma 1's invariants for one epoch, on either model: covered >= i*f
+   with none on F, |Q_i| = f, more than 2f fresh servers (Lemma 4) and
+   no Lemma 2 failure *)
+let epochs_hold (p : Params.t) =
+  List.for_all (fun (s : Lowerbound.epoch_stats) ->
+      s.write_returned
+      && s.cov_total >= s.epoch * p.f
+      && s.cov_on_f = 0 && s.q_size = p.f
+      && s.fresh_servers_triggered > 2 * p.f
+      && s.lemma2_failure = None)
+
 let lemma1 a =
   let p = params a in
   let run = ok_exn (Lowerbound.execute a.algo p ~seed:a.seed ()) in
   let covered = run.final_cov >= p.k * p.f in
-  let epochs_hold =
-    List.for_all
-      (fun (s : Lowerbound.epoch_stats) ->
-        s.write_returned && s.cov_on_f = 0 && s.q_size = p.f
-        && s.fresh_servers_triggered > 2 * p.f
-        && s.lemma2_failure = None)
-      run.epochs
-  in
+  let epochs_ok = epochs_hold p run.epochs in
   ( [
-      Table (Theorems.lemma1 run);
+      Table (Theorems.lemma1 ~algo:run.algo p run.epochs);
       Text
         ("Covering timeline (the staircase of the lower bound):\n"
         ^ Timeline.render run.trace);
@@ -125,11 +129,11 @@ let lemma1 a =
     if a.algo.obj_kind <> Base_object.Register then
       Not_checked "max-register/CAS objects are outside Lemma 1"
     else
-      check (covered && epochs_hold)
+      check (covered && epochs_ok)
         (Fmt.str "final |Cov|=%d %s kf=%d; epoch invariants %s" run.final_cov
            (if covered then ">=" else "<")
            (p.k * p.f)
-           (if epochs_hold then "all hold" else "broken")) )
+           (if epochs_ok then "all hold" else "broken")) )
 
 let theorem6 a =
   let layout, meets = Theorems.theorem6 ~k:a.k ~f:a.f in
@@ -326,17 +330,23 @@ let all =
          produced by an adversarial router."
       [ K; F; N; Seed ]
       (fun a ->
-        let staircase = ok_exn (Wire.staircase ~k:a.k ~f:a.f ~n:a.n ~seed:a.seed) in
+        let p = params a in
+        let staircase = ok_exn (Wire.staircase p ~seed:a.seed) in
+        let survives = Wire.abd_survives_crash ~seed:a.seed in
+        let wire_holds = epochs_hold p staircase in
         ( [
             Table (Wire.abd_messages ~fs:[ 1; 2; 3; 4 ] ~ops:6 ~seed:a.seed);
             Table
               (Wire.alg2_messages
                  ~configs:[ (1, 1, 3); (2, 1, 4); (3, 1, 5); (3, 2, 7) ]
                  ~seed:a.seed);
-            Table staircase;
+            Table (Theorems.lemma1 ~algo:"algorithm2 on the wire" p staircase);
           ],
-          check (Wire.abd_survives_crash ~seed:a.seed)
-            "write/read survive a crash; WS-Regular" ));
+          check (survives && wire_holds)
+            (Fmt.str
+               "write/read %s a crash; wire staircase: epoch invariants %s"
+               (if survives then "survive" else "do not survive")
+               (if wire_holds then "all hold" else "broken")) ));
     claim "mc" ~paper:"§3.3 / Theorem 3 / Algorithm 2"
       ~doc:
         "Explore every schedule of one write and one read at (k=1, f=1, n=3) \

@@ -4,14 +4,13 @@ open Regemu_sim
 open Regemu_core
 open Regemu_adversary
 
-let lemma1 (run : Lowerbound.run) =
-  let p = run.params in
+let lemma1 ~algo (p : Params.t) epochs =
   {
     Report.title =
       Fmt.str
         "Lemma 1: adversarial covering growth, %s at %a \
          (bound: |Cov(t_i)| >= i*f, none on F)"
-        run.algo Params.pp p;
+        algo Params.pp p;
     headers =
       [
         "epoch i"; "|Cov(t_i)|"; "i*f"; "on F"; "|Q_i|"; "|F_i|";
@@ -31,7 +30,7 @@ let lemma1 (run : Lowerbound.run) =
             Report.cell_int s.objects_used_total;
             (match s.lemma2_failure with None -> "ok" | Some m -> m);
           ])
-        run.epochs;
+        epochs;
   }
 
 let theorem1_sweep ~k ~f ?n_max () =

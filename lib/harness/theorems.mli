@@ -3,11 +3,15 @@
 
 open Regemu_bounds
 
-(** L1 — the Lemma 1 construction's run against Algorithm 2 (or any
-    other register-based emulation): per-epoch covering growth,
-    [Q_i]/[F_i] sizes, Lemma 4's fresh-server count, and the Lemma 2
-    invariant monitor's verdict. *)
-val lemma1 : Regemu_adversary.Lowerbound.run -> Report.t
+(** L1 — the Lemma 1 construction's epochs for [algo] at [p], on the
+    simulator or on the wire: per-epoch covering growth, [Q_i]/[F_i]
+    sizes, Lemma 4's fresh-server count, and the Lemma 2 invariant
+    monitor's verdict. *)
+val lemma1 :
+  algo:string ->
+  Params.t ->
+  Regemu_adversary.Lowerbound.epoch_stats list ->
+  Report.t
 
 (** TH1 — sweep the register bounds as a function of [n] for fixed
     [(k, f)]: shows the inverse dependence on [n], the coincidence

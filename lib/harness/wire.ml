@@ -1,6 +1,7 @@
 open Regemu_bounds
 open Regemu_objects
 open Regemu_netsim
+open Regemu_adversary
 
 let finish net rng call ~what =
   let rec go budget =
@@ -85,31 +86,75 @@ let alg2_messages ~configs ~seed =
     rows;
   }
 
-let staircase ~k ~f ~n ~seed =
-  match Net_lowerbound.execute (Params.make_exn ~k ~f ~n) ~seed () with
-  | Error e -> Error e
-  | Ok run ->
-      Ok
-        {
-          Report.title =
-            Fmt.str
-              "The lower bound on the wire: cells holding undelivered write \
-               requests after each write (k=%d, f=%d, n=%d; bound i*f, none \
-               on F)"
-              k f n;
-          headers = [ "write #"; "covered cells"; "i*f"; "on F"; "|Q_i|" ];
-          rows =
-            List.map
-              (fun (s : Net_lowerbound.epoch_stats) ->
-                [
-                  Report.cell_int s.epoch;
-                  Report.cell_int s.covered_total;
-                  Report.cell_int (s.epoch * f);
-                  Report.cell_int s.covered_on_f;
-                  Report.cell_int s.q_size;
-                ])
-              run.epochs;
-        }
+(* Net as a model of the Lemma 1 construction: the adversary is a
+   router.  A covering write is a [Reg_write] request in flight: it
+   triggers when it enters the network, with its message id as id, and
+   responds when it is delivered, overwriting its cell whenever that
+   is.  Every delivery is reported as a [Respond]; Epoch_state ignores
+   the ids that name no pending write.  Cell [reg] of server [s] is
+   register [reg * n + s]. *)
+module On_net = struct
+  type t = {
+    net : Net.t;
+    mutable seen : int;  (* messages sent before the last look *)
+    mutable delivered : Epoch_state.action list;
+    used : (int * int, unit) Hashtbl.t;  (* cells addressed so far *)
+  }
+
+  type event = Net.event
+
+  let enabled t = Net.enabled t.net
+
+  let fire t ev =
+    (match ev with
+    | Net.Deliver mid -> t.delivered <- [ Epoch_state.Respond mid ]
+    | Net.Step _ -> ());
+    Net.fire t.net ev
+
+  let completes = function Net.Step _ -> None | Net.Deliver mid -> Some mid
+
+  let actions t =
+    let fresh =
+      List.filter (fun (mid, _, _) -> mid >= t.seen) (Net.flight t.net)
+    in
+    let responded = t.delivered in
+    t.seen <- Net.sent t.net;
+    t.delivered <- [];
+    responded
+    @ List.filter_map
+        (fun (mid, dest, payload) ->
+          match (dest, payload) with
+          | Net.To_server s, (Net.Reg_read { reg; _ } | Net.Reg_write { reg; _ })
+            -> (
+              Hashtbl.replace t.used (Id.Server.to_int s, reg) ();
+              match (payload, Net.src_of t.net mid) with
+              | Net.Reg_write _, Some client ->
+                  let obj =
+                    Id.Obj.of_int
+                      ((reg * Net.num_servers t.net) + Id.Server.to_int s)
+                  in
+                  Some
+                    (Epoch_state.Trigger { id = mid; client; obj; server = s })
+              | _ -> None)
+          | _ -> None)
+        fresh
+
+  let objects_used t = Hashtbl.length t.used
+end
+
+module Net_run = Lowerbound.Make (On_net)
+
+let staircase (p : Params.t) ~seed =
+  let net = Net.create ~n:p.n () in
+  let writers = List.init p.k (fun _ -> Net.new_client net) in
+  let alg2 = Alg2_net.create net p ~writers () in
+  let write c v =
+    let call = Alg2_net.write alg2 c v in
+    fun () -> Net.call_returned call
+  in
+  Net_run.execute
+    { On_net.net; seen = Net.sent net; delivered = []; used = Hashtbl.create 64 }
+    p ~writers ~write ~f_set:(Lowerbound.default_f_set p) ~seed ()
 
 let abd_survives_crash ~seed =
   let net = Net.create ~n:3 () in

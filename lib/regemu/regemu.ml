@@ -65,7 +65,6 @@ module Violation = Regemu_adversary.Violation
 module Inversion = Regemu_adversary.Inversion
 module Partition = Regemu_adversary.Partition
 module Script = Regemu_adversary.Script
-module Adi_policy = Regemu_adversary.Adi_policy
 
 (** {1 The message-passing substrate} *)
 
@@ -75,7 +74,6 @@ module Alg2_net = Regemu_netsim.Alg2_net
 module Cds_net = Regemu_netsim.Cds_net
 module Quorum_client = Regemu_netsim.Quorum_client
 module Net_scenario = Regemu_netsim.Net_scenario
-module Net_lowerbound = Regemu_netsim.Net_lowerbound
 module Net_fuzz = Regemu_netsim.Net_fuzz
 
 (** {1 Systematic schedule exploration} *)

@@ -9,128 +9,93 @@ open Regemu_adversary
 let test name f = Alcotest.test_case name `Quick f
 let params k f n = Params.make_exn ~k ~f ~n
 
-(* --- Epoch_state unit tests ------------------------------------------- *)
+(* --- Epoch_state unit tests: hand-built action streams, no model ----- *)
+
+let server = Id.Server.of_int
+let servers l = Id.Server.set_of_list (List.map server l)
+
+(* write [id] by client [c] on register [b] of server [s] *)
+let trigger ?(c = 0) id b s =
+  Epoch_state.Trigger
+    { id; client = Id.Client.of_int c; obj = Id.Obj.of_int b; server = server s }
+
+let epoch ~f_set actions =
+  let st = Epoch_state.create ~f_set:(servers f_set) in
+  List.iter (Epoch_state.apply st) actions;
+  st
+
+let card_objs s = Id.Obj.Set.cardinal s
+let card_servers s = Id.Server.Set.cardinal s
 
 let epoch_basic_tests =
   [
     test "fresh epoch has empty sets" (fun () ->
-        let sim = Sim.create ~n:3 () in
-        let f_set = Id.Server.set_of_list [ Id.Server.of_int 1; Id.Server.of_int 2 ] in
-        let st =
-          Epoch_state.start sim ~f_set
-            ~completed_clients:Id.Client.Set.empty
-        in
-        Epoch_state.advance st;
-        Alcotest.(check int) "tri" 0 (Id.Obj.Set.cardinal (Epoch_state.tri st));
-        Alcotest.(check int) "qi" 0 (Id.Server.Set.cardinal (Epoch_state.qi st));
+        let st = epoch ~f_set:[ 1; 2 ] [] in
+        Alcotest.(check int) "tri" 0 (card_objs (Epoch_state.tri st));
+        Alcotest.(check int) "qi" 0 (card_servers (Epoch_state.qi st));
         Alcotest.(check int) "f" 1 (Epoch_state.f_count st));
     test "trigger adds to Tri and Covi; respond moves to Rri" (fun () ->
-        let sim = Sim.create ~n:3 () in
-        let b = Sim.alloc sim ~server:(Id.Server.of_int 0) Base_object.Register in
-        let c = Sim.new_client sim in
-        let f_set = Id.Server.set_of_list [ Id.Server.of_int 1; Id.Server.of_int 2 ] in
-        let st =
-          Epoch_state.start sim ~f_set ~completed_clients:Id.Client.Set.empty
-        in
-        let lid =
-          Sim.trigger sim ~client:c b (Base_object.Write (Value.Int 1))
-            ~on_response:ignore
-        in
-        Epoch_state.advance st;
-        Alcotest.(check int) "tri" 1 (Id.Obj.Set.cardinal (Epoch_state.tri st));
-        Alcotest.(check int) "covi" 1 (Id.Obj.Set.cardinal (Epoch_state.covi st));
-        Alcotest.(check int) "qi has s0" 1 (Id.Server.Set.cardinal (Epoch_state.qi st));
-        Sim.fire sim (Sim.Respond lid);
-        Epoch_state.advance st;
-        Alcotest.(check int) "rri" 1 (Id.Obj.Set.cardinal (Epoch_state.rri st));
-        Alcotest.(check int) "covi empty" 0 (Id.Obj.Set.cardinal (Epoch_state.covi st)));
+        let st = epoch ~f_set:[ 1; 2 ] [ trigger 0 0 0 ] in
+        Alcotest.(check int) "tri" 1 (card_objs (Epoch_state.tri st));
+        Alcotest.(check int) "covi" 1 (card_objs (Epoch_state.covi st));
+        Alcotest.(check int) "qi has s0" 1 (card_servers (Epoch_state.qi st));
+        Epoch_state.apply st (Epoch_state.Respond 0);
+        Alcotest.(check int) "rri" 1 (card_objs (Epoch_state.rri st));
+        Alcotest.(check int) "covi empty" 0 (card_objs (Epoch_state.covi st)));
     test "pre-epoch covered registers are excluded from Covi" (fun () ->
-        let sim = Sim.create ~n:3 () in
-        let b = Sim.alloc sim ~server:(Id.Server.of_int 0) Base_object.Register in
-        let c = Sim.new_client sim in
-        (* cover b before the epoch starts *)
-        ignore
-          (Sim.trigger sim ~client:c b (Base_object.Write (Value.Int 1))
-             ~on_response:ignore);
-        let f_set = Id.Server.set_of_list [ Id.Server.of_int 1; Id.Server.of_int 2 ] in
-        let st =
-          Epoch_state.start sim ~f_set ~completed_clients:Id.Client.Set.empty
-        in
-        ignore
-          (Sim.trigger sim ~client:c b (Base_object.Write (Value.Int 2))
-             ~on_response:ignore);
-        Epoch_state.advance st;
-        Alcotest.(check int) "covi" 0 (Id.Obj.Set.cardinal (Epoch_state.covi st));
-        Alcotest.(check int) "tri" 1 (Id.Obj.Set.cardinal (Epoch_state.tri st)));
+        (* cover b0 in epoch 1, then open epoch 2 *)
+        let st = epoch ~f_set:[ 1; 2 ] [ trigger 0 0 0 ] in
+        Epoch_state.next_epoch st ~completed:(Id.Client.of_int 0);
+        Epoch_state.apply st (trigger ~c:1 1 0 0);
+        Alcotest.(check int) "covi" 0 (card_objs (Epoch_state.covi st));
+        Alcotest.(check int) "tri" 1 (card_objs (Epoch_state.tri st)));
     test "qi is sticky once delta(Covi)\\F exceeds f" (fun () ->
-        let sim = Sim.create ~n:5 () in
-        let bs =
-          List.init 3 (fun i ->
-              Sim.alloc sim ~server:(Id.Server.of_int i) Base_object.Register)
-        in
-        let c = Sim.new_client sim in
-        let f_set = Id.Server.set_of_list [ Id.Server.of_int 3; Id.Server.of_int 4 ] in
-        let st =
-          Epoch_state.start sim ~f_set ~completed_clients:Id.Client.Set.empty
-        in
         (* f = 1; cover three servers outside F one by one *)
-        List.iter
-          (fun b ->
-            ignore
-              (Sim.trigger sim ~client:c b (Base_object.Write (Value.Int 1))
-                 ~on_response:ignore))
-          bs;
-        Epoch_state.advance st;
+        let st =
+          epoch ~f_set:[ 3; 4 ] [ trigger 0 0 0; trigger 1 1 1; trigger 2 2 2 ]
+        in
         (* first covered server s0 froze into Qi *)
         Alcotest.(check (list int))
           "qi = {s0}" [ 0 ]
-          (List.map Id.Server.to_int
-             (Id.Server.Set.elements (Epoch_state.qi st))));
+          (List.map Id.Server.to_int (Id.Server.Set.elements (Epoch_state.qi st))));
     test "blocked: completed clients' writes and Qi-server writes" (fun () ->
-        let sim = Sim.create ~n:3 () in
-        let b0 = Sim.alloc sim ~server:(Id.Server.of_int 0) Base_object.Register in
-        let old_client = Sim.new_client sim in
-        let new_client = Sim.new_client sim in
-        (* old covering write from before the epoch *)
-        ignore
-          (Sim.trigger sim ~client:old_client b0 (Base_object.Write (Value.Int 1))
-             ~on_response:ignore);
-        let f_set = Id.Server.set_of_list [ Id.Server.of_int 1; Id.Server.of_int 2 ] in
-        let st =
-          Epoch_state.start sim ~f_set
-            ~completed_clients:(Id.Client.set_of_list [ old_client ])
-        in
-        ignore
-          (Sim.trigger sim ~client:new_client b0 (Base_object.Write (Value.Int 2))
-             ~on_response:ignore);
-        Epoch_state.advance st;
-        let blocked_of cl =
-          List.filter
-            (fun (p : Sim.pending_info) -> Id.Client.equal p.client cl)
-            (Sim.pending sim)
-          |> List.map (Epoch_state.blocked st)
-        in
-        Alcotest.(check (list bool)) "old blocked (rule 1)" [ true ]
-          (blocked_of old_client);
+        (* client 0's covering write from before the epoch *)
+        let st = epoch ~f_set:[ 1; 2 ] [ trigger 0 0 0 ] in
+        Epoch_state.next_epoch st ~completed:(Id.Client.of_int 0);
+        Epoch_state.apply st (trigger ~c:1 1 0 0);
+        Alcotest.(check bool) "old blocked (rule 1)" true (Epoch_state.blocked st 0);
         (* b0 is on server s0 which is not newly covered (it was covered
            pre-epoch), hence not in Qi: the new write is NOT blocked *)
-        Alcotest.(check (list bool)) "new unblocked" [ false ]
-          (blocked_of new_client));
+        Alcotest.(check bool) "new unblocked" false (Epoch_state.blocked st 1));
     test "reads are never blocked" (fun () ->
-        let sim = Sim.create ~n:3 () in
-        let b0 = Sim.alloc sim ~server:(Id.Server.of_int 0) Base_object.Register in
-        let c = Sim.new_client sim in
-        let f_set = Id.Server.set_of_list [ Id.Server.of_int 1; Id.Server.of_int 2 ] in
+        (* a read is no covering write, so its id names no pending write *)
+        let st = epoch ~f_set:[ 1; 2 ] [ trigger 0 0 0 ] in
+        Epoch_state.next_epoch st ~completed:(Id.Client.of_int 0);
+        Alcotest.(check bool) "read unblocked" false (Epoch_state.blocked st 7));
+    test "Lemma 2.4 fails when two F servers respond while Qi is empty"
+      (fun () ->
+        (* f = 1: both servers of F respond to an in-epoch write before
+           any register outside F is covered, so |Fi| - |Qi| = 2 *)
         let st =
-          Epoch_state.start sim ~f_set
-            ~completed_clients:(Id.Client.set_of_list [ c ])
+          epoch ~f_set:[ 1; 2 ]
+            Epoch_state.[ trigger 0 1 1; trigger 1 2 2; Respond 0; Respond 1 ]
         in
-        ignore (Sim.trigger sim ~client:c b0 Base_object.Read ~on_response:ignore);
-        Epoch_state.advance st;
-        List.iter
-          (fun p ->
-            Alcotest.(check bool) "read unblocked" false (Epoch_state.blocked st p))
-          (Sim.pending sim));
+        match Lemma2.check st ~prev:Lemma2.initial with
+        | Error { claim = 4; _ } -> ()
+        | Error fl -> Alcotest.failf "expected claim 4: %a" Lemma2.failure_pp fl
+        | Ok _ -> Alcotest.fail "Lemma 2.4 not reported");
+    test "Gi blocks a pending F write once |Qi| < |Fi| (Definition 2, rule 2)"
+      (fun () ->
+        (* f = 1: s1 responds while s2 still holds an in-epoch write and
+           nothing outside F is covered: Qi = {}, Fi = {s1}, Gi = {s2} *)
+        let st =
+          epoch ~f_set:[ 1; 2 ] Epoch_state.[ trigger 0 1 1; trigger 1 2 2; Respond 0 ]
+        in
+        Alcotest.(check (list int))
+          "gi = {s2}" [ 2 ]
+          (List.map Id.Server.to_int (Id.Server.Set.elements (Epoch_state.gi st)));
+        Alcotest.(check bool) "pending write on s2 blocked" true
+          (Epoch_state.blocked st 1));
   ]
 
 (* --- Lemma 1 construction --------------------------------------------- *)
@@ -289,6 +254,194 @@ let lemma1_property_tests =
                true));
   ]
 
+(* --- one Ad_i on both models ------------------------------------------- *)
+
+(* the one construction on the simulator (Algorithm 2) and on the wire
+   (Alg2_net under the router) *)
+let models =
+  [
+    ( "sim",
+      fun p ~seed ->
+        Result.map
+          (fun (r : Lowerbound.run) -> r.epochs)
+          (Lowerbound.execute Regemu_core.Algorithm2.factory p ~seed ()) );
+    ("net", Regemu_harness.Wire.staircase);
+  ]
+
+let epochs_of model run p ~seed =
+  match run p ~seed with
+  | Ok epochs -> epochs
+  | Error e -> Alcotest.failf "%s at %a: %s" model Params.pp p e
+
+let on_both name check =
+  List.map
+    (fun (model, run) ->
+      test (Fmt.str "%s (%s)" name model) (fun () ->
+          List.iter
+            (fun (p, seed) ->
+              List.iter (check model p) (epochs_of model run p ~seed))
+            [
+              (params 4 2 7, 5); (params 3 1 5, 9); (params 3 1 3, 11);
+              (params 5 2 6, 11); (params 2 2 9, 4);
+            ]))
+    models
+
+let final_cov epochs =
+  (List.nth epochs (List.length epochs - 1) : Lowerbound.epoch_stats).cov_total
+
+let both_models_tests =
+  on_both "coverage >= i*f after each write, none on F"
+    (fun model p (s : Lowerbound.epoch_stats) ->
+      if s.cov_total < s.epoch * p.f then
+        Alcotest.failf "%s %a epoch %d: |Cov|=%d < i*f" model Params.pp p
+          s.epoch s.cov_total;
+      Alcotest.(check int) (Fmt.str "%s epoch %d on F" model s.epoch) 0 s.cov_on_f)
+  @ on_both "|Q_i| = f at each write's return"
+      (fun model p (s : Lowerbound.epoch_stats) ->
+        Alcotest.(check int) (Fmt.str "%s epoch %d |Qi|" model s.epoch) p.f s.q_size)
+  @ List.map
+      (fun (model, run) ->
+        QCheck_alcotest.to_alcotest
+          (QCheck.Test.make
+             ~name:(Fmt.str "Lemma 2 holds at every step (%s)" model)
+             ~count:25
+             (QCheck.make
+                QCheck.Gen.(
+                  let* f = int_range 1 2 in
+                  let* k = int_range 1 3 in
+                  let* n = int_range ((2 * f) + 1) 8 in
+                  let* seed = int_range 0 100_000 in
+                  return (Params.make_exn ~k ~f ~n, seed))
+                ~print:(fun (p, s) -> Fmt.str "%a seed=%d" Params.pp p s))
+             (fun (p, seed) ->
+               match run p ~seed with
+               | Error e -> QCheck.Test.fail_reportf "%s" e
+               | Ok epochs ->
+                   List.for_all
+                     (fun (s : Lowerbound.epoch_stats) ->
+                       s.lemma2_failure = None && s.cov_on_f = 0)
+                     epochs
+                   && final_cov epochs = p.k * p.f)))
+      models
+  @ [
+      test "waitall-reg ends in the driver's stuck error (sim; no wire client)"
+        (fun () ->
+          match
+            Lowerbound.execute Regemu_baselines.Waitall_reg.factory
+              (params 1 1 3) ~seed:1 ()
+          with
+          | Ok _ -> Alcotest.fail "wait-all should not survive Ad_i"
+          | Error msg ->
+              Alcotest.(check bool)
+                (Fmt.str "stuck: %s" msg) true
+                (Astring_contains.contains msg "stuck"));
+      test "both models agree on final coverage" (fun () ->
+          List.iter
+            (fun p ->
+              match
+                List.map
+                  (fun (model, run) -> final_cov (epochs_of model run p ~seed:6))
+                  models
+              with
+              | [ sim; net ] ->
+                  Alcotest.(check int) (Fmt.str "%a" Params.pp p) sim net;
+                  Alcotest.(check int) "both = kf" (p.k * p.f) net
+              | _ -> assert false)
+            [ params 2 1 3; params 3 1 5; params 3 2 7 ]);
+    ]
+
+(* --- Lemma 3, executed: the blocked run is indistinguishable from a
+   crash run, where f-tolerance forces the write to return ------------- *)
+
+(* Ad_i as a schedule policy for one high-level write: the simulator's
+   covering writes feed the one Epoch_state, and a choice never fires a
+   blocked write's response *)
+let adi_policy sim ~f_set ~rng =
+  let m = Lowerbound.On_sim.create sim in
+  let st = Epoch_state.create ~f_set in
+  {
+    Policy.name = "Ad_i";
+    choose =
+      (fun _ enabled ->
+        List.iter (Epoch_state.apply st) (Lowerbound.On_sim.actions m);
+        match
+          List.filter
+            (fun ev ->
+              match Lowerbound.On_sim.completes ev with
+              | None -> true
+              | Some id -> not (Epoch_state.blocked st id))
+            enabled
+        with
+        | [] -> None
+        | evs -> Some (Rng.pick rng evs));
+  }
+
+let lemma3_tests =
+  [
+    test "branching a blocked run into a crash run still completes the write"
+      (fun () ->
+        let p = params 1 1 4 in
+        let build () =
+          let sim = Sim.create ~n:p.n () in
+          let w = Sim.new_client sim in
+          let instance =
+            Regemu_core.Algorithm2.factory.make sim p ~writers:[ w ]
+          in
+          let call = instance.write w (Value.Str "v") in
+          (sim, call)
+        in
+        let is_write (pd : Sim.pending_info) =
+          match pd.op with Base_object.Write _ -> true | _ -> false
+        in
+        (* Run A: drive under Ad_i, recording, until the write phase has
+           all its low-level writes outstanding (none responded). *)
+        let sim_a, call_a = build () in
+        let adi =
+          adi_policy sim_a ~f_set:(Lowerbound.default_f_set p)
+            ~rng:(Rng.create 21)
+        in
+        let rec_policy, log = Regemu_workload.Replay.recording adi in
+        let write_phase_open () =
+          (not (Sim.call_returned call_a))
+          && List.length (List.filter is_write (Sim.pending sim_a)) >= 3
+          (* |R_0| = zf+f+1 with z=2: 4 registers; >=3 outstanding *)
+        in
+        (match
+           Driver.run_until sim_a rec_policy ~budget:10_000 write_phase_open
+         with
+        | Driver.Satisfied -> ()
+        | o -> Alcotest.failf "never reached the write phase: %a" Driver.outcome_pp o);
+        (* Branch (a): continue under Ad_i — Lemma 3 says it returns. *)
+        (match Driver.finish_call sim_a adi ~budget:50_000 call_a with
+        | Ok _ -> ()
+        | Error o -> Alcotest.failf "Ad_i branch: %a" Driver.outcome_pp o);
+        (* Branch (b): rebuild, replay the same prefix, then crash a
+           server holding an outstanding write and finish FAIRLY. *)
+        let sim_b, call_b = build () in
+        (match Regemu_workload.Replay.replay sim_b log with
+        | Ok () -> ()
+        | Error e -> Alcotest.fail e);
+        Alcotest.(check bool)
+          "prefix left the write open" false
+          (Sim.call_returned call_b);
+        let victim =
+          match List.find_opt is_write (Sim.pending sim_b) with
+          | Some pd -> Sim.delta sim_b pd.obj
+          | None -> Alcotest.fail "no outstanding write after replay"
+        in
+        Sim.crash_server sim_b victim;
+        match
+          Driver.finish_call sim_b
+            (Policy.uniform (Rng.create 5))
+            ~budget:50_000 call_b
+        with
+        | Ok _ -> ()
+        | Error o ->
+            Alcotest.failf
+              "crash branch did not complete (f-tolerance violated): %a"
+              Driver.outcome_pp o);
+  ]
+
 (* --- Theorem 8: no adaptivity to point contention ---------------------- *)
 
 (* --- Theorem 6: per-server covering at n = 2f+1 ------------------------ *)
@@ -414,6 +567,8 @@ let suites =
     ("adversary:epoch-state", epoch_basic_tests);
     ("adversary:lemma1", lemma1_tests);
     ("adversary:lemma1-props", lemma1_property_tests);
+    ("adversary:both-models", both_models_tests);
+    ("adversary:lemma3", lemma3_tests);
     ("adversary:theorem6", theorem6_tests);
     ("adversary:theorem8", theorem8_tests);
     ("adversary:violation", violation_tests);

@@ -278,92 +278,9 @@ let violation_tests =
 
 (* suites assembled at the end of the file *)
 
-(* --- the lower bound on the wire ------------------------------------------- *)
-
-let lowerbound_tests =
-  [
-    test "the covering staircase appears on the network" (fun () ->
-        List.iter
-          (fun (k, f, n, seed) ->
-            let p = Params.make_exn ~k ~f ~n in
-            match Net_lowerbound.execute p ~seed () with
-            | Error e -> Alcotest.failf "%a: %s" Params.pp p e
-            | Ok run ->
-                List.iter
-                  (fun (s : Net_lowerbound.epoch_stats) ->
-                    Alcotest.(check bool)
-                      (Fmt.str "epoch %d returned" s.epoch)
-                      true s.write_returned;
-                    if s.covered_total < s.epoch * f then
-                      Alcotest.failf "epoch %d: covered %d < i*f" s.epoch
-                        s.covered_total;
-                    Alcotest.(check int)
-                      (Fmt.str "epoch %d on F" s.epoch)
-                      0 s.covered_on_f;
-                    Alcotest.(check int)
-                      (Fmt.str "epoch %d |Qi|" s.epoch)
-                      f s.q_size)
-                  run.epochs;
-                Alcotest.(check int) "final = kf" (k * f) run.final_covered)
-          [ (3, 1, 3, 11); (5, 2, 6, 11); (2, 2, 9, 4) ]);
-    QCheck_alcotest.to_alcotest
-      (QCheck.Test.make
-         ~name:"the wire staircase holds for random params and seeds"
-         ~count:20
-         (QCheck.make
-            QCheck.Gen.(
-              let* f = int_range 1 2 in
-              let* k = int_range 1 3 in
-              let* n = int_range ((2 * f) + 1) 8 in
-              let* seed = int_range 0 100_000 in
-              return (Params.make_exn ~k ~f ~n, seed))
-            ~print:(fun (p, s) -> Fmt.str "%a seed=%d" Params.pp p s))
-         (fun (p, seed) ->
-           match Net_lowerbound.execute p ~seed () with
-           | Error e -> QCheck.Test.fail_reportf "%s" e
-           | Ok run ->
-               run.final_covered = p.Params.k * p.Params.f
-               && List.for_all
-                    (fun (s : Net_lowerbound.epoch_stats) ->
-                      s.covered_on_f = 0)
-                    run.epochs));
-  ]
-
-
-(* --- cross-substrate agreement --------------------------------------------- *)
-
-let cross_substrate_tests =
-  [
-    test "shared-memory and wire lower bounds agree on final coverage"
-      (fun () ->
-        List.iter
-          (fun (k, f, n) ->
-            let p = Params.make_exn ~k ~f ~n in
-            let shared =
-              match
-                Regemu_adversary.Lowerbound.execute
-                  Regemu_core.Algorithm2.factory p ~seed:6 ()
-              with
-              | Ok run -> run.final_cov
-              | Error e -> Alcotest.failf "shared: %s" e
-            in
-            let wire =
-              match Net_lowerbound.execute p ~seed:6 () with
-              | Ok run -> run.final_covered
-              | Error e -> Alcotest.failf "wire: %s" e
-            in
-            Alcotest.(check int)
-              (Fmt.str "%a" Params.pp p)
-              shared wire;
-            Alcotest.(check int) "both = kf" (k * f) wire)
-          [ (2, 1, 3); (3, 1, 5); (3, 2, 7) ]);
-  ]
-
 let suites =
   [
     ("alg2net:basics", basic_tests);
     ("alg2net:random", random_tests);
     ("alg2net:violation", violation_tests);
-    ("alg2net:lower-bound", lowerbound_tests);
-    ("alg2net:cross-substrate", cross_substrate_tests);
   ]

@@ -140,7 +140,7 @@ let theorem_tests =
         with
         | Error e -> Alcotest.failf "failed: %s" e
         | Ok run ->
-            let r = Theorems.lemma1 run in
+            let r = Theorems.lemma1 ~algo:run.algo run.params run.epochs in
             Alcotest.(check int) "rows" 3 (List.length r.rows);
             List.iter
               (fun row ->
@@ -524,9 +524,11 @@ let wire_tests =
               cells)
           r.rows);
     test "wire staircase rows show i*f coverage and clean F" (fun () ->
-        match Wire.staircase ~k:3 ~f:1 ~n:4 ~seed:9 with
+        let p = Params.make_exn ~k:3 ~f:1 ~n:4 in
+        match Wire.staircase p ~seed:9 with
         | Error e -> Alcotest.failf "failed: %s" e
-        | Ok r ->
+        | Ok epochs ->
+            let r = Theorems.lemma1 ~algo:"algorithm2 on the wire" p epochs in
             List.iteri
               (fun i row ->
                 Alcotest.(check string)

@@ -218,50 +218,30 @@ let pp_tests =
 
 let epoch_tests =
   [
-    test "advance is idempotent" (fun () ->
-        let sim = Sim.create ~n:3 () in
-        let b = Sim.alloc sim ~server:s0 Base_object.Register in
-        let c = Sim.new_client sim in
-        let f_set =
-          Id.Server.set_of_list [ Id.Server.of_int 1; Id.Server.of_int 2 ]
-        in
+    test "a respond that names no pending write changes nothing" (fun () ->
+        let module E = Regemu_adversary.Epoch_state in
         let st =
-          Regemu_adversary.Epoch_state.start sim ~f_set
-            ~completed_clients:Id.Client.Set.empty
+          E.create ~f_set:(Id.Server.set_of_list [ Id.Server.of_int 1; Id.Server.of_int 2 ])
         in
-        ignore
-          (Sim.trigger sim ~client:c b (Base_object.Write (Value.Int 1))
-             ~on_response:ignore);
-        Regemu_adversary.Epoch_state.advance st;
-        let covi1 = Regemu_adversary.Epoch_state.covi st in
-        Regemu_adversary.Epoch_state.advance st;
-        Regemu_adversary.Epoch_state.advance st;
-        Alcotest.(check bool)
-          "unchanged" true
-          (Id.Obj.Set.equal covi1 (Regemu_adversary.Epoch_state.covi st)));
+        E.apply st
+          (E.Trigger
+             { id = 0; client = Id.Client.of_int 0; obj = Id.Obj.of_int 0; server = s0 });
+        let covi1 = E.covi st in
+        E.apply st (E.Respond 1);
+        E.apply st (E.Respond 7);
+        Alcotest.(check bool) "unchanged" true (Id.Obj.Set.equal covi1 (E.covi st));
+        Alcotest.(check int) "rri" 0 (Id.Obj.Set.cardinal (E.rri st)));
     test "mi and gi relate per Definition 1.6-1.7" (fun () ->
-        let sim = Sim.create ~n:3 () in
-        let b1 = Sim.alloc sim ~server:(Id.Server.of_int 1) Base_object.Register in
-        let c = Sim.new_client sim in
-        let f_set =
-          Id.Server.set_of_list [ Id.Server.of_int 1; Id.Server.of_int 2 ]
-        in
-        let st =
-          Regemu_adversary.Epoch_state.start sim ~f_set
-            ~completed_clients:Id.Client.Set.empty
-        in
+        let module E = Regemu_adversary.Epoch_state in
+        let s1 = Id.Server.of_int 1 in
+        let st = E.create ~f_set:(Id.Server.set_of_list [ s1; Id.Server.of_int 2 ]) in
         (* cover a register on an F server: it lands in Mi (F \ Fi) *)
-        ignore
-          (Sim.trigger sim ~client:c b1 (Base_object.Write (Value.Int 1))
-             ~on_response:ignore);
-        Regemu_adversary.Epoch_state.advance st;
-        Alcotest.(check int)
-          "mi has s1" 1
-          (Id.Server.Set.cardinal (Regemu_adversary.Epoch_state.mi st));
+        E.apply st
+          (E.Trigger
+             { id = 0; client = Id.Client.of_int 0; obj = Id.Obj.of_int 1; server = s1 });
+        Alcotest.(check int) "mi has s1" 1 (Id.Server.Set.cardinal (E.mi st));
         (* |Qi| = 0 = |Fi| so Gi must be empty *)
-        Alcotest.(check int)
-          "gi empty" 0
-          (Id.Server.Set.cardinal (Regemu_adversary.Epoch_state.gi st)));
+        Alcotest.(check int) "gi empty" 0 (Id.Server.Set.cardinal (E.gi st)));
   ]
 
 (* --- fuzz sequential scenario --------------------------------------------------- *)

@@ -52,59 +52,7 @@ let umbrella_tests =
           Regemu.all_factories);
   ]
 
-(* Lemma 2's invariants also hold when the reusable Ad_i policy (not
-   the bespoke Lemma 1 driver) schedules the run. *)
-let monitor_under_policy_tests =
-  [
-    QCheck_alcotest.to_alcotest
-      (QCheck.Test.make
-         ~name:"Lemma 2 invariants hold under the reusable Ad_i policy"
-         ~count:25
-         (QCheck.make QCheck.Gen.(int_range 0 1_000_000) ~print:string_of_int)
-         (fun seed ->
-           let open Regemu in
-           let p = Params.make_exn ~k:2 ~f:1 ~n:4 in
-           let sim = Sim.create ~n:p.n () in
-           let writers = List.init p.k (fun _ -> Sim.new_client sim) in
-           let inst = Algorithm2.factory.make sim p ~writers in
-           let f_set =
-             Id.Server.set_of_list
-               [ Id.Server.of_int (p.n - 1); Id.Server.of_int (p.n - 2) ]
-           in
-           let adi = Adi_policy.create sim ~f_set ~rng:(Rng.create seed) in
-           let base = Adi_policy.policy adi in
-           (* monitor an epoch of our own alongside the policy's *)
-           let ok = ref true in
-           List.iteri
-             (fun i w ->
-               let state =
-                 Epoch_state.start sim ~f_set
-                   ~completed_clients:
-                     (Id.Client.set_of_list
-                        (List.filteri (fun j _ -> j < i) writers))
-               in
-               let snapshot = ref Lemma2.initial in
-               let monitored =
-                 {
-                   Policy.name = "monitored";
-                   choose =
-                     (fun s e ->
-                       Epoch_state.advance state;
-                       (match Lemma2.check state ~prev:!snapshot with
-                       | Ok snap -> snapshot := snap
-                       | Error _ -> ok := false);
-                       base.Policy.choose s e);
-                 }
-               in
-               ignore
-                 (Driver.finish_call_exn sim monitored ~budget:100_000
-                    (inst.write w (Value.Int i))))
-             writers;
-           !ok));
-  ]
-
 let suites =
   [
     ("regemu:umbrella", umbrella_tests);
-    ("regemu:monitored-policy", monitor_under_policy_tests);
   ]
