@@ -1,6 +1,6 @@
 # Convenience targets; dune is the source of truth.
 
-.PHONY: all build test check bench perfbench perfbench-trace perf-ab perf-bench live-bench tail-bench compare-bench chaos-bench keyspace-bench dst-fuzz explore-smoke explore-exhaustive experiments trace-demo verify examples clean loc
+.PHONY: all build test check bench micro perfbench perfbench-trace perf-ab chaos-bench dst-fuzz explore-smoke explore-exhaustive experiments trace-demo verify examples clean loc
 
 all: build
 
@@ -17,7 +17,20 @@ check: build test
 	then dune build @doc; \
 	else echo "odoc not installed; skipping the doc build"; fi
 
+# every committed live benchmark document, regenerated from one commit
+# (each records it): the backend saturation A/B, the tail-latency A/B,
+# the three-way space comparison and the open-loop keyspace, in the
+# regemu-bench/3 schema (validated before the write and on read-back);
+# several minutes, most of it the keyspace's 400k ops per skew
 bench:
+	dune build bin/regemu.exe
+	./_build/default/bin/regemu.exe bench saturate --json BENCH_live.json
+	./_build/default/bin/regemu.exe bench tail --json BENCH_tail.json
+	./_build/default/bin/regemu.exe bench compare --json BENCH_compare.json
+	./_build/default/bin/regemu.exe bench keyspace --json BENCH_keyspace.json
+
+# every paper claim, then the Bechamel micro-benchmarks
+micro:
 	dune exec bench/main.exe
 
 # the repository benchmark (BENCHMARK.json): all three workloads, 10 s
@@ -38,40 +51,9 @@ PAIRS ?= 10
 perf-ab:
 	python3 tools/perf_ab.py --parent $(PARENT) --workload $(WORKLOAD) --pairs $(PAIRS)
 
-# the tracked perf trajectory: the interleaved backend A/B (threads vs
-# socket, ABD, 16..256 client threads, median of 3 per point) in the
-# regemu-bench/2 schema, with per-point speedup-vs-threads on the
-# socket rows
-perf-bench:
-	dune exec bin/regemu.exe -- live --saturate --ops 200 --seed 42 --json BENCH_live.json
-
-# real threads, fault injection, online checking; writes BENCH_live_suite.json
-live-bench:
-	dune exec bin/regemu.exe -- live --bench --json BENCH_live_suite.json
-
-# the tail-latency A/B: baseline vs unhedged vs hedged under a single
-# 10x gray straggler, median of 5 interleaved rounds per arm; writes
-# BENCH_tail.json in the regemu-tail/1 schema (validated before persisting)
-tail-bench:
-	dune exec bin/regemu.exe -- live --tail --json BENCH_tail.json
-
-# the three-way space-vs-throughput-vs-fault-tolerance race: ABD,
-# Algorithm 2, and the CDS data store at each load point on the
-# threads fabric, median of 3 per cell; writes
-# BENCH_compare.json in the regemu-compare/1 schema (validated before
-# the write and re-parsed from disk after it)
-compare-bench:
-	dune exec bin/regemu.exe -- compare --json BENCH_compare.json
-
 # the full nemesis campaign against the live cluster; writes BENCH_chaos.json
 chaos-bench:
 	dune exec bin/regemu.exe -- chaos --json BENCH_chaos.json
-
-# the multi-register keyspace under open-loop load: one run per zipf
-# skew with the memory-bounded online checker live; writes
-# BENCH_keyspace.json (schema-validated before persisting)
-keyspace-bench:
-	dune exec bin/regemu.exe -- keyspace --json BENCH_keyspace.json
 
 # deterministic-schedule fuzzing: 500 quiet + 500 chaos seeds must be
 # clean, then a hunt sweep that shrinks its first counterexample

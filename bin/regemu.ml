@@ -7,6 +7,7 @@ open Cmdliner
 open Regemu_bounds
 open Regemu_harness
 module Json = Regemu_obs.Json
+module Bench = Regemu_bench.Bench
 
 (* common args; the claim subcommands share their infos, each with its
    claim's own default *)
@@ -781,18 +782,6 @@ let live_cmd =
           ~doc:"Protocol to run: $(b,abd), $(b,abd-wb), $(b,algorithm2), or \
                 $(b,cds).")
   in
-  let bench_arg =
-    Arg.(
-      value & flag
-      & info [ "bench" ]
-          ~doc:"Benchmark mode: quiet and chaos runs of every protocol.")
-  in
-  let smoke_arg =
-    Arg.(
-      value & flag
-      & info [ "smoke" ]
-          ~doc:"Bounded, seed-fixed smoke suite (used by dune runtest).")
-  in
   let chaos_arg =
     Arg.(
       value & flag
@@ -815,110 +804,39 @@ let live_cmd =
       value & opt int 3
       & info [ "couriers" ] ~doc:"Transport delivery threads.")
   in
-  let backend_arg =
-    backend_arg
-      ~doc:"Message fabric (a full $(b,--saturate) sweep ignores this and \
-            runs the A/B over every backend)"
-  in
   let json_arg =
     Arg.(
       value
       & opt (some string) None
       & info [ "json" ] ~docv:"FILE"
-          ~doc:"Also write the results as JSON (regemu-live-bench/1 schema; \
-                regemu-bench/2 with $(b,--saturate), regemu-tail/1 with \
-                $(b,--tail)), validated both before the write and re-parsed \
-                from the bytes on disk.")
+          ~doc:"Also write the run as a regemu-bench/3 $(b,suite) document, \
+                validated both before the write and re-parsed from the \
+                bytes on disk.")
   in
-  let saturate_arg =
-    Arg.(
-      value & flag
-      & info [ "saturate" ]
-          ~doc:"Saturation sweep on a quiet non-reordering transport.  The \
-                full sweep is the backend A/B: ABD at each client count on \
-                the threads and socket fabrics interleaved, reporting \
-                ops/s, latency percentiles, and the socket fabric's \
-                speedup over threads.  With $(b,--smoke), a \
-                bounded single-backend sweep for CI (honours \
-                $(b,--backend)).")
-  in
-  let reps_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "reps" ] ~docv:"N"
-          ~doc:"Repetitions per benchmark point, run round-robin over the \
-                whole list with rep $(i,i) at seed + 1000$(i,i); the median \
-                run is reported (by throughput, by p99 with $(b,--tail)).  \
-                Defaults to 3 for $(b,--saturate) sweeps and 5 for \
-                $(b,--tail) (1 with $(b,--smoke)), 1 otherwise.")
-  in
-  let tail_arg =
-    Arg.(
-      value & flag
-      & info [ "tail" ]
-          ~doc:"Tail-latency A/B bench: baseline, unhedged, and hedged arms \
-                under a single 10x gray straggler, reporting latency \
-                percentiles per arm and the hedged-p99-over-baseline-p99 \
-                ratio (regemu-tail/1 schema with $(b,--json)).  Honours \
-                $(b,--algo).  With $(b,--smoke), a bounded run for CI.")
-  in
-  let run bench smoke saturate tail chaos algo k readers f n ops couriers
-      backend json seed reps trace sample metrics =
-    let specs =
-      if tail then
-        Tail_bench.arms
-          (if smoke then Tail_bench.smoke_spec ~backend ~algo ~seed ()
-           else Tail_bench.default_spec ~backend ~algo ~seed ())
-      else if saturate then
-        if smoke then
-          Live_bench.saturate_specs ~backend ~clients:[ 2; 4 ]
-            ~ops_per_client:40 ~seed ()
-        else Live_bench.saturate_ab_specs ~ops_per_client:ops ~seed ()
-      else if smoke then Live_bench.smoke_suite ~backend ()
-      else if bench then
-        List.map
-          (fun s -> { s with Live_bench.backend })
-          (Live_bench.suite ~ops_per_client:ops ~seed ())
-      else
-        [
-          {
-            Live_bench.algo; k; readers; f; n; ops_per_client = ops;
-            couriers; chaos; reorder = true; backend; seed; gray = None;
-          };
-        ]
-    in
-    (* full saturation sweeps report the median-throughput of 3 reps
-       per point and full tail runs the median-p99 of 5 per arm:
-       single-core throughput and p99 are noisy, and a median, not one
-       roll, is the number worth committing to BENCH_*.json *)
-    let reps =
-      match reps with
-      | Some r -> r
-      | None when smoke -> 1
-      | None -> if tail then 5 else if saturate then 3 else 1
-    in
-    let by =
-      if tail then fun o -> Live_bench.pct o 0.99
-      else fun o -> o.Live_bench.throughput
+  let run chaos algo k readers f n ops couriers backend json seed trace sample
+      metrics =
+    let spec =
+      {
+        (Bench.closed ~backend ~algo ~seed
+           { Bench.k; readers; ops_per_client = ops })
+        with
+        f;
+        n;
+        couriers;
+        chaos;
+      }
     in
     Obs_cli.with_sink ~trace ~sample ~metrics @@ fun sink ->
-    match Live_bench.run_reps ~reps ~sink ~by specs with
+    match Bench.run ~sink spec with
     | exception Invalid_argument m ->
         Fmt.epr "error: %s@." m;
         1
-    | outs ->
-        if tail then Fmt.pr "%a@." Tail_bench.outcome_pp outs
-        else List.iter (Fmt.pr "%a@." Live_bench.outcome_pp) outs;
-        let doc, validate =
-          if tail then (Tail_bench.to_json outs, Tail_bench.validate_tail_json)
-          else if saturate then
-            (Live_bench.saturate_json outs, Live_bench.validate_bench_json)
-          else (Live_bench.to_json outs, Live_bench.validate_live_json)
-        in
-        write_bench_doc ~validate json doc
-          ~clean:(List.for_all Live_bench.clean outs)
-          ~dirty:"a live run failed its online consistency checks or lost \
+    | row ->
+        Fmt.pr "%a@." Bench.row_pp row;
+        write_bench_doc ~validate:Bench.validate json
+          (Bench.to_json (Bench.document "suite") [ row ])
+          ~clean:(Bench.clean row)
+          ~dirty:"the run failed its online consistency checks or lost \
                   operations"
   in
   Cmd.v
@@ -927,81 +845,68 @@ let live_cmd =
          "Run a real concurrent cluster: server threads, load-generator \
           client threads, fault injection, and online consistency checking.")
     Term.(
-      const run $ bench_arg $ smoke_arg $ saturate_arg $ tail_arg $ chaos_arg
-      $ algo_arg
+      const run $ chaos_arg $ algo_arg
       $ Arg.(value & opt int 1 & info [ "k" ] ~doc:"Number of writer threads.")
       $ readers_arg
       $ Arg.(value & opt int 1 & info [ "f" ] ~doc:"Failure threshold.")
       $ Arg.(value & opt int 3 & info [ "n" ] ~doc:"Number of server threads.")
-      $ ops_arg $ couriers_arg $ backend_arg $ json_arg $ seed_arg $ reps_arg
-      $ Obs_cli.trace_arg
+      $ ops_arg $ couriers_arg
+      $ backend_arg ~doc:"Message fabric"
+      $ json_arg $ seed_arg $ Obs_cli.trace_arg
       $ Obs_cli.sample_arg ~default:64
       $ Obs_cli.metrics_arg)
 
-(* --- compare ------------------------------------------------------------- *)
+(* --- bench --------------------------------------------------------------- *)
 
-let compare_cmd =
-  let open Regemu_live in
+(* one subcommand per document of the registry *)
+let bench_cmd =
   let smoke_arg =
     Arg.(
       value & flag
       & info [ "smoke" ]
-          ~doc:"Bounded single-load run for CI (used by dune runtest): the \
-                light load point, fewer readers, 25 ops per client.")
+          ~doc:"Run the document's bounded smoke list once (used by dune \
+                runtest).")
   in
   let json_arg =
     Arg.(
       value
       & opt (some string) None
       & info [ "json" ] ~docv:"FILE"
-          ~doc:"Also write the table as JSON (regemu-compare/1 schema), \
-                validated both before the write and re-parsed from the \
-                bytes on disk.")
+          ~doc:"Also write the document (regemu-bench/3 schema), validated \
+                both before the write and re-parsed from the bytes on \
+                disk.")
   in
-  let reps_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "reps" ] ~docv:"N"
-          ~doc:"Repetitions per (algorithm, load) cell; the \
-                median-throughput run is reported.  Defaults to 3 \
-                (1 with $(b,--smoke)).")
-  in
-  let run smoke json seed reps trace sample metrics =
-    Obs_cli.with_sink ~trace ~sample ~metrics @@ fun sink ->
-    let pairs =
-      if smoke then Compare_bench.smoke_specs ~seed ()
-      else Compare_bench.specs ~seed ()
+  let doc_cmd (d : Bench.document) =
+    let run smoke json trace sample metrics =
+      Obs_cli.with_sink ~trace ~sample ~metrics @@ fun sink ->
+      let rows =
+        Bench.run_reps ~sink ~by:d.by
+          ~reps:(if smoke then 1 else d.reps)
+          (if smoke then d.smoke else d.full)
+      in
+      List.iter (Fmt.pr "%a@." Bench.row_pp) rows;
+      let doc = Bench.to_json d rows in
+      Option.iter
+        (fun s -> Fmt.pr "summary: %s@." (Json.to_string s))
+        (Json.member "summary" doc);
+      write_bench_doc ~validate:Bench.validate json doc
+        ~clean:(List.for_all Bench.clean rows)
+        ~dirty:"a bench run failed its online checks, lost operations or \
+                went over its budget"
     in
-    let reps =
-      match reps with Some r -> r | None -> if smoke then 1 else 3
-    in
-    match Compare_bench.run ~sink ~reps pairs with
-    | exception Invalid_argument m ->
-        Fmt.epr "error: %s@." m;
-        1
-    | rows ->
-        List.iter (Fmt.pr "%a@." Compare_bench.row_pp) rows;
-        write_bench_doc ~validate:Compare_bench.validate_compare_json json
-          (Compare_bench.to_json ~seed ~smoke rows)
-          ~clean:(Compare_bench.clean rows)
-          ~dirty:"a comparison run failed its online consistency checks or \
-                  lost operations"
+    Cmd.v
+      (Cmd.info d.name ~doc:d.doc)
+      Term.(
+        const run $ smoke_arg $ json_arg $ Obs_cli.trace_arg
+        $ Obs_cli.sample_arg ~default:64
+        $ Obs_cli.metrics_arg)
   in
-  Cmd.v
-    (Cmd.info "compare"
+  Cmd.group
+    (Cmd.info "bench"
        ~doc:
-         "Race the three emulations — ABD, Algorithm 2, and the CDS \
-          multi-writer data store — at the same load points on the threads \
-          fabric, and report space (measured resident cells \
-          and bytes per server, plus the paper-side formula), throughput, \
-          and latency side by side (regemu-compare/1 schema with \
-          $(b,--json)).")
-    Term.(
-      const run $ smoke_arg $ json_arg $ seed_arg $ reps_arg
-      $ Obs_cli.trace_arg
-      $ Obs_cli.sample_arg ~default:64
-      $ Obs_cli.metrics_arg)
+         "Run one live benchmark document and write it as regemu-bench/3 \
+          JSON.")
+    (List.map doc_cmd Bench.documents)
 
 (* --- chaos --------------------------------------------------------------- *)
 
@@ -1435,7 +1340,6 @@ let dst_cmd =
 (* --- keyspace ------------------------------------------------------------ *)
 
 let keyspace_cmd =
-  let open Regemu_keyspace in
   let smoke_arg =
     Arg.(
       value & flag
@@ -1492,54 +1396,66 @@ let keyspace_cmd =
       & opt (some string) None
       & info [ "json" ] ~docv:"FILE"
           ~doc:
-            "Write the trajectory as JSON (regemu-keyspace/1 schema), \
+            "Write the runs as a regemu-bench/3 $(b,keyspace) document, \
              validated both before the write and re-parsed from the bytes \
              on disk.")
   in
   let quiet_arg =
     Arg.(
       value & flag
-      & info [ "quiet" ] ~doc:"Suppress per-skew progress lines.")
+      & info [ "quiet" ] ~doc:"Suppress the per-skew result lines.")
   in
   let backend_arg = backend_arg ~doc:"Message fabric under each skew's cluster" in
   let run smoke keys zipfs rate ops window budget nval fval backend json quiet
       seed trace sample metrics =
-    let spec = if smoke then Kbench.smoke_spec else Kbench.default_spec in
-    let spec =
-      {
-        spec with
-        Kbench.seed;
-        n = Option.value nval ~default:spec.Kbench.n;
-        f = Option.value fval ~default:spec.Kbench.f;
-        keys = Option.value keys ~default:spec.Kbench.keys;
-        zipfs = Option.value zipfs ~default:spec.Kbench.zipfs;
-        arrival_rate = Option.value rate ~default:spec.Kbench.arrival_rate;
-        total_ops = Option.value ops ~default:spec.Kbench.total_ops;
-        window = Option.value window ~default:spec.Kbench.window;
-        budget_ops = Option.value budget ~default:spec.Kbench.budget_ops;
-        backend;
-      }
+    let d = Bench.document "keyspace" in
+    let runs =
+      List.filter_map
+        (fun (s : Bench.spec) ->
+          match s.load with
+          | Bench.Keyspace ks -> Some (s, ks)
+          | Bench.Clients _ -> None)
+        (if smoke then d.smoke else d.full)
+    in
+    let s0, ks0 = List.hd runs in
+    let specs =
+      List.map
+        (fun zipf ->
+          Bench.keyspace ~backend ~seed
+            ~n:(Option.value nval ~default:s0.n)
+            ~f:(Option.value fval ~default:s0.f)
+            {
+              ks0 with
+              zipf;
+              keys = Option.value keys ~default:ks0.keys;
+              arrival_rate = Option.value rate ~default:ks0.arrival_rate;
+              total_ops = Option.value ops ~default:ks0.total_ops;
+              window = Option.value window ~default:ks0.window;
+              budget_ops = Option.value budget ~default:ks0.budget_ops;
+            })
+        (Option.value zipfs
+           ~default:(List.map (fun (_, ks) -> ks.Bench.zipf) runs))
     in
     Obs_cli.with_sink ~trace ~sample ~metrics @@ fun sink ->
-    match Kbench.run ~quiet ~sink spec with
+    match
+      List.map
+        (fun spec ->
+          let row = Bench.run ~sink spec in
+          if not quiet then Fmt.pr "%a@." Bench.row_pp row;
+          row)
+        specs
+    with
     | exception Invalid_argument m ->
         Fmt.epr "error: %s@." m;
         1
-    | outcome ->
-        Fmt.pr "%a@." Kbench.outcome_pp outcome;
-        let bad =
-          List.filter
-            (fun s ->
-              s.Kbench.violations > 0
-              || s.Kbench.deep_mismatches > 0
-              || not s.Kbench.within_budget)
-            outcome.Kbench.skews
-        in
-        write_bench_doc ~validate:Kbench.validate_keyspace_json json
-          (Kbench.to_json outcome) ~clean:(bad = [])
+    | rows ->
+        let bad = List.filter (fun r -> not (Bench.clean r)) rows in
+        write_bench_doc ~validate:Bench.validate json (Bench.to_json d rows)
+          ~clean:(bad = [])
           ~dirty:
             (Fmt.str
-               "%d skew(s) failed (violations, deep mismatch, or over budget)"
+               "%d skew(s) failed (violations, deep mismatch, lost ops, or \
+                over budget)"
                (List.length bad))
   in
   Cmd.v
@@ -1706,6 +1622,6 @@ let () =
           (claim_cmds
           @ [
               all_cmd; verify_cmd; plan_cmd; fuzz_cmd; explore_cmd; run_cmd;
-              sweep_cmd; live_cmd; compare_cmd; chaos_cmd; dst_cmd;
+              sweep_cmd; live_cmd; bench_cmd; chaos_cmd; dst_cmd;
               keyspace_cmd; trace_cmd;
             ])))

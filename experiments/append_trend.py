@@ -3,8 +3,8 @@
 
 Usage: append_trend.py EXPERIMENT RESULT_JSON TREND_JSON
 
-Reads the experiment's result (regemu-cgfuzz/1, regemu-cert/1, or
-regemu-keyspace/1), distills the few numbers worth tracking over time,
+Reads the experiment's result (regemu-cgfuzz/1, regemu-cert/1, or a
+regemu-bench/3 keyspace document), distills the few numbers worth tracking over time,
 and appends a regemu-explore-trend/1 record to TREND_JSON (a JSON
 array, created on first use) kept beside BENCH_live.json.  If an
 elapsed_s.txt sits next to the result (written by `make run`), rates
@@ -47,15 +47,16 @@ def metrics_of(doc, elapsed):
             "max_depth": doc["max_depth"],
             "exhaustive": doc["exhaustive"],
         }
-    if schema == "regemu-keyspace/1":
-        skews = doc["skews"]
+    if schema == "regemu-bench/3" and doc.get("doc") == "keyspace":
+        rows = doc["rows"]  # one per zipf skew
         return {
-            "skews": len(skews),
-            "completed": sum(s["completed"] for s in skews),
-            "violations": sum(s["violations"] for s in skews),
-            "min_ops_per_s": min(s["ops_per_s"] for s in skews),
-            "max_resident_ops": max(s["max_resident_ops"] for s in skews),
-            "within_budget": all(s["within_budget"] for s in skews),
+            "skews": len(rows),
+            "completed": sum(r["ops"] for r in rows),
+            "violations": sum(r["violations"] for r in rows),
+            "min_ops_per_s": min(r["ops_per_s"] for r in rows),
+            "max_resident_ops": max(r["resident_ops"] for r in rows),
+            "within_budget": all(
+                r["resident_ops"] <= r["budget_ops"] for r in rows),
         }
     raise SystemExit(f"append_trend: unhandled result schema {schema!r}")
 

@@ -1,5 +1,5 @@
 #!/bin/sh
-# Distill the regemu-keyspace/1 trajectory into a trend record.
+# Distill the regemu-bench/3 keyspace document into a trend record.
 set -e
 cd "$(dirname "$0")"
 exec python3 ../append_trend.py keyspace-fuzz out.json ../../BENCH_explore.json

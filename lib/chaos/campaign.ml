@@ -230,7 +230,7 @@ let run ?(log = ignore) ?(sink = Sink.none) s =
   let wall_s = Unix.gettimeofday () -. t0 in
   let check = Checker.stop checker in
   (* counted after shutdown has joined every courier, like
-     {!Live_bench.run}: no late delivery escapes the outcome *)
+     the bench runner: no late delivery escapes the outcome *)
   Cluster.shutdown cluster;
   let stats = Cluster.stats cluster in
   let backoff_ms = Cluster.backoff_histogram cluster in

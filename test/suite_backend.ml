@@ -482,11 +482,18 @@ let socket_tests =
 (* --- cluster-level smoke on both fabrics -------------------------------- *)
 
 let run_spec backend ~chaos ~seed =
-  Live_bench.run
-    {
-      (Live_bench.default_spec ~backend ~algo:Live_bench.Abd ~chaos ~seed ())
-      with k = 1; readers = 2; ops_per_client = 40;
-    }
+  let o =
+    Regemu_bench.Bench.run
+      {
+        (Regemu_bench.Bench.closed ~backend ~algo:Live_bench.Abd ~seed
+           { k = 1; readers = 2; ops_per_client = 40 })
+        with
+        chaos;
+      }
+  in
+  match o.check with
+  | Regemu_bench.Bench.Register r -> (o, r)
+  | Regemu_bench.Bench.Keys _ -> Alcotest.fail "expected a register verdict"
 
 let check_clean what (r : Checker.result) =
   if not (Checker.ok r) then
@@ -496,10 +503,10 @@ let cluster_tests =
   [
     test "socket: ABD quiet run completes clean over real processes"
       (fun () ->
-        let o = run_spec Transport.Socket ~chaos:false ~seed:12 in
-        check_clean "socket quiet" o.Live_bench.check;
-        Alcotest.(check int) "every op completed" (3 * 40) o.Live_bench.ops;
-        Alcotest.(check bool) "clean" true (Live_bench.clean o));
+        let o, check = run_spec Transport.Socket ~chaos:false ~seed:12 in
+        check_clean "socket quiet" check;
+        Alcotest.(check int) "every op completed" (3 * 40) o.ops;
+        Alcotest.(check bool) "clean" true (Regemu_bench.Bench.clean o));
     test "socket: ABD under drop, dup and delay completes clean" (fun () ->
         (* no crash injector: socket restarts are amnesiac, and this
            test is about the message faults alone *)
@@ -580,89 +587,10 @@ let cluster_tests =
         Alcotest.(check int) "all 41 ops completed" 41
           (Cluster.stats cluster).Cluster.ops_completed);
     test "threads: ABD with chaos completes clean" (fun () ->
-        let o = run_spec Transport.Threads ~chaos:true ~seed:11 in
-        check_clean "threads chaos" o.Live_bench.check;
-        Alcotest.(check int) "every op completed" (3 * 40) o.Live_bench.ops;
-        Alcotest.(check bool) "clean" true (Live_bench.clean o));
-  ]
-
-(* --- regemu-bench/2 validation ------------------------------------------ *)
-
-let bench_row extra =
-  Json.Obj
-    ([
-       ("name", Json.Str "saturate/abd/threads/clients=2");
-       ("measure", Json.Str "throughput");
-       ("backend", Json.Str "threads");
-       ("ns_per_run", Json.Float 1000.0);
-     ]
-    @ extra)
-
-let bench_doc rows =
-  Json.Obj
-    [ ("schema", Json.Str "regemu-bench/2"); ("benchmarks", Json.List rows) ]
-
-let schema_tests =
-  [
-    test "validate_bench_json accepts a minimal /2 document" (fun () ->
-        match Live_bench.validate_bench_json (bench_doc [ bench_row [] ]) with
-        | Ok () -> ()
-        | Error m -> Alcotest.failf "rejected: %s" m);
-    test "validate_bench_json rejects a lingering r_square" (fun () ->
-        match
-          Live_bench.validate_bench_json
-            (bench_doc [ bench_row [ ("r_square", Json.Null) ] ])
-        with
-        | Error _ -> ()
-        | Ok () -> Alcotest.fail "r_square accepted in /2");
-    test "validate_bench_json rejects an unknown backend" (fun () ->
-        let row =
-          Json.Obj
-            [
-              ("name", Json.Str "x");
-              ("measure", Json.Str "throughput");
-              ("backend", Json.Str "carrier-pigeon");
-              ("ns_per_run", Json.Float 1.0);
-            ]
-        in
-        match Live_bench.validate_bench_json (bench_doc [ row ]) with
-        | Error _ -> ()
-        | Ok () -> Alcotest.fail "unknown backend accepted");
-    test "validate_bench_json rejects the /1 schema id" (fun () ->
-        let doc =
-          Json.Obj
-            [
-              ("schema", Json.Str "regemu-bench/1");
-              ("benchmarks", Json.List []);
-            ]
-        in
-        match Live_bench.validate_bench_json doc with
-        | Error _ -> ()
-        | Ok () -> Alcotest.fail "/1 accepted by the /2 validator");
-    test "validate_bench_json rejects a row from the deleted domains backend"
-      (fun () ->
-        let row b =
-          Json.Obj
-            [
-              ("name", Json.Str ("saturate/abd/" ^ b ^ "/clients=16"));
-              ("measure", Json.Str "throughput");
-              ("backend", Json.Str b);
-              ("ns_per_run", Json.Float 1.0);
-            ]
-        in
-        List.iter
-          (fun b ->
-            let name = Transport.backend_name b in
-            match Live_bench.validate_bench_json (bench_doc [ row name ]) with
-            | Ok () -> ()
-            | Error m -> Alcotest.failf "%s row rejected: %s" name m)
-          Transport.backends;
-        match
-          Live_bench.validate_bench_json
-            (bench_doc [ row "threads"; row "domains" ])
-        with
-        | Error _ -> ()
-        | Ok () -> Alcotest.fail "a domains row accepted");
+        let o, check = run_spec Transport.Threads ~chaos:true ~seed:11 in
+        check_clean "threads chaos" check;
+        Alcotest.(check int) "every op completed" (3 * 40) o.ops;
+        Alcotest.(check bool) "clean" true (Regemu_bench.Bench.clean o));
   ]
 
 let suites =
@@ -673,5 +601,4 @@ let suites =
     ("backend.names", names_tests);
     ("backend.socket", socket_tests);
     ("backend.cluster", cluster_tests);
-    ("backend.schema", schema_tests);
   ]

@@ -247,87 +247,30 @@ let dst_tests =
           <> Regemu_dst.Dst.run_digest (Regemu_dst.Dst.run (cfg 43))));
   ]
 
-(* --- the regemu-compare/1 validator --------------------------------------- *)
-
-let row ?(algo = "abd") ?(backend = "threads") ?(load = "k2-f1") () =
-  Json.Obj
-    [
-      ("algo", Json.Str algo);
-      ("backend", Json.Str backend);
-      ("load", Json.Str load);
-      ("f", Json.Int 1);
-      ("n", Json.Int 5);
-      ("ops_per_s", Json.Float 1000.0);
-      ("latency_p50_us", Json.Float 10.0);
-      ("latency_p95_us", Json.Float 20.0);
-      ("space_resident_cells", Json.Int 1);
-      ("space_resident_bytes", Json.Int 22);
-      ("space_cells_total", Json.Int 3);
-      ("space_formula_cells_total", Json.Int 3);
-      ("clean", Json.Bool true);
-    ]
-
-let doc rows =
-  Json.Obj
-    [
-      ("schema", Json.Str "regemu-compare/1");
-      ("seed", Json.Int 42);
-      ("smoke", Json.Bool true);
-      ("rows", Json.List rows);
-      ("clean", Json.Bool true);
-    ]
-
-let full_coverage =
-  List.map (fun algo -> row ~algo ()) [ "abd"; "algorithm2"; "cds" ]
-
-let expect_invalid what = function
-  | Ok () -> Alcotest.failf "%s: expected a validation error" what
-  | Error _ -> ()
+(* --- the compare document's formula column ------------------------------ *)
 
 let compare_tests =
   [
     test "formula column matches the paper-side bounds" (fun () ->
-        let l = { Compare_bench.label = "x"; k = 6; readers = 1; f = 2; n = 7 } in
-        Alcotest.(check int) "ABD: 2f+1" 5
-          (Compare_bench.formula_cells_total ~algo:Live_bench.Abd l);
-        Alcotest.(check int) "CDS: k(2f+1)" 30
-          (Compare_bench.formula_cells_total ~algo:Live_bench.Cds l);
-        Alcotest.(check int) "Alg2: the register_upper_bound formula"
-          (Regemu_bounds.Formulas.register_upper_bound
-             (Regemu_bounds.Params.make_exn ~k:6 ~f:2 ~n:7))
-          (Compare_bench.formula_cells_total ~algo:Live_bench.Alg2 l));
-    test "a fully covered document validates" (fun () ->
-        match Compare_bench.validate_compare_json (doc full_coverage) with
-        | Ok () -> ()
-        | Error m -> Alcotest.failf "valid document rejected: %s" m);
-    test "holes, duplicates, and junk are rejected" (fun () ->
-        expect_invalid "empty rows" (Compare_bench.validate_compare_json (doc []));
-        expect_invalid "missing (cds, k2-f1) cell"
-          (Compare_bench.validate_compare_json
-             (doc (List.filteri (fun i _ -> i < 2) full_coverage)));
-        expect_invalid "duplicated cell"
-          (Compare_bench.validate_compare_json
-             (doc (row () :: full_coverage)));
-        expect_invalid "unknown algo"
-          (Compare_bench.validate_compare_json (doc [ row ~algo:"paxos" () ]));
-        expect_invalid "socket backend is not part of the comparison"
-          (Compare_bench.validate_compare_json
-             (doc (row ~backend:"socket" () :: full_coverage)));
-        expect_invalid "wrong schema"
-          (Compare_bench.validate_compare_json
-             (Json.Obj [ ("schema", Json.Str "regemu-compare/2") ])));
-    test "a row from the deleted domains backend is rejected" (fun () ->
-        (* older documents carried a domains row for every cell; the
-           comparison now runs threads only *)
-        expect_invalid "domains row beside full coverage"
-          (Compare_bench.validate_compare_json
-             (doc (full_coverage @ [ row ~algo:"cds" ~backend:"domains" () ])));
-        expect_invalid "domains in place of threads"
-          (Compare_bench.validate_compare_json
-             (doc
-                (List.map
-                   (fun algo -> row ~algo ~backend:"domains" ())
-                   [ "abd"; "algorithm2"; "cds" ]))));
+        let cells algo =
+          Regemu_bench.Bench.formula_cells_total
+            {
+              (Regemu_bench.Bench.closed ~algo ~seed:1
+                 { k = 6; readers = 1; ops_per_client = 1 })
+              with
+              f = 2;
+              n = 7;
+            }
+        in
+        Alcotest.(check (option int))
+          "ABD: 2f+1" (Some 5) (cells Live_bench.Abd);
+        Alcotest.(check (option int)) "CDS: k(2f+1)" (Some 30)
+          (cells Live_bench.Cds);
+        Alcotest.(check (option int)) "Alg2: the register_upper_bound formula"
+          (Some
+             (Regemu_bounds.Formulas.register_upper_bound
+                (Regemu_bounds.Params.make_exn ~k:6 ~f:2 ~n:7)))
+          (cells Live_bench.Alg2));
   ]
 
 let suites =

@@ -336,62 +336,24 @@ let e2e_tests =
     dst_gc_test Regemu_dst.Dst_keyspace.Chaos;
     dst_sweep_test;
     test "live smoke run stays within its memory budget" (fun () ->
-        let spec =
-          { Kbench.smoke_spec with zipfs = [ 0.9 ]; total_ops = 300 }
+        let module Bench = Regemu_bench.Bench in
+        let o =
+          match (Bench.document "keyspace").smoke with
+          | ({ load = Bench.Keyspace ks; _ } as s) :: _ ->
+              Bench.run
+                {
+                  s with
+                  load = Bench.Keyspace { ks with zipf = 0.9; total_ops = 300 };
+                }
+          | _ -> Alcotest.fail "the keyspace smoke runs keys"
         in
-        let o = Kbench.run spec in
-        match o.Kbench.skews with
-        | [ s ] ->
-            check_int "all completed" 300
-              (s.Kbench.completed + s.Kbench.failed);
-            check_int "no violations" 0 s.Kbench.violations;
-            check_int "no deep mismatches" 0 s.Kbench.deep_mismatches;
-            Alcotest.(check bool) "within budget" true s.Kbench.within_budget
-        | _ -> Alcotest.fail "expected one skew");
-  ]
-
-(* --- bench JSON schema gate --------------------------------------- *)
-
-let valid_doc () =
-  let spec = { Kbench.smoke_spec with zipfs = [ 0.5 ]; total_ops = 40 } in
-  Kbench.to_json (Kbench.run spec)
-
-let reject name doc =
-  test name (fun () ->
-      match Kbench.validate_keyspace_json doc with
-      | Ok () -> Alcotest.fail "validation accepted a malformed document"
-      | Error _ -> ())
-
-module Json = Regemu_obs.Json
-
-let rec strip key = function
-  | Json.Obj fields ->
-      Json.Obj
-        (List.filter_map
-           (fun (k, v) -> if k = key then None else Some (k, strip key v))
-           fields)
-  | Json.List l -> Json.List (List.map (strip key) l)
-  | j -> j
-
-let schema_tests =
-  let doc = valid_doc () in
-  [
-    test "real outcome validates" (fun () ->
-        match Kbench.validate_keyspace_json doc with
-        | Ok () -> ()
-        | Error e -> Alcotest.failf "rejected a real outcome: %s" e);
-    reject "wrong schema tag rejected"
-      (strip "schema" doc |> function
-       | Json.Obj f -> Json.Obj (("schema", Json.Str "regemu-live/1") :: f)
-       | j -> j);
-    reject "missing schema rejected" (strip "schema" doc);
-    reject "missing spec rejected" (strip "spec" doc);
-    reject "empty skews rejected"
-      (strip "skews" doc |> function
-       | Json.Obj f -> Json.Obj (("skews", Json.List []) :: f)
-       | j -> j);
-    reject "skew without checker fields rejected" (strip "violations" doc);
-    reject "skew without budget verdict rejected" (strip "within_budget" doc);
+        check_int "all completed" 300 (o.ops + o.failed);
+        match o.check with
+        | Bench.Keys k ->
+            check_int "no violations" 0 k.violations;
+            check_int "no deep mismatches" 0 k.deep_mismatches;
+            Alcotest.(check bool) "within budget" true (Bench.clean o)
+        | Bench.Register _ -> Alcotest.fail "expected per-key counts");
   ]
 
 let suites =
@@ -400,5 +362,4 @@ let suites =
     ("keyspace.openload", openload_tests);
     ("keyspace.kchecker", kchecker_tests);
     ("keyspace.e2e", e2e_tests);
-    ("keyspace.schema", schema_tests);
   ]

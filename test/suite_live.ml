@@ -4,6 +4,7 @@
 open Regemu_objects
 open Regemu_live
 module Json = Regemu_obs.Json
+module Bench = Regemu_bench.Bench
 
 let test name f = Alcotest.test_case name `Quick f
 
@@ -1076,30 +1077,29 @@ let check_clean what (r : Checker.result) =
   | Some false -> Alcotest.failf "%s: final history not linearizable" what
   | Some true | None -> ()
 
+let register (o : Bench.row) =
+  match o.check with
+  | Bench.Register r -> r
+  | Bench.Keys _ -> Alcotest.fail "a closed-loop run carries a register verdict"
+
 let cluster_tests =
   [
     test "ABD smoke: concurrent clients, checker-clean" (fun () ->
         let o =
-          Live_bench.run
-            {
-              (Live_bench.default_spec ~algo:Live_bench.Abd_wb ~chaos:false
-                 ~seed:1 ())
-              with k = 1; readers = 2; ops_per_client = 60;
-            }
+          Bench.run
+            (Bench.closed ~algo:Live_bench.Abd_wb ~seed:1
+               { k = 1; readers = 2; ops_per_client = 60 })
         in
-        check_clean "abd-wb smoke" o.check;
+        check_clean "abd-wb smoke" (register o);
         Alcotest.(check int) "every op completed" (3 * 60) o.ops;
-        Alcotest.(check bool) "outcome is clean" true (Live_bench.clean o));
+        Alcotest.(check bool) "outcome is clean" true (Bench.clean o));
     test "algorithm 2 smoke: checker-clean" (fun () ->
         let o =
-          Live_bench.run
-            {
-              (Live_bench.default_spec ~algo:Live_bench.Alg2 ~chaos:false
-                 ~seed:2 ())
-              with readers = 2; ops_per_client = 50;
-            }
+          Bench.run
+            (Bench.closed ~algo:Live_bench.Alg2 ~seed:2
+               { k = 1; readers = 2; ops_per_client = 50 })
         in
-        check_clean "alg2 smoke" o.check;
+        check_clean "alg2 smoke" (register o);
         Alcotest.(check int) "every op completed" (3 * 50) o.ops);
     test "deterministic crashes: ops complete with <= f down" (fun () ->
         let cfg = Cluster.default_config ~n:3 ~seed:3 in
@@ -1133,13 +1133,15 @@ let cluster_tests =
           ((Cluster.stats cluster).Cluster.ops_completed));
     test "chaos run survives injected faults" (fun () ->
         let o =
-          Live_bench.run
+          Bench.run
             {
-              (Live_bench.default_spec ~algo:Live_bench.Abd ~chaos:true ~seed:4 ())
-              with readers = 2; ops_per_client = 40;
+              (Bench.closed ~algo:Live_bench.Abd ~seed:4
+                 { k = 1; readers = 2; ops_per_client = 40 })
+              with
+              chaos = true;
             }
         in
-        check_clean "abd chaos" o.check;
+        check_clean "abd chaos" (register o);
         Alcotest.(check int) "every op completed" (3 * 40) o.ops);
   ]
 
@@ -1596,147 +1598,163 @@ let load_tests =
         | _ -> Alcotest.fail "a Failure was swallowed");
   ]
 
-(* --- saturation bench / regemu-bench schema ------------------------------ *)
+(* --- the bench runner and its regemu-bench/3 documents ------------------ *)
+
+(* [edit k f] rewrites field [k] wherever it occurs; [f] returning
+   [None] drops it *)
+let rec edit k f = function
+  | Json.Obj kvs ->
+      Json.Obj
+        (List.filter_map
+           (fun (k', v) ->
+             if k' = k then Option.map (fun v -> (k', v)) (f v)
+             else Some (k', edit k f v))
+           kvs)
+  | Json.List l -> Json.List (List.map (edit k f) l)
+  | j -> j
+
+let set k v = edit k (fun _ -> Some v)
+let drop k = edit k (fun _ -> None)
 
 let bench_tests =
   [
     test "saturate point is clean and its document passes the schema check"
       (fun () ->
+        let d = Bench.document "saturate" in
         let spec =
-          Live_bench.saturate_spec ~algo:Live_bench.Abd ~clients:2
-            ~ops_per_client:10 ~seed:5 ()
+          match (List.hd d.smoke).load with
+          | Bench.Clients c ->
+              {
+                (List.hd d.smoke) with
+                load = Bench.Clients { c with ops_per_client = 10 };
+              }
+          | Bench.Keyspace _ -> Alcotest.fail "saturate runs clients"
         in
         let o =
-          match
-            Live_bench.run_reps ~reps:2 ~by:(fun o -> o.Live_bench.throughput)
-              [ spec ]
-          with
+          match Bench.run_reps ~reps:2 ~by:d.by [ spec ] with
           | [ o ] -> o
-          | _ -> Alcotest.fail "expected one outcome"
+          | _ -> Alcotest.fail "expected one row"
         in
-        Alcotest.(check bool) "clean" true (Live_bench.clean o);
-        let doc = Live_bench.saturate_json [ o ] in
-        (match Live_bench.validate_bench_json doc with
+        Alcotest.(check bool) "clean" true (Bench.clean o);
+        let doc = Bench.to_json d [ o ] in
+        (match Bench.validate doc with
         | Ok () -> ()
         | Error m -> Alcotest.failf "schema check failed: %s" m);
-        (* the emitted names are the dashboard keys; keep them stable *)
-        match doc with
-        | Json.Obj kvs -> (
-            match List.assoc "benchmarks" kvs with
-            | Json.List [ Json.Obj b ] ->
-                Alcotest.(check bool) "benchmark name" true
-                  (List.assoc "name" b
-                  = Json.Str "saturate/abd/threads/clients=2")
-            | _ -> Alcotest.fail "expected one benchmark entry")
-        | _ -> Alcotest.fail "expected an object");
-    test "schema check rejects malformed documents" (fun () ->
-        let reject doc =
-          match Live_bench.validate_bench_json doc with
-          | Error _ -> ()
-          | Ok () -> Alcotest.fail "malformed document accepted"
+        match Json.member "rows" doc with
+        | Some (Json.List [ row ]) ->
+            Alcotest.(check (option string))
+              "row label" (Some "clients=2")
+              (Option.bind (Json.member "label" row) Json.to_str_opt)
+        | _ -> Alcotest.fail "expected one row");
+    test "Bench.validate accepts real documents and rejects each malformed one"
+      (fun () ->
+        let row =
+          Bench.row_json
+            (Bench.run
+               (Bench.closed ~algo:Live_bench.Abd ~seed:6
+                  { k = 1; readers = 3; ops_per_client = 10 }))
         in
-        reject (Json.Obj [ ("schema", Json.Str "regemu-bench/2") ]);
-        reject
-          (Json.Obj
-             [
-               ("schema", Json.Str "regemu-bench/1");
-               ("benchmarks", Json.Str "not-a-list");
-             ]);
-        reject
-          (Json.Obj
-             [
-               ("schema", Json.Str "regemu-bench/1");
-               ( "benchmarks",
-                 Json.List
-                   [ Json.Obj [ ("name", Json.Str "x") ] (* no measure *) ] );
-             ]);
-        reject
-          (Json.Obj
-             [
-               ("schema", Json.Str "regemu-bench/1");
-               ( "benchmarks",
-                 Json.List
-                   [
-                     Json.Obj
-                       [
-                         ("name", Json.Str "x");
-                         ("measure", Json.Str "throughput");
-                         ("ns_per_run", Json.Str "fast");
-                         ("r_square", Json.Null);
-                       ];
-                   ] );
-             ]));
-    test "a live smoke document validates; malformed ones do not" (fun () ->
-        let spec =
-          {
-            (Live_bench.default_spec ~algo:Live_bench.Abd ~chaos:false ~seed:6
-               ())
-            with
-            ops_per_client = 10;
-          }
+        let krow =
+          match (Bench.document "keyspace").smoke with
+          | ({ load = Bench.Keyspace ks; _ } as s) :: _ ->
+              Bench.row_json
+                (Bench.run
+                   { s with load = Bench.Keyspace { ks with total_ops = 40 } })
+          | _ -> Alcotest.fail "the keyspace smoke runs keys"
         in
-        let doc = Live_bench.to_json [ Live_bench.run spec ] in
-        (match Live_bench.validate_live_json doc with
-        | Ok () -> ()
-        | Error m -> Alcotest.failf "real outcome rejected: %s" m);
-        (* [edit k f] rewrites field [k] wherever it occurs *)
-        let rec edit k f = function
-          | Json.Obj kvs ->
-              Json.Obj
-                (List.filter_map
-                   (fun (k', v) ->
-                     if k' = k then Option.map (fun v -> (k', v)) (f v)
-                     else Some (k', edit k f v))
-                   kvs)
-          | Json.List l -> Json.List (List.map (edit k f) l)
-          | j -> j
+        let doc name rows =
+          Json.Obj
+            [
+              ("schema", Json.Str "regemu-bench/3");
+              ("doc", Json.Str name);
+              ("commit", Json.Str "0123456789ab");
+              ( "machine",
+                Json.Obj [ ("nproc", Json.Int 2); ("ocaml", Json.Str "5.1.1") ]
+              );
+              ("rows", Json.List rows);
+              ("summary", Json.Obj []);
+              ("clean", Json.Bool true);
+            ]
         in
-        let reject what doc =
-          match Live_bench.validate_live_json doc with
-          | Error _ -> ()
-          | Ok () -> Alcotest.failf "%s accepted" what
+        let cell algo label =
+          set "algo" (Json.Str algo) (set "label" (Json.Str label) row)
         in
-        reject "wrong schema id"
-          (edit "schema" (fun _ -> Some (Json.Str "regemu-live-bench/2")) doc);
-        reject "empty results"
-          (edit "results" (fun _ -> Some (Json.List [])) doc);
-        reject "no spec" (edit "spec" (fun _ -> None) doc);
-        reject "unknown algo"
-          (edit "algo" (fun _ -> Some (Json.Str "paxos")) doc);
-        reject "unknown backend"
-          (edit "backend" (fun _ -> Some (Json.Str "carrier-pigeon")) doc);
-        reject "string ops_per_s"
-          (edit "ops_per_s" (fun _ -> Some (Json.Str "fast")) doc);
+        let cells =
+          List.map (fun a -> cell a "k2-f1") [ "abd"; "algorithm2"; "cds" ]
+        in
+        let arms = List.map (cell "abd") [ "baseline"; "unhedged"; "hedged" ] in
+        let suite = doc "suite" [ row ] in
         List.iter
-          (fun k -> reject ("no " ^ k) (edit k (fun _ -> None) doc))
-          [ "latency_p50_us"; "latency_p95_us"; "latency_p99_us" ];
-        reject "non-boolean clean"
-          (edit "clean" (fun _ -> Some (Json.Int 1)) doc));
+          (fun (what, d) ->
+            match Bench.validate d with
+            | Ok () -> ()
+            | Error m -> Alcotest.failf "%s rejected: %s" what m)
+          [
+            ("a real suite row", suite);
+            ("a real keyspace row", doc "keyspace" [ krow ]);
+            ("one compare cell per algorithm", doc "compare" cells);
+            ("the tail arms in order", doc "tail" arms);
+          ];
+        List.iter
+          (fun (what, d) ->
+            match Bench.validate d with
+            | Error _ -> ()
+            | Ok () -> Alcotest.failf "%s accepted" what)
+          ([
+             ("the /2 schema", set "schema" (Json.Str "regemu-bench/2") suite);
+             ("no schema", drop "schema" suite);
+             ("an unknown document", set "doc" (Json.Str "perf") suite);
+             ("no commit", drop "commit" suite);
+             ("an empty commit", set "commit" (Json.Str "") suite);
+             ("no machine", drop "machine" suite);
+             ("a zero nproc", set "nproc" (Json.Int 0) suite);
+             ("no rows", doc "suite" []);
+             ("an unknown algo", set "algo" (Json.Str "paxos") suite);
+             ("an unknown backend", set "backend" (Json.Str "pigeon") suite);
+             ("the domains backend", set "backend" (Json.Str "domains") suite);
+             ("a string ops_per_s", set "ops_per_s" (Json.Str "fast") suite);
+             ("a non-boolean clean", set "clean" (Json.Int 1) suite);
+             ( "tail arms out of order",
+               doc "tail" (List.map (List.nth arms) [ 0; 2; 1 ]) );
+             ("a missing compare cell", doc "compare" (List.tl cells));
+             ("a doubled compare cell", doc "compare" (List.hd cells :: cells));
+             ( "a socket row in compare",
+               doc "compare"
+                 (set "backend" (Json.Str "socket") (List.hd cells)
+                 :: List.tl cells) );
+             ( "a zero keyspace budget",
+               doc "keyspace" [ set "budget_ops" (Json.Int 0) krow ] );
+             ("a keyspace row without a budget", doc "keyspace" [ row ]);
+           ]
+          @ List.map
+              (fun k -> ("no " ^ k, drop k suite))
+              [
+                "latency_mean_us"; "latency_p50_us"; "latency_p95_us";
+                "latency_p99_us"; "retries"; "unavailable"; "threads_started";
+                "inline_steps"; "checks"; "violations"; "label";
+              ]));
     test "the committed BENCH documents pass their schema validators"
       (fun () ->
         List.iter
-          (fun (file, validate) ->
-            match Json.of_file (Filename.concat ".." file) with
-            | Error m -> Alcotest.failf "%s does not parse: %s" file m
-            | Ok doc -> (
-                match validate doc with
-                | Ok () -> ()
-                | Error m -> Alcotest.failf "%s rejected: %s" file m))
-          [
-            ("BENCH_live.json", Live_bench.validate_bench_json);
-            ("BENCH_tail.json", Tail_bench.validate_tail_json);
-            ("BENCH_compare.json", Compare_bench.validate_compare_json);
-            ( "BENCH_keyspace.json",
-              Regemu_keyspace.Kbench.validate_keyspace_json );
-          ]);
-    test "saturate_spec rejects fewer than two clients" (fun () ->
-        Alcotest.(check bool) "raises" true
-          (match
-             Live_bench.saturate_spec ~algo:Live_bench.Abd ~clients:1
-               ~ops_per_client:10 ~seed:1 ()
-           with
-          | exception Invalid_argument _ -> true
-          | _ -> false));
+          (fun (d : Bench.document) ->
+            Option.iter
+              (fun file ->
+                match Json.of_file (Filename.concat ".." file) with
+                | Error m -> Alcotest.failf "%s does not parse: %s" file m
+                | Ok doc -> (
+                    (match Bench.validate doc with
+                    | Ok () -> ()
+                    | Error m -> Alcotest.failf "%s rejected: %s" file m);
+                    Alcotest.(check (option string))
+                      (file ^ " is its document") (Some d.name)
+                      (Option.bind (Json.member "doc" doc) Json.to_str_opt);
+                    match
+                      Option.bind (Json.member "commit" doc) Json.to_str_opt
+                    with
+                    | Some c when c <> "" && c <> "unknown" -> ()
+                    | _ -> Alcotest.failf "%s records no commit" file))
+              d.file)
+          Bench.documents);
   ]
 
 let suites =

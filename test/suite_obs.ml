@@ -5,6 +5,7 @@
    snapshot agrees with the benchmark outcome's own counts. *)
 
 open Regemu_obs
+module Bench = Regemu_bench.Bench
 
 let test name f = Alcotest.test_case name `Quick f
 
@@ -470,23 +471,28 @@ let agreement_tests =
         let mx = Metrics.create () in
         let sink = Sink.make ~metrics:mx () in
         let spec =
-          { (Live_bench.default_spec ~algo:Live_bench.Abd ~chaos:true ~seed:9 ())
-            with Live_bench.ops_per_client = 15 }
+          {
+            (Bench.closed ~algo:Live_bench.Abd ~seed:9
+               { k = 1; readers = 3; ops_per_client = 15 })
+            with
+            chaos = true;
+          }
         in
-        let o = Live_bench.run ~sink spec in
+        let o = Bench.run ~sink spec in
+        let st = o.stats in
         let pairs =
           [
-            ("transport.sent", o.Live_bench.msgs_sent);
-            ("transport.delivered", o.Live_bench.msgs_delivered);
-            ("transport.duplicated", o.Live_bench.msgs_duplicated);
-            ("transport.delayed", o.Live_bench.msgs_delayed);
-            ("transport.dropped", o.Live_bench.msgs_dropped);
-            ("transport.cut", o.Live_bench.msgs_cut);
-            ("client.retries", o.Live_bench.retries);
-            ("client.unavailable", o.Live_bench.unavailable);
-            ("ops.completed", o.Live_bench.ops);
-            ("cluster.crashes", o.Live_bench.crashes);
-            ("cluster.restarts", o.Live_bench.restarts);
+            ("transport.sent", st.msgs_sent);
+            ("transport.delivered", st.msgs_delivered);
+            ("transport.duplicated", st.msgs_duplicated);
+            ("transport.delayed", st.msgs_delayed);
+            ("transport.dropped", st.msgs_dropped);
+            ("transport.cut", st.msgs_cut);
+            ("client.retries", st.retries);
+            ("client.unavailable", st.unavailable);
+            ("ops.completed", o.ops);
+            ("cluster.crashes", st.crashes);
+            ("cluster.restarts", st.restarts);
           ]
         in
         List.iter
@@ -500,28 +506,28 @@ let agreement_tests =
         let open Regemu_live in
         let tr = Trace.create () in
         let sink = Sink.make ~trace:tr () in
-        let spec =
-          { (Live_bench.default_spec ~algo:Live_bench.Abd ~chaos:false ~seed:4 ())
-            with Live_bench.ops_per_client = 15 }
+        let o =
+          Bench.run ~sink
+            (Bench.closed ~algo:Live_bench.Abd ~seed:4
+               { k = 1; readers = 3; ops_per_client = 15 })
         in
-        let o = Live_bench.run ~sink spec in
-        Alcotest.(check bool) "clean" true (Live_bench.clean o);
+        Alcotest.(check bool) "clean" true (Bench.clean o);
         Alcotest.(check int) "no ring overwrite" 0 (Trace.dropped tr);
         let count p =
           List.length (List.filter (fun (_, e) -> p e) (Trace.events tr))
         in
         let is name (e : Event.t) = e.Event.cat = "msg" && e.Event.name = name in
         Alcotest.(check int)
-          "send events = msgs_sent" o.Live_bench.msgs_sent (count (is "send"));
+          "send events = msgs_sent" o.stats.msgs_sent (count (is "send"));
         Alcotest.(check int)
-          "recv events = msgs_delivered" o.Live_bench.msgs_delivered
+          "recv events = msgs_delivered" o.stats.msgs_delivered
           (count (is "recv"));
         let op_begin (e : Event.t) =
           e.Event.ph = Event.Begin && e.Event.cat = "op"
           && (e.Event.name = "write" || e.Event.name = "read")
         in
         Alcotest.(check int)
-          "op spans = completed ops" o.Live_bench.ops (count op_begin));
+          "op spans = completed ops" o.ops (count op_begin));
   ]
 
 (* --- the one validated write path ----------------------------------------- *)
