@@ -21,7 +21,7 @@ check: build test
 # (each records it): the backend saturation A/B, the tail-latency A/B,
 # the three-way space comparison and the open-loop keyspace, in the
 # regemu-bench/3 schema (validated before the write and on read-back);
-# several minutes, most of it the keyspace's 400k ops per skew
+# about two minutes on 2 vCPUs, most of it the keyspace's 3 x 400k ops
 bench:
 	dune build bin/regemu.exe
 	./_build/default/bin/regemu.exe bench saturate --json BENCH_live.json

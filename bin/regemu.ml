@@ -820,6 +820,7 @@ let live_cmd =
         (Bench.closed ~backend ~algo ~seed
            { Bench.k; readers; ops_per_client = ops })
         with
+        label = (if chaos then "chaos" else "quiet");
         f;
         n;
         couriers;

@@ -319,7 +319,8 @@ let run_reps ?(reps = 1) ?sink ~by specs =
 let verdict_pp ppf = function
   | Register c -> Checker.result_pp ppf c
   | Keys k ->
-      Fmt.pf ppf "%d checks, %d violations, %d deep mismatches, resident <= %d"
+      Fmt.pf ppf
+        "%d reads checked, %d violations, %d deep mismatches, resident <= %d"
         k.checks k.violations k.deep_mismatches k.max_resident_ops
 
 let row_pp ppf r =
@@ -382,7 +383,7 @@ let row_json r =
     match r.check with
     | Register c ->
         [
-          int "checks" c.Checker.checks;
+          int "checker_passes" c.Checker.checks;
           int "violations"
             (match c.Checker.ws with
             | Regemu_history.Ws_check.Violated _ -> 1
@@ -393,7 +394,7 @@ let row_json r =
         ]
     | Keys k ->
         [
-          int "checks" k.checks; int "violations" k.violations;
+          int "reads_checked" k.checks; int "violations" k.violations;
           int "settled_writes" k.settled_writes;
           int "resident_ops" k.max_resident_ops; int "deep_keys" k.deep_keys;
           int "deep_mismatches" k.deep_mismatches;
@@ -772,7 +773,7 @@ let validate_row r =
       (fun k -> Result.map ignore (Json.get k Json.to_int_opt r))
       [
         "ops"; "failed"; "retries"; "unavailable"; "threads_started";
-        "inline_steps"; "checks"; "violations";
+        "inline_steps"; "violations";
       ]
   in
   Result.map ignore (Json.get "clean" Json.to_bool_opt r)

@@ -174,7 +174,7 @@ val to_json : document -> row list -> Regemu_obs.Json.t
     a [label], a known [algo] and [backend], numeric [ops_per_s], the
     four latency fields (numbers, or [null] when not measured), integer
     counters ([ops], [failed], [retries], [unavailable],
-    [threads_started], [inline_steps], [checks], [violations]) and a
+    [threads_started], [inline_steps], [violations]) and a
     boolean [clean]; a [summary] object, a boolean [clean], and the
     document's own {!document.check}. *)
 val validate : Regemu_obs.Json.t -> (unit, string) result

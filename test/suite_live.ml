@@ -1731,7 +1731,7 @@ let bench_tests =
               [
                 "latency_mean_us"; "latency_p50_us"; "latency_p95_us";
                 "latency_p99_us"; "retries"; "unavailable"; "threads_started";
-                "inline_steps"; "checks"; "violations"; "label";
+                "inline_steps"; "violations"; "label";
               ]));
     test "the committed BENCH documents pass their schema validators"
       (fun () ->
