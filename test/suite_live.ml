@@ -1616,6 +1616,113 @@ let rec edit k f = function
 let set k v = edit k (fun _ -> Some v)
 let drop k = edit k (fun _ -> None)
 
+(* The table behind the [Bench.validate] tests: real rows from one small
+   closed-loop run and one keyspace smoke run, shared by every case. *)
+let fixtures =
+  lazy
+    (let row =
+       Bench.row_json
+         (Bench.run
+            (Bench.closed ~algo:Live_bench.Abd ~seed:6
+               { k = 1; readers = 3; ops_per_client = 10 }))
+     in
+     let krow =
+       match (Bench.document "keyspace").smoke with
+       | ({ load = Bench.Keyspace ks; _ } as s) :: _ ->
+           Bench.row_json
+             (Bench.run
+                { s with load = Bench.Keyspace { ks with total_ops = 40 } })
+       | _ -> Alcotest.fail "the keyspace smoke runs keys"
+     in
+     (row, krow))
+
+let doc name rows =
+  Json.Obj
+    [
+      ("schema", Json.Str "regemu-bench/3");
+      ("doc", Json.Str name);
+      ("commit", Json.Str "0123456789ab");
+      ( "machine",
+        Json.Obj [ ("nproc", Json.Int 2); ("ocaml", Json.Str "5.1.1") ] );
+      ("rows", Json.List rows);
+      ("summary", Json.Obj []);
+      ("clean", Json.Bool true);
+    ]
+
+let row () = fst (Lazy.force fixtures)
+let krow () = snd (Lazy.force fixtures)
+let suite () = doc "suite" [ row () ]
+let cell algo label =
+  set "algo" (Json.Str algo) (set "label" (Json.Str label) (row ()))
+let cells () = List.map (fun a -> cell a "k2-f1") [ "abd"; "algorithm2"; "cds" ]
+let arms () = List.map (cell "abd") [ "baseline"; "unhedged"; "hedged" ]
+
+let validate_tests =
+  List.map
+    (fun (what, d) ->
+      test ("Bench.validate accepts " ^ what) (fun () ->
+          match Bench.validate (d ()) with
+          | Ok () -> ()
+          | Error m -> Alcotest.failf "%s rejected: %s" what m))
+    [
+      ("a real suite row", suite);
+      ("a real keyspace row", fun () -> doc "keyspace" [ krow () ]);
+      ("one compare cell per algorithm", fun () -> doc "compare" (cells ()));
+      ("the tail arms in order", fun () -> doc "tail" (arms ()));
+    ]
+  @ List.map
+      (fun (what, d) ->
+        test ("Bench.validate rejects " ^ what) (fun () ->
+            match Bench.validate (d ()) with
+            | Error _ -> ()
+            | Ok () -> Alcotest.failf "%s accepted" what))
+      ([
+         ( "the /2 schema",
+           fun () -> set "schema" (Json.Str "regemu-bench/2") (suite ()) );
+         ("no schema", fun () -> drop "schema" (suite ()));
+         ( "an unknown document",
+           fun () -> set "doc" (Json.Str "perf") (suite ()) );
+         ("no commit", fun () -> drop "commit" (suite ()));
+         ("an empty commit", fun () -> set "commit" (Json.Str "") (suite ()));
+         ("no machine", fun () -> drop "machine" (suite ()));
+         ("a zero nproc", fun () -> set "nproc" (Json.Int 0) (suite ()));
+         ("no rows", fun () -> doc "suite" []);
+         ( "an unknown algo",
+           fun () -> set "algo" (Json.Str "paxos") (suite ()) );
+         ( "an unknown backend",
+           fun () -> set "backend" (Json.Str "pigeon") (suite ()) );
+         ( "the domains backend",
+           fun () -> set "backend" (Json.Str "domains") (suite ()) );
+         ( "a string ops_per_s",
+           fun () -> set "ops_per_s" (Json.Str "fast") (suite ()) );
+         ("a non-boolean clean", fun () -> set "clean" (Json.Int 1) (suite ()));
+         ( "tail arms out of order",
+           fun () -> doc "tail" (List.map (List.nth (arms ())) [ 0; 2; 1 ]) );
+         ( "a missing compare cell",
+           fun () -> doc "compare" (List.tl (cells ())) );
+         ( "a doubled compare cell",
+           fun () ->
+             let c = cells () in
+             doc "compare" (List.hd c :: c) );
+         ( "a socket row in compare",
+           fun () ->
+             let c = cells () in
+             doc "compare"
+               (set "backend" (Json.Str "socket") (List.hd c) :: List.tl c) );
+         ( "a zero keyspace budget",
+           fun () -> doc "keyspace" [ set "budget_ops" (Json.Int 0) (krow ()) ]
+         );
+         ( "a keyspace row without a budget",
+           fun () -> doc "keyspace" [ row () ] );
+       ]
+      @ List.map
+          (fun k -> ("no " ^ k, fun () -> drop k (suite ())))
+          [
+            "latency_mean_us"; "latency_p50_us"; "latency_p95_us";
+            "latency_p99_us"; "retries"; "unavailable"; "threads_started";
+            "inline_steps"; "violations"; "label";
+          ])
+
 let bench_tests =
   [
     test "saturate point is clean and its document passes the schema check"
@@ -1646,93 +1753,9 @@ let bench_tests =
               "row label" (Some "clients=2")
               (Option.bind (Json.member "label" row) Json.to_str_opt)
         | _ -> Alcotest.fail "expected one row");
-    test "Bench.validate accepts real documents and rejects each malformed one"
-      (fun () ->
-        let row =
-          Bench.row_json
-            (Bench.run
-               (Bench.closed ~algo:Live_bench.Abd ~seed:6
-                  { k = 1; readers = 3; ops_per_client = 10 }))
-        in
-        let krow =
-          match (Bench.document "keyspace").smoke with
-          | ({ load = Bench.Keyspace ks; _ } as s) :: _ ->
-              Bench.row_json
-                (Bench.run
-                   { s with load = Bench.Keyspace { ks with total_ops = 40 } })
-          | _ -> Alcotest.fail "the keyspace smoke runs keys"
-        in
-        let doc name rows =
-          Json.Obj
-            [
-              ("schema", Json.Str "regemu-bench/3");
-              ("doc", Json.Str name);
-              ("commit", Json.Str "0123456789ab");
-              ( "machine",
-                Json.Obj [ ("nproc", Json.Int 2); ("ocaml", Json.Str "5.1.1") ]
-              );
-              ("rows", Json.List rows);
-              ("summary", Json.Obj []);
-              ("clean", Json.Bool true);
-            ]
-        in
-        let cell algo label =
-          set "algo" (Json.Str algo) (set "label" (Json.Str label) row)
-        in
-        let cells =
-          List.map (fun a -> cell a "k2-f1") [ "abd"; "algorithm2"; "cds" ]
-        in
-        let arms = List.map (cell "abd") [ "baseline"; "unhedged"; "hedged" ] in
-        let suite = doc "suite" [ row ] in
-        List.iter
-          (fun (what, d) ->
-            match Bench.validate d with
-            | Ok () -> ()
-            | Error m -> Alcotest.failf "%s rejected: %s" what m)
-          [
-            ("a real suite row", suite);
-            ("a real keyspace row", doc "keyspace" [ krow ]);
-            ("one compare cell per algorithm", doc "compare" cells);
-            ("the tail arms in order", doc "tail" arms);
-          ];
-        List.iter
-          (fun (what, d) ->
-            match Bench.validate d with
-            | Error _ -> ()
-            | Ok () -> Alcotest.failf "%s accepted" what)
-          ([
-             ("the /2 schema", set "schema" (Json.Str "regemu-bench/2") suite);
-             ("no schema", drop "schema" suite);
-             ("an unknown document", set "doc" (Json.Str "perf") suite);
-             ("no commit", drop "commit" suite);
-             ("an empty commit", set "commit" (Json.Str "") suite);
-             ("no machine", drop "machine" suite);
-             ("a zero nproc", set "nproc" (Json.Int 0) suite);
-             ("no rows", doc "suite" []);
-             ("an unknown algo", set "algo" (Json.Str "paxos") suite);
-             ("an unknown backend", set "backend" (Json.Str "pigeon") suite);
-             ("the domains backend", set "backend" (Json.Str "domains") suite);
-             ("a string ops_per_s", set "ops_per_s" (Json.Str "fast") suite);
-             ("a non-boolean clean", set "clean" (Json.Int 1) suite);
-             ( "tail arms out of order",
-               doc "tail" (List.map (List.nth arms) [ 0; 2; 1 ]) );
-             ("a missing compare cell", doc "compare" (List.tl cells));
-             ("a doubled compare cell", doc "compare" (List.hd cells :: cells));
-             ( "a socket row in compare",
-               doc "compare"
-                 (set "backend" (Json.Str "socket") (List.hd cells)
-                 :: List.tl cells) );
-             ( "a zero keyspace budget",
-               doc "keyspace" [ set "budget_ops" (Json.Int 0) krow ] );
-             ("a keyspace row without a budget", doc "keyspace" [ row ]);
-           ]
-          @ List.map
-              (fun k -> ("no " ^ k, drop k suite))
-              [
-                "latency_mean_us"; "latency_p50_us"; "latency_p95_us";
-                "latency_p99_us"; "retries"; "unavailable"; "threads_started";
-                "inline_steps"; "violations"; "label";
-              ]));
+  ]
+  @ validate_tests
+  @ [
     test "the committed BENCH documents pass their schema validators"
       (fun () ->
         List.iter
