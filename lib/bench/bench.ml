@@ -141,7 +141,7 @@ let run ?(sink = Sink.none) s =
       | _ -> ())
     s.gray;
   (match (s.load, s.algo) with
-  | Keyspace _, (Live_bench.Alg2 | Live_bench.Cds) ->
+  | Keyspace _, (Live_bench.Abd_wb | Live_bench.Alg2 | Live_bench.Cds) ->
       invalid_arg "Bench: a keyspace load runs keyed ABD only"
   | _ -> ());
   let chaos p = if s.chaos then p else 0.0 in
@@ -225,10 +225,7 @@ let run ?(sink = Sink.none) s =
             ( failed, wall_s, 0.0, Register check,
               latency_of (Option.value ~default:[] lats) )
         | Keyspace ks ->
-            let kspace =
-              Kspace.create cluster ~f:s.f
-                ~write_back_reads:(s.algo = Live_bench.Abd_wb) ()
-            in
+            let kspace = Kspace.create cluster ~f:s.f () in
             let checker =
               Kchecker.spawn ~sink
                 ~config:
@@ -257,16 +254,15 @@ let run ?(sink = Sink.none) s =
               Keys check, None ))
     with e -> Error e
   in
-  (* the stores only grow, so one read once the load has drained is
-     the run's peak *)
+  (* counted once the transport has stopped and every server and courier
+     is joined, so no late delivery lands after these reads; the stores
+     survive shutdown and only grow within a run, so this space read is
+     race-free and the run's peak *)
+  Cluster.shutdown cluster;
+  let stats = Cluster.stats cluster in
   let space_cells, space_bytes, space_cells_total =
     Cluster.resident_space cluster
   in
-  (* counted once the transport has stopped and every courier is joined,
-     so no late delivery lands between this read and a metric snapshot
-     taken after the run *)
-  Cluster.shutdown cluster;
-  let stats = Cluster.stats cluster in
   match measured with
   | Error e -> raise e
   | Ok (failed, wall_s, max_lateness_s, check, latency) ->
@@ -552,16 +548,15 @@ let tail_spec ~ops =
         { base_us = 1_000; straggler = Some (2, 10_000); hedge_fires = true };
   }
 
-let tail_labels = [ "baseline"; "unhedged"; "hedged" ]
-
 let tail =
+  let full = tail_arms (tail_spec ~ops:120) in
   {
     name = "tail";
     doc =
       "Tail-latency A/B under one 10x gray straggler: baseline, unhedged and \
        hedged arms, median of 5 by p99, with hedged p99 over fault-free p99.";
     file = Some "BENCH_tail.json";
-    full = tail_arms (tail_spec ~ops:120);
+    full;
     smoke = tail_arms (tail_spec ~ops:25);
     reps = 5;
     by = p99;
@@ -574,9 +569,9 @@ let tail =
         | _ -> []);
     check =
       (fun rows ->
-        if List.map (str "label") rows = List.map Option.some tail_labels then
-          Ok ()
-        else Error "tail rows must be the arms [baseline; unhedged; hedged]");
+        if List.map (str "label") rows = List.map (fun s -> Some s.label) full
+        then Ok ()
+        else Error "tail rows must be tail_arms' arms, in their order");
   }
 
 (* Two load points that pull the three constructions' space apart: at
@@ -617,8 +612,15 @@ let compare_doc =
         let* () =
           Json.each
             (fun r ->
-              if str "backend" r = Some threads then Ok ()
-              else Error "compare rows run on the threads backend only")
+              let* () =
+                if str "backend" r = Some threads then Ok ()
+                else Error "compare rows run on the threads backend only"
+              in
+              (* the measured space beside the paper's formula is what
+                 this document is for *)
+              Json.each
+                (fun k -> Result.map ignore (Json.get k Json.to_int_opt r))
+                [ "space_cells_total"; "space_formula_cells_total" ])
             rows
         in
         let field k r = Option.value ~default:"" (str k r) in
@@ -727,7 +729,9 @@ let document name = List.find (fun d -> d.name = name) documents
 let schema = "regemu-bench/3"
 
 let commit () =
-  match Unix.open_process_in "git rev-parse --short=12 HEAD 2>/dev/null" with
+  match
+    Unix.open_process_in "git describe --always --dirty --abbrev=12 2>/dev/null"
+  with
   | exception Unix.Unix_error _ -> "unknown"
   | ic -> (
       let line = In_channel.input_line ic in

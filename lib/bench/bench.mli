@@ -48,9 +48,7 @@ type load = Clients of clients | Keyspace of keyspace
 
 type spec = {
   label : string;  (** the row's key within its document *)
-  algo : Live_bench.algo;
-      (** a {!Keyspace} load runs keyed ABD: [Abd], or [Abd_wb] for
-          write-back reads *)
+  algo : Live_bench.algo;  (** a {!Keyspace} load runs keyed [Abd] only *)
   f : int;
   n : int;  (** servers *)
   couriers : int;  (** transport delivery threads *)
@@ -111,7 +109,7 @@ type row = {
       (** [None] when no per-operation latency was kept (keyspace) *)
   max_lateness_s : float;  (** open loop: worst start past arrival *)
   stats : Cluster.stats;  (** read once, after shutdown *)
-  space_cells : int;  (** resident cells, max over servers, at quiesce *)
+  space_cells : int;  (** resident cells, max over servers, after shutdown *)
   space_bytes : int;  (** resident bytes, max over servers *)
   space_cells_total : int;  (** resident cells summed over servers *)
   check : verdict;
@@ -165,7 +163,8 @@ val document : string -> document
 val row_json : row -> Regemu_obs.Json.t
 
 (** The [regemu-bench/3] envelope: [schema], [doc], [commit] (the
-    checked-out git commit, or ["unknown"]), [machine] ([nproc],
+    checked-out git commit, suffixed [-dirty] when the working tree has
+    uncommitted changes, or ["unknown"]), [machine] ([nproc],
     [ocaml]), [rows], the document's [summary] and [clean]. *)
 val to_json : document -> row list -> Regemu_obs.Json.t
 

@@ -1709,6 +1709,17 @@ let validate_tests =
              let c = cells () in
              doc "compare"
                (set "backend" (Json.Str "socket") (List.hd c) :: List.tl c) );
+         ( "a compare row without space_cells_total",
+           fun () ->
+             let c = cells () in
+             doc "compare" (drop "space_cells_total" (List.hd c) :: List.tl c)
+         );
+         ( "a compare row without a formula",
+           fun () ->
+             let c = cells () in
+             doc "compare"
+               (set "space_formula_cells_total" Json.Null (List.hd c)
+               :: List.tl c) );
          ( "a zero keyspace budget",
            fun () -> doc "keyspace" [ set "budget_ops" (Json.Int 0) (krow ()) ]
          );
@@ -1774,8 +1785,11 @@ let bench_tests =
                     match
                       Option.bind (Json.member "commit" doc) Json.to_str_opt
                     with
-                    | Some c when c <> "" && c <> "unknown" -> ()
-                    | _ -> Alcotest.failf "%s records no commit" file))
+                    | Some c
+                      when c <> "" && c <> "unknown"
+                           && not (String.ends_with ~suffix:"-dirty" c) ->
+                        ()
+                    | _ -> Alcotest.failf "%s records no clean commit" file))
               d.file)
           Bench.documents);
   ]
