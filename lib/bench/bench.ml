@@ -728,16 +728,29 @@ let document name = List.find (fun d -> d.name = name) documents
 
 let schema = "regemu-bench/3"
 
-let commit () =
-  match
-    Unix.open_process_in "git describe --always --dirty --abbrev=12 2>/dev/null"
-  with
-  | exception Unix.Unix_error _ -> "unknown"
+(* the first line [git args] prints, [None] if git fails *)
+let git args =
+  match Unix.open_process_in ("git " ^ args ^ " 2>/dev/null") with
+  | exception Unix.Unix_error _ -> None
   | ic -> (
       let line = In_channel.input_line ic in
-      match (Unix.close_process_in ic, line) with
-      | Unix.WEXITED 0, Some c when c <> "" -> c
-      | _ -> "unknown")
+      match Unix.close_process_in ic with
+      | Unix.WEXITED 0 -> Some (Option.value ~default:"" line)
+      | _ -> None)
+
+(* [-dirty] when a tracked file differs from the commit; the committed
+   documents do not count, since [make bench] rewrites them in turn *)
+let commit () =
+  match git "rev-parse --short=12 HEAD" with
+  | Some c when c <> "" -> (
+      match
+        git
+          "status --porcelain --untracked-files=no -- ':/' \
+           ':(top,exclude)BENCH_*.json'"
+      with
+      | Some "" -> c
+      | _ -> c ^ "-dirty")
+  | _ -> "unknown"
 
 let to_json d rows =
   Json.Obj
