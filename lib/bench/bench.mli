@@ -165,8 +165,7 @@ val row_json : row -> Regemu_obs.Json.t
 (** The [regemu-bench/3] envelope: [schema], [doc], [commit] (the
     checked-out git commit, suffixed [-dirty] when a tracked file other
     than a [BENCH_*.json] differs from it, or ["unknown"]), [machine]
-    ([nproc],
-    [ocaml]), [rows], the document's [summary] and [clean]. *)
+    ([nproc], [ocaml]), [rows], the document's [summary] and [clean]. *)
 val to_json : document -> row list -> Regemu_obs.Json.t
 
 (** A [regemu-bench/3] document: a known [doc], a non-empty [commit], a
