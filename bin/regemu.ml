@@ -135,11 +135,11 @@ let plan_cmd =
              ((p.Params.k * p.Params.f) + p.Params.f + 1);
            let budget = capacity * p.Params.n in
            match Formulas.max_writers ~f:p.Params.f ~n:p.Params.n ~budget with
-           | Some kmax ->
+           | Some writers ->
                Fmt.pr
                  "  the cluster's total register budget (%d) supports at \
                   most %d writers@."
-                 budget kmax
+                 budget writers
            | None ->
                Fmt.pr
                  "  the cluster's total register budget (%d) supports no \

@@ -2,7 +2,7 @@
     transport, checker, nemesis, workload — driven by {!Sched} so the
     entire run is a pure function of [(config, choices)].
 
-    The harness mirrors {!Regemu_live.Live_bench.run}: writer and
+    The harness mirrors [Regemu_bench.Bench.run]: writer and
     reader fibers issue operations through the selected algorithm while
     the incremental online checker ticks in virtual time and a
     {!Regemu_chaos.Schedule} replays against the virtual clock.  At the

@@ -1,13 +1,15 @@
 (** The keyspace: many per-key max-register emulations multiplexed
     over one live {!Regemu_live.Cluster}.
 
-    Each key runs the ABD max-register protocol ([Kquery]/[Kupdate],
-    the keyed twins of the single-register [Query]/[Update] in
-    {!Regemu_netsim.Proto}) against the [2f+1] replicas {!Placement}
-    assigns it, awaiting [f+1] replies per round.  All keys share the
-    cluster's sharded transport lanes — a lane drain carries a batch
-    of messages for {e many} keys — its retry/watchdog machinery, and
-    its fault injectors; nothing per-key is spawned.
+    Each key runs the one ABD client,
+    {!Regemu_netsim.Quorum_client.Abd}, whose [Query]/[Update]
+    requests carry the key, against the [2f+1] replicas {!Placement}
+    assigns it, awaiting [f+1] replies per round.  The register ABD
+    is key 0 of the same server table, so a keyspace and a register
+    must not share a cluster.  All keys share the cluster's sharded
+    transport lanes — a lane drain carries a batch of messages for
+    {e many} keys — its retry/watchdog machinery, and its fault
+    injectors; nothing per-key is spawned.
 
     An operation runs through {!Regemu_live.Cluster.invoke} with its
     key, so it is recorded in the cluster's operation log like a
@@ -21,16 +23,14 @@ open Regemu_objects
 
 type t
 
-(** [create cluster ~f ?write_back_reads ()] — the cluster must
-    already have [>= 2f+1] servers; placement spans {e all} its
-    servers.  With [write_back_reads] (default off), a read performs
-    the ABD write-back round, upgrading the key to atomicity at 2x
-    read cost; WS-Regularity needs only the query round.
+(** [create cluster ~f ()] — the cluster must already have
+    [>= 2f+1] servers; placement spans {e all} its servers.  A read is
+    the query round only: WS-Regularity needs no write-back.
 
     Registers keyspace gauges in the cluster's sink:
     [keyspace.server_cells.total] / [.max] (resident per-key cells
     across/on servers). *)
-val create : Regemu_live.Cluster.t -> f:int -> ?write_back_reads:bool -> unit -> t
+val create : Regemu_live.Cluster.t -> f:int -> unit -> t
 
 val cluster : t -> Regemu_live.Cluster.t
 val placement : t -> Placement.t
@@ -53,8 +53,8 @@ val worker_client : worker -> Regemu_live.Cluster.client
     on the key's replicas, then update with timestamp +1. *)
 val write : t -> worker -> key:int -> Value.t -> unit
 
-(** [read t w ~key] reads [key]'s register (query-max round; optional
-    write-back), returning the payload. *)
+(** [read t w ~key] reads [key]'s register (query-max round),
+    returning the payload. *)
 val read : t -> worker -> key:int -> Value.t
 
 (** Max over servers of resident per-key cells, and their sum —

@@ -1132,10 +1132,6 @@ let server_num_keys t ~server =
   check_server t server;
   Proto.num_keys t.servers.(server).store
 
-let peek_kmax t ~server key =
-  check_server t server;
-  Proto.peek_kmax t.servers.(server).store key
-
 let peek_slot t ~server slot =
   check_server t server;
   Proto.peek_slot t.servers.(server).store slot

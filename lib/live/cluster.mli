@@ -329,12 +329,10 @@ val backoff_histogram : t -> (int * int) list
 (** Peek a server's storage (assertions/debugging only). *)
 val peek_reg : t -> server:int -> int -> Value.t
 
-(** Distinct keys resident in a server's keyed max-register table —
-    the per-server space metric of the keyspace experiments. *)
+(** Keys resident in a server's max-register table (see
+    {!Regemu_netsim.Proto.num_keys}) — the per-server space metric of
+    the keyspace experiments. *)
 val server_num_keys : t -> server:int -> int
-
-(** Peek one key's max-register on a server. *)
-val peek_kmax : t -> server:int -> int -> Value.t
 
 (** One CDS per-writer slot of one server's store; {!Value.v0} for a
     slot never written there. *)

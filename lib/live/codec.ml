@@ -113,16 +113,18 @@ let rec get_value r =
 (* --- payloads ------------------------------------------------------------ *)
 
 let add_payload b = function
-  | Proto.Query { rid } ->
+  | Proto.Query { rid; key } ->
       add_byte b 0;
-      add_int b rid
+      add_int b rid;
+      add_int b key
   | Proto.Query_reply { rid; stored } ->
       add_byte b 1;
       add_int b rid;
       add_value b stored
-  | Proto.Update { rid; proposed } ->
+  | Proto.Update { rid; key; proposed } ->
       add_byte b 2;
       add_int b rid;
+      add_int b key;
       add_value b proposed
   | Proto.Update_reply { rid } ->
       add_byte b 3;
@@ -143,29 +145,11 @@ let add_payload b = function
   | Proto.Reg_write_reply { rid } ->
       add_byte b 7;
       add_int b rid
-  | Proto.Kquery { rid; key } ->
-      add_byte b 8;
-      add_int b rid;
-      add_int b key
-  | Proto.Kquery_reply { rid; key; stored } ->
-      add_byte b 9;
-      add_int b rid;
-      add_int b key;
-      add_value b stored
-  | Proto.Kupdate { rid; key; proposed } ->
-      add_byte b 10;
-      add_int b rid;
-      add_int b key;
-      add_value b proposed
-  | Proto.Kupdate_reply { rid; key } ->
-      add_byte b 11;
-      add_int b rid;
-      add_int b key
   | Proto.Cquery { rid } ->
-      add_byte b 12;
+      add_byte b 8;
       add_int b rid
   | Proto.Cquery_reply { rid; slots } ->
-      add_byte b 13;
+      add_byte b 9;
       add_int b rid;
       add_u32 b (List.length slots);
       List.iter
@@ -174,24 +158,27 @@ let add_payload b = function
           add_value b v)
         slots
   | Proto.Cwrite { rid; slot; proposed } ->
-      add_byte b 14;
+      add_byte b 10;
       add_int b rid;
       add_int b slot;
       add_value b proposed
   | Proto.Cwrite_reply { rid; slot } ->
-      add_byte b 15;
+      add_byte b 11;
       add_int b rid;
       add_int b slot
 
 let get_payload r =
   match get_byte r "payload tag" with
-  | 0 -> Proto.Query { rid = get_int r "rid" }
+  | 0 ->
+      let rid = get_int r "rid" in
+      Proto.Query { rid; key = get_int r "key" }
   | 1 ->
       let rid = get_int r "rid" in
       Proto.Query_reply { rid; stored = get_value r }
   | 2 ->
       let rid = get_int r "rid" in
-      Proto.Update { rid; proposed = get_value r }
+      let key = get_int r "key" in
+      Proto.Update { rid; key; proposed = get_value r }
   | 3 -> Proto.Update_reply { rid = get_int r "rid" }
   | 4 ->
       let rid = get_int r "rid" in
@@ -204,22 +191,8 @@ let get_payload r =
       let reg = get_int r "reg" in
       Proto.Reg_write { rid; reg; proposed = get_value r }
   | 7 -> Proto.Reg_write_reply { rid = get_int r "rid" }
-  | 8 ->
-      let rid = get_int r "rid" in
-      Proto.Kquery { rid; key = get_int r "key" }
+  | 8 -> Proto.Cquery { rid = get_int r "rid" }
   | 9 ->
-      let rid = get_int r "rid" in
-      let key = get_int r "key" in
-      Proto.Kquery_reply { rid; key; stored = get_value r }
-  | 10 ->
-      let rid = get_int r "rid" in
-      let key = get_int r "key" in
-      Proto.Kupdate { rid; key; proposed = get_value r }
-  | 11 ->
-      let rid = get_int r "rid" in
-      Proto.Kupdate_reply { rid; key = get_int r "key" }
-  | 12 -> Proto.Cquery { rid = get_int r "rid" }
-  | 13 ->
       let rid = get_int r "rid" in
       let count = get_u32 r "slot count" in
       let slots = ref [] in
@@ -229,11 +202,11 @@ let get_payload r =
         slots := (slot, v) :: !slots
       done;
       Proto.Cquery_reply { rid; slots = List.rev !slots }
-  | 14 ->
+  | 10 ->
       let rid = get_int r "rid" in
       let slot = get_int r "slot" in
       Proto.Cwrite { rid; slot; proposed = get_value r }
-  | 15 ->
+  | 11 ->
       let rid = get_int r "rid" in
       Proto.Cwrite_reply { rid; slot = get_int r "slot" }
   | n -> bad "payload tag %d" n

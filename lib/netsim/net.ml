@@ -3,18 +3,14 @@ open Regemu_objects
 (* the wire payloads and the server step live in Proto, shared verbatim
    with the live threaded runtime *)
 type payload = Proto.payload =
-  | Query of { rid : int }
+  | Query of { rid : int; key : int }
   | Query_reply of { rid : int; stored : Value.t }
-  | Update of { rid : int; proposed : Value.t }
+  | Update of { rid : int; key : int; proposed : Value.t }
   | Update_reply of { rid : int }
   | Reg_read of { rid : int; reg : int }
   | Reg_read_reply of { rid : int; stored : Value.t }
   | Reg_write of { rid : int; reg : int; proposed : Value.t }
   | Reg_write_reply of { rid : int }
-  | Kquery of { rid : int; key : int }
-  | Kquery_reply of { rid : int; key : int; stored : Value.t }
-  | Kupdate of { rid : int; key : int; proposed : Value.t }
-  | Kupdate_reply of { rid : int; key : int }
   | Cquery of { rid : int }
   | Cquery_reply of { rid : int; slots : (int * Value.t) list }
   | Cwrite of { rid : int; slot : int; proposed : Value.t }
@@ -266,26 +262,7 @@ let fire t ev =
                   | None -> ())
                 replies
           | To_client c -> (
-              let rid =
-                match m.payload with
-                | Query { rid }
-                | Query_reply { rid; _ }
-                | Update { rid; _ }
-                | Update_reply { rid }
-                | Reg_read { rid; _ }
-                | Reg_read_reply { rid; _ }
-                | Reg_write { rid; _ }
-                | Reg_write_reply { rid }
-                | Kquery { rid; _ }
-                | Kquery_reply { rid; _ }
-                | Kupdate { rid; _ }
-                | Kupdate_reply { rid; _ }
-                | Cquery { rid }
-                | Cquery_reply { rid; _ }
-                | Cwrite { rid; _ }
-                | Cwrite_reply { rid; _ } ->
-                    rid
-              in
+              let rid = Proto.rid_of m.payload in
               match
                 Hashtbl.find_opt t.handlers (Id.Client.to_int c, rid)
               with

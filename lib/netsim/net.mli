@@ -23,34 +23,29 @@ open Regemu_objects
 (** Wire payloads.  [rid] is a client-chosen request id used to match
     replies to requests.
 
-    [Query]/[Update] talk to the server's built-in {e max-register}
-    (the ABD server); [Reg_read]/[Reg_write] talk to plain {e register
-    cells} allocated with {!alloc_reg} — network-attached disks with
-    read/write-only interfaces, the setting of the paper's reference
-    [2] and of its register lower bound.  A delayed [Reg_write]
+    [Query]/[Update] talk to the server's {e max-register} for [key]
+    (the ABD server; the register is key 0); [Reg_read]/[Reg_write]
+    talk to plain {e register cells} allocated with {!alloc_reg} —
+    network-attached disks with read/write-only interfaces, the
+    setting of the paper's reference [2] and of its register lower
+    bound.  A delayed [Reg_write]
     request is a covering write on the wire: it overwrites whatever
     the cell holds when it is finally delivered.
 
     The type (and the server behaviour) is shared with the live
     threaded runtime; see {!Proto}. *)
 type payload = Proto.payload =
-  | Query of { rid : int }  (** read the server's stored value *)
+  | Query of { rid : int; key : int }  (** read [key]'s stored value *)
   | Query_reply of { rid : int; stored : Value.t }
-  | Update of { rid : int; proposed : Value.t }
-      (** store [max(stored, proposed)] — the server-side write-max the
-          paper observes inside ABD *)
+  | Update of { rid : int; key : int; proposed : Value.t }
+      (** store [max(stored, proposed)] under [key] — the server-side
+          write-max the paper observes inside ABD *)
   | Update_reply of { rid : int }
   | Reg_read of { rid : int; reg : int }
   | Reg_read_reply of { rid : int; stored : Value.t }
   | Reg_write of { rid : int; reg : int; proposed : Value.t }
       (** plain overwrite: last delivered wins *)
   | Reg_write_reply of { rid : int }
-  | Kquery of { rid : int; key : int }
-      (** read one key's max-register (keyspace; see {!Proto}) *)
-  | Kquery_reply of { rid : int; key : int; stored : Value.t }
-  | Kupdate of { rid : int; key : int; proposed : Value.t }
-      (** per-key write-max, the keyed twin of [Update] *)
-  | Kupdate_reply of { rid : int; key : int }
   | Cquery of { rid : int }
       (** collect every resident CDS per-writer slot (see {!Proto}) *)
   | Cquery_reply of { rid : int; slots : (int * Value.t) list }

@@ -1,29 +1,25 @@
 open Regemu_objects
 
 type payload =
-  | Query of { rid : int }
+  | Query of { rid : int; key : int }
   | Query_reply of { rid : int; stored : Value.t }
-  | Update of { rid : int; proposed : Value.t }
+  | Update of { rid : int; key : int; proposed : Value.t }
   | Update_reply of { rid : int }
   | Reg_read of { rid : int; reg : int }
   | Reg_read_reply of { rid : int; stored : Value.t }
   | Reg_write of { rid : int; reg : int; proposed : Value.t }
   | Reg_write_reply of { rid : int }
-  | Kquery of { rid : int; key : int }
-  | Kquery_reply of { rid : int; key : int; stored : Value.t }
-  | Kupdate of { rid : int; key : int; proposed : Value.t }
-  | Kupdate_reply of { rid : int; key : int }
   | Cquery of { rid : int }
   | Cquery_reply of { rid : int; slots : (int * Value.t) list }
   | Cwrite of { rid : int; slot : int; proposed : Value.t }
   | Cwrite_reply of { rid : int; slot : int }
 
 let payload_pp ppf = function
-  | Query { rid } -> Fmt.pf ppf "query#%d" rid
+  | Query { rid; key } -> Fmt.pf ppf "query#%d[k%d]" rid key
   | Query_reply { rid; stored } ->
       Fmt.pf ppf "query-reply#%d(%a)" rid Value.pp stored
-  | Update { rid; proposed } ->
-      Fmt.pf ppf "update#%d(%a)" rid Value.pp proposed
+  | Update { rid; key; proposed } ->
+      Fmt.pf ppf "update#%d[k%d](%a)" rid key Value.pp proposed
   | Update_reply { rid } -> Fmt.pf ppf "update-reply#%d" rid
   | Reg_read { rid; reg } -> Fmt.pf ppf "reg-read#%d[r%d]" rid reg
   | Reg_read_reply { rid; stored } ->
@@ -31,12 +27,6 @@ let payload_pp ppf = function
   | Reg_write { rid; reg; proposed } ->
       Fmt.pf ppf "reg-write#%d[r%d](%a)" rid reg Value.pp proposed
   | Reg_write_reply { rid } -> Fmt.pf ppf "reg-write-reply#%d" rid
-  | Kquery { rid; key } -> Fmt.pf ppf "kquery#%d[k%d]" rid key
-  | Kquery_reply { rid; key; stored } ->
-      Fmt.pf ppf "kquery-reply#%d[k%d](%a)" rid key Value.pp stored
-  | Kupdate { rid; key; proposed } ->
-      Fmt.pf ppf "kupdate#%d[k%d](%a)" rid key Value.pp proposed
-  | Kupdate_reply { rid; key } -> Fmt.pf ppf "kupdate-reply#%d[k%d]" rid key
   | Cquery { rid } -> Fmt.pf ppf "cquery#%d" rid
   | Cquery_reply { rid; slots } ->
       Fmt.pf ppf "cquery-reply#%d(%a)" rid
@@ -49,7 +39,7 @@ let payload_pp ppf = function
   | Cwrite_reply { rid; slot } -> Fmt.pf ppf "cwrite-reply#%d[s%d]" rid slot
 
 let rid_of = function
-  | Query { rid }
+  | Query { rid; _ }
   | Query_reply { rid; _ }
   | Update { rid; _ }
   | Update_reply { rid }
@@ -57,10 +47,6 @@ let rid_of = function
   | Reg_read_reply { rid; _ }
   | Reg_write { rid; _ }
   | Reg_write_reply { rid }
-  | Kquery { rid; _ }
-  | Kquery_reply { rid; _ }
-  | Kupdate { rid; _ }
-  | Kupdate_reply { rid; _ }
   | Cquery { rid }
   | Cquery_reply { rid; _ }
   | Cwrite { rid; _ }
@@ -69,26 +55,19 @@ let rid_of = function
 
 let is_reply = function
   | Query_reply _ | Update_reply _ | Reg_read_reply _ | Reg_write_reply _
-  | Kquery_reply _ | Kupdate_reply _ | Cquery_reply _ | Cwrite_reply _ ->
+  | Cquery_reply _ | Cwrite_reply _ ->
       true
-  | Query _ | Update _ | Reg_read _ | Reg_write _ | Kquery _ | Kupdate _
-  | Cquery _ | Cwrite _ ->
+  | Query _ | Update _ | Reg_read _ | Reg_write _ | Cquery _ | Cwrite _ ->
       false
 
 type store = {
-  mutable maxreg : Value.t;
   mutable regs : Value.t array;
-  kmax : (int, Value.t) Hashtbl.t;
+  maxcells : (int, Value.t) Hashtbl.t;  (* key -> max-register; v0 absent *)
   cslots : (int, Value.t) Hashtbl.t;
 }
 
 let store_create () =
-  {
-    maxreg = Value.v0;
-    regs = [||];
-    kmax = Hashtbl.create 64;
-    cslots = Hashtbl.create 8;
-  }
+  { regs = [||]; maxcells = Hashtbl.create 64; cslots = Hashtbl.create 8 }
 
 let alloc_reg st =
   let ix = Array.length st.regs in
@@ -97,12 +76,10 @@ let alloc_reg st =
 
 let num_regs st = Array.length st.regs
 let peek_reg st reg = st.regs.(reg)
-let peek_max st = st.maxreg
+let num_keys st = Hashtbl.length st.maxcells
 
-let num_keys st = Hashtbl.length st.kmax
-
-let peek_kmax st key =
-  match Hashtbl.find_opt st.kmax key with Some v -> v | None -> Value.v0
+let peek_cell st key =
+  match Hashtbl.find_opt st.maxcells key with Some v -> v | None -> Value.v0
 
 let num_slots st = Hashtbl.length st.cslots
 
@@ -121,41 +98,36 @@ let rec value_bytes = function
   | Value.Str s -> 5 + String.length s
   | Value.Pair (l, r) -> 1 + value_bytes l + value_bytes r
 
-(* the built-in max-register counts as resident once something was
-   stored in it; plain cells count from allocation (that is Algorithm
-   2's space commitment), keyed and per-writer cells from first touch *)
+(* a key's max-register counts as resident once it holds a value other
+   than v0 (the table holds no other); plain cells count from
+   allocation (that is Algorithm 2's space commitment), per-writer
+   cells from first touch *)
 let resident_cells st =
-  (if Value.equal st.maxreg Value.v0 then 0 else 1)
-  + Array.length st.regs + Hashtbl.length st.kmax + Hashtbl.length st.cslots
+  Array.length st.regs + Hashtbl.length st.maxcells + Hashtbl.length st.cslots
 
 let resident_bytes st =
-  (if Value.equal st.maxreg Value.v0 then 0 else value_bytes st.maxreg)
-  + Array.fold_left (fun a v -> a + value_bytes v) 0 st.regs
-  + Hashtbl.fold (fun _ v a -> a + value_bytes v) st.kmax 0
+  Array.fold_left (fun a v -> a + value_bytes v) 0 st.regs
+  + Hashtbl.fold (fun _ v a -> a + value_bytes v) st.maxcells 0
   + Hashtbl.fold (fun _ v a -> a + value_bytes v) st.cslots 0
 
 let reset st =
-  st.maxreg <- Value.v0;
   Array.iteri (fun i _ -> st.regs.(i) <- Value.v0) st.regs;
-  Hashtbl.reset st.kmax;
+  Hashtbl.reset st.maxcells;
   Hashtbl.reset st.cslots
 
 let step st = function
-  | Query { rid } -> [ Query_reply { rid; stored = st.maxreg } ]
-  | Update { rid; proposed } ->
-      st.maxreg <- Value.max st.maxreg proposed;
+  | Query { rid; key } -> [ Query_reply { rid; stored = peek_cell st key } ]
+  | Update { rid; key; proposed } ->
+      (* write-max into the key's max-register, allocated when it first
+         holds a value other than v0, so an idle key costs nothing *)
+      let v = Value.max (peek_cell st key) proposed in
+      if not (Value.equal v Value.v0) then Hashtbl.replace st.maxcells key v;
       [ Update_reply { rid } ]
   | Reg_read { rid; reg } -> [ Reg_read_reply { rid; stored = st.regs.(reg) } ]
   | Reg_write { rid; reg; proposed } ->
       (* plain register: last delivered write wins, whenever it lands *)
       st.regs.(reg) <- proposed;
       [ Reg_write_reply { rid } ]
-  | Kquery { rid; key } -> [ Kquery_reply { rid; key; stored = peek_kmax st key } ]
-  | Kupdate { rid; key; proposed } ->
-      (* per-key write-max: one ABD max-register per key, allocated on
-         first touch so an idle keyspace costs no server memory *)
-      Hashtbl.replace st.kmax key (Value.max (peek_kmax st key) proposed);
-      [ Kupdate_reply { rid; key } ]
   | Cquery { rid } ->
       (* collect every resident per-writer slot; sorted so the reply is
          canonical whatever the hash order *)
@@ -170,5 +142,5 @@ let step st = function
       Hashtbl.replace st.cslots slot (Value.max (peek_slot st slot) proposed);
       [ Cwrite_reply { rid; slot } ]
   | Query_reply _ | Update_reply _ | Reg_read_reply _ | Reg_write_reply _
-  | Kquery_reply _ | Kupdate_reply _ | Cquery_reply _ | Cwrite_reply _ ->
+  | Cquery_reply _ | Cwrite_reply _ ->
       []

@@ -3,7 +3,7 @@
 
     A server — whether a simulated process stepped by a scripted
     environment or a real OS thread draining a mailbox — is a {!store}
-    (one built-in max-register plus dynamically allocated plain
+    (a table of keyed max-registers plus dynamically allocated plain
     register cells) together with the {!step} function mapping each
     delivered request to its effect on the store and the replies to
     send back.  Factoring this out guarantees the two runtimes execute
@@ -14,31 +14,26 @@
 open Regemu_objects
 
 (** Wire payloads.  [rid] is a client-chosen request id used to match
-    replies to requests.
+    replies to requests, so replies carry no key.
 
-    [Query]/[Update] talk to the server's built-in {e max-register}
-    (the ABD server); [Reg_read]/[Reg_write] talk to plain {e register
-    cells} allocated with {!alloc_reg}.  A delayed [Reg_write] request
-    is a covering write on the wire: it overwrites whatever the cell
-    holds when it is finally delivered. *)
+    [Query]/[Update] talk to the server's {e max-register} for [key]
+    (the ABD server; the single register is key 0, a keyspace uses
+    one key per register); [Reg_read]/[Reg_write] talk to plain
+    {e register cells} allocated with {!alloc_reg}.  A delayed
+    [Reg_write] request is a covering write on the wire: it overwrites
+    whatever the cell holds when it is finally delivered. *)
 type payload =
-  | Query of { rid : int }  (** read the server's stored value *)
+  | Query of { rid : int; key : int }  (** read [key]'s stored value *)
   | Query_reply of { rid : int; stored : Value.t }
-  | Update of { rid : int; proposed : Value.t }
-      (** store [max(stored, proposed)] — the server-side write-max the
-          paper observes inside ABD *)
+  | Update of { rid : int; key : int; proposed : Value.t }
+      (** store [max(stored, proposed)] under [key] — the server-side
+          write-max the paper observes inside ABD *)
   | Update_reply of { rid : int }
   | Reg_read of { rid : int; reg : int }
   | Reg_read_reply of { rid : int; stored : Value.t }
   | Reg_write of { rid : int; reg : int; proposed : Value.t }
       (** plain overwrite: last delivered wins *)
   | Reg_write_reply of { rid : int }
-  | Kquery of { rid : int; key : int }
-      (** read one key's max-register in the keyspace ([Regemu_keyspace]) *)
-  | Kquery_reply of { rid : int; key : int; stored : Value.t }
-  | Kupdate of { rid : int; key : int; proposed : Value.t }
-      (** per-key write-max, the keyed twin of [Update] *)
-  | Kupdate_reply of { rid : int; key : int }
   | Cquery of { rid : int }
       (** collect every resident per-writer slot — the read side of the
           CDS layered multi-writer register ([Regemu_live.Cds_live]) *)
@@ -58,9 +53,10 @@ val rid_of : payload -> int
 (** [true] for server-to-client payloads. *)
 val is_reply : payload -> bool
 
-(** One server's storage: the built-in max-register plus its plain
-    register cells.  Not thread-safe by itself — in the live runtime
-    each store is owned by exactly one server thread. *)
+(** One server's storage: one table of max-registers by key, its plain
+    register cells and its per-writer slots.  Not thread-safe by
+    itself — in the live runtime each store is owned by exactly one
+    server thread. *)
 type store
 
 val store_create : unit -> store
@@ -72,17 +68,11 @@ val alloc_reg : store -> int
 val num_regs : store -> int
 val peek_reg : store -> int -> Value.t
 
-(** Current content of the built-in max-register. *)
-val peek_max : store -> Value.t
-
-(** Number of distinct keys this store has been asked to hold — the
-    per-server space metric of the keyspace experiments (cells are
-    allocated on first [Kupdate]/[Kquery] touch). *)
+(** Number of keys whose max-register is resident — the per-server
+    space metric of the keyspace experiments.  A key's cell is
+    resident once it holds a value other than {!Value.v0}; a [Query]
+    allocates nothing. *)
 val num_keys : store -> int
-
-(** Current content of one key's max-register; {!Value.v0} for a key
-    never written here. *)
-val peek_kmax : store -> int -> Value.t
 
 (** Number of resident per-writer slots (the CDS space metric: slots
     are allocated on first [Cwrite] touch). *)
@@ -96,16 +86,17 @@ val peek_slot : store -> int -> Value.t
     resident-space metrics are reported in. *)
 val value_bytes : Value.t -> int
 
-(** Cells this store currently holds: the built-in max-register once
-    non-initial, every allocated plain cell, and every touched keyed or
-    per-writer cell.  The per-server space metric the benches sample. *)
+(** Cells this store currently holds: every resident keyed
+    max-register (see {!num_keys}), every allocated plain cell, and
+    every touched per-writer cell.  The per-server space metric the
+    benches sample. *)
 val resident_cells : store -> int
 
 (** Sum of {!value_bytes} over every resident cell. *)
 val resident_bytes : store -> int
 
-(** Wipe the store back to its initial state — every cell and the
-    max-register to {!Value.v0}, allocation preserved.  A diskless
+(** Wipe the store back to its initial state — every key and cell to
+    {!Value.v0}, plain-cell allocation preserved.  A diskless
     restart ([Regemu_live.Recovery.Amnesia]); never called in the
     paper's persistent model. *)
 val reset : store -> unit

@@ -98,10 +98,10 @@ module Sim_runtime = struct
 
   let rpc t ~src ?sticky:_ server ~make ~handler =
     match make 0 with
-    | Proto.Query _ ->
+    | Proto.Query { key = 0; _ } ->
         trigger t src t.max_regs.(server) Base_object.Max_read (fun stored ->
             handler (Proto.Query_reply { rid = 0; stored }))
-    | Proto.Update { proposed; _ } ->
+    | Proto.Update { key = 0; proposed; _ } ->
         trigger t src t.max_regs.(server) (Base_object.Max_write proposed)
           (fun _ -> handler (Proto.Update_reply { rid = 0 }))
     | Proto.Reg_read { reg; _ } ->
@@ -168,34 +168,34 @@ module Abd (R : RUNTIME) = struct
 
   let replicas t = List.length t.replicas
 
-  let round t cl =
-    quorum_round t.rt cl ~replicas:t.replicas ~quorum:(t.f + 1)
-
-  let query_max t cl =
-    round t cl
-      ~request:(fun rid -> Proto.Query { rid })
+  let query_max t cl ~key ~replicas =
+    quorum_round t.rt cl ~replicas ~quorum:(t.f + 1)
+      ~request:(fun rid -> Proto.Query { rid; key })
       ~init:Value.v0
       ~fold:(fun best reply ->
         match reply with
         | Proto.Query_reply { stored; _ } -> Value.max best stored
         | _ -> best)
 
-  let update t cl ts_val =
-    round t cl
-      ~request:(fun rid -> Proto.Update { rid; proposed = ts_val })
+  let update t cl ~key ~replicas ts_val =
+    quorum_round t.rt cl ~replicas ~quorum:(t.f + 1)
+      ~request:(fun rid -> Proto.Update { rid; key; proposed = ts_val })
       ~init:() ~fold:(fun () _ -> ())
 
-  let write t cl v =
-    R.invoke t.rt cl (Regemu_sim.Trace.H_write v) (fun () ->
-        let latest = query_max t cl in
-        update t cl (Value.with_ts (Value.ts latest + 1) v);
+  let write_key t cl ~key ~replicas v =
+    R.invoke t.rt cl ~key (Regemu_sim.Trace.H_write v) (fun () ->
+        let latest = query_max t cl ~key ~replicas in
+        update t cl ~key ~replicas (Value.with_ts (Value.ts latest + 1) v);
         Value.Unit)
 
-  let read t cl =
-    R.invoke t.rt cl Regemu_sim.Trace.H_read (fun () ->
-        let latest = query_max t cl in
-        if t.write_back_reads then update t cl latest;
+  let read_key t cl ~key ~replicas =
+    R.invoke t.rt cl ~key Regemu_sim.Trace.H_read (fun () ->
+        let latest = query_max t cl ~key ~replicas in
+        if t.write_back_reads then update t cl ~key ~replicas latest;
         Value.payload latest)
+
+  let write t cl v = write_key t cl ~key:0 ~replicas:t.replicas v
+  let read t cl = read_key t cl ~key:0 ~replicas:t.replicas
 end
 
 module Alg2 (R : RUNTIME) = struct

@@ -77,9 +77,10 @@ module Net_runtime :
     response.  The one rule the runtime keeps is the paper's
     Assumption 1: a low-level operation takes effect at its respond
     step, which is its linearization point, and the environment decides
-    when that is.  [Query]/[Update] go to the instance's max-register on
-    the target server, [Reg_read]/[Reg_write] to the register
-    [alloc_reg] returned; any other payload raises.  No lock (fibers are
+    when that is.  [Query]/[Update] on key 0 go to the instance's
+    max-register on the target server, [Reg_read]/[Reg_write] to the
+    register [alloc_reg] returned; any other payload, a non-zero key
+    included, raises.  No lock (fibers are
     cooperative), no retransmission, no rids (a response is matched to
     its trigger), and [await] ignores [need]. *)
 module Sim_runtime : sig
@@ -112,14 +113,29 @@ module Round (R : RUNTIME) : sig
     'a
 end
 
-(** Multi-writer ABD; see {!Abd_net}. *)
+(** Multi-writer ABD; see {!Abd_net}.  A register is one key of the
+    servers' max-register table: a write's query round reads the key
+    on its replicas and keeps the largest value of [f+1] replies, and
+    its update round stores the value with the next timestamp on
+    [f+1] of them; a read is the query round plus, with
+    [write_back_reads], the update round. *)
 module Abd (R : RUNTIME) : sig
   type t
 
   val create : R.t -> f:int -> ?write_back_reads:bool -> unit -> t
   val replicas : t -> int
+
+  (** The register: key 0 on servers [0 .. 2f]. *)
   val write : t -> R.client -> Value.t -> R.call
+
   val read : t -> R.client -> R.call
+
+  (** [key]'s register on [replicas] ([2f+1] servers), the operation
+      invoked with [~key] — the keyspace's entry points. *)
+  val write_key :
+    t -> R.client -> key:int -> replicas:int list -> Value.t -> R.call
+
+  val read_key : t -> R.client -> key:int -> replicas:int list -> R.call
 end
 
 (** The paper's Algorithm 2 over register cells (Theorem 3's upper

@@ -161,19 +161,19 @@ let values =
 let payloads =
   let v = Value.Pair (Value.Int 42, Value.Str "ts") in
   [
-    Proto.Query { rid = 0 };
-    Proto.Query { rid = max_int };
+    Proto.Query { rid = 0; key = 0 };
+    Proto.Query { rid = max_int; key = 0 };
     Proto.Query_reply { rid = 1; stored = v };
-    Proto.Update { rid = 2; proposed = v };
+    Proto.Update { rid = 2; key = 0; proposed = v };
     Proto.Update_reply { rid = 3 };
     Proto.Reg_read { rid = 4; reg = 9 };
     Proto.Reg_read_reply { rid = 5; stored = Value.Str "r" };
     Proto.Reg_write { rid = 6; reg = 0; proposed = Value.Unit };
     Proto.Reg_write_reply { rid = 7 };
-    Proto.Kquery { rid = 8; key = 11 };
-    Proto.Kquery_reply { rid = 9; key = 12; stored = Value.Bool false };
-    Proto.Kupdate { rid = 10; key = 13; proposed = v };
-    Proto.Kupdate_reply { rid = 11; key = 14 };
+    Proto.Query { rid = 8; key = 13 };
+    Proto.Query { rid = 9; key = max_int };
+    Proto.Update { rid = 10; key = 13; proposed = v };
+    Proto.Update { rid = 11; key = max_int; proposed = Value.Bool false };
   ]
 
 let msgs =
@@ -208,23 +208,31 @@ let codec_tests =
               (Codec.encode m'))
           msgs);
     test "truncated bodies are rejected at every cut point" (fun () ->
-        let s =
-          Codec.encode
-            (Codec.Env
-               {
-                 Transport_intf.src = 1;
-                 dest = Transport_intf.To_server 2;
-                 payload =
-                   Proto.Update
-                     { rid = 5; proposed = Value.Pair (Value.Int 1, Value.Str "v") };
-               })
+        let update =
+          Codec.Env
+            {
+              Transport_intf.src = 1;
+              dest = Transport_intf.To_server 2;
+              payload =
+                Proto.Update
+                  {
+                    rid = 5;
+                    key = 0;
+                    proposed = Value.Pair (Value.Int 1, Value.Str "v");
+                  };
+            }
         in
-        for cut = 0 to String.length s - 1 do
-          match Codec.decode (String.sub s 0 cut) with
-          | exception Codec.Malformed _ -> ()
-          | _ ->
-              Alcotest.failf "truncation to %d bytes decoded as a message" cut
-        done);
+        List.iter
+          (fun m ->
+            let s = Codec.encode m in
+            for cut = 0 to String.length s - 1 do
+              match Codec.decode (String.sub s 0 cut) with
+              | exception Codec.Malformed _ -> ()
+              | _ ->
+                  Alcotest.failf "truncation to %d bytes decoded as a message"
+                    cut
+            done)
+          (update :: msgs));
     test "garbage and trailing bytes are rejected" (fun () ->
         (match Codec.decode "\xde\xad\xbe\xef" with
         | exception Codec.Malformed _ -> ()
@@ -266,7 +274,7 @@ let codec_tests =
 
 (* --- the backend list -------------------------------------------------- *)
 
-let query i = Proto.Query { rid = i }
+let query i = Proto.Query { rid = i; key = 0 }
 
 let names_tests =
   [

@@ -193,6 +193,21 @@ let sim_runtime_tests =
                Quorum_client.Sim_runtime.rpc rt ~src:(Sim.new_client sim) 0
                  ~make:(fun rid -> Proto.Cquery { rid })
                  ~handler:ignore)));
+    test "a Query or Update on a non-zero key raises" (fun () ->
+        let sim = Sim.create ~n:3 () in
+        let rt = Quorum_client.Sim_runtime.create sim ~max_registers:3 in
+        let rpc make =
+          raises (fun () ->
+              Quorum_client.Sim_runtime.rpc rt ~src:(Sim.new_client sim) 0
+                ~make ~handler:ignore)
+        in
+        Alcotest.(check bool)
+          "Query raises" true
+          (rpc (fun rid -> Proto.Query { rid; key = 7 }));
+        Alcotest.(check bool)
+          "Update raises" true
+          (rpc (fun rid ->
+               Proto.Update { rid; key = 7; proposed = Value.Int 1 })));
   ]
 
 (* --- formulas edge cases ----------------------------------------------------- *)

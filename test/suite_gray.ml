@@ -208,7 +208,7 @@ let hedge_tests =
 
 (* --- transport gray controls ---------------------------------------------- *)
 
-let query i = Regemu_netsim.Proto.Query { rid = i }
+let query i = Regemu_netsim.Proto.Query { rid = i; key = 0 }
 
 let mk_transport ?(seed = 71) ?(couriers = 2) ~backend ~servers deliver =
   let tr =

@@ -1,4 +1,5 @@
-(* Tests for the keyspace stack: placement, the open-loop generator,
+(* Tests for the keyspace stack: the servers' keyed max-register table,
+   placement, the open-loop generator,
    the memory-bounded checker on keyed operations (GC soundness via
    DST), and the bench JSON schema gate.  The operation log's own tests
    are in suite_live ([live.histlog]). *)
@@ -7,6 +8,52 @@ open Regemu_keyspace
 
 let test name f = Alcotest.test_case name `Quick f
 let check_int = Alcotest.(check int)
+
+(* --- the server store's max-register table ------------------------- *)
+
+let store_tests =
+  let open Regemu_objects in
+  let module Proto = Regemu_netsim.Proto in
+  let value = Alcotest.testable Value.pp Value.equal in
+  let query st key =
+    match Proto.step st (Proto.Query { rid = 1; key }) with
+    | [ Proto.Query_reply { rid = 1; stored } ] -> stored
+    | _ -> Alcotest.fail "expected exactly one Query_reply"
+  in
+  let update st key v =
+    match Proto.step st (Proto.Update { rid = 2; key; proposed = v }) with
+    | [ Proto.Update_reply { rid = 2 } ] -> ()
+    | _ -> Alcotest.fail "expected exactly one Update_reply"
+  in
+  [
+    test "one table: keys are independent, resident once non-v0" (fun () ->
+        let st = Proto.store_create () in
+        let ts n = Value.with_ts n (Value.Int n) in
+        Alcotest.check value "never-written key reads v0" Value.v0
+          (query st 7);
+        update st 3 Value.v0;
+        check_int "a Query or a v0 Update allocates nothing" 0
+          (Proto.num_keys st);
+        check_int "no resident cell" 0 (Proto.resident_cells st);
+        check_int "no resident byte" 0 (Proto.resident_bytes st);
+        update st 0 (ts 2);
+        update st 7 (ts 5);
+        update st 7 (ts 4);
+        Alcotest.check value "key 0 keeps its own max" (ts 2) (query st 0);
+        Alcotest.check value "key 7 keeps its own max" (ts 5) (query st 7);
+        check_int "two resident keys" 2 (Proto.num_keys st);
+        check_int "two resident cells" 2 (Proto.resident_cells st);
+        check_int "bytes of both cells"
+          (Proto.value_bytes (ts 2) + Proto.value_bytes (ts 5))
+          (Proto.resident_bytes st);
+        Proto.reset st;
+        check_int "reset wipes every key" 0 (Proto.num_keys st);
+        check_int "nothing resident after reset" 0 (Proto.resident_cells st);
+        Alcotest.check value "key 0 reads v0 after reset" Value.v0
+          (query st 0);
+        Alcotest.check value "key 7 reads v0 after reset" Value.v0
+          (query st 7));
+  ]
 
 (* --- Placement ---------------------------------------------------- *)
 
@@ -358,6 +405,7 @@ let e2e_tests =
 
 let suites =
   [
+    ("keyspace.store", store_tests);
     ("keyspace.placement", placement_tests);
     ("keyspace.openload", openload_tests);
     ("keyspace.kchecker", kchecker_tests);

@@ -268,7 +268,7 @@ let mailbox_tests =
 
 (* --- transport ---------------------------------------------------------- *)
 
-let query i = Regemu_netsim.Proto.Query { rid = i }
+let query i = Regemu_netsim.Proto.Query { rid = i; key = 0 }
 
 let transport_tests =
   [
@@ -1182,7 +1182,7 @@ let quiet_inline_run what ~setup () =
   Cluster.locked c (fun () ->
       for s = 0 to 2 do
         Cluster.rpc cluster ~src:c s
-          ~make:(fun rid -> Regemu_netsim.Proto.Query { rid })
+          ~make:(fun rid -> Regemu_netsim.Proto.Query { rid; key = 0 })
           ~handler:(fun _ -> ran_on := Thread.id (Thread.self ()) :: !ran_on)
       done);
   Alcotest.(check (list int)) (what ^ ": handlers ran in place") [ me; me; me ]
@@ -1379,7 +1379,7 @@ let threads_started cluster = (Cluster.stats cluster).Cluster.threads_started
 let query_rpc cluster c server ~handler =
   Cluster.locked c (fun () ->
       Cluster.rpc cluster ~src:c server
-        ~make:(fun rid -> Regemu_netsim.Proto.Query { rid })
+        ~make:(fun rid -> Regemu_netsim.Proto.Query { rid; key = 0 })
         ~handler)
 
 (* entries of a /proc/self directory; [None] where there is no /proc *)

@@ -35,7 +35,7 @@ let net_tests =
         let rid = Net.fresh_rid net in
         let got = ref None in
         Net.on_reply net ~client:c ~rid (fun p -> got := Some p);
-        Net.send net ~from:c (Id.Server.of_int 0) (Net.Query { rid });
+        Net.send net ~from:c (Id.Server.of_int 0) (Net.Query { rid; key = 0 });
         Alcotest.(check int) "one in flight" 1 (Net.in_flight net);
         (* deliver the request, then the reply *)
         let rec drain () =
@@ -55,7 +55,7 @@ let net_tests =
         let net = Net.create ~n:3 () in
         let c = Net.new_client net in
         let rid = Net.fresh_rid net in
-        Net.send net ~from:c (Id.Server.of_int 1) (Net.Query { rid });
+        Net.send net ~from:c (Id.Server.of_int 1) (Net.Query { rid; key = 0 });
         Net.crash_server net (Id.Server.of_int 1);
         Alcotest.(check int) "nothing enabled" 0 (List.length (Net.enabled net));
         Alcotest.(check int) "still in flight" 1 (Net.in_flight net));
@@ -66,7 +66,7 @@ let net_tests =
           let rid = Net.fresh_rid net in
           Net.on_reply net ~client:c ~rid (fun _ -> ());
           Net.send net ~from:c (Id.Server.of_int 0)
-            (Net.Update { rid; proposed = v })
+            (Net.Update { rid; key = 0; proposed = v })
         in
         send_update (Value.with_ts 2 (Value.Str "b"));
         send_update (Value.with_ts 1 (Value.Str "a"));
@@ -85,7 +85,7 @@ let net_tests =
             match p with
             | Net.Query_reply { stored; _ } -> got := stored
             | _ -> ());
-        Net.send net ~from:c (Id.Server.of_int 0) (Net.Query { rid });
+        Net.send net ~from:c (Id.Server.of_int 0) (Net.Query { rid; key = 0 });
         drain ();
         Alcotest.(check int) "ts" 2 (Value.ts !got));
   ]

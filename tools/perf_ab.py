@@ -18,7 +18,10 @@ the gain rule holds: the change wins at least nine tenths of the
 pairs and the medians differ by more than the parent's interquartile
 range.  An end-to-end metric with a bound in BENCHMARK.json is also
 marked when the change's median is worse than the parent's by more
-than that bound.  Exits 1 when any run failed a correctness gate.
+than that bound.  It also sums each side's ``failed`` and
+``attempted`` operations over its runs and prints both failed shares.
+Exits 1 when any run failed a correctness gate, or when the change's
+failed share is larger than the parent's.
 """
 
 import argparse
@@ -158,6 +161,7 @@ def main():
         for tree in sides.values():
             build(tree)
         values = {"parent": {}, "change": {}}
+        ops = {"parent": [0, 0], "change": [0, 0]}  # failed, attempted
         gates_failed = 0
         for i in range(a.pairs):
             order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
@@ -165,6 +169,8 @@ def main():
                 res, code = run_once(sides[side], args)
                 if code != 0 or not res.get("correct", False):
                     gates_failed += 1
+                ops[side][0] += res.get("failed", 0)
+                ops[side][1] += res.get("attempted", 0)
                 for name, m in res.get("metrics", {}).items():
                     values[side].setdefault(name, []).append(m["value"])
             print("pair %d/%d done (%s first)" % (i + 1, a.pairs, order[0]),
@@ -179,11 +185,20 @@ def main():
     print("%s: %d pairs, seed %d, parent %s, nproc %d" % (
         a.workload, a.pairs, a.seed, a.parent, os.cpu_count() or 0))
     print_rows(rows)
+    share = {side: f / a if a else 0.0 for side, (f, a) in ops.items()}
+    print("failed share: parent %d/%d (%.4g), change %d/%d (%.4g)" % (
+        ops["parent"][0], ops["parent"][1], share["parent"],
+        ops["change"][0], ops["change"][1], share["change"]))
+    status = 0
     if gates_failed:
         print("perf-ab: %d runs failed a correctness gate" % gates_failed,
               file=sys.stderr)
-        return 1
-    return 0
+        status = 1
+    if share["change"] > share["parent"]:
+        print("perf-ab: the change fails a larger share of operations",
+              file=sys.stderr)
+        status = 1
+    return status
 
 
 if __name__ == "__main__":
