@@ -78,13 +78,12 @@ let num_regs st = Array.length st.regs
 let peek_reg st reg = st.regs.(reg)
 let num_keys st = Hashtbl.length st.maxcells
 
-let peek_cell st key =
-  match Hashtbl.find_opt st.maxcells key with Some v -> v | None -> Value.v0
+(* an absent key or slot holds v0 *)
+let find_v0 tbl i =
+  match Hashtbl.find_opt tbl i with Some v -> v | None -> Value.v0
 
 let num_slots st = Hashtbl.length st.cslots
-
-let peek_slot st slot =
-  match Hashtbl.find_opt st.cslots slot with Some v -> v | None -> Value.v0
+let peek_slot st slot = find_v0 st.cslots slot
 
 (* size of [v]'s canonical wire encoding (mirrors the live codec's
    [add_value]): 1 tag byte, plus 1 for bools, 8 for ints, 4+len for
@@ -116,11 +115,12 @@ let reset st =
   Hashtbl.reset st.cslots
 
 let step st = function
-  | Query { rid; key } -> [ Query_reply { rid; stored = peek_cell st key } ]
+  | Query { rid; key } ->
+      [ Query_reply { rid; stored = find_v0 st.maxcells key } ]
   | Update { rid; key; proposed } ->
       (* write-max into the key's max-register, allocated when it first
          holds a value other than v0, so an idle key costs nothing *)
-      let v = Value.max (peek_cell st key) proposed in
+      let v = Value.max (find_v0 st.maxcells key) proposed in
       if not (Value.equal v Value.v0) then Hashtbl.replace st.maxcells key v;
       [ Update_reply { rid } ]
   | Reg_read { rid; reg } -> [ Reg_read_reply { rid; stored = st.regs.(reg) } ]

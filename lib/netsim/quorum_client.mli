@@ -80,9 +80,9 @@ module Net_runtime :
     when that is.  [Query]/[Update] on key 0 go to the instance's
     max-register on the target server, [Reg_read]/[Reg_write] to the
     register [alloc_reg] returned; any other payload, a non-zero key
-    included, raises.  No lock (fibers are
-    cooperative), no retransmission, no rids (a response is matched to
-    its trigger), and [await] ignores [need]. *)
+    included, raises.  No lock (fibers are cooperative), no
+    retransmission, no rids (a response is matched to its trigger),
+    and [await] ignores [need]. *)
 module Sim_runtime : sig
   include
     RUNTIME
